@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perm import Perm4
-from .triangulation import (EDGE_INDEX, FACET_VERTICES, Triangulation,
+from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
+                            FACET_VERTICES, Triangulation,
                             TriBuilder, TriangulationError)
 from . import homology as _homology
+from .build import relayered_weight
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
                       all_nonzero_classes, Cocycle)
-from .surface import canonical_surface, chi_formula
+from .surface import canonical_surface, chi_formula, twisted_square_scan
 
 
 # ----- layered solid torus recognition ----------------------------------------
@@ -140,10 +142,9 @@ def _try_extend(tri, emb):
         return None
     # layering pattern confirmed structurally; update the weight replay
     layered = hinge_class
-    w_removed = emb.edge_weights[layered]
     others = [e for e in emb.boundary_edges if e != layered]
-    w1, w2 = emb.edge_weights[others[0]], emb.edge_weights[others[1]]
-    new_weight = abs(w1 - w2) if w_removed == w1 + w2 else w1 + w2
+    new_weight = relayered_weight(emb.edge_weights[layered],
+                                  *(emb.edge_weights[e] for e in others))
     opp = tuple(v for v in range(4) if v not in hinge)
     new_class = amb.edge_lookup[(new, EDGE_INDEX[opp])][0]
     if new_class in emb.edge_weights:
@@ -254,12 +255,8 @@ def _prefix_triple(emb):
     the seed carries {1,2,3} and the first layering removed the base
     edge's weight."""
     removed = emb.edge_weights[emb.base_edge]
-    others = sorted(x for x in (1, 2, 3) if x != removed)
-    if removed == others[0] + others[1]:
-        new = abs(others[0] - others[1])
-    else:
-        new = others[0] + others[1]
-    return tuple(sorted(others + [new]))
+    others = [x for x in (1, 2, 3) if x != removed]
+    return tuple(sorted(others + [relayered_weight(removed, *others)]))
 
 
 # ----- bound report --------------------------------------------------------------
@@ -381,14 +378,14 @@ def _edge_class_transport(tri, new_tri, new_index, base, surgery):
             old = sk_old.edge_lookup[(t, ei)][0]
             mapping[old] = sk_new.edge_lookup[(i, ei)][0]
     for (t, f), (nt, vmap) in surgery.external.items():
-        for x_i, x in enumerate(FACET_VERTICES[f]):
-            for y in FACET_VERTICES[f][x_i + 1:]:
-                old = sk_old.edge_lookup[(t, EDGE_INDEX[(x, y)])][0]
-                new = sk_new.edge_lookup[(base + nt,
-                                          EDGE_INDEX[(vmap[x], vmap[y])])][0]
-                if old in mapping and mapping[old] != new:
-                    raise AssertionError("inconsistent edge transport")
-                mapping[old] = new
+        for ei in FACET_EDGES[f]:
+            x, y = EDGE_VERTICES[ei]
+            old = sk_old.edge_lookup[(t, ei)][0]
+            new = sk_new.edge_lookup[(base + nt,
+                                      EDGE_INDEX[(vmap[x], vmap[y])])][0]
+            if old in mapping and mapping[old] != new:
+                raise AssertionError("inconsistent edge transport")
+            mapping[old] = new
     return mapping
 
 
@@ -494,17 +491,26 @@ def move44(tri, edge_class, axis=0):
     return _apply_surgery(tri, surgery) + (surgery,)
 
 
+def _apply_move(tri, move):
+    """Run the move a MoveSpec names after checking that its face or edge
+    class exists; returns what move23/move32/move44 return."""
+    if move.kind not in ("23", "32", "44"):
+        raise TriangulationError(f"unknown move kind {move.kind!r}")
+    sk = tri.skeleton
+    what, site, count = ("face", move.face, sk.face_count) \
+        if move.kind == "23" else ("edge", move.edge, sk.edge_count)
+    if site is None or not 0 <= site < count:
+        raise TriangulationError(f"no {what} class {site} (there are {count})")
+    if move.kind == "23":
+        return move23(tri, site)
+    if move.kind == "32":
+        return move32(tri, site)
+    return move44(tri, site, move.axis)
+
+
 def pachner(tri, move: MoveSpec):
     """Apply a bistellar move, returning the new triangulation."""
-    if move.kind == "23":
-        new_tri, _, _, _ = move23(tri, move.face)
-    elif move.kind == "32":
-        new_tri, _, _, _ = move32(tri, move.edge)
-    elif move.kind == "44":
-        new_tri, _, _, _ = move44(tri, move.edge, move.axis)
-    else:
-        raise TriangulationError(f"unknown move kind {move.kind!r}")
-    return new_tri
+    return _apply_move(tri, move)[0]
 
 
 def pachner_with_cocycle(tri, phi, move: MoveSpec):
@@ -513,14 +519,7 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
     Surviving edge classes keep their bits; the value on a newly created
     edge is forced by any face relation containing it.
     """
-    if move.kind == "23":
-        new_tri, new_index, base, surgery = move23(tri, move.face)
-    elif move.kind == "32":
-        new_tri, new_index, base, surgery = move32(tri, move.edge)
-    elif move.kind == "44":
-        new_tri, new_index, base, surgery = move44(tri, move.edge, move.axis)
-    else:
-        raise TriangulationError(f"unknown move kind {move.kind!r}")
+    new_tri, new_index, base, surgery = _apply_move(tri, move)
     mapping = _edge_class_transport(tri, new_tri, new_index, base, surgery)
     ne = new_tri.skeleton.edge_count
     bits = [None] * ne
@@ -764,13 +763,13 @@ def complexity_certificate(tri, family=None):
         "classes": per_class,
         "balanced": balanced,
         "consistent_bound_forms": forms,
-        "twisted_squares": _twisted_kinds(tri),
+        "twisted_squares": twisted_squares(tri),
         "certified": bool(certified and forms),
         "family": family,
     }
 
 
-def _twisted_kinds(tri):
-    from .surface import twisted_square_scan
+def twisted_squares(tri):
+    """The twisted-square scan as JSON records {tet, pairs, kind}."""
     return [{"tet": t, "pairs": list(pairs), "kind": kind}
             for t, pairs, kind in twisted_square_scan(tri)]

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .perm import Perm4
-from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_VERTICES,
-                            TriBuilder, Triangulation, TriangulationError)
+from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
+                            FACET_VERTICES, TriBuilder, Triangulation,
+                            TriangulationError)
 from . import homology
 
 
@@ -56,6 +57,13 @@ class LGraphNode:
     depth: int
     e_bar: int
     o_bar: int
+
+    @classmethod
+    def of(cls, p, q, depth, weights):
+        """The node p/q at the given depth, from the meridian weights of
+        the depth + 2 edges of lst(p, q)."""
+        e_bar = sum(1 for w in weights if w % 2 == 0)
+        return cls(p, q, depth, e_bar, len(weights) - e_bar)
 
     @property
     def deficiency(self):
@@ -100,9 +108,7 @@ def _boundary_edge_slot(tri, face_slot, edge_class):
     remaining in-face vertex of the given edge class inside a boundary face."""
     sk = tri.skeleton
     t, f = face_slot
-    for ei in (EDGE_INDEX[(x, y)]
-               for i, x in enumerate(FACET_VERTICES[f])
-               for y in FACET_VERTICES[f][i + 1:]):
+    for ei in FACET_EDGES[f]:
         idx, sign = sk.edge_lookup[(t, ei)]
         if idx == edge_class:
             a, b = EDGE_VERTICES[ei]
@@ -120,16 +126,26 @@ def check_torus_boundary(tri):
     sk = tri.skeleton
 
     def face_edge_classes(t, f):
-        return sorted(sk.edge_lookup[(t, ei)][0] for ei in
-                      (EDGE_INDEX[(x, y)]
-                       for i, x in enumerate(FACET_VERTICES[f])
-                       for y in FACET_VERTICES[f][i + 1:]))
+        return sorted(sk.edge_lookup[(t, ei)][0] for ei in FACET_EDGES[f])
 
     c1 = face_edge_classes(t1, f1)
     c2 = face_edge_classes(t2, f2)
     if c1 != c2 or len(set(c1)) != 3:
         raise TriangulationError("boundary is not a one-vertex torus")
     return (t1, f1), (t2, f2), tuple(c1)
+
+
+def _open_book(tri, edge_class):
+    """A builder holding a copy of tri's gluings, and for each of the two
+    boundary faces (tet, facet, a, b, c): the given boundary edge runs from
+    vertex a to vertex b, and c is the face's third vertex."""
+    slot1, slot2, bclasses = check_torus_boundary(tri)
+    if edge_class not in bclasses:
+        raise TriangulationError(f"edge {edge_class} is not a boundary edge")
+    builder = TriBuilder()
+    builder.rows = [list(row) for row in tri.gluings]
+    return builder, [(*slot, *_boundary_edge_slot(tri, slot, edge_class))
+                     for slot in (slot1, slot2)]
 
 
 def layer_on_edge(tri, edge_class, meta=None):
@@ -141,23 +157,12 @@ def layer_on_edge(tri, edge_class, meta=None):
     new boundary and edge (2,3) is the fresh boundary edge.  Orientation of
     the hinge is matched on both sides, which pins the gluing completely.
     """
-    slot1, slot2, bclasses = check_torus_boundary(tri)
-    if edge_class not in bclasses:
-        raise TriangulationError(f"edge {edge_class} is not a boundary edge")
-    a1, b1, c1 = _boundary_edge_slot(tri, slot1, edge_class)
-    a2, b2, c2 = _boundary_edge_slot(tri, slot2, edge_class)
-    (t1, f1), (t2, f2) = slot1, slot2
-
-    b = TriBuilder(tri.tet_count)
-    for t in range(tri.tet_count):
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is not None and (g[0], g[1][f]) >= (t, f):
-                b.join(t, f, g[0], g[1])
-    new = b.add_tet()
-    b.join(t1, f1, new, Perm4.from_map({a1: 0, b1: 1, c1: 3, f1: 2}))
-    b.join(t2, f2, new, Perm4.from_map({a2: 0, b2: 1, c2: 2, f2: 3}))
-    out = b.freeze()
+    builder, ((t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2)) = \
+        _open_book(tri, edge_class)
+    new = builder.add_tet()
+    builder.join(t1, f1, new, Perm4.from_map({a1: 0, b1: 1, c1: 3, f1: 2}))
+    builder.join(t2, f2, new, Perm4.from_map({a2: 0, b2: 1, c2: 2, f2: 3}))
+    out = builder.freeze()
 
     new_meta = None
     if meta is not None:
@@ -175,14 +180,29 @@ def _transfer_edge_classes(old, new):
     return mapping
 
 
+def relayered_weight(removed, w1, w2):
+    """Meridian weight of the boundary edge created by one layering: the
+    layered-on edge of weight ``removed`` leaves the boundary triple, the
+    edges of weights w1 and w2 stay, and the new edge completes them to a
+    triple again."""
+    return abs(w1 - w2) if removed == w1 + w2 else w1 + w2
+
+
+def boundary_edge(meta, weight):
+    """The boundary edge class of the given meridian weight (of an LstMeta
+    or any record with ``boundary_edges`` and ``edge_weights``)."""
+    return next(e for e in meta.boundary_edges
+                if meta.edge_weights[e] == weight)
+
+
 def _relayered_meta(old, out, meta, layered_class, new_tet):
     cmap = _transfer_edge_classes(old, out)
     weights = {cmap[e]: w for e, w in meta.edge_weights.items()}
     kept = [cmap[e] for e in meta.boundary_edges if e != layered_class]
-    w_removed = meta.edge_weights[layered_class]
-    w1, w2 = (meta.edge_weights[e] for e in meta.boundary_edges
-              if e != layered_class)
-    new_weight = abs(w1 - w2) if w_removed == w1 + w2 else w1 + w2
+    new_weight = relayered_weight(
+        meta.edge_weights[layered_class],
+        *(meta.edge_weights[e] for e in meta.boundary_edges
+          if e != layered_class))
     new_class = out.skeleton.edge_lookup[(new_tet, EDGE_INDEX[(2, 3)])][0]
     weights[new_class] = new_weight
     boundary = tuple(kept + [new_class])
@@ -208,6 +228,13 @@ def minimal_path(p, q):
     return path
 
 
+def _layer_dropping(tri, meta, gone):
+    """One step down the fraction tree: layer on the boundary edge of
+    weight ``gone``, which leaves the triple {p, q, p+q} in exchange for
+    the sum of the other two."""
+    return layer_on_edge(tri, boundary_edge(meta, gone), meta)
+
+
 def lst(p, q):
     """Layered solid torus with boundary triple {p, q, p+q}."""
     p, q = int(p), int(q)
@@ -223,44 +250,31 @@ def lst(p, q):
     tri, meta = _seed_lst()
     path = minimal_path(p, q)
     for (pa, pb), (ca, cb) in zip(path, path[1:]):
-        # moving to the child replaces one of pa, pb by the new sum; the
-        # replaced weight is the edge layered on
-        gone = pa if pa not in (ca, cb) else pb
-        edge = next(e for e in meta.boundary_edges
-                    if meta.edge_weights[e] == gone)
-        tri, meta = layer_on_edge(tri, edge, meta)
+        # moving to the child replaces one of pa, pb by the new sum
+        tri, meta = _layer_dropping(tri, meta, pa if pa not in (ca, cb) else pb)
     return tri, meta
+
+
+def fold_record(p, q, weight):
+    """The lens space L(lens_a, lens_b) obtained by folding lst(p, q) along
+    its boundary edge of the given weight (p, q or p+q)."""
+    if weight == p:
+        return FoldRecord(weight, 2 * q + p, q)
+    if weight == q:
+        return FoldRecord(weight, 2 * p + q, p)
+    return FoldRecord(weight, abs(p - q), p)
 
 
 def fold_along_edge(tri, edge_class, meta=None):
     """Close the book: identify the two boundary faces by the map fixing
     the given boundary edge pointwise.  The other two boundary edges merge
     into a single class."""
-    slot1, slot2, bclasses = check_torus_boundary(tri)
-    if edge_class not in bclasses:
-        raise TriangulationError(f"edge {edge_class} is not a boundary edge")
-    a1, b1, c1 = _boundary_edge_slot(tri, slot1, edge_class)
-    a2, b2, c2 = _boundary_edge_slot(tri, slot2, edge_class)
-    (t1, f1), (t2, f2) = slot1, slot2
-    b = TriBuilder(tri.tet_count)
-    for t in range(tri.tet_count):
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is not None and (g[0], g[1][f]) >= (t, f):
-                b.join(t, f, g[0], g[1])
-    b.join(t1, f1, t2, Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2}))
-    out = b.freeze()
-    record = None
-    if meta is not None:
-        w = meta.edge_weights[edge_class]
-        p, q = meta.p, meta.q
-        if w == p:
-            record = FoldRecord(w, 2 * q + p, q)
-        elif w == q:
-            record = FoldRecord(w, 2 * p + q, p)
-        else:
-            record = FoldRecord(w, abs(p - q), p)
-    return out, record
+    builder, ((t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2)) = \
+        _open_book(tri, edge_class)
+    builder.join(t1, f1, t2, Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2}))
+    record = None if meta is None else \
+        fold_record(meta.p, meta.q, meta.edge_weights[edge_class])
+    return builder.freeze(), record
 
 
 def lens_space(p, q, fold_weight=None):
@@ -271,9 +285,8 @@ def lens_space(p, q, fold_weight=None):
     if fold_weight is None:
         evens = [w for w in (meta.p, meta.q) if w % 2 == 0]
         fold_weight = evens[0] if evens else meta.p + meta.q
-    edge = next(e for e in meta.boundary_edges
-                if meta.edge_weights[e] == fold_weight)
-    folded, record = fold_along_edge(tri, edge, meta)
+    folded, record = fold_along_edge(tri, boundary_edge(meta, fold_weight),
+                                     meta)
     return folded, meta, record
 
 
@@ -299,26 +312,39 @@ def lst_weight_multiset(p, q):
 
 
 def lgraph(depth_limit):
-    """All fraction-tree nodes to the given depth with even/odd edge-weight
-    counts of the corresponding layered solid torus."""
+    """All fraction-tree nodes to the given depth, level by level, with
+    even/odd edge-weight counts of the corresponding layered solid torus.
+    Weights come from the replay alone; no triangulation is built."""
     if depth_limit < 1:
         raise TriangulationError("depth limit must be at least 1")
     nodes = []
-    frontier = [(1, 2)]
-    depth = 1
-    while depth <= depth_limit:
-        nxt = []
-        for p, q in frontier:
-            ws = lst_weight_multiset(p, q)
-            e_bar = sum(1 for w in ws if w % 2 == 0)
-            o_bar = len(ws) - e_bar
-            assert e_bar + o_bar == depth + 2
-            nodes.append(LGraphNode(p, q, depth, e_bar, o_bar))
-            nxt.append((p, p + q))
-            nxt.append((q, p + q))
-        frontier = nxt
-        depth += 1
+    level = [(1, 2)]
+    for depth in range(1, depth_limit + 1):
+        nodes += [LGraphNode.of(p, q, depth, lst_weight_multiset(p, q))
+                  for p, q in level]
+        level = [c for p, q in level for c in ((p, p + q), (q, p + q))]
     return nodes
+
+
+def lst_tree(depth_limit):
+    """(node, triangulation, meta) for every fraction-tree node to the
+    given depth, depth first in preorder, child p/(p+q) before q/(p+q).
+
+    Each child is layered once on its parent, and only the pending
+    siblings along the current path are held, so memory stays linear in
+    the depth.  Stable-sorting the nodes by depth gives ``lgraph``'s order.
+    """
+    if depth_limit < 1:
+        raise TriangulationError("depth limit must be at least 1")
+    stack = [(*_seed_lst(), 1)]
+    while stack:
+        tri, meta, depth = stack.pop()
+        yield (LGraphNode.of(meta.p, meta.q, depth, meta.edge_weights.values()),
+               tri, meta)
+        if depth < depth_limit:
+            # dropping q gives p/(p+q): pushed last, it is visited first
+            for gone in (meta.p, meta.q):
+                stack.append((*_layer_dropping(tri, meta, gone), depth + 1))
 
 
 def enumerate_minimal_lens_families(depth_limit):
@@ -337,16 +363,20 @@ def enumerate_minimal_lens_families(depth_limit):
     if depth_limit < 3:
         raise TriangulationError("enumeration needs depth at least 3")
     results = []
-    for node in lgraph(depth_limit):
+    for node, tri, meta in lst_tree(depth_limit):
         evens = [w for w in (node.p, node.q) if w % 2 == 0]
         if not evens:
             continue
-        tri, meta, record = lens_space(node.p, node.q, fold_weight=evens[0])
-        classes = _cocycle.all_nonzero_classes(tri)
+        folded, record = fold_along_edge(
+            tri, boundary_edge(meta, evens[0]), meta)
+        classes = _cocycle.all_nonzero_classes(folded)
         if len(classes) != 1:
             raise AssertionError("even lens space without a unique class")
-        census = _cocycle.parity_census(tri, classes[0])
+        census = _cocycle.parity_census(folded, classes[0])
         hist = census.even_degree_histogram
+        if hist.get(3, 0) == 2 and hist.get(5, 0) == 2:
+            raise AssertionError("census shows two degree-3 and two degree-5 "
+                                 "even edges, which should be impossible")
         others = {d: c for d, c in hist.items() if d != 4}
         if census.balanced and others == {3: 2}:
             classification = "balanced"
@@ -356,10 +386,8 @@ def enumerate_minimal_lens_families(depth_limit):
             classification = "e3=2,e6=1"
         else:
             continue
-        if hist.get(3, 0) == 2 and hist.get(5, 0) == 2:
-            raise AssertionError("census shows two degree-3 and two degree-5 "
-                                 "even edges, which should be impossible")
         results.append((node, record, classification))
+    results.sort(key=lambda row: row[0].depth)    # stable: lgraph's order
     return results
 
 
@@ -473,6 +501,9 @@ def augmented_solid_torus(fillings):
         t1, f1 = annulus["tri1"]
         t2, f2 = annulus["tri2"]
         if filling.kind == "fold":
+            if filling.style not in ("straight", "cross"):
+                raise TriangulationError(
+                    f"unknown fold style {filling.style!r}")
             e1, e2 = dict(annulus["edges1"]), dict(annulus["edges2"])
             if filling.style == "cross":
                 e2 = {"h": e2["d"], "d": e2["h"], "v": e2["v"]}
@@ -484,8 +515,6 @@ def augmented_solid_torus(fillings):
         else:
             raise TriangulationError(f"unknown filling kind {filling.kind!r}")
 
-    prism_tets = 3
-    tri = b.freeze() if not pending else None
     # attach solid tori one at a time, rebuilding the gluing table
     rows = [list(r) for r in b.rows]
     for annulus, filling in pending:
@@ -505,21 +534,17 @@ def augmented_solid_torus(fillings):
             rows.append(row)
         (lt1, lf1), (lt2, lf2) = sub.boundary_facets()
         sk = sub.skeleton
-        by_weight = {}
-        for e in meta.boundary_edges:
-            by_weight[meta.edge_weights[e]] = e
-        want = {"h": by_weight[filling.w_h], "d": by_weight[filling.w_d],
-                "v": by_weight[filling.w_v]}
+        want = {"h": boundary_edge(meta, filling.w_h),
+                "d": boundary_edge(meta, filling.w_d),
+                "v": boundary_edge(meta, filling.w_v)}
 
         def face_edges(t, f):
             out = {}
-            verts = FACET_VERTICES[f]
-            for i, x in enumerate(verts):
-                for y in verts[i + 1:]:
-                    cls = sk.edge_lookup[(t, EDGE_INDEX[(x, y)])][0]
-                    for role, ecls in want.items():
-                        if cls == ecls:
-                            out[role] = (x, y)
+            for ei in FACET_EDGES[f]:
+                cls = sk.edge_lookup[(t, ei)][0]
+                for role, ecls in want.items():
+                    if cls == ecls:
+                        out[role] = EDGE_VERTICES[ei]
             return out
 
         lst_faces = [(lt1, lf1, face_edges(lt1, lf1)),

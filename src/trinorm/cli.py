@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import build, homology, cocycle, surface, analyze, verifysuite
-from .triangulation import Triangulation, TriangulationError, parse, serialize
+from .triangulation import TriangulationError, parse, serialize
 
 SCHEMA_VERSION = 1
 
@@ -20,8 +20,16 @@ def report_schema():
     return json.loads(path.read_text())
 
 
+class UsageError(Exception):
+    """A combination of options the parser cannot rule out by itself."""
+
+
 def _load(path):
-    return parse(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise TriangulationError(f"cannot read {path}: {exc.strerror}") from None
+    return parse(text)
 
 
 def _write_tri(tri, path, meta=None):
@@ -54,6 +62,23 @@ def _census_block(c):
         "empty_tets": c.empty_tets, "balanced": c.balanced,
         "even_subcomplex": list(c.even_subcomplex),
     }
+
+
+def _tori_block(lsts):
+    return [{"tets": list(l.tets), "boundary_triple": list(l.boundary_triple),
+             "univalent_edge": l.univalent_edge, "base_edge": l.base_edge}
+            for l in lsts]
+
+
+def _colouring_class(tri, index):
+    """The nonzero colouring class chosen by ``--class``."""
+    classes = cocycle.all_nonzero_classes(tri)
+    if not classes:
+        raise TriangulationError("no nonzero colouring classes")
+    if not 0 <= index < len(classes):
+        raise TriangulationError(
+            f"--class must be in 0..{len(classes) - 1}, got {index}")
+    return classes[index]
 
 
 def _bound_block(rep):
@@ -105,14 +130,9 @@ def full_report(tri, descriptor, k_phi=0):
             })
         report["classes"] = classes
         lsts = analyze.find_maximal_lsts(tri)
-        report["maximal_layered_solid_tori"] = [
-            {"tets": list(l.tets), "boundary_triple": list(l.boundary_triple),
-             "univalent_edge": l.univalent_edge, "base_edge": l.base_edge}
-            for l in lsts]
+        report["maximal_layered_solid_tori"] = _tori_block(lsts)
         report["lst_intersections"] = analyze.lst_intersection_matrix(tri, lsts)
-        report["twisted_squares"] = [
-            {"tet": t, "pairs": list(pairs), "kind": kind}
-            for t, pairs, kind in surface.twisted_square_scan(tri)]
+        report["twisted_squares"] = analyze.twisted_squares(tri)
         report["lint"] = analyze.low_degree_lint(tri)
     return report
 
@@ -144,9 +164,7 @@ def cmd_fold(args):
         emb = lsts[0]
         p, q = emb.boundary_triple[0], emb.boundary_triple[1]
         w = {"p": p, "q": q, "pq": p + q}[weight_names[args.edge]]
-        edge = next(e for e in emb.boundary_edges
-                    if emb.edge_weights[e] == w)
-        folded, _ = build.fold_along_edge(tri, edge)
+        folded, _ = build.fold_along_edge(tri, build.boundary_edge(emb, w))
         weights = emb.edge_weights
     else:
         if args.p is None or args.q is None:
@@ -155,12 +173,7 @@ def cmd_fold(args):
         w = {"p": p, "q": q, "pq": p + q}[weight_names[args.edge]]
         folded, meta, _ = build.lens_space(p, q, fold_weight=w)
         weights = meta.edge_weights
-    if w == p:
-        record = build.FoldRecord(w, 2 * q + p, q)
-    elif w == q:
-        record = build.FoldRecord(w, 2 * p + q, p)
-    else:
-        record = build.FoldRecord(w, abs(p - q), p)
+    record = build.fold_record(p, q, w)
     h = homology.first_homology(folded)
     _write_tri(folded, args.out, {
         "family": "lens", "params": {"p": p, "q": q, "fold_weight": w},
@@ -207,12 +220,12 @@ def cmd_construct_loop(args):
 def cmd_construct_augmented(args):
     fillings = []
     for entry in args.annulus:
-        parts = entry.split(":")
-        if parts[0] == "fold":
-            style = parts[1] if len(parts) > 1 else "straight"
-            fillings.append(build.AnnulusFilling("fold", style=style))
-        elif parts[0] == "lst":
-            wh, wd, wv = (int(x) for x in parts[1].split(","))
+        kind, _, spec = entry.partition(":")
+        if kind == "fold":
+            fillings.append(build.AnnulusFilling("fold",
+                                                 style=spec or "straight"))
+        elif kind == "lst":
+            wh, wd, wv = (int(x) for x in spec.split(","))
             fillings.append(build.AnnulusFilling("lst", w_h=wh, w_d=wd, w_v=wv))
         else:
             raise TriangulationError(f"bad annulus entry {entry!r}")
@@ -242,10 +255,7 @@ def cmd_colourings(args):
 
 def cmd_surface(args):
     tri = _load(args.input)
-    classes = cocycle.all_nonzero_classes(tri)
-    if not classes:
-        raise TriangulationError("no nonzero colouring classes")
-    phi = classes[args.cls]
+    phi = _colouring_class(tri, args.cls)
     canon = surface.canonical_surface(tri, phi)
     coord = canon.coord
     octs = 0
@@ -275,6 +285,9 @@ def cmd_bounds(args):
 
 
 def cmd_moves(args):
+    needed = "face" if args.move == "23" else "edge"
+    if getattr(args, needed) is None:
+        raise UsageError(f"--move {args.move} needs --{needed}")
     tri = _load(args.input)
     move = analyze.MoveSpec(args.move, face=args.face, edge=args.edge,
                             axis=args.axis)
@@ -286,10 +299,7 @@ def cmd_moves(args):
 
 def cmd_promote(args):
     tri = _load(args.input)
-    classes = cocycle.all_nonzero_classes(tri)
-    if not classes:
-        raise TriangulationError("no nonzero colouring classes")
-    phi = classes[args.cls]
+    phi = _colouring_class(tri, args.cls)
     out, phi2, log = analyze.promote(tri, phi)
     _write_tri(out, args.out)
     _emit({"written": args.out, "flips": log, "cocycle": str(phi2)})
@@ -300,11 +310,7 @@ def cmd_find_lst(args):
     tri = _load(args.input)
     lsts = analyze.find_maximal_lsts(tri)
     _emit({"schema_version": SCHEMA_VERSION,
-           "tori": [{"tets": list(l.tets),
-                     "boundary_triple": list(l.boundary_triple),
-                     "base_edge": l.base_edge,
-                     "univalent_edge": l.univalent_edge}
-                    for l in lsts],
+           "tori": _tori_block(lsts),
            "intersections": analyze.lst_intersection_matrix(tri, lsts)})
     return 0
 
@@ -312,8 +318,7 @@ def cmd_find_lst(args):
 def cmd_twisted_squares(args):
     tri = _load(args.input)
     _emit({"schema_version": SCHEMA_VERSION,
-           "twisted_squares": [{"tet": t, "pairs": list(pr), "kind": kind}
-                               for t, pr, kind in surface.twisted_square_scan(tri)]})
+           "twisted_squares": analyze.twisted_squares(tri)})
     return 0
 
 
@@ -398,7 +403,6 @@ def make_parser():
 
     p = sub.add_parser("analyze")
     p.add_argument("input")
-    p.add_argument("--json", action="store_true", default=True)
     p.add_argument("--k-phi", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
@@ -465,6 +469,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except (TriangulationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .triangulation import (EDGE_VERTICES, FACET_VERTICES, EDGE_INDEX,
-                            TriangulationError)
+from .triangulation import EDGE_VERTICES, FACET_EDGES, TriangulationError
 from .homology import gf2_kernel_basis
 
 
@@ -68,11 +67,8 @@ def face_relation_rows(tri):
     for fc in sk.face_classes:
         t, f = fc.slots[0]
         bits = 0
-        verts = FACET_VERTICES[f]
-        for i, x in enumerate(verts):
-            for y in verts[i + 1:]:
-                cls = sk.edge_lookup[(t, EDGE_INDEX[(x, y)])][0]
-                bits ^= 1 << cls
+        for ei in FACET_EDGES[f]:
+            bits ^= 1 << sk.edge_lookup[(t, ei)][0]
         rows.append(bits)
     return rows
 
@@ -191,9 +187,8 @@ def parity_census(tri, phi):
 
     even_faces = sum(
         1 for fc in sk.face_classes
-        if all(phi[sk.edge_lookup[(fc.slots[0][0], EDGE_INDEX[(x, y)])][0]] == 0
-               for i, x in enumerate(FACET_VERTICES[fc.slots[0][1]])
-               for y in FACET_VERTICES[fc.slots[0][1]][i + 1:]))
+        if all(phi[sk.edge_lookup[(fc.slots[0][0], ei)][0]] == 0
+               for ei in FACET_EDGES[fc.slots[0][1]]))
     sub_vertices = 1 if even else 0
     census = ParityCensus(
         even_edges=len(even),

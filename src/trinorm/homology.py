@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .triangulation import EDGE_VERTICES, FACET_VERTICES, TriangulationError
+from .triangulation import (EDGE_VERTICES, FACET_VERTICES,
+                            TriangulationError, _UnionFind)
 
 
 # ----- Smith normal form ----------------------------------------------------
@@ -234,23 +235,15 @@ def first_homology(tri):
     # Kill a spanning tree of the vertex graph: contracting it leaves a
     # one-vertex complex, so H_1 is the cokernel of d2 extended by unit
     # columns for the tree edges.
-    parent = list(range(sk.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    tree = _UnionFind(sk.vertex_count)
     extra = []
     for ec in sk.edge_classes:
         t, ei = ec.slots[0]
         a, b = EDGE_VERTICES[ei]
         va = sk.vertex_lookup[(t, a)][0]
         vb = sk.vertex_lookup[(t, b)][0]
-        ra, rb = find(va), find(vb)
-        if ra != rb:
-            parent[ra] = rb
+        if tree.find(va)[0] != tree.find(vb)[0]:
+            tree.union(va, vb, 0)
             col = [0] * ne
             col[ec.index] = 1
             extra.append(col)

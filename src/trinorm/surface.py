@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .triangulation import (EDGE_VERTICES, OPPOSITE_EDGE, FACET_VERTICES,
-                            TriangulationError)
+                            TriangulationError, _UnionFind)
 from .cocycle import TetType, classify_tetrahedra, ParityCensus
 
 # quad type i is disjoint from edge pair (i, 5-i): (01|23), (02|13), (03|12)
@@ -274,6 +274,8 @@ def b_modification(tri, phi, b_edges):
     b = set(b_edges)
     sk = tri.skeleton
     for e in b:
+        if not 0 <= e < sk.edge_count:
+            raise TriangulationError(f"{e} is not an edge class")
         if phi[e]:
             raise TriangulationError(f"edge {e} is odd; b must select even edges")
     types = classify_tetrahedra(tri, phi)
@@ -488,40 +490,13 @@ def surface_classify(tri, coord):
     discs = _disc_list(coord)
     if not discs:
         return chi, True, False
-    index_of = {d: i for i, d in enumerate(discs)}
     by_tet = {}
     for i, d in enumerate(discs):
         by_tet.setdefault(d[0], []).append(i)
 
-    parent = list(range(len(discs)))
-    rel = [0] * len(discs)
-
-    def find2(x):
-        path = []
-        root = x
-        while parent[root] != root:
-            path.append(root)
-            root = parent[root]
-        acc = 0
-        for node in reversed(path):
-            acc ^= rel[node]
-            parent[node] = root
-            rel[node] = acc
-        return root, (rel[x] if path else 0)
-
-    conflict = False
-
-    def union(x, y, r):
-        nonlocal conflict
-        rx, px = find2(x)
-        ry, py = find2(y)
-        if rx == ry:
-            if (px ^ py) != r:
-                conflict = True
-            return
-        parent[ry] = rx
-        rel[ry] = px ^ r ^ py
-
+    # discs joined across faces, with a parity bit when the transverse
+    # orientations disagree; any odd cycle (a conflict) is one-sidedness
+    uf = _UnionFind(len(discs))
     for fc in tri.skeleton.face_classes:
         if fc.boundary:
             continue
@@ -536,8 +511,7 @@ def surface_classify(tri, coord):
             for d1, d2 in zip(side1, side2):
                 s1 = _toward_vertex_sign(discs[d1], v)
                 s2 = _toward_vertex_sign(discs[d2], perm[v])
-                union(d1, d2, 0 if s1 == s2 else 1)
+                uf.union(d1, d2, 0 if s1 == s2 else 1)
 
-    roots = {find2(i)[0] for i in range(len(discs))}
-    connected = len(roots) == 1
-    return chi, not conflict, connected
+    roots = {uf.find(i)[0] for i in range(len(discs))}
+    return chi, not uf.conflict, len(roots) == 1

@@ -33,6 +33,14 @@ class TriangulationError(ValueError):
     """Invalid gluing data or an operation applied outside its domain."""
 
 
+class GluingError(TriangulationError):
+    """An inconsistent gluing, located at ``slot`` = (tet, facet)."""
+
+    def __init__(self, message, slot):
+        self.slot = slot
+        super().__init__(message)
+
+
 class ParseError(TriangulationError):
     def __init__(self, message, line=None):
         self.line = line
@@ -172,12 +180,13 @@ class Triangulation:
                     raise TriangulationError(
                         f"dangling tetrahedron index {u} at tet {t} facet {f}")
                 if u == t and perm[f] == f and perm.is_identity():
-                    raise TriangulationError(
-                        f"facet {f} of tet {t} glued to itself pointwise")
+                    raise GluingError(
+                        f"facet {f} of tet {t} glued to itself pointwise",
+                        (t, f))
                 back = table[u][perm[f]]
                 if back is None or back[0] != t or back[1] != perm.inverse():
-                    raise TriangulationError(
-                        f"non-involutive gluing at tet {t} facet {f}")
+                    raise GluingError(
+                        f"non-involutive gluing at tet {t} facet {f}", (t, f))
         self._gluings = table
 
     @property
@@ -540,22 +549,10 @@ def parse(text):
     missing = [i for i in range(tet_count) if i not in entries]
     if missing:
         raise ParseError(f"missing entry for tetrahedron {missing[0]}")
-    # check involutivity here so failures carry the offending line number
-    for t in range(tet_count):
-        for f, g in enumerate(entries[t]):
-            if g is None:
-                continue
-            u, perm = g
-            if u == t and perm[f] == f and perm.is_identity():
-                raise ParseError(
-                    f"facet {f} of tet {t} glued to itself pointwise",
-                    entry_lines[t])
-            back = entries[u][perm[f]]
-            if back is None or back[0] != t or back[1] != perm.inverse():
-                raise ParseError(
-                    f"non-involutive gluing at tet {t} facet {f}",
-                    entry_lines[t])
-    return Triangulation([entries[i] for i in range(tet_count)])
+    try:
+        return Triangulation([entries[i] for i in range(tet_count)])
+    except GluingError as exc:
+        raise ParseError(str(exc), entry_lines[exc.slot[0]]) from None
 
 
 def serialize(tri):

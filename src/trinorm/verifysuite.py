@@ -15,36 +15,10 @@ from .cocycle import TetType
 from .triangulation import TriangulationError
 
 
-def iter_lst_tree(depth_limit):
-    """(node, triangulation, meta) for every fraction-tree node, built
-    incrementally by layering one tetrahedron on the parent."""
-    tri, meta = build.lst(1, 2)
-    frontier = [(build.LGraphNode(1, 2, 1, 1, 2), tri, meta)]
-    depth = 1
-    while depth <= depth_limit:
-        nxt = []
-        for node, tri, meta in frontier:
-            yield node, tri, meta
-            if depth < depth_limit:
-                for gone in (node.q, node.p):
-                    edge = next(e for e in meta.boundary_edges
-                                if meta.edge_weights[e] == gone)
-                    t2, m2 = build.layer_on_edge(tri, edge, meta)
-                    child = (node.p, node.p + node.q) if gone == node.q \
-                        else (node.q, node.p + node.q)
-                    ws = list(m2.edge_weights.values())
-                    e_bar = sum(1 for w in ws if w % 2 == 0)
-                    nxt.append((build.LGraphNode(child[0], child[1], depth + 1,
-                                                 e_bar, len(ws) - e_bar),
-                                t2, m2))
-        frontier = nxt
-        depth += 1
-
-
 def check_lst_counts(quick=False):
     depth = 8 if quick else 12
     n = 0
-    for node, tri, meta in iter_lst_tree(depth):
+    for node, tri, meta in build.lst_tree(depth):
         sk = tri.skeleton
         k = tri.tet_count
         if not (sk.vertex_count == 1 and sk.edge_count == k + 2
@@ -57,12 +31,13 @@ def check_lst_counts(quick=False):
 def check_fold_homology(quick=False):
     depth = 6 if quick else 10
     n = 0
-    for node, tri, meta in iter_lst_tree(depth):
+    for _, tri, meta in build.lst_tree(depth):
         p, q = meta.p, meta.q
+        # the lens table written out: the reference the homology oracle and
+        # build.fold_record are both held to
         for w, expect in ((p, 2 * q + p), (q, 2 * p + q), (p + q, abs(p - q))):
-            edge = next(e for e in meta.boundary_edges
-                        if meta.edge_weights[e] == w)
-            folded, _ = build.fold_along_edge(tri, edge, meta)
+            folded, _ = build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)
             h = homology.first_homology(folded)
             if h.betti or h.order != expect:
                 return False, (f"fold of {p}/{q} along {w}: |H1| = {h.order}, "
@@ -112,13 +87,23 @@ def _family_grid(quick=False):
 
 
 def _lens_grid(quick=False):
+    """(node, w, folded) for the three folds of every fraction-tree node,
+    in the walker's depth-first order."""
     depth = 5 if quick else 10
-    for node, tri, meta in iter_lst_tree(depth):
+    for node, tri, meta in build.lst_tree(depth):
         for w in (meta.p, meta.q, meta.p + meta.q):
-            edge = next(e for e in meta.boundary_edges
-                        if meta.edge_weights[e] == w)
-            folded, rec = build.fold_along_edge(tri, edge, meta)
-            yield (meta.p, meta.q, w), folded
+            folded, _ = build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)
+            yield node, w, folded
+
+
+def _closed_instances():
+    """The quick family grid, then the quick lens grid level by level (as
+    ``lgraph`` numbers the tree): ``check_fundamental_identity`` deals its
+    seeded colourings out in this order."""
+    lens = sorted(_lens_grid(quick=True), key=lambda item: item[0].depth)
+    return ([tri for _, _, tri in _family_grid(quick=True)]
+            + [folded for _, _, folded in lens])
 
 
 def check_chi_two_methods(quick=False):
@@ -130,48 +115,46 @@ def check_chi_two_methods(quick=False):
             if canon.chi != surface.chi_formula(census):
                 return False, f"{name}{params}: {canon.chi} != formula"
             n += 1
-    for key, folded in _lens_grid(quick):
+    for node, w, folded in _lens_grid(quick):
         for phi in cocycle.all_nonzero_classes(folded):
             census = cocycle.parity_census(folded, phi)
             canon = surface.canonical_surface(folded, phi)
             if canon.chi != surface.chi_formula(census):
-                return False, f"lens {key}: {canon.chi} != formula"
+                return False, (f"lens {node.p}/{node.q} fold {w}: "
+                               f"{canon.chi} != formula")
             n += 1
     return True, f"cell count equals census formula on {n} surfaces"
 
 
-def check_family_m(quick=False):
+def _check_seifert_family(tag, name, quick, rank, tets, norm_sum):
+    """Tetrahedron count, Z/2 rank and canonical-surface norm sum of every
+    member (k, m, n) of an augmented family, as functions of k + m + n."""
     rng = (1, 2) if quick else (1, 2, 3)
     for k, m, n in product(rng, repeat=3):
-        tri, params = build.seifert_family("M", k, m, n)
+        tri, _ = build.seifert_family(tag, k, m, n)
+        label, s = f"{name}{(k, m, n)}", k + m + n
         h = homology.first_homology(tri)
         phis = cocycle.all_nonzero_classes(tri)
-        if tri.tet_count != 2 * (k + m + n + 1):
-            return False, f"M{(k,m,n)}: {tri.tet_count} tetrahedra"
-        if h.z2_rank != 1 or len(phis) != 1:
-            return False, f"M{(k,m,n)}: rank {h.z2_rank}"
-        canon = surface.canonical_surface(tri, phis[0])
-        if canon.chi != -(k + m + n):
-            return False, f"M{(k,m,n)}: chi {canon.chi}"
-    return True, f"family M exact on {len(rng) ** 3} instances"
+        if tri.tet_count != tets(s):
+            return False, f"{label}: {tri.tet_count} tetrahedra"
+        if h.z2_rank != rank or len(phis) != 2 ** rank - 1:
+            return False, f"{label}: rank {h.z2_rank}"
+        total = sum(-surface.canonical_surface(tri, phi).chi for phi in phis)
+        if total != norm_sum(s):
+            return False, f"{label}: norm sum {total}"
+    return True, f"family {name} exact on {len(rng) ** 3} instances"
+
+
+def check_family_m(quick=False):
+    return _check_seifert_family("M", "M", quick, rank=1,
+                                 tets=lambda s: 2 * s + 2,
+                                 norm_sum=lambda s: s)
 
 
 def check_family_mprime(quick=False):
-    rng = (1, 2) if quick else (1, 2, 3)
-    for k, m, n in product(rng, repeat=3):
-        tri, params = build.seifert_family("MPRIME", k, m, n)
-        h = homology.first_homology(tri)
-        phis = cocycle.all_nonzero_classes(tri)
-        if tri.tet_count != 2 * k + 2 * m + 2 * n + 3:
-            return False, f"M'{(k,m,n)}: {tri.tet_count} tetrahedra"
-        if h.z2_rank != 2 or len(phis) != 3:
-            return False, f"M'{(k,m,n)}: rank {h.z2_rank}"
-        total = sum(-surface.canonical_surface(tri, phi).chi for phi in phis)
-        if total != 2 * (k + m + n):
-            return False, f"M'{(k,m,n)}: norm sum {total}"
-        if tri.tet_count != 3 + total:
-            return False, f"M'{(k,m,n)}: count != 3 + sum"
-    return True, f"family M' exact on {len(rng) ** 3} instances"
+    return _check_seifert_family("MPRIME", "M'", quick, rank=2,
+                                 tets=lambda s: 2 * s + 3,
+                                 norm_sum=lambda s: 2 * s)
 
 
 def check_quaternionic(quick=False):
@@ -334,13 +317,12 @@ def check_moves(quick=False):
 def check_lst_recognition(quick=False):
     depth = 6 if quick else 8
     n = 0
-    for node, tri, meta in iter_lst_tree(depth):
+    for node, tri, meta in build.lst_tree(depth):
         if tri.tet_count < 3:
             continue
         for w in (meta.p, meta.q):
-            edge = next(e for e in meta.boundary_edges
-                        if meta.edge_weights[e] == w)
-            folded, _ = build.fold_along_edge(tri, edge, meta)
+            folded, _ = build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)
             lsts = analyze.find_maximal_lsts(folded)
             if len(lsts) != 2:
                 return False, (f"lens {node.p}/{node.q} fold {w}: "
@@ -367,9 +349,7 @@ def check_lst_recognition(quick=False):
 def check_fundamental_identity(quick=False):
     rng = random.Random(1789)
     n = 0
-    instances = [tri for _, _, tri in _family_grid(quick=True)]
-    for key, folded in _lens_grid(quick=True):
-        instances.append(folded)
+    instances = _closed_instances()
     vector_budget = 60 if quick else 200
     for tri in instances:
         for phi in cocycle.all_nonzero_classes(tri):
@@ -398,10 +378,7 @@ def check_fundamental_identity(quick=False):
 
 def check_lint_identity(quick=False):
     n = 0
-    instances = [tri for _, _, tri in _family_grid(quick=True)]
-    for key, folded in _lens_grid(quick=True):
-        instances.append(folded)
-    for tri in instances:
+    for tri in _closed_instances():
         sk = tri.skeleton
         if not tri.is_closed or sk.vertex_count != 1:
             continue

@@ -172,6 +172,12 @@ def test_augmented_rejects_bad_weights():
             build.AnnulusFilling("fold"),
             build.AnnulusFilling("fold"),
         ))
+    with pytest.raises(TriangulationError):
+        build.augmented_solid_torus((
+            build.AnnulusFilling("fold", style="weird"),
+            build.AnnulusFilling("fold", style="cross"),
+            build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
+        ))
 
 
 def test_closed_constructions_are_orientable_one_vertex():
@@ -190,3 +196,46 @@ def test_equivalent_lens_folds_coincide():
     a, _, _ = build.lens_space(1, 3, fold_weight=1)
     b, _, _ = build.lens_space(2, 3, fold_weight=3)
     assert a.isomorphic(b)
+
+
+def test_lst_tree_matches_lst():
+    # the incremental walker against the from-scratch construction
+    seen = 0
+    for node, tri, meta in build.lst_tree(9):
+        assert (tri, meta) == build.lst(node.p, node.q)
+        assert tri.tet_count == node.depth
+        seen += 1
+    assert seen == 2 ** 9 - 1
+
+
+def test_lgraph_is_walker_order_by_depth():
+    walked = [node for node, _, _ in build.lst_tree(8)]
+    assert build.lgraph(8) == sorted(walked, key=lambda n: n.depth)
+
+
+def _reference_lens_families(depth_limit):
+    """The census the slow way: lens_space from scratch per lgraph node."""
+    rows = []
+    for node in build.lgraph(depth_limit):
+        evens = [w for w in (node.p, node.q) if w % 2 == 0]
+        if not evens:
+            continue
+        tri, _, record = build.lens_space(node.p, node.q, fold_weight=evens[0])
+        classes = cocycle.all_nonzero_classes(tri)
+        assert len(classes) == 1
+        census = cocycle.parity_census(tri, classes[0])
+        hist = census.even_degree_histogram
+        others = {d: c for d, c in hist.items() if d != 4}
+        if census.balanced and others == {3: 2}:
+            rows.append((node, record, "balanced"))
+        elif others == {3: 1, 5: 1}:
+            rows.append((node, record, "e3=1,e5=1"))
+        elif others == {3: 2, 6: 1}:
+            rows.append((node, record, "e3=2,e6=1"))
+    return rows
+
+
+@pytest.mark.parametrize("depth", range(3, 9))
+def test_enumerate_matches_from_scratch_reference(depth):
+    assert build.enumerate_minimal_lens_families(depth) == \
+        _reference_lens_families(depth)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from trinorm import build
 from trinorm.cli import main
 from trinorm.triangulation import parse, serialize
@@ -41,7 +43,7 @@ def test_family_and_analyze(tmp_path, capsys):
     assert main(["construct", "family", "--tag", "M", "-k", "1", "-m", "1",
                  "-n", "1", "-o", str(out)]) == 0
     assert parse(out.read_text()).tet_count == 8
-    assert main(["analyze", str(out), "--json"]) == 0
+    assert main(["analyze", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["skeleton"]["tet_count"] == 8
     assert report["homology"]["z2_rank"] == 1
@@ -156,3 +158,39 @@ def test_reports_validate_against_published_schema(tmp_path, capsys):
         assert main(["analyze", str(out)]) == 0
         report = json.loads(capsys.readouterr().out)
         jsonschema.validate(report, schema)
+
+
+ERROR_CASES = {
+    "surface class past the end": (["surface", "LENS", "--class", "7"], 1),
+    "surface negative class": (["surface", "LENS", "--class", "-1"], 1),
+    "promote class past the end": (["promote", "M111", "--class", "9",
+                                    "-o", "OUT"], 1),
+    "surface b edge past the end": (["surface", "LENS", "--b", "99"], 1),
+    "moves edge past the end": (["moves", "M111", "--move", "32",
+                                 "--edge", "999", "-o", "OUT"], 1),
+    "missing input file": (["analyze", "NOFILE"], 1),
+    "unknown fold style": (["construct", "augmented", "--annulus", "fold:weird",
+                            "--annulus", "fold:cross", "--annulus",
+                            "lst:5,1,6", "-o", "OUT"], 1),
+    "moves 23 without face": (["moves", "M111", "--move", "23",
+                               "-o", "OUT"], 2),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    main(["fold", "--p", "1", "--q", "6", "--edge", "q",
+          "-o", str(d / "lens.tri")])
+    main(["construct", "family", "--tag", "M", "-k", "1", "-m", "1", "-n", "1",
+          "-o", str(d / "m111.tri")])
+    return {"LENS": str(d / "lens.tri"), "M111": str(d / "m111.tri"),
+            "OUT": str(d / "out.tri"), "NOFILE": str(d / "missing.tri")}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_contract(case, cli_inputs):
+    argv, expected = ERROR_CASES[case]
+    code, _, err = run_cli([cli_inputs.get(a, a) for a in argv])
+    assert code == expected
+    assert err.startswith("error: ") and "Traceback" not in err
