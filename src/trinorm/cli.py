@@ -165,15 +165,17 @@ def cmd_fold(args):
         p, q = emb.boundary_triple[0], emb.boundary_triple[1]
         w = {"p": p, "q": q, "pq": p + q}[weight_names[args.edge]]
         folded, _ = build.fold_along_edge(tri, build.boundary_edge(emb, w))
+        record = build.fold_record(p, q, w)
         weights = emb.edge_weights
     else:
         if args.p is None or args.q is None:
             raise TriangulationError("give a .tri file or both --p and --q")
         p, q = args.p, args.q
         w = {"p": p, "q": q, "pq": p + q}[weight_names[args.edge]]
-        folded, meta, _ = build.lens_space(p, q, fold_weight=w)
+        # the record comes from the sorted pair lst(p, q) is built on, so
+        # it does not depend on the order of --p and --q
+        folded, meta, record = build.lens_space(p, q, fold_weight=w)
         weights = meta.edge_weights
-    record = build.fold_record(p, q, w)
     h = homology.first_homology(folded)
     _write_tri(folded, args.out, {
         "family": "lens", "params": {"p": p, "q": q, "fold_weight": w},
@@ -261,7 +263,7 @@ def cmd_surface(args):
     octs = 0
     if args.b:
         b_edges = [int(x) for x in args.b.split(",") if x != ""]
-        coord, octs = surface.b_modification(tri, phi, b_edges)
+        coord, octs = surface.b_modification(tri, canon, b_edges)
     chi = surface.euler_char(tri, coord)
     sys.stdout.write(coord.dump() + "\n")
     _emit({"schema_version": SCHEMA_VERSION, "cocycle": str(phi),
@@ -272,11 +274,10 @@ def cmd_surface(args):
 
 def cmd_bounds(args):
     tri = _load(args.input)
-    classes = cocycle.all_nonzero_classes(tri)
+    classes = (cocycle.all_nonzero_classes(tri) if args.cls is None
+               else [_colouring_class(tri, args.cls)])
     out = []
-    for i, phi in enumerate(classes):
-        if args.cls is not None and i != args.cls:
-            continue
+    for phi in classes:
         rep = analyze.fundamental_report(tri, phi, k_phi=args.k_phi)
         out.append({"cocycle": str(phi), **_bound_block(rep)})
     _emit({"schema_version": SCHEMA_VERSION, "bounds": out,

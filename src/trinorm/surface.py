@@ -33,42 +33,32 @@ QUAD_PAIRS = ((0, 5), (1, 4), (2, 3))
 QUAD_SIDE_A = ((0, 1), (0, 2), (0, 3))
 
 
-def _quad_edge_weights(i):
-    w = [1] * 6
-    w[QUAD_PAIRS[i][0]] = 0
-    w[QUAD_PAIRS[i][1]] = 0
-    return tuple(w)
+def _facet_side(i, facet, size):
+    """The vertices of the facet that lie on one side of the partition of
+    quad/octagon type i, taking the side that holds ``size`` of them."""
+    verts = FACET_VERTICES[facet]
+    ina = tuple(v for v in verts if v in QUAD_SIDE_A[i])
+    return ina if len(ina) == size else tuple(v for v in verts
+                                              if v not in QUAD_SIDE_A[i])
 
 
-def _oct_edge_weights(i):
-    w = [1] * 6
-    w[QUAD_PAIRS[i][0]] = 2
-    w[QUAD_PAIRS[i][1]] = 2
-    return tuple(w)
+# QUAD_ARC_VERTEX[i][facet]: the vertex the arc of quad type i cuts off in
+# the facet, the one alone on its side; OCT_ARC_VERTICES[i][facet]: the two
+# vertices cut off by the arcs of octagon type i, the majority side
+QUAD_ARC_VERTEX = tuple(tuple(_facet_side(i, f, 1)[0] for f in range(4))
+                        for i in range(3))
+OCT_ARC_VERTICES = tuple(tuple(_facet_side(i, f, 2) for f in range(4))
+                         for i in range(3))
 
 
 TRI_EDGE_WEIGHTS = tuple(
     tuple(1 if v in EDGE_VERTICES[e] else 0 for e in range(6)) for v in range(4))
-QUAD_EDGE_WEIGHTS = tuple(_quad_edge_weights(i) for i in range(3))
-OCT_EDGE_WEIGHTS = tuple(_oct_edge_weights(i) for i in range(3))
-
-
-def quad_arc_vertex(i, facet):
-    """Vertex cut off by the arc of quad type i in the given facet."""
-    side_a = set(QUAD_SIDE_A[i])
-    verts = [v for v in FACET_VERTICES[facet]]
-    ina = [v for v in verts if v in side_a]
-    out = [v for v in verts if v not in side_a]
-    return ina[0] if len(ina) == 1 else out[0]
-
-
-def oct_arc_vertices(i, facet):
-    """The two vertices cut off by arcs of octagon type i in the facet."""
-    side_a = set(QUAD_SIDE_A[i])
-    verts = FACET_VERTICES[facet]
-    ina = [v for v in verts if v in side_a]
-    out = [v for v in verts if v not in side_a]
-    return tuple(ina) if len(ina) == 2 else tuple(out)
+QUAD_EDGE_WEIGHTS = tuple(
+    tuple(0 if e in QUAD_PAIRS[i] else 1 for e in range(6)) for i in range(3))
+OCT_EDGE_WEIGHTS = tuple(
+    tuple(2 if e in QUAD_PAIRS[i] else 1 for e in range(6)) for i in range(3))
+# the rows of all ten disc types, in the order tris + quads + octs
+DISC_EDGE_WEIGHTS = TRI_EDGE_WEIGHTS + QUAD_EDGE_WEIGHTS + OCT_EDGE_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -119,23 +109,27 @@ class NormalCoordinate:
         return not any(any(r) for rr in (self.tris, self.quads, self.octs)
                        for r in rr)
 
-    def edge_weight_slot(self, tet, edge_index):
-        w = 0
-        for v in range(4):
-            w += self.tris[tet][v] * TRI_EDGE_WEIGHTS[v][edge_index]
-        for i in range(3):
-            w += self.quads[tet][i] * QUAD_EDGE_WEIGHTS[i][edge_index]
-            w += self.octs[tet][i] * OCT_EDGE_WEIGHTS[i][edge_index]
+    def tet_edge_weights(self, tet):
+        """Intersection count with each of the six edges of the tetrahedron."""
+        w = [0] * 6
+        counts = self.tris[tet] + self.quads[tet] + self.octs[tet]
+        for c, row in zip(counts, DISC_EDGE_WEIGHTS):
+            if c:
+                for e in range(6):
+                    w[e] += c * row[e]
         return w
 
-    def arc_count(self, tet, facet, vertex):
-        """Arcs cutting off the given vertex inside the given facet."""
-        n = self.tris[tet][vertex]
-        for i in range(3):
-            if self.quads[tet][i] and quad_arc_vertex(i, facet) == vertex:
-                n += self.quads[tet][i]
-            if self.octs[tet][i] and vertex in oct_arc_vertices(i, facet):
-                n += self.octs[tet][i]
+    def arc_counts(self, tet, facet):
+        """Arcs cutting off each vertex inside the given facet, indexed by
+        vertex; only the three entries of the facet's vertices count."""
+        n = list(self.tris[tet])
+        for i, c in enumerate(self.quads[tet]):
+            if c:
+                n[QUAD_ARC_VERTEX[i][facet]] += c
+        for i, c in enumerate(self.octs[tet]):
+            if c:
+                for v in OCT_ARC_VERTICES[i][facet]:
+                    n[v] += c
         return n
 
     def dump(self):
@@ -164,29 +158,13 @@ def check_embeddable(coord):
                 f"tetrahedron {t} has more than one quad-or-octagon type")
 
 
-def check_matching(tri, coord):
-    """Arc counts must agree across every interior face gluing."""
-    for fc in tri.skeleton.face_classes:
-        if fc.boundary:
-            continue
-        (t1, f1), = fc.slots[:1]
-        g = tri.gluing(t1, f1)
-        t2, perm = g
-        f2 = perm[f1]
-        for v in FACET_VERTICES[f1]:
-            if coord.arc_count(t1, f1, v) != coord.arc_count(t2, f2, perm[v]):
-                raise CoordinateError(
-                    f"matching fails across face ({t1},{f1})~({t2},{f2}) "
-                    f"at vertex {v}")
-
-
 def edge_weights(tri, coord):
     """Intersection count of the coordinate with each edge class; slots of
     one class must agree."""
-    sk = tri.skeleton
+    per_tet = [coord.tet_edge_weights(t) for t in range(coord.tet_count)]
     out = []
-    for ec in sk.edge_classes:
-        ws = {coord.edge_weight_slot(t, ei) for t, ei in ec.slots}
+    for ec in tri.skeleton.edge_classes:
+        ws = {per_tet[t][ei] for t, ei in ec.slots}
         if len(ws) != 1:
             raise CoordinateError(f"edge class {ec.index} has mixed weights {ws}")
         out.append(ws.pop())
@@ -195,15 +173,28 @@ def edge_weights(tri, coord):
 
 def euler_char(tri, coord):
     """Euler characteristic by direct cell count of the induced
-    decomposition: vertices on edges, arcs in faces, discs in tetrahedra."""
+    decomposition: vertices on edges, arcs in faces, discs in tetrahedra.
+
+    Validates the coordinate on the way: embeddability first, then arc
+    counts matching across every interior face gluing, then agreeing
+    weights on the slots of every edge class."""
     check_embeddable(coord)
-    check_matching(tri, coord)
-    v = sum(edge_weights(tri, coord))
     e = 0
     for fc in tri.skeleton.face_classes:
-        t, f = fc.slots[0]
-        arcs = sum(coord.arc_count(t, f, vx) for vx in FACET_VERTICES[f])
-        e += arcs
+        t1, f1 = fc.slots[0]
+        arcs = coord.arc_counts(t1, f1)
+        verts = FACET_VERTICES[f1]
+        if not fc.boundary:
+            t2, perm = tri.gluing(t1, f1)
+            f2 = perm[f1]
+            other = coord.arc_counts(t2, f2)
+            for v in verts:
+                if arcs[v] != other[perm[v]]:
+                    raise CoordinateError(
+                        f"matching fails across face ({t1},{f1})~({t2},{f2}) "
+                        f"at vertex {v}")
+        e += arcs[verts[0]] + arcs[verts[1]] + arcs[verts[2]]
+    v = sum(edge_weights(tri, coord))
     f = sum(sum(coord.tris[t]) + sum(coord.quads[t]) + sum(coord.octs[t])
             for t in range(coord.tet_count))
     return v - e + f
@@ -263,30 +254,32 @@ def chi_formula(census: ParityCensus):
 # ----- b-modifications --------------------------------------------------------
 
 
-def b_modification(tri, phi, b_edges):
-    """Raise the weight of the selected even edges from 0 to 2.
+def b_modification(tri, canon, b_edges):
+    """Raise the weight of the selected even edges of the canonical surface
+    ``canon`` from 0 to 2.
 
     Requires every tetrahedron to be of QUAD type.  A quad whose even pair
     has one selected edge becomes two triangles at the ends of that edge;
     with both selected it becomes one octagon.  Returns the coordinate and
-    the octagon count.
+    the octagon count, after checking the octagon count formula by cell
+    count.
     """
     b = set(b_edges)
     sk = tri.skeleton
     for e in b:
         if not 0 <= e < sk.edge_count:
             raise TriangulationError(f"{e} is not an edge class")
-        if phi[e]:
+        if canon.cocycle[e]:
             raise TriangulationError(f"edge {e} is odd; b must select even edges")
-    types = classify_tetrahedra(tri, phi)
     n = tri.tet_count
     tris = [[0] * 4 for _ in range(n)]
     quads = [[0] * 3 for _ in range(n)]
     octs = [[0] * 3 for _ in range(n)]
-    for t, (ty, qi) in enumerate(types):
-        if ty is not TetType.QUAD:
+    for t, canon_quads in enumerate(canon.coord.quads):
+        if not any(canon_quads):
             raise TriangulationError(
                 "b-modification needs all tetrahedra of quad type")
+        qi = canon_quads.index(1)
         e1, e2 = QUAD_PAIRS[qi]
         c1 = sk.edge_lookup[(t, e1)][0] in b
         c2 = sk.edge_lookup[(t, e2)][0] in b
@@ -303,10 +296,9 @@ def b_modification(tri, phi, b_edges):
                              tuple(tuple(r) for r in quads),
                              tuple(tuple(r) for r in octs))
     oct_count = sum(sum(r) for r in coord.octs)
-    base = canonical_surface(tri, phi)
-    chi = euler_char(tri, coord)
-    if chi != base.chi - 2 * oct_count + 2 * len(b):
-        raise AssertionError("octagon count formula violated")
+    if euler_char(tri, coord) != canon.chi - 2 * oct_count + 2 * len(b):
+        raise AssertionError(
+            f"octagon count formula violated at b={sorted(b)}")
     return coord, oct_count
 
 
@@ -458,11 +450,11 @@ def _arcs_at(coord, disc_index, discs, tet, facet, vertex):
         t, kind, typ, copy = discs[di]
         if kind == "tri" and typ == vertex:
             out.append((0, copy, di))
-        elif kind == "quad" and quad_arc_vertex(typ, facet) == vertex:
+        elif kind == "quad" and QUAD_ARC_VERTEX[typ][facet] == vertex:
             m = coord.quads[tet][typ]
             pos = copy if vertex in QUAD_SIDE_A[typ] else m - 1 - copy
             out.append((1, pos, di))
-        elif kind == "oct" and vertex in oct_arc_vertices(typ, facet):
+        elif kind == "oct" and vertex in OCT_ARC_VERTICES[typ][facet]:
             m = coord.octs[tet][typ]
             pos = copy if vertex in QUAD_SIDE_A[typ] else m - 1 - copy
             out.append((1, pos, di))
@@ -484,8 +476,6 @@ def surface_classify(tri, coord):
     the normal disc adjacency graph; in the orientable manifolds built
     here that coincides with orientability of the surface itself.
     """
-    check_embeddable(coord)
-    check_matching(tri, coord)
     chi = euler_char(tri, coord)
     discs = _disc_list(coord)
     if not discs:

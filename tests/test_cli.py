@@ -38,6 +38,23 @@ def test_fold_file_flow(tmp_path):
     assert folded.is_closed
 
 
+def test_fold_record_ignores_argument_order(tmp_path, capsys):
+    # --edge pq names the same fold in either order, and --edge p of
+    # (6, 1) the same fold as --edge q of (1, 6)
+    def record(p, q, edge):
+        out = tmp_path / f"l{p}-{q}-{edge}.tri"
+        assert main(["fold", "--p", str(p), "--q", str(q), "--edge", edge,
+                     "-o", str(out)]) == 0
+        stdout = json.loads(capsys.readouterr().out)
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        return (stdout["lens"], stdout["homology"], meta["fold"],
+                meta["predicted_homology"])
+
+    assert record(6, 1, "pq") == record(1, 6, "pq")
+    assert record(1, 6, "pq")[0] == [5, 1]
+    assert record(6, 1, "p") == record(1, 6, "q")
+
+
 def test_family_and_analyze(tmp_path, capsys):
     out = tmp_path / "m111.tri"
     assert main(["construct", "family", "--tag", "M", "-k", "1", "-m", "1",
@@ -166,6 +183,7 @@ ERROR_CASES = {
     "promote class past the end": (["promote", "M111", "--class", "9",
                                     "-o", "OUT"], 1),
     "surface b edge past the end": (["surface", "LENS", "--b", "99"], 1),
+    "bounds class past the end": (["bounds", "LENS", "--class", "7"], 1),
     "moves edge past the end": (["moves", "M111", "--move", "32",
                                  "--edge", "999", "-o", "OUT"], 1),
     "missing input file": (["analyze", "NOFILE"], 1),

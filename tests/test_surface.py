@@ -4,14 +4,18 @@ modifications, formal solutions and twisted squares."""
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trinorm import build, cocycle, surface
 from trinorm.surface import (NormalCoordinate, CoordinateError,
                              canonical_surface, chi_formula, euler_char,
                              vertex_link, b_modification, special_solutions,
                              formal_chi, twisted_square_scan, surface_classify,
-                             edge_solution, tet_solution)
-from trinorm.triangulation import TriangulationError
+                             edge_solution, tet_solution, check_embeddable,
+                             QUAD_SIDE_A, QUAD_ARC_VERTEX, OCT_ARC_VERTICES,
+                             TRI_EDGE_WEIGHTS, QUAD_EDGE_WEIGHTS,
+                             OCT_EDGE_WEIGHTS)
+from trinorm.triangulation import FACET_VERTICES, TriangulationError
 
 
 def test_vertex_link_sphere():
@@ -116,10 +120,10 @@ def test_b_modification_cases():
     for phi in cocycle.all_nonzero_classes(tri):
         evens = phi.even_edges()
         base = canonical_surface(tri, phi)
-        empty_coord, octs = b_modification(tri, phi, ())
+        empty_coord, octs = b_modification(tri, base, ())
         assert octs == 0 and empty_coord == base.coord
         for b in (evens[:1], evens):
-            coord, octs = b_modification(tri, phi, b)
+            coord, octs = b_modification(tri, base, b)
             chi = euler_char(tri, coord)
             assert chi == base.chi - 2 * octs + 2 * len(b)
             assert octs >= len(b)
@@ -130,14 +134,14 @@ def test_b_modification_rejects_odd_edges():
     phi = cocycle.all_nonzero_classes(tri)[0]
     odd = phi.odd_edges()[0]
     with pytest.raises(TriangulationError):
-        b_modification(tri, phi, (odd,))
+        b_modification(tri, canonical_surface(tri, phi), (odd,))
 
 
 def test_b_modification_needs_all_quad():
     tri, _ = build.seifert_family("M", 1, 1, 1)   # has TRI tetrahedra
     phi = cocycle.all_nonzero_classes(tri)[0]
     with pytest.raises(TriangulationError):
-        b_modification(tri, phi, ())
+        b_modification(tri, canonical_surface(tri, phi), ())
 
 
 def test_exhaustive_octagon_formula_small():
@@ -147,7 +151,7 @@ def test_exhaustive_octagon_formula_small():
     evens = phi.even_edges()
     for r in range(len(evens) + 1):
         for b in combinations(evens, r):
-            coord, octs = b_modification(tri, phi, b)
+            coord, octs = b_modification(tri, base, b)
             assert euler_char(tri, coord) == base.chi - 2 * octs + 2 * len(b)
 
 
@@ -215,3 +219,157 @@ def test_coordinate_dump_format():
     first = lines[0].split(":")[1]
     tri_part, quad_part, oct_part = (p.split() for p in first.split("|"))
     assert len(tri_part) == 4 and len(quad_part) == 3 and len(oct_part) == 3
+
+
+# ----- the table-driven cell count against a set-based reference -------------
+#
+# The reference is the per-vertex, per-slot cell count the tables replaced:
+# arcs found by building the two sides of each disc's partition in the
+# facet, matching checked in a pass of its own, and each edge slot's weight
+# summed over all ten disc types.
+
+
+def _ref_quad_arc_vertex(i, facet):
+    side_a = set(QUAD_SIDE_A[i])
+    ina = [v for v in FACET_VERTICES[facet] if v in side_a]
+    out = [v for v in FACET_VERTICES[facet] if v not in side_a]
+    return ina[0] if len(ina) == 1 else out[0]
+
+
+def _ref_oct_arc_vertices(i, facet):
+    side_a = set(QUAD_SIDE_A[i])
+    ina = [v for v in FACET_VERTICES[facet] if v in side_a]
+    out = [v for v in FACET_VERTICES[facet] if v not in side_a]
+    return tuple(ina) if len(ina) == 2 else tuple(out)
+
+
+def _ref_arc_count(coord, tet, facet, vertex):
+    n = coord.tris[tet][vertex]
+    for i in range(3):
+        if coord.quads[tet][i] and _ref_quad_arc_vertex(i, facet) == vertex:
+            n += coord.quads[tet][i]
+        if coord.octs[tet][i] and vertex in _ref_oct_arc_vertices(i, facet):
+            n += coord.octs[tet][i]
+    return n
+
+
+def _ref_edge_weight_slot(coord, tet, edge_index):
+    w = 0
+    for v in range(4):
+        w += coord.tris[tet][v] * TRI_EDGE_WEIGHTS[v][edge_index]
+    for i in range(3):
+        w += coord.quads[tet][i] * QUAD_EDGE_WEIGHTS[i][edge_index]
+        w += coord.octs[tet][i] * OCT_EDGE_WEIGHTS[i][edge_index]
+    return w
+
+
+def _ref_euler_char(tri, coord):
+    check_embeddable(coord)
+    for fc in tri.skeleton.face_classes:
+        if fc.boundary:
+            continue
+        t1, f1 = fc.slots[0]
+        t2, perm = tri.gluing(t1, f1)
+        f2 = perm[f1]
+        for v in FACET_VERTICES[f1]:
+            if _ref_arc_count(coord, t1, f1, v) != \
+                    _ref_arc_count(coord, t2, f2, perm[v]):
+                raise CoordinateError(
+                    f"matching fails across face ({t1},{f1})~({t2},{f2}) "
+                    f"at vertex {v}")
+    v = 0
+    for ec in tri.skeleton.edge_classes:
+        ws = {_ref_edge_weight_slot(coord, t, ei) for t, ei in ec.slots}
+        if len(ws) != 1:
+            raise CoordinateError(f"edge class {ec.index} has mixed weights {ws}")
+        v += ws.pop()
+    e = 0
+    for fc in tri.skeleton.face_classes:
+        t, f = fc.slots[0]
+        e += sum(_ref_arc_count(coord, t, f, vx) for vx in FACET_VERTICES[f])
+    f = sum(sum(coord.tris[t]) + sum(coord.quads[t]) + sum(coord.octs[t])
+            for t in range(coord.tet_count))
+    return v - e + f
+
+
+def _outcome(fn, *args):
+    """The value, or the message of the CoordinateError raised."""
+    try:
+        return "value", fn(*args)
+    except CoordinateError as exc:
+        return "error", str(exc)
+
+
+def test_arc_tables_match_set_derivation():
+    for i in range(3):
+        for facet in range(4):
+            assert QUAD_ARC_VERTEX[i][facet] == _ref_quad_arc_vertex(i, facet)
+            assert OCT_ARC_VERTICES[i][facet] == \
+                _ref_oct_arc_vertices(i, facet)
+
+
+def test_euler_char_matches_reference_on_every_b_modification():
+    checked = 0
+    for tri in (build.layered_loop(4, twisted=True),
+                build.lens_space(1, 6)[0]):
+        for phi in cocycle.all_nonzero_classes(tri):
+            canon = canonical_surface(tri, phi)
+            assert euler_char(tri, canon.coord) == \
+                _ref_euler_char(tri, canon.coord) == canon.chi
+            evens = phi.even_edges()
+            for r in range(len(evens) + 1):
+                for b in combinations(evens, r):
+                    coord, octs = b_modification(tri, canon, b)
+                    assert euler_char(tri, coord) == \
+                        _ref_euler_char(tri, coord) == \
+                        canon.chi - 2 * octs + 2 * len(b)
+                    checked += 1
+    assert checked == (4 + 4 + 2) + 8
+
+
+_COMBINATION_TRIS = (build.layered_loop(4, twisted=True),
+                     build.lens_space(1, 6)[0],
+                     build.seifert_family("M", 1, 1, 1)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_euler_char_matches_reference_on_combinations(data):
+    # non-negative multiples of the vertex link plus canonical surfaces of
+    # any classes; two classes can put two quad types in one tetrahedron,
+    # and then both counts must raise the same error
+    tri = data.draw(st.sampled_from(_COMBINATION_TRIS))
+    canons = [canonical_surface(tri, phi).coord
+              for phi in cocycle.all_nonzero_classes(tri)]
+    coord = vertex_link(tri).scale(data.draw(st.integers(0, 3)))
+    for k in data.draw(st.lists(st.integers(0, len(canons) - 1), max_size=3)):
+        coord = coord + canons[k].scale(data.draw(st.integers(0, 3)))
+    assert _outcome(euler_char, tri, coord) == \
+        _outcome(_ref_euler_char, tri, coord)
+
+
+def _corrupt(coord, part, tet, index, delta):
+    rows = [list(r) for r in getattr(coord, part)]
+    rows[tet][index] += delta
+    fields = {"tris": coord.tris, "quads": coord.quads, "octs": coord.octs,
+              part: tuple(tuple(r) for r in rows)}
+    return NormalCoordinate(fields["tris"], fields["quads"], fields["octs"])
+
+
+@pytest.mark.parametrize("part,index,delta", [
+    ("tris", 0, 1), ("tris", 3, 2), ("tris", 1, -1), ("quads", 0, 1),
+    ("quads", 2, 1), ("octs", 1, 1), ("octs", 0, -1)])
+def test_corrupted_coordinates_still_raise(part, index, delta):
+    tri = build.layered_loop(4, twisted=True)
+    for phi in cocycle.all_nonzero_classes(tri):
+        good = canonical_surface(tri, phi).coord
+        for tet in range(tri.tet_count):
+            bad = _corrupt(good, part, tet, index, delta)
+            kind, message = _outcome(euler_char, tri, bad)
+            assert kind == "error"
+            assert (kind, message) == _outcome(_ref_euler_char, tri, bad)
+            with pytest.raises(CoordinateError):
+                surface_classify(tri, bad)
+    formal = NormalCoordinate(good.tris, good.quads, good.octs, formal=True)
+    with pytest.raises(CoordinateError):
+        euler_char(tri, formal)
