@@ -43,12 +43,13 @@ class LstEmbedding:
     def boundary_triple(self):
         return tuple(sorted(self.edge_weights[e] for e in self.boundary_edges))
 
-    def tet_type(self, tri, phi):
-        """Uniform colouring type of the torus, QUAD or EMPTY."""
-        types = {classify_tetrahedra(tri, phi)[t][0] for t in self.tets}
-        if len(types) != 1:
+    def tet_type(self, types):
+        """Uniform colouring type of the torus, QUAD or EMPTY, read off
+        ``types``, the list ``classify_tetrahedra`` returns."""
+        kinds = {types[t][0] for t in self.tets}
+        if len(kinds) != 1:
             raise AssertionError("layered solid torus with mixed tetrahedron types")
-        return types.pop()
+        return kinds.pop()
 
 
 def _subcomplex(tri, tets):
@@ -151,23 +152,18 @@ def _try_extend(tri, emb):
         return None
     weights = dict(emb.edge_weights)
     weights[new_class] = new_weight
-    grown = emb.tets + (new,)
-    # recompute torus-degrees on the induced subcomplex
-    sub2 = _subcomplex(tri, grown)
-    sk2 = sub2.skeleton
-    if len(sub2.boundary_facets()) != 2 or sk2.edge_count != len(grown) + 2:
-        return None
-    degrees = {}
-    for ec in sk2.edge_classes:
-        lt, ei = ec.slots[0]
-        cls = amb.edge_lookup[(grown[lt], ei)][0]
-        degrees[cls] = ec.degree
-    if len(degrees) != len(grown) + 2:
-        return None
+    # The torus's edge classes map one-to-one onto ambient classes (the
+    # seed checks this, and each layer adds one class not seen before),
+    # so gluing `new` on along the hinge merges nothing: a torus degree is
+    # the number of torus edge slots in the ambient class.
+    degrees = dict(emb.lst_degrees)
+    for ei in range(6):
+        cls = amb.edge_lookup[(new, ei)][0]
+        degrees[cls] = degrees.get(cls, 0) + 1
     boundary = tuple(others + [new_class])
     interior = tuple(c for c in weights if c not in boundary)
     base = emb.base_edge if emb.base_edge is not None else layered
-    return LstEmbedding(grown, weights, boundary, interior,
+    return LstEmbedding(emb.tets + (new,), weights, boundary, interior,
                         new_class, base, degrees)
 
 
@@ -217,8 +213,11 @@ def low_degree_lint(tri):
     low3 = [ec.index for ec in sk.edge_classes if ec.degree == 3]
     low2 = [ec.index for ec in sk.edge_classes if ec.degree == 2]
     low1 = [ec.index for ec in sk.edge_classes if ec.degree == 1]
+    # the homology only labels degree-1 and degree-2 edges and degree-3
+    # edges on at most two tetrahedra
     h = None
-    if tri.is_closed and tri.is_connected:
+    if tri.is_closed and tri.is_connected and \
+            (low1 or low2 or (low3 and tri.tet_count <= 2)):
         h = _homology.first_homology(tri)
     for e in low1:
         label = "s3_exception" if h is not None and h.order == 1 and \
@@ -265,6 +264,7 @@ def _prefix_triple(emb):
 @dataclass(frozen=True)
 class BoundReport:
     census: object
+    surface: object              # the CanonicalSurface whose chi is measured
     chi: int
     g: int
     k_phi: int
@@ -299,8 +299,8 @@ def fundamental_report(tri, phi, k_phi=0):
     eq1_lhs = hist.get(3, 0)
     eq1_rhs = 2 + sum((d - 4) * c for d, c in hist.items() if d >= 5) \
         + 8 * k_phi + census.tri_tets
-    return BoundReport(census, chi, 2 - chi, k_phi, identity_lhs, identity_rhs,
-                       eq1_lhs, eq1_rhs, census.balanced)
+    return BoundReport(census, surf, chi, 2 - chi, k_phi, identity_lhs,
+                       identity_rhs, eq1_lhs, eq1_rhs, census.balanced)
 
 
 # ----- Pachner moves --------------------------------------------------------------
@@ -554,28 +554,33 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
 # ----- supportive tori and promotion ---------------------------------------------
 
 
+def _quad_tori(tri, phi):
+    """Maximal layered solid tori of quad type under the colouring."""
+    types = classify_tetrahedra(tri, phi)
+    return [emb for emb in find_maximal_lsts(tri)
+            if emb.tet_type(types) is TetType.QUAD]
+
+
+def _one_three_rest_four(sk, edges):
+    """Whether exactly one of the edge classes has degree three and every
+    other one degree four."""
+    degrees = sorted(sk.edge_classes[e].degree for e in edges)
+    return degrees == [3] + [4] * (len(degrees) - 1)
+
+
 def supportive_tori(tri, phi):
     """Maximal layered solid tori of quad type containing an even interior
     edge of degree three, all other even edges (interior or boundary) of
     degree four."""
     sk = tri.skeleton
-    out = []
-    for emb in find_maximal_lsts(tri):
-        if emb.tet_type(tri, phi) is not TetType.QUAD:
-            continue
-        evens = [e for e in emb.edge_weights if phi[e] == 0]
-        degs = {e: sk.edge_classes[e].degree for e in evens}
-        deg3 = [e for e in evens if degs[e] == 3]
-        if len(deg3) != 1:
-            continue
-        if any(degs[e] != 4 for e in evens if e != deg3[0]):
-            continue
-        out.append(emb)
-    return out
+    return [emb for emb in _quad_tori(tri, phi) if _one_three_rest_four(
+        sk, [e for e in emb.edge_weights if phi[e] == 0])]
 
 
 @dataclass(frozen=True)
-class PromotionObstruction(Exception):
+class PromotionObstruction(TriangulationError):
+    """A supportive torus that no 4-4 flip can remove; the CLI reports it
+    as a domain error."""
     torus: LstEmbedding
     reason: str
 
@@ -618,7 +623,8 @@ def promote(tri, phi, max_steps=1000):
             raise PromotionObstruction(
                 emb, "univalent edge is not contained in four distinct "
                      "tetrahedra")
-        types = [classify_tetrahedra(current, cur_phi)[t][0] for t in wedge_tets]
+        all_types = classify_tetrahedra(current, cur_phi)
+        types = [all_types[t][0] for t in wedge_tets]
         chosen = None
         for axis in (0, 1):
             cand_tri, cand_phi = pachner_with_cocycle(
@@ -647,20 +653,13 @@ def almost_supportive_tori(tri, phi):
     boundary edge of degree at least five."""
     sk = tri.skeleton
     out = []
-    for emb in find_maximal_lsts(tri):
-        if emb.tet_type(tri, phi) is not TetType.QUAD:
-            continue
-        interior_evens = [e for e in emb.interior_edges if phi[e] == 0]
-        degs = {e: sk.edge_classes[e].degree for e in interior_evens}
-        deg3 = [e for e in interior_evens if degs[e] == 3]
-        if len(deg3) != 1:
-            continue
-        if any(degs[e] != 4 for e in interior_evens if e != deg3[0]):
+    for emb in _quad_tori(tri, phi):
+        if not _one_three_rest_four(
+                sk, [e for e in emb.interior_edges if phi[e] == 0]):
             continue
         bdry_even = _even_boundary_edge(tri, phi, emb)
-        if sk.edge_classes[bdry_even].degree < 5:
-            continue
-        out.append((emb, bdry_even))
+        if sk.edge_classes[bdry_even].degree >= 5:
+            out.append((emb, bdry_even))
     return out
 
 

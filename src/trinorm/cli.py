@@ -115,15 +115,14 @@ def full_report(tri, descriptor, k_phi=0):
     if sk.vertex_count == 1:
         classes = []
         for phi in cocycle.all_nonzero_classes(tri):
-            census = cocycle.parity_census(tri, phi)
             rep = analyze.fundamental_report(tri, phi, k_phi=k_phi)
-            canon = surface.canonical_surface(tri, phi)
-            chi2, orientable, connected = surface.surface_classify(tri, canon.coord)
+            chi2, orientable, connected = surface.surface_classify(
+                tri, rep.surface.coord)
             classes.append({
                 "cocycle": str(phi),
-                "census": _census_block(census),
-                "chi": canon.chi,
-                "chi_formula": surface.chi_formula(census),
+                "census": _census_block(rep.census),
+                "chi": rep.chi,
+                "chi_formula": surface.chi_formula(rep.census),
                 "surface": {"chi": chi2, "orientable": orientable,
                             "connected": connected},
                 "bound_report": _bound_block(rep),

@@ -440,7 +440,7 @@ class Triangulation:
                 key = self._table_key(table)
                 if best is None or key < best[0]:
                     best = (key, table)
-        return best[1]
+        return () if best is None else best[1]
 
     def canonical(self):
         return Triangulation(

@@ -1,8 +1,11 @@
 """Structural detectors, moves, promotion and certificates."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trinorm import build, cocycle, homology, analyze
 from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
@@ -12,7 +15,7 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              almost_supportive_tori, compression_pattern_scan,
                              complexity_certificate)
 from trinorm.build import AnnulusFilling, augmented_solid_torus
-from trinorm.triangulation import TriangulationError
+from trinorm.triangulation import EDGE_INDEX, TriangulationError
 
 
 def test_maximal_lsts_on_lens():
@@ -251,3 +254,133 @@ def test_complexity_certificate_forms():
     assert "2+sum" in cert["consistent_bound_forms"]
     assert not cert["certified"]
     assert any(sq["kind"] == "klein" for sq in cert["twisted_squares"])
+
+
+# ----- torus growth against the induced-subcomplex reference ---------------
+
+
+def _reference_try_extend(tri, emb):
+    """One layer of torus growth the slow way: rebuild the induced
+    subcomplex on the grown tetrahedra and read every torus degree, the
+    free-facet count and the edge count off its own skeleton."""
+    free = []
+    index = {t: i for i, t in enumerate(emb.tets)}
+    for t in emb.tets:
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is None or g[0] not in index:
+                free.append((t, f))
+    if len(free) != 2:
+        return None
+    (t1, f1), (t2, f2) = free
+    g1, g2 = tri.gluing(t1, f1), tri.gluing(t2, f2)
+    if g1 is None or g2 is None:
+        return None
+    if g1[0] != g2[0] or g1[0] in index:
+        return None
+    new = g1[0]
+    if g1[1][f1] == g2[1][f2]:
+        return None
+    for f in range(4):
+        if f in (g1[1][f1], g2[1][f2]):
+            continue
+        g = tri.gluing(new, f)
+        if g is not None and (g[0] in index or g[0] == new):
+            return None
+    fa, fb = g1[1][f1], g2[1][f2]
+    hinge = tuple(v for v in range(4) if v not in (fa, fb))
+    amb = tri.skeleton
+    hinge_class = amb.edge_lookup[(new, EDGE_INDEX[hinge])][0]
+    if hinge_class not in emb.boundary_edges:
+        return None
+    others = [e for e in emb.boundary_edges if e != hinge_class]
+    new_weight = build.relayered_weight(emb.edge_weights[hinge_class],
+                                        *(emb.edge_weights[e] for e in others))
+    opp = tuple(v for v in range(4) if v not in hinge)
+    new_class = amb.edge_lookup[(new, EDGE_INDEX[opp])][0]
+    if new_class in emb.edge_weights:
+        return None
+    weights = dict(emb.edge_weights)
+    weights[new_class] = new_weight
+    grown = emb.tets + (new,)
+    sub = analyze._subcomplex(tri, grown)
+    sk = sub.skeleton
+    if len(sub.boundary_facets()) != 2 or sk.edge_count != len(grown) + 2:
+        return None
+    degrees = {}
+    for ec in sk.edge_classes:
+        lt, ei = ec.slots[0]
+        degrees[amb.edge_lookup[(grown[lt], ei)][0]] = ec.degree
+    if len(degrees) != len(grown) + 2:
+        return None
+    boundary = tuple(others + [new_class])
+    interior = tuple(c for c in weights if c not in boundary)
+    base = emb.base_edge if emb.base_edge is not None else hinge_class
+    return analyze.LstEmbedding(grown, weights, boundary, interior,
+                                new_class, base, degrees)
+
+
+def _reference_maximal_lsts(tri):
+    out = []
+    for t in range(tri.tet_count):
+        emb = analyze._seed_classes(tri, t)
+        if emb is None:
+            continue
+        while (grown := _reference_try_extend(tri, emb)) is not None:
+            emb = grown
+        out.append(emb)
+    return out
+
+
+def _assert_same_tori(tri):
+    fast, slow = find_maximal_lsts(tri), _reference_maximal_lsts(tri)
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        for field in dataclasses.fields(analyze.LstEmbedding):
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+def _growth_inputs():
+    out = []
+    for _, tri, meta in build.lst_tree(6):
+        out.append(tri)
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            out.append(build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)[0])
+    for tag in ("M", "MPRIME"):
+        for k, m, n in itertools.product((1, 2, 3), repeat=3):
+            out.append(build.seifert_family(tag, k, m, n)[0])
+    for k in (1, 2, 3):
+        out.append(build.seifert_family("P", k)[0])
+    for n in range(3, 11):
+        for twisted in (False, True):
+            out.append(build.layered_loop(n, twisted))
+    return out
+
+
+GROWTH_INPUTS = _growth_inputs()
+
+
+def test_torus_growth_matches_subcomplex_reference():
+    for tri in GROWTH_INPUTS:
+        _assert_same_tori(tri)
+
+
+def _23_faces(tri):
+    """Interior face classes between two distinct tetrahedra."""
+    return [fc.index for fc in tri.skeleton.face_classes
+            if not fc.boundary
+            and tri.gluing(*fc.slots[0])[0] != fc.slots[0][0]]
+
+
+MOVE_INPUTS = [tri for tri in GROWTH_INPUTS if _23_faces(tri)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MOVE_INPUTS),
+       st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4))
+def test_torus_growth_matches_reference_after_moves(tri, choices):
+    for choice in choices:
+        faces = _23_faces(tri)
+        tri = pachner(tri, MoveSpec("23", face=faces[choice % len(faces)]))
+    _assert_same_tori(tri)

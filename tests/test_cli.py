@@ -1,5 +1,6 @@
 """Command line flows: construction, analysis, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -192,6 +193,7 @@ ERROR_CASES = {
                             "lst:5,1,6", "-o", "OUT"], 1),
     "moves 23 without face": (["moves", "M111", "--move", "23",
                                "-o", "OUT"], 2),
+    "promote obstruction": (["promote", "LENS15PQ", "-o", "OUT"], 1),
 }
 
 
@@ -202,7 +204,12 @@ def cli_inputs(tmp_path_factory):
           "-o", str(d / "lens.tri")])
     main(["construct", "family", "--tag", "M", "-k", "1", "-m", "1", "-n", "1",
           "-o", str(d / "m111.tri")])
+    # its supportive torus's univalent edge meets a tetrahedron twice, so
+    # no 4-4 flip applies
+    main(["fold", "--p", "1", "--q", "5", "--edge", "pq",
+          "-o", str(d / "lens15pq.tri")])
     return {"LENS": str(d / "lens.tri"), "M111": str(d / "m111.tri"),
+            "LENS15PQ": str(d / "lens15pq.tri"),
             "OUT": str(d / "out.tri"), "NOFILE": str(d / "missing.tri")}
 
 
@@ -212,3 +219,102 @@ def test_error_contract(case, cli_inputs):
     code, _, err = run_cli([cli_inputs.get(a, a) for a in argv])
     assert code == expected
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# The stdout of the read-only reports on these inputs is pinned by sha256.
+# The digests were recorded with the induced-subcomplex torus search; a
+# refactor that moves one byte of a report fails here, and a deliberate
+# change of output must record new digests.
+PINNED_INPUTS = {
+    "fold-1-6-q": ["fold", "--p", "1", "--q", "6", "--edge", "q"],
+    "fold-1-5-pq": ["fold", "--p", "1", "--q", "5", "--edge", "pq"],
+    "fold-7-31-pq": ["fold", "--p", "7", "--q", "31", "--edge", "pq"],
+    "M-1-2-1": ["construct", "family", "--tag", "M",
+                "-k", "1", "-m", "2", "-n", "1"],
+    "Mprime-1-1-1": ["construct", "family", "--tag", "M'",
+                     "-k", "1", "-m", "1", "-n", "1"],
+    "P-1": ["construct", "family", "--tag", "P", "-k", "1"],
+    "Q-6": ["construct", "family", "--tag", "Q", "-k", "6"],
+    "augmented-cross-cross-7-1-8": [
+        "construct", "augmented", "--annulus", "fold:cross",
+        "--annulus", "fold:cross", "--annulus", "lst:7,1,8"],
+}
+PINNED_COMMANDS = ("analyze", "find-lst", "bounds", "twisted-squares")
+PINNED_SHA256 = {
+    "fold-1-6-q analyze":
+        "463bd2f33dee28bbdc1f6a4b8ea7cfaa0ec37282960d0ecd32eb34e98059c9c7",
+    "fold-1-6-q find-lst":
+        "76b4952b6a55890d302e6f3703b3e50696ed2ea4e9afb8fe37428d5af034970a",
+    "fold-1-6-q bounds":
+        "c5f5842735bd41d8e52e9a86455bb9fbf0df3edaa507a17fa378feeac20cf7be",
+    "fold-1-6-q twisted-squares":
+        "5b623fb2eb532d982a23f88f1ce1c6517116c2bdcb15604686f7b7831cfd4789",
+    "fold-1-5-pq analyze":
+        "e286a46669f40dc4fc3835ac553b1be626dbd25d66b8007357980d00744acdb7",
+    "fold-1-5-pq find-lst":
+        "9902f52fc56ec0e7c0712ff612696a69be14452a1f1b60b596b6295f3d742575",
+    "fold-1-5-pq bounds":
+        "d907d77b73c8790c531745d264544c15d7f5432c07271014deea048b3fd4a7dd",
+    "fold-1-5-pq twisted-squares":
+        "561a602f67ea02df8e0dc1420ef73a8494c6a18371077f69ee0fca1e470c905e",
+    "fold-7-31-pq analyze":
+        "9234342c2a16523af8bf4d954489343e4f56d53c1ac3adc78734f7d163292c2e",
+    "fold-7-31-pq find-lst":
+        "4c7bd97f2634e28604db76df384334280d1cb1aad3f87c03ed06f2538cfea708",
+    "fold-7-31-pq bounds":
+        "31a664ac6ed12d2863ac093c5c88c4b32d4d85f5677bee83ad6ca7cc32d49ec8",
+    "fold-7-31-pq twisted-squares":
+        "ad975458318e68f33d3eb1d4ef0a1844faa41301a4ba1372f07e44e9dc43ea7f",
+    "M-1-2-1 analyze":
+        "ebbabda6121368fa6334e65abc31bb79f0e6eb204445382d11f0266ae3f178f1",
+    "M-1-2-1 find-lst":
+        "f7448788c50ad82d6ba32b13c55466a2a20436c9197023e7e58cc753c6f52a72",
+    "M-1-2-1 bounds":
+        "688715a9160e47735b434d5f10db26dbe5c15749426c946d2255f149e549b263",
+    "M-1-2-1 twisted-squares":
+        "e03441b982a54f06857d01bc7d1511f797d759d98fae45d2d8fde2e6ef0ea146",
+    "Mprime-1-1-1 analyze":
+        "7bf9a8b05622b344978d2cdc1e63347b24578f88d81c73f7f2c65d25356f6fe2",
+    "Mprime-1-1-1 find-lst":
+        "4c2dc41c37d01aaf7bd15058f20304288daf1a0ad512a5ab8b1956f37f76a280",
+    "Mprime-1-1-1 bounds":
+        "c2bcbceecea796751a0d55952253c17a294214275c496ae071cf455b895c32cd",
+    "Mprime-1-1-1 twisted-squares":
+        "683b068f5d7bc78daaa12b2cc367de15bde700b8a216a95c41f6c25ff8292e86",
+    "P-1 analyze":
+        "76b9b0a71d0ac832d5baea3f43bfe1b8f37dc9bf2a370c26693168f77e2b45bd",
+    "P-1 find-lst":
+        "a8a24aa02b479cddd100b924849458b453009ca710c847f26539618572599c02",
+    "P-1 bounds":
+        "24ee2bd71c4b699fbf5c37f48df43efa198e014d07dfda086b85e13f5bcf69d8",
+    "P-1 twisted-squares":
+        "38c750fe2ebb66211b80b00c2fb40995adde249f0ef4535d60161f12e4004766",
+    "Q-6 analyze":
+        "06ee29c19f127dddf9cbf9214ff702b4f77b1f88a65f548082bd69af1ae99314",
+    "Q-6 find-lst":
+        "9c6b489acd32a55c681b56301cc135356bdddefa5533e1419c33f7693dd03290",
+    "Q-6 bounds":
+        "bae0a506f9c7c2fd3323f04c060a507cc279a552cc3b4ef47e6de267729acd1f",
+    "Q-6 twisted-squares":
+        "34b49d157fa8b31a225e91b8721e1add204c4cbc926b4496ef42af98295d1196",
+    "augmented-cross-cross-7-1-8 analyze":
+        "43bb6ea34f52ff9e9b0eeb945d9c0bd9473570363ec790a8dfcca91bf5c70daf",
+    "augmented-cross-cross-7-1-8 find-lst":
+        "85e9088f0b8cd7a0c61ad41d276534f3fe79b50af3f169003bd99c92f7e9b36f",
+    "augmented-cross-cross-7-1-8 bounds":
+        "b960c9dba47c324d7ff726da6d6f34a1c901d3b6ab834c723c8cfb865b310272",
+    "augmented-cross-cross-7-1-8 twisted-squares":
+        "683b068f5d7bc78daaa12b2cc367de15bde700b8a216a95c41f6c25ff8292e86",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+def test_report_output_is_pinned(name, tmp_path, monkeypatch, capsys):
+    # relative paths, so the file name the analyze report echoes is fixed
+    monkeypatch.chdir(tmp_path)
+    assert main([*PINNED_INPUTS[name], "-o", f"{name}.tri"]) == 0
+    capsys.readouterr()
+    for command in PINNED_COMMANDS:
+        assert main([command, f"{name}.tri"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == PINNED_SHA256[f"{name} {command}"], command

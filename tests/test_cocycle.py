@@ -97,8 +97,9 @@ def test_lst_subcomplex_single_type():
     for tri in instances:
         lsts = find_maximal_lsts(tri)
         for phi in cocycle.all_nonzero_classes(tri):
+            types = cocycle.classify_tetrahedra(tri, phi)
             for emb in lsts:
-                assert emb.tet_type(tri, phi) in (TetType.QUAD, TetType.EMPTY)
+                assert emb.tet_type(types) in (TetType.QUAD, TetType.EMPTY)
 
 
 def test_quaternionic_all_quad():

@@ -150,6 +150,14 @@ def test_isomorphic_reversed_order():
     assert tri.isomorphic(rev)
 
 
+def test_empty_triangulation_canonical_form():
+    empty = Triangulation([])
+    assert empty.canonical_table == ()
+    assert empty.isomorphic(Triangulation([]))
+    assert empty.canonical() == empty
+    assert not empty.isomorphic(build.lst(1, 2)[0])
+
+
 def test_non_isomorphic_pairs():
     t1, _ = build.lst(1, 3)   # 2 tetrahedra
     t2, _ = build.lst(2, 3)   # 3 tetrahedra
