@@ -554,9 +554,11 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
 # ----- supportive tori and promotion ---------------------------------------------
 
 
-def _quad_tori(tri, phi):
-    """Maximal layered solid tori of quad type under the colouring."""
-    types = classify_tetrahedra(tri, phi)
+def _quad_tori(tri, phi, types=None):
+    """Maximal layered solid tori of quad type under the colouring;
+    ``types`` is its ``classify_tetrahedra`` list when the caller has one."""
+    if types is None:
+        types = classify_tetrahedra(tri, phi)
     return [emb for emb in find_maximal_lsts(tri)
             if emb.tet_type(types) is TetType.QUAD]
 
@@ -568,12 +570,12 @@ def _one_three_rest_four(sk, edges):
     return degrees == [3] + [4] * (len(degrees) - 1)
 
 
-def supportive_tori(tri, phi):
+def supportive_tori(tri, phi, types=None):
     """Maximal layered solid tori of quad type containing an even interior
     edge of degree three, all other even edges (interior or boundary) of
-    degree four."""
+    degree four.  ``types`` as for ``_quad_tori``."""
     sk = tri.skeleton
-    return [emb for emb in _quad_tori(tri, phi) if _one_three_rest_four(
+    return [emb for emb in _quad_tori(tri, phi, types) if _one_three_rest_four(
         sk, [e for e in emb.edge_weights if phi[e] == 0])]
 
 
@@ -606,8 +608,9 @@ def promote(tri, phi, max_steps=1000):
     """
     log = []
     current, cur_phi = tri, phi
+    all_types = classify_tetrahedra(current, cur_phi)
     for _ in range(max_steps):
-        sup = supportive_tori(current, cur_phi)
+        sup = supportive_tori(current, cur_phi, all_types)
         if not sup:
             return current, cur_phi, log
         census = parity_census(current, cur_phi)
@@ -623,22 +626,22 @@ def promote(tri, phi, max_steps=1000):
             raise PromotionObstruction(
                 emb, "univalent edge is not contained in four distinct "
                      "tetrahedra")
-        all_types = classify_tetrahedra(current, cur_phi)
         types = [all_types[t][0] for t in wedge_tets]
         chosen = None
         for axis in (0, 1):
             cand_tri, cand_phi = pachner_with_cocycle(
                 current, cur_phi, MoveSpec("44", edge=e, axis=axis))
+            cand_types = classify_tetrahedra(cand_tri, cand_phi)
             cand_census = parity_census(cand_tri, cand_phi)
-            cand_measure = (cand_census.empty_tets,
-                            len(supportive_tori(cand_tri, cand_phi)))
+            cand_measure = (cand_census.empty_tets, len(
+                supportive_tori(cand_tri, cand_phi, cand_types)))
             if cand_measure < measure:
-                chosen = (axis, cand_tri, cand_phi, cand_measure)
+                chosen = (axis, cand_tri, cand_phi, cand_types)
                 break
         if chosen is None:
             raise PromotionObstruction(
                 emb, f"no measure-decreasing flip; octahedron types {types}")
-        axis, current, cur_phi, measure = chosen
+        axis, current, cur_phi, all_types = chosen
         log.append({"edge": e, "axis": axis,
                     "octahedron_types": [t.value for t in types]})
     raise AssertionError("promotion failed to terminate")
@@ -647,13 +650,14 @@ def promote(tri, phi, max_steps=1000):
 # ----- compression patterns --------------------------------------------------------
 
 
-def almost_supportive_tori(tri, phi):
+def almost_supportive_tori(tri, phi, types=None):
     """Quad-type maximal layered solid tori with an interior even edge of
     degree three, all other interior even edges of degree four, and even
-    boundary edge of degree at least five."""
+    boundary edge of degree at least five.  ``types`` as for
+    ``_quad_tori``."""
     sk = tri.skeleton
     out = []
-    for emb in _quad_tori(tri, phi):
+    for emb in _quad_tori(tri, phi, types):
         if not _one_three_rest_four(
                 sk, [e for e in emb.interior_edges if phi[e] == 0]):
             continue
@@ -671,7 +675,7 @@ def compression_pattern_scan(tri, phi):
     sk = tri.skeleton
     types = classify_tetrahedra(tri, phi)
     by_edge = {}
-    for emb, e in almost_supportive_tori(tri, phi):
+    for emb, e in almost_supportive_tori(tri, phi, types):
         by_edge.setdefault(e, []).append(emb)
     patterns = []
     for e, tori in sorted(by_edge.items()):

@@ -11,13 +11,35 @@ that are gated by the integer homology oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .perm import Perm4
-from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                            FACET_VERTICES, TriBuilder, Triangulation,
-                            TriangulationError)
+from .triangulation import (EDGE_VERTICES, FACET_EDGES, TriBuilder,
+                            Triangulation, TriangulationError)
 from . import homology
+
+
+@dataclass(frozen=True)
+class Book:
+    """The boundary of a layered solid torus as gluing positions.
+
+    faces holds the two boundary faces (tet, facet) in ascending order, and
+    edges maps each of the three boundary edge classes to its directed
+    vertex pair (head, tail) in each face, taken in the class direction of
+    the triangulation's skeleton.
+    """
+    faces: tuple
+    edges: dict
+
+    def hinge(self, edge_class):
+        """(tet, facet, a, b, c) for each face: the given boundary edge runs
+        from vertex a to vertex b, and c is the face's third vertex."""
+        if edge_class not in self.edges:
+            raise TriangulationError(
+                f"edge {edge_class} is not a boundary edge")
+        # facet f is opposite vertex f, and the four labels sum to 6
+        return [(t, f, a, b, 6 - f - a - b)
+                for (t, f), (a, b) in zip(self.faces, self.edges[edge_class])]
 
 
 @dataclass(frozen=True)
@@ -28,7 +50,7 @@ class LstMeta:
     of its loop with the meridian disc; the boundary carries the triple
     {p, q, p+q}.  The univalent edge is the boundary edge of torus-degree
     one; base_edge is the first edge ever layered on (absent for a single
-    tetrahedron).
+    tetrahedron).  book locates the boundary for the next layering or fold.
     """
     p: int
     q: int
@@ -37,6 +59,7 @@ class LstMeta:
     univalent_edge: int
     base_edge: int | None
     layer_order: tuple = ()
+    book: Book | None = field(default=None, compare=False, repr=False)
 
     @property
     def boundary_triple(self):
@@ -92,7 +115,8 @@ def _seed_lst():
         weights[ec.index] = {3: 1, 2: 2, 1: 3}[ec.degree]
     boundary = tuple(ec.index for ec in sk.edge_classes)
     univalent = next(ec.index for ec in sk.edge_classes if ec.degree == 1)
-    return tri, LstMeta(1, 2, weights, boundary, univalent, None, (0,))
+    return tri, LstMeta(1, 2, weights, boundary, univalent, None, (0,),
+                        _skeleton_book(tri))
 
 
 def _boundary_face_slots(tri):
@@ -104,18 +128,15 @@ def _boundary_face_slots(tri):
 
 
 def _boundary_edge_slot(tri, face_slot, edge_class):
-    """Directed endpoints (head first in the class orientation) and the
-    remaining in-face vertex of the given edge class inside a boundary face."""
+    """Directed endpoints (head first in the class orientation) of the
+    given edge class inside a boundary face."""
     sk = tri.skeleton
     t, f = face_slot
     for ei in FACET_EDGES[f]:
         idx, sign = sk.edge_lookup[(t, ei)]
         if idx == edge_class:
             a, b = EDGE_VERTICES[ei]
-            if sign < 0:
-                a, b = b, a
-            c = next(v for v in FACET_VERTICES[f] if v not in (a, b))
-            return a, b, c
+            return (a, b) if sign > 0 else (b, a)
     raise TriangulationError("edge class does not lie in that boundary face")
 
 
@@ -135,49 +156,67 @@ def check_torus_boundary(tri):
     return (t1, f1), (t2, f2), tuple(c1)
 
 
-def _open_book(tri, edge_class):
-    """A builder holding a copy of tri's gluings, and for each of the two
-    boundary faces (tet, facet, a, b, c): the given boundary edge runs from
-    vertex a to vertex b, and c is the face's third vertex."""
-    slot1, slot2, bclasses = check_torus_boundary(tri)
-    if edge_class not in bclasses:
-        raise TriangulationError(f"edge {edge_class} is not a boundary edge")
+def _skeleton_book(tri):
+    """The book of an arbitrary triangulation, read off its skeleton."""
+    face1, face2, classes = check_torus_boundary(tri)
+    return Book((face1, face2), {
+        e: tuple(_boundary_edge_slot(tri, face, e) for face in (face1, face2))
+        for e in classes})
+
+
+def _builder(tri):
+    """A builder holding a copy of tri's gluings."""
     builder = TriBuilder()
     builder.rows = [list(row) for row in tri.gluings]
-    return builder, [(*slot, *_boundary_edge_slot(tri, slot, edge_class))
-                     for slot in (slot1, slot2)]
+    return builder
+
+
+def _book_of(tri, meta):
+    """tri's book and edge-class count: read off ``meta`` when it carries
+    a book, otherwise from the skeleton."""
+    if meta is not None and meta.book is not None:
+        return meta.book, len(meta.edge_weights)
+    return _skeleton_book(tri), tri.skeleton.edge_count
+
+
+def _layer(builder, book, hinge, new_class):
+    """Attach one tetrahedron to ``builder`` across the book's two faces,
+    hinged on the boundary edge class ``hinge``; returns the new
+    tetrahedron and its book.
+
+    The new tetrahedron glues its facets 2 and 3 over the two faces with
+    the hinge landing on its edge (0,1); orientation of the hinge is
+    matched on both sides, which pins the gluing completely.  Facets 0 and
+    1 become the new boundary and edge (2,3), directed 2->3 and numbered
+    ``new_class`` (the old edge-class count), is the fresh boundary edge.
+    The two kept classes keep their direction; of each one's two images,
+    the one through vertex 0 lies in facet 1 and the other in facet 0.
+    """
+    (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = book.hinge(hinge)
+    new = builder.add_tet()
+    g1 = Perm4.from_map({a1: 0, b1: 1, c1: 3, f1: 2})
+    g2 = Perm4.from_map({a2: 0, b2: 1, c2: 2, f2: 3})
+    builder.join(t1, f1, new, g1)
+    builder.join(t2, f2, new, g2)
+    edges = {}
+    for e, ((h1, u1), (h2, u2)) in book.edges.items():
+        if e != hinge:
+            i1, i2 = (g1[h1], g1[u1]), (g2[h2], g2[u2])
+            edges[e] = (i2, i1) if 0 in i1 else (i1, i2)
+    edges[new_class] = ((2, 3), (2, 3))
+    return new, Book(((new, 0), (new, 1)), edges)
 
 
 def layer_on_edge(tri, edge_class, meta=None):
     """Attach one tetrahedron across the two boundary faces, hinged on the
-    given boundary edge.
-
-    The new tetrahedron glues its facets 2 and 3 over the old boundary with
-    the layered edge landing on its edge (0,1); facets 0 and 1 become the
-    new boundary and edge (2,3) is the fresh boundary edge.  Orientation of
-    the hinge is matched on both sides, which pins the gluing completely.
-    """
-    builder, ((t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2)) = \
-        _open_book(tri, edge_class)
-    new = builder.add_tet()
-    builder.join(t1, f1, new, Perm4.from_map({a1: 0, b1: 1, c1: 3, f1: 2}))
-    builder.join(t2, f2, new, Perm4.from_map({a2: 0, b2: 1, c2: 2, f2: 3}))
+    given boundary edge (see ``_layer``).  The boundary is read off
+    ``meta`` when it carries a book, else off tri's skeleton."""
+    book, count = _book_of(tri, meta)
+    builder = _builder(tri)
+    new, book = _layer(builder, book, edge_class, count)
     out = builder.freeze()
-
-    new_meta = None
-    if meta is not None:
-        new_meta = _relayered_meta(tri, out, meta, edge_class, new)
-    return out, new_meta
-
-
-def _transfer_edge_classes(old, new):
-    """Map edge classes across a construction step that kept every old
-    tetrahedron at the same index."""
-    mapping = {}
-    for ec in old.skeleton.edge_classes:
-        t, ei = ec.slots[0]
-        mapping[ec.index] = new.skeleton.edge_lookup[(t, ei)][0]
-    return mapping
+    return out, None if meta is None else \
+        _relayered_meta(meta, edge_class, new, book)
 
 
 def relayered_weight(removed, w1, w2):
@@ -195,23 +234,20 @@ def boundary_edge(meta, weight):
                 if meta.edge_weights[e] == weight)
 
 
-def _relayered_meta(old, out, meta, layered_class, new_tet):
-    cmap = _transfer_edge_classes(old, out)
-    weights = {cmap[e]: w for e, w in meta.edge_weights.items()}
-    kept = [cmap[e] for e in meta.boundary_edges if e != layered_class]
-    new_weight = relayered_weight(
-        meta.edge_weights[layered_class],
-        *(meta.edge_weights[e] for e in meta.boundary_edges
-          if e != layered_class))
-    new_class = out.skeleton.edge_lookup[(new_tet, EDGE_INDEX[(2, 3)])][0]
-    weights[new_class] = new_weight
-    boundary = tuple(kept + [new_class])
-    triple = sorted(weights[e] for e in boundary)
-    p, q = triple[0], triple[1]
-    base = cmap[meta.base_edge] if meta.base_edge is not None \
-        else cmap[layered_class]
+def _relayered_meta(meta, layered_class, new_tet, book):
+    """The meta after layering on ``layered_class``.  A layering keeps every
+    edge class's index and numbers the fresh boundary edge next, as its
+    book does."""
+    new_class = len(meta.edge_weights)
+    weights = dict(meta.edge_weights)
+    kept = [e for e in meta.boundary_edges if e != layered_class]
+    weights[new_class] = relayered_weight(
+        meta.edge_weights[layered_class], *(weights[e] for e in kept))
+    boundary = (*kept, new_class)
+    p, q = sorted(weights[e] for e in boundary)[:2]
+    base = layered_class if meta.base_edge is None else meta.base_edge
     return LstMeta(p, q, weights, boundary, new_class, base,
-                   meta.layer_order + (new_tet,))
+                   meta.layer_order + (new_tet,), book)
 
 
 def minimal_path(p, q):
@@ -228,15 +264,10 @@ def minimal_path(p, q):
     return path
 
 
-def _layer_dropping(tri, meta, gone):
-    """One step down the fraction tree: layer on the boundary edge of
-    weight ``gone``, which leaves the triple {p, q, p+q} in exchange for
-    the sum of the other two."""
-    return layer_on_edge(tri, boundary_edge(meta, gone), meta)
-
-
 def lst(p, q):
-    """Layered solid torus with boundary triple {p, q, p+q}."""
+    """Layered solid torus with boundary triple {p, q, p+q}, layered along
+    the minimal path on one builder: only the seed tetrahedron's skeleton
+    is built, and the result is frozen once."""
     p, q = int(p), int(q)
     if p > q:
         p, q = q, p
@@ -247,12 +278,15 @@ def lst(p, q):
             "the Moebius triple {1,1,2} is a degenerate solid torus")
     if math.gcd(p, q) != 1:
         raise TriangulationError(f"weights {p}, {q} are not coprime")
-    tri, meta = _seed_lst()
+    seed, meta = _seed_lst()
+    builder = _builder(seed)
     path = minimal_path(p, q)
     for (pa, pb), (ca, cb) in zip(path, path[1:]):
         # moving to the child replaces one of pa, pb by the new sum
-        tri, meta = _layer_dropping(tri, meta, pa if pa not in (ca, cb) else pb)
-    return tri, meta
+        hinge = boundary_edge(meta, pa if pa not in (ca, cb) else pb)
+        new, book = _layer(builder, meta.book, hinge, len(meta.edge_weights))
+        meta = _relayered_meta(meta, hinge, new, book)
+    return builder.freeze(), meta
 
 
 def fold_record(p, q, weight):
@@ -268,9 +302,11 @@ def fold_record(p, q, weight):
 def fold_along_edge(tri, edge_class, meta=None):
     """Close the book: identify the two boundary faces by the map fixing
     the given boundary edge pointwise.  The other two boundary edges merge
-    into a single class."""
-    builder, ((t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2)) = \
-        _open_book(tri, edge_class)
+    into a single class.  The boundary is read off ``meta`` when it
+    carries a book, else off tri's skeleton."""
+    book, _ = _book_of(tri, meta)
+    (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = book.hinge(edge_class)
+    builder = _builder(tri)
     builder.join(t1, f1, t2, Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2}))
     record = None if meta is None else \
         fold_record(meta.p, meta.q, meta.edge_weights[edge_class])
@@ -342,9 +378,11 @@ def lst_tree(depth_limit):
         yield (LGraphNode.of(meta.p, meta.q, depth, meta.edge_weights.values()),
                tri, meta)
         if depth < depth_limit:
-            # dropping q gives p/(p+q): pushed last, it is visited first
+            # layering on the edge of weight q gives p/(p+q): pushed last,
+            # it is visited first
             for gone in (meta.p, meta.q):
-                stack.append((*_layer_dropping(tri, meta, gone), depth + 1))
+                stack.append((*layer_on_edge(tri, boundary_edge(meta, gone),
+                                             meta), depth + 1))
 
 
 def enumerate_minimal_lens_families(depth_limit):
@@ -532,23 +570,12 @@ def augmented_solid_torus(fillings):
                 g = sub.gluing(t, f)
                 row.append(None if g is None else (g[0] + offset, g[1]))
             rows.append(row)
-        (lt1, lf1), (lt2, lf2) = sub.boundary_facets()
-        sk = sub.skeleton
         want = {"h": boundary_edge(meta, filling.w_h),
                 "d": boundary_edge(meta, filling.w_d),
                 "v": boundary_edge(meta, filling.w_v)}
-
-        def face_edges(t, f):
-            out = {}
-            for ei in FACET_EDGES[f]:
-                cls = sk.edge_lookup[(t, ei)][0]
-                for role, ecls in want.items():
-                    if cls == ecls:
-                        out[role] = EDGE_VERTICES[ei]
-            return out
-
-        lst_faces = [(lt1, lf1, face_edges(lt1, lf1)),
-                     (lt2, lf2, face_edges(lt2, lf2))]
+        lst_faces = [(lt, lf, {role: meta.book.edges[e][side]
+                               for role, e in want.items()})
+                     for side, (lt, lf) in enumerate(meta.book.faces)]
         if filling.swap:
             lst_faces.reverse()
         for (lt, lf, edges_from), key in zip(lst_faces, ("1", "2")):

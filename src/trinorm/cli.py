@@ -346,6 +346,10 @@ def cmd_verify(args):
     summary = verifysuite.run(only=args.only, quick=args.quick)
     for line in summary["lines"]:
         sys.stdout.write(line + "\n")
+    # wall time per criterion goes to stderr, so stdout stays deterministic
+    for name, ns in summary["elapsed_ns"].items():
+        ms = ns // 1_000_000
+        sys.stderr.write(f"{name} {ms // 1000}.{ms % 1000:03d}\n")
     _emit({"schema_version": SCHEMA_VERSION,
            "passed": summary["passed"], "failed": summary["failed"],
            "failures": summary["failures"]})

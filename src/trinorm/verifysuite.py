@@ -8,6 +8,7 @@ acceptance test module.
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, product
 
 from . import build, homology, cocycle, surface, analyze
@@ -411,17 +412,21 @@ CHECKS = (
 
 
 def run(only=None, quick=False):
-    """Run the acceptance checks; returns a printable summary."""
+    """Run the acceptance checks; returns a printable summary, with each
+    criterion's wall time in nanoseconds under ``elapsed_ns``."""
     lines = []
     failures = []
+    elapsed_ns = {}
     passed = 0
     for name, fn in CHECKS:
         if only and only not in name:
             continue
+        start = time.perf_counter_ns()
         try:
             ok, detail = fn(quick=quick)
         except (TriangulationError, AssertionError) as exc:
             ok, detail = False, f"raised {exc}"
+        elapsed_ns[name] = time.perf_counter_ns() - start
         status = "PASS" if ok else "FAIL"
         lines.append(f"{status} {name}: {detail}")
         if ok:
@@ -429,4 +434,5 @@ def run(only=None, quick=False):
         else:
             failures.append({"check": name, "detail": detail})
     return {"lines": lines, "passed": passed,
-            "failed": len(failures), "failures": failures}
+            "failed": len(failures), "failures": failures,
+            "elapsed_ns": elapsed_ns}

@@ -228,6 +228,27 @@ def test_compression_scan_empty_on_families():
             assert compression_pattern_scan(tri, phi) == []
 
 
+def test_each_colouring_is_classified_once(monkeypatch):
+    # analyze's own classify_tetrahedra calls; parity_census classifies
+    # inside cocycle and is not counted here
+    calls = []
+    classify = analyze.classify_tetrahedra
+
+    def counted(tri, phi):
+        calls.append(tri)
+        return classify(tri, phi)
+
+    monkeypatch.setattr(analyze, "classify_tetrahedra", counted)
+    tri, _ = build.seifert_family("M", 1, 2, 1)
+    phi, = cocycle.all_nonzero_classes(tri)
+    assert compression_pattern_scan(tri, phi) == []
+    assert calls == [tri]
+    calls.clear()
+    out, _, log = promote(tri, phi)
+    # the input, then the one candidate the single flip keeps
+    assert len(log) == 1 and calls == [tri, out]
+
+
 def test_compression_feeds_k_phi():
     tri, phi, pats = _d5k2_instance()
     base = fundamental_report(tri, phi, k_phi=0)

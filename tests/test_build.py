@@ -1,10 +1,17 @@
 """Constructors: layered solid tori, folds, loops, augmented families."""
 
+import functools
+import math
+import random
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trinorm import build, homology, cocycle
-from trinorm.triangulation import TriangulationError
+from trinorm.perm import Perm4
+from trinorm.triangulation import (EDGE_INDEX, FACET_VERTICES, TriBuilder,
+                                   Triangulation, TriangulationError)
 
 
 def test_lst_examples():
@@ -239,3 +246,214 @@ def _reference_lens_families(depth_limit):
 def test_enumerate_matches_from_scratch_reference(depth):
     assert build.enumerate_minimal_lens_families(depth) == \
         _reference_lens_families(depth)
+
+
+# ----- the skeleton-based layering, kept as the reference -------------------
+
+
+def _reference_open_book(tri, edge_class):
+    """A builder holding a copy of tri's gluings, and for each of the two
+    boundary faces (tet, facet, a, b, c), all read off tri's skeleton."""
+    slot1, slot2, bclasses = build.check_torus_boundary(tri)
+    if edge_class not in bclasses:
+        raise TriangulationError(f"edge {edge_class} is not a boundary edge")
+    builder = TriBuilder()
+    builder.rows = [list(row) for row in tri.gluings]
+    out = []
+    for t, f in (slot1, slot2):
+        a, b = build._boundary_edge_slot(tri, (t, f), edge_class)
+        c = next(v for v in FACET_VERTICES[f] if v not in (a, b))
+        out.append((t, f, a, b, c))
+    return builder, out
+
+
+def _reference_transfer_edge_classes(old, new):
+    mapping = {}
+    for ec in old.skeleton.edge_classes:
+        t, ei = ec.slots[0]
+        mapping[ec.index] = new.skeleton.edge_lookup[(t, ei)][0]
+    return mapping
+
+
+def _reference_relayered_meta(old, out, meta, layered_class, new_tet):
+    cmap = _reference_transfer_edge_classes(old, out)
+    weights = {cmap[e]: w for e, w in meta.edge_weights.items()}
+    kept = [cmap[e] for e in meta.boundary_edges if e != layered_class]
+    new_weight = build.relayered_weight(
+        meta.edge_weights[layered_class],
+        *(meta.edge_weights[e] for e in meta.boundary_edges
+          if e != layered_class))
+    new_class = out.skeleton.edge_lookup[(new_tet, EDGE_INDEX[(2, 3)])][0]
+    weights[new_class] = new_weight
+    boundary = tuple(kept + [new_class])
+    triple = sorted(weights[e] for e in boundary)
+    base = cmap[meta.base_edge] if meta.base_edge is not None \
+        else cmap[layered_class]
+    return build.LstMeta(triple[0], triple[1], weights, boundary, new_class,
+                         base, meta.layer_order + (new_tet,))
+
+
+def _reference_layer_on_edge(tri, edge_class, meta=None):
+    builder, ((t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2)) = \
+        _reference_open_book(tri, edge_class)
+    new = builder.add_tet()
+    builder.join(t1, f1, new, Perm4.from_map({a1: 0, b1: 1, c1: 3, f1: 2}))
+    builder.join(t2, f2, new, Perm4.from_map({a2: 0, b2: 1, c2: 2, f2: 3}))
+    out = builder.freeze()
+    return out, None if meta is None else \
+        _reference_relayered_meta(tri, out, meta, edge_class, new)
+
+
+def _reference_fold_along_edge(tri, edge_class):
+    builder, ((t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2)) = \
+        _reference_open_book(tri, edge_class)
+    builder.join(t1, f1, t2, Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2}))
+    return builder.freeze()
+
+
+def _reference_step(tri, meta, gone):
+    return _reference_layer_on_edge(tri, build.boundary_edge(meta, gone), meta)
+
+
+def _reference_path(path):
+    """(tri, meta) for each node of a fraction-tree path from 1/2, one
+    skeleton-based layering per step."""
+    tri, meta = build._seed_lst()
+    out = [(tri, meta)]
+    for (pa, pb), (ca, cb) in zip(path, path[1:]):
+        tri, meta = _reference_step(tri, meta,
+                                    pa if pa not in (ca, cb) else pb)
+        out.append((tri, meta))
+    return out
+
+
+def _reference_tree(depth_limit):
+    """lst_tree's preorder walk, layered the skeleton-based way."""
+    stack = [(*build._seed_lst(), 1)]
+    while stack:
+        tri, meta, depth = stack.pop()
+        yield tri, meta
+        if depth < depth_limit:
+            for gone in (meta.p, meta.q):
+                stack.append((*_reference_step(tri, meta, gone), depth + 1))
+
+
+def _assert_book_matches_skeleton(tri, meta):
+    # the positions _boundary_edge_slot reads from the layer's own skeleton
+    assert meta.book == build._skeleton_book(tri)
+    assert set(meta.book.edges) == set(meta.boundary_edges)
+
+
+def _assert_folds_match(tri, meta):
+    for e in meta.boundary_edges:
+        folded, record = build.fold_along_edge(tri, e, meta)
+        assert folded == _reference_fold_along_edge(tri, e)
+        assert record == build.fold_record(meta.p, meta.q,
+                                           meta.edge_weights[e])
+        assert build.fold_along_edge(tri, e)[0] == folded
+
+
+def test_lst_tree_matches_skeleton_reference():
+    seen = 0
+    for (node, tri, meta), (rtri, rmeta) in zip(build.lst_tree(12),
+                                                 _reference_tree(12)):
+        assert tri == rtri and meta == rmeta
+        assert build.lst(node.p, node.q) == (tri, meta)
+        if node.depth < 12:
+            # the reference reads this skeleton to layer the children
+            _assert_book_matches_skeleton(rtri, meta)
+        seen += 1
+    assert seen == 2 ** 12 - 1
+
+
+def test_layer_and_fold_match_skeleton_reference():
+    for node, tri, meta in build.lst_tree(7):
+        _assert_folds_match(tri, meta)
+        for e in meta.boundary_edges:
+            # every boundary edge, including the sum that gives {1,1,2}
+            want = _reference_layer_on_edge(tri, e, meta)
+            got = build.layer_on_edge(tri, e, meta)
+            assert got == want
+            assert build.layer_on_edge(tri, e) == (want[0], None)
+            _assert_book_matches_skeleton(want[0], got[1])
+
+
+def _random_path(rng, length):
+    path = [(1, 2)]
+    for _ in range(length - 1):
+        p, q = path[-1]
+        path.append(rng.choice(((p, p + q), (q, p + q))))
+    return path
+
+
+def test_long_paths_match_skeleton_reference():
+    # the skeleton-based reference is quadratic in the path length, so two
+    # paths run to 150 and 100 tetrahedra and the other 28 to at most 60
+    rng = random.Random(5)
+    for length in [150, 100] + [rng.randint(2, 60) for _ in range(28)]:
+        path = _random_path(rng, length)
+        reference = _reference_path(path)
+        p, q = path[-1]
+        assert build.lst(p, q) == reference[-1]
+        tri, meta = build._seed_lst()
+        for (pa, pb), (ca, cb), (rtri, rmeta) in zip(path, path[1:],
+                                                      reference[1:]):
+            gone = pa if pa not in (ca, cb) else pb
+            tri, meta = build.layer_on_edge(
+                tri, build.boundary_edge(meta, gone), meta)
+            assert (tri, meta) == (rtri, rmeta)
+            _assert_book_matches_skeleton(rtri, meta)
+        _assert_folds_match(rtri, meta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 400), st.integers(2, 400))
+def test_lst_matches_skeleton_reference_on_drawn_pairs(p, q):
+    assume(p < q and math.gcd(p, q) == 1)
+    assume(len(build.minimal_path(p, q)) <= 60)
+    assert build.lst(p, q) == _reference_path(build.minimal_path(p, q))[-1]
+
+
+# ----- construction cost, counted -------------------------------------------
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of skeletons and of Triangulations built while the test runs."""
+    seen = Counter()
+    skeleton = Triangulation.__dict__["skeleton"].func
+    init = Triangulation.__init__
+
+    def counted_skeleton(self):
+        seen["skeleton"] += 1
+        return skeleton(self)
+
+    def counted_init(self, gluings):
+        seen["triangulation"] += 1
+        init(self, gluings)
+
+    prop = functools.cached_property(counted_skeleton)
+    prop.__set_name__(Triangulation, "skeleton")
+    monkeypatch.setattr(Triangulation, "skeleton", prop)
+    monkeypatch.setattr(Triangulation, "__init__", counted_init)
+    return seen
+
+
+def test_lst_builds_one_skeleton(built):
+    tri, meta = build.lst(1, 200)
+    assert tri.tet_count == 199 and meta.boundary_triple == (1, 200, 201)
+    # the seed's skeleton, and the seed and the result as Triangulations
+    assert built == {"skeleton": 1, "triangulation": 2}
+
+
+def test_lens_space_skips_the_unfolded_skeleton(built):
+    folded, _, _ = build.lens_space(5, 13)
+    assert built == {"skeleton": 1, "triangulation": 3}
+    assert folded.is_closed
+
+
+def test_tree_walk_builds_only_the_seed_skeleton(built):
+    nodes = sum(1 for _ in build.lst_tree(8))
+    assert nodes == 2 ** 8 - 1
+    # one Triangulation per node, the seed's being the root's
+    assert built == {"skeleton": 1, "triangulation": nodes}

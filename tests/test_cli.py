@@ -1,14 +1,19 @@
 """Command line flows: construction, analysis, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trinorm import build
+from trinorm import build, verifysuite
 from trinorm.cli import main
+from trinorm.perm import ALL_PERMS
 from trinorm.triangulation import parse, serialize
 
 
@@ -129,6 +134,18 @@ def test_verify_filter(capsys):
     assert main(["verify", "--quick", "--only", "one_tet"]) == 0
     out = capsys.readouterr().out
     assert "PASS one_tet_folds" in out
+
+
+def test_verify_times_each_criterion_on_stderr(capsys):
+    assert main(["verify", "--quick"]) == 0
+    captured = capsys.readouterr()
+    # stdout as it was before the timings existed
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        "e2edc0971d42d37153fe70f9b0fb420b66b7377dff7a251f2b8331f2d177fb44"
+    lines = captured.err.splitlines()
+    assert [line.split()[0] for line in lines] == \
+        [name for name, _ in verifysuite.CHECKS]
+    assert all(re.fullmatch(r"\S+ \d+\.\d{3}", line) for line in lines)
 
 
 def test_exit_codes(tmp_path):
@@ -318,3 +335,87 @@ def test_report_output_is_pinned(name, tmp_path, monkeypatch, capsys):
         assert main([command, f"{name}.tri"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == PINNED_SHA256[f"{name} {command}"], command
+
+
+# ----- mutated .tri files through the read-only reports ---------------------
+
+FUZZ_COMMANDS = ("analyze", "colourings", "find-lst", "bounds",
+                 "twisted-squares", "surface")
+
+
+def _fuzz_bases():
+    """The gluing tokens, row by row, of valid files as construct and fold
+    write them."""
+    tris = [build.lst(3, 7)[0], build.lens_space(1, 6, 6)[0],
+            build.lens_space(1, 5, 6)[0],
+            build.seifert_family("M", 1, 1, 1)[0],
+            build.seifert_family("Q", 4)[0]]
+    return [tuple(tuple(line.split(":", 1)[1].split())
+                  for line in serialize(tri).splitlines()[1:])
+            for tri in tris]
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+@st.composite
+def mutated_tri_texts(draw):
+    rows = [list(row) for row in draw(st.sampled_from(FUZZ_BASES))]
+    n = len(rows)
+    slots = st.tuples(st.integers(0, n - 1), st.integers(0, 3))
+
+    def unglue(t, f):
+        if rows[t][f] != "-":
+            u, perm = rows[t][f].split(":")
+            rows[int(u)][int(perm[f])] = "-"
+            rows[t][f] = "-"
+
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("token", "swap", "unglue", "reglue")))
+        (t, f), (u, g) = draw(slots), draw(slots)
+        if kind == "token":
+            # any token: another one of the file's, a boundary mark, or junk
+            rows[t][f] = draw(st.one_of(
+                st.sampled_from([tok for row in rows for tok in row]),
+                st.just("-"),
+                st.builds("{}:{}".format, st.integers(-1, n),
+                          st.text("01234x", min_size=3, max_size=5))))
+        elif kind == "swap":
+            rows[t][f], rows[u][g] = rows[u][g], rows[t][f]
+        else:
+            unglue(t, f)
+            if kind == "reglue" and (t, f) != (u, g):
+                # a consistent gluing of two facets: the file stays
+                # involutive but need not be a manifold any more
+                unglue(u, g)
+                perm = draw(st.sampled_from(
+                    [p for p in ALL_PERMS if p[f] == g]))
+                rows[t][f] = f"{u}:{perm.compact()}"
+                rows[u][g] = f"{t}:{perm.inverse().compact()}"
+    header = draw(st.sampled_from((n, n, n, n - 1, n + 1)))
+    return f"tri {header}\n" + "".join(
+        f"tet {i}: {' '.join(row)}\n" for i, row in enumerate(rows))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=mutated_tri_texts())
+def test_mutated_files_keep_the_exit_contract(text, fuzz_dir):
+    path = fuzz_dir / "mutated.tri"
+    path.write_text(text)
+    for command in FUZZ_COMMANDS:
+        # in process: an uncaught exception here is the traceback the
+        # command line would have printed
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2), (command, code)
+        assert "Traceback" not in err.getvalue()
