@@ -365,10 +365,13 @@ def mutated_tri_texts(draw):
     slots = st.tuples(st.integers(0, n - 1), st.integers(0, 3))
 
     def unglue(t, f):
-        if rows[t][f] != "-":
-            u, perm = rows[t][f].split(":")
+        # an earlier junk token has no partner to free: only a well-formed
+        # gluing into the file frees the facet it names
+        u, _, perm = rows[t][f].partition(":")
+        if (u.isdigit() and int(u) < n and len(perm) == 4
+                and perm[f] in "0123"):
             rows[int(u)][int(perm[f])] = "-"
-            rows[t][f] = "-"
+        rows[t][f] = "-"
 
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(("token", "swap", "unglue", "reglue")))
