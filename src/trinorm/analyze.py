@@ -199,7 +199,7 @@ def lst_intersection_matrix(tri, lsts):
 # ----- low degree lint ----------------------------------------------------------
 
 
-def low_degree_lint(tri):
+def low_degree_lint(tri, lsts=None):
     """Edges of degree at most three, with the standard exceptions for
     closed one-vertex triangulations classified where recognisable.
 
@@ -207,6 +207,7 @@ def low_degree_lint(tri):
     one of the small lens spaces (single tetrahedron of order five; two
     tetrahedra of order five or seven) or by being the base edge of an
     embedded two-tetrahedron solid torus with boundary triple {1,3,4}.
+    ``lsts`` is ``find_maximal_lsts(tri)`` when the caller has it.
     """
     sk = tri.skeleton
     report = {"degree_1": [], "degree_2": [], "degree_3": []}
@@ -228,24 +229,24 @@ def low_degree_lint(tri):
         if h is not None and not h.betti and h.order in (3, 4):
             label = f"lens_order_{h.order}_exception"
         report["degree_2"].append({"edge": e, "classification": label})
-    if low3:
+    if low3 and lsts is None:
         lsts = find_maximal_lsts(tri)
-        for e in low3:
-            entry = {"edge": e, "classification": "unexplained"}
-            if tri.tet_count == 1 and h is not None and h.order == 5:
-                entry["classification"] = "one_tet_lens_order_5"
-            elif tri.tet_count == 2 and h is not None and h.order in (5, 7):
-                entry["classification"] = f"two_tet_lens_order_{h.order}"
-            else:
-                for emb in lsts:
-                    if emb.size < 2 or emb.base_edge != e:
-                        continue
-                    prefix_triple = _prefix_triple(emb)
-                    if prefix_triple == (1, 3, 4):
-                        entry["classification"] = "interior_of_T134"
-                        entry["torus_tets"] = list(emb.tets[:2])
-                        break
-            report["degree_3"].append(entry)
+    for e in low3:
+        entry = {"edge": e, "classification": "unexplained"}
+        if tri.tet_count == 1 and h is not None and h.order == 5:
+            entry["classification"] = "one_tet_lens_order_5"
+        elif tri.tet_count == 2 and h is not None and h.order in (5, 7):
+            entry["classification"] = f"two_tet_lens_order_{h.order}"
+        else:
+            for emb in lsts:
+                if emb.size < 2 or emb.base_edge != e:
+                    continue
+                prefix_triple = _prefix_triple(emb)
+                if prefix_triple == (1, 3, 4):
+                    entry["classification"] = "interior_of_T134"
+                    entry["torus_tets"] = list(emb.tets[:2])
+                    break
+        report["degree_3"].append(entry)
     return report
 
 
@@ -609,12 +610,11 @@ def promote(tri, phi, max_steps=1000):
     log = []
     current, cur_phi = tri, phi
     all_types = classify_tetrahedra(current, cur_phi)
+    sup = supportive_tori(current, cur_phi, all_types)
+    measure = (parity_census(current, cur_phi, all_types).empty_tets, len(sup))
     for _ in range(max_steps):
-        sup = supportive_tori(current, cur_phi, all_types)
         if not sup:
             return current, cur_phi, log
-        census = parity_census(current, cur_phi)
-        measure = (census.empty_tets, len(sup))
         emb = sup[0]
         e = _even_boundary_edge(current, cur_phi, emb)
         ec = current.skeleton.edge_classes[e]
@@ -632,16 +632,19 @@ def promote(tri, phi, max_steps=1000):
             cand_tri, cand_phi = pachner_with_cocycle(
                 current, cur_phi, MoveSpec("44", edge=e, axis=axis))
             cand_types = classify_tetrahedra(cand_tri, cand_phi)
-            cand_census = parity_census(cand_tri, cand_phi)
-            cand_measure = (cand_census.empty_tets, len(
-                supportive_tori(cand_tri, cand_phi, cand_types)))
+            cand_sup = supportive_tori(cand_tri, cand_phi, cand_types)
+            cand_measure = (
+                parity_census(cand_tri, cand_phi, cand_types).empty_tets,
+                len(cand_sup))
             if cand_measure < measure:
-                chosen = (axis, cand_tri, cand_phi, cand_types)
+                chosen = (axis, cand_tri, cand_phi, cand_types, cand_sup,
+                          cand_measure)
                 break
         if chosen is None:
             raise PromotionObstruction(
                 emb, f"no measure-decreasing flip; octahedron types {types}")
-        axis, current, cur_phi, all_types = chosen
+        # the chosen candidate's tori and measure start the next step
+        axis, current, cur_phi, all_types, sup, measure = chosen
         log.append({"edge": e, "axis": axis,
                     "octahedron_types": [t.value for t in types]})
     raise AssertionError("promotion failed to terminate")

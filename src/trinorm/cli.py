@@ -117,7 +117,7 @@ def full_report(tri, descriptor, k_phi=0):
         for phi in cocycle.all_nonzero_classes(tri):
             rep = analyze.fundamental_report(tri, phi, k_phi=k_phi)
             chi2, orientable, connected = surface.surface_classify(
-                tri, rep.surface.coord)
+                tri, rep.surface.coord, rep.chi)
             classes.append({
                 "cocycle": str(phi),
                 "census": _census_block(rep.census),
@@ -132,7 +132,7 @@ def full_report(tri, descriptor, k_phi=0):
         report["maximal_layered_solid_tori"] = _tori_block(lsts)
         report["lst_intersections"] = analyze.lst_intersection_matrix(tri, lsts)
         report["twisted_squares"] = analyze.twisted_squares(tri)
-        report["lint"] = analyze.low_degree_lint(tri)
+        report["lint"] = analyze.low_degree_lint(tri, lsts)
     return report
 
 
@@ -256,6 +256,8 @@ def cmd_colourings(args):
 
 def cmd_surface(args):
     tri = _load(args.input)
+    # the cell counts below assume every edge and face is a manifold cell
+    homology.require_valid_cells(tri)
     phi = _colouring_class(tri, args.cls)
     canon = surface.canonical_surface(tri, phi)
     coord = canon.coord
@@ -273,6 +275,8 @@ def cmd_surface(args):
 
 def cmd_bounds(args):
     tri = _load(args.input)
+    # checked before the degree identity is asserted on the cell counts
+    homology.require_valid_cells(tri)
     classes = (cocycle.all_nonzero_classes(tri) if args.cls is None
                else [_colouring_class(tri, args.cls)])
     out = []

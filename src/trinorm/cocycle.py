@@ -165,12 +165,14 @@ class ParityCensus:
         return self.even_edges == self.odd_edges
 
 
-def parity_census(tri, phi):
+def parity_census(tri, phi, types=None):
     """Edge and tetrahedron counts by parity, plus the size of the
-    subcomplex spanned by the even edges."""
+    subcomplex spanned by the even edges.  ``types`` is the colouring's
+    ``classify_tetrahedra`` list when the caller has one."""
     _require_one_vertex_closed(tri)
     sk = tri.skeleton
-    types = classify_tetrahedra(tri, phi)
+    if types is None:
+        types = classify_tetrahedra(tri, phi)
     n_quad = sum(1 for ty, _ in types if ty is TetType.QUAD)
     n_tri = sum(1 for ty, _ in types if ty is TetType.TRI)
     n_empty = sum(1 for ty, _ in types if ty is TetType.EMPTY)

@@ -189,10 +189,9 @@ class HomologyProfile:
         return " + ".join(parts) if parts else "0"
 
 
-def boundary_matrices(tri):
-    """Integer boundary maps d1 (vertices x edges) and d2 (edges x faces)
-    of the quotient CW structure, with the edge/face class orientations of
-    the skeleton."""
+def require_valid_cells(tri):
+    """Reject the cells the quotient CW structure cannot orient: a facet
+    glued to itself, or an edge identified with itself reversed."""
     sk = tri.skeleton
     for fc in sk.face_classes:
         if fc.self_glued:
@@ -202,6 +201,14 @@ def boundary_matrices(tri):
         if not ec.valid:
             raise TriangulationError(
                 "homology requires all edges valid (no reversed self-gluing)")
+
+
+def boundary_matrices(tri):
+    """Integer boundary maps d1 (vertices x edges) and d2 (edges x faces)
+    of the quotient CW structure, with the edge/face class orientations of
+    the skeleton."""
+    require_valid_cells(tri)
+    sk = tri.skeleton
     nv, ne, nf = sk.vertex_count, sk.edge_count, sk.face_count
     d1 = [[0] * ne for _ in range(nv)]
     for ec in sk.edge_classes:

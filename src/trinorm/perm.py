@@ -1,21 +1,33 @@
-"""Permutations of {0,1,2,3} used as face-gluing maps."""
+"""Permutations of {0,1,2,3} used as face-gluing maps.
+
+The 24 permutations are interned: constructing a ``Perm4`` returns one of
+24 shared instances, each carrying its ``index`` in lexicographic order of
+images (the identity is index 0).  Products, inverses and signs are read
+from tables built once at import.
+"""
 
 from __future__ import annotations
+
+from itertools import permutations
 
 
 class Perm4:
     """A bijection of {0,1,2,3}, stored as the tuple of images of 0,1,2,3."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "index")
 
-    def __init__(self, images):
+    def __new__(cls, images):
         images = tuple(images)
-        if sorted(images) != [0, 1, 2, 3]:
-            raise ValueError(f"not a permutation of 0..3: {images!r}")
-        object.__setattr__(self, "images", images)
+        try:
+            return _BY_IMAGES[images]
+        except (KeyError, TypeError):
+            raise ValueError(f"not a permutation of 0..3: {images!r}") from None
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm4 is immutable")
+
+    def __reduce__(self):
+        return (Perm4, (self.images,))
 
     def __getitem__(self, i):
         return self.images[i]
@@ -25,31 +37,25 @@ class Perm4:
 
     def __mul__(self, other):
         # (self * other)(x)  ==  self(other(x))
-        return Perm4(tuple(self.images[other.images[i]] for i in range(4)))
+        return PRODUCT[self.index][other.index]
 
     def inverse(self):
-        inv = [0] * 4
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Perm4(tuple(inv))
+        return INVERSE[self.index]
 
     def sign(self):
         """+1 for even permutations, -1 for odd."""
-        s = 1
-        im = self.images
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if im[i] > im[j]:
-                    s = -s
-        return s
+        return SIGN[self.index]
 
     def is_identity(self):
-        return self.images == (0, 1, 2, 3)
+        return self.index == 0
 
     def __eq__(self, other):
-        return isinstance(other, Perm4) and self.images == other.images
+        # interned: equal permutations are the same object
+        return self is other
 
     def __hash__(self):
+        # by value, not identity, so hashes of gluing tables do not depend
+        # on where the instances live
         return hash(self.images)
 
     def __repr__(self):
@@ -73,13 +79,28 @@ class Perm4:
         return cls(tuple(mapping[i] for i in range(4)))
 
 
-IDENTITY = Perm4((0, 1, 2, 3))
+def _intern(index, images):
+    perm = object.__new__(Perm4)
+    object.__setattr__(perm, "images", images)
+    object.__setattr__(perm, "index", index)
+    return perm
 
-ALL_PERMS = tuple(
-    Perm4((a, b, c, d))
-    for a in range(4)
-    for b in range(4)
-    for c in range(4)
-    for d in range(4)
-    if len({a, b, c, d}) == 4
-)
+
+def _inversions(images):
+    return sum(1 for i in range(4) for j in range(i + 1, 4)
+               if images[i] > images[j])
+
+
+# ALL_PERMS[i] has index i; PRODUCT[i][j] is ALL_PERMS[i] * ALL_PERMS[j],
+# INVERSE[i] and SIGN[i] the inverse and sign of ALL_PERMS[i]
+ALL_PERMS = tuple(_intern(i, images)
+                  for i, images in enumerate(permutations(range(4))))
+_BY_IMAGES = {p.images: p for p in ALL_PERMS}     # keys in index order
+PRODUCT = tuple(tuple(_BY_IMAGES[a[b0], a[b1], a[b2], a[b3]]
+                      for b0, b1, b2, b3 in _BY_IMAGES)
+                for a in _BY_IMAGES)
+INVERSE = tuple(_BY_IMAGES[a.index(0), a.index(1), a.index(2), a.index(3)]
+                for a in _BY_IMAGES)
+SIGN = tuple(-1 if _inversions(a) % 2 else 1 for a in _BY_IMAGES)
+
+IDENTITY = ALL_PERMS[0]

@@ -469,14 +469,17 @@ def _toward_vertex_sign(disc, vertex):
     return 1 if vertex in QUAD_SIDE_A[typ] else -1
 
 
-def surface_classify(tri, coord):
+def surface_classify(tri, coord, chi=None):
     """(chi, orientable, connected) of an embedded coordinate.
 
     Orientability is decided by propagating transverse orientations across
     the normal disc adjacency graph; in the orientable manifolds built
-    here that coincides with orientability of the surface itself.
+    here that coincides with orientability of the surface itself.  A
+    caller that has already counted the coordinate with ``euler_char``
+    (which also validates it) passes that ``chi`` instead of recounting.
     """
-    chi = euler_char(tri, coord)
+    if chi is None:
+        chi = euler_char(tri, coord)
     discs = _disc_list(coord)
     if not discs:
         return chi, True, False

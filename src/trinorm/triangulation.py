@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .perm import Perm4, ALL_PERMS
+from .perm import Perm4, ALL_PERMS, INVERSE
 
 # Fixed tables for the sub-simplices of a tetrahedron.
 #
@@ -27,6 +27,29 @@ for _a, _b in list(EDGE_INDEX):
 OPPOSITE_EDGE = (5, 4, 3, 2, 1, 0)
 FACET_EDGES = ((3, 4, 5), (1, 2, 5), (0, 2, 4), (0, 1, 3))
 FACET_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _gluing_entry(perm, facet):
+    """What gluing ``facet`` by ``perm`` does to the facet's cells."""
+    target = perm[facet]
+    img = [perm[v] for v in FACET_VERTICES[facet]]
+    # the triangle map's parity: ascending source triple to image triple
+    inversions = (img[0] > img[1]) + (img[0] > img[2]) + (img[1] > img[2])
+    vertices = tuple((v, perm[v]) for v in FACET_VERTICES[facet])
+    edges = []
+    for ei in FACET_EDGES[facet]:
+        a, b = EDGE_VERTICES[ei]
+        edges.append((ei, EDGE_INDEX[(perm[a], perm[b])],
+                      1 if perm[a] > perm[b] else 0))
+    return target, inversions % 2, vertices, tuple(edges)
+
+
+# GLUING_TABLE[perm.index][facet] = (target facet, face parity bit,
+# ((vertex, image), x3), ((edge, image edge, flip), x3)): the parity bit is
+# 1 when the induced triangle map reverses the ascending vertex order, the
+# flip bit 1 when the edge's ascending direction maps to a descending one.
+GLUING_TABLE = tuple(tuple(_gluing_entry(perm, f) for f in range(4))
+                     for perm in ALL_PERMS)
 
 
 class TriangulationError(ValueError):
@@ -59,28 +82,53 @@ class _UnionFind:
         self.conflict = set()
 
     def find(self, x):
-        path = []
-        root = x
-        while self.parent[root] != root:
+        parent = self.parent
+        root = parent[x]
+        if parent[root] == root:
+            # x is a root or a child of one; a root's parity is 0
+            return root, self.parity[x]
+        path = [x]
+        while parent[root] != root:
             path.append(root)
-            root = self.parent[root]
+            root = parent[root]
         # path compression, rewriting each node's parity relative to root
+        parity = self.parity
         acc = 0
         for node in reversed(path):
-            acc ^= self.parity[node]
-            self.parent[node] = root
-            self.parity[node] = acc
-        return root, (self.parity[x] if path else 0)
+            acc ^= parity[node]
+            parent[node] = root
+            parity[node] = acc
+        return root, acc
+
+    def flatten(self):
+        """Point every node straight at its root; returns the parent and
+        parity lists, each parity now relative to the node's root."""
+        parent = self.parent
+        for x in range(len(parent)):
+            if parent[parent[x]] != parent[x]:
+                self.find(x)
+        return parent, self.parity
 
     def union(self, x, y, rel):
-        rx, px = self.find(x)
-        ry, py = self.find(y)
+        parent, parity = self.parent, self.parity
+        # find() inlined for the common case of a node at most one step
+        # below its root
+        rx = parent[x]
+        if parent[rx] == rx:
+            px = parity[x]
+        else:
+            rx, px = self.find(x)
+        ry = parent[y]
+        if parent[ry] == ry:
+            py = parity[y]
+        else:
+            ry, py = self.find(y)
         if rx == ry:
             if (px ^ py) != rel:
                 self.conflict.add(rx)
             return
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ rel ^ py
+        parent[ry] = rx
+        parity[ry] = px ^ rel ^ py
         if ry in self.conflict:
             self.conflict.discard(ry)
             self.conflict.add(rx)
@@ -144,18 +192,34 @@ class Skeleton:
         return self.edge_lookup[(tet, EDGE_INDEX[(a, b)])]
 
 
-def _face_sign(perm, facet):
-    """Orientation sign of the triangle map induced by a facet gluing: the
-    parity of the permutation taking the ascending vertex triple of the
-    source facet to the ascending triple of the target facet."""
-    src = FACET_VERTICES[facet]
-    img = [perm[v] for v in src]
-    s = 1
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if img[i] > img[j]:
-                s = -s
-    return s
+def _classes(uf, n, width):
+    """Classes of a finished union-find over the slots (tet, i) with
+    0 <= i < width, numbered by their first slot.  Returns the class of
+    each root, each class's slots and signs, and the lookup
+    slot -> (class, sign); sign +1 means the slot agrees with its root."""
+    parent, parity = uf.flatten()
+    index = {}
+    slots, signs, lookup = [], [], {}
+    # the lookup values (class, +1) and (class, -1), one pair per class
+    values = []
+    x = 0
+    for t in range(n):
+        for i in range(width):
+            root = parent[x]
+            c = index.get(root)
+            if c is None:
+                c = index[root] = len(slots)
+                slots.append([])
+                signs.append([])
+                values.append(((c, 1), (c, -1)))
+            key = (t, i)
+            value = values[c][parity[x]]
+            slots[c].append(key)
+            signs[c].append(value[1])
+            lookup[key] = value
+            x += 1
+    return (index, [tuple(s) for s in slots], [tuple(s) for s in signs],
+            lookup)
 
 
 class Triangulation:
@@ -179,12 +243,13 @@ class Triangulation:
                 if not 0 <= u < n:
                     raise TriangulationError(
                         f"dangling tetrahedron index {u} at tet {t} facet {f}")
-                if u == t and perm[f] == f and perm.is_identity():
+                if u == t and perm.is_identity():
                     raise GluingError(
                         f"facet {f} of tet {t} glued to itself pointwise",
                         (t, f))
                 back = table[u][perm[f]]
-                if back is None or back[0] != t or back[1] != perm.inverse():
+                if back is None or back[0] != t \
+                        or back[1] is not INVERSE[perm.index]:
                     raise GluingError(
                         f"non-involutive gluing at tet {t} facet {f}", (t, f))
         self._gluings = table
@@ -226,76 +291,46 @@ class Triangulation:
         vert_uf = _UnionFind(4 * n)
         edge_uf = _UnionFind(6 * n)
         face_uf = _UnionFind(4 * n)
-
-        for t in range(n):
-            for f in range(4):
-                g = self._gluings[t][f]
+        vert_union, edge_union = vert_uf.union, edge_uf.union
+        boundary_facets = []
+        self_glued = []
+        for t, row in enumerate(self._gluings):
+            for f, g in enumerate(row):
                 if g is None:
+                    boundary_facets.append((t, f))
                     continue
                 u, perm = g
-                face_uf.union(4 * t + f, 4 * u + perm[f],
-                              0 if _face_sign(perm, f) > 0 else 1)
-                for v in FACET_VERTICES[f]:
-                    vert_uf.union(4 * t + v, 4 * u + perm[v], 0)
-                for ei in FACET_EDGES[f]:
-                    a, b = EDGE_VERTICES[ei]
-                    ia, ib = perm[a], perm[b]
-                    flip = 1 if ia > ib else 0
-                    edge_uf.union(6 * t + ei, 6 * u + EDGE_INDEX[(ia, ib)], flip)
+                target, parity, vertices, edges = GLUING_TABLE[perm.index][f]
+                # each gluing is unioned once, from its lower (tet, facet)
+                # side; a self-glued facet is its own lower side
+                if u < t or (u == t and target < f):
+                    continue
+                if u == t and target == f:
+                    self_glued.append((t, f))
+                face_uf.union(4 * t + f, 4 * u + target, parity)
+                t4, u4 = 4 * t, 4 * u
+                for v, w in vertices:
+                    vert_union(t4 + v, u4 + w, 0)
+                t6, u6 = 6 * t, 6 * u
+                for e, d, flip in edges:
+                    edge_union(t6 + e, u6 + d, flip)
 
-        def collect(uf, total, decode):
-            roots = {}
-            classes = []
-            lookup = {}
-            for slot in range(total):
-                root, parity = uf.find(slot)
-                if root not in roots:
-                    roots[root] = len(classes)
-                    classes.append([])
-                idx = roots[root]
-                classes[idx].append((decode(slot), parity))
-                lookup[decode(slot)] = (idx, 1 if parity == 0 else -1)
-            return roots, classes, lookup
-
-        vroots, vclasses, vlookup = collect(vert_uf, 4 * n, lambda s: (s // 4, s % 4))
-        eroots, eclasses, elookup = collect(edge_uf, 6 * n, lambda s: (s // 6, s % 6))
-        froots, fclasses, flookup = collect(face_uf, 4 * n, lambda s: (s // 4, s % 4))
+        _, vslots, _, vlookup = _classes(vert_uf, n, 4)
+        eroots, eslots, esigns, elookup = _classes(edge_uf, n, 6)
+        _, fslots, fsigns, flookup = _classes(face_uf, n, 4)
 
         bad_edges = {eroots[r] for r in edge_uf.conflict}
-
-        boundary_faces = set()
-        self_glued = set()
-        for t in range(n):
-            for f in range(4):
-                g = self._gluings[t][f]
-                idx = flookup[(t, f)][0]
-                if g is None:
-                    boundary_faces.add(idx)
-                elif g[0] == t and g[1][f] == f:
-                    self_glued.add(idx)
-
-        edge_classes = []
-        for i, members in enumerate(eclasses):
-            slots = tuple(m[0] for m in members)
-            signs = tuple(1 if m[1] == 0 else -1 for m in members)
-            on_boundary = False
-            for (t, ei), _ in members:
-                a, b = EDGE_VERTICES[ei]
-                for f in range(4):
-                    if f != a and f != b and self._gluings[t][f] is None:
-                        on_boundary = True
-            edge_classes.append(EdgeClass(i, slots, signs, on_boundary,
-                                          i not in bad_edges))
-
-        face_classes = []
-        for i, members in enumerate(fclasses):
-            slots = tuple(m[0] for m in members)
-            signs = tuple(1 if m[1] == 0 else -1 for m in members)
-            face_classes.append(FaceClass(i, slots, signs,
-                                          i in boundary_faces, i in self_glued))
-
-        vertex_classes = tuple(tuple(m[0] for m in members) for members in vclasses)
-        return Skeleton(vertex_classes, tuple(edge_classes), tuple(face_classes),
+        boundary_edges = {elookup[(t, ei)][0] for t, f in boundary_facets
+                          for ei in FACET_EDGES[f]}
+        boundary_faces = {flookup[slot][0] for slot in boundary_facets}
+        glued_faces = {flookup[slot][0] for slot in self_glued}
+        edge_classes = tuple(
+            EdgeClass(i, slots, signs, i in boundary_edges, i not in bad_edges)
+            for i, (slots, signs) in enumerate(zip(eslots, esigns)))
+        face_classes = tuple(
+            FaceClass(i, slots, signs, i in boundary_faces, i in glued_faces)
+            for i, (slots, signs) in enumerate(zip(fslots, fsigns)))
+        return Skeleton(tuple(vslots), edge_classes, face_classes,
                         vlookup, elookup, flookup)
 
     @property

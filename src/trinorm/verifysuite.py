@@ -172,7 +172,8 @@ def check_quaternionic(quick=False):
             if any(ty is not TetType.QUAD for ty, _ in types):
                 return False, f"loop {k}: non-quad tetrahedron"
             canon = surface.canonical_surface(tri, phi)
-            chi, orientable, connected = surface.surface_classify(tri, canon.coord)
+            chi, orientable, connected = surface.surface_classify(
+                tri, canon.coord, canon.chi)
             if chi == 0 and connected and not orientable:
                 klein += 1
         if klein != 1:

@@ -249,6 +249,34 @@ def test_each_colouring_is_classified_once(monkeypatch):
     assert len(log) == 1 and calls == [tri, out]
 
 
+def test_promote_searches_and_classifies_each_triangulation_once(
+        monkeypatch):
+    searched, classified = [], []
+    search = analyze.find_maximal_lsts
+    classify = cocycle.classify_tetrahedra
+
+    def counted_search(tri):
+        searched.append(tri)
+        return search(tri)
+
+    def counted_classify(tri, phi):
+        classified.append(tri)
+        return classify(tri, phi)
+
+    monkeypatch.setattr(analyze, "find_maximal_lsts", counted_search)
+    # parity_census classifies through the cocycle module's binding
+    monkeypatch.setattr(analyze, "classify_tetrahedra", counted_classify)
+    monkeypatch.setattr(cocycle, "classify_tetrahedra", counted_classify)
+    tri, _ = build.seifert_family("M", 1, 2, 1)
+    phi, = cocycle.all_nonzero_classes(tri)
+    out, _, log = promote(tri, phi)
+    # the input, then the kept candidate, whose tori, types and measure
+    # start the next step
+    assert len(log) == 1
+    assert searched == [tri, out]
+    assert classified == [tri, out]
+
+
 def test_compression_feeds_k_phi():
     tri, phi, pats = _d5k2_instance()
     base = fundamental_report(tri, phi, k_phi=0)

@@ -163,6 +163,55 @@ def test_corrupted_file_pinpoints_line(tmp_path):
     assert code == 1 and "line 2" in err and "non-involutive" in err
 
 
+# closed, one vertex, with an edge identified with itself reversed
+INVALID_EDGE_TRI = """tri 4
+tet 0: 1:2103 1:0321 3:3012 3:1320
+tet 1: 2:2103 2:0321 0:2103 0:0321
+tet 2: 3:2103 3:0321 1:2103 1:0321
+tet 3: 0:3021 0:1230 2:2103 2:0321
+"""
+
+
+@pytest.mark.parametrize("command", ["bounds", "surface"])
+def test_invalid_edge_is_a_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "invalid.tri"
+    path.write_text(INVALID_EDGE_TRI)
+    tri = parse(INVALID_EDGE_TRI)
+    assert tri.is_closed and tri.skeleton.vertex_count == 1
+    assert not tri.is_valid
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: homology requires all edges valid "
+                            "(no reversed self-gluing)\n")
+
+
+def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
+    from trinorm import analyze, surface
+    calls = {"euler_char": 0, "find_maximal_lsts": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, run)
+
+    counted(surface, "euler_char")
+    counted(analyze, "find_maximal_lsts")
+    # L(10,1): one colouring class, and degree-3 edges for the lint
+    tri, _, _ = build.lens_space(1, 8)
+    path = tmp_path / "lens.tri"
+    path.write_text(serialize(tri))
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["classes"]) == 1 and report["lint"]["degree_3"]
+    # the canonical surface is counted once, and the lint reuses the tori
+    # the report found
+    assert calls == {"euler_char": 1, "find_maximal_lsts": 1}
+
+
 def test_reports_are_deterministic(tmp_path):
     out = tmp_path / "q.tri"
     main(["construct", "loop", "--n", "6", "--twisted", "-o", str(out)])

@@ -1,0 +1,245 @@
+"""The one-pass, table-driven skeleton against the two-sided loop it
+replaced, kept here word for word as the reference."""
+
+from hypothesis import given, settings, strategies as st
+
+from trinorm import build, verifysuite
+from trinorm.perm import ALL_PERMS
+from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
+                                   FACET_VERTICES, EdgeClass, FaceClass,
+                                   Skeleton, TriBuilder, _UnionFind)
+
+
+# ----- the reference: every facet visited from both sides --------------------
+
+
+def _face_sign(perm, facet):
+    """Orientation sign of the triangle map induced by a facet gluing: the
+    parity of the permutation taking the ascending vertex triple of the
+    source facet to the ascending triple of the target facet."""
+    src = FACET_VERTICES[facet]
+    img = [perm[v] for v in src]
+    s = 1
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if img[i] > img[j]:
+                s = -s
+    return s
+
+
+def _reference_skeleton(self):
+    n = self.tet_count
+    vert_uf = _UnionFind(4 * n)
+    edge_uf = _UnionFind(6 * n)
+    face_uf = _UnionFind(4 * n)
+
+    for t in range(n):
+        for f in range(4):
+            g = self._gluings[t][f]
+            if g is None:
+                continue
+            u, perm = g
+            face_uf.union(4 * t + f, 4 * u + perm[f],
+                          0 if _face_sign(perm, f) > 0 else 1)
+            for v in FACET_VERTICES[f]:
+                vert_uf.union(4 * t + v, 4 * u + perm[v], 0)
+            for ei in FACET_EDGES[f]:
+                a, b = EDGE_VERTICES[ei]
+                ia, ib = perm[a], perm[b]
+                flip = 1 if ia > ib else 0
+                edge_uf.union(6 * t + ei, 6 * u + EDGE_INDEX[(ia, ib)], flip)
+
+    def collect(uf, total, decode):
+        roots = {}
+        classes = []
+        lookup = {}
+        for slot in range(total):
+            root, parity = uf.find(slot)
+            if root not in roots:
+                roots[root] = len(classes)
+                classes.append([])
+            idx = roots[root]
+            classes[idx].append((decode(slot), parity))
+            lookup[decode(slot)] = (idx, 1 if parity == 0 else -1)
+        return roots, classes, lookup
+
+    vroots, vclasses, vlookup = collect(vert_uf, 4 * n, lambda s: (s // 4, s % 4))
+    eroots, eclasses, elookup = collect(edge_uf, 6 * n, lambda s: (s // 6, s % 6))
+    froots, fclasses, flookup = collect(face_uf, 4 * n, lambda s: (s // 4, s % 4))
+
+    bad_edges = {eroots[r] for r in edge_uf.conflict}
+
+    boundary_faces = set()
+    self_glued = set()
+    for t in range(n):
+        for f in range(4):
+            g = self._gluings[t][f]
+            idx = flookup[(t, f)][0]
+            if g is None:
+                boundary_faces.add(idx)
+            elif g[0] == t and g[1][f] == f:
+                self_glued.add(idx)
+
+    edge_classes = []
+    for i, members in enumerate(eclasses):
+        slots = tuple(m[0] for m in members)
+        signs = tuple(1 if m[1] == 0 else -1 for m in members)
+        on_boundary = False
+        for (t, ei), _ in members:
+            a, b = EDGE_VERTICES[ei]
+            for f in range(4):
+                if f != a and f != b and self._gluings[t][f] is None:
+                    on_boundary = True
+        edge_classes.append(EdgeClass(i, slots, signs, on_boundary,
+                                      i not in bad_edges))
+
+    face_classes = []
+    for i, members in enumerate(fclasses):
+        slots = tuple(m[0] for m in members)
+        signs = tuple(1 if m[1] == 0 else -1 for m in members)
+        face_classes.append(FaceClass(i, slots, signs,
+                                      i in boundary_faces, i in self_glued))
+
+    vertex_classes = tuple(tuple(m[0] for m in members) for members in vclasses)
+    return Skeleton(vertex_classes, tuple(edge_classes), tuple(face_classes),
+                    vlookup, elookup, flookup)
+
+
+def _assert_matches_reference(tri):
+    want = _reference_skeleton(tri)
+    got = tri.skeleton
+    # dataclass equality covers the classes, their slots and signs and the
+    # three lookups; the lookups are compared again so a failure names them
+    assert got.vertex_lookup == want.vertex_lookup
+    assert got.edge_lookup == want.edge_lookup
+    assert got.face_lookup == want.face_lookup
+    assert got == want
+
+
+# ----- the grids ----------------------------------------------------------------
+
+
+def test_fraction_tree_and_folds_match_reference():
+    n = 0
+    for _, tri, meta in build.lst_tree(10):
+        _assert_matches_reference(tri)
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            folded, _ = build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)
+            _assert_matches_reference(folded)
+            n += 1
+    assert n == 3 * 1023
+
+
+def test_seifert_family_grids_match_reference():
+    tags = set()
+    for tag, _, tri in verifysuite._family_grid():
+        _assert_matches_reference(tri)
+        tags.add(tag)
+    assert tags == {"M", "MPRIME", "P", "Q"}
+
+
+# ----- random valid gluing tables ------------------------------------------------
+
+
+@st.composite
+def gluing_tables(draw):
+    """A random involutive facet pairing on one to six tetrahedra: facets
+    are left on the boundary, glued to themselves by a reflection, or
+    paired with another facet by any permutation carrying one to the
+    other, so orientable and non-orientable tables both occur."""
+    n = draw(st.integers(1, 6))
+    slots = draw(st.permutations([(t, f) for t in range(n) for f in range(4)]))
+    builder = TriBuilder(n)
+    i = 0
+    while i < len(slots):
+        t, f = slots[i]
+        kind = draw(st.sampled_from(("pair", "pair", "pair", "boundary", "self")))
+        if kind == "pair" and i + 1 < len(slots):
+            u, g = slots[i + 1]
+            perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == g]))
+            builder.join(t, f, u, perm)
+            i += 2
+            continue
+        if kind == "self":
+            # fix the facet's opposite vertex and swap two of the other three
+            perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == f
+                                         and not p.is_identity()
+                                         and (p * p).is_identity()]))
+            builder.join(t, f, t, perm)
+        i += 1
+    return builder.freeze()
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluing_tables())
+def test_random_gluing_tables_match_reference(tri):
+    _assert_matches_reference(tri)
+
+
+def test_random_tables_reach_every_kind_of_gluing():
+    # the strategy above must produce what the oracle is meant to cover
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(gluing_tables())
+    def scan(tri):
+        sk = tri.skeleton
+        if any(fc.boundary for fc in sk.face_classes):
+            seen.add("boundary")
+        if any(fc.self_glued for fc in sk.face_classes):
+            seen.add("self_glued")
+        if not tri.is_orientable:
+            seen.add("non_orientable")
+        if not tri.is_valid:
+            seen.add("invalid_edge")
+
+    scan()
+    assert seen == {"boundary", "self_glued", "non_orientable", "invalid_edge"}
+
+
+# ----- the parity union-find -------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1),
+                                   st.integers(0, 1)), max_size=20))))
+def test_union_find_matches_graph_search(case):
+    n, relations = case
+    uf = _UnionFind(n)
+    for x, y, rel in relations:
+        uf.union(x, y, rel)
+    # graph search: a parity label per node, and which components hold an
+    # odd cycle
+    adjacent = [[] for _ in range(n)]
+    for x, y, rel in relations:
+        adjacent[x].append((y, rel))
+        adjacent[y].append((x, rel))
+    label, component, odd = {}, {}, set()
+    for start in range(n):
+        if start in label:
+            continue
+        label[start], component[start] = 0, start
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y, rel in adjacent[x]:
+                if y not in label:
+                    label[y], component[y] = label[x] ^ rel, start
+                    stack.append(y)
+                elif label[y] != label[x] ^ rel:
+                    odd.add(start)
+    found = [uf.find(x) for x in range(n)]
+    parent, parity = uf.flatten()
+    for x in range(n):
+        root, p = found[x]
+        assert (parent[x], parity[x]) == (root, p)
+        assert component[root] == component[x]
+        if component[x] not in odd:
+            # with an odd cycle the parities are not determined
+            assert p == label[x] ^ label[root]
+    assert {component[r] for r in uf.conflict} == odd
+    roots = {r for r, _ in found}
+    assert len(roots) == len(set(component.values()))

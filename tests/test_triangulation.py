@@ -1,5 +1,8 @@
 """Face-gluing data structure, file format and canonical forms."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +21,40 @@ def test_perm_composition_and_inverse():
     assert (a * b).images == tuple(a[b[i]] for i in range(4))
     assert Perm4((1, 0, 2, 3)).sign() == -1
     assert Perm4((1, 2, 0, 3)).sign() == 1
+
+
+def test_perm_tables_match_direct_computation():
+    assert len(ALL_PERMS) == 24
+    assert [p.index for p in ALL_PERMS] == list(range(24))
+    assert [p.images for p in ALL_PERMS] == sorted(p.images for p in ALL_PERMS)
+    assert ALL_PERMS[0].is_identity()
+    assert sum(p.is_identity() for p in ALL_PERMS) == 1
+    for a in ALL_PERMS:
+        for b in ALL_PERMS:
+            assert (a * b).images == tuple(a.images[b.images[i]]
+                                           for i in range(4))
+        inverse = [0] * 4
+        for i, image in enumerate(a.images):
+            inverse[image] = i
+        assert a.inverse().images == tuple(inverse)
+        inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
+                         if a.images[i] > a.images[j])
+        assert a.sign() == (-1) ** inversions
+
+
+def test_perms_are_interned():
+    for p in ALL_PERMS:
+        assert Perm4(p.images) is p
+        assert Perm4(list(p.images)) is p
+        assert Perm4.from_compact(p.compact()) is p
+        assert copy.copy(p) is p and copy.deepcopy(p) is p
+        assert pickle.loads(pickle.dumps(p)) is p
+    with pytest.raises(AttributeError):
+        ALL_PERMS[3].index = 0
+    for bad in ((0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 4), (1, 2, 3, 4),
+                ("0", 1, 2, 3), ([0], 1, 2, 3)):
+        with pytest.raises(ValueError):
+            Perm4(bad)
 
 
 def test_single_tet_unglued_is_valid():
