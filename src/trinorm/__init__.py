@@ -14,6 +14,8 @@ triangulation, and a handful of modules:
   verifysuite     the acceptance grid behind ``trinorm verify``
 """
 
+import logging
+
 from .perm import Perm4
 from .triangulation import (Triangulation, TriBuilder, TriangulationError,
                             ParseError, Skeleton, parse, serialize)
@@ -37,3 +39,7 @@ from .analyze import (LstEmbedding, BoundReport, MoveSpec, find_maximal_lsts,
                       compression_pattern_scan, complexity_certificate)
 
 __version__ = "0.1.0"
+
+# Library modules log on the ``trinorm.*`` loggers (the oracles at DEBUG);
+# nothing is printed unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -25,11 +25,15 @@ class UsageError(Exception):
 
 
 def _load(path):
+    """Read a .tri file and reject cells no command can work with: every
+    degree identity and the homology assume manifold edges and faces."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise TriangulationError(f"cannot read {path}: {exc.strerror}") from None
-    return parse(text)
+    tri = parse(text)
+    homology.require_valid_cells(tri)
+    return tri
 
 
 def _write_tri(tri, path, meta=None):
@@ -256,8 +260,6 @@ def cmd_colourings(args):
 
 def cmd_surface(args):
     tri = _load(args.input)
-    # the cell counts below assume every edge and face is a manifold cell
-    homology.require_valid_cells(tri)
     phi = _colouring_class(tri, args.cls)
     canon = surface.canonical_surface(tri, phi)
     coord = canon.coord
@@ -275,8 +277,6 @@ def cmd_surface(args):
 
 def cmd_bounds(args):
     tri = _load(args.input)
-    # checked before the degree identity is asserted on the cell counts
-    homology.require_valid_cells(tri)
     classes = (cocycle.all_nonzero_classes(tri) if args.cls is None
                else [_colouring_class(tri, args.cls)])
     out = []
@@ -374,7 +374,7 @@ def make_parser():
     c_lst.add_argument("--p", type=int, required=True)
     c_lst.add_argument("--q", type=int, required=True)
     c_lst.add_argument("-o", "--out", required=True)
-    c_lst.set_defaults(func=cmd_construct_lst)
+    c_lst.set_defaults(func="cmd_construct_lst")
 
     def add_fold(parser):
         parser.add_argument("input", nargs="?", default=None,
@@ -384,7 +384,7 @@ def make_parser():
         parser.add_argument("--edge", required=True,
                             help="boundary edge by weight: p, q or pq")
         parser.add_argument("-o", "--out", required=True)
-        parser.set_defaults(func=cmd_fold)
+        parser.set_defaults(func="cmd_fold")
 
     add_fold(consub.add_parser("fold"))
     add_fold(sub.add_parser("fold", help="fold a layered solid torus"))
@@ -395,41 +395,41 @@ def make_parser():
     c_fam.add_argument("-m", "--m", type=int, default=None)
     c_fam.add_argument("-n", "--n", type=int, default=None)
     c_fam.add_argument("-o", "--out", required=True)
-    c_fam.set_defaults(func=cmd_construct_family)
+    c_fam.set_defaults(func="cmd_construct_family")
 
     c_loop = consub.add_parser("loop")
     c_loop.add_argument("--n", type=int, required=True)
     c_loop.add_argument("--twisted", action="store_true")
     c_loop.add_argument("-o", "--out", required=True)
-    c_loop.set_defaults(func=cmd_construct_loop)
+    c_loop.set_defaults(func="cmd_construct_loop")
 
     c_aug = consub.add_parser("augmented")
     c_aug.add_argument("--annulus", action="append", required=True,
                        help="fold[:style] or lst:<wh,wd,wv>; give three")
     c_aug.add_argument("-o", "--out", required=True)
-    c_aug.set_defaults(func=cmd_construct_augmented)
+    c_aug.set_defaults(func="cmd_construct_augmented")
 
     p = sub.add_parser("analyze")
     p.add_argument("input")
     p.add_argument("--k-phi", type=int, default=0)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func="cmd_analyze")
 
     p = sub.add_parser("colourings")
     p.add_argument("input")
-    p.set_defaults(func=cmd_colourings)
+    p.set_defaults(func="cmd_colourings")
 
     p = sub.add_parser("surface")
     p.add_argument("input")
     p.add_argument("--class", dest="cls", type=int, default=0)
     p.add_argument("--b", default="", help="comma separated even edge classes")
-    p.set_defaults(func=cmd_surface)
+    p.set_defaults(func="cmd_surface")
 
     p = sub.add_parser("bounds")
     p.add_argument("input")
     p.add_argument("--class", dest="cls", type=int, default=None)
     p.add_argument("--k-phi", type=int, default=0)
     p.add_argument("--family", default=None)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func="cmd_bounds")
 
     p = sub.add_parser("moves")
     p.add_argument("input")
@@ -438,45 +438,53 @@ def make_parser():
     p.add_argument("--edge", type=int, default=None)
     p.add_argument("--axis", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_moves)
+    p.set_defaults(func="cmd_moves")
 
     p = sub.add_parser("promote")
     p.add_argument("input")
     p.add_argument("--class", dest="cls", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_promote)
+    p.set_defaults(func="cmd_promote")
 
     p = sub.add_parser("find-lst")
     p.add_argument("input")
-    p.set_defaults(func=cmd_find_lst)
+    p.set_defaults(func="cmd_find_lst")
 
     p = sub.add_parser("twisted-squares")
     p.add_argument("input")
-    p.set_defaults(func=cmd_twisted_squares)
+    p.set_defaults(func="cmd_twisted_squares")
 
     p = sub.add_parser("lgraph")
     p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_lgraph)
+    p.set_defaults(func="cmd_lgraph")
 
     p = sub.add_parser("enumerate-lens")
     p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_enumerate_lens)
+    p.set_defaults(func="cmd_enumerate_lens")
 
     p = sub.add_parser("verify")
     p.add_argument("--only", default=None,
                    help="run only the named check (substring match)")
     p.add_argument("--quick", action="store_true",
                    help="smaller grids for a fast sanity pass")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        # built on first use, not at import, and kept for the process
+        _PARSER = make_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # handlers are looked up by name at call time, so a rebound
+        # ``cmd_*`` (a wrapper, a test double) is the one that runs
+        return globals()[args.func](args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -172,18 +172,56 @@ tet 3: 0:3021 0:1230 2:2103 2:0321
 """
 
 
-@pytest.mark.parametrize("command", ["bounds", "surface"])
+# every command that reads a .tri file, with the options it needs
+FILE_COMMANDS = {
+    "analyze": [], "bounds": [], "colourings": [], "find-lst": [],
+    "surface": [], "twisted-squares": [],
+    "moves": ["--move", "32", "--edge", "0", "-o", "{out}"],
+    "promote": ["-o", "{out}"],
+    "fold": ["--edge", "p", "-o", "{out}"],
+    "construct fold": ["--edge", "p", "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
 def test_invalid_edge_is_a_domain_error(command, tmp_path, capsys):
     path = tmp_path / "invalid.tri"
     path.write_text(INVALID_EDGE_TRI)
     tri = parse(INVALID_EDGE_TRI)
     assert tri.is_closed and tri.skeleton.vertex_count == 1
     assert not tri.is_valid
-    assert main([command, str(path)]) == 1
+    out = tmp_path / "out.tri"
+    extra = [a.format(out=out) for a in FILE_COMMANDS[command]]
+    assert main(command.split() + [str(path)] + extra) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: homology requires all edges valid "
                             "(no reversed self-gluing)\n")
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_dispatches_by_name(tmp_path, monkeypatch,
+                                                     capsys):
+    from trinorm import cli
+    built = []
+    make = cli.make_parser
+
+    def counted():
+        built.append(1)
+        return make()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "make_parser", counted)
+    tri, _ = build.lst(2, 3)
+    path = tmp_path / "lst.tri"
+    path.write_text(serialize(tri))
+    assert main(["find-lst", str(path)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze",
+                        lambda args: seen.append(args.input) or 7)
+    assert main(["analyze", str(path)]) == 7
+    assert built == [1] and seen == [str(path)]
+    capsys.readouterr()
 
 
 def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):

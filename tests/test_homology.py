@@ -1,14 +1,22 @@
 """Smith normal form, GF(2) kernels and first homology."""
 
+import logging
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from trinorm import homology
 from trinorm.homology import (smith_normal_form, gf2_rank, gf2_kernel_basis,
-                              first_homology, seifert_homology)
-from trinorm.triangulation import TriangulationError
-from trinorm import build
+                              first_homology, seifert_homology,
+                              boundary_matrices, require_valid_cells,
+                              HomologyProfile, _eliminate_unit_pivots)
+from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
+                                   TriangulationError, _UnionFind)
+from trinorm import build, verifysuite
+
+from test_skeleton import gluing_tables
 
 
 def test_smith_normal_form_small():
@@ -151,3 +159,247 @@ def _det(mat):
             f = work[i][col] / work[col][col]
             work[i] = [a - f * b for a, b in zip(work[i], work[col])]
     return int(det)
+
+
+# ----- the dense route the sparse elimination replaced ------------------------
+# Kept word for word as the oracle, with the dense boundary maps it read.
+
+
+def _reference_boundary_matrices(tri):
+    """Integer boundary maps d1 (vertices x edges) and d2 (edges x faces)
+    of the quotient CW structure, with the edge/face class orientations of
+    the skeleton."""
+    require_valid_cells(tri)
+    sk = tri.skeleton
+    nv, ne, nf = sk.vertex_count, sk.edge_count, sk.face_count
+    d1 = [[0] * ne for _ in range(nv)]
+    for ec in sk.edge_classes:
+        t, ei = ec.slots[0]
+        a, b = EDGE_VERTICES[ei]
+        if ec.signs[0] < 0:
+            a, b = b, a
+        d1[sk.vertex_lookup[(t, b)][0]][ec.index] += 1
+        d1[sk.vertex_lookup[(t, a)][0]][ec.index] -= 1
+    d2 = [[0] * nf for _ in range(ne)]
+    for fc in sk.face_classes:
+        t, f = fc.slots[0]
+        w = FACET_VERTICES[f]
+        for coeff, (x, y) in ((1, (w[1], w[2])), (-1, (w[0], w[2])), (1, (w[0], w[1]))):
+            idx, sign = tri.skeleton.edge_class_of(t, x, y)
+            d2[idx][fc.index] += coeff * sign
+    return d1, d2
+
+
+def _reference_first_homology(tri):
+    """H_1 over the integers via Smith normal form, with the Z/2 rank
+    recomputed independently over GF(2) and cross-checked."""
+    if not tri.is_closed:
+        raise TriangulationError("first_homology requires a closed triangulation")
+    if not tri.is_connected:
+        raise TriangulationError("first_homology requires a connected triangulation")
+    d1, d2 = _reference_boundary_matrices(tri)
+    sk = tri.skeleton
+    ne = sk.edge_count
+
+    # Kill a spanning tree of the vertex graph: contracting it leaves a
+    # one-vertex complex, so H_1 is the cokernel of d2 extended by unit
+    # columns for the tree edges.
+    tree = _UnionFind(sk.vertex_count)
+    extra = []
+    for ec in sk.edge_classes:
+        t, ei = ec.slots[0]
+        a, b = EDGE_VERTICES[ei]
+        va = sk.vertex_lookup[(t, a)][0]
+        vb = sk.vertex_lookup[(t, b)][0]
+        if tree.find(va)[0] != tree.find(vb)[0]:
+            tree.union(va, vb, 0)
+            col = [0] * ne
+            col[ec.index] = 1
+            extra.append(col)
+
+    cols = len(d2[0]) if d2 else 0
+    mat = [row[:] + [extra[k][i] for k in range(len(extra))]
+           for i, row in enumerate(d2)] if ne else []
+    diag, rank = smith_normal_form(mat, ne, cols + len(extra))
+    factors = tuple(d for d in diag[:rank] if d > 1)
+    betti = ne - rank
+
+    # independent GF(2) computation of dim H^1(M; Z/2)
+    rows1 = []
+    for r in d1:
+        bits = 0
+        for j, v in enumerate(r):
+            if v % 2:
+                bits |= 1 << j
+        rows1.append(bits)
+    rows2t = []
+    for j in range(cols):
+        bits = 0
+        for i in range(ne):
+            if d2[i][j] % 2:
+                bits |= 1 << i
+        rows2t.append(bits)
+    z2 = ne - gf2_rank(rows1) - gf2_rank(rows2t)
+    expected = betti + sum(1 for d in factors if d % 2 == 0)
+    if z2 != expected:
+        raise AssertionError(
+            f"GF(2) rank {z2} disagrees with invariant factors {factors}")
+    return HomologyProfile(factors, betti, z2)
+
+
+def _assert_matches_reference(tri):
+    assert boundary_matrices(tri) == _reference_boundary_matrices(tri)
+    got, want = first_homology(tri), _reference_first_homology(tri)
+    assert (got.invariant_factors, got.betti, got.z2_rank) == \
+        (want.invariant_factors, want.betti, want.z2_rank)
+    return got
+
+
+def test_sparse_route_matches_reference_on_fraction_tree_folds():
+    n = 0
+    for _, tri, meta in build.lst_tree(8):
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            folded, _ = build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)
+            _assert_matches_reference(folded)
+            n += 1
+    assert n == 3 * 255
+
+
+def test_sparse_route_matches_reference_on_family_grids():
+    tags = set()
+    for tag, _, tri in verifysuite._family_grid():
+        _assert_matches_reference(tri)
+        tags.add(tag)
+    assert tags == {"M", "MPRIME", "P", "Q"}
+
+
+def test_sparse_route_matches_reference_on_layered_loops():
+    groups = set()
+    for n in range(3, 11):
+        for twisted in (False, True):
+            groups.add(str(_assert_matches_reference(
+                build.layered_loop(n, twisted))))
+    # the twisted loops give Z/4 and Z/2 + Z/2, the untwisted ones Z/n
+    assert {"Z/4", "Z/2 + Z/2", "Z/3", "Z/10"} <= groups
+
+
+def test_sparse_route_matches_reference_on_long_lens_paths():
+    rng = random.Random(7)
+    sizes = []
+    for depth in (20, 40, 60, 90, 120, 150):
+        p, q = 1, 2
+        for _ in range(depth - 1):
+            p, q = (p, p + q) if rng.random() < 0.5 else (q, p + q)
+        tri, _, record = build.lens_space(p, q)
+        h = _assert_matches_reference(tri)
+        assert h.order == record.lens_a and h.betti == 0
+        sizes.append(tri.tet_count)
+    assert max(sizes) >= 150
+
+
+def _homology_cells_ok(tri):
+    if not (tri.is_closed and tri.is_connected):
+        return False
+    try:
+        require_valid_cells(tri)
+    except TriangulationError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(gluing_tables())
+def test_sparse_route_matches_reference_on_random_tables(tri):
+    assume(_homology_cells_ok(tri))
+    _assert_matches_reference(tri)
+
+
+def test_seeded_closed_tables_match_reference():
+    # random perfect pairings of the facets of one to six tetrahedra, so
+    # larger closed tables occur than the filtered strategy above reaches
+    from trinorm.perm import ALL_PERMS
+    from trinorm.triangulation import TriBuilder
+    rng = random.Random(11)
+    kept = {}
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        slots = [(t, f) for t in range(n) for f in range(4)]
+        rng.shuffle(slots)
+        builder = TriBuilder(n)
+        for (t, f), (u, g) in zip(slots[::2], slots[1::2]):
+            builder.join(t, f, u, rng.choice([p for p in ALL_PERMS
+                                              if p[f] == g]))
+        tri = builder.freeze()
+        if _homology_cells_ok(tri):
+            _assert_matches_reference(tri)
+            kept[n] = kept.get(n, 0) + 1
+    assert set(kept) == set(range(1, 7)) and sum(kept.values()) > 500
+
+
+@st.composite
+def relation_matrices(draw):
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.sampled_from((-1, 0, 1)), st.integers(-9, 9))
+    return m, n, [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_matrices())
+def test_elimination_and_remainder_match_dense_snf(case):
+    m, n, mat = case
+    columns = [{i: mat[i][j] for i in range(m) if mat[i][j]}
+               for j in range(n)]
+    pivots, rest = _eliminate_unit_pivots(columns)
+    width = len(rest[0]) if rest else 0
+    # elimination runs until no unit is left, and keeps only what matters
+    assert all(v not in (1, -1) for row in rest for v in row)
+    assert all(any(row) for row in rest)
+    assert all(any(row[j] for row in rest) for j in range(width))
+    diag_r, rank_r = smith_normal_form(rest, len(rest), width)
+    diag, rank = smith_normal_form([row[:] for row in mat], m, n)
+    assert pivots + rank_r == rank
+    assert tuple(d for d in diag_r[:rank_r] if d > 1) == \
+        tuple(d for d in diag[:rank] if d > 1)
+
+
+def test_elimination_pivots_on_the_shortest_column_first():
+    # column 1 is the shortest with a unit; its pivot leaves column 0 as
+    # the 1x1 remainder (3)
+    pivots, rest = _eliminate_unit_pivots([{0: 1, 1: 3}, {0: 1}])
+    assert (pivots, rest) == (1, [[3]])
+    pivots, rest = _eliminate_unit_pivots([{0: 2, 1: 2}, {0: 1, 1: 3}])
+    assert (pivots, rest) == (1, [[-4]])
+
+
+def test_long_lens_space_leaves_a_tiny_remainder(monkeypatch):
+    entries = []
+    dense = homology.smith_normal_form
+
+    def counted(matrix, rows=None, cols=None, **kwargs):
+        entries.append(rows * cols)
+        return dense(matrix, rows, cols, **kwargs)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    tri = build.lens_space(1, 400)[0]
+    h = first_homology(tri)
+    assert h.invariant_factors == (402,) and h.betti == 0
+    assert sum(entries) <= 2
+
+
+def test_first_homology_logs_its_cross_check(caplog):
+    tri, _, _ = build.lens_space(1, 8)
+    with caplog.at_level(logging.DEBUG, logger="trinorm.homology"):
+        first_homology(tri)
+    records = [r for r in caplog.records if r.name == "trinorm.homology"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert "unit pivots" in records[0].getMessage()
+    assert "1x1 remainder" in records[0].getMessage()
+    assert "GF(2) rank 1, integer prediction 1" in records[0].getMessage()
+
+
+def test_trinorm_logger_is_silent_by_default():
+    handlers = logging.getLogger("trinorm").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
