@@ -17,7 +17,8 @@ from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
 from . import homology as _homology
 from .build import relayered_weight
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
-                      all_nonzero_classes, Cocycle)
+                      all_nonzero_classes, Cocycle, face_relation_rows,
+                      is_cocycle)
 from .surface import canonical_surface, chi_formula, twisted_square_scan
 
 
@@ -523,33 +524,32 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
     new_tri, new_index, base, surgery = _apply_move(tri, move)
     mapping = _edge_class_transport(tri, new_tri, new_index, base, surgery)
     ne = new_tri.skeleton.edge_count
-    bits = [None] * ne
+    unknown, value = (1 << ne) - 1, 0     # bitsets over the new edges
     for old, new in mapping.items():
-        val = phi[old]
-        if bits[new] is not None and bits[new] != val:
+        bit = 1 << new
+        val = bit if phi[old] else 0
+        if not unknown & bit and value & bit != val:
             raise AssertionError("cocycle transport conflict")
-        bits[new] = val
-    from .cocycle import face_relation_rows
+        unknown &= ~bit
+        value |= val
     rows = face_relation_rows(new_tri)
     changed = True
-    while changed and any(b is None for b in bits):
+    while changed and unknown:
         changed = False
         for row in rows:
-            unknown = [e for e in range(ne) if (row >> e) & 1 and bits[e] is None]
-            if len(unknown) == 1:
-                s = 0
-                for e in range(ne):
-                    if (row >> e) & 1 and e != unknown[0]:
-                        s ^= bits[e]
-                bits[unknown[0]] = s
+            free = row & unknown
+            if free and not free & (free - 1):
+                # one unknown bit left: the face relation forces it
+                if bin(row & value).count("1") % 2:
+                    value |= free
+                unknown ^= free
                 changed = True
-    if any(b is None for b in bits):
+    if unknown:
         raise AssertionError("cocycle transport left undetermined edges")
-    new_phi = Cocycle(tuple(bits))
-    from .cocycle import is_cocycle
-    if not is_cocycle(new_tri, new_phi.bits):
+    bits = tuple((value >> e) & 1 for e in range(ne))
+    if not is_cocycle(new_tri, bits):
         raise AssertionError("transported colouring is not a cocycle")
-    return new_tri, new_phi
+    return new_tri, Cocycle(bits)
 
 
 # ----- supportive tori and promotion ---------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .perm import Perm4
 from .triangulation import (EDGE_VERTICES, FACET_EDGES, TriBuilder,
-                            Triangulation, TriangulationError)
+                            TriangulationError)
 from . import homology
 
 
@@ -553,8 +553,7 @@ def augmented_solid_torus(fillings):
         else:
             raise TriangulationError(f"unknown filling kind {filling.kind!r}")
 
-    # attach solid tori one at a time, rebuilding the gluing table
-    rows = [list(r) for r in b.rows]
+    # attach solid tori one at a time, extending the prism's builder
     for annulus, filling in pending:
         triple = sorted((filling.w_h, filling.w_d, filling.w_v))
         if triple[0] + triple[1] != triple[2]:
@@ -563,13 +562,9 @@ def augmented_solid_torus(fillings):
         if math.gcd(triple[0], triple[1]) != 1:
             raise TriangulationError(f"weights {triple} are not coprime")
         sub, meta = lst(triple[0], triple[1])
-        offset = len(rows)
-        for t in range(sub.tet_count):
-            row = []
-            for f in range(4):
-                g = sub.gluing(t, f)
-                row.append(None if g is None else (g[0] + offset, g[1]))
-            rows.append(row)
+        offset = len(b.rows)
+        b.rows.extend([None if g is None else (g[0] + offset, g[1])
+                       for g in row] for row in sub.gluings)
         want = {"h": boundary_edge(meta, filling.w_h),
                 "d": boundary_edge(meta, filling.w_d),
                 "v": boundary_edge(meta, filling.w_v)}
@@ -582,10 +577,8 @@ def augmented_solid_torus(fillings):
             t_p, f_p = annulus["tri" + key]
             vmap = _triangle_map(edges_from, annulus["edges" + key])
             vmap[lf] = f_p
-            perm = Perm4.from_map(vmap)
-            rows[lt + offset][lf] = (t_p, perm)
-            rows[t_p][f_p] = (lt + offset, perm.inverse())
-    return Triangulation(rows)
+            b.join(lt + offset, lf, t_p, Perm4.from_map(vmap))
+    return b.freeze()
 
 
 # ----- the named families -----------------------------------------------------

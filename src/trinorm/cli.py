@@ -230,7 +230,11 @@ def cmd_construct_augmented(args):
             fillings.append(build.AnnulusFilling("fold",
                                                  style=spec or "straight"))
         elif kind == "lst":
-            wh, wd, wv = (int(x) for x in spec.split(","))
+            try:
+                wh, wd, wv = (int(x) for x in spec.split(","))
+            except ValueError:
+                raise TriangulationError(
+                    f"bad annulus entry {entry!r}") from None
             fillings.append(build.AnnulusFilling("lst", w_h=wh, w_d=wd, w_v=wv))
         else:
             raise TriangulationError(f"bad annulus entry {entry!r}")
@@ -348,6 +352,8 @@ def cmd_enumerate_lens(args):
 
 def cmd_verify(args):
     summary = verifysuite.run(only=args.only, quick=args.quick)
+    if not summary["lines"]:
+        raise UsageError("--only matched no criterion")
     for line in summary["lines"]:
         sys.stdout.write(line + "\n")
     # wall time per criterion goes to stderr, so stdout stays deterministic

@@ -3,8 +3,9 @@
 In a closed one-vertex triangulation every edge is a loop, so a
 homomorphism pi_1(M) -> Z/2 is the same thing as an assignment of bits to
 edge classes for which the three edges of every face sum to zero.  The
-solution space of those face relations is computed by bitset Gaussian
-elimination with a deterministic pivot order.
+solution space of those face relations is the kernel of
+``homology.face_relation_rows`` (still importable from here), read off
+the one GF(2) reduction in ``homology``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .triangulation import EDGE_VERTICES, FACET_EDGES, TriangulationError
-from .homology import gf2_kernel_basis
+from .homology import face_relation_rows, gf2_kernel_basis
 
 
 class TetType(Enum):
@@ -59,20 +60,6 @@ def _require_one_vertex_closed(tri):
             "cocycles are only computed on one-vertex triangulations")
 
 
-def face_relation_rows(tri):
-    """One GF(2) row per face class: bit e set iff edge class e appears an
-    odd number of times among the face's three edges."""
-    sk = tri.skeleton
-    rows = []
-    for fc in sk.face_classes:
-        t, f = fc.slots[0]
-        bits = 0
-        for ei in FACET_EDGES[f]:
-            bits ^= 1 << sk.edge_lookup[(t, ei)][0]
-        rows.append(bits)
-    return rows
-
-
 def cocycle_basis(tri):
     """Deterministic basis of H^1(M; Z/2) as edge colourings."""
     _require_one_vertex_closed(tri)
@@ -96,7 +83,6 @@ def all_nonzero_classes(tri):
 
 
 def is_cocycle(tri, bits):
-    ne = tri.skeleton.edge_count
     vec = 0
     for e, b in enumerate(bits):
         if b:

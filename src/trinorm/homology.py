@@ -4,8 +4,8 @@ Dense matrices are lists of lists of Python ints (arbitrary precision).
 First homology works on sparse columns instead: unit pivots eliminate all
 but a small remainder of the relation matrix, and only that remainder
 goes through the dense Smith normal form.  The GF(2) side packs rows into
-int bitsets and is computed independently of the integer route so the two
-can be cross-checked.
+int bitsets, reduces them with the one eliminator ``_gf2_reduce``, and is
+computed independently of the integer route so the two can be cross-checked.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import heapq
 import logging
 from dataclasses import dataclass
 
-from .triangulation import (EDGE_VERTICES, FACET_VERTICES,
+from .triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
                             TriangulationError, _UnionFind)
 
 _log = logging.getLogger(__name__)
@@ -124,52 +124,70 @@ def smith_normal_form(matrix, rows=None, cols=None, want_row_transform=False):
 # ----- GF(2) -----------------------------------------------------------------
 
 
+def _gf2_reduce(rows):
+    """Reduced row echelon form over GF(2) of rows given as int bitsets.
+
+    Returns a dict pivot bit -> row: each row's pivot is its lowest set
+    bit, and no row holds any other row's pivot.  The form depends only on
+    the row space, so the order of ``rows`` does not matter.
+    """
+    reduced = {}
+    mask = 0                    # the pivot bits so far
+    for row in rows:
+        # each stored row holds no other pivot, so clearing one pivot bit
+        # leaves the others as they were
+        hit = row & mask
+        while hit:
+            low = hit & -hit
+            row ^= reduced[low.bit_length() - 1]
+            hit ^= low
+        if row:
+            low = row & -row
+            for p, r in reduced.items():
+                if r & low:
+                    reduced[p] = r ^ row
+            reduced[low.bit_length() - 1] = row
+            mask |= low
+    return reduced
+
+
 def gf2_rank(rows):
     """Rank over GF(2) of rows given as int bitsets."""
-    basis = []
-    rank = 0
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+    return len(_gf2_reduce(rows))
 
 
 def gf2_kernel_basis(rows, n_cols):
     """Deterministic basis of the right kernel of a GF(2) matrix.
 
-    Rows are int bitsets with bit j = column j.  Elimination pivots on
-    columns in increasing order; one basis vector per free column.
+    Rows are int bitsets with bit j = column j.  One basis vector per free
+    column, in increasing column order: the column's own bit plus the
+    pivot bit of every reduced row that holds the column.
     """
-    work = [r for r in rows if r]
-    pivot_of_col = {}
-    used = set()
-    for col in range(n_cols):
-        pivot_row = None
-        for i, r in enumerate(work):
-            if i not in used and (r >> col) & 1:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        for i in range(len(work)):
-            if i != pivot_row and (work[i] >> col) & 1:
-                work[i] ^= work[pivot_row]
-        pivot_of_col[col] = pivot_row
-        used.add(pivot_row)
+    reduced = _gf2_reduce(rows)
     basis = []
     for fc in range(n_cols):
-        if fc in pivot_of_col:
+        if fc in reduced:
             continue
         vec = 1 << fc
-        for pc, rowi in pivot_of_col.items():
-            if (work[rowi] >> fc) & 1:
+        for pc, row in reduced.items():
+            if (row >> fc) & 1:
                 vec |= 1 << pc
         basis.append(vec)
     return basis
+
+
+def face_relation_rows(tri):
+    """One GF(2) row per face class, d2 mod 2: bit e set iff edge class e
+    appears an odd number of times among the face's three edges."""
+    sk = tri.skeleton
+    rows = []
+    for fc in sk.face_classes:
+        t, f = fc.slots[0]
+        bits = 0
+        for ei in FACET_EDGES[f]:
+            bits ^= 1 << sk.edge_lookup[(t, ei)][0]
+        rows.append(bits)
+    return rows
 
 
 # ----- homology --------------------------------------------------------------
@@ -337,21 +355,14 @@ def first_homology(tri):
     factors = tuple(d for d in diag[:rest_rank] if d > 1)
     betti = ne - pivots - rest_rank
 
-    # independent GF(2) computation of dim H^1(M; Z/2), from the boundary
-    # maps as built, not from the elimination
+    # independent GF(2) computation of dim H^1(M; Z/2): d1 mod 2 from the
+    # edge ends, d2 mod 2 from the face rows, not from the elimination
     rows1 = [0] * tri.skeleton.vertex_count
     for e, (tail, head) in enumerate(ends):
         if tail != head:
             rows1[tail] |= 1 << e
             rows1[head] |= 1 << e
-    rows2t = []
-    for col in faces:
-        bits = 0
-        for e, v in col.items():
-            if v % 2:
-                bits |= 1 << e
-        rows2t.append(bits)
-    z2 = ne - gf2_rank(rows1) - gf2_rank(rows2t)
+    z2 = ne - gf2_rank(rows1) - gf2_rank(face_relation_rows(tri))
     expected = betti + sum(1 for d in factors if d % 2 == 0)
     _log.debug("first_homology: %d unit pivots, %dx%d remainder; GF(2) rank "
                "%d, integer prediction %d", pivots, len(rest), width, z2,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from . import build, homology, cocycle, surface, analyze
 from .cocycle import TetType
@@ -65,8 +65,8 @@ def check_balanced_family(quick=False):
         phis = cocycle.all_nonzero_classes(tri)
         if len(phis) != 1:
             return False, f"L({2*n},1): {len(phis)} classes"
-        census = cocycle.parity_census(tri, phis[0])
         rep = analyze.fundamental_report(tri, phis[0], k_phi=0)
+        census = rep.census
         ok = (census.even_edges == n - 1 and census.odd_edges == n - 1
               and rep.chi == 2 - n and census.tri_tets == 0
               and rep.eq1_lhs == 2 and rep.eq1_rhs == 2 and rep.balanced)
@@ -76,11 +76,17 @@ def check_balanced_family(quick=False):
     return True, f"balanced L(2n,1) exact for n in {ns.start}..{ns.stop - 1}"
 
 
-def _family_grid(quick=False):
+def _mm_grid(tags, quick=False):
+    """(tag, (k, m, n), tri) for the augmented families M and M' over the
+    parameter cube."""
     rng = (1, 2) if quick else (1, 2, 3)
-    for tag in ("M", "MPRIME"):
-        for k, m, n in product(rng, repeat=3):
-            yield tag, (k, m, n), build.seifert_family(tag, k, m, n)[0]
+    for tag in tags:
+        for kmn in product(rng, repeat=3):
+            yield tag, kmn, build.seifert_family(tag, *kmn)[0]
+
+
+def _family_grid(quick=False):
+    yield from _mm_grid(("M", "MPRIME"), quick)
     for k in ((1, 2) if quick else (1, 2, 3)):
         yield "P", (k,), build.seifert_family("P", k)[0]
     for k in ((4, 6) if quick else (4, 6, 8, 10)):
@@ -108,21 +114,17 @@ def _closed_instances():
 
 
 def check_chi_two_methods(quick=False):
+    labelled = chain(
+        ((f"{name}{params}", tri) for name, params, tri in _family_grid(quick)),
+        ((f"lens {node.p}/{node.q} fold {w}", folded)
+         for node, w, folded in _lens_grid(quick)))
     n = 0
-    for name, params, tri in _family_grid(quick):
+    for label, tri in labelled:
         for phi in cocycle.all_nonzero_classes(tri):
             census = cocycle.parity_census(tri, phi)
             canon = surface.canonical_surface(tri, phi)
             if canon.chi != surface.chi_formula(census):
-                return False, f"{name}{params}: {canon.chi} != formula"
-            n += 1
-    for node, w, folded in _lens_grid(quick):
-        for phi in cocycle.all_nonzero_classes(folded):
-            census = cocycle.parity_census(folded, phi)
-            canon = surface.canonical_surface(folded, phi)
-            if canon.chi != surface.chi_formula(census):
-                return False, (f"lens {node.p}/{node.q} fold {w}: "
-                               f"{canon.chi} != formula")
+                return False, f"{label}: {canon.chi} != formula"
             n += 1
     return True, f"cell count equals census formula on {n} surfaces"
 
@@ -130,10 +132,9 @@ def check_chi_two_methods(quick=False):
 def _check_seifert_family(tag, name, quick, rank, tets, norm_sum):
     """Tetrahedron count, Z/2 rank and canonical-surface norm sum of every
     member (k, m, n) of an augmented family, as functions of k + m + n."""
-    rng = (1, 2) if quick else (1, 2, 3)
-    for k, m, n in product(rng, repeat=3):
-        tri, _ = build.seifert_family(tag, k, m, n)
-        label, s = f"{name}{(k, m, n)}", k + m + n
+    count = 0
+    for _, kmn, tri in _mm_grid((tag,), quick):
+        label, s = f"{name}{kmn}", sum(kmn)
         h = homology.first_homology(tri)
         phis = cocycle.all_nonzero_classes(tri)
         if tri.tet_count != tets(s):
@@ -143,7 +144,8 @@ def _check_seifert_family(tag, name, quick, rank, tets, norm_sum):
         total = sum(-surface.canonical_surface(tri, phi).chi for phi in phis)
         if total != norm_sum(s):
             return False, f"{label}: norm sum {total}"
-    return True, f"family {name} exact on {len(rng) ** 3} instances"
+        count += 1
+    return True, f"family {name} exact on {count} instances"
 
 
 def check_family_m(quick=False):
@@ -232,12 +234,12 @@ def check_formal_solutions(quick=False):
     return True, f"{n} special solutions have formal chi 2 and 1"
 
 
-def _random_interior_faces(tri, rng):
-    faces = [fc.index for fc in tri.skeleton.face_classes
-             if not fc.boundary and not fc.self_glued
-             and tri.gluing(*fc.slots[0])[0] != fc.slots[0][0]]
-    rng.shuffle(faces)
-    return faces
+def _interior_faces(tri):
+    """Face classes a 2-3 move applies to: interior, not self-glued, and
+    between two distinct tetrahedra."""
+    return [fc.index for fc in tri.skeleton.face_classes
+            if not fc.boundary and not fc.self_glued
+            and tri.gluing(*fc.slots[0])[0] != fc.slots[0][0]]
 
 
 def check_moves(quick=False):
@@ -249,7 +251,8 @@ def check_moves(quick=False):
     done = 0
     while done < target:
         tri = pool[done % len(pool)]
-        faces = _random_interior_faces(tri, rng)
+        faces = _interior_faces(tri)
+        rng.shuffle(faces)
         if not faces:
             return False, "no usable 2-3 site"
         h0 = homology.first_homology(tri)
@@ -277,9 +280,7 @@ def check_moves(quick=False):
             tri, phi = base, phi0
             srng = random.Random(600 + trial)
             for _ in range(3):
-                faces = [fc.index for fc in tri.skeleton.face_classes
-                         if not fc.boundary and not fc.self_glued
-                         and tri.gluing(*fc.slots[0])[0] != fc.slots[0][0]]
+                faces = _interior_faces(tri)
                 if not faces:
                     break
                 f = srng.choice(faces)
@@ -335,17 +336,14 @@ def check_lst_recognition(quick=False):
                 return False, (f"lens {node.p}/{node.q}: tori meet in "
                                f"{len(joint)} tetrahedra")
             n += 1
-    rng = (1, 2) if quick else (1, 2, 3)
-    for tag in ("M", "MPRIME"):
-        for k, m, nn in product(rng, repeat=3):
-            tri, _ = build.seifert_family(tag, k, m, nn)
-            lsts = analyze.find_maximal_lsts(tri)
-            if len(lsts) != 3:
-                return False, f"{tag}{(k,m,nn)}: {len(lsts)} maximal tori"
-            mat = analyze.lst_intersection_matrix(tri, lsts)
-            if any(mat[i][j] > 1 for i in range(3) for j in range(3) if i != j):
-                return False, f"{tag}{(k,m,nn)}: shared edges {mat}"
-            n += 1
+    for tag, kmn, tri in _mm_grid(("M", "MPRIME"), quick):
+        lsts = analyze.find_maximal_lsts(tri)
+        if len(lsts) != 3:
+            return False, f"{tag}{kmn}: {len(lsts)} maximal tori"
+        mat = analyze.lst_intersection_matrix(tri, lsts)
+        if any(mat[i][j] > 1 for i in range(3) for j in range(3) if i != j):
+            return False, f"{tag}{kmn}: shared edges {mat}"
+        n += 1
     return True, f"{n} recognition checks"
 
 

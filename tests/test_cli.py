@@ -298,6 +298,20 @@ ERROR_CASES = {
     "moves 23 without face": (["moves", "M111", "--move", "23",
                                "-o", "OUT"], 2),
     "promote obstruction": (["promote", "LENS15PQ", "-o", "OUT"], 1),
+    "verify only matches nothing": (["verify", "--only", "no_such_check"], 2),
+    "annulus with two weights": (["construct", "augmented", "--annulus",
+                                  "lst:1,2", "--annulus", "fold:cross",
+                                  "--annulus", "fold:cross", "-o", "OUT"], 1),
+    "annulus with non-integer weights": (
+        ["construct", "augmented", "--annulus", "lst:a,b,c", "--annulus",
+         "fold:cross", "--annulus", "fold:cross", "-o", "OUT"], 1),
+}
+# the whole message, where the case pins it
+ERROR_MESSAGES = {
+    "verify only matches nothing": "error: --only matched no criterion\n",
+    "annulus with two weights": "error: bad annulus entry 'lst:1,2'\n",
+    "annulus with non-integer weights":
+        "error: bad annulus entry 'lst:a,b,c'\n",
 }
 
 
@@ -320,9 +334,11 @@ def cli_inputs(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_error_contract(case, cli_inputs):
     argv, expected = ERROR_CASES[case]
-    code, _, err = run_cli([cli_inputs.get(a, a) for a in argv])
+    code, out, err = run_cli([cli_inputs.get(a, a) for a in argv])
     assert code == expected
     assert err.startswith("error: ") and "Traceback" not in err
+    if case in ERROR_MESSAGES:
+        assert err == ERROR_MESSAGES[case] and out == ""
 
 
 # The stdout of the read-only reports on these inputs is pinned by sha256.

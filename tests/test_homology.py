@@ -5,16 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from trinorm import homology
 from trinorm.homology import (smith_normal_form, gf2_rank, gf2_kernel_basis,
                               first_homology, seifert_homology,
                               boundary_matrices, require_valid_cells,
-                              HomologyProfile, _eliminate_unit_pivots)
+                              face_relation_rows, HomologyProfile,
+                              _eliminate_unit_pivots)
 from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
                                    TriangulationError, _UnionFind)
-from trinorm import build, verifysuite
+from trinorm import analyze, build, cocycle, verifysuite
+from trinorm.analyze import MoveSpec, pachner_with_cocycle
+from trinorm.cocycle import Cocycle, is_cocycle
 
 from test_skeleton import gluing_tables
 
@@ -161,6 +165,214 @@ def _det(mat):
     return int(det)
 
 
+# ----- the two GF(2) solvers the one reduction replaced ------------------------
+# Kept word for word as the oracle.
+
+
+def _reference_gf2_rank(rows):
+    """Rank over GF(2) of rows given as int bitsets."""
+    basis = []
+    rank = 0
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+            rank += 1
+    return rank
+
+
+def _reference_gf2_kernel_basis(rows, n_cols):
+    """Deterministic basis of the right kernel of a GF(2) matrix.
+
+    Rows are int bitsets with bit j = column j.  Elimination pivots on
+    columns in increasing order; one basis vector per free column.
+    """
+    work = [r for r in rows if r]
+    pivot_of_col = {}
+    used = set()
+    for col in range(n_cols):
+        pivot_row = None
+        for i, r in enumerate(work):
+            if i not in used and (r >> col) & 1:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        for i in range(len(work)):
+            if i != pivot_row and (work[i] >> col) & 1:
+                work[i] ^= work[pivot_row]
+        pivot_of_col[col] = pivot_row
+        used.add(pivot_row)
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivot_of_col:
+            continue
+        vec = 1 << fc
+        for pc, rowi in pivot_of_col.items():
+            if (work[rowi] >> fc) & 1:
+                vec |= 1 << pc
+        basis.append(vec)
+    return basis
+
+
+def _assert_gf2_matches_reference(rows, n_cols):
+    assert gf2_rank(rows) == _reference_gf2_rank(rows)
+    basis = gf2_kernel_basis(rows, n_cols)
+    assert basis == _reference_gf2_kernel_basis(rows, n_cols)
+    return basis
+
+
+@st.composite
+def bit_matrices(draw):
+    """(n_cols, rows): random rows with zero rows and repeated rows mixed
+    in; the row list may be empty."""
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)),
+                         max_size=10))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+        rows = draw(st.permutations(rows))
+    return n, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(bit_matrices())
+@example((0, []))
+@example((4, []))
+@example((4, [0, 0]))
+@example((5, [0b10110, 0, 0b10110, 0b00011, 0b10101, 0b00011]))
+def test_gf2_reduction_matches_reference_on_bit_matrices(case):
+    n_cols, rows = case
+    _assert_gf2_matches_reference(rows, n_cols)
+
+
+def test_gf2_reduction_is_reduced_row_echelon_form():
+    reduced = homology._gf2_reduce([0b0110, 0b0011, 0b1100, 0b0101])
+    assert reduced == {0: 0b1001, 1: 0b1010, 2: 0b1100}
+    for p, row in reduced.items():
+        assert row & -row == 1 << p
+        assert all(not (row >> q) & 1 for q in reduced if q != p)
+
+
+def test_gf2_reduction_matches_reference_on_face_rows():
+    n = 0
+    for _, tri, meta in build.lst_tree(8):
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            folded, _ = build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)
+            basis = _assert_gf2_matches_reference(
+                face_relation_rows(folded), folded.skeleton.edge_count)
+            assert len(basis) == first_homology(folded).z2_rank
+            n += 1
+    tags = set()
+    for tag, _, tri in verifysuite._family_grid():
+        _assert_gf2_matches_reference(face_relation_rows(tri),
+                                      tri.skeleton.edge_count)
+        tags.add(tag)
+    assert n == 3 * 255 and tags == {"M", "MPRIME", "P", "Q"}
+    assert cocycle.face_relation_rows is face_relation_rows
+
+
+# ----- the list propagation the bitset transport replaced ---------------------
+# Kept as the oracle, with the imports it made inside the function moved
+# to this module.
+
+
+def _reference_pachner_with_cocycle(tri, phi, move: MoveSpec):
+    """Apply a move and transport the colouring to the result.
+
+    Surviving edge classes keep their bits; the value on a newly created
+    edge is forced by any face relation containing it.
+    """
+    new_tri, new_index, base, surgery = analyze._apply_move(tri, move)
+    mapping = analyze._edge_class_transport(tri, new_tri, new_index, base,
+                                            surgery)
+    ne = new_tri.skeleton.edge_count
+    bits = [None] * ne
+    for old, new in mapping.items():
+        val = phi[old]
+        if bits[new] is not None and bits[new] != val:
+            raise AssertionError("cocycle transport conflict")
+        bits[new] = val
+    rows = face_relation_rows(new_tri)
+    changed = True
+    while changed and any(b is None for b in bits):
+        changed = False
+        for row in rows:
+            unknown = [e for e in range(ne) if (row >> e) & 1 and bits[e] is None]
+            if len(unknown) == 1:
+                s = 0
+                for e in range(ne):
+                    if (row >> e) & 1 and e != unknown[0]:
+                        s ^= bits[e]
+                bits[unknown[0]] = s
+                changed = True
+    if any(b is None for b in bits):
+        raise AssertionError("cocycle transport left undetermined edges")
+    new_phi = Cocycle(tuple(bits))
+    if not is_cocycle(new_tri, new_phi.bits):
+        raise AssertionError("transported colouring is not a cocycle")
+    return new_tri, new_phi
+
+
+TRANSPORT_STARTS = [
+    (tri, phi)
+    for tri in (build.layered_loop(6, twisted=True),
+                build.layered_loop(8, twisted=True),
+                build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
+                build.seifert_family("M", 1, 1, 1)[0],
+                build.seifert_family("MPRIME", 1, 1, 1)[0],
+                build.seifert_family("P", 1)[0])
+    for phi in cocycle.all_nonzero_classes(tri)]
+
+
+def _44_sites(tri):
+    """Degree-4 edge classes on four distinct tetrahedra."""
+    return [ec.index for ec in tri.skeleton.edge_classes
+            if ec.degree == 4 and len({s[0] for s in ec.slots}) == 4]
+
+
+def _transport_chain(tri, phi, steps):
+    """Follow (try 4-4, choice) steps, comparing each transported colouring
+    with the reference; returns the number of 2-3 and 4-4 moves made."""
+    made = {"23": 0, "44": 0}
+    for flip, choice in steps:
+        sites = _44_sites(tri)
+        if flip and sites:
+            move = MoveSpec("44", edge=sites[choice % len(sites)],
+                            axis=choice // len(sites) % 2)
+        else:
+            faces = verifysuite._interior_faces(tri)
+            move = MoveSpec("23", face=faces[choice % len(faces)])
+        got = pachner_with_cocycle(tri, phi, move)
+        assert got == _reference_pachner_with_cocycle(tri, phi, move)
+        tri, phi = got
+        made[move.kind] += 1
+    return made
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TRANSPORT_STARTS),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+                min_size=1, max_size=5))
+def test_transport_matches_list_propagation_on_move_chains(start, steps):
+    _transport_chain(*start, steps)
+
+
+def test_transport_matches_list_propagation_on_seeded_chains():
+    rng = random.Random(5)
+    made = {"23": 0, "44": 0}
+    for i in range(120):
+        tri, phi = TRANSPORT_STARTS[i % len(TRANSPORT_STARTS)]
+        steps = [(rng.random() < 0.5, rng.randrange(10 ** 6))
+                 for _ in range(4)]
+        for kind, n in _transport_chain(tri, phi, steps).items():
+            made[kind] += n
+    assert made["23"] >= 150 and made["44"] >= 100
+
+
 # ----- the dense route the sparse elimination replaced ------------------------
 # Kept word for word as the oracle, with the dense boundary maps it read.
 
@@ -239,7 +451,7 @@ def _reference_first_homology(tri):
             if d2[i][j] % 2:
                 bits |= 1 << i
         rows2t.append(bits)
-    z2 = ne - gf2_rank(rows1) - gf2_rank(rows2t)
+    z2 = ne - _reference_gf2_rank(rows1) - _reference_gf2_rank(rows2t)
     expected = betti + sum(1 for d in factors if d % 2 == 0)
     if z2 != expected:
         raise AssertionError(
