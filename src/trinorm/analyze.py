@@ -15,7 +15,7 @@ from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                             FACET_VERTICES, Triangulation,
                             TriBuilder, TriangulationError)
 from . import homology as _homology
-from .build import relayered_weight
+from .build import lens_space, relayered_weight, seifert_family
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
                       all_nonzero_classes, Cocycle, face_relation_rows,
                       is_cocycle)
@@ -547,7 +547,7 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
     if unknown:
         raise AssertionError("cocycle transport left undetermined edges")
     bits = tuple((value >> e) & 1 for e in range(ne))
-    if not is_cocycle(new_tri, bits):
+    if not is_cocycle(new_tri, bits, rows):
         raise AssertionError("transported colouring is not a cocycle")
     return new_tri, Cocycle(bits)
 
@@ -729,11 +729,39 @@ def compression_pattern_scan(tri, phi):
 # ----- complexity certificate ---------------------------------------------------------
 
 
+_FAMILIES = ("balanced-lens", "M", "MPRIME", "P", "Q")
+
+
+def _family_members(family, tet_count):
+    """The members of a named minimal family with the given number of
+    tetrahedra, built afresh; the count fixes the parameters.  L(2n,1)
+    has 2n - 3 tetrahedra, P(k) 2k + 5, Q(k) k, M(k,m,n) 2(k+m+n) + 2 and
+    M'(k,m,n) 2(k+m+n) + 3."""
+    t = tet_count
+    if family == "balanced-lens":
+        if t % 2:
+            yield lens_space(1, t + 1)[0]
+    elif family == "P":
+        if t % 2 and t >= 7:
+            yield seifert_family("P", (t - 5) // 2)[0]
+    elif family == "Q":
+        if t % 2 == 0 and t >= 4:
+            yield seifert_family("Q", t)[0]
+    elif family in ("M", "MPRIME"):
+        s, odd = divmod(t - (2 if family == "M" else 3), 2)
+        if not odd:
+            for k in range(1, s - 1):
+                for m in range(1, s - k):
+                    yield seifert_family(family, k, m, s - k - m)[0]
+
+
 def complexity_certificate(tri, family=None):
     """Aggregate report: which complexity-bound shape the instance's counts
     are consistent with.  Norm values are taken as the negated Euler
     characteristics of the canonical surfaces, which bound the true norms
-    from above; equality is only certified for the named families."""
+    from above; equality is only certified for a named family, when the
+    input is isomorphic to one of its members and its counts fit a bound
+    form.  A named family that is not certified gets a ``reason``."""
     if not tri.is_closed:
         raise TriangulationError("certificates require closed triangulations")
     h = _homology.first_homology(tri)
@@ -761,8 +789,18 @@ def complexity_certificate(tri, family=None):
             forms.append("2+sum")
         if t == 3 + sum(norms):
             forms.append("3+sum")
-    certified = family in ("balanced-lens", "M", "MPRIME", "P", "Q")
-    return {
+    reason = None
+    if family is not None:
+        if family not in _FAMILIES:
+            reason = (f"unknown family {family!r}; "
+                      f"known: {', '.join(_FAMILIES)}")
+        elif not (tri.is_connected and any(
+                tri.isomorphic(m) for m in _family_members(family, t))):
+            reason = (f"no {family} member with {t} tetrahedra is "
+                      "isomorphic to the input")
+        elif not forms:
+            reason = "the counts fit no bound form"
+    cert = {
         "tet_count": t,
         "homology": str(h),
         "z2_rank": h.z2_rank,
@@ -770,9 +808,12 @@ def complexity_certificate(tri, family=None):
         "balanced": balanced,
         "consistent_bound_forms": forms,
         "twisted_squares": twisted_squares(tri),
-        "certified": bool(certified and forms),
+        "certified": family is not None and reason is None,
         "family": family,
     }
+    if reason is not None:
+        cert["reason"] = reason
+    return cert
 
 
 def twisted_squares(tri):

@@ -82,13 +82,16 @@ def all_nonzero_classes(tri):
     return out
 
 
-def is_cocycle(tri, bits):
+def is_cocycle(tri, bits, rows=None):
+    """Whether the edge bits satisfy every face relation; ``rows`` is
+    ``face_relation_rows(tri)`` when the caller has built it."""
+    if rows is None:
+        rows = face_relation_rows(tri)
     vec = 0
     for e, b in enumerate(bits):
         if b:
             vec |= 1 << e
-    return all(bin(row & vec).count("1") % 2 == 0
-               for row in face_relation_rows(tri))
+    return all(bin(row & vec).count("1") % 2 == 0 for row in rows)
 
 
 def tet_parity_pattern(tri, phi, tet):

@@ -171,13 +171,14 @@ def edge_weights(tri, coord):
     return out
 
 
-def euler_char(tri, coord):
+def euler_char(tri, coord, weights=None):
     """Euler characteristic by direct cell count of the induced
     decomposition: vertices on edges, arcs in faces, discs in tetrahedra.
 
     Validates the coordinate on the way: embeddability first, then arc
     counts matching across every interior face gluing, then agreeing
-    weights on the slots of every edge class."""
+    weights on the slots of every edge class, unless the caller passes
+    the ``edge_weights`` it has already checked."""
     check_embeddable(coord)
     e = 0
     for fc in tri.skeleton.face_classes:
@@ -194,7 +195,9 @@ def euler_char(tri, coord):
                         f"matching fails across face ({t1},{f1})~({t2},{f2}) "
                         f"at vertex {v}")
         e += arcs[verts[0]] + arcs[verts[1]] + arcs[verts[2]]
-    v = sum(edge_weights(tri, coord))
+    if weights is None:
+        weights = edge_weights(tri, coord)
+    v = sum(weights)
     f = sum(sum(coord.tris[t]) + sum(coord.quads[t]) + sum(coord.octs[t])
             for t in range(coord.tet_count))
     return v - e + f
@@ -239,7 +242,7 @@ def canonical_surface(tri, phi):
     for ec in tri.skeleton.edge_classes:
         if ws[ec.index] != phi[ec.index]:
             raise AssertionError("canonical surface weight differs from parity")
-    return CanonicalSurface(coord, phi, euler_char(tri, coord))
+    return CanonicalSurface(coord, phi, euler_char(tri, coord, ws))
 
 
 def chi_formula(census: ParityCensus):

@@ -10,10 +10,13 @@ which is what makes one-vertex triangulations of closed manifolds possible.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .perm import Perm4, ALL_PERMS, INVERSE
+from .perm import Perm4, ALL_PERMS, INVERSE, PRODUCT
+
+_log = logging.getLogger(__name__)
 
 # Fixed tables for the sub-simplices of a tetrahedron.
 #
@@ -50,6 +53,68 @@ def _gluing_entry(perm, facet):
 # flip bit 1 when the edge's ascending direction maps to a descending one.
 GLUING_TABLE = tuple(tuple(_gluing_entry(perm, f) for f in range(4))
                      for perm in ALL_PERMS)
+
+
+# The canonical labelling works on permutation indices: _MUL[a][b] is the
+# index of ALL_PERMS[a] * ALL_PERMS[b], _INV[a] that of the inverse, and
+# _OLD_FACETS[rho] lists the facets that the vertex relabelling rho carries
+# to the new facets 0, 1, 2, 3.
+_MUL = tuple(tuple(p.index for p in row) for row in PRODUCT)
+_INV = tuple(p.index for p in INVERSE)
+_OLD_FACETS = tuple(p.images for p in INVERSE)
+# a boundary facet's code: below every glued entry, as (-1, identity) is
+_BOUNDARY_CODE = -24
+
+
+def _pruned_codes(glu, start, perm, best):
+    """One start of the canonical search.  The BFS relabelling that gives
+    tetrahedron ``start`` label 0 and vertex map ``perm`` (an index) emits
+    its table row by row, as the BFS reaches each tetrahedron, in entry
+    codes label*24 + permutation index (_BOUNDARY_CODE for a boundary
+    facet); ``glu`` is the gluing table as (tet, perm index) or None.
+
+    Each code is compared with the same entry of ``best``, the least code
+    list so far (None before the first start).  Returns (codes, compared,
+    abandoned): codes is the whole list when it is less than ``best``, and
+    None when the start is abandoned at its first larger entry or ties
+    ``best`` to the end, so a tie keeps the earlier start."""
+    label = {start: 0}
+    relab = [perm]              # new label -> old vertex labels -> new ones
+    order = [start]             # new label -> old tetrahedron
+    codes = []
+    deciding = best is not None
+    compared = 0
+    for i, t in enumerate(order):   # the BFS appends to order as it goes
+        rho = relab[i]
+        rho_inv = _INV[rho]
+        row = glu[t]
+        for old_f in _OLD_FACETS[rho]:
+            g = row[old_f]
+            if g is None:
+                code = _BOUNDARY_CODE
+            else:
+                u, pi = g
+                lu = label.get(u)
+                if lu is None:
+                    # a new tetrahedron, relabelled so that this gluing
+                    # becomes the identity
+                    lu = label[u] = len(order)
+                    order.append(u)
+                    relab.append(_MUL[rho][_INV[pi]])
+                    code = 24 * lu
+                else:
+                    code = 24 * lu + _MUL[_MUL[relab[lu]][pi]][rho_inv]
+            if deciding:
+                other = best[len(codes)]
+                if code > other:
+                    return None, len(codes) + 1, True
+                if code < other:
+                    deciding = False
+                    compared = len(codes) + 1
+            codes.append(code)
+    if deciding:
+        return None, len(codes), False
+    return codes, compared, False
 
 
 class TriangulationError(ValueError):
@@ -417,65 +482,38 @@ class Triangulation:
 
     # ----- canonical form and isomorphism ---------------------------------
 
-    def _relabelled_table(self, start, start_perm):
-        """Gluing table after the canonical BFS relabelling that assigns the
-        given start tetrahedron label 0 with the given vertex relabelling."""
-        n = self.tet_count
-        label = [None] * n          # old tet -> new tet
-        relab = [None] * n          # old tet -> Perm4 old labels -> new labels
-        label[start] = 0
-        relab[start] = start_perm
-        order = [start]
-        next_label = 1
-        i = 0
-        while i < len(order):
-            t = order[i]
-            rho = relab[t]
-            rho_inv = rho.inverse()
-            for new_f in range(4):
-                old_f = rho_inv[new_f]
-                g = self._gluings[t][old_f]
-                if g is None:
-                    continue
-                u, perm = g
-                if label[u] is None:
-                    label[u] = next_label
-                    next_label += 1
-                    relab[u] = rho * perm.inverse()
-                    order.append(u)
-            i += 1
-        if len(order) != n:
-            raise TriangulationError("canonical form requires a connected triangulation")
-        table = []
-        for t in order:
-            rho = relab[t]
-            rho_inv = rho.inverse()
-            row = []
-            for new_f in range(4):
-                g = self._gluings[t][rho_inv[new_f]]
-                if g is None:
-                    row.append(None)
-                else:
-                    u, perm = g
-                    row.append((label[u], (relab[u] * perm * rho_inv).images))
-            table.append(tuple(row))
-        return tuple(table)
-
-    @staticmethod
-    def _table_key(table):
-        return tuple(tuple((-1, (0, 1, 2, 3)) if g is None else g for g in row)
-                     for row in table)
-
     @cached_property
     def canonical_table(self):
-        best = None
-        for start in range(self.tet_count):
-            for perm in ALL_PERMS:
-                table = self._relabelled_table(start, perm)
-                key = self._table_key(table)
-                if best is None or key < best[0]:
-                    best = (key, table)
-        return () if best is None else best[1]
+        """Gluing table of the least BFS relabelling, over every start
+        tetrahedron and vertex map, in the order of the entry codes of
+        ``_pruned_codes``: Burton's isomorphism signature search, which
+        drops each start at its first entry larger than the best so far.
+        Entries are (label, images) or None for a boundary facet."""
+        n = self.tet_count
+        if n == 0:
+            return ()
+        if not self.is_connected:
+            raise TriangulationError(
+                "canonical form requires a connected triangulation")
+        glu = tuple(tuple(None if g is None else (g[0], g[1].index)
+                          for g in row) for row in self._gluings)
+        best = winner = None
+        abandoned = compared = 0
+        for start in range(n):
+            for perm in range(24):
+                codes, seen, dropped = _pruned_codes(glu, start, perm, best)
+                compared += seen
+                abandoned += dropped
+                if codes is not None:
+                    best, winner = codes, (start, perm)
+        _log.debug("canonical_table: %d starts tried, %d abandoned, %d "
+                   "entries compared; winner start %d perm %d", 24 * n,
+                   abandoned, compared, *winner)
+        return tuple(
+            tuple(None if c == _BOUNDARY_CODE
+                  else (c // 24, ALL_PERMS[c % 24].images)
+                  for c in best[i:i + 4])
+            for i in range(0, 4 * n, 4))
 
     def canonical(self):
         return Triangulation(

@@ -16,6 +16,7 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              complexity_certificate)
 from trinorm.build import AnnulusFilling, augmented_solid_torus
 from trinorm.triangulation import EDGE_INDEX, TriangulationError
+from test_triangulation import _random_relabelling
 
 
 def test_maximal_lsts_on_lens():
@@ -163,6 +164,26 @@ def test_cocycle_transport_through_moves():
     assert c1.even_edges + c1.odd_edges == c0.even_edges + c0.odd_edges + 1
 
 
+def test_transport_builds_face_rows_once(monkeypatch):
+    calls = []
+
+    def counted(tri):
+        calls.append(tri)
+        return homology.face_relation_rows(tri)
+    monkeypatch.setattr(analyze, "face_relation_rows", counted)
+    monkeypatch.setattr(cocycle, "face_relation_rows", counted)
+    tri = build.layered_loop(6, twisted=True)
+    phi = cocycle.all_nonzero_classes(tri)[0]
+    calls.clear()
+    for fc in tri.skeleton.face_classes:
+        if tri.gluing(*fc.slots[0])[0] == fc.slots[0][0]:
+            continue
+        out, _ = pachner_with_cocycle(tri, phi, MoveSpec("23", face=fc.index))
+        # the propagation's rows also serve the closing cocycle check
+        assert calls == [out]
+        calls.clear()
+
+
 def test_promote_fixed_point():
     tri = build.layered_loop(6, twisted=True)
     phi = cocycle.all_nonzero_classes(tri)[0]
@@ -303,6 +324,50 @@ def test_complexity_certificate_forms():
     assert "2+sum" in cert["consistent_bound_forms"]
     assert not cert["certified"]
     assert any(sq["kind"] == "klein" for sq in cert["twisted_squares"])
+
+
+def test_certificate_recognises_members_up_to_relabelling():
+    members = [("M", build.seifert_family("M", 2, 1, 3)[0]),
+               ("MPRIME", build.seifert_family("MPRIME", 1, 3, 2)[0]),
+               ("P", build.seifert_family("P", 2)[0]),
+               ("Q", build.layered_loop(8, twisted=True)),
+               ("balanced-lens", build.lens_space(1, 10)[0])]
+    for seed, (family, tri) in enumerate(members):
+        shuffled = _random_relabelling(tri, random.Random(seed))
+        cert = complexity_certificate(shuffled, family=family)
+        assert cert["certified"] and "reason" not in cert
+
+
+def test_certificate_checks_the_family_not_the_label():
+    cases = [
+        # the twisted loop has balanced-lens counts but is not a lens space
+        (build.layered_loop(6, twisted=True), "balanced-lens"),
+        (build.seifert_family("M", 1, 1, 2)[0], "MPRIME"),
+        # no L(2n,1) has an even number of tetrahedra
+        (build.lens_space(1, 7)[0], "balanced-lens"),
+        (build.seifert_family("M", 1, 1, 1)[0], "Q"),
+    ]
+    for tri, family in cases:
+        cert = complexity_certificate(tri, family=family)
+        assert cert["certified"] is False
+        assert cert["reason"] == (f"no {family} member with {tri.tet_count} "
+                                  "tetrahedra is isomorphic to the input")
+    cert = complexity_certificate(build.layered_loop(6, twisted=True),
+                                  family="Klein")
+    assert not cert["certified"] and "unknown family" in cert["reason"]
+    # without a family the report has no reason and certifies nothing
+    cert = complexity_certificate(build.lens_space(1, 8)[0])
+    assert not cert["certified"] and "reason" not in cert
+
+
+def test_family_members_follow_the_tetrahedron_count():
+    sizes = {("M", 12): 6, ("MPRIME", 13): 6, ("P", 9): 1, ("Q", 8): 1,
+             ("balanced-lens", 7): 1,
+             ("M", 13): 0, ("M", 6): 0, ("MPRIME", 12): 0, ("P", 8): 0,
+             ("P", 5): 0, ("Q", 7): 0, ("Q", 2): 0, ("balanced-lens", 8): 0}
+    for (family, t), count in sizes.items():
+        members = list(analyze._family_members(family, t))
+        assert [tri.tet_count for tri in members] == [t] * count
 
 
 # ----- torus growth against the induced-subcomplex reference ---------------

@@ -100,6 +100,20 @@ def test_colourings_surface_bounds(tmp_path, capsys):
     assert data["bounds"][0]["identity_lhs"] == data["bounds"][0]["identity_rhs"]
 
 
+def test_bounds_certificate_checks_the_family(tmp_path, capsys):
+    out = tmp_path / "loop.tri"
+    main(["construct", "loop", "--n", "6", "--twisted", "-o", str(out)])
+    capsys.readouterr()
+    assert main(["bounds", str(out), "--family", "balanced-lens"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["certified"] is False
+    assert cert["reason"] == ("no balanced-lens member with 6 tetrahedra is "
+                              "isomorphic to the input")
+    assert main(["bounds", str(out), "--family", "Q"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["certified"] is True and "reason" not in cert
+
+
 def test_moves_and_promote(tmp_path, capsys):
     src = tmp_path / "m.tri"
     main(["construct", "family", "--tag", "M", "-k", "1", "-m", "1", "-n", "1",
@@ -226,7 +240,7 @@ def test_parser_is_built_once_and_dispatches_by_name(tmp_path, monkeypatch,
 
 def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     from trinorm import analyze, surface
-    calls = {"euler_char": 0, "find_maximal_lsts": 0}
+    calls = {"euler_char": 0, "edge_weights": 0, "find_maximal_lsts": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -237,6 +251,7 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(module, name, run)
 
     counted(surface, "euler_char")
+    counted(surface, "edge_weights")
     counted(analyze, "find_maximal_lsts")
     # L(10,1): one colouring class, and degree-3 edges for the lint
     tri, _, _ = build.lens_space(1, 8)
@@ -245,9 +260,17 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     assert main(["analyze", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["classes"]) == 1 and report["lint"]["degree_3"]
-    # the canonical surface is counted once, and the lint reuses the tori
-    # the report found
-    assert calls == {"euler_char": 1, "find_maximal_lsts": 1}
+    # the canonical surface is counted once, its edge weights are checked
+    # once, and the lint reuses the tori the report found
+    assert calls == {"euler_char": 1, "edge_weights": 1,
+                     "find_maximal_lsts": 1}
+
+    tri, _ = build.seifert_family("M", 1, 2, 1)
+    path.write_text(serialize(tri))
+    calls["edge_weights"] = 0
+    assert main(["analyze", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["classes"]) == 1
+    assert calls["edge_weights"] == 1
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -1,7 +1,10 @@
 """Face-gluing data structure, file format and canonical forms."""
 
 import copy
+import logging
 import pickle
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from trinorm.perm import Perm4, ALL_PERMS
 from trinorm.triangulation import (Triangulation, TriangulationError,
                                    ParseError, parse, serialize)
-from trinorm import build
+from trinorm import analyze, build, verifysuite
+from test_skeleton import gluing_tables
 
 
 def test_perm_composition_and_inverse():
@@ -223,3 +227,202 @@ def test_degenerate_self_gluing_permitted_but_not_in_homology():
     closedish = tri  # bounded: homology must refuse for closedness first
     with pytest.raises(TriangulationError):
         first_homology(closedish)
+
+
+# ----- the full relabelling the pruned search replaced ------------------------
+# Kept word for word as the oracle: every start relabelled in full on Perm4
+# objects, the least table key winning.
+
+
+def _reference_relabelled_table(self, start, start_perm):
+    """Gluing table after the canonical BFS relabelling that assigns the
+    given start tetrahedron label 0 with the given vertex relabelling."""
+    n = self.tet_count
+    label = [None] * n          # old tet -> new tet
+    relab = [None] * n          # old tet -> Perm4 old labels -> new labels
+    label[start] = 0
+    relab[start] = start_perm
+    order = [start]
+    next_label = 1
+    i = 0
+    while i < len(order):
+        t = order[i]
+        rho = relab[t]
+        rho_inv = rho.inverse()
+        for new_f in range(4):
+            old_f = rho_inv[new_f]
+            g = self._gluings[t][old_f]
+            if g is None:
+                continue
+            u, perm = g
+            if label[u] is None:
+                label[u] = next_label
+                next_label += 1
+                relab[u] = rho * perm.inverse()
+                order.append(u)
+        i += 1
+    if len(order) != n:
+        raise TriangulationError("canonical form requires a connected triangulation")
+    table = []
+    for t in order:
+        rho = relab[t]
+        rho_inv = rho.inverse()
+        row = []
+        for new_f in range(4):
+            g = self._gluings[t][rho_inv[new_f]]
+            if g is None:
+                row.append(None)
+            else:
+                u, perm = g
+                row.append((label[u], (relab[u] * perm * rho_inv).images))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _reference_table_key(table):
+    return tuple(tuple((-1, (0, 1, 2, 3)) if g is None else g for g in row)
+                 for row in table)
+
+
+def _reference_canonical_table(self):
+    best = None
+    for start in range(self.tet_count):
+        for perm in ALL_PERMS:
+            table = _reference_relabelled_table(self, start, perm)
+            key = _reference_table_key(table)
+            if best is None or key < best[0]:
+                best = (key, table)
+    return () if best is None else best[1]
+
+
+def _reference_search_counts(tri):
+    """What the pruned search should log, replayed on the reference's full
+    tables: starts abandoned (a larger entry before any smaller one),
+    entries compared (up to the first difference, all of them on a tie)
+    and the first start, in (tet, perm index) order, of the least table."""
+    best = winner = None
+    abandoned = compared = 0
+    for start in range(tri.tet_count):
+        for perm in ALL_PERMS:
+            key = [g for row in _reference_table_key(
+                _reference_relabelled_table(tri, start, perm)) for g in row]
+            if best is None:
+                best, winner = key, (start, perm.index)
+                continue
+            diff = next((i for i, (a, b) in enumerate(zip(key, best))
+                         if a != b), None)
+            compared += len(key) if diff is None else diff + 1
+            if diff is not None and key[diff] > best[diff]:
+                abandoned += 1
+            elif diff is not None:
+                best, winner = key, (start, perm.index)
+    return abandoned, compared, winner
+
+
+def _move23_chain(tri, rng, steps):
+    """The triangulations along a seeded chain of 2-3 moves."""
+    out = [tri]
+    for _ in range(steps):
+        faces = verifysuite._interior_faces(tri)
+        tri = analyze.move23(tri, rng.choice(faces))[0]
+        out.append(tri)
+    return out
+
+
+def _oracle_inputs():
+    for _, tri, meta in build.lst_tree(7):
+        yield tri
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            yield build.fold_along_edge(tri, build.boundary_edge(meta, w),
+                                        meta)[0]
+    for _, _, tri in verifysuite._family_grid():
+        yield tri
+    for n in range(3, 11):
+        yield build.layered_loop(n, twisted=False)
+        yield build.layered_loop(n, twisted=True)
+    rng = random.Random(9)
+    for start in (build.lens_space(1, 6)[0], build.lens_space(2, 7)[0],
+                  build.layered_loop(5, twisted=True),
+                  build.seifert_family("M", 1, 1, 1)[0],
+                  build.seifert_family("P", 1)[0]):
+        yield from _move23_chain(start, rng, 4)
+
+
+def _random_relabelling(tri, rng):
+    n = tri.tet_count
+    return _relabel(tri, rng.sample(range(n), n),
+                    [rng.choice(ALL_PERMS) for _ in range(n)])
+
+
+def test_pruned_canonical_table_matches_reference():
+    rng = random.Random(3)
+    count = 0
+    for tri in _oracle_inputs():
+        want = _reference_canonical_table(tri)
+        assert tri.canonical_table == want
+        # the reference is a relabelling invariant, so a shuffled copy has
+        # the same least table
+        assert _random_relabelling(tri, rng).canonical_table == want
+        count += 1
+    assert count == 127 * 4 + 2 * 27 + 3 + 4 + 16 + 5 * 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(gluing_tables().filter(lambda tri: tri.is_connected),
+       st.randoms(use_true_random=False))
+def test_pruned_canonical_table_matches_reference_on_random_tables(tri, rng):
+    # boundary, self-glued and non-orientable gluings all occur here
+    want = _reference_canonical_table(tri)
+    assert tri.canonical_table == want
+    assert _random_relabelling(tri, rng).canonical_table == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(gluing_tables().filter(lambda tri: not tri.is_connected))
+def test_random_disconnected_tables_are_refused_as_before(tri):
+    with pytest.raises(TriangulationError) as ref:
+        _reference_canonical_table(tri)
+    with pytest.raises(TriangulationError) as err:
+        tri.canonical_table
+    assert str(err.value) == str(ref.value)
+
+
+def test_disconnected_input_is_refused_as_before():
+    one = build.layered_loop(3, twisted=True)
+    rows = [list(row) for row in one.gluings]
+    rows += [[None if g is None else (g[0] + 3, g[1]) for g in row]
+             for row in one.gluings]
+    for tri in (Triangulation(rows), Triangulation([[None] * 4] * 2)):
+        with pytest.raises(TriangulationError) as err:
+            tri.canonical_table
+        assert str(err.value) == \
+            "canonical form requires a connected triangulation"
+        with pytest.raises(TriangulationError) as ref:
+            _reference_canonical_table(tri)
+        assert str(ref.value) == str(err.value)
+
+
+_SEARCH_LINE = re.compile(
+    r"canonical_table: (\d+) starts tried, (\d+) abandoned, (\d+) entries "
+    r"compared; winner start (\d+) perm (\d+)$")
+
+
+def test_canonical_table_logs_its_search(caplog):
+    # loops have automorphisms, so several starts tie for the least table
+    # and the earliest must win; the boundary cases order None first
+    cases = [build.layered_loop(6, twisted=True),
+             build.layered_loop(5, twisted=False),
+             build.lst(3, 5)[0], build.seifert_family("M", 1, 2, 1)[0],
+             Triangulation([[None] * 4])]
+    for tri in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="trinorm.triangulation"):
+            tri.canonical_table
+        records = [r for r in caplog.records
+                   if r.name == "trinorm.triangulation"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        tried, abandoned, compared, start, perm = map(
+            int, _SEARCH_LINE.match(records[0].getMessage()).groups())
+        assert tried == 24 * tri.tet_count
+        assert (abandoned, compared, (start, perm)) == \
+            _reference_search_counts(tri)
