@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perm import Perm4
-from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                            FACET_VERTICES, Triangulation,
-                            TriBuilder, TriangulationError)
+from .triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
+                            Triangulation, TriBuilder, TriangulationError)
 from . import homology as _homology
-from .build import lens_space, relayered_weight, seifert_family
+from .build import (family_slopes, family_tag, lens_space, relayered_weight,
+                    seifert_family)
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
                       all_nonzero_classes, Cocycle, face_relation_rows,
                       is_cocycle)
@@ -94,7 +94,7 @@ def _seed_classes(tri, t):
     amb = tri.skeleton
     for ec in sk.edge_classes:
         slot_t, ei = ec.slots[0]
-        cls = amb.edge_lookup[(t, ei)][0]
+        cls = amb.edge_class[6 * t + ei]
         weights[cls] = {3: 1, 2: 2, 1: 3}[ec.degree]
         degrees[cls] = ec.degree
     if len(weights) != 3:
@@ -139,7 +139,7 @@ def _try_extend(tri, emb):
     fa, fb = g1[1][f1], g2[1][f2]
     hinge = tuple(v for v in range(4) if v not in (fa, fb))
     amb = tri.skeleton
-    hinge_class = amb.edge_lookup[(new, EDGE_INDEX[hinge])][0]
+    hinge_class = amb.edge_class_of(new, *hinge)[0]
     if hinge_class not in emb.boundary_edges:
         return None
     # layering pattern confirmed structurally; update the weight replay
@@ -148,7 +148,7 @@ def _try_extend(tri, emb):
     new_weight = relayered_weight(emb.edge_weights[layered],
                                   *(emb.edge_weights[e] for e in others))
     opp = tuple(v for v in range(4) if v not in hinge)
-    new_class = amb.edge_lookup[(new, EDGE_INDEX[opp])][0]
+    new_class = amb.edge_class_of(new, *opp)[0]
     if new_class in emb.edge_weights:
         return None
     weights = dict(emb.edge_weights)
@@ -159,7 +159,7 @@ def _try_extend(tri, emb):
     # the number of torus edge slots in the ambient class.
     degrees = dict(emb.lst_degrees)
     for ei in range(6):
-        cls = amb.edge_lookup[(new, ei)][0]
+        cls = amb.edge_class[6 * new + ei]
         degrees[cls] = degrees.get(cls, 0) + 1
     boundary = tuple(others + [new_class])
     interior = tuple(c for c in weights if c not in boundary)
@@ -377,14 +377,13 @@ def _edge_class_transport(tri, new_tri, new_index, base, surgery):
     mapping = {}
     for t, i in new_index.items():
         for ei in range(6):
-            old = sk_old.edge_lookup[(t, ei)][0]
-            mapping[old] = sk_new.edge_lookup[(i, ei)][0]
+            old = sk_old.edge_class[6 * t + ei]
+            mapping[old] = sk_new.edge_class[6 * i + ei]
     for (t, f), (nt, vmap) in surgery.external.items():
         for ei in FACET_EDGES[f]:
             x, y = EDGE_VERTICES[ei]
-            old = sk_old.edge_lookup[(t, ei)][0]
-            new = sk_new.edge_lookup[(base + nt,
-                                      EDGE_INDEX[(vmap[x], vmap[y])])][0]
+            old = sk_old.edge_class[6 * t + ei]
+            new = sk_new.edge_class_of(base + nt, vmap[x], vmap[y])[0]
             if old in mapping and mapping[old] != new:
                 raise AssertionError("inconsistent edge transport")
             mapping[old] = new
@@ -732,27 +731,38 @@ def compression_pattern_scan(tri, phi):
 _FAMILIES = ("balanced-lens", "M", "MPRIME", "P", "Q")
 
 
-def _family_members(family, tet_count):
+def _family_members(family, tet_count, h1=None):
     """The members of a named minimal family with the given number of
     tetrahedra, built afresh; the count fixes the parameters.  L(2n,1)
     has 2n - 3 tetrahedra, P(k) 2k + 5, Q(k) k, M(k,m,n) 2(k+m+n) + 2 and
-    M'(k,m,n) 2(k+m+n) + 3."""
+    M'(k,m,n) 2(k+m+n) + 3.  Given the input's first homology ``h1``, a
+    Seifert family member is built only when its slopes predict that
+    homology, since no other member can be isomorphic to the input."""
     t = tet_count
     if family == "balanced-lens":
         if t % 2:
             yield lens_space(1, t + 1)[0]
-    elif family == "P":
+        return
+    candidates = []
+    if family == "P":
         if t % 2 and t >= 7:
-            yield seifert_family("P", (t - 5) // 2)[0]
+            candidates.append(((t - 5) // 2,))
     elif family == "Q":
         if t % 2 == 0 and t >= 4:
-            yield seifert_family("Q", t)[0]
+            candidates.append((t,))
     elif family in ("M", "MPRIME"):
         s, odd = divmod(t - (2 if family == "M" else 3), 2)
         if not odd:
-            for k in range(1, s - 1):
-                for m in range(1, s - k):
-                    yield seifert_family(family, k, m, s - k - m)[0]
+            candidates = [(k, m, s - k - m) for k in range(1, s - 1)
+                          for m in range(1, s - k)]
+    for params in candidates:
+        if h1 is not None:
+            predicted = _homology.seifert_homology(
+                family_slopes(family, *params))
+            if (predicted.invariant_factors, predicted.betti) != \
+                    (h1.invariant_factors, h1.betti):
+                continue
+        yield seifert_family(family, *params)[0]
 
 
 def complexity_certificate(tri, family=None):
@@ -791,11 +801,13 @@ def complexity_certificate(tri, family=None):
             forms.append("3+sum")
     reason = None
     if family is not None:
+        family = next((name for name in _FAMILIES
+                       if family_tag(name) == family_tag(family)), family)
         if family not in _FAMILIES:
             reason = (f"unknown family {family!r}; "
                       f"known: {', '.join(_FAMILIES)}")
         elif not (tri.is_connected and any(
-                tri.isomorphic(m) for m in _family_members(family, t))):
+                tri.isomorphic(m) for m in _family_members(family, t, h))):
             reason = (f"no {family} member with {t} tetrahedra is "
                       "isomorphic to the input")
         elif not forms:

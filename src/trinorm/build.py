@@ -133,7 +133,7 @@ def _boundary_edge_slot(tri, face_slot, edge_class):
     sk = tri.skeleton
     t, f = face_slot
     for ei in FACET_EDGES[f]:
-        idx, sign = sk.edge_lookup[(t, ei)]
+        idx, sign = sk.edge_class[6 * t + ei], sk.edge_sign[6 * t + ei]
         if idx == edge_class:
             a, b = EDGE_VERTICES[ei]
             return (a, b) if sign > 0 else (b, a)
@@ -147,7 +147,7 @@ def check_torus_boundary(tri):
     sk = tri.skeleton
 
     def face_edge_classes(t, f):
-        return sorted(sk.edge_lookup[(t, ei)][0] for ei in FACET_EDGES[f])
+        return sorted(sk.edge_class[6 * t + ei] for ei in FACET_EDGES[f])
 
     c1 = face_edge_classes(t1, f1)
     c2 = face_edge_classes(t2, f2)
@@ -604,6 +604,30 @@ def augmented_quaternionic(k):
     return tri
 
 
+def family_tag(tag):
+    """A family name in its canonical spelling: upper case, with a prime
+    written ' or \u2032 spelled PRIME, so M' and M\u2032 are MPRIME."""
+    return tag.upper().replace("'", "PRIME").replace("\u2032", "PRIME")
+
+
+def family_slopes(tag, *params):
+    """The Seifert slopes (a_i, b_i), over the sphere, of the member of
+    family ``tag`` (canonical spelling) with the given parameters."""
+    if tag == "M":
+        k, m, n = params
+        return ((1, 1), (2 * k + 1, 1), (2 * m + 1, 1), (2 * n + 1, 1))
+    if tag == "MPRIME":
+        k, m, n = params
+        return ((1, -1), (2 * k + 2, 1), (2 * m + 2, 1), (2 * n + 2, 1))
+    if tag == "P":
+        (k,) = params
+        return ((1, -1), (2, 1), (2, 1), (6 * k + 4, 6 * k + 1))
+    if tag == "Q":
+        (k,) = params
+        return ((1, -1), (2, 1), (2, 1), (k, 1))
+    raise TriangulationError(f"unknown family tag {tag!r}")
+
+
 def seifert_family(tag, k, m=None, n=None):
     """Build one of the four minimal families and its Seifert parameters.
 
@@ -613,7 +637,7 @@ def seifert_family(tag, k, m=None, n=None):
     complex to reproduce the Seifert-presentation homology over a parameter
     grid; that oracle runs again on every call.
     """
-    tag = tag.upper().replace("'", "PRIME").replace("\u2032", "PRIME")
+    tag = family_tag(tag)
     if tag == "M":
         if not all(x and x >= 1 for x in (k, m, n)):
             raise TriangulationError("family M needs positive k, m, n")
@@ -622,7 +646,6 @@ def seifert_family(tag, k, m=None, n=None):
             AnnulusFilling("lst", w_h=2 * m + 2, w_d=1, w_v=2 * m + 1),
             AnnulusFilling("lst", w_h=2 * n, w_d=1, w_v=2 * n + 1),
         ))
-        slopes = ((1, 1), (2 * k + 1, 1), (2 * m + 1, 1), (2 * n + 1, 1))
         params = (k, m, n)
     elif tag == "MPRIME":
         if not all(x and x >= 1 for x in (k, m, n)):
@@ -632,7 +655,6 @@ def seifert_family(tag, k, m=None, n=None):
             AnnulusFilling("lst", w_h=1, w_d=2 * m + 1, w_v=2 * m + 2),
             AnnulusFilling("lst", w_h=2 * n + 1, w_d=1, w_v=2 * n + 2),
         ))
-        slopes = ((1, -1), (2 * k + 2, 1), (2 * m + 2, 1), (2 * n + 2, 1))
         params = (k, m, n)
     elif tag == "P":
         if not k or k < 1:
@@ -642,16 +664,15 @@ def seifert_family(tag, k, m=None, n=None):
             AnnulusFilling("fold", style="cross"),
             AnnulusFilling("lst", w_h=3, w_d=6 * k + 1, w_v=6 * k + 4),
         ))
-        slopes = ((1, -1), (2, 1), (2, 1), (6 * k + 4, 6 * k + 1))
         params = (k,)
     elif tag == "Q":
         if not k or k < 4 or k % 2:
             raise TriangulationError("family Q needs even k >= 4")
         tri = layered_loop(k, twisted=True)
-        slopes = ((1, -1), (2, 1), (2, 1), (k, 1))
         params = (k,)
     else:
         raise TriangulationError(f"unknown family tag {tag!r}")
+    slopes = family_slopes(tag, *params)
     predicted = homology.seifert_homology(slopes)
     actual = homology.first_homology(tri)
     if (actual.invariant_factors, actual.betti) != \

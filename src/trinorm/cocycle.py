@@ -96,11 +96,11 @@ def is_cocycle(tri, bits, rows=None):
 
 def tet_parity_pattern(tri, phi, tet):
     """Bitmask over the six edge slots of a tetrahedron, bit set = odd."""
-    sk = tri.skeleton
+    edge_class = tri.skeleton.edge_class
+    t6 = 6 * tet
     mask = 0
     for ei in range(6):
-        cls = sk.edge_lookup[(tet, ei)][0]
-        if phi[cls]:
+        if phi[edge_class[t6 + ei]]:
             mask |= 1 << ei
     return mask
 
@@ -166,20 +166,20 @@ def parity_census(tri, phi, types=None):
     n_tri = sum(1 for ty, _ in types if ty is TetType.TRI)
     n_empty = sum(1 for ty, _ in types if ty is TetType.EMPTY)
 
-    even = [ec for ec in sk.edge_classes if phi[ec.index] == 0]
+    even = [d for c, d in enumerate(sk.edge_degrees) if phi[c] == 0]
     odd_count = sk.edge_count - len(even)
     hist = {}
-    slots = 0
-    for ec in even:
-        hist[ec.degree] = hist.get(ec.degree, 0) + 1
-        slots += ec.degree
+    for d in even:
+        hist[d] = hist.get(d, 0) + 1
+    slots = sum(even)
     if slots != 2 * n_quad + 3 * n_tri + 6 * n_empty:
         raise AssertionError("even-edge slot count disagrees with tet types")
 
-    even_faces = sum(
-        1 for fc in sk.face_classes
-        if all(phi[sk.edge_lookup[(fc.slots[0][0], ei)][0]] == 0
-               for ei in FACET_EDGES[fc.slots[0][1]]))
+    even_faces = 0
+    for s in sk.face_first:
+        t, f = divmod(s, 4)
+        if all(phi[sk.edge_class[6 * t + ei]] == 0 for ei in FACET_EDGES[f]):
+            even_faces += 1
     sub_vertices = 1 if even else 0
     census = ParityCensus(
         even_edges=len(even),

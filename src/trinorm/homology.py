@@ -179,13 +179,13 @@ def gf2_kernel_basis(rows, n_cols):
 def face_relation_rows(tri):
     """One GF(2) row per face class, d2 mod 2: bit e set iff edge class e
     appears an odd number of times among the face's three edges."""
-    sk = tri.skeleton
+    edge_class = tri.skeleton.edge_class
     rows = []
-    for fc in sk.face_classes:
-        t, f = fc.slots[0]
+    for s in tri.skeleton.face_first:
+        t, f = divmod(s, 4)
         bits = 0
         for ei in FACET_EDGES[f]:
-            bits ^= 1 << sk.edge_lookup[(t, ei)][0]
+            bits ^= 1 << edge_class[6 * t + ei]
         rows.append(bits)
     return rows
 
@@ -217,14 +217,12 @@ def require_valid_cells(tri):
     """Reject the cells the quotient CW structure cannot orient: a facet
     glued to itself, or an edge identified with itself reversed."""
     sk = tri.skeleton
-    for fc in sk.face_classes:
-        if fc.self_glued:
-            raise TriangulationError(
-                "homology is not defined for self-identified facets")
-    for ec in sk.edge_classes:
-        if not ec.valid:
-            raise TriangulationError(
-                "homology requires all edges valid (no reversed self-gluing)")
+    if sk.self_glued_facets:
+        raise TriangulationError(
+            "homology is not defined for self-identified facets")
+    if sk.invalid_edges:
+        raise TriangulationError(
+            "homology requires all edges valid (no reversed self-gluing)")
 
 
 def _boundary_columns(tri):
@@ -234,17 +232,17 @@ def _boundary_columns(tri):
     a dict edge class -> nonzero coefficient."""
     require_valid_cells(tri)
     sk = tri.skeleton
-    ends = [None] * sk.edge_count
-    for ec in sk.edge_classes:
-        t, ei = ec.slots[0]
+    vertex_class = sk.vertex_class
+    ends = []
+    for s in sk.edge_first:
+        t, ei = divmod(s, 6)
         a, b = EDGE_VERTICES[ei]
-        if ec.signs[0] < 0:
+        if sk.edge_sign[s] < 0:
             a, b = b, a
-        ends[ec.index] = (sk.vertex_lookup[(t, a)][0],
-                          sk.vertex_lookup[(t, b)][0])
-    faces = [None] * sk.face_count
-    for fc in sk.face_classes:
-        t, f = fc.slots[0]
+        ends.append((vertex_class[4 * t + a], vertex_class[4 * t + b]))
+    faces = []
+    for s in sk.face_first:
+        t, f = divmod(s, 4)
         w = FACET_VERTICES[f]
         col = {}
         for coeff, (x, y) in ((1, (w[1], w[2])), (-1, (w[0], w[2])), (1, (w[0], w[1]))):
@@ -254,7 +252,7 @@ def _boundary_columns(tri):
                 col[idx] = v
             else:
                 del col[idx]
-        faces[fc.index] = col
+        faces.append(col)
     return ends, faces
 
 

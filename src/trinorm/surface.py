@@ -161,13 +161,16 @@ def check_embeddable(coord):
 def edge_weights(tri, coord):
     """Intersection count of the coordinate with each edge class; slots of
     one class must agree."""
-    per_tet = [coord.tet_edge_weights(t) for t in range(coord.tet_count)]
-    out = []
-    for ec in tri.skeleton.edge_classes:
-        ws = {per_tet[t][ei] for t, ei in ec.slots}
-        if len(ws) != 1:
-            raise CoordinateError(f"edge class {ec.index} has mixed weights {ws}")
-        out.append(ws.pop())
+    sk = tri.skeleton
+    per_slot = [w for t in range(coord.tet_count)
+                for w in coord.tet_edge_weights(t)]
+    out = [per_slot[x] for x in sk.edge_first]
+    if any(out[c] != w for c, w in zip(sk.edge_class, per_slot)):
+        for ec in sk.edge_classes:
+            ws = {per_slot[6 * t + ei] for t, ei in ec.slots}
+            if len(ws) != 1:
+                raise CoordinateError(
+                    f"edge class {ec.index} has mixed weights {ws}")
     return out
 
 
@@ -181,12 +184,13 @@ def euler_char(tri, coord, weights=None):
     the ``edge_weights`` it has already checked."""
     check_embeddable(coord)
     e = 0
-    for fc in tri.skeleton.face_classes:
-        t1, f1 = fc.slots[0]
+    for x in tri.skeleton.face_first:
+        t1, f1 = divmod(x, 4)
         arcs = coord.arc_counts(t1, f1)
         verts = FACET_VERTICES[f1]
-        if not fc.boundary:
-            t2, perm = tri.gluing(t1, f1)
+        g = tri.gluing(t1, f1)
+        if g is not None:
+            t2, perm = g
             f2 = perm[f1]
             other = coord.arc_counts(t2, f2)
             for v in verts:
@@ -239,9 +243,8 @@ def canonical_surface(tri, phi):
                              tuple(tuple(r) for r in quads),
                              tuple((0, 0, 0) for _ in range(n)))
     ws = edge_weights(tri, coord)
-    for ec in tri.skeleton.edge_classes:
-        if ws[ec.index] != phi[ec.index]:
-            raise AssertionError("canonical surface weight differs from parity")
+    if any(w != phi[e] for e, w in enumerate(ws)):
+        raise AssertionError("canonical surface weight differs from parity")
     return CanonicalSurface(coord, phi, euler_char(tri, coord, ws))
 
 
@@ -284,8 +287,8 @@ def b_modification(tri, canon, b_edges):
                 "b-modification needs all tetrahedra of quad type")
         qi = canon_quads.index(1)
         e1, e2 = QUAD_PAIRS[qi]
-        c1 = sk.edge_lookup[(t, e1)][0] in b
-        c2 = sk.edge_lookup[(t, e2)][0] in b
+        c1 = sk.edge_class[6 * t + e1] in b
+        c2 = sk.edge_class[6 * t + e2] in b
         if not c1 and not c2:
             quads[t][qi] = 1
         elif c1 and c2:
@@ -350,8 +353,8 @@ def formal_chi(tri, coord):
     inv_deg = {}
     for t in range(tri.tet_count):
         for ei in range(6):
-            cls = sk.edge_lookup[(t, ei)][0]
-            inv_deg[(t, ei)] = Fraction(1, sk.edge_classes[cls].degree)
+            degree = sk.edge_degrees[sk.edge_class[6 * t + ei]]
+            inv_deg[(t, ei)] = Fraction(1, degree)
     total = Fraction(0)
     for t in range(tri.tet_count):
         for v in range(4):
@@ -401,8 +404,8 @@ def twisted_square_scan(tri):
         pair_info = []
         for ei in range(3):
             ej = OPPOSITE_EDGE[ei]
-            ci, si = sk.edge_lookup[(t, ei)]
-            cj, sj = sk.edge_lookup[(t, ej)]
+            ci, si = sk.edge_class[6 * t + ei], sk.edge_sign[6 * t + ei]
+            cj, sj = sk.edge_class[6 * t + ej], sk.edge_sign[6 * t + ej]
             pair_info.append((ci == cj, si * sj))
         idx = [i for i in range(3) if pair_info[i][0]]
         if len(idx) < 2:
@@ -476,10 +479,12 @@ def surface_classify(tri, coord, chi=None):
     """(chi, orientable, connected) of an embedded coordinate.
 
     Orientability is decided by propagating transverse orientations across
-    the normal disc adjacency graph; in the orientable manifolds built
-    here that coincides with orientability of the surface itself.  A
-    caller that has already counted the coordinate with ``euler_char``
-    (which also validates it) passes that ``chi`` instead of recounting.
+    the normal disc adjacency graph.  That coincides with orientability of
+    the surface itself only in an orientable manifold, so in a
+    non-orientable one ``orientable`` is None: not decided.  The empty
+    surface is orientable.  A caller that has already counted the
+    coordinate with ``euler_char`` (which also validates it) passes that
+    ``chi`` instead of recounting.
     """
     if chi is None:
         chi = euler_char(tri, coord)
@@ -493,11 +498,12 @@ def surface_classify(tri, coord, chi=None):
     # discs joined across faces, with a parity bit when the transverse
     # orientations disagree; any odd cycle (a conflict) is one-sidedness
     uf = _UnionFind(len(discs))
-    for fc in tri.skeleton.face_classes:
-        if fc.boundary:
+    for x in tri.skeleton.face_first:
+        t1, f1 = divmod(x, 4)
+        g = tri.gluing(t1, f1)
+        if g is None:
             continue
-        t1, f1 = fc.slots[0]
-        t2, perm = tri.gluing(t1, f1)
+        t2, perm = g
         f2 = perm[f1]
         for v in FACET_VERTICES[f1]:
             side1 = _arcs_at(coord, by_tet, discs, t1, f1, v)
@@ -510,4 +516,5 @@ def surface_classify(tri, coord, chi=None):
                 uf.union(d1, d2, 0 if s1 == s2 else 1)
 
     roots = {uf.find(i)[0] for i in range(len(discs))}
-    return chi, not uf.conflict, len(roots) == 1
+    orientable = not uf.conflict if tri.is_orientable else None
+    return chi, orientable, len(roots) == 1

@@ -11,7 +11,7 @@ which is what makes one-vertex triangulations of closed manifolds possible.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .perm import Perm4, ALL_PERMS, INVERSE, PRODUCT
@@ -202,7 +202,7 @@ class _UnionFind:
 @dataclass(frozen=True)
 class EdgeClass:
     index: int
-    slots: tuple          # ((tet, edge_index), ...) in discovery order
+    slots: tuple          # ((tet, edge_index), ...) in slot order
     signs: tuple          # +1 if the slot's ascending orientation matches the class
     boundary: bool
     valid: bool           # False when identified with itself reversed
@@ -221,70 +221,117 @@ class FaceClass:
     self_glued: bool      # facet glued to itself by a non-trivial map
 
 
-@dataclass(frozen=True)
+def _members(classes, count):
+    """The slots of each class, in slot order, from a per-slot class list."""
+    members = [[] for _ in range(count)]
+    for x, c in enumerate(classes):
+        members[c].append(x)
+    return members
+
+
 class Skeleton:
-    vertex_classes: tuple
-    edge_classes: tuple
-    face_classes: tuple
-    vertex_lookup: dict = field(repr=False)
-    edge_lookup: dict = field(repr=False)
-    face_lookup: dict = field(repr=False)
+    """The vertex, edge and face classes of a triangulation as flat lists
+    indexed by slot: slot 4t+i is vertex i or facet i of tetrahedron t, and
+    slot 6t+i is its edge i.
 
-    @property
-    def vertex_count(self):
-        return len(self.vertex_classes)
+    ``vertex_class``, ``edge_class`` and ``face_class`` give each slot's
+    class, classes being numbered by their first slot, which
+    ``vertex_first``, ``edge_first`` and ``face_first`` record.
+    ``edge_sign`` and ``face_sign`` are +1 where the slot's ascending
+    orientation is the class direction and -1 where it is reversed; a
+    vertex slot's sign is always +1.  ``invalid_edges`` holds the edge
+    classes identified with themselves reversed, ``boundary_facets`` and
+    ``self_glued_facets`` the facet slots left free or glued to themselves.
 
-    @property
-    def edge_count(self):
-        return len(self.edge_classes)
+    The class tuples ``vertex_classes``, ``edge_classes`` and
+    ``face_classes`` are views built from the lists on first use."""
 
-    @property
-    def face_count(self):
-        return len(self.face_classes)
+    def __init__(self, vertex_class, vertex_first, edge_class, edge_sign,
+                 edge_first, invalid_edges, face_class, face_sign, face_first,
+                 boundary_facets, self_glued_facets):
+        self.vertex_class = vertex_class
+        self.vertex_first = vertex_first
+        self.edge_class = edge_class
+        self.edge_sign = edge_sign
+        self.edge_first = edge_first
+        self.invalid_edges = invalid_edges
+        self.face_class = face_class
+        self.face_sign = face_sign
+        self.face_first = face_first
+        self.boundary_facets = boundary_facets
+        self.self_glued_facets = self_glued_facets
+        self.vertex_count = len(vertex_first)
+        self.edge_count = len(edge_first)
+        self.face_count = len(face_first)
+
+    @cached_property
+    def vertex_classes(self):
+        return tuple(tuple(divmod(x, 4) for x in slots)
+                     for slots in _members(self.vertex_class,
+                                           self.vertex_count))
+
+    @cached_property
+    def edge_classes(self):
+        edge_class, sign = self.edge_class, self.edge_sign
+        boundary = {edge_class[6 * (x // 4) + ei]
+                    for x in self.boundary_facets
+                    for ei in FACET_EDGES[x % 4]}
+        return tuple(
+            EdgeClass(c, tuple(divmod(x, 6) for x in slots),
+                      tuple(sign[x] for x in slots), c in boundary,
+                      c not in self.invalid_edges)
+            for c, slots in enumerate(_members(edge_class, self.edge_count)))
+
+    @cached_property
+    def face_classes(self):
+        face_class, sign = self.face_class, self.face_sign
+        boundary = {face_class[x] for x in self.boundary_facets}
+        glued = {face_class[x] for x in self.self_glued_facets}
+        return tuple(
+            FaceClass(c, tuple(divmod(x, 4) for x in slots),
+                      tuple(sign[x] for x in slots), c in boundary,
+                      c in glued)
+            for c, slots in enumerate(_members(face_class, self.face_count)))
+
+    @cached_property
+    def edge_degrees(self):
+        """The degree of each edge class: its number of slots."""
+        degrees = [0] * self.edge_count
+        for c in self.edge_class:
+            degrees[c] += 1
+        return degrees
 
     def degrees(self):
-        return tuple(e.degree for e in self.edge_classes)
+        return tuple(self.edge_degrees)
 
     def degree_histogram(self):
         hist = {}
-        for e in self.edge_classes:
-            hist[e.degree] = hist.get(e.degree, 0) + 1
+        for d in self.edge_degrees:
+            hist[d] = hist.get(d, 0) + 1
         return dict(sorted(hist.items()))
 
     def edge_class_of(self, tet, a, b):
         """Class index and orientation sign of edge {a,b} of the given
         tetrahedron; sign +1 means min(a,b)->max(a,b) is the class direction."""
-        return self.edge_lookup[(tet, EDGE_INDEX[(a, b)])]
+        x = 6 * tet + EDGE_INDEX[(a, b)]
+        return self.edge_class[x], self.edge_sign[x]
 
 
-def _classes(uf, n, width):
-    """Classes of a finished union-find over the slots (tet, i) with
-    0 <= i < width, numbered by their first slot.  Returns the class of
-    each root, each class's slots and signs, and the lookup
-    slot -> (class, sign); sign +1 means the slot agrees with its root."""
-    parent, parity = uf.flatten()
-    index = {}
-    slots, signs, lookup = [], [], {}
-    # the lookup values (class, +1) and (class, -1), one pair per class
-    values = []
-    x = 0
-    for t in range(n):
-        for i in range(width):
-            root = parent[x]
-            c = index.get(root)
-            if c is None:
-                c = index[root] = len(slots)
-                slots.append([])
-                signs.append([])
-                values.append(((c, 1), (c, -1)))
-            key = (t, i)
-            value = values[c][parity[x]]
-            slots[c].append(key)
-            signs[c].append(value[1])
-            lookup[key] = value
-            x += 1
-    return (index, [tuple(s) for s in slots], [tuple(s) for s in signs],
-            lookup)
+def _numbered(uf):
+    """Classes of a finished union-find over slots, numbered by their first
+    slot: returns each slot's class, each class's first slot, and the
+    class of each root.  A slot's parity is relative to its root, so a
+    class's direction follows its root, not its first slot."""
+    parent, _ = uf.flatten()
+    # roots in the order of their first slot; the reversed walk leaves
+    # each root's least slot in ``first``
+    of_root = dict.fromkeys(parent)
+    first = dict(zip(reversed(parent), range(len(parent) - 1, -1, -1)))
+    firsts = []
+    for c, root in enumerate(of_root):
+        of_root[root] = c
+        firsts.append(first[root])
+    return list(map(of_root.__getitem__, parent)), firsts, of_root
 
 
 class Triangulation:
@@ -355,52 +402,56 @@ class Triangulation:
         n = self.tet_count
         vert_uf = _UnionFind(4 * n)
         edge_uf = _UnionFind(6 * n)
-        face_uf = _UnionFind(4 * n)
         vert_union, edge_union = vert_uf.union, edge_uf.union
+        # a face class is one free facet, one self-glued facet, or a lower
+        # slot with the upper slot it is glued to, numbered by lower slot
+        face_class = [0] * (4 * n)
+        face_sign = [1] * (4 * n)
+        face_first = []
         boundary_facets = []
         self_glued = []
         for t, row in enumerate(self._gluings):
+            t4, t6 = 4 * t, 6 * t
             for f, g in enumerate(row):
+                x = t4 + f
                 if g is None:
-                    boundary_facets.append((t, f))
+                    face_class[x] = len(face_first)
+                    face_first.append(x)
+                    boundary_facets.append(x)
                     continue
                 u, perm = g
                 target, parity, vertices, edges = GLUING_TABLE[perm.index][f]
-                # each gluing is unioned once, from its lower (tet, facet)
-                # side; a self-glued facet is its own lower side
-                if u < t or (u == t and target < f):
+                u4 = 4 * u
+                y = u4 + target
+                # each gluing is read once, from its lower slot; a
+                # self-glued facet is its own lower slot
+                if y < x:
                     continue
-                if u == t and target == f:
-                    self_glued.append((t, f))
-                face_uf.union(4 * t + f, 4 * u + target, parity)
-                t4, u4 = 4 * t, 4 * u
+                face_class[x] = len(face_first)
+                face_first.append(x)
+                if y == x:
+                    self_glued.append(x)
+                else:
+                    face_class[y] = face_class[x]
+                    if parity:
+                        face_sign[y] = -1
                 for v, w in vertices:
                     vert_union(t4 + v, u4 + w, 0)
-                t6, u6 = 6 * t, 6 * u
+                u6 = 6 * u
                 for e, d, flip in edges:
                     edge_union(t6 + e, u6 + d, flip)
 
-        _, vslots, _, vlookup = _classes(vert_uf, n, 4)
-        eroots, eslots, esigns, elookup = _classes(edge_uf, n, 6)
-        _, fslots, fsigns, flookup = _classes(face_uf, n, 4)
-
-        bad_edges = {eroots[r] for r in edge_uf.conflict}
-        boundary_edges = {elookup[(t, ei)][0] for t, f in boundary_facets
-                          for ei in FACET_EDGES[f]}
-        boundary_faces = {flookup[slot][0] for slot in boundary_facets}
-        glued_faces = {flookup[slot][0] for slot in self_glued}
-        edge_classes = tuple(
-            EdgeClass(i, slots, signs, i in boundary_edges, i not in bad_edges)
-            for i, (slots, signs) in enumerate(zip(eslots, esigns)))
-        face_classes = tuple(
-            FaceClass(i, slots, signs, i in boundary_faces, i in glued_faces)
-            for i, (slots, signs) in enumerate(zip(fslots, fsigns)))
-        return Skeleton(tuple(vslots), edge_classes, face_classes,
-                        vlookup, elookup, flookup)
+        vertex_class, vertex_first, _ = _numbered(vert_uf)
+        edge_class, edge_first, of_root = _numbered(edge_uf)
+        edge_sign = [1 - 2 * p for p in edge_uf.parity]
+        invalid_edges = frozenset(of_root[r] for r in edge_uf.conflict)
+        return Skeleton(vertex_class, vertex_first, edge_class, edge_sign,
+                        edge_first, invalid_edges, face_class, face_sign,
+                        face_first, boundary_facets, self_glued)
 
     @property
     def is_valid(self):
-        return all(e.valid for e in self.skeleton.edge_classes)
+        return not self.skeleton.invalid_edges
 
     # ----- global structure ----------------------------------------------
 

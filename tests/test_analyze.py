@@ -15,7 +15,7 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              almost_supportive_tori, compression_pattern_scan,
                              complexity_certificate)
 from trinorm.build import AnnulusFilling, augmented_solid_torus
-from trinorm.triangulation import EDGE_INDEX, TriangulationError
+from trinorm.triangulation import TriangulationError
 from test_triangulation import _random_relabelling
 
 
@@ -360,6 +360,31 @@ def test_certificate_checks_the_family_not_the_label():
     assert not cert["certified"] and "reason" not in cert
 
 
+def test_certificate_builds_only_members_with_the_input_homology(
+        monkeypatch):
+    built = []
+    real = analyze.seifert_family
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analyze, "seifert_family", counted)
+    # a member: 253 M candidates have 50 tetrahedra, and only M(8,8,8)
+    # has its homology
+    member = build.seifert_family("M", 8, 8, 8)[0]
+    assert complexity_certificate(member, family="M")["certified"]
+    assert built == [("M", 8, 8, 8)]
+    # a non-member of the same size: no candidate shares its homology
+    built.clear()
+    other = build.layered_loop(50, twisted=True)
+    cert = complexity_certificate(other, family="M")
+    assert not cert["certified"] and built == []
+    # without a homology every candidate is built
+    assert len(list(analyze._family_members("M", 12))) == 6
+    assert len(built) == 6
+
+
 def test_family_members_follow_the_tetrahedron_count():
     sizes = {("M", 12): 6, ("MPRIME", 13): 6, ("P", 9): 1, ("Q", 8): 1,
              ("balanced-lens", 7): 1,
@@ -404,14 +429,14 @@ def _reference_try_extend(tri, emb):
     fa, fb = g1[1][f1], g2[1][f2]
     hinge = tuple(v for v in range(4) if v not in (fa, fb))
     amb = tri.skeleton
-    hinge_class = amb.edge_lookup[(new, EDGE_INDEX[hinge])][0]
+    hinge_class = amb.edge_class_of(new, *hinge)[0]
     if hinge_class not in emb.boundary_edges:
         return None
     others = [e for e in emb.boundary_edges if e != hinge_class]
     new_weight = build.relayered_weight(emb.edge_weights[hinge_class],
                                         *(emb.edge_weights[e] for e in others))
     opp = tuple(v for v in range(4) if v not in hinge)
-    new_class = amb.edge_lookup[(new, EDGE_INDEX[opp])][0]
+    new_class = amb.edge_class_of(new, *opp)[0]
     if new_class in emb.edge_weights:
         return None
     weights = dict(emb.edge_weights)
@@ -424,7 +449,7 @@ def _reference_try_extend(tri, emb):
     degrees = {}
     for ec in sk.edge_classes:
         lt, ei = ec.slots[0]
-        degrees[amb.edge_lookup[(grown[lt], ei)][0]] = ec.degree
+        degrees[amb.edge_class[6 * grown[lt] + ei]] = ec.degree
     if len(degrees) != len(grown) + 2:
         return None
     boundary = tuple(others + [new_class])

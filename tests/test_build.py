@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trinorm import build, homology, cocycle
 from trinorm.perm import Perm4
-from trinorm.triangulation import (EDGE_INDEX, FACET_VERTICES, TriBuilder,
-                                   Triangulation, TriangulationError)
+from trinorm.triangulation import (FACET_VERTICES, TriBuilder, Triangulation,
+                                   TriangulationError)
 
 
 def test_lst_examples():
@@ -271,7 +271,7 @@ def _reference_transfer_edge_classes(old, new):
     mapping = {}
     for ec in old.skeleton.edge_classes:
         t, ei = ec.slots[0]
-        mapping[ec.index] = new.skeleton.edge_lookup[(t, ei)][0]
+        mapping[ec.index] = new.skeleton.edge_class[6 * t + ei]
     return mapping
 
 
@@ -283,7 +283,7 @@ def _reference_relayered_meta(old, out, meta, layered_class, new_tet):
         meta.edge_weights[layered_class],
         *(meta.edge_weights[e] for e in meta.boundary_edges
           if e != layered_class))
-    new_class = out.skeleton.edge_lookup[(new_tet, EDGE_INDEX[(2, 3)])][0]
+    new_class = out.skeleton.edge_class_of(new_tet, 2, 3)[0]
     weights[new_class] = new_weight
     boundary = tuple(kept + [new_class])
     triple = sorted(weights[e] for e in boundary)

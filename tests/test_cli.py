@@ -15,6 +15,8 @@ from trinorm import build, verifysuite
 from trinorm.cli import main
 from trinorm.perm import ALL_PERMS
 from trinorm.triangulation import parse, serialize
+from test_skeleton import gluing_tables
+from test_surface import NON_ORIENTABLE_TRI
 
 
 def run_cli(args):
@@ -112,6 +114,26 @@ def test_bounds_certificate_checks_the_family(tmp_path, capsys):
     assert main(["bounds", str(out), "--family", "Q"]) == 0
     cert = json.loads(capsys.readouterr().out)["certificate"]
     assert cert["certified"] is True and "reason" not in cert
+
+
+def test_bounds_accepts_every_family_spelling(tmp_path, capsys):
+    # the spellings construct accepts name the same family in bounds, and
+    # the certificate reports the canonical one
+    out = tmp_path / "mprime.tri"
+    assert main(["construct", "family", "--tag", "M'", "-k", "1", "-m", "1",
+                 "-n", "1", "-o", str(out)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for family in ("MPRIME", "M'", "M\u2032", "mprime"):
+        assert main(["bounds", str(out), "--family", family]) == 0
+        outputs.append(capsys.readouterr().out)
+        cert = json.loads(outputs[-1])["certificate"]
+        assert cert["certified"] is True and cert["family"] == "MPRIME"
+    assert len(set(outputs)) == 1
+    assert main(["bounds", str(out), "--family", "M\u2033"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["certified"] is False and cert["family"] == "M\u2033"
+    assert cert["reason"].startswith("unknown family 'M\u2033'")
 
 
 def test_moves_and_promote(tmp_path, capsys):
@@ -303,6 +325,14 @@ def test_reports_validate_against_published_schema(tmp_path, capsys):
         assert main(["analyze", str(out)]) == 0
         report = json.loads(capsys.readouterr().out)
         jsonschema.validate(report, schema)
+    # in a non-orientable manifold the surface's orientability is null
+    out = tmp_path / "non_orientable.tri"
+    out.write_text(NON_ORIENTABLE_TRI)
+    assert main(["analyze", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, schema)
+    assert report["orientable"] is False
+    assert [c["surface"]["orientable"] for c in report["classes"]] == [None]
 
 
 ERROR_CASES = {
@@ -531,10 +561,9 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=60, deadline=None)
-@given(text=mutated_tri_texts())
-def test_mutated_files_keep_the_exit_contract(text, fuzz_dir):
-    path = fuzz_dir / "mutated.tri"
+def _assert_exit_contract(text, path):
+    """Every read-only report on the file exits 0, 1 or 2, never with a
+    traceback."""
     path.write_text(text)
     for command in FUZZ_COMMANDS:
         # in process: an uncaught exception here is the traceback the
@@ -548,3 +577,18 @@ def test_mutated_files_keep_the_exit_contract(text, fuzz_dir):
             code = exc.code
         assert code in (0, 1, 2), (command, code)
         assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=mutated_tri_texts())
+def test_mutated_files_keep_the_exit_contract(text, fuzz_dir):
+    _assert_exit_contract(text, fuzz_dir / "mutated.tri")
+
+
+@settings(max_examples=100, deadline=None)
+@given(tri=st.one_of(gluing_tables(), gluing_tables(kinds=("pair",))))
+def test_random_gluing_tables_keep_the_exit_contract(tri, fuzz_dir):
+    # valid tables with free, self-glued and non-orientable gluings and
+    # invalid edges, and closed ones that pass the input checks, so every
+    # reader of the skeleton lists meets them
+    _assert_exit_contract(serialize(tri), fuzz_dir / "random.tri")

@@ -390,8 +390,8 @@ def _reference_boundary_matrices(tri):
         a, b = EDGE_VERTICES[ei]
         if ec.signs[0] < 0:
             a, b = b, a
-        d1[sk.vertex_lookup[(t, b)][0]][ec.index] += 1
-        d1[sk.vertex_lookup[(t, a)][0]][ec.index] -= 1
+        d1[sk.vertex_class[4 * t + b]][ec.index] += 1
+        d1[sk.vertex_class[4 * t + a]][ec.index] -= 1
     d2 = [[0] * nf for _ in range(ne)]
     for fc in sk.face_classes:
         t, f = fc.slots[0]
@@ -421,8 +421,8 @@ def _reference_first_homology(tri):
     for ec in sk.edge_classes:
         t, ei = ec.slots[0]
         a, b = EDGE_VERTICES[ei]
-        va = sk.vertex_lookup[(t, a)][0]
-        vb = sk.vertex_lookup[(t, b)][0]
+        va = sk.vertex_class[4 * t + a]
+        vb = sk.vertex_class[4 * t + b]
         if tree.find(va)[0] != tree.find(vb)[0]:
             tree.union(va, vb, 0)
             col = [0] * ne

@@ -3,11 +3,11 @@ replaced, kept here word for word as the reference."""
 
 from hypothesis import given, settings, strategies as st
 
-from trinorm import build, verifysuite
+from trinorm import build, cocycle, homology, surface, verifysuite
 from trinorm.perm import ALL_PERMS
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                                    FACET_VERTICES, EdgeClass, FaceClass,
-                                   Skeleton, TriBuilder, _UnionFind)
+                                   TriBuilder, Triangulation, _UnionFind)
 
 
 # ----- the reference: every facet visited from both sides --------------------
@@ -101,19 +101,39 @@ def _reference_skeleton(self):
                                       i in boundary_faces, i in self_glued))
 
     vertex_classes = tuple(tuple(m[0] for m in members) for members in vclasses)
-    return Skeleton(vertex_classes, tuple(edge_classes), tuple(face_classes),
-                    vlookup, elookup, flookup)
+    return (vertex_classes, tuple(edge_classes), tuple(face_classes),
+            vlookup, elookup, flookup)
 
 
 def _assert_matches_reference(tri):
-    want = _reference_skeleton(tri)
-    got = tri.skeleton
-    # dataclass equality covers the classes, their slots and signs and the
-    # three lookups; the lookups are compared again so a failure names them
-    assert got.vertex_lookup == want.vertex_lookup
-    assert got.edge_lookup == want.edge_lookup
-    assert got.face_lookup == want.face_lookup
-    assert got == want
+    (vertex_classes, edge_classes, face_classes,
+     vlookup, elookup, flookup) = _reference_skeleton(tri)
+    sk = tri.skeleton
+    # each slot's (class, sign) in the flat lists; a vertex slot's sign is
+    # always +1, as every vertex gluing relates its slots with parity 0
+    assert {divmod(x, 4): (c, 1)
+            for x, c in enumerate(sk.vertex_class)} == vlookup
+    assert {divmod(x, 6): (c, s) for x, (c, s)
+            in enumerate(zip(sk.edge_class, sk.edge_sign))} == elookup
+    assert {divmod(x, 4): (c, s) for x, (c, s)
+            in enumerate(zip(sk.face_class, sk.face_sign))} == flookup
+    # the eager counts, first slots, degrees and flags
+    for first, count, classes, width in (
+            (sk.vertex_first, sk.vertex_count, vertex_classes, 4),
+            (sk.edge_first, sk.edge_count, [ec.slots for ec in edge_classes], 6),
+            (sk.face_first, sk.face_count, [fc.slots for fc in face_classes], 4)):
+        assert count == len(classes)
+        assert first == [width * t + i for (t, i), *_ in classes]
+    assert sk.degrees() == tuple(ec.degree for ec in edge_classes)
+    assert sk.invalid_edges == {ec.index for ec in edge_classes if not ec.valid}
+    assert sk.boundary_facets == sorted(
+        4 * t + f for fc in face_classes if fc.boundary for t, f in fc.slots)
+    assert sk.self_glued_facets == sorted(
+        4 * t + f for fc in face_classes if fc.self_glued for t, f in fc.slots)
+    # the views: each class's slots, signs and flags
+    assert sk.vertex_classes == vertex_classes
+    assert sk.edge_classes == edge_classes
+    assert sk.face_classes == face_classes
 
 
 # ----- the grids ----------------------------------------------------------------
@@ -139,22 +159,43 @@ def test_seifert_family_grids_match_reference():
     assert tags == {"M", "MPRIME", "P", "Q"}
 
 
+def test_hot_readers_never_build_the_class_tuples():
+    # homology, cocycles, Euler characteristics, surface classification,
+    # b-modifications and degree histograms read only the per-slot lists
+    for tri in (build.seifert_family("M", 1, 2, 1)[0],
+                build.layered_loop(6, twisted=True)):
+        fresh = Triangulation(tri.gluings)
+        homology.first_homology(fresh)
+        fresh.skeleton.degree_histogram()
+        for phi in cocycle.all_nonzero_classes(fresh):
+            cocycle.parity_census(fresh, phi)
+            canon = surface.canonical_surface(fresh, phi)
+            surface.surface_classify(fresh, canon.coord, canon.chi)
+            if all(any(q) for q in canon.coord.quads):
+                even = [e for e, bit in enumerate(phi) if not bit]
+                surface.b_modification(fresh, canon, even[:1])
+        built = {"vertex_classes", "edge_classes", "face_classes"}
+        assert not built & vars(fresh.skeleton).keys()
+
+
 # ----- random valid gluing tables ------------------------------------------------
 
 
 @st.composite
-def gluing_tables(draw):
+def gluing_tables(draw, kinds=("pair", "pair", "pair", "boundary", "self")):
     """A random involutive facet pairing on one to six tetrahedra: facets
     are left on the boundary, glued to themselves by a reflection, or
     paired with another facet by any permutation carrying one to the
-    other, so orientable and non-orientable tables both occur."""
+    other, so orientable and non-orientable tables both occur.  Each facet
+    takes a kind drawn from ``kinds``; with only "pair" the table is
+    closed."""
     n = draw(st.integers(1, 6))
     slots = draw(st.permutations([(t, f) for t in range(n) for f in range(4)]))
     builder = TriBuilder(n)
     i = 0
     while i < len(slots):
         t, f = slots[i]
-        kind = draw(st.sampled_from(("pair", "pair", "pair", "boundary", "self")))
+        kind = draw(st.sampled_from(kinds))
         if kind == "pair" and i + 1 < len(slots):
             u, g = slots[i + 1]
             perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == g]))

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from trinorm import build, cocycle, surface
 from trinorm.surface import (NormalCoordinate, CoordinateError,
-                             canonical_surface, chi_formula, euler_char,
-                             vertex_link, b_modification, special_solutions,
+                             canonical_surface, chi_formula, edge_weights,
+                             euler_char, vertex_link, b_modification,
+                             special_solutions,
                              formal_chi, twisted_square_scan, surface_classify,
                              edge_solution, tet_solution, check_embeddable,
                              QUAD_SIDE_A, QUAD_ARC_VERTEX, OCT_ARC_VERTICES,
                              TRI_EDGE_WEIGHTS, QUAD_EDGE_WEIGHTS,
                              OCT_EDGE_WEIGHTS)
-from trinorm.triangulation import FACET_VERTICES, TriangulationError
+from trinorm.triangulation import FACET_VERTICES, TriangulationError, parse
 
 
 def test_vertex_link_sphere():
@@ -113,6 +114,29 @@ def test_doubled_coordinates_classify_as_covers():
             break
     else:
         raise AssertionError("no Klein class found")
+
+
+# a closed one-vertex table on two tetrahedra that no orientation fits,
+# with first homology Z and so one nonzero Z/2 class
+NON_ORIENTABLE_TRI = """tri 2
+tet 0: 1:2031 1:3102 1:3102 1:0213
+tet 1: 0:2130 0:2130 0:1302 0:0213
+"""
+
+
+def test_orientability_is_left_open_in_a_non_orientable_manifold():
+    tri = parse(NON_ORIENTABLE_TRI)
+    assert tri.is_closed and tri.skeleton.vertex_count == 1
+    assert not tri.is_orientable
+    (phi,) = cocycle.all_nonzero_classes(tri)
+    canon = canonical_surface(tri, phi)
+    # transverse orientations conflict, which here does not decide whether
+    # the surface itself is orientable
+    assert surface_classify(tri, canon.coord) == (canon.chi, None, True)
+    link = vertex_link(tri)
+    assert surface_classify(tri, link) == (2, None, True)
+    empty = NormalCoordinate.zero(tri.tet_count)
+    assert surface_classify(tri, empty) == (0, True, False)
 
 
 def test_b_modification_cases():
@@ -348,6 +372,19 @@ def test_euler_char_matches_reference_on_combinations(data):
         _outcome(_ref_euler_char, tri, coord)
 
 
+def _ref_edge_weights(tri, coord):
+    """The edge weights read class by class off the class tuples, the loop
+    the per-slot lists replaced."""
+    per_tet = [coord.tet_edge_weights(t) for t in range(coord.tet_count)]
+    out = []
+    for ec in tri.skeleton.edge_classes:
+        ws = {per_tet[t][ei] for t, ei in ec.slots}
+        if len(ws) != 1:
+            raise CoordinateError(f"edge class {ec.index} has mixed weights {ws}")
+        out.append(ws.pop())
+    return out
+
+
 def _corrupt(coord, part, tet, index, delta):
     rows = [list(r) for r in getattr(coord, part)]
     rows[tet][index] += delta
@@ -368,6 +405,8 @@ def test_corrupted_coordinates_still_raise(part, index, delta):
             kind, message = _outcome(euler_char, tri, bad)
             assert kind == "error"
             assert (kind, message) == _outcome(_ref_euler_char, tri, bad)
+            assert _outcome(edge_weights, tri, bad) == \
+                _outcome(_ref_edge_weights, tri, bad)
             with pytest.raises(CoordinateError):
                 surface_classify(tri, bad)
     formal = NormalCoordinate(good.tris, good.quads, good.octs, formal=True)
