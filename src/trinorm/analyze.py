@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 from .perm import Perm4
 from .triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
-                            Triangulation, TriBuilder, TriangulationError)
+                            TriBuilder, TriangulationError)
 from . import homology as _homology
-from .build import (family_slopes, family_tag, lens_space, relayered_weight,
-                    seifert_family)
+from .build import (SEED_WEIGHTS, family_slopes, family_tag, lens_space,
+                    relayered_weight, seifert_family)
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
                       all_nonzero_classes, Cocycle, face_relation_rows,
                       is_cocycle)
@@ -53,57 +53,32 @@ class LstEmbedding:
         return kinds.pop()
 
 
-def _subcomplex(tri, tets):
-    """Induced triangulation on a set of tetrahedra (gluings between them)."""
-    index = {t: i for i, t in enumerate(tets)}
-    rows = []
-    for t in tets:
-        row = []
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is None or g[0] not in index:
-                row.append(None)
-            else:
-                row.append((index[g[0]], g[1]))
-        rows.append(row)
-    return Triangulation(rows)
-
-
 def _seed_classes(tri, t):
-    """If tetrahedron t has two of its facets glued to each other and forms
-    a one-tetrahedron layered solid torus, return its structure."""
-    pairs = []
-    for f in range(4):
-        g = tri.gluing(t, f)
-        if g is not None and g[0] == t and g[1][f] != f:
-            pairs.append((f, g[1][f]))
-    pairs = {tuple(sorted(p)) for p in pairs}
-    if len(pairs) != 1:
+    """If tetrahedron t forms a one-tetrahedron layered solid torus, return
+    its structure.  That is when exactly two of its facets are glued to
+    each other, not by a map carrying their shared edge to itself, and its
+    six edge slots fall into three ambient classes; the count of slots in
+    each class is its degree in the torus, 1, 2 or 3."""
+    glued = [(f, g[1]) for f, g in enumerate(tri.gluings[t])
+             if g is not None and g[0] == t]
+    if len(glued) != 2:
         return None
-    sub = _subcomplex(tri, (t,))
-    sk = sub.skeleton
-    if sk.edge_count != 3 or len(sub.boundary_facets()) != 2:
+    fa, perm = glued[0]
+    fb = perm[fa]
+    if fb == fa or perm[fb] == fa:
+        # a facet glued to itself, or the pair's shared edge kept
         return None
-    by_degree = {}
-    for ec in sk.edge_classes:
-        by_degree.setdefault(ec.degree, []).append(ec)
-    if sorted(by_degree) != [1, 2, 3]:
-        return None
-    weights = {}
     degrees = {}
-    amb = tri.skeleton
-    for ec in sk.edge_classes:
-        slot_t, ei = ec.slots[0]
-        cls = amb.edge_class[6 * t + ei]
-        weights[cls] = {3: 1, 2: 2, 1: 3}[ec.degree]
-        degrees[cls] = ec.degree
-    if len(weights) != 3:
-        # boundary edges identified in the ambient complex; the weight
+    for c in tri.skeleton.edge_class[6 * t:6 * t + 6]:
+        degrees[c] = degrees.get(c, 0) + 1
+    if len(degrees) != 3:
+        # torus edges identified in the ambient complex; the weight
         # bookkeeping per ambient class breaks down, so skip this seed
         return None
-    boundary = tuple(weights)
+    weights = {c: SEED_WEIGHTS[d] for c, d in degrees.items()}
     univalent = next(c for c, d in degrees.items() if d == 1)
-    return LstEmbedding((t,), weights, boundary, (), univalent, None, degrees)
+    return LstEmbedding((t,), weights, tuple(weights), (), univalent, None,
+                        degrees)
 
 
 def _try_extend(tri, emb):
@@ -212,9 +187,10 @@ def low_degree_lint(tri, lsts=None):
     """
     sk = tri.skeleton
     report = {"degree_1": [], "degree_2": [], "degree_3": []}
-    low3 = [ec.index for ec in sk.edge_classes if ec.degree == 3]
-    low2 = [ec.index for ec in sk.edge_classes if ec.degree == 2]
-    low1 = [ec.index for ec in sk.edge_classes if ec.degree == 1]
+    degrees = sk.edge_degrees
+    low3 = [e for e, d in enumerate(degrees) if d == 3]
+    low2 = [e for e, d in enumerate(degrees) if d == 2]
+    low1 = [e for e, d in enumerate(degrees) if d == 1]
     # the homology only labels degree-1 and degree-2 edges and degree-3
     # edges on at most two tetrahedra
     h = None
@@ -391,10 +367,11 @@ def _edge_class_transport(tri, new_tri, new_index, base, surgery):
 
 
 def move23(tri, face_class):
-    fc = tri.skeleton.face_classes[face_class]
-    if fc.boundary or fc.self_glued:
+    sk = tri.skeleton
+    x = sk.face_first[face_class]
+    if x in sk.boundary_facets or x in sk.self_glued_facets:
         raise TriangulationError("2-3 move needs an interior face")
-    (ta, fa) = fc.slots[0]
+    ta, fa = divmod(x, 4)
     tb, perm = tri.gluing(ta, fa)
     fb = perm[fa]
     if ta == tb:
@@ -426,8 +403,7 @@ def _wedges(tri, edge_class, distinct):
 
 
 def move32(tri, edge_class):
-    ec = tri.skeleton.edge_classes[edge_class]
-    if ec.degree != 3:
+    if tri.skeleton.edge_degrees[edge_class] != 3:
         raise TriangulationError("3-2 move needs a degree-3 edge")
     wedges = _wedges(tri, edge_class, distinct=True)
     internal = [(0, 3, 1, 3, Perm4((0, 1, 2, 3)))]
@@ -448,8 +424,7 @@ def move32(tri, edge_class):
 
 
 def move44(tri, edge_class, axis=0):
-    ec = tri.skeleton.edge_classes[edge_class]
-    if ec.degree != 4:
+    if tri.skeleton.edge_degrees[edge_class] != 4:
         raise TriangulationError("4-4 move needs a degree-4 edge")
     if axis not in (0, 1):
         raise TriangulationError("axis must be 0 or 1")
@@ -566,7 +541,7 @@ def _quad_tori(tri, phi, types=None):
 def _one_three_rest_four(sk, edges):
     """Whether exactly one of the edge classes has degree three and every
     other one degree four."""
-    degrees = sorted(sk.edge_classes[e].degree for e in edges)
+    degrees = sorted(sk.edge_degrees[e] for e in edges)
     return degrees == [3] + [4] * (len(degrees) - 1)
 
 
@@ -616,10 +591,10 @@ def promote(tri, phi, max_steps=1000):
             return current, cur_phi, log
         emb = sup[0]
         e = _even_boundary_edge(current, cur_phi, emb)
-        ec = current.skeleton.edge_classes[e]
-        if ec.degree != 4:
+        degree = current.skeleton.edge_degrees[e]
+        if degree != 4:
             raise PromotionObstruction(emb, f"even boundary edge has degree "
-                                            f"{ec.degree}, not four")
+                                            f"{degree}, not four")
         wedge_tets = [w[0] for w in current.edge_link(e)]
         if len(set(wedge_tets)) != 4:
             raise PromotionObstruction(
@@ -664,7 +639,7 @@ def almost_supportive_tori(tri, phi, types=None):
                 sk, [e for e in emb.interior_edges if phi[e] == 0]):
             continue
         bdry_even = _even_boundary_edge(tri, phi, emb)
-        if sk.edge_classes[bdry_even].degree >= 5:
+        if sk.edge_degrees[bdry_even] >= 5:
             out.append((emb, bdry_even))
     return out
 
@@ -681,7 +656,7 @@ def compression_pattern_scan(tri, phi):
         by_edge.setdefault(e, []).append(emb)
     patterns = []
     for e, tori in sorted(by_edge.items()):
-        ec = sk.edge_classes[e]
+        degree = sk.edge_degrees[e]
         wedges = tri.edge_link(e)
         tets = [w[0] for w in wedges]
         if len(set(tets)) != len(tets):
@@ -692,7 +667,7 @@ def compression_pattern_scan(tri, phi):
             if top in tets:
                 top_positions.append(tets.index(top))
         top_positions.sort()
-        if ec.degree == 6 and len(tori) == 3:
+        if degree == 6 and len(tori) == 3:
             if len(top_positions) != 3:
                 continue
             alternating = top_positions in ([0, 2, 4], [1, 3, 5])
@@ -701,7 +676,7 @@ def compression_pattern_scan(tri, phi):
                 patterns.append({
                     "kind": "d6k3", "edge": e,
                     "disc_boundary": [(t, types[t][1]) for t in tets]})
-        elif ec.degree == 5 and len(tori) == 2:
+        elif degree == 5 and len(tori) == 2:
             if len(top_positions) != 2:
                 continue
             gap = (top_positions[1] - top_positions[0]) % 5

@@ -102,6 +102,11 @@ class SeifertParams:
     predicted_homology: homology.HomologyProfile
 
 
+# the meridian weight of each edge of a one-tetrahedron layered solid
+# torus, by its degree in the torus
+SEED_WEIGHTS = {3: 1, 2: 2, 1: 3}
+
+
 def _seed_lst():
     """The one-tetrahedron layered solid torus: facet 0 glued to facet 1 by
     the cyclic permutation.  Its three edges carry meridian weights 1
@@ -109,14 +114,10 @@ def _seed_lst():
     b = TriBuilder(1)
     b.join(0, 0, 0, Perm4((1, 2, 3, 0)))
     tri = b.freeze()
-    sk = tri.skeleton
-    weights = {}
-    for ec in sk.edge_classes:
-        weights[ec.index] = {3: 1, 2: 2, 1: 3}[ec.degree]
-    boundary = tuple(ec.index for ec in sk.edge_classes)
-    univalent = next(ec.index for ec in sk.edge_classes if ec.degree == 1)
-    return tri, LstMeta(1, 2, weights, boundary, univalent, None, (0,),
-                        _skeleton_book(tri))
+    degrees = tri.skeleton.edge_degrees
+    weights = {e: SEED_WEIGHTS[d] for e, d in enumerate(degrees)}
+    return tri, LstMeta(1, 2, weights, tuple(weights), degrees.index(1),
+                        None, (0,), _skeleton_book(tri))
 
 
 def _boundary_face_slots(tri):
@@ -146,11 +147,11 @@ def check_torus_boundary(tri):
     (t1, f1), (t2, f2) = _boundary_face_slots(tri)
     sk = tri.skeleton
 
-    def face_edge_classes(t, f):
+    def face_edges(t, f):
         return sorted(sk.edge_class[6 * t + ei] for ei in FACET_EDGES[f])
 
-    c1 = face_edge_classes(t1, f1)
-    c2 = face_edge_classes(t2, f2)
+    c1 = face_edges(t1, f1)
+    c2 = face_edges(t2, f2)
     if c1 != c2 or len(set(c1)) != 3:
         raise TriangulationError("boundary is not a one-vertex torus")
     return (t1, f1), (t2, f2), tuple(c1)

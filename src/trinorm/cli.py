@@ -26,13 +26,21 @@ class UsageError(Exception):
 
 def _load(path):
     """Read a .tri file and reject cells no command can work with: every
-    degree identity and the homology assume manifold edges and faces."""
+    degree identity and the homology assume manifold edges and faces, and
+    a closed input must be a manifold at its vertices too."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise TriangulationError(f"cannot read {path}: {exc.strerror}") from None
     tri = parse(text)
     homology.require_valid_cells(tri)
+    sk = tri.skeleton
+    if tri.is_closed and sk.vertex_count - sk.edge_count + tri.tet_count:
+        # with F = 2T the vertex links' Euler characteristics sum to
+        # 2E - 2T, and each is at most 2: every link is a sphere exactly
+        # when V - E + T = 0
+        raise TriangulationError(
+            "not a 3-manifold: a vertex link is not a sphere")
     return tri
 
 

@@ -166,11 +166,11 @@ def edge_weights(tri, coord):
                 for w in coord.tet_edge_weights(t)]
     out = [per_slot[x] for x in sk.edge_first]
     if any(out[c] != w for c, w in zip(sk.edge_class, per_slot)):
-        for ec in sk.edge_classes:
-            ws = {per_slot[6 * t + ei] for t, ei in ec.slots}
+        for c, slots in enumerate(sk.edge_slots()):
+            ws = {per_slot[x] for x in slots}
             if len(ws) != 1:
                 raise CoordinateError(
-                    f"edge class {ec.index} has mixed weights {ws}")
+                    f"edge class {c} has mixed weights {ws}")
     return out
 
 
@@ -327,11 +327,10 @@ def tet_solution(tri, tet):
 def edge_solution(tri, edge_class):
     """For every slot of the edge: the two triangles at its ends plus the
     quad disjoint from it with coefficient -1."""
-    sk = tri.skeleton
-    ec = sk.edge_classes[edge_class]
     tris = [[0] * 4 for _ in range(tri.tet_count)]
     quads = [[0] * 3 for _ in range(tri.tet_count)]
-    for t, ei in ec.slots:
+    for x in tri.skeleton.edge_slots()[edge_class]:
+        t, ei = divmod(x, 6)
         a, b = EDGE_VERTICES[ei]
         tris[t][a] += 1
         tris[t][b] += 1

@@ -11,7 +11,6 @@ which is what makes one-vertex triangulations of closed manifolds possible.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import cached_property
 
 from .perm import Perm4, ALL_PERMS, INVERSE, PRODUCT
@@ -199,36 +198,6 @@ class _UnionFind:
             self.conflict.add(rx)
 
 
-@dataclass(frozen=True)
-class EdgeClass:
-    index: int
-    slots: tuple          # ((tet, edge_index), ...) in slot order
-    signs: tuple          # +1 if the slot's ascending orientation matches the class
-    boundary: bool
-    valid: bool           # False when identified with itself reversed
-
-    @property
-    def degree(self):
-        return len(self.slots)
-
-
-@dataclass(frozen=True)
-class FaceClass:
-    index: int
-    slots: tuple          # ((tet, facet), ...), one or two entries
-    signs: tuple
-    boundary: bool
-    self_glued: bool      # facet glued to itself by a non-trivial map
-
-
-def _members(classes, count):
-    """The slots of each class, in slot order, from a per-slot class list."""
-    members = [[] for _ in range(count)]
-    for x, c in enumerate(classes):
-        members[c].append(x)
-    return members
-
-
 class Skeleton:
     """The vertex, edge and face classes of a triangulation as flat lists
     indexed by slot: slot 4t+i is vertex i or facet i of tetrahedron t, and
@@ -242,9 +211,8 @@ class Skeleton:
     vertex slot's sign is always +1.  ``invalid_edges`` holds the edge
     classes identified with themselves reversed, ``boundary_facets`` and
     ``self_glued_facets`` the facet slots left free or glued to themselves.
-
-    The class tuples ``vertex_classes``, ``edge_classes`` and
-    ``face_classes`` are views built from the lists on first use."""
+    ``edge_degrees`` and ``boundary_edges`` are derived on first use, and
+    ``edge_slots()`` groups the edge slots by class."""
 
     def __init__(self, vertex_class, vertex_first, edge_class, edge_sign,
                  edge_first, invalid_edges, face_class, face_sign, face_first,
@@ -265,35 +233,6 @@ class Skeleton:
         self.face_count = len(face_first)
 
     @cached_property
-    def vertex_classes(self):
-        return tuple(tuple(divmod(x, 4) for x in slots)
-                     for slots in _members(self.vertex_class,
-                                           self.vertex_count))
-
-    @cached_property
-    def edge_classes(self):
-        edge_class, sign = self.edge_class, self.edge_sign
-        boundary = {edge_class[6 * (x // 4) + ei]
-                    for x in self.boundary_facets
-                    for ei in FACET_EDGES[x % 4]}
-        return tuple(
-            EdgeClass(c, tuple(divmod(x, 6) for x in slots),
-                      tuple(sign[x] for x in slots), c in boundary,
-                      c not in self.invalid_edges)
-            for c, slots in enumerate(_members(edge_class, self.edge_count)))
-
-    @cached_property
-    def face_classes(self):
-        face_class, sign = self.face_class, self.face_sign
-        boundary = {face_class[x] for x in self.boundary_facets}
-        glued = {face_class[x] for x in self.self_glued_facets}
-        return tuple(
-            FaceClass(c, tuple(divmod(x, 4) for x in slots),
-                      tuple(sign[x] for x in slots), c in boundary,
-                      c in glued)
-            for c, slots in enumerate(_members(face_class, self.face_count)))
-
-    @cached_property
     def edge_degrees(self):
         """The degree of each edge class: its number of slots."""
         degrees = [0] * self.edge_count
@@ -301,8 +240,20 @@ class Skeleton:
             degrees[c] += 1
         return degrees
 
-    def degrees(self):
-        return tuple(self.edge_degrees)
+    @cached_property
+    def boundary_edges(self):
+        """The edge classes that lie in a free facet."""
+        edge_class = self.edge_class
+        return frozenset(edge_class[6 * (x // 4) + ei]
+                         for x in self.boundary_facets
+                         for ei in FACET_EDGES[x % 4])
+
+    def edge_slots(self):
+        """The slots of each edge class, in slot order."""
+        slots = [[] for _ in range(self.edge_count)]
+        for x, c in enumerate(self.edge_class):
+            slots[c].append(x)
+        return slots
 
     def degree_histogram(self):
         hist = {}
@@ -508,18 +459,18 @@ class Triangulation:
         edges (no boundary face incident) are supported.
         """
         sk = self.skeleton
-        ec = sk.edge_classes[edge_class] if isinstance(edge_class, int) else edge_class
-        if ec.boundary:
+        if edge_class in sk.boundary_edges:
             raise TriangulationError("edge link walk requires an interior edge")
-        (t0, ei0) = ec.slots[0]
+        x = sk.edge_first[edge_class]
+        t0, ei0 = divmod(x, 6)
         a, b = EDGE_VERTICES[ei0]
-        if ec.signs[0] < 0:
+        if sk.edge_sign[x] < 0:
             a, b = b, a
         others = [v for v in range(4) if v not in (a, b)]
         f_in = others[0]
         wedges = []
         t, head, tail, fin = t0, a, b, f_in
-        for _ in range(ec.degree):
+        for _ in range(sk.edge_degrees[edge_class]):
             fout = next(v for v in range(4) if v not in (head, tail, fin))
             wedges.append((t, head, tail, fin, fout))
             g = self._gluings[t][fout]

@@ -237,9 +237,10 @@ def check_formal_solutions(quick=False):
 def _interior_faces(tri):
     """Face classes a 2-3 move applies to: interior, not self-glued, and
     between two distinct tetrahedra."""
-    return [fc.index for fc in tri.skeleton.face_classes
-            if not fc.boundary and not fc.self_glued
-            and tri.gluing(*fc.slots[0])[0] != fc.slots[0][0]]
+    sk = tri.skeleton
+    return [c for c, x in enumerate(sk.face_first)
+            if x not in sk.boundary_facets and x not in sk.self_glued_facets
+            and tri.gluing(*divmod(x, 4))[0] != x // 4]
 
 
 def check_moves(quick=False):
@@ -260,9 +261,10 @@ def check_moves(quick=False):
         h1 = homology.first_homology(bigger)
         if (h1.invariant_factors, h1.betti) != (h0.invariant_factors, h0.betti):
             return False, "2-3 move changed homology"
-        new_edge = max((ec.index for ec in bigger.skeleton.edge_classes
-                        if ec.degree == 3
-                        and len({s[0] for s in ec.slots}) == 3),
+        new_edge = max((e for e, slots
+                        in enumerate(bigger.skeleton.edge_slots())
+                        if len(slots) == 3
+                        and len({x // 6 for x in slots}) == 3),
                        default=None)
         if new_edge is None:
             return False, "no 3-2 site after a 2-3 move"
@@ -288,13 +290,13 @@ def check_moves(quick=False):
                     tri, phi, analyze.MoveSpec("23", face=f))
                 sites = []
                 types = cocycle.classify_tetrahedra(tri, phi)
-                for ec in tri.skeleton.edge_classes:
-                    if ec.degree != 4 or phi[ec.index]:
+                for e, slots in enumerate(tri.skeleton.edge_slots()):
+                    if len(slots) != 4 or phi[e]:
                         continue
-                    tets = {s[0] for s in ec.slots}
+                    tets = {x // 6 for x in slots}
                     if len(tets) == 4 and all(
                             types[t][0] is TetType.QUAD for t in tets):
-                        sites.append(ec.index)
+                        sites.append(e)
                 if sites:
                     found = (tri, phi, sites[0])
                     break

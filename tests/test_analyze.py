@@ -15,7 +15,9 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              almost_supportive_tori, compression_pattern_scan,
                              complexity_certificate)
 from trinorm.build import AnnulusFilling, augmented_solid_torus
-from trinorm.triangulation import TriangulationError
+from trinorm.perm import ALL_PERMS
+from trinorm.triangulation import TriBuilder, Triangulation, TriangulationError
+from test_skeleton import gluing_tables
 from test_triangulation import _random_relabelling
 
 
@@ -52,7 +54,7 @@ def test_lst_interior_degree_matches_ambient():
     sk = tri.skeleton
     for emb in find_maximal_lsts(tri):
         for e in emb.interior_edges:
-            assert emb.lst_degrees[e] == sk.edge_classes[e].degree
+            assert emb.lst_degrees[e] == sk.edge_degrees[e]
         assert emb.lst_degrees[emb.univalent_edge] == 1
 
 
@@ -109,19 +111,23 @@ def test_fundamental_report_k_phi_shifts_rhs():
     assert shifted.eq1_rhs == base.eq1_rhs + 16
 
 
+def _23_faces(tri):
+    """Interior face classes between two distinct tetrahedra."""
+    sk = tri.skeleton
+    return [c for c, x in enumerate(sk.face_first)
+            if x not in sk.boundary_facets
+            and tri.gluing(*divmod(x, 4))[0] != x // 4]
+
+
 def test_move23_move32_inverse():
     rng = random.Random(11)
     tri, _, _ = build.lens_space(1, 6)
     for _ in range(10):
-        faces = [fc.index for fc in tri.skeleton.face_classes
-                 if not fc.boundary and
-                 tri.gluing(*fc.slots[0])[0] != fc.slots[0][0]]
-        f = rng.choice(faces)
+        f = rng.choice(_23_faces(tri))
         bigger, _, _, _ = move23(tri, f)
         assert bigger.tet_count == tri.tet_count + 1
-        edge = next(ec.index for ec in bigger.skeleton.edge_classes
-                    if ec.degree == 3
-                    and len({s[0] for s in ec.slots}) == 3)
+        edge = next(e for e, slots in enumerate(bigger.skeleton.edge_slots())
+                    if len(slots) == 3 and len({x // 6 for x in slots}) == 3)
         back, _, _, _ = move32(bigger, edge)
         assert back.isomorphic(tri)
 
@@ -129,12 +135,34 @@ def test_move23_move32_inverse():
 def test_moves_preserve_homology_and_orientability():
     tri = build.layered_loop(6, twisted=True)
     h0 = homology.first_homology(tri)
-    f = next(fc.index for fc in tri.skeleton.face_classes
-             if tri.gluing(*fc.slots[0])[0] != fc.slots[0][0])
+    f = _23_faces(tri)[0]
     out = pachner(tri, MoveSpec("23", face=f))
     h1 = homology.first_homology(out)
     assert (h0.invariant_factors, h0.betti) == (h1.invariant_factors, h1.betti)
     assert out.is_orientable
+
+
+@settings(max_examples=100, deadline=None)
+@given(gluing_tables())
+def test_moves_on_random_tables_apply_or_refuse(tri):
+    # free, self-glued and non-orientable gluings reach the face and edge
+    # readers of every move: each site, in range or not, is moved or
+    # refused as a domain error, and a 2-3 move takes exactly the interior
+    # faces between two distinct tetrahedra
+    sk = tri.skeleton
+    faces = _23_faces(tri)
+    for kind, count, grows in (("23", sk.face_count, 1),
+                               ("32", sk.edge_count, -1),
+                               ("44", sk.edge_count, 0)):
+        for site in range(-1, count + 1):
+            try:
+                out = pachner(tri, MoveSpec(kind, face=site, edge=site))
+            except TriangulationError:
+                assert kind != "23" or site not in faces
+                continue
+            assert 0 <= site < count
+            assert out.tet_count == tri.tet_count + grows
+            assert kind != "23" or site in faces
 
 
 def test_move_preconditions():
@@ -142,8 +170,7 @@ def test_move_preconditions():
     with pytest.raises(TriangulationError):
         move23(tri, 0)   # both face slots on the single tetrahedron
     big, _, _ = build.lens_space(1, 8)
-    not3 = next(ec.index for ec in big.skeleton.edge_classes
-                if ec.degree != 3)
+    not3 = next(e for e, d in enumerate(big.skeleton.edge_degrees) if d != 3)
     with pytest.raises(TriangulationError):
         move32(big, not3)
     with pytest.raises(TriangulationError):
@@ -153,8 +180,7 @@ def test_move_preconditions():
 def test_cocycle_transport_through_moves():
     tri = build.layered_loop(6, twisted=True)
     phi = cocycle.all_nonzero_classes(tri)[0]
-    f = next(fc.index for fc in tri.skeleton.face_classes
-             if tri.gluing(*fc.slots[0])[0] != fc.slots[0][0])
+    f = _23_faces(tri)[0]
     out, phi2 = pachner_with_cocycle(tri, phi, MoveSpec("23", face=f))
     assert cocycle.is_cocycle(out, phi2.bits)
     c0 = cocycle.parity_census(tri, phi)
@@ -175,10 +201,8 @@ def test_transport_builds_face_rows_once(monkeypatch):
     tri = build.layered_loop(6, twisted=True)
     phi = cocycle.all_nonzero_classes(tri)[0]
     calls.clear()
-    for fc in tri.skeleton.face_classes:
-        if tri.gluing(*fc.slots[0])[0] == fc.slots[0][0]:
-            continue
-        out, _ = pachner_with_cocycle(tri, phi, MoveSpec("23", face=fc.index))
+    for f in _23_faces(tri):
+        out, _ = pachner_with_cocycle(tri, phi, MoveSpec("23", face=f))
         # the propagation's rows also serve the closing cocycle check
         assert calls == [out]
         calls.clear()
@@ -235,7 +259,7 @@ def test_compression_pattern_positive_control():
     tri, phi, pats = _d5k2_instance()
     assert any(p["kind"].startswith("d5k2") for p in pats)
     p = pats[0]
-    assert tri.skeleton.edge_classes[p["edge"]].degree == 5
+    assert tri.skeleton.edge_degrees[p["edge"]] == 5
     assert len(almost_supportive_tori(tri, phi)) >= 2
     assert p["disc_boundary"]
 
@@ -395,7 +419,62 @@ def test_family_members_follow_the_tetrahedron_count():
         assert [tri.tet_count for tri in members] == [t] * count
 
 
-# ----- torus growth against the induced-subcomplex reference ---------------
+# ----- torus recognition against the induced-subcomplex reference ----------
+
+
+def _reference_subcomplex(tri, tets):
+    """Induced triangulation on a set of tetrahedra (gluings between them)."""
+    index = {t: i for i, t in enumerate(tets)}
+    rows = []
+    for t in tets:
+        row = []
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is None or g[0] not in index:
+                row.append(None)
+            else:
+                row.append((index[g[0]], g[1]))
+        rows.append(row)
+    return Triangulation(rows)
+
+
+def _reference_seed_classes(tri, t):
+    """If tetrahedron t has two of its facets glued to each other and forms
+    a one-tetrahedron layered solid torus, return its structure: read off
+    the skeleton of its one-tetrahedron subcomplex."""
+    pairs = []
+    for f in range(4):
+        g = tri.gluing(t, f)
+        if g is not None and g[0] == t and g[1][f] != f:
+            pairs.append((f, g[1][f]))
+    pairs = {tuple(sorted(p)) for p in pairs}
+    if len(pairs) != 1:
+        return None
+    sub = _reference_subcomplex(tri, (t,))
+    sk = sub.skeleton
+    if sk.edge_count != 3 or len(sub.boundary_facets()) != 2:
+        return None
+    by_degree = {}
+    for ec in range(sk.edge_count):
+        by_degree.setdefault(sk.edge_degrees[ec], []).append(ec)
+    if sorted(by_degree) != [1, 2, 3]:
+        return None
+    weights = {}
+    degrees = {}
+    amb = tri.skeleton
+    for ec in range(sk.edge_count):
+        slot_t, ei = divmod(sk.edge_first[ec], 6)
+        cls = amb.edge_class[6 * t + ei]
+        weights[cls] = {3: 1, 2: 2, 1: 3}[sk.edge_degrees[ec]]
+        degrees[cls] = sk.edge_degrees[ec]
+    if len(weights) != 3:
+        # boundary edges identified in the ambient complex; the weight
+        # bookkeeping per ambient class breaks down, so skip this seed
+        return None
+    boundary = tuple(weights)
+    univalent = next(c for c, d in degrees.items() if d == 1)
+    return analyze.LstEmbedding((t,), weights, boundary, (), univalent, None,
+                                degrees)
 
 
 def _reference_try_extend(tri, emb):
@@ -442,14 +521,14 @@ def _reference_try_extend(tri, emb):
     weights = dict(emb.edge_weights)
     weights[new_class] = new_weight
     grown = emb.tets + (new,)
-    sub = analyze._subcomplex(tri, grown)
+    sub = _reference_subcomplex(tri, grown)
     sk = sub.skeleton
     if len(sub.boundary_facets()) != 2 or sk.edge_count != len(grown) + 2:
         return None
     degrees = {}
-    for ec in sk.edge_classes:
-        lt, ei = ec.slots[0]
-        degrees[amb.edge_class[6 * grown[lt] + ei]] = ec.degree
+    for ec, x in enumerate(sk.edge_first):
+        lt, ei = divmod(x, 6)
+        degrees[amb.edge_class[6 * grown[lt] + ei]] = sk.edge_degrees[ec]
     if len(degrees) != len(grown) + 2:
         return None
     boundary = tuple(others + [new_class])
@@ -462,7 +541,7 @@ def _reference_try_extend(tri, emb):
 def _reference_maximal_lsts(tri):
     out = []
     for t in range(tri.tet_count):
-        emb = analyze._seed_classes(tri, t)
+        emb = _reference_seed_classes(tri, t)
         if emb is None:
             continue
         while (grown := _reference_try_extend(tri, emb)) is not None:
@@ -471,12 +550,29 @@ def _reference_maximal_lsts(tri):
     return out
 
 
+def _assert_same_embedding(a, b):
+    """Every field equal, dicts in the same key order too."""
+    for field in dataclasses.fields(analyze.LstEmbedding):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert x == y, field.name
+        if isinstance(x, dict):
+            assert list(x) == list(y), field.name
+
+
+def _assert_same_seeds(tri):
+    for t in range(tri.tet_count):
+        fast = analyze._seed_classes(tri, t)
+        slow = _reference_seed_classes(tri, t)
+        assert (fast is None) == (slow is None), t
+        if fast is not None:
+            _assert_same_embedding(fast, slow)
+
+
 def _assert_same_tori(tri):
     fast, slow = find_maximal_lsts(tri), _reference_maximal_lsts(tri)
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
-        for field in dataclasses.fields(analyze.LstEmbedding):
-            assert getattr(a, field.name) == getattr(b, field.name), field.name
+        _assert_same_embedding(a, b)
 
 
 def _growth_inputs():
@@ -505,11 +601,59 @@ def test_torus_growth_matches_subcomplex_reference():
         _assert_same_tori(tri)
 
 
-def _23_faces(tri):
-    """Interior face classes between two distinct tetrahedra."""
-    return [fc.index for fc in tri.skeleton.face_classes
-            if not fc.boundary
-            and tri.gluing(*fc.slots[0])[0] != fc.slots[0][0]]
+def test_seeds_match_subcomplex_reference():
+    seeds = 0
+    for tri in GROWTH_INPUTS:
+        _assert_same_seeds(tri)
+        seeds += sum(analyze._seed_classes(tri, t) is not None
+                     for t in range(tri.tet_count))
+    assert seeds > len(GROWTH_INPUTS)
+
+
+def _one_tet_tables():
+    """Every one-tetrahedron table with a facet pair glued to each other,
+    by each gluing, with the other two facets free, glued to each other,
+    or each free or glued to itself by a reflection."""
+    for fa, fb in itertools.combinations(range(4), 2):
+        fc, fd = (f for f in range(4) if f not in (fa, fb))
+        rests = [[(fc, p)] for p in ALL_PERMS if p[fc] == fd]
+        reflections = {f: [None] + [p for p in ALL_PERMS if p[f] == f
+                                     and not p.is_identity()
+                                     and (p * p).is_identity()]
+                       for f in (fc, fd)}
+        for pc, pd in itertools.product(reflections[fc], reflections[fd]):
+            rests.append([(f, p) for f, p in ((fc, pc), (fd, pd)) if p])
+        for perm in ALL_PERMS:
+            if perm[fa] != fb:
+                continue
+            for rest in rests:
+                builder = TriBuilder(1)
+                builder.join(0, fa, 0, perm)
+                for f, p in rest:
+                    builder.join(0, f, 0, p)
+                yield builder.freeze()
+
+
+def test_one_tet_seeds_match_subcomplex_reference():
+    tables = list(dict.fromkeys(_one_tet_tables()))
+    # 6 pairs x 6 gluings x (6 pairings + 16 free or reflected) of the
+    # rest, less the 108 tables with two pairs glued, each drawn twice
+    assert len(tables) == 6 * 6 * 22 - 108
+    seeds = 0
+    for tri in tables:
+        _assert_same_seeds(tri)
+        _assert_same_tori(tri)
+        seeds += analyze._seed_classes(tri, 0) is not None
+    # the four gluings that do not keep the pair's shared edge, with the
+    # other two facets free
+    assert seeds == 6 * 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluing_tables())
+def test_random_table_seeds_match_subcomplex_reference(tri):
+    _assert_same_seeds(tri)
+    _assert_same_tori(tri)
 
 
 MOVE_INPUTS = [tri for tri in GROWTH_INPUTS if _23_faces(tri)]

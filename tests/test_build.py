@@ -269,9 +269,8 @@ def _reference_open_book(tri, edge_class):
 
 def _reference_transfer_edge_classes(old, new):
     mapping = {}
-    for ec in old.skeleton.edge_classes:
-        t, ei = ec.slots[0]
-        mapping[ec.index] = new.skeleton.edge_class[6 * t + ei]
+    for c, x in enumerate(old.skeleton.edge_first):
+        mapping[c] = new.skeleton.edge_class[x]
     return mapping
 
 

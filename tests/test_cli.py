@@ -11,10 +11,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trinorm import build, verifysuite
+from trinorm import build, cli, verifysuite
 from trinorm.cli import main
 from trinorm.perm import ALL_PERMS
-from trinorm.triangulation import parse, serialize
+from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
+                                   TriangulationError, parse, serialize)
 from test_skeleton import gluing_tables
 from test_surface import NON_ORIENTABLE_TRI
 
@@ -149,8 +150,8 @@ def test_moves_and_promote(tmp_path, capsys):
 
     bigger = tmp_path / "b.tri"
     tri0 = parse(src.read_text())
-    face = next(fc.index for fc in tri0.skeleton.face_classes
-                if tri0.gluing(*fc.slots[0])[0] != fc.slots[0][0])
+    face = next(c for c, x in enumerate(tri0.skeleton.face_first)
+                if tri0.gluing(*divmod(x, 4))[0] != x // 4)
     assert main(["moves", str(src), "--move", "23", "--face", str(face),
                  "-o", str(bigger)]) == 0
     assert parse(bigger.read_text()).tet_count == 9
@@ -234,6 +235,71 @@ def test_invalid_edge_is_a_domain_error(command, tmp_path, capsys):
     assert captured.err == ("error: homology requires all edges valid "
                             "(no reversed self-gluing)\n")
     assert not out.exists()
+
+
+# closed, valid, one vertex, no self-glued facet, and not a manifold: two
+# edge classes for two tetrahedra, so V - E + T = 1 and the vertex link is
+# not a sphere
+NON_MANIFOLD_TRI = """tri 2
+tet 0: 1:0213 1:3102 1:3120 1:2013
+tet 1: 0:0213 0:2130 0:3120 0:1203
+"""
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_closed_non_manifold_is_a_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "non_manifold.tri"
+    path.write_text(NON_MANIFOLD_TRI)
+    tri = parse(NON_MANIFOLD_TRI)
+    sk = tri.skeleton
+    assert tri.is_closed and tri.is_valid and not sk.self_glued_facets
+    assert (sk.vertex_count, sk.edge_count, tri.tet_count) == (1, 2, 2)
+    out = tmp_path / "out.tri"
+    extra = [a.format(out=out) for a in FILE_COMMANDS[command]]
+    assert main(command.split() + [str(path)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: not a 3-manifold: a vertex link is not "
+                            "a sphere\n")
+    assert not out.exists()
+
+
+def _link_euler_characteristics(tri):
+    """Each vertex link's Euler characteristic, counted cell by cell: its
+    vertices are the edge ends at the vertex, its edges the face corners
+    and its triangles the tetrahedron corners."""
+    sk = tri.skeleton
+    chi = [0] * sk.vertex_count
+    for x in sk.edge_first:
+        t, ei = divmod(x, 6)
+        for v in EDGE_VERTICES[ei]:
+            chi[sk.vertex_class[4 * t + v]] += 1
+    for x in sk.face_first:
+        t, f = divmod(x, 4)
+        for v in FACET_VERTICES[f]:
+            chi[sk.vertex_class[4 * t + v]] -= 1
+    for c in sk.vertex_class:
+        chi[c] += 1
+    return chi
+
+
+@settings(max_examples=200, deadline=None)
+@given(tri=gluing_tables(kinds=("pair",)))
+def test_load_rejects_exactly_the_closed_non_manifolds(tri, fuzz_dir):
+    path = fuzz_dir / "closed.tri"
+    path.write_text(serialize(tri))
+    if not tri.is_valid:
+        with pytest.raises(TriangulationError, match="edges valid"):
+            cli._load(path)
+        return
+    links = _link_euler_characteristics(tri)
+    sk = tri.skeleton
+    assert sum(links) == 2 * sk.edge_count - 2 * tri.tet_count
+    if all(chi == 2 for chi in links):
+        assert cli._load(path) == tri
+    else:
+        with pytest.raises(TriangulationError, match="not a 3-manifold"):
+            cli._load(path)
 
 
 def test_parser_is_built_once_and_dispatches_by_name(tmp_path, monkeypatch,
@@ -561,22 +627,61 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _assert_contract(argv):
+    """The command exits 0, 1 or 2, never with a traceback, and never
+    fails an internal check: a loaded input is a manifold, so a failed
+    check is a bug."""
+    # in process: an uncaught exception here is the traceback the command
+    # line would have printed
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert "internal check failed" not in err.getvalue(), \
+        (argv, err.getvalue())
+
+
 def _assert_exit_contract(text, path):
-    """Every read-only report on the file exits 0, 1 or 2, never with a
-    traceback."""
+    """Every read-only report on the file keeps the contract."""
     path.write_text(text)
     for command in FUZZ_COMMANDS:
-        # in process: an uncaught exception here is the traceback the
-        # command line would have printed
-        err = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err):
-                code = main([command, str(path)])
-        except SystemExit as exc:
-            code = exc.code
-        assert code in (0, 1, 2), (command, code)
-        assert "Traceback" not in err.getvalue()
+        _assert_contract([command, str(path)])
+
+
+@st.composite
+def moves_on(draw, text):
+    """A move for the file and its site: a class whose degree the move
+    takes (any face for 2-3, an edge of degree 3 or 4 for 3-2 or 4-4),
+    any class, one past the last, or a negative index."""
+    kind = draw(st.sampled_from(("23", "32", "44")))
+    try:
+        sk = parse(text).skeleton
+        count = sk.face_count if kind == "23" else sk.edge_count
+        fitting = range(count) if kind == "23" else [
+            e for e, d in enumerate(sk.edge_degrees) if d == int(kind[0])]
+    except TriangulationError:
+        count, fitting = 0, []
+    site = draw(st.one_of(
+        st.sampled_from(fitting or [0]), st.integers(0, max(count - 1, 0)),
+        st.integers(count, count + 3), st.integers(-3, -1)))
+    return kind, site, draw(st.integers(0, 1))
+
+
+def _assert_move_contract(text, path, move):
+    """``moves`` with the given move and ``promote`` on the file keep the
+    contract."""
+    path.write_text(text)
+    kind, site, axis = move
+    out = str(path.with_name("out.tri"))
+    _assert_contract(["moves", str(path), "--move", kind,
+                      "--face" if kind == "23" else "--edge", str(site),
+                      "--axis", str(axis), "-o", out])
+    _assert_contract(["promote", str(path), "-o", out])
 
 
 @settings(max_examples=60, deadline=None)
@@ -592,3 +697,22 @@ def test_random_gluing_tables_keep_the_exit_contract(tri, fuzz_dir):
     # invalid edges, and closed ones that pass the input checks, so every
     # reader of the skeleton lists meets them
     _assert_exit_contract(serialize(tri), fuzz_dir / "random.tri")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), text=mutated_tri_texts())
+def test_moves_on_mutated_files_keep_the_exit_contract(data, text, fuzz_dir):
+    _assert_move_contract(text, fuzz_dir / "mutated.tri",
+                          data.draw(moves_on(text)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       tri=st.one_of(gluing_tables(), gluing_tables(kinds=("pair",))))
+def test_moves_on_random_gluing_tables_keep_the_exit_contract(data, tri,
+                                                              fuzz_dir):
+    # bounded tables reach the move readers with free facets, closed ones
+    # with non-orientable gluings
+    text = serialize(tri)
+    _assert_move_contract(text, fuzz_dir / "random.tri",
+                          data.draw(moves_on(text)))

@@ -330,8 +330,8 @@ TRANSPORT_STARTS = [
 
 def _44_sites(tri):
     """Degree-4 edge classes on four distinct tetrahedra."""
-    return [ec.index for ec in tri.skeleton.edge_classes
-            if ec.degree == 4 and len({s[0] for s in ec.slots}) == 4]
+    return [e for e, slots in enumerate(tri.skeleton.edge_slots())
+            if len(slots) == 4 and len({x // 6 for x in slots}) == 4]
 
 
 def _transport_chain(tri, phi, steps):
@@ -385,20 +385,20 @@ def _reference_boundary_matrices(tri):
     sk = tri.skeleton
     nv, ne, nf = sk.vertex_count, sk.edge_count, sk.face_count
     d1 = [[0] * ne for _ in range(nv)]
-    for ec in sk.edge_classes:
-        t, ei = ec.slots[0]
+    for c, x in enumerate(sk.edge_first):
+        t, ei = divmod(x, 6)
         a, b = EDGE_VERTICES[ei]
-        if ec.signs[0] < 0:
+        if sk.edge_sign[x] < 0:
             a, b = b, a
-        d1[sk.vertex_class[4 * t + b]][ec.index] += 1
-        d1[sk.vertex_class[4 * t + a]][ec.index] -= 1
+        d1[sk.vertex_class[4 * t + b]][c] += 1
+        d1[sk.vertex_class[4 * t + a]][c] -= 1
     d2 = [[0] * nf for _ in range(ne)]
-    for fc in sk.face_classes:
-        t, f = fc.slots[0]
+    for c, x in enumerate(sk.face_first):
+        t, f = divmod(x, 4)
         w = FACET_VERTICES[f]
         for coeff, (x, y) in ((1, (w[1], w[2])), (-1, (w[0], w[2])), (1, (w[0], w[1]))):
             idx, sign = tri.skeleton.edge_class_of(t, x, y)
-            d2[idx][fc.index] += coeff * sign
+            d2[idx][c] += coeff * sign
     return d1, d2
 
 
@@ -418,15 +418,15 @@ def _reference_first_homology(tri):
     # columns for the tree edges.
     tree = _UnionFind(sk.vertex_count)
     extra = []
-    for ec in sk.edge_classes:
-        t, ei = ec.slots[0]
+    for c, x in enumerate(sk.edge_first):
+        t, ei = divmod(x, 6)
         a, b = EDGE_VERTICES[ei]
         va = sk.vertex_class[4 * t + a]
         vb = sk.vertex_class[4 * t + b]
         if tree.find(va)[0] != tree.find(vb)[0]:
             tree.union(va, vb, 0)
             col = [0] * ne
-            col[ec.index] = 1
+            col[c] = 1
             extra.append(col)
 
     cols = len(d2[0]) if d2 else 0

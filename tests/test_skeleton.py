@@ -3,11 +3,10 @@ replaced, kept here word for word as the reference."""
 
 from hypothesis import given, settings, strategies as st
 
-from trinorm import build, cocycle, homology, surface, verifysuite
+from trinorm import build, verifysuite
 from trinorm.perm import ALL_PERMS
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                                   FACET_VERTICES, EdgeClass, FaceClass,
-                                   TriBuilder, Triangulation, _UnionFind)
+                                   FACET_VERTICES, TriBuilder, _UnionFind)
 
 
 # ----- the reference: every facet visited from both sides --------------------
@@ -90,15 +89,15 @@ def _reference_skeleton(self):
             for f in range(4):
                 if f != a and f != b and self._gluings[t][f] is None:
                     on_boundary = True
-        edge_classes.append(EdgeClass(i, slots, signs, on_boundary,
-                                      i not in bad_edges))
+        edge_classes.append((i, slots, signs, on_boundary,
+                             i not in bad_edges))
 
     face_classes = []
     for i, members in enumerate(fclasses):
         slots = tuple(m[0] for m in members)
         signs = tuple(1 if m[1] == 0 else -1 for m in members)
-        face_classes.append(FaceClass(i, slots, signs,
-                                      i in boundary_faces, i in self_glued))
+        face_classes.append((i, slots, signs,
+                             i in boundary_faces, i in self_glued))
 
     vertex_classes = tuple(tuple(m[0] for m in members) for members in vclasses)
     return (vertex_classes, tuple(edge_classes), tuple(face_classes),
@@ -117,23 +116,30 @@ def _assert_matches_reference(tri):
             in enumerate(zip(sk.edge_class, sk.edge_sign))} == elookup
     assert {divmod(x, 4): (c, s) for x, (c, s)
             in enumerate(zip(sk.face_class, sk.face_sign))} == flookup
-    # the eager counts, first slots, degrees and flags
+    # the eager counts, first slots, degrees and flags; a class is
+    # (index, slots, signs, boundary, valid or self-glued)
+    edge_slots = [slots for _, slots, *_ in edge_classes]
+    face_slots = [slots for _, slots, *_ in face_classes]
     for first, count, classes, width in (
             (sk.vertex_first, sk.vertex_count, vertex_classes, 4),
-            (sk.edge_first, sk.edge_count, [ec.slots for ec in edge_classes], 6),
-            (sk.face_first, sk.face_count, [fc.slots for fc in face_classes], 4)):
+            (sk.edge_first, sk.edge_count, edge_slots, 6),
+            (sk.face_first, sk.face_count, face_slots, 4)):
         assert count == len(classes)
         assert first == [width * t + i for (t, i), *_ in classes]
-    assert sk.degrees() == tuple(ec.degree for ec in edge_classes)
-    assert sk.invalid_edges == {ec.index for ec in edge_classes if not ec.valid}
+    assert sk.edge_degrees == [len(slots) for slots in edge_slots]
+    assert sk.invalid_edges == {
+        i for i, _, _, _, valid in edge_classes if not valid}
+    assert sk.boundary_edges == {
+        i for i, _, _, on_boundary, _ in edge_classes if on_boundary}
     assert sk.boundary_facets == sorted(
-        4 * t + f for fc in face_classes if fc.boundary for t, f in fc.slots)
+        4 * t + f for _, slots, _, boundary, _ in face_classes if boundary
+        for t, f in slots)
     assert sk.self_glued_facets == sorted(
-        4 * t + f for fc in face_classes if fc.self_glued for t, f in fc.slots)
-    # the views: each class's slots, signs and flags
-    assert sk.vertex_classes == vertex_classes
-    assert sk.edge_classes == edge_classes
-    assert sk.face_classes == face_classes
+        4 * t + f for _, slots, _, _, glued in face_classes if glued
+        for t, f in slots)
+    # each edge class's slots, grouped from the lists
+    assert sk.edge_slots() == [[6 * t + ei for t, ei in slots]
+                               for slots in edge_slots]
 
 
 # ----- the grids ----------------------------------------------------------------
@@ -157,25 +163,6 @@ def test_seifert_family_grids_match_reference():
         _assert_matches_reference(tri)
         tags.add(tag)
     assert tags == {"M", "MPRIME", "P", "Q"}
-
-
-def test_hot_readers_never_build_the_class_tuples():
-    # homology, cocycles, Euler characteristics, surface classification,
-    # b-modifications and degree histograms read only the per-slot lists
-    for tri in (build.seifert_family("M", 1, 2, 1)[0],
-                build.layered_loop(6, twisted=True)):
-        fresh = Triangulation(tri.gluings)
-        homology.first_homology(fresh)
-        fresh.skeleton.degree_histogram()
-        for phi in cocycle.all_nonzero_classes(fresh):
-            cocycle.parity_census(fresh, phi)
-            canon = surface.canonical_surface(fresh, phi)
-            surface.surface_classify(fresh, canon.coord, canon.chi)
-            if all(any(q) for q in canon.coord.quads):
-                even = [e for e, bit in enumerate(phi) if not bit]
-                surface.b_modification(fresh, canon, even[:1])
-        built = {"vertex_classes", "edge_classes", "face_classes"}
-        assert not built & vars(fresh.skeleton).keys()
 
 
 # ----- random valid gluing tables ------------------------------------------------
@@ -226,9 +213,9 @@ def test_random_tables_reach_every_kind_of_gluing():
     @given(gluing_tables())
     def scan(tri):
         sk = tri.skeleton
-        if any(fc.boundary for fc in sk.face_classes):
+        if sk.boundary_facets:
             seen.add("boundary")
-        if any(fc.self_glued for fc in sk.face_classes):
+        if sk.self_glued_facets:
             seen.add("self_glued")
         if not tri.is_orientable:
             seen.add("non_orientable")

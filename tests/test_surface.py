@@ -289,10 +289,11 @@ def _ref_edge_weight_slot(coord, tet, edge_index):
 
 def _ref_euler_char(tri, coord):
     check_embeddable(coord)
-    for fc in tri.skeleton.face_classes:
-        if fc.boundary:
+    sk = tri.skeleton
+    for x in sk.face_first:
+        if x in sk.boundary_facets:
             continue
-        t1, f1 = fc.slots[0]
+        t1, f1 = divmod(x, 4)
         t2, perm = tri.gluing(t1, f1)
         f2 = perm[f1]
         for v in FACET_VERTICES[f1]:
@@ -302,14 +303,14 @@ def _ref_euler_char(tri, coord):
                     f"matching fails across face ({t1},{f1})~({t2},{f2}) "
                     f"at vertex {v}")
     v = 0
-    for ec in tri.skeleton.edge_classes:
-        ws = {_ref_edge_weight_slot(coord, t, ei) for t, ei in ec.slots}
+    for c, slots in enumerate(sk.edge_slots()):
+        ws = {_ref_edge_weight_slot(coord, *divmod(x, 6)) for x in slots}
         if len(ws) != 1:
-            raise CoordinateError(f"edge class {ec.index} has mixed weights {ws}")
+            raise CoordinateError(f"edge class {c} has mixed weights {ws}")
         v += ws.pop()
     e = 0
-    for fc in tri.skeleton.face_classes:
-        t, f = fc.slots[0]
+    for x in sk.face_first:
+        t, f = divmod(x, 4)
         e += sum(_ref_arc_count(coord, t, f, vx) for vx in FACET_VERTICES[f])
     f = sum(sum(coord.tris[t]) + sum(coord.quads[t]) + sum(coord.octs[t])
             for t in range(coord.tet_count))
@@ -373,14 +374,14 @@ def test_euler_char_matches_reference_on_combinations(data):
 
 
 def _ref_edge_weights(tri, coord):
-    """The edge weights read class by class off the class tuples, the loop
-    the per-slot lists replaced."""
+    """The edge weights read class by class off each class's slots, the
+    loop the per-slot lists replaced."""
     per_tet = [coord.tet_edge_weights(t) for t in range(coord.tet_count)]
     out = []
-    for ec in tri.skeleton.edge_classes:
-        ws = {per_tet[t][ei] for t, ei in ec.slots}
+    for c, slots in enumerate(tri.skeleton.edge_slots()):
+        ws = {per_tet[x // 6][x % 6] for x in slots}
         if len(ws) != 1:
-            raise CoordinateError(f"edge class {ec.index} has mixed weights {ws}")
+            raise CoordinateError(f"edge class {c} has mixed weights {ws}")
         out.append(ws.pop())
     return out
 

@@ -73,13 +73,13 @@ def test_one_tet_lst_skeleton():
     tri, meta = build.lst(1, 2)
     sk = tri.skeleton
     assert (sk.vertex_count, sk.edge_count, sk.face_count) == (1, 3, 3)
-    assert sorted(sk.degrees()) == [1, 2, 3]
+    assert sorted(sk.edge_degrees) == [1, 2, 3]
 
 
 def test_degree_sum_is_six_tet_count():
     for tri in (build.lst(2, 5)[0], build.lens_space(1, 6)[0],
                 build.layered_loop(5, twisted=True)):
-        assert sum(tri.skeleton.degrees()) == 6 * tri.tet_count
+        assert sum(tri.skeleton.edge_degrees) == 6 * tri.tet_count
 
 
 def test_parse_round_trip():
@@ -211,9 +211,23 @@ def test_non_isomorphic_pairs():
 
 def test_edge_link_walk():
     tri = build.layered_loop(4, twisted=True)
-    for ec in tri.skeleton.edge_classes:
-        wedges = tri.edge_link(ec.index)
-        assert len(wedges) == ec.degree
+    for e, degree in enumerate(tri.skeleton.edge_degrees):
+        wedges = tri.edge_link(e)
+        assert len(wedges) == degree
+
+
+def test_edge_link_walk_needs_an_interior_edge():
+    tri, meta = build.lst(5, 13)
+    sk = tri.skeleton
+    # the free facets carry exactly the torus's three boundary edges
+    assert sk.boundary_edges == set(meta.boundary_edges)
+    for e, degree in enumerate(sk.edge_degrees):
+        if e in sk.boundary_edges:
+            with pytest.raises(TriangulationError,
+                               match="requires an interior edge"):
+                tri.edge_link(e)
+        else:
+            assert len(tri.edge_link(e)) == degree
 
 
 def test_degenerate_self_gluing_permitted_but_not_in_homology():
@@ -223,7 +237,7 @@ def test_degenerate_self_gluing_permitted_but_not_in_homology():
     rows = [[None] * 4]
     rows[0][3] = (0, Perm4((1, 0, 2, 3)))
     tri = Triangulation(rows)
-    assert tri.skeleton.face_classes
+    assert tri.skeleton.face_count
     closedish = tri  # bounded: homology must refuse for closedness first
     with pytest.raises(TriangulationError):
         first_homology(closedish)
