@@ -8,6 +8,7 @@ compression-pattern scan.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 from .perm import Perm4
@@ -20,6 +21,8 @@ from .cocycle import (TetType, classify_tetrahedra, parity_census,
                       all_nonzero_classes, Cocycle, face_relation_rows,
                       is_cocycle)
 from .surface import canonical_surface, chi_formula, twisted_square_scan
+
+_log = logging.getLogger(__name__)
 
 
 # ----- layered solid torus recognition ----------------------------------------
@@ -81,66 +84,77 @@ def _seed_classes(tri, t):
                         degrees)
 
 
-def _try_extend(tri, emb):
-    """Extend a layered solid torus by one layer if the ambient gluings of
-    its two boundary faces attach a fresh tetrahedron in the layering
-    pattern; returns the grown embedding or None."""
-    free = []
-    index = {t: i for i, t in enumerate(emb.tets)}
-    for t in emb.tets:
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is None or g[0] not in index:
-                free.append((t, f))
-    if len(free) != 2:
-        return None
-    (t1, f1), (t2, f2) = free
-    g1, g2 = tri.gluing(t1, f1), tri.gluing(t2, f2)
-    if g1 is None or g2 is None:
-        return None
-    if g1[0] != g2[0] or g1[0] in index:
-        return None
-    new = g1[0]
-    if g1[1][f1] == g2[1][f2]:
-        return None
-    # the new tetrahedron's remaining facets must not glue back into the torus
-    for f in range(4):
-        if f in (g1[1][f1], g2[1][f2]):
-            continue
-        g = tri.gluing(new, f)
-        if g is not None and (g[0] in index or g[0] == new):
-            return None
-    # hinge edge of the new tetrahedron: shared by its two glued facets
-    fa, fb = g1[1][f1], g2[1][f2]
-    hinge = tuple(v for v in range(4) if v not in (fa, fb))
+def _grow(tri, seed):
+    """Layer tetrahedra onto a seed torus while the ambient gluings of its
+    two free facets attach a fresh tetrahedron in the layering pattern.
+
+    The torus grows on one working state, its frontier (the two free
+    facets), weights and degrees updated in place, so each layer costs
+    O(1).  After a layer the free facets are exactly the new
+    tetrahedron's other two facets: every older torus facet is glued
+    inside the torus, and those two do not glue back.  Returns the frozen
+    torus and the reason growth stopped."""
+    rows = tri.gluings
     amb = tri.skeleton
-    hinge_class = amb.edge_class_of(new, *hinge)[0]
-    if hinge_class not in emb.boundary_edges:
-        return None
-    # layering pattern confirmed structurally; update the weight replay
-    layered = hinge_class
-    others = [e for e in emb.boundary_edges if e != layered]
-    new_weight = relayered_weight(emb.edge_weights[layered],
-                                  *(emb.edge_weights[e] for e in others))
-    opp = tuple(v for v in range(4) if v not in hinge)
-    new_class = amb.edge_class_of(new, *opp)[0]
-    if new_class in emb.edge_weights:
-        return None
-    weights = dict(emb.edge_weights)
-    weights[new_class] = new_weight
-    # The torus's edge classes map one-to-one onto ambient classes (the
-    # seed checks this, and each layer adds one class not seen before),
-    # so gluing `new` on along the hinge merges nothing: a torus degree is
-    # the number of torus edge slots in the ambient class.
-    degrees = dict(emb.lst_degrees)
-    for ei in range(6):
-        cls = amb.edge_class[6 * new + ei]
-        degrees[cls] = degrees.get(cls, 0) + 1
-    boundary = tuple(others + [new_class])
+    t = seed.tets[0]
+    tets, members = [t], {t}
+    free = [(t, f) for f, g in enumerate(rows[t]) if g is None or g[0] != t]
+    weights = dict(seed.edge_weights)
+    degrees = dict(seed.lst_degrees)
+    boundary = seed.boundary_edges
+    univalent, base = seed.univalent_edge, None
+    while True:
+        if len(free) != 2:
+            reason = "not two free facets"
+            break
+        (t1, f1), (t2, f2) = free
+        g1, g2 = rows[t1][f1], rows[t2][f2]
+        if g1 is None or g2 is None:
+            reason = "a free facet is unglued"
+            break
+        new = g1[0]
+        if new != g2[0] or new in members:
+            reason = "free facets not glued to one new tetrahedron"
+            break
+        fa, fb = g1[1][f1], g2[1][f2]
+        if fa == fb:
+            reason = "free facets glued to one facet"
+            break
+        rest = [f for f in range(4) if f != fa and f != fb]
+        if any(g is not None and (g[0] in members or g[0] == new)
+               for g in (rows[new][f] for f in rest)):
+            reason = "new tetrahedron glues back"
+            break
+        # hinge edge of the new tetrahedron: shared by its two glued facets
+        hinge_class = amb.edge_class_of(new, *rest)[0]
+        if hinge_class not in boundary:
+            reason = "hinge is not a boundary edge"
+            break
+        # layering pattern confirmed structurally; update the weight replay
+        others = [e for e in boundary if e != hinge_class]
+        new_weight = relayered_weight(weights[hinge_class],
+                                      *(weights[e] for e in others))
+        new_class = amb.edge_class_of(new, *sorted((fa, fb)))[0]
+        if new_class in weights:
+            reason = "new edge class already in the torus"
+            break
+        weights[new_class] = new_weight
+        # The torus's edge classes map one-to-one onto ambient classes (the
+        # seed checks this, and each layer adds one class not seen before),
+        # so gluing `new` on along the hinge merges nothing: a torus degree
+        # is the number of torus edge slots in the ambient class.
+        for cls in amb.edge_class[6 * new:6 * new + 6]:
+            degrees[cls] = degrees.get(cls, 0) + 1
+        boundary = (*others, new_class)
+        if base is None:
+            base = hinge_class
+        univalent = new_class
+        tets.append(new)
+        members.add(new)
+        free = [(new, f) for f in rest]
     interior = tuple(c for c in weights if c not in boundary)
-    base = emb.base_edge if emb.base_edge is not None else layered
-    return LstEmbedding(emb.tets + (new,), weights, boundary, interior,
-                        new_class, base, degrees)
+    return LstEmbedding(tuple(tets), weights, boundary, interior, univalent,
+                        base, degrees), reason
 
 
 def find_maximal_lsts(tri):
@@ -149,14 +163,12 @@ def find_maximal_lsts(tri):
     while the layering pattern continues."""
     out = []
     for t in range(tri.tet_count):
-        emb = _seed_classes(tri, t)
-        if emb is None:
+        seed = _seed_classes(tri, t)
+        if seed is None:
             continue
-        while True:
-            grown = _try_extend(tri, emb)
-            if grown is None:
-                break
-            emb = grown
+        emb, reason = _grow(tri, seed)
+        _log.debug("find_maximal_lsts: torus seeded at tetrahedron %d has "
+                   "%d tetrahedra; stopped: %s", t, emb.size, reason)
         out.append(emb)
     return out
 
@@ -175,7 +187,7 @@ def lst_intersection_matrix(tri, lsts):
 # ----- low degree lint ----------------------------------------------------------
 
 
-def low_degree_lint(tri, lsts=None):
+def low_degree_lint(tri, lsts=None, h1=None):
     """Edges of degree at most three, with the standard exceptions for
     closed one-vertex triangulations classified where recognisable.
 
@@ -183,7 +195,8 @@ def low_degree_lint(tri, lsts=None):
     one of the small lens spaces (single tetrahedron of order five; two
     tetrahedra of order five or seven) or by being the base edge of an
     embedded two-tetrahedron solid torus with boundary triple {1,3,4}.
-    ``lsts`` is ``find_maximal_lsts(tri)`` when the caller has it.
+    ``lsts`` is ``find_maximal_lsts(tri)`` and ``h1`` is
+    ``first_homology(tri)`` when the caller has them.
     """
     sk = tri.skeleton
     report = {"degree_1": [], "degree_2": [], "degree_3": []}
@@ -196,7 +209,7 @@ def low_degree_lint(tri, lsts=None):
     h = None
     if tri.is_closed and tri.is_connected and \
             (low1 or low2 or (low3 and tri.tet_count <= 2)):
-        h = _homology.first_homology(tri)
+        h = h1 if h1 is not None else _homology.first_homology(tri)
     for e in low1:
         label = "s3_exception" if h is not None and h.order == 1 and \
             not h.betti else "unexplained"

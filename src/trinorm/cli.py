@@ -26,13 +26,16 @@ class UsageError(Exception):
 
 def _load(path):
     """Read a .tri file and reject cells no command can work with: every
-    degree identity and the homology assume manifold edges and faces, and
-    a closed input must be a manifold at its vertices too."""
+    degree identity and the homology assume manifold edges and faces, a
+    closed input must be a manifold at its vertices too, and the empty
+    complex is no 3-manifold at all."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise TriangulationError(f"cannot read {path}: {exc.strerror}") from None
     tri = parse(text)
+    if not tri.tet_count:
+        raise TriangulationError("not a 3-manifold: no tetrahedra")
     homology.require_valid_cells(tri)
     sk = tri.skeleton
     if tri.is_closed and sk.vertex_count - sk.edge_count + tri.tet_count:
@@ -57,8 +60,7 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _homology_block(tri):
-    h = homology.first_homology(tri)
+def _homology_block(h):
     return {"invariant_factors": list(h.invariant_factors),
             "betti": h.betti, "z2_rank": h.z2_rank,
             "torsion_order": h.order, "group": str(h)}
@@ -123,7 +125,8 @@ def full_report(tri, descriptor, k_phi=0):
     }
     if not tri.is_closed:
         return report
-    report["homology"] = _homology_block(tri)
+    h1 = homology.first_homology(tri)
+    report["homology"] = _homology_block(h1)
     if sk.vertex_count == 1:
         classes = []
         for phi in cocycle.all_nonzero_classes(tri):
@@ -144,7 +147,7 @@ def full_report(tri, descriptor, k_phi=0):
         report["maximal_layered_solid_tori"] = _tori_block(lsts)
         report["lst_intersections"] = analyze.lst_intersection_matrix(tri, lsts)
         report["twisted_squares"] = analyze.twisted_squares(tri)
-        report["lint"] = analyze.low_degree_lint(tri, lsts)
+        report["lint"] = analyze.low_degree_lint(tri, lsts, h1)
     return report
 
 
@@ -196,7 +199,7 @@ def cmd_fold(args):
         "predicted_homology": record.lens_a,
     })
     _emit({"written": args.out, "lens": [record.lens_a, record.lens_b],
-           "homology": _homology_block(folded)})
+           "homology": _homology_block(h)})
     if h.order != record.lens_a or h.betti:
         raise AssertionError("fold homology disagrees with the lens record")
     return 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import logging
 import random
 
 import pytest
@@ -13,10 +14,12 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              move23, move32, move44, pachner,
                              pachner_with_cocycle, supportive_tori, promote,
                              almost_supportive_tori, compression_pattern_scan,
-                             complexity_certificate)
-from trinorm.build import AnnulusFilling, augmented_solid_torus
+                             complexity_certificate, LstEmbedding)
+from trinorm.build import (AnnulusFilling, augmented_solid_torus,
+                           relayered_weight)
 from trinorm.perm import ALL_PERMS
-from trinorm.triangulation import TriBuilder, Triangulation, TriangulationError
+from trinorm.triangulation import (TriBuilder, Triangulation,
+                                   TriangulationError, parse)
 from test_skeleton import gluing_tables
 from test_triangulation import _random_relabelling
 
@@ -550,6 +553,86 @@ def _reference_maximal_lsts(tri):
     return out
 
 
+def _try_extend(tri, emb):
+    """Extend a layered solid torus by one layer if the ambient gluings of
+    its two boundary faces attach a fresh tetrahedron in the layering
+    pattern; returns the grown embedding or None."""
+    free = []
+    index = {t: i for i, t in enumerate(emb.tets)}
+    for t in emb.tets:
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is None or g[0] not in index:
+                free.append((t, f))
+    if len(free) != 2:
+        return None
+    (t1, f1), (t2, f2) = free
+    g1, g2 = tri.gluing(t1, f1), tri.gluing(t2, f2)
+    if g1 is None or g2 is None:
+        return None
+    if g1[0] != g2[0] or g1[0] in index:
+        return None
+    new = g1[0]
+    if g1[1][f1] == g2[1][f2]:
+        return None
+    # the new tetrahedron's remaining facets must not glue back into the torus
+    for f in range(4):
+        if f in (g1[1][f1], g2[1][f2]):
+            continue
+        g = tri.gluing(new, f)
+        if g is not None and (g[0] in index or g[0] == new):
+            return None
+    # hinge edge of the new tetrahedron: shared by its two glued facets
+    fa, fb = g1[1][f1], g2[1][f2]
+    hinge = tuple(v for v in range(4) if v not in (fa, fb))
+    amb = tri.skeleton
+    hinge_class = amb.edge_class_of(new, *hinge)[0]
+    if hinge_class not in emb.boundary_edges:
+        return None
+    # layering pattern confirmed structurally; update the weight replay
+    layered = hinge_class
+    others = [e for e in emb.boundary_edges if e != layered]
+    new_weight = relayered_weight(emb.edge_weights[layered],
+                                  *(emb.edge_weights[e] for e in others))
+    opp = tuple(v for v in range(4) if v not in hinge)
+    new_class = amb.edge_class_of(new, *opp)[0]
+    if new_class in emb.edge_weights:
+        return None
+    weights = dict(emb.edge_weights)
+    weights[new_class] = new_weight
+    # The torus's edge classes map one-to-one onto ambient classes (the
+    # seed checks this, and each layer adds one class not seen before),
+    # so gluing `new` on along the hinge merges nothing: a torus degree is
+    # the number of torus edge slots in the ambient class.
+    degrees = dict(emb.lst_degrees)
+    for ei in range(6):
+        cls = amb.edge_class[6 * new + ei]
+        degrees[cls] = degrees.get(cls, 0) + 1
+    boundary = tuple(others + [new_class])
+    interior = tuple(c for c in weights if c not in boundary)
+    base = emb.base_edge if emb.base_edge is not None else layered
+    return LstEmbedding(emb.tets + (new,), weights, boundary, interior,
+                        new_class, base, degrees)
+
+
+def _copying_maximal_lsts(tri):
+    """The layer-by-layer search that builds a new embedding per layer,
+    each step costing the size of the torus so far: the second reference
+    for the carried-frontier growth."""
+    out = []
+    for t in range(tri.tet_count):
+        emb = analyze._seed_classes(tri, t)
+        if emb is None:
+            continue
+        while True:
+            grown = _try_extend(tri, emb)
+            if grown is None:
+                break
+            emb = grown
+        out.append(emb)
+    return out
+
+
 def _assert_same_embedding(a, b):
     """Every field equal, dicts in the same key order too."""
     for field in dataclasses.fields(analyze.LstEmbedding):
@@ -568,11 +651,14 @@ def _assert_same_seeds(tri):
             _assert_same_embedding(fast, slow)
 
 
-def _assert_same_tori(tri):
-    fast, slow = find_maximal_lsts(tri), _reference_maximal_lsts(tri)
-    assert len(fast) == len(slow)
-    for a, b in zip(fast, slow):
-        _assert_same_embedding(a, b)
+def _assert_same_tori(tri, references=(_reference_maximal_lsts,
+                                        _copying_maximal_lsts)):
+    fast = find_maximal_lsts(tri)
+    for reference in references:
+        slow = reference(tri)
+        assert len(fast) == len(slow)
+        for a, b in zip(fast, slow):
+            _assert_same_embedding(a, b)
 
 
 def _growth_inputs():
@@ -667,3 +753,81 @@ def test_torus_growth_matches_reference_after_moves(tri, choices):
         faces = _23_faces(tri)
         tri = pachner(tri, MoveSpec("23", face=faces[choice % len(faces)]))
     _assert_same_tori(tri)
+
+
+def _fold_inputs(depth):
+    """Every node of ``lst_tree(depth)`` and its three folds."""
+    for _, tri, meta in build.lst_tree(depth):
+        yield tri
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            yield build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)[0]
+
+
+def test_torus_growth_matches_references_on_every_fold():
+    count = 0
+    for tri in _fold_inputs(9):
+        _assert_same_tori(tri)
+        count += 1
+    assert count == 4 * 511
+
+
+@pytest.mark.parametrize("n", [400, 800, 1602])
+def test_torus_growth_matches_references_on_long_lens_spaces(n):
+    tri = build.lens_space(1, n)[0]
+    # the subcomplex reference rebuilds a skeleton per layer, so it runs
+    # only on the smallest rung
+    references = (_reference_maximal_lsts, _copying_maximal_lsts) \
+        if n == 400 else (_copying_maximal_lsts,)
+    _assert_same_tori(tri, references)
+    assert [emb.size for emb in find_maximal_lsts(tri)] == [n - 2] * 2
+
+
+# One smallest table for each stop condition a valid table can reach.
+# Three conditions stay unreachable: the frontier always holds two facets,
+# gluings are involutions (so two frontier facets never meet one facet of
+# the new tetrahedron, nor glue into the torus), and the hinge lies in a
+# facet glued onto a frontier triangle, whose three edges are the
+# boundary edges.
+STOP_TABLES = [
+    ("tri 1\ntet 0: 0:1230 0:3012 - -\n",
+     1, "a free facet is unglued"),
+    ("tri 3\n"
+     "tet 0: 0:1230 0:3012 1:0123 2:0123\n"
+     "tet 1: - - 0:0123 -\n"
+     "tet 2: - - - 0:0123\n",
+     1, "free facets not glued to one new tetrahedron"),
+    ("tri 2\n"
+     "tet 0: 0:1230 0:3012 1:3021 1:1203\n"
+     "tet 1: 1:1230 1:3012 0:1320 0:2013\n",
+     1, "new tetrahedron glues back"),
+    ("tri 3\n"
+     "tet 0: 0:1230 0:3012 1:3021 1:1203\n"
+     "tet 1: 2:2013 2:1320 0:1320 0:2013\n"
+     "tet 2: 2:1023 2:1023 1:1203 1:3021\n",
+     1, "new edge class already in the torus"),
+]
+
+
+@pytest.mark.parametrize("text,size,reason", STOP_TABLES,
+                         ids=[r for _, _, r in STOP_TABLES])
+def test_each_stop_condition_matches_both_references(text, size, reason):
+    tri = parse(text)
+    seed = analyze._seed_classes(tri, 0)
+    emb, stopped = analyze._grow(tri, seed)
+    assert (emb.size, stopped) == (size, reason)
+    _assert_same_tori(tri)
+
+
+def test_torus_search_logs_one_line_per_torus(caplog):
+    tri, _, record = build.lens_space(1, 8)
+    assert (tri.tet_count, record.lens_a) == (7, 10)
+    with caplog.at_level(logging.DEBUG, logger="trinorm"):
+        lsts = find_maximal_lsts(tri)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "trinorm.analyze"]
+    assert lines == [
+        f"find_maximal_lsts: torus seeded at tetrahedron {emb.tets[0]} has "
+        f"6 tetrahedra; stopped: new tetrahedron glues back"
+        for emb in lsts]
+    assert [emb.tets[0] for emb in lsts] == [0, 6]

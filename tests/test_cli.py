@@ -264,6 +264,21 @@ def test_closed_non_manifold_is_a_domain_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_empty_triangulation_is_a_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "empty.tri"
+    path.write_text("tri 0\n")
+    tri = parse(path.read_text())
+    assert tri.tet_count == 0 and tri.is_closed and tri.is_valid
+    out = tmp_path / "out.tri"
+    extra = [a.format(out=out) for a in FILE_COMMANDS[command]]
+    assert main(command.split() + [str(path)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a 3-manifold: no tetrahedra\n"
+    assert not out.exists()
+
+
 def _link_euler_characteristics(tri):
     """Each vertex link's Euler characteristic, counted cell by cell: its
     vertices are the edge ends at the vertex, its edges the face corners
@@ -328,7 +343,9 @@ def test_parser_is_built_once_and_dispatches_by_name(tmp_path, monkeypatch,
 
 def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     from trinorm import analyze, surface
-    calls = {"euler_char": 0, "edge_weights": 0, "find_maximal_lsts": 0}
+    from trinorm import homology
+    calls = {"euler_char": 0, "edge_weights": 0, "find_maximal_lsts": 0,
+             "first_homology": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -341,6 +358,7 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     counted(surface, "euler_char")
     counted(surface, "edge_weights")
     counted(analyze, "find_maximal_lsts")
+    counted(homology, "first_homology")
     # L(10,1): one colouring class, and degree-3 edges for the lint
     tri, _, _ = build.lens_space(1, 8)
     path = tmp_path / "lens.tri"
@@ -351,7 +369,7 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     # the canonical surface is counted once, its edge weights are checked
     # once, and the lint reuses the tori the report found
     assert calls == {"euler_char": 1, "edge_weights": 1,
-                     "find_maximal_lsts": 1}
+                     "find_maximal_lsts": 1, "first_homology": 1}
 
     tri, _ = build.seifert_family("M", 1, 2, 1)
     path.write_text(serialize(tri))
@@ -359,6 +377,18 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     assert main(["analyze", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)["classes"]) == 1
     assert calls["edge_weights"] == 1
+
+    # L(4,1) on one tetrahedron has a degree-2 edge, which the lint
+    # labels from the homology the report computed
+    tri, _, record = build.lens_space(1, 2)
+    assert (tri.tet_count, record.lens_a) == (1, 4)
+    path.write_text(serialize(tri))
+    calls["first_homology"] = 0
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lint"]["degree_2"] == [
+        {"edge": 1, "classification": "lens_order_4_exception"}]
+    assert calls["first_homology"] == 1
 
 
 def test_reports_are_deterministic(tmp_path):
