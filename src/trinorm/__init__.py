@@ -6,7 +6,8 @@ triangulation, and a handful of modules:
 
   triangulation   gluing tables, skeleta, orientability, canonical forms
   homology        Smith normal form, GF(2) kernels, first homology
-  build           layered solid tori, lens folds, loops, Seifert families
+  build           layered solid tori (LayeredSolidTorus), lens folds, loops,
+                  Seifert families
   cocycle         edge colourings, tetrahedron types, parity censuses
   surface         normal coordinates, canonical surfaces, octagons
   analyze         solid torus recognition, bound reports, Pachner moves
@@ -24,7 +25,7 @@ from .homology import (HomologyProfile, first_homology, seifert_homology,
 from .build import (lst, layer_on_edge, fold_along_edge, lens_space,
                     lgraph, enumerate_minimal_lens_families, layered_loop,
                     augmented_solid_torus, AnnulusFilling, seifert_family,
-                    LstMeta, FoldRecord, LGraphNode, SeifertParams,
+                    LayeredSolidTorus, FoldRecord, LGraphNode, SeifertParams,
                     meridian_weight_oracle)
 from .cocycle import (Cocycle, TetType, ParityCensus, cocycle_basis,
                       all_nonzero_classes, classify_tetrahedra, parity_census)
@@ -32,7 +33,7 @@ from .surface import (NormalCoordinate, CanonicalSurface, canonical_surface,
                       euler_char, chi_formula, b_modification,
                       special_solutions, formal_chi, twisted_square_scan,
                       surface_classify, vertex_link)
-from .analyze import (LstEmbedding, BoundReport, MoveSpec, find_maximal_lsts,
+from .analyze import (BoundReport, MoveSpec, find_maximal_lsts,
                       lst_intersection_matrix, low_degree_lint,
                       fundamental_report, pachner, pachner_with_cocycle,
                       promote, supportive_tori, almost_supportive_tori,

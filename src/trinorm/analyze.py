@@ -15,8 +15,9 @@ from .perm import Perm4
 from .triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
                             TriBuilder, TriangulationError)
 from . import homology as _homology
-from .build import (SEED_WEIGHTS, family_slopes, family_tag, lens_space,
-                    relayered_weight, seifert_family)
+from .build import (SEED_WEIGHTS, LayeredSolidTorus, family_slopes,
+                    family_tag, lens_space, relayer, relayered_weight,
+                    seifert_family)
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
                       all_nonzero_classes, Cocycle, face_relation_rows,
                       is_cocycle)
@@ -26,34 +27,6 @@ _log = logging.getLogger(__name__)
 
 
 # ----- layered solid torus recognition ----------------------------------------
-
-
-@dataclass(frozen=True)
-class LstEmbedding:
-    """A layered solid torus subcomplex, tetrahedra in layering order."""
-    tets: tuple
-    edge_weights: dict           # ambient edge class -> meridian weight
-    boundary_edges: tuple        # ambient classes of the three boundary edges
-    interior_edges: tuple
-    univalent_edge: int
-    base_edge: int | None
-    lst_degrees: dict            # ambient edge class -> degree within the torus
-
-    @property
-    def size(self):
-        return len(self.tets)
-
-    @property
-    def boundary_triple(self):
-        return tuple(sorted(self.edge_weights[e] for e in self.boundary_edges))
-
-    def tet_type(self, types):
-        """Uniform colouring type of the torus, QUAD or EMPTY, read off
-        ``types``, the list ``classify_tetrahedra`` returns."""
-        kinds = {types[t][0] for t in self.tets}
-        if len(kinds) != 1:
-            raise AssertionError("layered solid torus with mixed tetrahedron types")
-        return kinds.pop()
 
 
 def _seed_classes(tri, t):
@@ -80,8 +53,7 @@ def _seed_classes(tri, t):
         return None
     weights = {c: SEED_WEIGHTS[d] for c, d in degrees.items()}
     univalent = next(c for c, d in degrees.items() if d == 1)
-    return LstEmbedding((t,), weights, tuple(weights), (), univalent, None,
-                        degrees)
+    return LayeredSolidTorus((t,), weights, tuple(weights), univalent, None)
 
 
 def _grow(tri, seed):
@@ -89,8 +61,8 @@ def _grow(tri, seed):
     two free facets attach a fresh tetrahedron in the layering pattern.
 
     The torus grows on one working state, its frontier (the two free
-    facets), weights and degrees updated in place, so each layer costs
-    O(1).  After a layer the free facets are exactly the new
+    facets), weights and boundary updated in place by ``relayer``, so each
+    layer costs O(1).  After a layer the free facets are exactly the new
     tetrahedron's other two facets: every older torus facet is glued
     inside the torus, and those two do not glue back.  Returns the frozen
     torus and the reason growth stopped."""
@@ -100,7 +72,6 @@ def _grow(tri, seed):
     tets, members = [t], {t}
     free = [(t, f) for f, g in enumerate(rows[t]) if g is None or g[0] != t]
     weights = dict(seed.edge_weights)
-    degrees = dict(seed.lst_degrees)
     boundary = seed.boundary_edges
     univalent, base = seed.univalent_edge, None
     while True:
@@ -130,31 +101,20 @@ def _grow(tri, seed):
         if hinge_class not in boundary:
             reason = "hinge is not a boundary edge"
             break
-        # layering pattern confirmed structurally; update the weight replay
-        others = [e for e in boundary if e != hinge_class]
-        new_weight = relayered_weight(weights[hinge_class],
-                                      *(weights[e] for e in others))
         new_class = amb.edge_class_of(new, *sorted((fa, fb)))[0]
         if new_class in weights:
             reason = "new edge class already in the torus"
             break
-        weights[new_class] = new_weight
-        # The torus's edge classes map one-to-one onto ambient classes (the
-        # seed checks this, and each layer adds one class not seen before),
-        # so gluing `new` on along the hinge merges nothing: a torus degree
-        # is the number of torus edge slots in the ambient class.
-        for cls in amb.edge_class[6 * new:6 * new + 6]:
-            degrees[cls] = degrees.get(cls, 0) + 1
-        boundary = (*others, new_class)
+        # layering pattern confirmed structurally; update the weight replay
+        boundary = relayer(weights, boundary, hinge_class, new_class)
         if base is None:
             base = hinge_class
         univalent = new_class
         tets.append(new)
         members.add(new)
         free = [(new, f) for f in rest]
-    interior = tuple(c for c in weights if c not in boundary)
-    return LstEmbedding(tuple(tets), weights, boundary, interior, univalent,
-                        base, degrees), reason
+    return LayeredSolidTorus(tuple(tets), weights, boundary, univalent,
+                             base), reason
 
 
 def find_maximal_lsts(tri):
@@ -571,7 +531,7 @@ def supportive_tori(tri, phi, types=None):
 class PromotionObstruction(TriangulationError):
     """A supportive torus that no 4-4 flip can remove; the CLI reports it
     as a domain error."""
-    torus: LstEmbedding
+    torus: LayeredSolidTorus
     reason: str
 
     def __str__(self):

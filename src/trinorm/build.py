@@ -43,27 +43,53 @@ class Book:
 
 
 @dataclass(frozen=True)
-class LstMeta:
-    """Structure record for a layered solid torus.
+class LayeredSolidTorus:
+    """A layered solid torus, built by ``lst`` or recognised inside a
+    triangulation by ``analyze.find_maximal_lsts``.
 
-    edge_weights maps every edge class to the geometric intersection number
-    of its loop with the meridian disc; the boundary carries the triple
+    tets lists its tetrahedra in layering order.  edge_weights maps each of
+    its edge classes to the geometric intersection number of the edge's
+    loop with the meridian disc; the three boundary edges carry the triple
     {p, q, p+q}.  The univalent edge is the boundary edge of torus-degree
     one; base_edge is the first edge ever layered on (absent for a single
-    tetrahedron).  book locates the boundary for the next layering or fold.
+    tetrahedron).  book locates the boundary for the next layering or fold;
+    a recognised torus has none, and its boundary is read off the skeleton.
     """
-    p: int
-    q: int
+    tets: tuple
     edge_weights: dict
     boundary_edges: tuple
     univalent_edge: int
     base_edge: int | None
-    layer_order: tuple = ()
     book: Book | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def size(self):
+        return len(self.tets)
 
     @property
     def boundary_triple(self):
         return tuple(sorted(self.edge_weights[e] for e in self.boundary_edges))
+
+    @property
+    def p(self):
+        return self.boundary_triple[0]
+
+    @property
+    def q(self):
+        return self.boundary_triple[1]
+
+    @property
+    def interior_edges(self):
+        return tuple(e for e in self.edge_weights
+                     if e not in self.boundary_edges)
+
+    def tet_type(self, types):
+        """Uniform colouring type of the torus, QUAD or EMPTY, read off
+        ``types``, the list ``classify_tetrahedra`` returns."""
+        kinds = {types[t][0] for t in self.tets}
+        if len(kinds) != 1:
+            raise AssertionError("layered solid torus with mixed tetrahedron types")
+        return kinds.pop()
 
 
 @dataclass(frozen=True)
@@ -116,8 +142,8 @@ def _seed_lst():
     tri = b.freeze()
     degrees = tri.skeleton.edge_degrees
     weights = {e: SEED_WEIGHTS[d] for e, d in enumerate(degrees)}
-    return tri, LstMeta(1, 2, weights, tuple(weights), degrees.index(1),
-                        None, (0,), _skeleton_book(tri))
+    return tri, LayeredSolidTorus((0,), weights, tuple(weights),
+                                  degrees.index(1), None, _skeleton_book(tri))
 
 
 def _boundary_face_slots(tri):
@@ -172,14 +198,6 @@ def _builder(tri):
     return builder
 
 
-def _book_of(tri, meta):
-    """tri's book and edge-class count: read off ``meta`` when it carries
-    a book, otherwise from the skeleton."""
-    if meta is not None and meta.book is not None:
-        return meta.book, len(meta.edge_weights)
-    return _skeleton_book(tri), tri.skeleton.edge_count
-
-
 def _layer(builder, book, hinge, new_class):
     """Attach one tetrahedron to ``builder`` across the book's two faces,
     hinged on the boundary edge class ``hinge``; returns the new
@@ -208,16 +226,15 @@ def _layer(builder, book, hinge, new_class):
     return new, Book(((new, 0), (new, 1)), edges)
 
 
-def layer_on_edge(tri, edge_class, meta=None):
-    """Attach one tetrahedron across the two boundary faces, hinged on the
-    given boundary edge (see ``_layer``).  The boundary is read off
-    ``meta`` when it carries a book, else off tri's skeleton."""
-    book, count = _book_of(tri, meta)
+def layer_on_edge(tri, edge_class, torus):
+    """Attach one tetrahedron across the two boundary faces of tri, the
+    layered solid torus ``torus``, hinged on the given boundary edge (see
+    ``_layer``); returns the new triangulation and its torus.  The boundary
+    is read off the torus's book, or off tri's skeleton when it has none."""
     builder = _builder(tri)
-    new, book = _layer(builder, book, edge_class, count)
-    out = builder.freeze()
-    return out, None if meta is None else \
-        _relayered_meta(meta, edge_class, new, book)
+    new, book = _layer(builder, torus.book or _skeleton_book(tri), edge_class,
+                       len(torus.edge_weights))
+    return builder.freeze(), _relayered_meta(torus, edge_class, new, book)
 
 
 def relayered_weight(removed, w1, w2):
@@ -228,27 +245,33 @@ def relayered_weight(removed, w1, w2):
     return abs(w1 - w2) if removed == w1 + w2 else w1 + w2
 
 
-def boundary_edge(meta, weight):
-    """The boundary edge class of the given meridian weight (of an LstMeta
-    or any record with ``boundary_edges`` and ``edge_weights``)."""
-    return next(e for e in meta.boundary_edges
-                if meta.edge_weights[e] == weight)
+def relayer(weights, boundary, hinge, new_class):
+    """One layering on the boundary edge ``hinge``, in place: records the
+    meridian weight of the fresh boundary edge ``new_class`` in
+    ``weights`` and returns the new boundary, the two kept edges in their
+    order and then ``new_class``."""
+    kept = [e for e in boundary if e != hinge]
+    weights[new_class] = relayered_weight(weights[hinge],
+                                          *(weights[e] for e in kept))
+    return (*kept, new_class)
 
 
-def _relayered_meta(meta, layered_class, new_tet, book):
-    """The meta after layering on ``layered_class``.  A layering keeps every
-    edge class's index and numbers the fresh boundary edge next, as its
-    book does."""
-    new_class = len(meta.edge_weights)
-    weights = dict(meta.edge_weights)
-    kept = [e for e in meta.boundary_edges if e != layered_class]
-    weights[new_class] = relayered_weight(
-        meta.edge_weights[layered_class], *(weights[e] for e in kept))
-    boundary = (*kept, new_class)
-    p, q = sorted(weights[e] for e in boundary)[:2]
-    base = layered_class if meta.base_edge is None else meta.base_edge
-    return LstMeta(p, q, weights, boundary, new_class, base,
-                   meta.layer_order + (new_tet,), book)
+def boundary_edge(torus, weight):
+    """The boundary edge class of the given meridian weight."""
+    return next(e for e in torus.boundary_edges
+                if torus.edge_weights[e] == weight)
+
+
+def _relayered_meta(torus, layered_class, new_tet, book):
+    """The torus after layering ``new_tet`` on ``layered_class``.  A
+    layering keeps every edge class's index and numbers the fresh boundary
+    edge next, as its book does."""
+    new_class = len(torus.edge_weights)
+    weights = dict(torus.edge_weights)
+    boundary = relayer(weights, torus.boundary_edges, layered_class, new_class)
+    base = layered_class if torus.base_edge is None else torus.base_edge
+    return LayeredSolidTorus(torus.tets + (new_tet,), weights, boundary,
+                             new_class, base, book)
 
 
 def minimal_path(p, q):
@@ -300,18 +323,18 @@ def fold_record(p, q, weight):
     return FoldRecord(weight, abs(p - q), p)
 
 
-def fold_along_edge(tri, edge_class, meta=None):
-    """Close the book: identify the two boundary faces by the map fixing
-    the given boundary edge pointwise.  The other two boundary edges merge
-    into a single class.  The boundary is read off ``meta`` when it
-    carries a book, else off tri's skeleton."""
-    book, _ = _book_of(tri, meta)
+def fold_along_edge(tri, edge_class, torus):
+    """Close the book of tri, the layered solid torus ``torus``: identify
+    the two boundary faces by the map fixing the given boundary edge
+    pointwise.  The other two boundary edges merge into a single class.
+    Returns the lens space and its fold record.  The boundary is read off
+    the torus's book, or off tri's skeleton when it has none."""
+    book = torus.book or _skeleton_book(tri)
     (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = book.hinge(edge_class)
     builder = _builder(tri)
     builder.join(t1, f1, t2, Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2}))
-    record = None if meta is None else \
-        fold_record(meta.p, meta.q, meta.edge_weights[edge_class])
-    return builder.freeze(), record
+    return builder.freeze(), fold_record(torus.p, torus.q,
+                                         torus.edge_weights[edge_class])
 
 
 def lens_space(p, q, fold_weight=None):

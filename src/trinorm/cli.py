@@ -25,15 +25,19 @@ class UsageError(Exception):
 
 
 def _load(path):
-    """Read a .tri file and reject cells no command can work with: every
-    degree identity and the homology assume manifold edges and faces, a
-    closed input must be a manifold at its vertices too, and the empty
-    complex is no 3-manifold at all."""
+    """Read a .tri file and reject what ``_require_manifold`` rejects."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise TriangulationError(f"cannot read {path}: {exc.strerror}") from None
-    tri = parse(text)
+    return _require_manifold(parse(text))
+
+
+def _require_manifold(tri):
+    """Reject cells no command can work with: every degree identity and
+    the homology assume manifold edges and faces, a closed input must be a
+    manifold at its vertices too, and the empty complex is no 3-manifold
+    at all.  Returns tri."""
     if not tri.tet_count:
         raise TriangulationError("not a 3-manifold: no tetrahedra")
     homology.require_valid_cells(tri)
@@ -47,12 +51,11 @@ def _load(path):
     return tri
 
 
-def _write_tri(tri, path, meta=None):
+def _write_tri(tri, path, sidecar=None):
     Path(path).write_text(serialize(tri))
-    if meta is not None:
-        sidecar = Path(path).with_suffix(".meta.json")
-        sidecar.write_text(json.dumps(
-            {"schema_version": SCHEMA_VERSION, **meta},
+    if sidecar is not None:
+        Path(path).with_suffix(".meta.json").write_text(json.dumps(
+            {"schema_version": SCHEMA_VERSION, **sidecar},
             sort_keys=True, indent=2) + "\n")
 
 
@@ -166,34 +169,33 @@ def cmd_construct_lst(args):
 
 
 def cmd_fold(args):
-    weight_names = {"p": "p", "q": "q", "pq": "pq", "p+q": "pq"}
-    if args.edge not in weight_names:
-        raise TriangulationError("--edge must be one of p, q, pq")
+    if args.edge not in ("p", "q", "pq", "p+q"):
+        raise UsageError("--edge must be one of p, q, pq")
+    pair = (args.p, args.q)
+    if args.input is not None and pair != (None, None) or \
+            args.input is None and None in pair:
+        raise UsageError("give either a .tri file or both --p and --q")
     if args.input is not None:
         tri = _load(args.input)
         lsts = analyze.find_maximal_lsts(tri)
         if len(lsts) != 1 or lsts[0].size != tri.tet_count:
             raise TriangulationError(
                 "input file is not a layered solid torus")
-        emb = lsts[0]
-        p, q = emb.boundary_triple[0], emb.boundary_triple[1]
-        w = {"p": p, "q": q, "pq": p + q}[weight_names[args.edge]]
-        folded, _ = build.fold_along_edge(tri, build.boundary_edge(emb, w))
-        record = build.fold_record(p, q, w)
-        weights = emb.edge_weights
+        torus = lsts[0]
+        p, q = torus.p, torus.q
     else:
-        if args.p is None or args.q is None:
-            raise TriangulationError("give a .tri file or both --p and --q")
+        # the record comes from the torus's sorted pair, so it does not
+        # depend on the order of --p and --q
+        tri, torus = build.lst(args.p, args.q)
         p, q = args.p, args.q
-        w = {"p": p, "q": q, "pq": p + q}[weight_names[args.edge]]
-        # the record comes from the sorted pair lst(p, q) is built on, so
-        # it does not depend on the order of --p and --q
-        folded, meta, record = build.lens_space(p, q, fold_weight=w)
-        weights = meta.edge_weights
+    w = {"p": p, "q": q}.get(args.edge, p + q)
+    folded, record = build.fold_along_edge(
+        tri, build.boundary_edge(torus, w), torus)
     h = homology.first_homology(folded)
     _write_tri(folded, args.out, {
         "family": "lens", "params": {"p": p, "q": q, "fold_weight": w},
-        "meridian_weights": {str(k): v for k, v in weights.items()},
+        "meridian_weights": {str(k): v
+                             for k, v in torus.edge_weights.items()},
         "fold": {"edge_weight": record.fold_edge_weight,
                  "lens": [record.lens_a, record.lens_b]},
         "predicted_homology": record.lens_a,
@@ -249,7 +251,8 @@ def cmd_construct_augmented(args):
             fillings.append(build.AnnulusFilling("lst", w_h=wh, w_d=wd, w_v=wv))
         else:
             raise TriangulationError(f"bad annulus entry {entry!r}")
-    tri = build.augmented_solid_torus(tuple(fillings))
+    # a straight fold leaves an invalid edge: rejected here, not written
+    tri = _require_manifold(build.augmented_solid_torus(tuple(fillings)))
     _write_tri(tri, args.out, {
         "family": "augmented", "params": {"annuli": args.annulus},
         "meridian_weights": None, "fold": None, "predicted_homology": None,

@@ -32,18 +32,16 @@ def check_lst_counts(quick=False):
 def check_fold_homology(quick=False):
     depth = 6 if quick else 10
     n = 0
-    for _, tri, meta in build.lst_tree(depth):
-        p, q = meta.p, meta.q
+    for node, w, folded in _lens_grid(depth):
+        p, q = node.p, node.q
         # the lens table written out: the reference the homology oracle and
         # build.fold_record are both held to
-        for w, expect in ((p, 2 * q + p), (q, 2 * p + q), (p + q, abs(p - q))):
-            folded, _ = build.fold_along_edge(
-                tri, build.boundary_edge(meta, w), meta)
-            h = homology.first_homology(folded)
-            if h.betti or h.order != expect:
-                return False, (f"fold of {p}/{q} along {w}: |H1| = {h.order}, "
-                               f"expected {expect}")
-            n += 1
+        expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w]
+        h = homology.first_homology(folded)
+        if h.betti or h.order != expect:
+            return False, (f"fold of {p}/{q} along {w}: |H1| = {h.order}, "
+                           f"expected {expect}")
+        n += 1
     return True, f"{n} folds matched the lens table to depth {depth}"
 
 
@@ -93,10 +91,10 @@ def _family_grid(quick=False):
         yield "Q", (k,), build.layered_loop(k, twisted=True)
 
 
-def _lens_grid(quick=False):
-    """(node, w, folded) for the three folds of every fraction-tree node,
-    in the walker's depth-first order."""
-    depth = 5 if quick else 10
+def _lens_grid(depth):
+    """(node, w, folded) for the three folds of every fraction-tree node to
+    the given depth, along p, q and p+q, in the walker's depth-first
+    order."""
     for node, tri, meta in build.lst_tree(depth):
         for w in (meta.p, meta.q, meta.p + meta.q):
             folded, _ = build.fold_along_edge(
@@ -108,7 +106,7 @@ def _closed_instances():
     """The quick family grid, then the quick lens grid level by level (as
     ``lgraph`` numbers the tree): ``check_fundamental_identity`` deals its
     seeded colourings out in this order."""
-    lens = sorted(_lens_grid(quick=True), key=lambda item: item[0].depth)
+    lens = sorted(_lens_grid(5), key=lambda item: item[0].depth)
     return ([tri for _, _, tri in _family_grid(quick=True)]
             + [folded for _, _, folded in lens])
 
@@ -117,7 +115,7 @@ def check_chi_two_methods(quick=False):
     labelled = chain(
         ((f"{name}{params}", tri) for name, params, tri in _family_grid(quick)),
         ((f"lens {node.p}/{node.q} fold {w}", folded)
-         for node, w, folded in _lens_grid(quick)))
+         for node, w, folded in _lens_grid(5 if quick else 10)))
     n = 0
     for label, tri in labelled:
         for phi in cocycle.all_nonzero_classes(tri):
@@ -321,23 +319,19 @@ def check_moves(quick=False):
 
 
 def check_lst_recognition(quick=False):
-    depth = 6 if quick else 8
     n = 0
-    for node, tri, meta in build.lst_tree(depth):
-        if tri.tet_count < 3:
+    for node, w, folded in _lens_grid(6 if quick else 8):
+        if w == node.p + node.q or node.depth < 3:
             continue
-        for w in (meta.p, meta.q):
-            folded, _ = build.fold_along_edge(
-                tri, build.boundary_edge(meta, w), meta)
-            lsts = analyze.find_maximal_lsts(folded)
-            if len(lsts) != 2:
-                return False, (f"lens {node.p}/{node.q} fold {w}: "
-                               f"{len(lsts)} maximal tori")
-            joint = set(lsts[0].tets) & set(lsts[1].tets)
-            if len(joint) != folded.tet_count - 2:
-                return False, (f"lens {node.p}/{node.q}: tori meet in "
-                               f"{len(joint)} tetrahedra")
-            n += 1
+        lsts = analyze.find_maximal_lsts(folded)
+        if len(lsts) != 2:
+            return False, (f"lens {node.p}/{node.q} fold {w}: "
+                           f"{len(lsts)} maximal tori")
+        joint = set(lsts[0].tets) & set(lsts[1].tets)
+        if len(joint) != folded.tet_count - 2:
+            return False, (f"lens {node.p}/{node.q}: tori meet in "
+                           f"{len(joint)} tetrahedra")
+        n += 1
     for tag, kmn, tri in _mm_grid(("M", "MPRIME"), quick):
         lsts = analyze.find_maximal_lsts(tri)
         if len(lsts) != 3:

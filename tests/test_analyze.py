@@ -14,9 +14,9 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              move23, move32, move44, pachner,
                              pachner_with_cocycle, supportive_tori, promote,
                              almost_supportive_tori, compression_pattern_scan,
-                             complexity_certificate, LstEmbedding)
-from trinorm.build import (AnnulusFilling, augmented_solid_torus,
-                           relayered_weight)
+                             complexity_certificate)
+from trinorm.build import (AnnulusFilling, LayeredSolidTorus,
+                           augmented_solid_torus, relayered_weight)
 from trinorm.perm import ALL_PERMS
 from trinorm.triangulation import (TriBuilder, Triangulation,
                                    TriangulationError, parse)
@@ -40,6 +40,20 @@ def test_single_lst_is_whole_complex():
     assert lst_intersection_matrix(tri, lsts) == [[0]]
 
 
+def test_recognition_matches_construction():
+    # recognised in its own triangulation, a built torus is the same
+    # record: tetrahedra in layering order, weights, boundary edges in
+    # order, univalent and base edge (the book is not compared)
+    nodes = 0
+    for _, tri, meta in build.lst_tree(9):
+        assert find_maximal_lsts(tri) == [meta]
+        nodes += 1
+    assert nodes == 511
+    for p, q in ((1, 400), (13, 34), (55, 89)):
+        tri, meta = build.lst(p, q)
+        assert find_maximal_lsts(tri) == [meta]
+
+
 def test_three_lsts_on_augmented():
     for tag in ("M", "MPRIME"):
         tri, _ = build.seifert_family(tag, 1, 2, 1)
@@ -56,9 +70,12 @@ def test_lst_interior_degree_matches_ambient():
     tri, meta, _ = build.lens_space(1, 8)
     sk = tri.skeleton
     for emb in find_maximal_lsts(tri):
+        # an edge's degree in the torus: its class's slots among the torus's
+        # tetrahedra
+        slots = [sk.edge_class[6 * t + ei] for t in emb.tets for ei in range(6)]
         for e in emb.interior_edges:
-            assert emb.lst_degrees[e] == sk.edge_degrees[e]
-        assert emb.lst_degrees[emb.univalent_edge] == 1
+            assert slots.count(e) == sk.edge_degrees[e]
+        assert slots.count(emb.univalent_edge) == 1
 
 
 def test_lint_small_lens_cases():
@@ -476,8 +493,7 @@ def _reference_seed_classes(tri, t):
         return None
     boundary = tuple(weights)
     univalent = next(c for c, d in degrees.items() if d == 1)
-    return analyze.LstEmbedding((t,), weights, boundary, (), univalent, None,
-                                degrees)
+    return LayeredSolidTorus((t,), weights, boundary, univalent, None)
 
 
 def _reference_try_extend(tri, emb):
@@ -535,10 +551,8 @@ def _reference_try_extend(tri, emb):
     if len(degrees) != len(grown) + 2:
         return None
     boundary = tuple(others + [new_class])
-    interior = tuple(c for c in weights if c not in boundary)
     base = emb.base_edge if emb.base_edge is not None else hinge_class
-    return analyze.LstEmbedding(grown, weights, boundary, interior,
-                                new_class, base, degrees)
+    return LayeredSolidTorus(grown, weights, boundary, new_class, base)
 
 
 def _reference_maximal_lsts(tri):
@@ -600,19 +614,10 @@ def _try_extend(tri, emb):
         return None
     weights = dict(emb.edge_weights)
     weights[new_class] = new_weight
-    # The torus's edge classes map one-to-one onto ambient classes (the
-    # seed checks this, and each layer adds one class not seen before),
-    # so gluing `new` on along the hinge merges nothing: a torus degree is
-    # the number of torus edge slots in the ambient class.
-    degrees = dict(emb.lst_degrees)
-    for ei in range(6):
-        cls = amb.edge_class[6 * new + ei]
-        degrees[cls] = degrees.get(cls, 0) + 1
     boundary = tuple(others + [new_class])
-    interior = tuple(c for c in weights if c not in boundary)
     base = emb.base_edge if emb.base_edge is not None else layered
-    return LstEmbedding(emb.tets + (new,), weights, boundary, interior,
-                        new_class, base, degrees)
+    return LayeredSolidTorus(emb.tets + (new,), weights, boundary, new_class,
+                             base)
 
 
 def _copying_maximal_lsts(tri):
@@ -635,7 +640,7 @@ def _copying_maximal_lsts(tri):
 
 def _assert_same_embedding(a, b):
     """Every field equal, dicts in the same key order too."""
-    for field in dataclasses.fields(analyze.LstEmbedding):
+    for field in dataclasses.fields(LayeredSolidTorus):
         x, y = getattr(a, field.name), getattr(b, field.name)
         assert x == y, field.name
         if isinstance(x, dict):

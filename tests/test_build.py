@@ -1,5 +1,6 @@
 """Constructors: layered solid tori, folds, loops, augmented families."""
 
+import dataclasses
 import functools
 import math
 import random
@@ -285,11 +286,10 @@ def _reference_relayered_meta(old, out, meta, layered_class, new_tet):
     new_class = out.skeleton.edge_class_of(new_tet, 2, 3)[0]
     weights[new_class] = new_weight
     boundary = tuple(kept + [new_class])
-    triple = sorted(weights[e] for e in boundary)
     base = cmap[meta.base_edge] if meta.base_edge is not None \
         else cmap[layered_class]
-    return build.LstMeta(triple[0], triple[1], weights, boundary, new_class,
-                         base, meta.layer_order + (new_tet,))
+    return build.LayeredSolidTorus(meta.tets + (new_tet,), weights, boundary,
+                                   new_class, base)
 
 
 def _reference_layer_on_edge(tri, edge_class, meta=None):
@@ -349,7 +349,9 @@ def _assert_folds_match(tri, meta):
         assert folded == _reference_fold_along_edge(tri, e)
         assert record == build.fold_record(meta.p, meta.q,
                                            meta.edge_weights[e])
-        assert build.fold_along_edge(tri, e)[0] == folded
+        # a torus without a book folds along the skeleton's boundary
+        assert build.fold_along_edge(
+            tri, e, dataclasses.replace(meta, book=None)) == (folded, record)
 
 
 def test_lst_tree_matches_skeleton_reference():
@@ -373,7 +375,8 @@ def test_layer_and_fold_match_skeleton_reference():
             want = _reference_layer_on_edge(tri, e, meta)
             got = build.layer_on_edge(tri, e, meta)
             assert got == want
-            assert build.layer_on_edge(tri, e) == (want[0], None)
+            assert build.layer_on_edge(
+                tri, e, dataclasses.replace(meta, book=None)) == want
             _assert_book_matches_skeleton(want[0], got[1])
 
 

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -454,6 +455,16 @@ ERROR_CASES = {
     "annulus with non-integer weights": (
         ["construct", "augmented", "--annulus", "lst:a,b,c", "--annulus",
          "fold:cross", "--annulus", "fold:cross", "-o", "OUT"], 1),
+    "annulus with a straight fold": (
+        ["construct", "augmented", "--annulus", "fold", "--annulus",
+         "fold:cross", "--annulus", "lst:5,1,6", "-o", "OUT"], 1),
+    # usage errors of fold are reported before the input file is read
+    "fold with a file and --p --q": (["fold", "NOFILE", "--p", "1", "--q",
+                                      "6", "--edge", "p", "-o", "OUT"], 2),
+    "fold with a bad edge": (["fold", "NOFILE", "--edge", "r",
+                              "-o", "OUT"], 2),
+    "fold without a file or --q": (["fold", "--p", "1", "--edge", "p",
+                                    "-o", "OUT"], 2),
 }
 # the whole message, where the case pins it
 ERROR_MESSAGES = {
@@ -461,6 +472,13 @@ ERROR_MESSAGES = {
     "annulus with two weights": "error: bad annulus entry 'lst:1,2'\n",
     "annulus with non-integer weights":
         "error: bad annulus entry 'lst:a,b,c'\n",
+    "annulus with a straight fold":
+        "error: homology requires all edges valid (no reversed self-gluing)\n",
+    "fold with a file and --p --q":
+        "error: give either a .tri file or both --p and --q\n",
+    "fold with a bad edge": "error: --edge must be one of p, q, pq\n",
+    "fold without a file or --q":
+        "error: give either a .tri file or both --p and --q\n",
 }
 
 
@@ -488,6 +506,10 @@ def test_error_contract(case, cli_inputs):
     assert err.startswith("error: ") and "Traceback" not in err
     if case in ERROR_MESSAGES:
         assert err == ERROR_MESSAGES[case] and out == ""
+    # no case writes its output file or sidecar
+    written = Path(cli_inputs["OUT"])
+    assert not written.exists()
+    assert not written.with_suffix(".meta.json").exists()
 
 
 # The stdout of the read-only reports on these inputs is pinned by sha256.
