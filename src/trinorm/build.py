@@ -524,7 +524,9 @@ class AnnulusFilling:
     the given weights to the annulus' horizontal, diagonal and vertical
     edges.  kind 'fold': identify the annulus' two triangles directly,
     matching the named edges across ('straight' keeps horizontal on
-    horizontal, 'cross' swaps horizontal and diagonal).
+    horizontal, 'cross' swaps horizontal and diagonal).  A straight fold
+    leaves an edge identified with itself reversed, so
+    ``augmented_solid_torus`` rejects it.
     """
     kind: str
     w_h: int = 0
@@ -554,7 +556,8 @@ def augmented_solid_torus(fillings):
     """Pinched-prism solid torus with its three annuli closed by the given
     fillings.  Every layered-solid-torus attachment pinches the two
     vertical edges of its annulus onto a single edge, which is what turns
-    each annulus into a one-vertex torus."""
+    each annulus into a one-vertex torus.  Raises TriangulationError when
+    the result has an invalid edge, as every straight fold leaves."""
     if len(fillings) != 3:
         raise TriangulationError("exactly three annulus fillings required")
     b = _prism_builder()
@@ -602,7 +605,10 @@ def augmented_solid_torus(fillings):
             vmap = _triangle_map(edges_from, annulus["edges" + key])
             vmap[lf] = f_p
             b.join(lt + offset, lf, t_p, Perm4.from_map(vmap))
-    return b.freeze()
+    tri = b.freeze()
+    # a straight fold identifies an edge with itself reversed
+    homology.require_valid_cells(tri)
+    return tri
 
 
 # ----- the named families -----------------------------------------------------

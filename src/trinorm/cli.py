@@ -251,7 +251,7 @@ def cmd_construct_augmented(args):
             fillings.append(build.AnnulusFilling("lst", w_h=wh, w_d=wd, w_v=wv))
         else:
             raise TriangulationError(f"bad annulus entry {entry!r}")
-    # a straight fold leaves an invalid edge: rejected here, not written
+    # build rejects a straight fold, which leaves an invalid edge
     tri = _require_manifold(build.augmented_solid_torus(tuple(fillings)))
     _write_tri(tri, args.out, {
         "family": "augmented", "params": {"annuli": args.annulus},

@@ -20,12 +20,17 @@ Octagons only arise from b-modifications of all-quad canonical surfaces.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .triangulation import (EDGE_VERTICES, OPPOSITE_EDGE, FACET_VERTICES,
-                            TriangulationError, _UnionFind)
+                            GLUING_TABLE, TriangulationError, _UnionFind)
 from .cocycle import TetType, classify_tetrahedra, ParityCensus
+
+_log = logging.getLogger(__name__)
 
 # quad type i is disjoint from edge pair (i, 5-i): (01|23), (02|13), (03|12)
 QUAD_PAIRS = ((0, 5), (1, 4), (2, 3))
@@ -59,6 +64,24 @@ OCT_EDGE_WEIGHTS = tuple(
     tuple(2 if e in QUAD_PAIRS[i] else 1 for e in range(6)) for i in range(3))
 # the rows of all ten disc types, in the order tris + quads + octs
 DISC_EDGE_WEIGHTS = TRI_EDGE_WEIGHTS + QUAD_EDGE_WEIGHTS + OCT_EDGE_WEIGHTS
+
+
+def _disc_arcs(d):
+    """The entries 4*facet + vertex of a tetrahedron's arc row that one
+    disc of type d adds an arc to."""
+    if d < 4:
+        return tuple(4 * f + d for f in range(4) if f != d)
+    if d < 7:
+        return tuple(4 * f + QUAD_ARC_VERTEX[d - 4][f] for f in range(4))
+    return tuple(4 * f + v for f in range(4)
+                 for v in OCT_ARC_VERTICES[d - 7][f])
+
+
+# for each disc type in the order of DISC_EDGE_WEIGHTS: the arc row
+# entries it adds to, and the edges it crosses, once per crossing
+_DISC_ARCS = tuple(_disc_arcs(d) for d in range(10))
+_DISC_EDGES = tuple(tuple(e for e in range(6) for _ in range(row[e]))
+                    for row in DISC_EDGE_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -109,29 +132,6 @@ class NormalCoordinate:
         return not any(any(r) for rr in (self.tris, self.quads, self.octs)
                        for r in rr)
 
-    def tet_edge_weights(self, tet):
-        """Intersection count with each of the six edges of the tetrahedron."""
-        w = [0] * 6
-        counts = self.tris[tet] + self.quads[tet] + self.octs[tet]
-        for c, row in zip(counts, DISC_EDGE_WEIGHTS):
-            if c:
-                for e in range(6):
-                    w[e] += c * row[e]
-        return w
-
-    def arc_counts(self, tet, facet):
-        """Arcs cutting off each vertex inside the given facet, indexed by
-        vertex; only the three entries of the facet's vertices count."""
-        n = list(self.tris[tet])
-        for i, c in enumerate(self.quads[tet]):
-            if c:
-                n[QUAD_ARC_VERTEX[i][facet]] += c
-        for i, c in enumerate(self.octs[tet]):
-            if c:
-                for v in OCT_ARC_VERTICES[i][facet]:
-                    n[v] += c
-        return n
-
     def dump(self):
         lines = []
         for t in range(self.tet_count):
@@ -146,65 +146,95 @@ class CoordinateError(TriangulationError):
     pass
 
 
-def check_embeddable(coord):
-    if coord.formal:
-        raise CoordinateError("formal coordinates are not embeddable")
-    for t in range(coord.tet_count):
-        if any(x < 0 for x in coord.tris[t] + coord.quads[t] + coord.octs[t]):
-            raise CoordinateError(f"negative multiplicity in tetrahedron {t}")
-        kinds = sum(1 for x in coord.quads[t] + coord.octs[t] if x)
-        if kinds > 1:
-            raise CoordinateError(
-                f"tetrahedron {t} has more than one quad-or-octagon type")
+def _check_size(tri, coord):
+    if coord.tet_count != tri.tet_count:
+        raise CoordinateError(
+            f"coordinate has {coord.tet_count} tetrahedra, "
+            f"the triangulation {tri.tet_count}")
 
 
-def edge_weights(tri, coord):
-    """Intersection count of the coordinate with each edge class; slots of
-    one class must agree."""
-    sk = tri.skeleton
-    per_slot = [w for t in range(coord.tet_count)
-                for w in coord.tet_edge_weights(t)]
-    out = [per_slot[x] for x in sk.edge_first]
-    if any(out[c] != w for c, w in zip(sk.edge_class, per_slot)):
+def _class_weights(sk, slot_weights):
+    """The weight of each edge class from the weights of its slots, which
+    must agree."""
+    out = [slot_weights[x] for x in sk.edge_first]
+    if list(map(out.__getitem__, sk.edge_class)) != slot_weights:
         for c, slots in enumerate(sk.edge_slots()):
-            ws = {per_slot[x] for x in slots}
+            ws = {slot_weights[x] for x in slots}
             if len(ws) != 1:
                 raise CoordinateError(
                     f"edge class {c} has mixed weights {ws}")
     return out
 
 
+def edge_weights(tri, coord):
+    """Intersection count of the coordinate with each edge class; slots of
+    one class must agree."""
+    _check_size(tri, coord)
+    slot_weights = [0] * (6 * tri.tet_count)
+    for t, (tr, qu, oc) in enumerate(zip(coord.tris, coord.quads,
+                                         coord.octs)):
+        w = 6 * t
+        for d, c in enumerate(tr + qu + oc):
+            if c:
+                for ei in _DISC_EDGES[d]:
+                    slot_weights[w + ei] += c
+    return _class_weights(tri.skeleton, slot_weights)
+
+
 def euler_char(tri, coord, weights=None):
     """Euler characteristic by direct cell count of the induced
     decomposition: vertices on edges, arcs in faces, discs in tetrahedra.
 
-    Validates the coordinate on the way: embeddability first, then arc
-    counts matching across every interior face gluing, then agreeing
+    Validates the coordinate on the way: its size, embeddability, then
+    arc counts matching across every interior face gluing, then agreeing
     weights on the slots of every edge class, unless the caller passes
     the ``edge_weights`` it has already checked."""
-    check_embeddable(coord)
+    _check_size(tri, coord)
+    if coord.formal:
+        raise CoordinateError("formal coordinates are not embeddable")
+    # one pass over the tetrahedra: arcs[16t + 4f + v] counts the arcs
+    # cutting off vertex v in facet f of tetrahedron t, slot_weights[6t + e]
+    # the crossings of its edge e
+    arcs = [0] * (16 * tri.tet_count)
+    slot_weights = [0] * (6 * tri.tet_count)
+    discs = 0
+    for t, (tr, qu, oc) in enumerate(zip(coord.tris, coord.quads,
+                                         coord.octs)):
+        counts = tr + qu + oc
+        if min(counts) < 0:
+            raise CoordinateError(f"negative multiplicity in tetrahedron {t}")
+        if (qu + oc).count(0) < 5:
+            raise CoordinateError(
+                f"tetrahedron {t} has more than one quad-or-octagon type")
+        a, w = 16 * t, 6 * t
+        for d, c in enumerate(counts):
+            if c:
+                discs += c
+                for entry in _DISC_ARCS[d]:
+                    arcs[a + entry] += c
+                for ei in _DISC_EDGES[d]:
+                    slot_weights[w + ei] += c
+    # one pass over the face classes: the arcs of facet x start at 4x
+    glu = tri.gluings
     e = 0
     for x in tri.skeleton.face_first:
         t1, f1 = divmod(x, 4)
-        arcs = coord.arc_counts(t1, f1)
-        verts = FACET_VERTICES[f1]
-        g = tri.gluing(t1, f1)
+        a = 4 * x
+        g = glu[t1][f1]
         if g is not None:
             t2, perm = g
-            f2 = perm[f1]
-            other = coord.arc_counts(t2, f2)
-            for v in verts:
-                if arcs[v] != other[perm[v]]:
+            f2, _, vertices, _ = GLUING_TABLE[perm.index][f1]
+            b = 16 * t2 + 4 * f2
+            for v, image in vertices:
+                if arcs[a + v] != arcs[b + image]:
                     raise CoordinateError(
                         f"matching fails across face ({t1},{f1})~({t2},{f2}) "
                         f"at vertex {v}")
-        e += arcs[verts[0]] + arcs[verts[1]] + arcs[verts[2]]
+        i, j, k = FACET_VERTICES[f1]
+        e += arcs[a + i] + arcs[a + j] + arcs[a + k]
     if weights is None:
-        weights = edge_weights(tri, coord)
-    v = sum(weights)
-    f = sum(sum(coord.tris[t]) + sum(coord.quads[t]) + sum(coord.octs[t])
-            for t in range(coord.tet_count))
-    return v - e + f
+        weights = _class_weights(tri.skeleton, slot_weights)
+    return sum(weights) - e + discs
 
 
 def vertex_link(tri):
@@ -270,6 +300,7 @@ def b_modification(tri, canon, b_edges):
     the octagon count, after checking the octagon count formula by cell
     count.
     """
+    _check_size(tri, canon.coord)
     b = set(b_edges)
     sk = tri.skeleton
     for e in b:
@@ -302,7 +333,11 @@ def b_modification(tri, canon, b_edges):
                              tuple(tuple(r) for r in quads),
                              tuple(tuple(r) for r in octs))
     oct_count = sum(sum(r) for r in coord.octs)
-    if euler_char(tri, coord) != canon.chi - 2 * oct_count + 2 * len(b):
+    chi = euler_char(tri, coord)
+    formula = canon.chi - 2 * oct_count + 2 * len(b)
+    _log.debug("b_modification: b=%s, %d octagons, cell-count chi %d, "
+               "formula chi %d", sorted(b), oct_count, chi, formula)
+    if chi != formula:
         raise AssertionError(
             f"octagon count formula violated at b={sorted(b)}")
     return coord, oct_count
@@ -342,39 +377,58 @@ def edge_solution(tri, edge_class):
                             formal=True)
 
 
+def _formal_chi_functional(tri):
+    """The linear Euler characteristic functional of a closed
+    triangulation: each disc contributes one face, half an edge per side,
+    and 1/degree of a vertex per corner.
+
+    The value of each of the ten disc types in each tetrahedron is
+    tabulated once, scaled by 2*lcm of the edge degrees so that every
+    entry is an integer; a call sums the coordinate against the table and
+    divides once."""
+    sk = tri.skeleton
+    if not tri.is_closed:
+        raise TriangulationError("formal chi is defined for closed triangulations")
+    half = math.lcm(*sk.edge_degrees)
+    scale = 2 * half
+    table = []
+    for t in range(tri.tet_count):
+        # scale / degree: the scaled share of each edge's vertex per corner
+        corner = [scale // sk.edge_degrees[sk.edge_class[6 * t + ei]]
+                  for ei in range(6)]
+        row = []
+        for v in range(4):
+            # three corners, three half edges, one face
+            row.append(sum(corner[ei] for ei in range(6)
+                           if v in EDGE_VERTICES[ei]) - half)
+        for i in range(3):
+            # four corners, four half edges, one face
+            row.append(sum(corner[ei] for ei in range(6)
+                           if ei not in QUAD_PAIRS[i]) - scale)
+        for i in range(3):
+            # eight corners, eight half edges, one face
+            row.append(sum(corner[ei] for ei in range(6)
+                           if ei not in QUAD_PAIRS[i])
+                       + sum(2 * corner[ei] for ei in QUAD_PAIRS[i])
+                       - 3 * scale)
+        table.append(row)
+
+    def chi(coord):
+        _check_size(tri, coord)
+        total = 0
+        for row, tr, qu, oc in zip(table, coord.tris, coord.quads,
+                                   coord.octs):
+            total += sum(map(mul, row, tr + qu + oc))
+        value = Fraction(total, scale)
+        return int(value) if value.denominator == 1 else value
+    return chi
+
+
 def formal_chi(tri, coord):
     """Linear Euler characteristic functional: each disc contributes one
     face, half an edge per side, and 1/degree of a vertex per corner.
     Agrees with euler_char on embedded coordinates."""
-    sk = tri.skeleton
-    if not tri.is_closed:
-        raise TriangulationError("formal chi is defined for closed triangulations")
-    inv_deg = {}
-    for t in range(tri.tet_count):
-        for ei in range(6):
-            degree = sk.edge_degrees[sk.edge_class[6 * t + ei]]
-            inv_deg[(t, ei)] = Fraction(1, degree)
-    total = Fraction(0)
-    for t in range(tri.tet_count):
-        for v in range(4):
-            c = coord.tris[t][v]
-            if c:
-                corners = sum(inv_deg[(t, ei)] for ei in range(6)
-                              if v in EDGE_VERTICES[ei])
-                total += c * (corners - Fraction(3, 2) + 1)
-        for i in range(3):
-            c = coord.quads[t][i]
-            if c:
-                corners = sum(inv_deg[(t, ei)] for ei in range(6)
-                              if ei not in QUAD_PAIRS[i])
-                total += c * (corners - 2 + 1)
-            c = coord.octs[t][i]
-            if c:
-                corners = sum(inv_deg[(t, ei)] for ei in range(6)
-                              if ei not in QUAD_PAIRS[i])
-                corners += sum(2 * inv_deg[(t, ei)] for ei in QUAD_PAIRS[i])
-                total += c * (corners - 4 + 1)
-    return int(total) if total.denominator == 1 else total
+    return _formal_chi_functional(tri)(coord)
 
 
 def special_solutions(tri):
@@ -383,7 +437,7 @@ def special_solutions(tri):
     edges = [edge_solution(tri, e)
              for e in range(tri.skeleton.edge_count)]
     tets = [tet_solution(tri, t) for t in range(tri.tet_count)]
-    return edges, tets, lambda coord: formal_chi(tri, coord)
+    return edges, tets, _formal_chi_functional(tri)
 
 
 # ----- twisted squares ---------------------------------------------------------
@@ -487,6 +541,8 @@ def surface_classify(tri, coord, chi=None):
     """
     if chi is None:
         chi = euler_char(tri, coord)
+    else:
+        _check_size(tri, coord)
     discs = _disc_list(coord)
     if not discs:
         return chi, True, False

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -186,6 +187,32 @@ def test_augmented_rejects_bad_weights():
             build.AnnulusFilling("fold", style="cross"),
             build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
         ))
+
+
+# fourteen fillings per annulus: a straight fold, a crossed fold, and layered
+# solid tori on every order of the weights (1, 2, 3) and (1, 3, 4)
+_FILLINGS = ((build.AnnulusFilling("fold", style="straight"),
+              build.AnnulusFilling("fold", style="cross"))
+             + tuple(build.AnnulusFilling("lst", w_h=h, w_d=d, w_v=v)
+                     for triple in ((1, 2, 3), (1, 3, 4))
+                     for h, d, v in itertools.permutations(triple)))
+
+
+def test_straight_fold_is_rejected_by_build():
+    # 14^3 - 13^3 = 547 triples hold a straight fold, and each leaves an
+    # edge identified with itself reversed; every other triple is valid
+    rejected = 0
+    for fillings in itertools.product(_FILLINGS, repeat=3):
+        if any(f.kind == "fold" and f.style == "straight" for f in fillings):
+            with pytest.raises(TriangulationError,
+                               match=r"^homology requires all edges valid "
+                                     r"\(no reversed self-gluing\)$"):
+                build.augmented_solid_torus(fillings)
+            rejected += 1
+        else:
+            tri = build.augmented_solid_torus(fillings)
+            assert tri.is_closed and tri.is_valid
+    assert rejected == 14 ** 3 - 13 ** 3
 
 
 def test_closed_constructions_are_orientable_one_vertex():

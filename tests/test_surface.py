@@ -1,22 +1,25 @@
 """Normal coordinates: canonical surfaces, Euler characteristics, octagon
 modifications, formal solutions and twisted squares."""
 
+import logging
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trinorm import build, cocycle, surface
+from trinorm import build, cocycle, surface, verifysuite
 from trinorm.surface import (NormalCoordinate, CoordinateError,
                              canonical_surface, chi_formula, edge_weights,
                              euler_char, vertex_link, b_modification,
                              special_solutions,
                              formal_chi, twisted_square_scan, surface_classify,
-                             edge_solution, tet_solution, check_embeddable,
-                             QUAD_SIDE_A, QUAD_ARC_VERTEX, OCT_ARC_VERTICES,
-                             TRI_EDGE_WEIGHTS, QUAD_EDGE_WEIGHTS,
-                             OCT_EDGE_WEIGHTS)
-from trinorm.triangulation import FACET_VERTICES, TriangulationError, parse
+                             edge_solution, tet_solution,
+                             QUAD_PAIRS, QUAD_SIDE_A, QUAD_ARC_VERTEX,
+                             OCT_ARC_VERTICES, TRI_EDGE_WEIGHTS,
+                             QUAD_EDGE_WEIGHTS, OCT_EDGE_WEIGHTS)
+from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
+                                   TriangulationError, parse)
 
 
 def test_vertex_link_sphere():
@@ -287,8 +290,20 @@ def _ref_edge_weight_slot(coord, tet, edge_index):
     return w
 
 
+def _ref_check_embeddable(coord):
+    if coord.formal:
+        raise CoordinateError("formal coordinates are not embeddable")
+    for t in range(coord.tet_count):
+        if any(x < 0 for x in coord.tris[t] + coord.quads[t] + coord.octs[t]):
+            raise CoordinateError(f"negative multiplicity in tetrahedron {t}")
+        kinds = sum(1 for x in coord.quads[t] + coord.octs[t] if x)
+        if kinds > 1:
+            raise CoordinateError(
+                f"tetrahedron {t} has more than one quad-or-octagon type")
+
+
 def _ref_euler_char(tri, coord):
-    check_embeddable(coord)
+    _ref_check_embeddable(coord)
     sk = tri.skeleton
     for x in sk.face_first:
         if x in sk.boundary_facets:
@@ -376,10 +391,9 @@ def test_euler_char_matches_reference_on_combinations(data):
 def _ref_edge_weights(tri, coord):
     """The edge weights read class by class off each class's slots, the
     loop the per-slot lists replaced."""
-    per_tet = [coord.tet_edge_weights(t) for t in range(coord.tet_count)]
     out = []
     for c, slots in enumerate(tri.skeleton.edge_slots()):
-        ws = {per_tet[x // 6][x % 6] for x in slots}
+        ws = {_ref_edge_weight_slot(coord, *divmod(x, 6)) for x in slots}
         if len(ws) != 1:
             raise CoordinateError(f"edge class {c} has mixed weights {ws}")
         out.append(ws.pop())
@@ -413,3 +427,178 @@ def test_corrupted_coordinates_still_raise(part, index, delta):
     formal = NormalCoordinate(good.tris, good.quads, good.octs, formal=True)
     with pytest.raises(CoordinateError):
         euler_char(tri, formal)
+
+
+# ----- the disc tables, sizes, formal chi and the oracle log -----------------
+
+
+def _disc_coord(tet_count, tet, disc, count, formal=False):
+    """``count`` discs of type ``disc`` (tris, quads, octs in turn) in one
+    tetrahedron and nothing elsewhere."""
+    rows = [[0] * 10 for _ in range(tet_count)]
+    rows[tet][disc] = count
+    return NormalCoordinate(tuple(tuple(r[:4]) for r in rows),
+                            tuple(tuple(r[4:7]) for r in rows),
+                            tuple(tuple(r[7:]) for r in rows), formal)
+
+
+def test_disc_tables_match_references():
+    for d in range(10):
+        coord = _disc_coord(1, 0, d, 1)
+        arcs = [4 * f + v for f in range(4) for v in FACET_VERTICES[f]
+                for _ in range(_ref_arc_count(coord, 0, f, v))]
+        assert sorted(surface._DISC_ARCS[d]) == arcs
+        crossings = [e for e in range(6)
+                     for _ in range(_ref_edge_weight_slot(coord, 0, e))]
+        assert sorted(surface._DISC_EDGES[d]) == crossings
+
+
+def test_euler_char_matches_reference_on_a_bounded_solid_torus():
+    # two free facets, so the face pass counts arcs it does not match
+    tri = build.lst(5, 13)[0]
+    assert not tri.is_closed and tri.skeleton.vertex_count == 1
+    link = vertex_link(tri)
+    for k in range(4):
+        coord = link.scale(k)
+        # the one vertex lies on the boundary: its link is a disc
+        assert euler_char(tri, coord) == _ref_euler_char(tri, coord) == k
+        for part, index, delta in (("tris", 0, 1), ("tris", 3, -1),
+                                   ("quads", 1, 1), ("octs", 2, 1)):
+            for tet in range(tri.tet_count):
+                bad = _corrupt(coord, part, tet, index, delta)
+                assert _outcome(euler_char, tri, bad) == \
+                    _outcome(_ref_euler_char, tri, bad)
+                assert _outcome(edge_weights, tri, bad) == \
+                    _outcome(_ref_edge_weights, tri, bad)
+
+
+def test_coordinate_of_the_wrong_size_is_rejected():
+    tri = build.layered_loop(4, twisted=True)
+    for other in (build.layered_loop(5, twisted=True),
+                  build.layered_loop(3, twisted=True)):
+        message = (f"^coordinate has {other.tet_count} tetrahedra, "
+                   f"the triangulation 4$")
+        coord = vertex_link(other)
+        for fn in (euler_char, edge_weights, surface_classify, formal_chi):
+            with pytest.raises(CoordinateError, match=message):
+                fn(tri, coord)
+        with pytest.raises(CoordinateError, match=message):
+            surface_classify(tri, coord, 2)
+        phi = cocycle.all_nonzero_classes(other)[0]
+        with pytest.raises(CoordinateError, match=message):
+            b_modification(tri, canonical_surface(other, phi), ())
+
+
+def _ref_formal_chi(tri, coord):
+    """The formal chi as a sum of Fractions, disc by disc."""
+    sk = tri.skeleton
+    if not tri.is_closed:
+        raise TriangulationError("formal chi is defined for closed triangulations")
+    inv_deg = {}
+    for t in range(tri.tet_count):
+        for ei in range(6):
+            degree = sk.edge_degrees[sk.edge_class[6 * t + ei]]
+            inv_deg[(t, ei)] = Fraction(1, degree)
+    total = Fraction(0)
+    for t in range(tri.tet_count):
+        for v in range(4):
+            c = coord.tris[t][v]
+            if c:
+                corners = sum(inv_deg[(t, ei)] for ei in range(6)
+                              if v in EDGE_VERTICES[ei])
+                total += c * (corners - Fraction(3, 2) + 1)
+        for i in range(3):
+            c = coord.quads[t][i]
+            if c:
+                corners = sum(inv_deg[(t, ei)] for ei in range(6)
+                              if ei not in QUAD_PAIRS[i])
+                total += c * (corners - 2 + 1)
+            c = coord.octs[t][i]
+            if c:
+                corners = sum(inv_deg[(t, ei)] for ei in range(6)
+                              if ei not in QUAD_PAIRS[i])
+                corners += sum(2 * inv_deg[(t, ei)] for ei in QUAD_PAIRS[i])
+                total += c * (corners - 4 + 1)
+    return int(total) if total.denominator == 1 else total
+
+
+def _same_formal_chi(fchi, tri, coord):
+    got, want = fchi(coord), _ref_formal_chi(tri, coord)
+    assert got == want and type(got) is type(want)
+    return got
+
+
+# the instances of verifysuite.check_formal_solutions
+_FORMAL_TRIS = tuple([tri for _, _, tri in verifysuite._family_grid(quick=True)]
+                     + [build.lens_space(1, 6)[0]])
+
+
+def test_formal_chi_matches_reference_on_special_solutions():
+    for tri in _FORMAL_TRIS:
+        edges, tets, fchi = special_solutions(tri)
+        assert all(_same_formal_chi(fchi, tri, sol) == 2 for sol in edges)
+        assert all(_same_formal_chi(fchi, tri, sol) == 1 for sol in tets)
+        link = vertex_link(tri)
+        for k in range(4):
+            assert _same_formal_chi(fchi, tri, link.scale(k)) == 2 * k
+            assert formal_chi(tri, link.scale(k)) == 2 * k
+    # octagons: every b-modification of the twisted loop
+    tri = build.layered_loop(4, twisted=True)
+    fchi = special_solutions(tri)[2]
+    for phi in cocycle.all_nonzero_classes(tri):
+        canon = canonical_surface(tri, phi)
+        evens = phi.even_edges()
+        for r in range(len(evens) + 1):
+            for b in combinations(evens, r):
+                coord, _ = b_modification(tri, canon, b)
+                assert _same_formal_chi(fchi, tri, coord) == \
+                    euler_char(tri, coord)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_formal_chi_matches_reference_on_combinations(data):
+    # integer combinations of the special solutions and the vertex link,
+    # which carry negative quads, plus single discs of any sign, which
+    # make the value a proper fraction
+    tri = data.draw(st.sampled_from(_FORMAL_TRIS))
+    edges, tets, fchi = special_solutions(tri)
+    sols = edges + tets + [vertex_link(tri)]
+    coord = NormalCoordinate.zero(tri.tet_count, formal=True)
+    for k in data.draw(st.lists(st.integers(0, len(sols) - 1), max_size=6)):
+        coord = coord + sols[k].scale(data.draw(st.integers(-3, 3)))
+    for t, d, c in data.draw(st.lists(st.tuples(
+            st.integers(0, tri.tet_count - 1), st.integers(0, 9),
+            st.integers(-2, 2)), max_size=3)):
+        coord = coord + _disc_coord(tri.tet_count, t, d, c, formal=True)
+    _same_formal_chi(fchi, tri, coord)
+    assert formal_chi(tri, coord) == fchi(coord)
+
+
+def test_formal_chi_needs_a_closed_triangulation():
+    tri = build.lst(5, 13)[0]
+    for fn in (lambda: formal_chi(tri, vertex_link(tri)),
+               lambda: special_solutions(tri)):
+        with pytest.raises(TriangulationError,
+                           match="^formal chi is defined for closed "
+                                 "triangulations$"):
+            fn()
+
+
+def test_b_modification_logs_each_check(caplog, capsys):
+    tri = build.layered_loop(4, twisted=True)
+    phi = cocycle.all_nonzero_classes(tri)[0]
+    canon = canonical_surface(tri, phi)
+    evens = phi.even_edges()
+    subsets = [(), tuple(evens[:1]), tuple(evens)]
+    with caplog.at_level(logging.DEBUG, logger="trinorm.surface"):
+        results = [b_modification(tri, canon, b) for b in subsets]
+    records = [r for r in caplog.records if r.name == "trinorm.surface"]
+    assert len(records) == len(subsets)
+    for record, b, (coord, octs) in zip(records, subsets, results):
+        chi = euler_char(tri, coord)
+        assert record.levelno == logging.DEBUG and record.args
+        assert record.getMessage() == (
+            f"b_modification: b={sorted(b)}, {octs} octagons, "
+            f"cell-count chi {chi}, formula chi {chi}")
+    assert capsys.readouterr() == ("", "")
