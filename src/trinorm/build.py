@@ -10,13 +10,17 @@ that are gated by the integer homology oracle.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .perm import Perm4
 from .triangulation import (EDGE_VERTICES, FACET_EDGES, TriBuilder,
                             TriangulationError)
 from . import homology
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,15 @@ def _builder(tri):
     return builder
 
 
+# _LAYER_MAPS[a, b, c] holds the two gluings ``_layer`` makes of a face
+# (tet, f) whose hinge runs a -> b, with third vertex c = 6 - f - a - b:
+# onto the new tetrahedron's facet 2 (the first face) and facet 3 (the
+# second), the hinge landing on its edge 0 -> 1
+_LAYER_MAPS = {(a, b, c): (Perm4.from_map({a: 0, b: 1, c: 3, f: 2}),
+                           Perm4.from_map({a: 0, b: 1, c: 2, f: 3}))
+               for a, b, c, f in permutations(range(4))}
+
+
 def _layer(builder, book, hinge, new_class):
     """Attach one tetrahedron to ``builder`` across the book's two faces,
     hinged on the boundary edge class ``hinge``; returns the new
@@ -213,14 +226,15 @@ def _layer(builder, book, hinge, new_class):
     """
     (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = book.hinge(hinge)
     new = builder.add_tet()
-    g1 = Perm4.from_map({a1: 0, b1: 1, c1: 3, f1: 2})
-    g2 = Perm4.from_map({a2: 0, b2: 1, c2: 2, f2: 3})
+    g1 = _LAYER_MAPS[a1, b1, c1][0]
+    g2 = _LAYER_MAPS[a2, b2, c2][1]
     builder.join(t1, f1, new, g1)
     builder.join(t2, f2, new, g2)
+    im1, im2 = g1.images, g2.images
     edges = {}
     for e, ((h1, u1), (h2, u2)) in book.edges.items():
         if e != hinge:
-            i1, i2 = (g1[h1], g1[u1]), (g2[h2], g2[u2])
+            i1, i2 = (im1[h1], im1[u1]), (im2[h2], im2[u2])
             edges[e] = (i2, i1) if 0 in i1 else (i1, i2)
     edges[new_class] = ((2, 3), (2, 3))
     return new, Book(((new, 0), (new, 1)), edges)
@@ -250,10 +264,10 @@ def relayer(weights, boundary, hinge, new_class):
     meridian weight of the fresh boundary edge ``new_class`` in
     ``weights`` and returns the new boundary, the two kept edges in their
     order and then ``new_class``."""
-    kept = [e for e in boundary if e != hinge]
-    weights[new_class] = relayered_weight(weights[hinge],
-                                          *(weights[e] for e in kept))
-    return (*kept, new_class)
+    a, b = [e for e in boundary if e != hinge]
+    weights[new_class] = relayered_weight(weights[hinge], weights[a],
+                                          weights[b])
+    return a, b, new_class
 
 
 def boundary_edge(torus, weight):
@@ -282,7 +296,7 @@ def minimal_path(p, q):
     while (a, b) != (1, 2):
         if a < 1 or b <= a:
             raise TriangulationError(f"no layering path to {p}/{q}")
-        a, b = tuple(sorted((a, b - a)))
+        a, b = (a, b - a) if a < b - a else (b - a, a)
         path.append((a, b))
     path.reverse()
     return path
@@ -290,7 +304,9 @@ def minimal_path(p, q):
 
 def lst(p, q):
     """Layered solid torus with boundary triple {p, q, p+q}, layered along
-    the minimal path on one builder: only the seed tetrahedron's skeleton
+    the minimal path on one working state: a builder, the weights, the
+    boundary, the tetrahedra and the book, updated in place by each layer
+    as ``relayer`` and ``_layer`` do.  Only the seed tetrahedron's skeleton
     is built, and the result is frozen once."""
     p, q = int(p), int(q)
     if p > q:
@@ -302,15 +318,25 @@ def lst(p, q):
             "the Moebius triple {1,1,2} is a degenerate solid torus")
     if math.gcd(p, q) != 1:
         raise TriangulationError(f"weights {p}, {q} are not coprime")
-    seed, meta = _seed_lst()
+    seed, torus = _seed_lst()
     builder = _builder(seed)
+    tets = list(torus.tets)
+    weights = dict(torus.edge_weights)
+    boundary, book = torus.boundary_edges, torus.book
+    univalent, base = torus.univalent_edge, None
     path = minimal_path(p, q)
     for (pa, pb), (ca, cb) in zip(path, path[1:]):
         # moving to the child replaces one of pa, pb by the new sum
-        hinge = boundary_edge(meta, pa if pa not in (ca, cb) else pb)
-        new, book = _layer(builder, meta.book, hinge, len(meta.edge_weights))
-        meta = _relayered_meta(meta, hinge, new, book)
-    return builder.freeze(), meta
+        gone = pa if pa not in (ca, cb) else pb
+        hinge = next(e for e in boundary if weights[e] == gone)
+        univalent = len(weights)
+        new, book = _layer(builder, book, hinge, univalent)
+        boundary = relayer(weights, boundary, hinge, univalent)
+        if base is None:
+            base = hinge
+        tets.append(new)
+    return builder.freeze(), LayeredSolidTorus(tuple(tets), weights, boundary,
+                                               univalent, base, book)
 
 
 def fold_record(p, q, weight):
@@ -523,9 +549,9 @@ class AnnulusFilling:
     kind 'lst': attach a layered solid torus, gluing its boundary edges of
     the given weights to the annulus' horizontal, diagonal and vertical
     edges.  kind 'fold': identify the annulus' two triangles directly,
-    matching the named edges across ('straight' keeps horizontal on
-    horizontal, 'cross' swaps horizontal and diagonal).  A straight fold
-    leaves an edge identified with itself reversed, so
+    matching the named edges across ('cross', the default, swaps
+    horizontal and diagonal; 'straight' keeps horizontal on horizontal).
+    A straight fold leaves an edge identified with itself reversed, so
     ``augmented_solid_torus`` rejects it.
     """
     kind: str
@@ -533,7 +559,7 @@ class AnnulusFilling:
     w_d: int = 0
     w_v: int = 0
     swap: bool = False
-    style: str = "straight"
+    style: str = "cross"
 
 
 def _triangle_map(edges_from, edges_to):
@@ -628,6 +654,8 @@ def augmented_quaternionic(k):
     ))
     predicted = homology.seifert_homology(((1, -1), (2, 1), (2, 1), (k, 1)))
     actual = homology.first_homology(tri)
+    _log.debug("augmented_quaternionic(%d): Seifert H1 %s, built H1 %s",
+               k, predicted, actual)
     if (actual.invariant_factors, actual.betti) != \
             (predicted.invariant_factors, predicted.betti):
         raise AssertionError("augmented quaternionic homology mismatch")
@@ -705,6 +733,8 @@ def seifert_family(tag, k, m=None, n=None):
     slopes = family_slopes(tag, *params)
     predicted = homology.seifert_homology(slopes)
     actual = homology.first_homology(tri)
+    _log.debug("seifert_family %s%s: Seifert H1 %s, built H1 %s",
+               tag, params, predicted, actual)
     if (actual.invariant_factors, actual.betti) != \
             (predicted.invariant_factors, predicted.betti):
         raise AssertionError(

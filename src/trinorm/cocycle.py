@@ -94,26 +94,17 @@ def is_cocycle(tri, bits, rows=None):
     return all(bin(row & vec).count("1") % 2 == 0 for row in rows)
 
 
-def tet_parity_pattern(tri, phi, tet):
-    """Bitmask over the six edge slots of a tetrahedron, bit set = odd."""
-    edge_class = tri.skeleton.edge_class
-    t6 = 6 * tet
-    mask = 0
-    for ei in range(6):
-        if phi[edge_class[t6 + ei]]:
-            mask |= 1 << ei
-    return mask
-
-
-# odd-edge masks realising each type; quad type i has even pair (i, 5-i)
-_QUAD_MASKS = {0b111111 ^ (1 << i) ^ (1 << (5 - i)): i for i in range(3)}
-_TRI_MASKS = {}
+# the (TetType, detail) of each odd-edge mask of a tetrahedron, bit i set
+# when edge i is odd: quad type i has the even pair (i, 5-i), and a tri
+# type's three odd edges meet at its vertex; None for the masks no cocycle
+# gives
+_MASK_TYPES = [None] * 64
+_MASK_TYPES[0] = (TetType.EMPTY, None)
+for _i in range(3):
+    _MASK_TYPES[0b111111 ^ (1 << _i) ^ (1 << (5 - _i))] = (TetType.QUAD, _i)
 for _v in range(4):
-    _m = 0
-    for _ei, (_a, _b) in enumerate(EDGE_VERTICES):
-        if _v in (_a, _b):
-            _m |= 1 << _ei
-    _TRI_MASKS[_m] = _v
+    _MASK_TYPES[sum(1 << ei for ei, pair in enumerate(EDGE_VERTICES)
+                    if _v in pair)] = (TetType.TRI, _v)
 
 
 def classify_tetrahedra(tri, phi):
@@ -122,19 +113,19 @@ def classify_tetrahedra(tri, phi):
     Returns a list of (TetType, detail) where detail is the even-pair quad
     index for QUAD tetrahedra and the odd-corner vertex for TRI ones.
     """
+    # phi.bits read through the skeleton once: 1 on each odd edge slot
+    odd_class = [1 if b else 0 for b in phi.bits]
+    odd = [odd_class[c] for c in tri.skeleton.edge_class]
     out = []
-    for t in range(tri.tet_count):
-        mask = tet_parity_pattern(tri, phi, t)
-        if mask == 0:
-            out.append((TetType.EMPTY, None))
-        elif mask in _QUAD_MASKS:
-            out.append((TetType.QUAD, _QUAD_MASKS[mask]))
-        elif mask in _TRI_MASKS:
-            out.append((TetType.TRI, _TRI_MASKS[mask]))
-        else:
+    for t6 in range(0, len(odd), 6):
+        b0, b1, b2, b3, b4, b5 = odd[t6:t6 + 6]
+        kind = _MASK_TYPES[b0 | b1 << 1 | b2 << 2 | b3 << 3 | b4 << 4
+                           | b5 << 5]
+        if kind is None:
             raise TriangulationError(
-                f"edge parities of tetrahedron {t} match no type; "
+                f"edge parities of tetrahedron {t6 // 6} match no type; "
                 "input is not a cocycle")
+        out.append(kind)
     return out
 
 
@@ -166,7 +157,8 @@ def parity_census(tri, phi, types=None):
     n_tri = sum(1 for ty, _ in types if ty is TetType.TRI)
     n_empty = sum(1 for ty, _ in types if ty is TetType.EMPTY)
 
-    even = [d for c, d in enumerate(sk.edge_degrees) if phi[c] == 0]
+    bits = phi.bits
+    even = [d for c, d in enumerate(sk.edge_degrees) if bits[c] == 0]
     odd_count = sk.edge_count - len(even)
     hist = {}
     for d in even:
@@ -175,10 +167,14 @@ def parity_census(tri, phi, types=None):
     if slots != 2 * n_quad + 3 * n_tri + 6 * n_empty:
         raise AssertionError("even-edge slot count disagrees with tet types")
 
+    even_class = [b == 0 for b in bits]
+    even_slot = [even_class[c] for c in sk.edge_class]
     even_faces = 0
     for s in sk.face_first:
-        t, f = divmod(s, 4)
-        if all(phi[sk.edge_class[6 * t + ei]] == 0 for ei in FACET_EDGES[f]):
+        # face slot s is facet s % 4 of tetrahedron s // 4
+        t6 = 6 * (s >> 2)
+        ea, eb, ec = FACET_EDGES[s & 3]
+        if even_slot[t6 + ea] and even_slot[t6 + eb] and even_slot[t6 + ec]:
             even_faces += 1
     sub_vertices = 1 if even else 0
     census = ParityCensus(

@@ -348,32 +348,41 @@ def b_modification(tri, canon, b_edges):
 
 def tet_solution(tri, tet):
     """All four triangles plus all three quads with coefficient -1 in one
-    tetrahedron; satisfies the matching equations with zero arcs."""
-    coord = NormalCoordinate.zero(tri.tet_count, formal=True)
-    tris = [list(r) for r in coord.tris]
-    quads = [list(r) for r in coord.quads]
-    tris[tet] = [1, 1, 1, 1]
-    quads[tet] = [-1, -1, -1]
-    return NormalCoordinate(tuple(tuple(r) for r in tris),
-                            tuple(tuple(r) for r in quads),
-                            coord.octs, formal=True)
+    tetrahedron; satisfies the matching equations with zero arcs.  The
+    other tetrahedra share one zero row."""
+    n = tri.tet_count
+    tris = [(0,) * 4] * n
+    quads = [(0,) * 3] * n
+    tris[tet] = (1, 1, 1, 1)
+    quads[tet] = (-1, -1, -1)
+    return NormalCoordinate(tuple(tris), tuple(quads), ((0,) * 3,) * n,
+                            formal=True)
 
 
 def edge_solution(tri, edge_class):
     """For every slot of the edge: the two triangles at its ends plus the
     quad disjoint from it with coefficient -1."""
-    tris = [[0] * 4 for _ in range(tri.tet_count)]
-    quads = [[0] * 3 for _ in range(tri.tet_count)]
-    for x in tri.skeleton.edge_slots()[edge_class]:
+    return _edge_solution(tri, tri.skeleton.edge_slots()[edge_class])
+
+
+def _edge_solution(tri, slots):
+    """The edge solution of the edge class with the given slots; the
+    tetrahedra it misses share one zero row."""
+    touched = {}
+    for x in slots:
         t, ei = divmod(x, 6)
+        tr, qu = touched.setdefault(t, ([0] * 4, [0] * 3))
         a, b = EDGE_VERTICES[ei]
-        tris[t][a] += 1
-        tris[t][b] += 1
+        tr[a] += 1
+        tr[b] += 1
         qi = next(i for i in range(3) if ei in QUAD_PAIRS[i])
-        quads[t][qi] -= 1
-    return NormalCoordinate(tuple(tuple(r) for r in tris),
-                            tuple(tuple(r) for r in quads),
-                            tuple((0, 0, 0) for _ in range(tri.tet_count)),
+        qu[qi] -= 1
+    n = tri.tet_count
+    tris = [(0,) * 4] * n
+    quads = [(0,) * 3] * n
+    for t, (tr, qu) in touched.items():
+        tris[t], quads[t] = tuple(tr), tuple(qu)
+    return NormalCoordinate(tuple(tris), tuple(quads), ((0,) * 3,) * n,
                             formal=True)
 
 
@@ -434,8 +443,8 @@ def formal_chi(tri, coord):
 def special_solutions(tri):
     """Edge and tetrahedral solutions plus the formal Euler characteristic
     functional, in the convention with negative quadrilateral entries."""
-    edges = [edge_solution(tri, e)
-             for e in range(tri.skeleton.edge_count)]
+    edges = [_edge_solution(tri, slots)
+             for slots in tri.skeleton.edge_slots()]
     tets = [tet_solution(tri, t) for t in range(tri.tet_count)]
     return edges, tets, _formal_chi_functional(tri)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from functools import cached_property
+from itertools import repeat
 
 from .perm import Perm4, ALL_PERMS, INVERSE, PRODUCT
 
@@ -174,28 +175,37 @@ class _UnionFind:
         return parent, self.parity
 
     def union(self, x, y, rel):
-        parent, parity = self.parent, self.parity
-        # find() inlined for the common case of a node at most one step
-        # below its root
-        rx = parent[x]
-        if parent[rx] == rx:
-            px = parity[x]
-        else:
-            rx, px = self.find(x)
-        ry = parent[y]
-        if parent[ry] == ry:
-            py = parity[y]
-        else:
-            ry, py = self.find(y)
-        if rx == ry:
-            if (px ^ py) != rel:
-                self.conflict.add(rx)
-            return
-        parent[ry] = rx
-        parity[ry] = px ^ rel ^ py
-        if ry in self.conflict:
-            self.conflict.discard(ry)
-            self.conflict.add(rx)
+        self.union_all((x,), (y,), (rel,))
+
+    def union_all(self, xs, ys, rels):
+        """Join the class of each x with that of y, in order, y's side at
+        parity ``rel`` relative to x's: the root of x's class stays the
+        root, and y's old root gets parity px ^ rel ^ py.  A relation that
+        closes an odd cycle marks the class in ``conflict``."""
+        parent, parity, find = self.parent, self.parity, self.find
+        conflict = self.conflict
+        for x, y, rel in zip(xs, ys, rels):
+            # find() inlined for the common case of a node at most one
+            # step below its root
+            rx = parent[x]
+            if parent[rx] == rx:
+                px = parity[x]
+            else:
+                rx, px = find(x)
+            ry = parent[y]
+            if parent[ry] == ry:
+                py = parity[y]
+            else:
+                ry, py = find(y)
+            if rx == ry:
+                if (px ^ py) != rel:
+                    conflict.add(rx)
+                continue
+            parent[ry] = rx
+            parity[ry] = px ^ rel ^ py
+            if ry in conflict:
+                conflict.discard(ry)
+                conflict.add(rx)
 
 
 class Skeleton:
@@ -294,7 +304,7 @@ class Triangulation:
     """
 
     def __init__(self, gluings):
-        table = tuple(tuple(row) for row in gluings)
+        table = tuple(map(tuple, gluings))
         n = len(table)
         for t, row in enumerate(table):
             if len(row) != 4:
@@ -306,13 +316,14 @@ class Triangulation:
                 if not 0 <= u < n:
                     raise TriangulationError(
                         f"dangling tetrahedron index {u} at tet {t} facet {f}")
-                if u == t and perm.is_identity():
+                index = perm.index
+                if u == t and index == 0:
                     raise GluingError(
                         f"facet {f} of tet {t} glued to itself pointwise",
                         (t, f))
-                back = table[u][perm[f]]
+                back = table[u][perm.images[f]]
                 if back is None or back[0] != t \
-                        or back[1] is not INVERSE[perm.index]:
+                        or back[1] is not INVERSE[index]:
                     raise GluingError(
                         f"non-involutive gluing at tet {t} facet {f}", (t, f))
         self._gluings = table
@@ -332,9 +343,9 @@ class Triangulation:
         return tuple((t, f) for t, row in enumerate(self._gluings)
                      for f, g in enumerate(row) if g is None)
 
-    @property
+    @cached_property
     def is_closed(self):
-        return not self.boundary_facets()
+        return all(None not in row for row in self._gluings)
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)
@@ -351,9 +362,11 @@ class Triangulation:
     @cached_property
     def skeleton(self):
         n = self.tet_count
-        vert_uf = _UnionFind(4 * n)
-        edge_uf = _UnionFind(6 * n)
-        vert_union, edge_union = vert_uf.union, edge_uf.union
+        # the unions, collected in gluing order and applied in one batch
+        # per union-find: vertex slot pairs, each at parity 0, and edge
+        # slot pairs with their flip bits
+        vert_x, vert_y = [], []
+        edge_x, edge_y, edge_rel = [], [], []
         # a face class is one free facet, one self-glued facet, or a lower
         # slot with the upper slot it is glued to, numbered by lower slot
         face_class = [0] * (4 * n)
@@ -386,11 +399,18 @@ class Triangulation:
                     face_class[y] = face_class[x]
                     if parity:
                         face_sign[y] = -1
-                for v, w in vertices:
-                    vert_union(t4 + v, u4 + w, 0)
+                (v0, w0), (v1, w1), (v2, w2) = vertices
+                vert_x += (t4 + v0, t4 + v1, t4 + v2)
+                vert_y += (u4 + w0, u4 + w1, u4 + w2)
                 u6 = 6 * u
-                for e, d, flip in edges:
-                    edge_union(t6 + e, u6 + d, flip)
+                (e0, d0, r0), (e1, d1, r1), (e2, d2, r2) = edges
+                edge_x += (t6 + e0, t6 + e1, t6 + e2)
+                edge_y += (u6 + d0, u6 + d1, u6 + d2)
+                edge_rel += (r0, r1, r2)
+        vert_uf = _UnionFind(4 * n)
+        vert_uf.union_all(vert_x, vert_y, repeat(0))
+        edge_uf = _UnionFind(6 * n)
+        edge_uf.union_all(edge_x, edge_y, edge_rel)
 
         vertex_class, vertex_first, _ = _numbered(vert_uf)
         edge_class, edge_first, of_root = _numbered(edge_uf)
@@ -540,17 +560,19 @@ class TriBuilder:
 
     def join(self, t, f, u, perm):
         """Glue facet f of t to facet perm[f] of u, recording both sides."""
-        if self.rows[t][f] is not None or self.rows[u][perm[f]] is not None:
+        rows = self.rows
+        target = perm.images[f]
+        if rows[t][f] is not None or rows[u][target] is not None:
             raise TriangulationError(
                 f"facet already glued: tet {t} facet {f} -> tet {u}")
-        self.rows[t][f] = (u, perm)
-        back = (t, perm.inverse())
-        if (u, perm[f]) == (t, f):
+        rows[t][f] = (u, perm)
+        inverse = INVERSE[perm.index]
+        if u == t and target == f:
             # self-paired facet: the two directions coincide
-            if perm != perm.inverse():
+            if perm is not inverse:
                 raise TriangulationError("self-gluing must be an involution")
         else:
-            self.rows[u][perm[f]] = back
+            rows[u][target] = (t, inverse)
 
     def freeze(self):
         return Triangulation(self.rows)

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import logging
 import math
 import random
 from collections import Counter
@@ -187,6 +188,50 @@ def test_augmented_rejects_bad_weights():
             build.AnnulusFilling("fold", style="cross"),
             build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
         ))
+
+
+def test_fold_filling_defaults_to_the_crossed_fold():
+    assert build.AnnulusFilling("fold").style == "cross"
+    for third in (build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
+                  build.AnnulusFilling("lst", w_h=1, w_d=2, w_v=3),
+                  build.AnnulusFilling("fold")):
+        default = build.augmented_solid_torus(
+            (build.AnnulusFilling("fold"), third,
+             build.AnnulusFilling("fold")))
+        crossed = build.augmented_solid_torus(
+            (build.AnnulusFilling("fold", style="cross"),
+             dataclasses.replace(third, style="cross"),
+             build.AnnulusFilling("fold", style="cross")))
+        assert default == crossed
+        assert default.is_closed and default.is_valid
+    # the non-coprime weights still fail, whatever the default
+    with pytest.raises(TriangulationError,
+                       match=r"^weights \[2, 2, 4\] are not coprime$"):
+        build.augmented_solid_torus((
+            build.AnnulusFilling("lst", w_h=2, w_d=2, w_v=4),
+            build.AnnulusFilling("fold"),
+            build.AnnulusFilling("fold"),
+        ))
+
+
+def test_seifert_oracle_logs_both_groups(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="trinorm.build"):
+        build.seifert_family("M", 1, 2, 1)
+        build.seifert_family("Q", 6)
+        build.augmented_quaternionic(4)
+    lines = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    assert lines == [
+        ("trinorm.build", "DEBUG",
+         "seifert_family M(1, 2, 1): Seifert H1 Z/84, built H1 Z/84"),
+        ("trinorm.build", "DEBUG",
+         "seifert_family Q(6,): Seifert H1 Z/2 + Z/2, built H1 Z/2 + Z/2"),
+        ("trinorm.build", "DEBUG",
+         "augmented_quaternionic(4): Seifert H1 Z/2 + Z/2, "
+         "built H1 Z/2 + Z/2"),
+    ]
+    # the arguments are formatted only when the record is emitted
+    assert all(r.msg.count("%") == len(r.args) for r in caplog.records)
+    assert capsys.readouterr() == ("", "")
 
 
 # fourteen fillings per annulus: a straight fold, a crossed fold, and layered

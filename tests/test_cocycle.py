@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trinorm import build, cocycle
-from trinorm.cocycle import TetType, Cocycle
-from trinorm.triangulation import TriangulationError
+from trinorm import build, cocycle, verifysuite
+from trinorm.cocycle import TetType, Cocycle, ParityCensus
+from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES,
+                                   TriangulationError)
 
 
 def test_basis_dimensions():
@@ -119,3 +120,126 @@ def test_cocycle_sum_stays_cocycle(data):
     for phi in picks[1:]:
         acc = acc + phi
     assert cocycle.is_cocycle(tri, acc.bits)
+
+
+# ----- the per-slot colouring against the per-tetrahedron loops --------------
+#
+# The loops the colouring ran before it read ``phi.bits`` through the
+# skeleton once per call, kept here word for word as the reference.
+
+
+def tet_parity_pattern(tri, phi, tet):
+    """Bitmask over the six edge slots of a tetrahedron, bit set = odd."""
+    edge_class = tri.skeleton.edge_class
+    t6 = 6 * tet
+    mask = 0
+    for ei in range(6):
+        if phi[edge_class[t6 + ei]]:
+            mask |= 1 << ei
+    return mask
+
+
+# odd-edge masks realising each type; quad type i has even pair (i, 5-i)
+_QUAD_MASKS = {0b111111 ^ (1 << i) ^ (1 << (5 - i)): i for i in range(3)}
+_TRI_MASKS = {}
+for _v in range(4):
+    _m = 0
+    for _ei, (_a, _b) in enumerate(EDGE_VERTICES):
+        if _v in (_a, _b):
+            _m |= 1 << _ei
+    _TRI_MASKS[_m] = _v
+
+
+def _reference_classify_tetrahedra(tri, phi):
+    out = []
+    for t in range(tri.tet_count):
+        mask = tet_parity_pattern(tri, phi, t)
+        if mask == 0:
+            out.append((TetType.EMPTY, None))
+        elif mask in _QUAD_MASKS:
+            out.append((TetType.QUAD, _QUAD_MASKS[mask]))
+        elif mask in _TRI_MASKS:
+            out.append((TetType.TRI, _TRI_MASKS[mask]))
+        else:
+            raise TriangulationError(
+                f"edge parities of tetrahedron {t} match no type; "
+                "input is not a cocycle")
+    return out
+
+
+def _reference_parity_census(tri, phi):
+    sk = tri.skeleton
+    types = _reference_classify_tetrahedra(tri, phi)
+    n_quad = sum(1 for ty, _ in types if ty is TetType.QUAD)
+    n_tri = sum(1 for ty, _ in types if ty is TetType.TRI)
+    n_empty = sum(1 for ty, _ in types if ty is TetType.EMPTY)
+
+    even = [d for c, d in enumerate(sk.edge_degrees) if phi[c] == 0]
+    odd_count = sk.edge_count - len(even)
+    hist = {}
+    for d in even:
+        hist[d] = hist.get(d, 0) + 1
+    slots = sum(even)
+
+    even_faces = 0
+    for s in sk.face_first:
+        t, f = divmod(s, 4)
+        if all(phi[sk.edge_class[6 * t + ei]] == 0 for ei in FACET_EDGES[f]):
+            even_faces += 1
+    sub_vertices = 1 if even else 0
+    return ParityCensus(
+        even_edges=len(even),
+        odd_edges=odd_count,
+        even_degree_histogram=dict(sorted(hist.items())),
+        even_edge_slots=slots,
+        quad_tets=n_quad,
+        tri_tets=n_tri,
+        empty_tets=n_empty,
+        even_subcomplex=(sub_vertices, len(even), even_faces, n_empty),
+    )
+
+
+def _colouring_grid():
+    for _, _, folded in verifysuite._lens_grid(6):
+        yield folded
+    for _, _, tri in verifysuite._family_grid():
+        yield tri
+
+
+def test_colouring_matches_per_tetrahedron_reference():
+    colourings = 0
+    for tri in _colouring_grid():
+        for phi in cocycle.all_nonzero_classes(tri):
+            types = cocycle.classify_tetrahedra(tri, phi)
+            assert types == _reference_classify_tetrahedra(tri, phi)
+            census = cocycle.parity_census(tri, phi)
+            assert census == _reference_parity_census(tri, phi)
+            assert cocycle.parity_census(tri, phi, types) == census
+            colourings += 1
+    # 63 colourings on the 189 folds to depth 6 (the even lens spaces
+    # have one each), then 129 on the 61 members of the M, M', P and Q grids
+    assert colourings == 63 + 129
+
+
+def test_every_bit_vector_classifies_as_the_reference():
+    # cocycles and non-cocycles alike, with the reference's error text
+    checked = refused = 0
+    for tri in (build.lens_space(1, 4)[0], build.lens_space(1, 6)[0],
+                build.layered_loop(4, twisted=True),
+                build.layered_loop(3, twisted=False)):
+        ne = tri.skeleton.edge_count
+        for mask in range(1 << ne):
+            phi = Cocycle(tuple((mask >> i) & 1 for i in range(ne)))
+            try:
+                want = _reference_classify_tetrahedra(tri, phi)
+            except TriangulationError as exc:
+                with pytest.raises(TriangulationError) as err:
+                    cocycle.classify_tetrahedra(tri, phi)
+                assert str(err.value) == str(exc)
+                refused += 1
+            else:
+                assert cocycle.classify_tetrahedra(tri, phi) == want
+            checked += 1
+    # four, six, five and five edge classes
+    assert checked == 2 ** 4 + 2 ** 6 + 2 ** 5 + 2 ** 5
+    assert 0 < refused < checked

@@ -1,5 +1,6 @@
 """The one-pass, table-driven skeleton against the two-sided loop it
-replaced, kept here word for word as the reference."""
+replaced, kept here word for word as the reference, on the one-union-a-call
+union-find it used, also kept here word for word."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,68 @@ from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
 
 
 # ----- the reference: every facet visited from both sides --------------------
+
+
+class _ReferenceUnionFind:
+    """Union-find with a Z/2 weight on each node, used to track whether a
+    slot's orientation agrees with its class representative."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.parity = [0] * n
+        self.conflict = set()
+
+    def find(self, x):
+        parent = self.parent
+        root = parent[x]
+        if parent[root] == root:
+            # x is a root or a child of one; a root's parity is 0
+            return root, self.parity[x]
+        path = [x]
+        while parent[root] != root:
+            path.append(root)
+            root = parent[root]
+        # path compression, rewriting each node's parity relative to root
+        parity = self.parity
+        acc = 0
+        for node in reversed(path):
+            acc ^= parity[node]
+            parent[node] = root
+            parity[node] = acc
+        return root, acc
+
+    def flatten(self):
+        """Point every node straight at its root; returns the parent and
+        parity lists, each parity now relative to the node's root."""
+        parent = self.parent
+        for x in range(len(parent)):
+            if parent[parent[x]] != parent[x]:
+                self.find(x)
+        return parent, self.parity
+
+    def union(self, x, y, rel):
+        parent, parity = self.parent, self.parity
+        # find() inlined for the common case of a node at most one step
+        # below its root
+        rx = parent[x]
+        if parent[rx] == rx:
+            px = parity[x]
+        else:
+            rx, px = self.find(x)
+        ry = parent[y]
+        if parent[ry] == ry:
+            py = parity[y]
+        else:
+            ry, py = self.find(y)
+        if rx == ry:
+            if (px ^ py) != rel:
+                self.conflict.add(rx)
+            return
+        parent[ry] = rx
+        parity[ry] = px ^ rel ^ py
+        if ry in self.conflict:
+            self.conflict.discard(ry)
+            self.conflict.add(rx)
 
 
 def _face_sign(perm, facet):
@@ -28,9 +91,9 @@ def _face_sign(perm, facet):
 
 def _reference_skeleton(self):
     n = self.tet_count
-    vert_uf = _UnionFind(4 * n)
-    edge_uf = _UnionFind(6 * n)
-    face_uf = _UnionFind(4 * n)
+    vert_uf = _ReferenceUnionFind(4 * n)
+    edge_uf = _ReferenceUnionFind(6 * n)
+    face_uf = _ReferenceUnionFind(4 * n)
 
     for t in range(n):
         for f in range(4):
@@ -271,3 +334,28 @@ def test_union_find_matches_graph_search(case):
     assert {component[r] for r in uf.conflict} == odd
     roots = {r for r, _ in found}
     assert len(roots) == len(set(component.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1),
+                                   st.integers(0, 1)), max_size=30))),
+       st.integers(0, 30))
+def test_batch_union_matches_reference_union_find(case, split):
+    # the batch call, and single unions, leave every root, parity and
+    # conflict exactly where one reference union per relation leaves them
+    n, relations = case
+    ref = _ReferenceUnionFind(n)
+    for x, y, rel in relations:
+        ref.union(x, y, rel)
+    uf = _UnionFind(n)
+    head, tail = relations[:split], relations[split:]
+    uf.union_all([x for x, _, _ in head], [y for _, y, _ in head],
+                 [rel for _, _, rel in head])
+    for x, y, rel in tail:
+        uf.union(x, y, rel)
+    assert (uf.parent, uf.parity, uf.conflict) == \
+        (ref.parent, ref.parity, ref.conflict)
+    assert uf.flatten() == ref.flatten()
+    assert [uf.find(x) for x in range(n)] == [ref.find(x) for x in range(n)]

@@ -18,7 +18,7 @@ from trinorm.surface import (NormalCoordinate, CoordinateError,
                              QUAD_PAIRS, QUAD_SIDE_A, QUAD_ARC_VERTEX,
                              OCT_ARC_VERTICES, TRI_EDGE_WEIGHTS,
                              QUAD_EDGE_WEIGHTS, OCT_EDGE_WEIGHTS)
-from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
+from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES, Skeleton,
                                    TriangulationError, parse)
 
 
@@ -573,6 +573,68 @@ def test_formal_chi_matches_reference_on_combinations(data):
         coord = coord + _disc_coord(tri.tet_count, t, d, c, formal=True)
     _same_formal_chi(fchi, tri, coord)
     assert formal_chi(tri, coord) == fchi(coord)
+
+
+# the solutions as built before special_solutions grouped the slots once,
+# kept word for word as the reference
+
+
+def _reference_tet_solution(tri, tet):
+    coord = NormalCoordinate.zero(tri.tet_count, formal=True)
+    tris = [list(r) for r in coord.tris]
+    quads = [list(r) for r in coord.quads]
+    tris[tet] = [1, 1, 1, 1]
+    quads[tet] = [-1, -1, -1]
+    return NormalCoordinate(tuple(tuple(r) for r in tris),
+                            tuple(tuple(r) for r in quads),
+                            coord.octs, formal=True)
+
+
+def _reference_edge_solution(tri, edge_class):
+    tris = [[0] * 4 for _ in range(tri.tet_count)]
+    quads = [[0] * 3 for _ in range(tri.tet_count)]
+    for x in tri.skeleton.edge_slots()[edge_class]:
+        t, ei = divmod(x, 6)
+        a, b = EDGE_VERTICES[ei]
+        tris[t][a] += 1
+        tris[t][b] += 1
+        qi = next(i for i in range(3) if ei in QUAD_PAIRS[i])
+        quads[t][qi] -= 1
+    return NormalCoordinate(tuple(tuple(r) for r in tris),
+                            tuple(tuple(r) for r in quads),
+                            tuple((0, 0, 0) for _ in range(tri.tet_count)),
+                            formal=True)
+
+
+def test_special_solutions_match_per_class_reference():
+    for tri in _FORMAL_TRIS + (build.layered_loop(5, twisted=False),):
+        edges, tets, _ = special_solutions(tri)
+        want_edges = [_reference_edge_solution(tri, e)
+                      for e in range(tri.skeleton.edge_count)]
+        want_tets = [_reference_tet_solution(tri, t)
+                     for t in range(tri.tet_count)]
+        assert edges == want_edges
+        assert tets == want_tets
+        assert [edge_solution(tri, e)
+                for e in range(tri.skeleton.edge_count)] == want_edges
+        assert [tet_solution(tri, t)
+                for t in range(tri.tet_count)] == want_tets
+
+
+def test_special_solutions_group_the_slots_once(monkeypatch):
+    calls = []
+    edge_slots = Skeleton.edge_slots
+
+    def counted(self):
+        calls.append(self)
+        return edge_slots(self)
+
+    monkeypatch.setattr(Skeleton, "edge_slots", counted)
+    for tri in _FORMAL_TRIS:
+        calls.clear()
+        edges, _, _ = special_solutions(tri)
+        assert len(edges) == tri.skeleton.edge_count > 1
+        assert calls == [tri.skeleton]
 
 
 def test_formal_chi_needs_a_closed_triangulation():

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trinorm.perm import Perm4, ALL_PERMS
-from trinorm.triangulation import (Triangulation, TriangulationError,
-                                   ParseError, parse, serialize)
+from trinorm.triangulation import (GluingError, TriBuilder, Triangulation,
+                                   TriangulationError, ParseError, parse,
+                                   serialize)
 from trinorm import analyze, build, verifysuite
 from test_skeleton import gluing_tables
 
@@ -59,6 +60,80 @@ def test_perms_are_interned():
                 ("0", 1, 2, 3), ([0], 1, 2, 3)):
         with pytest.raises(ValueError):
             Perm4(bad)
+
+
+_I, _S = Perm4((0, 1, 2, 3)), Perm4((1, 0, 2, 3))
+
+
+def _raised(action):
+    """(type, message, slot) of the error ``action`` raises; slot is None
+    for an error without one."""
+    with pytest.raises(ValueError) as err:
+        action()
+    return type(err.value), str(err.value), getattr(err.value, "slot", None)
+
+
+def test_from_map_errors_are_pinned():
+    cases = [({0: 0, 1: 1, 2: 2}, "incomplete vertex map {0: 0, 1: 1, 2: 2}"),
+             ({0: 0, 1: 1, 2: 2, 4: 3},
+              "incomplete vertex map {0: 0, 1: 1, 2: 2, 4: 3}"),
+             ({0: 1, 1: 1, 2: 2, 3: 3},
+              "not a permutation of 0..3: (1, 1, 2, 3)"),
+             ({0: 1, 1: 2, 2: 3, 3: 4},
+              "not a permutation of 0..3: (1, 2, 3, 4)")]
+    for mapping, message in cases:
+        assert _raised(lambda: Perm4.from_map(mapping)) == \
+            (ValueError, message, None)
+
+
+def test_join_errors_are_pinned():
+    def glue(*joins):
+        def action():
+            b = TriBuilder(2)
+            for join in joins:
+                b.join(*join)
+        return action
+
+    already = "facet already glued: tet 0 facet {} -> tet 1"
+    cases = [
+        # the facet itself, then the facet it would land on, already taken
+        (glue((0, 3, 1, _I), (0, 3, 1, _S)), already.format(3)),
+        (glue((0, 3, 1, _I), (0, 2, 1, Perm4((0, 1, 3, 2)))),
+         already.format(2)),
+        # a facet paired with itself by a three-cycle
+        (glue((0, 3, 0, Perm4((1, 2, 0, 3)))),
+         "self-gluing must be an involution"),
+    ]
+    for action, message in cases:
+        assert _raised(action) == (TriangulationError, message, None)
+    # a reflection pairs a facet with itself; both sides are one entry
+    b = TriBuilder(1)
+    b.join(0, 3, 0, _S)
+    assert b.rows == [[None, None, None, (0, _S)]]
+
+
+def test_triangulation_errors_are_pinned():
+    free = [None] * 4
+    cases = [
+        ([free, [None] * 3], TriangulationError,
+         "tetrahedron 1 needs 4 facet entries", None),
+        ([[None, None, (5, _I), None]], TriangulationError,
+         "dangling tetrahedron index 5 at tet 0 facet 2", None),
+        ([[None, (0, _I), None, None]], GluingError,
+         "facet 1 of tet 0 glued to itself pointwise", (0, 1)),
+        # the far side free, glued elsewhere, or by the wrong permutation
+        ([[(1, _I), None, None, None], free], GluingError,
+         "non-involutive gluing at tet 0 facet 0", (0, 0)),
+        ([[(1, _I), None, None, None], [(0, _I), (0, _I), None, None]],
+         GluingError, "non-involutive gluing at tet 1 facet 1", (1, 1)),
+        ([[(1, _S), None, None, None], [(0, _I), None, None, None]],
+         GluingError, "non-involutive gluing at tet 0 facet 0", (0, 0)),
+        # slots are checked in order: tet 0's last facet before tet 1
+        ([[None, None, None, (1, _I)], [(9, _I), None, None, None]],
+         GluingError, "non-involutive gluing at tet 0 facet 3", (0, 3)),
+    ]
+    for rows, kind, message, slot in cases:
+        assert _raised(lambda: Triangulation(rows)) == (kind, message, slot)
 
 
 def test_single_tet_unglued_is_valid():
