@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 from .perm import Perm4
@@ -70,8 +71,9 @@ class LayeredSolidTorus:
     def size(self):
         return len(self.tets)
 
-    @property
+    @cached_property
     def boundary_triple(self):
+        # sorted once; the record is frozen and its weights never change
         return tuple(sorted(self.edge_weights[e] for e in self.boundary_edges))
 
     @property

@@ -240,8 +240,9 @@ def cmd_construct_augmented(args):
     for entry in args.annulus:
         kind, _, spec = entry.partition(":")
         if kind == "fold":
-            fillings.append(build.AnnulusFilling("fold",
-                                                 style=spec or "straight"))
+            # a bare fold takes the library's default style
+            fillings.append(build.AnnulusFilling(
+                "fold", style=spec or build.AnnulusFilling.style))
         elif kind == "lst":
             try:
                 wh, wd, wv = (int(x) for x in spec.split(","))

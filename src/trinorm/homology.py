@@ -10,12 +10,12 @@ computed independently of the integer route so the two can be cross-checked.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 import logging
 from dataclasses import dataclass
 
-from .triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
-                            TriangulationError, _UnionFind)
+from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
+                            FACET_VERTICES, TriangulationError, _UnionFind)
 
 _log = logging.getLogger(__name__)
 
@@ -183,10 +183,10 @@ def face_relation_rows(tri):
     rows = []
     for s in tri.skeleton.face_first:
         t, f = divmod(s, 4)
-        bits = 0
-        for ei in FACET_EDGES[f]:
-            bits ^= 1 << edge_class[6 * t + ei]
-        rows.append(bits)
+        w = 6 * t
+        a, b, c = FACET_EDGES[f]
+        rows.append((1 << edge_class[w + a]) ^ (1 << edge_class[w + b])
+                    ^ (1 << edge_class[w + c]))
     return rows
 
 
@@ -225,6 +225,13 @@ def require_valid_cells(tri):
             "homology requires all edges valid (no reversed self-gluing)")
 
 
+# _FACET_TERMS[f]: the boundary of facet f as (edge, coefficient) terms,
+# for its ascending vertices w the edges (w1, w2), (w0, w2) and (w0, w1)
+_FACET_TERMS = tuple(((EDGE_INDEX[w[1], w[2]], 1),
+                      (EDGE_INDEX[w[0], w[2]], -1),
+                      (EDGE_INDEX[w[0], w[1]], 1)) for w in FACET_VERTICES)
+
+
 def _boundary_columns(tri):
     """The boundary maps of the quotient CW structure as sparse columns,
     with the edge/face class orientations of the skeleton: each edge
@@ -233,21 +240,23 @@ def _boundary_columns(tri):
     require_valid_cells(tri)
     sk = tri.skeleton
     vertex_class = sk.vertex_class
+    edge_class, edge_sign = sk.edge_class, sk.edge_sign
     ends = []
     for s in sk.edge_first:
         t, ei = divmod(s, 6)
         a, b = EDGE_VERTICES[ei]
-        if sk.edge_sign[s] < 0:
+        if edge_sign[s] < 0:
             a, b = b, a
         ends.append((vertex_class[4 * t + a], vertex_class[4 * t + b]))
     faces = []
     for s in sk.face_first:
         t, f = divmod(s, 4)
-        w = FACET_VERTICES[f]
+        w = 6 * t
         col = {}
-        for coeff, (x, y) in ((1, (w[1], w[2])), (-1, (w[0], w[2])), (1, (w[0], w[1]))):
-            idx, sign = sk.edge_class_of(t, x, y)
-            v = col.get(idx, 0) + coeff * sign
+        for ei, coeff in _FACET_TERMS[f]:
+            x = w + ei
+            idx = edge_class[x]
+            v = col.get(idx, 0) + coeff * edge_sign[x]
             if v:
                 col[idx] = v
             else:
@@ -286,23 +295,26 @@ def _eliminate_unit_pivots(columns):
     normal form supplies the other invariant factors and the rest of the
     rank (Dumas, Saunders and Villard 2001).
     """
-    cols = {j: col for j, col in enumerate(columns) if col}
+    cols = [col or None for col in columns]     # None once dropped
     where = {}                  # row -> live columns holding it
-    for j, col in cols.items():
-        for i in col:
+    for j, col in enumerate(cols):
+        for i in col or ():
             where.setdefault(i, set()).add(j)
-    heap = [(len(col), j) for j, col in cols.items()]
-    heapq.heapify(heap)
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapify(heap)
     pivots = 0
     while heap:
-        size, j = heapq.heappop(heap)
-        col = cols.get(j)
+        size, j = heappop(heap)
+        col = cols[j]
         if col is None or len(col) != size:
             continue            # stale: the column was dropped or changed
-        r = min((i for i, v in col.items() if v == 1 or v == -1), default=None)
+        r = None
+        for i, v in col.items():
+            if (v == 1 or v == -1) and (r is None or i < r):
+                r = i
         if r is None:
             continue            # pushed again if an update gives it a unit
-        del cols[j]
+        cols[j] = None
         for i in col:
             where[i].discard(j)
         u = col.pop(r)
@@ -310,21 +322,24 @@ def _eliminate_unit_pivots(columns):
             other = cols[k]
             f = other.pop(r) * u  # u is its own inverse
             for i, v in col.items():
-                w = other.get(i, 0) - f * v
-                if w:
-                    other[i] = w
+                fv = f * v
+                w = other.get(i)
+                if w is None:
+                    other[i] = -fv
                     where[i].add(k)
+                elif w != fv:
+                    other[i] = w - fv
                 else:
                     del other[i]
                     where[i].discard(k)
             if other:
-                heapq.heappush(heap, (len(other), k))
+                heappush(heap, (len(other), k))
             else:
-                del cols[k]
+                cols[k] = None
         pivots += 1
-    live = sorted(cols)
+    live = [col for col in cols if col]
     rows = sorted(i for i, held in where.items() if held)
-    return pivots, [[cols[j].get(i, 0) for j in live] for i in rows]
+    return pivots, [[col.get(i, 0) for col in live] for i in rows]
 
 
 def first_homology(tri):
@@ -342,7 +357,7 @@ def first_homology(tri):
     # one-vertex complex, so H_1 is the cokernel of d2 extended by unit
     # columns for the tree edges.
     tree = _UnionFind(tri.skeleton.vertex_count)
-    relations = [dict(col) for col in faces]
+    relations = faces
     for e, (tail, head) in enumerate(ends):
         if tree.find(tail)[0] != tree.find(head)[0]:
             tree.union(tail, head, 0)

@@ -46,9 +46,6 @@ class Perm4:
         """+1 for even permutations, -1 for odd."""
         return SIGN[self.index]
 
-    def is_identity(self):
-        return self.index == 0
-
     def __eq__(self, other):
         # interned: equal permutations are the same object
         return self is other

@@ -24,10 +24,12 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from operator import mul
 
 from .triangulation import (EDGE_VERTICES, OPPOSITE_EDGE, FACET_VERTICES,
-                            GLUING_TABLE, TriangulationError, _UnionFind)
+                            TriangulationError, _UnionFind)
 from .cocycle import TetType, classify_tetrahedra, ParityCensus
 
 _log = logging.getLogger(__name__)
@@ -181,6 +183,28 @@ def edge_weights(tri, coord):
     return _class_weights(tri.skeleton, slot_weights)
 
 
+@lru_cache(maxsize=4096)
+def _tet_cells(counts):
+    """The cells that one tetrahedron's ten disc counts (tris + quads +
+    octs) add: its arc row, where entry 4*facet + vertex counts the arcs
+    cutting off the vertex in the facet, its six edge-slot weights and its
+    number of discs.  Counts that are not embeddable give instead the
+    message of the error they raise, with {} for the tetrahedron."""
+    if min(counts) < 0:
+        return "negative multiplicity in tetrahedron {}"
+    if counts[4:].count(0) < 5:
+        return "tetrahedron {} has more than one quad-or-octagon type"
+    arcs = [0] * 16
+    weights = [0] * 6
+    for d, c in enumerate(counts):
+        if c:
+            for entry in _DISC_ARCS[d]:
+                arcs[entry] += c
+            for ei in _DISC_EDGES[d]:
+                weights[ei] += c
+    return tuple(arcs), tuple(weights), sum(counts)
+
+
 def euler_char(tri, coord, weights=None):
     """Euler characteristic by direct cell count of the induced
     decomposition: vertices on edges, arcs in faces, discs in tetrahedra.
@@ -192,49 +216,31 @@ def euler_char(tri, coord, weights=None):
     _check_size(tri, coord)
     if coord.formal:
         raise CoordinateError("formal coordinates are not embeddable")
-    # one pass over the tetrahedra: arcs[16t + 4f + v] counts the arcs
-    # cutting off vertex v in facet f of tetrahedron t, slot_weights[6t + e]
-    # the crossings of its edge e
-    arcs = [0] * (16 * tri.tet_count)
-    slot_weights = [0] * (6 * tri.tet_count)
-    discs = 0
-    for t, (tr, qu, oc) in enumerate(zip(coord.tris, coord.quads,
-                                         coord.octs)):
-        counts = tr + qu + oc
-        if min(counts) < 0:
-            raise CoordinateError(f"negative multiplicity in tetrahedron {t}")
-        if (qu + oc).count(0) < 5:
-            raise CoordinateError(
-                f"tetrahedron {t} has more than one quad-or-octagon type")
-        a, w = 16 * t, 6 * t
-        for d, c in enumerate(counts):
-            if c:
-                discs += c
-                for entry in _DISC_ARCS[d]:
-                    arcs[a + entry] += c
-                for ei in _DISC_EDGES[d]:
-                    slot_weights[w + ei] += c
-    # one pass over the face classes: the arcs of facet x start at 4x
-    glu = tri.gluings
-    e = 0
-    for x in tri.skeleton.face_first:
-        t1, f1 = divmod(x, 4)
-        a = 4 * x
-        g = glu[t1][f1]
-        if g is not None:
-            t2, perm = g
-            f2, _, vertices, _ = GLUING_TABLE[perm.index][f1]
-            b = 16 * t2 + 4 * f2
-            for v, image in vertices:
-                if arcs[a + v] != arcs[b + image]:
-                    raise CoordinateError(
-                        f"matching fails across face ({t1},{f1})~({t2},{f2}) "
-                        f"at vertex {v}")
-        i, j, k = FACET_VERTICES[f1]
-        e += arcs[a + i] + arcs[a + j] + arcs[a + k]
+    # each tetrahedron's cells, looked up by its counts; the first
+    # tetrahedron that is not embeddable raises
+    cells = [_tet_cells(tr + qu + oc)
+             for tr, qu, oc in zip(coord.tris, coord.quads, coord.octs)]
+    if str in map(type, cells):
+        t = list(map(type, cells)).index(str)
+        raise CoordinateError(cells[t].format(t))
+    arc_rows, weight_rows, disc_counts = zip(*cells) if cells else ((),) * 3
+    # arcs[16t + 4f + v] counts the arcs cutting off vertex v in facet f
+    # of tetrahedron t: its corner slot 4(4t + f) + v
+    arcs = list(chain.from_iterable(arc_rows))
+    count = arcs.__getitem__
+    lower, upper, counted = tri.facet_corners
+    if list(map(count, lower)) != list(map(count, upper)):
+        for a, b in zip(lower, upper):
+            if arcs[a] != arcs[b]:
+                (t1, f1), v = divmod(a // 4, 4), a % 4
+                t2, f2 = b // 16, b // 4 % 4
+                raise CoordinateError(
+                    f"matching fails across face ({t1},{f1})~({t2},{f2}) "
+                    f"at vertex {v}")
     if weights is None:
-        weights = _class_weights(tri.skeleton, slot_weights)
-    return sum(weights) - e + discs
+        weights = _class_weights(tri.skeleton,
+                                 list(chain.from_iterable(weight_rows)))
+    return sum(weights) - sum(map(count, counted)) + sum(disc_counts)
 
 
 def vertex_link(tri):
@@ -290,6 +296,30 @@ def chi_formula(census: ParityCensus):
 # ----- b-modifications --------------------------------------------------------
 
 
+def _b_row(qi, c1, c2):
+    """The discs that replace the quad of type ``qi`` when c1 and c2 say
+    which edges of its even pair are selected: the quad when neither is,
+    one octagon when both are, and else two triangles at the ends of the
+    selected edge.  Returns (tris, quads, octs, octagon count)."""
+    tris, quads, octs = [0] * 4, [0] * 3, [0] * 3
+    e1, e2 = QUAD_PAIRS[qi]
+    if not c1 and not c2:
+        quads[qi] = 1
+    elif c1 and c2:
+        octs[qi] = 1
+    else:
+        heavy = e1 if c1 else e2
+        a, bb = EDGE_VERTICES[heavy]
+        tris[a] += 1
+        tris[bb] += 1
+    return tuple(tris), tuple(quads), tuple(octs), octs[qi]
+
+
+# _B_ROWS[4*qi + 2*c1 + c2]: the row of _b_row(qi, c1, c2)
+_B_ROWS = tuple(_b_row(qi, c1, c2)
+                for qi in range(3) for c1 in (0, 1) for c2 in (0, 1))
+
+
 def b_modification(tri, canon, b_edges):
     """Raise the weight of the selected even edges of the canonical surface
     ``canon`` from 0 to 2.
@@ -308,35 +338,28 @@ def b_modification(tri, canon, b_edges):
             raise TriangulationError(f"{e} is not an edge class")
         if canon.cocycle[e]:
             raise TriangulationError(f"edge {e} is odd; b must select even edges")
-    n = tri.tet_count
-    tris = [[0] * 4 for _ in range(n)]
-    quads = [[0] * 3 for _ in range(n)]
-    octs = [[0] * 3 for _ in range(n)]
+    selected = bytearray(sk.edge_count)
+    for e in b:
+        selected[e] = 1
+    edge_class = sk.edge_class
+    rows = []
     for t, canon_quads in enumerate(canon.coord.quads):
         if not any(canon_quads):
             raise TriangulationError(
                 "b-modification needs all tetrahedra of quad type")
         qi = canon_quads.index(1)
         e1, e2 = QUAD_PAIRS[qi]
-        c1 = sk.edge_class[6 * t + e1] in b
-        c2 = sk.edge_class[6 * t + e2] in b
-        if not c1 and not c2:
-            quads[t][qi] = 1
-        elif c1 and c2:
-            octs[t][qi] = 1
-        else:
-            heavy = e1 if c1 else e2
-            a, bb = EDGE_VERTICES[heavy]
-            tris[t][a] += 1
-            tris[t][bb] += 1
-    coord = NormalCoordinate(tuple(tuple(r) for r in tris),
-                             tuple(tuple(r) for r in quads),
-                             tuple(tuple(r) for r in octs))
-    oct_count = sum(sum(r) for r in coord.octs)
+        w = 6 * t
+        rows.append(_B_ROWS[4 * qi + 2 * selected[edge_class[w + e1]]
+                            + selected[edge_class[w + e2]]])
+    tris, quads, octs, oct_counts = zip(*rows) if rows else ((),) * 4
+    coord = NormalCoordinate(tris, quads, octs)
+    oct_count = sum(oct_counts)
     chi = euler_char(tri, coord)
     formula = canon.chi - 2 * oct_count + 2 * len(b)
-    _log.debug("b_modification: b=%s, %d octagons, cell-count chi %d, "
-               "formula chi %d", sorted(b), oct_count, chi, formula)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("b_modification: b=%s, %d octagons, cell-count chi %d, "
+                   "formula chi %d", sorted(b), oct_count, chi, formula)
     if chi != formula:
         raise AssertionError(
             f"octagon count formula violated at b={sorted(b)}")
@@ -359,15 +382,11 @@ def tet_solution(tri, tet):
                             formal=True)
 
 
-def edge_solution(tri, edge_class):
-    """For every slot of the edge: the two triangles at its ends plus the
-    quad disjoint from it with coefficient -1."""
-    return _edge_solution(tri, tri.skeleton.edge_slots()[edge_class])
-
-
 def _edge_solution(tri, slots):
-    """The edge solution of the edge class with the given slots; the
-    tetrahedra it misses share one zero row."""
+    """The edge solution of the edge class with the given slots: for
+    every slot, the two triangles at its ends plus the quad disjoint from
+    it with coefficient -1.  The tetrahedra it misses share one zero
+    row."""
     touched = {}
     for x in slots:
         t, ei = divmod(x, 6)

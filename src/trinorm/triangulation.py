@@ -420,6 +420,32 @@ class Triangulation:
                         edge_first, invalid_edges, face_class, face_sign,
                         face_first, boundary_facets, self_glued)
 
+    @cached_property
+    def facet_corners(self):
+        """The corner slots that normal arcs are counted on: corner
+        4x + v is vertex v of facet slot x, that is 16t + 4f + v.
+
+        Returns (lower, upper, counted): for each glued face class in
+        face order, the three corners of its first facet and the corners
+        they are glued to, vertex by vertex; and the three corners of the
+        first facet of every face class."""
+        glu = self._gluings
+        lower, upper, counted = [], [], []
+        for x in self.skeleton.face_first:
+            t, f = divmod(x, 4)
+            a = 4 * x
+            g = glu[t][f]
+            if g is not None:
+                u, perm = g
+                target, _, vertices, _ = GLUING_TABLE[perm.index][f]
+                b = 16 * u + 4 * target
+                for v, image in vertices:
+                    lower.append(a + v)
+                    upper.append(b + image)
+            i, j, k = FACET_VERTICES[f]
+            counted += (a + i, a + j, a + k)
+        return lower, upper, counted
+
     @property
     def is_valid(self):
         return not self.skeleton.invalid_edges
@@ -643,9 +669,11 @@ def parse(text):
         entry_lines[index] = lineno
     if tet_count is None:
         raise ParseError("missing 'tri' header")
-    missing = [i for i in range(tet_count) if i not in entries]
-    if missing:
-        raise ParseError(f"missing entry for tetrahedron {missing[0]}")
+    if len(entries) != tet_count:
+        # the indices are distinct and in range, so one is missing; stop
+        # at the first, whatever the count the header claims
+        missing = next(i for i in range(tet_count) if i not in entries)
+        raise ParseError(f"missing entry for tetrahedron {missing}")
     try:
         return Triangulation([entries[i] for i in range(tet_count)])
     except GluingError as exc:

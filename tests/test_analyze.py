@@ -709,8 +709,8 @@ def _one_tet_tables():
         fc, fd = (f for f in range(4) if f not in (fa, fb))
         rests = [[(fc, p)] for p in ALL_PERMS if p[fc] == fd]
         reflections = {f: [None] + [p for p in ALL_PERMS if p[f] == f
-                                     and not p.is_identity()
-                                     and (p * p).is_identity()]
+                                     and p.index != 0
+                                     and (p * p).index == 0]
                        for f in (fc, fd)}
         for pc, pd in itertools.product(reflections[fc], reflections[fd]):
             rests.append([(f, p) for f, p in ((fc, pc), (fd, pd)) if p])

@@ -535,3 +535,14 @@ def test_tree_walk_builds_only_the_seed_skeleton(built):
     assert nodes == 2 ** 8 - 1
     # one Triangulation per node, the seed's being the root's
     assert built == {"skeleton": 1, "triangulation": nodes}
+
+
+def test_boundary_triple_is_sorted_once():
+    _, a = build.lst(3, 7)
+    _, b = build.lst(3, 7)
+    assert (a.p, a.q, a.boundary_triple) == (3, 7, (3, 7, 10))
+    # cached on the record, which stays equal to an unread twin
+    assert a.__dict__["boundary_triple"] is a.boundary_triple
+    assert "boundary_triple" not in b.__dict__
+    assert a == b and repr(a) == repr(b)
+    assert "boundary_triple" not in repr(a)

@@ -194,6 +194,36 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_bare_fold_takes_the_library_default(tmp_path):
+    rest = ["--annulus", "fold:cross", "--annulus", "lst:5,1,6"]
+    written = {}
+    for spec in ("fold", "fold:cross"):
+        out = tmp_path / f"{spec.replace(':', '-')}.tri"
+        code, _, err = run_cli(["construct", "augmented", "--annulus", spec,
+                                *rest, "-o", str(out)])
+        assert (code, err) == (0, "")
+        written[spec] = out.read_text()
+    assert written["fold"] == written["fold:cross"]
+    assert parse(written["fold"]).tet_count > 0
+    out = tmp_path / "straight.tri"
+    code, stdout, err = run_cli(["construct", "augmented", "--annulus",
+                                 "fold:straight", *rest, "-o", str(out)])
+    assert code == 1 and stdout == "" and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_header_only_file_stops_at_the_first_missing_tetrahedron(tmp_path):
+    # the claimed count is never walked, so this costs no memory
+    path = tmp_path / "huge.tri"
+    path.write_text("tri 1000000000\n")
+    code, out, err = run_cli(["analyze", str(path)])
+    assert (code, out, err) == (
+        1, "", "error: missing entry for tetrahedron 0\n")
+    path.write_text("tri 1000000000\ntet 0: - - - -\n")
+    code, _, err = run_cli(["analyze", str(path)])
+    assert (code, err) == (1, "error: missing entry for tetrahedron 1\n")
+
+
 def test_corrupted_file_pinpoints_line(tmp_path):
     bad = tmp_path / "bad.tri"
     bad.write_text("tri 2\ntet 0: 1:0123 - - -\ntet 1: - - - -\n")
@@ -456,7 +486,7 @@ ERROR_CASES = {
         ["construct", "augmented", "--annulus", "lst:a,b,c", "--annulus",
          "fold:cross", "--annulus", "fold:cross", "-o", "OUT"], 1),
     "annulus with a straight fold": (
-        ["construct", "augmented", "--annulus", "fold", "--annulus",
+        ["construct", "augmented", "--annulus", "fold:straight", "--annulus",
          "fold:cross", "--annulus", "lst:5,1,6", "-o", "OUT"], 1),
     # usage errors of fold are reported before the input file is read
     "fold with a file and --p --q": (["fold", "NOFILE", "--p", "1", "--q",

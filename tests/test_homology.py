@@ -1,5 +1,6 @@
 """Smith normal form, GF(2) kernels and first homology."""
 
+import heapq
 import logging
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from trinorm.homology import (smith_normal_form, gf2_rank, gf2_kernel_basis,
                               first_homology, seifert_homology,
                               boundary_matrices, require_valid_cells,
                               face_relation_rows, HomologyProfile,
-                              _eliminate_unit_pivots)
+                              _boundary_columns, _eliminate_unit_pivots)
 from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
                                    TriangulationError, _UnionFind)
 from trinorm import analyze, build, cocycle, verifysuite
@@ -615,3 +616,76 @@ def test_first_homology_logs_its_cross_check(caplog):
 def test_trinorm_logger_is_silent_by_default():
     handlers = logging.getLogger("trinorm").handlers
     assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+# ----- the elimination's bookkeeping before it was made leaner ----------------
+# Kept word for word as the oracle of the pivot order: the same pivots must
+# leave the same remainder, entry for entry.
+
+
+def _reference_eliminate_unit_pivots(columns):
+    cols = {j: col for j, col in enumerate(columns) if col}
+    where = {}                  # row -> live columns holding it
+    for j, col in cols.items():
+        for i in col:
+            where.setdefault(i, set()).add(j)
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        size, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != size:
+            continue            # stale: the column was dropped or changed
+        r = min((i for i, v in col.items() if v == 1 or v == -1), default=None)
+        if r is None:
+            continue            # pushed again if an update gives it a unit
+        del cols[j]
+        for i in col:
+            where[i].discard(j)
+        u = col.pop(r)
+        for k in where.pop(r):
+            other = cols[k]
+            f = other.pop(r) * u  # u is its own inverse
+            for i, v in col.items():
+                w = other.get(i, 0) - f * v
+                if w:
+                    other[i] = w
+                    where[i].add(k)
+                else:
+                    del other[i]
+                    where[i].discard(k)
+            if other:
+                heapq.heappush(heap, (len(other), k))
+            else:
+                del cols[k]
+        pivots += 1
+    live = sorted(cols)
+    rows = sorted(i for i, held in where.items() if held)
+    return pivots, [[cols[j].get(i, 0) for j in live] for i in rows]
+
+
+def _same_elimination(columns):
+    got = _eliminate_unit_pivots([dict(c) for c in columns])
+    assert got == _reference_eliminate_unit_pivots([dict(c) for c in columns])
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_matrices())
+def test_elimination_matches_reference_pivot_order(case):
+    m, n, mat = case
+    _same_elimination([{i: mat[i][j] for i in range(m) if mat[i][j]}
+                       for j in range(n)])
+
+
+def test_boundary_columns_match_reference_on_fold_and_family_grids():
+    # the per-facet term table against the per-term edge_class_of loop,
+    # and the face columns through both eliminations
+    folds = [folded for _, _, folded in verifysuite._lens_grid(10)]
+    family = [tri for _, _, tri in verifysuite._family_grid()]
+    for tri in folds + family:
+        assert boundary_matrices(tri) == _reference_boundary_matrices(tri)
+        _same_elimination(_boundary_columns(tri)[1])
+    assert len(folds) == 3069
+

@@ -255,8 +255,8 @@ def gluing_tables(draw, kinds=("pair", "pair", "pair", "boundary", "self")):
         if kind == "self":
             # fix the facet's opposite vertex and swap two of the other three
             perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == f
-                                         and not p.is_identity()
-                                         and (p * p).is_identity()]))
+                                         and p.index != 0
+                                         and (p * p).index == 0]))
             builder.join(t, f, t, perm)
         i += 1
     return builder.freeze()

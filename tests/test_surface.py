@@ -14,7 +14,7 @@ from trinorm.surface import (NormalCoordinate, CoordinateError,
                              euler_char, vertex_link, b_modification,
                              special_solutions,
                              formal_chi, twisted_square_scan, surface_classify,
-                             edge_solution, tet_solution,
+                             tet_solution,
                              QUAD_PAIRS, QUAD_SIDE_A, QUAD_ARC_VERTEX,
                              OCT_ARC_VERTICES, TRI_EDGE_WEIGHTS,
                              QUAD_EDGE_WEIGHTS, OCT_EDGE_WEIGHTS)
@@ -606,6 +606,12 @@ def _reference_edge_solution(tri, edge_class):
                             formal=True)
 
 
+def edge_solution(tri, edge_class):
+    """The edge solution of one edge class, from the slots of that class
+    alone."""
+    return surface._edge_solution(tri, tri.skeleton.edge_slots()[edge_class])
+
+
 def test_special_solutions_match_per_class_reference():
     for tri in _FORMAL_TRIS + (build.layered_loop(5, twisted=False),):
         edges, tets, _ = special_solutions(tri)
@@ -664,3 +670,149 @@ def test_b_modification_logs_each_check(caplog, capsys):
             f"b_modification: b={sorted(b)}, {octs} octagons, "
             f"cell-count chi {chi}, formula chi {chi}")
     assert capsys.readouterr() == ("", "")
+
+
+# ----- the table-driven cell count and b-modification -------------------------
+
+
+def _ref_b_modification(tri, canon, b_edges):
+    """The per-tetrahedron loop that ``b_modification`` ran before its rule
+    table, kept word for word (without its log line) as the oracle."""
+    surface._check_size(tri, canon.coord)
+    b = set(b_edges)
+    sk = tri.skeleton
+    for e in b:
+        if not 0 <= e < sk.edge_count:
+            raise TriangulationError(f"{e} is not an edge class")
+        if canon.cocycle[e]:
+            raise TriangulationError(f"edge {e} is odd; b must select even edges")
+    n = tri.tet_count
+    tris = [[0] * 4 for _ in range(n)]
+    quads = [[0] * 3 for _ in range(n)]
+    octs = [[0] * 3 for _ in range(n)]
+    for t, canon_quads in enumerate(canon.coord.quads):
+        if not any(canon_quads):
+            raise TriangulationError(
+                "b-modification needs all tetrahedra of quad type")
+        qi = canon_quads.index(1)
+        e1, e2 = QUAD_PAIRS[qi]
+        c1 = sk.edge_class[6 * t + e1] in b
+        c2 = sk.edge_class[6 * t + e2] in b
+        if not c1 and not c2:
+            quads[t][qi] = 1
+        elif c1 and c2:
+            octs[t][qi] = 1
+        else:
+            heavy = e1 if c1 else e2
+            a, bb = EDGE_VERTICES[heavy]
+            tris[t][a] += 1
+            tris[t][bb] += 1
+    coord = NormalCoordinate(tuple(tuple(r) for r in tris),
+                             tuple(tuple(r) for r in quads),
+                             tuple(tuple(r) for r in octs))
+    oct_count = sum(sum(r) for r in coord.octs)
+    chi = euler_char(tri, coord)
+    if chi != canon.chi - 2 * oct_count + 2 * len(b):
+        raise AssertionError(
+            f"octagon count formula violated at b={sorted(b)}")
+    return coord, oct_count
+
+
+def _octagon_formula_modifications():
+    """(tri, canon, b) for every modification that
+    ``verifysuite.check_octagon_formula`` checks, on the same instances."""
+    instances = [build.layered_loop(k, twisted=True) for k in (4, 6)]
+    instances += [build.lens_space(1, 2 * n - 2)[0] for n in (4, 7, 13)]
+    for tri in instances:
+        for phi in cocycle.all_nonzero_classes(tri):
+            canon = canonical_surface(tri, phi)
+            evens = phi.even_edges()
+            for r in range(len(evens) + 1):
+                for b in combinations(evens, r):
+                    yield tri, canon, b
+
+
+def _mutations(coord):
+    """Coordinates one or two edits away from an embedded ``coord``: a
+    disc moved to another type in one tetrahedron, a negative entry, a
+    second quad-or-octagon type, and two bad tetrahedra in either order."""
+    n = coord.tet_count
+    for t in range(n):
+        kind = "tris" if any(coord.tris[t]) else \
+            "quads" if any(coord.quads[t]) else "octs"
+        row = getattr(coord, kind)[t]
+        i = next(j for j, c in enumerate(row) if c)
+        moved = _corrupt(coord, kind, t, i, -1)
+        yield _corrupt(moved, kind, t, (i + 1) % len(row), 1)
+        yield _corrupt(coord, "tris", t, 2, -coord.tris[t][2] - 1)
+        other = "octs" if kind == "quads" else "quads"
+        yield _corrupt(coord, other, t, 1, 1)
+    for t1, t2 in ((0, n - 1), (n - 1, 0)):
+        two = _corrupt(coord, "quads", t1, 0, 1)
+        two = _corrupt(two, "octs", t1, 2, 1)
+        yield _corrupt(two, "octs", t2, 1, -coord.octs[t2][1] - 1)
+
+
+def test_euler_char_and_b_modification_match_references_on_the_verify_set():
+    # every modification the octagon formula criterion checks: the rule
+    # table against the old loop, the cell count against the reference
+    checked = mutated = 0
+    for tri, canon, b in _octagon_formula_modifications():
+        coord, octs = b_modification(tri, canon, b)
+        assert (coord, octs) == _ref_b_modification(tri, canon, b)
+        assert _outcome(euler_char, tri, coord) == \
+            _outcome(_ref_euler_char, tri, coord) == \
+            ("value", canon.chi - 2 * octs + 2 * len(b))
+        if checked % 97 == 0:
+            for bad in _mutations(coord):
+                kind, message = _outcome(euler_char, tri, bad)
+                assert kind == "error"
+                assert (kind, message) == _outcome(_ref_euler_char, tri, bad)
+                mutated += 1
+        checked += 1
+    assert checked == 4196 and mutated > 1000
+
+
+def test_errors_are_raised_in_tetrahedron_order():
+    tri = build.layered_loop(4, twisted=True)
+    coord = canonical_surface(tri, cocycle.all_nonzero_classes(tri)[0]).coord
+    negative = _corrupt(coord, "tris", 3, 0, -1)
+    both = _corrupt(_corrupt(negative, "quads", 1, 0, 1), "quads", 1, 1, 1)
+    assert _outcome(euler_char, tri, both) == _outcome(
+        _ref_euler_char, tri, both) == (
+        "error", "tetrahedron 1 has more than one quad-or-octagon type")
+    # in one tetrahedron a negative entry comes first
+    both = _corrupt(both, "octs", 1, 0, -1)
+    assert _outcome(euler_char, tri, both) == _outcome(
+        _ref_euler_char, tri, both) == (
+        "error", "negative multiplicity in tetrahedron 1")
+
+
+def test_cell_memo_is_bounded():
+    info = surface._tet_cells.cache_info()
+    assert info.maxsize is not None
+    tri = build.lst(1, 2)[0]
+    link = vertex_link(tri)
+    for k in range(info.maxsize + 50):
+        assert euler_char(tri, link.scale(k)) == k
+    assert surface._tet_cells.cache_info().currsize == info.maxsize
+    for k in (0, 1, 7):
+        coord = link.scale(k)
+        assert euler_char(tri, coord) == _ref_euler_char(tri, coord) == k
+
+
+def test_facet_corners_match_the_gluings():
+    for tri in (build.layered_loop(4, twisted=True), build.lst(5, 13)[0],
+                build.seifert_family("M", 1, 2, 1)[0]):
+        lower, upper, counted = tri.facet_corners
+        pairs, corners = [], []
+        for x in tri.skeleton.face_first:
+            t, f = divmod(x, 4)
+            corners += [4 * x + v for v in FACET_VERTICES[f]]
+            g = tri.gluing(t, f)
+            if g is not None:
+                u, perm = g
+                pairs += [(4 * x + v, 16 * u + 4 * perm[f] + perm[v])
+                          for v in FACET_VERTICES[f]]
+        assert list(zip(lower, upper)) == pairs
+        assert counted == corners
