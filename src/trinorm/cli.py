@@ -281,12 +281,11 @@ def cmd_surface(args):
     tri = _load(args.input)
     phi = _colouring_class(tri, args.cls)
     canon = surface.canonical_surface(tri, phi)
-    coord = canon.coord
-    octs = 0
+    coord, chi, octs = canon.coord, canon.chi, 0
     if args.b:
         b_edges = [int(x) for x in args.b.split(",") if x != ""]
         coord, octs = surface.b_modification(tri, canon, b_edges)
-    chi = surface.euler_char(tri, coord)
+        chi = surface.euler_char(tri, coord)
     sys.stdout.write(coord.dump() + "\n")
     _emit({"schema_version": SCHEMA_VERSION, "cocycle": str(phi),
            "chi": chi, "octagons": octs,

@@ -32,9 +32,6 @@ class Perm4:
     def __getitem__(self, i):
         return self.images[i]
 
-    def __call__(self, i):
-        return self.images[i]
-
     def __mul__(self, other):
         # (self * other)(x)  ==  self(other(x))
         return PRODUCT[self.index][other.index]
@@ -99,5 +96,3 @@ PRODUCT = tuple(tuple(_BY_IMAGES[a[b0], a[b1], a[b2], a[b3]]
 INVERSE = tuple(_BY_IMAGES[a.index(0), a.index(1), a.index(2), a.index(3)]
                 for a in _BY_IMAGES)
 SIGN = tuple(-1 if _inversions(a) % 2 else 1 for a in _BY_IMAGES)
-
-IDENTITY = ALL_PERMS[0]

@@ -16,6 +16,11 @@ each disc meets the edges and faces of its tetrahedron:
                          both vertices of the majority side.
 
 Octagons only arise from b-modifications of all-quad canonical surfaces.
+
+The cell count ``euler_char``, the edge weights, the surface
+classification and the formal Euler characteristic all read the disc
+tables derived from these incidences: ``_DISC_ARCS``,
+``DISC_EDGE_WEIGHTS`` and the corner lists built from them.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import mul
+from itertools import accumulate, chain, repeat
+from operator import eq, mul
 
 from .triangulation import (EDGE_VERTICES, OPPOSITE_EDGE, FACET_VERTICES,
                             TriangulationError, _UnionFind)
@@ -129,10 +134,6 @@ class NormalCoordinate:
             tuple(tuple(c * a for a in r) for r in self.quads),
             tuple(tuple(c * a for a in r) for r in self.octs),
             formal=self.formal or c < 0)
-
-    def is_zero(self):
-        return not any(any(r) for rr in (self.tris, self.quads, self.octs)
-                       for r in rr)
 
     def dump(self):
         lines = []
@@ -419,27 +420,16 @@ def _formal_chi_functional(tri):
         raise TriangulationError("formal chi is defined for closed triangulations")
     half = math.lcm(*sk.edge_degrees)
     scale = 2 * half
+    # per disc type: one face less half an edge per arc
+    faces = [scale - half * len(arcs) for arcs in _DISC_ARCS]
+    share = [scale // degree for degree in sk.edge_degrees]
     table = []
     for t in range(tri.tet_count):
-        # scale / degree: the scaled share of each edge's vertex per corner
-        corner = [scale // sk.edge_degrees[sk.edge_class[6 * t + ei]]
-                  for ei in range(6)]
-        row = []
-        for v in range(4):
-            # three corners, three half edges, one face
-            row.append(sum(corner[ei] for ei in range(6)
-                           if v in EDGE_VERTICES[ei]) - half)
-        for i in range(3):
-            # four corners, four half edges, one face
-            row.append(sum(corner[ei] for ei in range(6)
-                           if ei not in QUAD_PAIRS[i]) - scale)
-        for i in range(3):
-            # eight corners, eight half edges, one face
-            row.append(sum(corner[ei] for ei in range(6)
-                           if ei not in QUAD_PAIRS[i])
-                       + sum(2 * corner[ei] for ei in QUAD_PAIRS[i])
-                       - 3 * scale)
-        table.append(row)
+        # scale / degree: the scaled share of each edge's vertex per
+        # corner, one corner per crossing
+        corner = [share[c] for c in sk.edge_class[6 * t:6 * t + 6]]
+        table.append([sum(map(mul, corner, row)) + face
+                      for row, face in zip(DISC_EDGE_WEIGHTS, faces)])
 
     def chi(coord):
         _check_size(tri, coord)
@@ -508,52 +498,33 @@ def twisted_square_scan(tri):
 # ----- surface classification ---------------------------------------------------
 
 
-def _disc_list(coord):
-    discs = []
-    for t in range(coord.tet_count):
-        for v in range(4):
-            for c in range(coord.tris[t][v]):
-                discs.append((t, "tri", v, c))
-        for i in range(3):
-            for c in range(coord.quads[t][i]):
-                discs.append((t, "quad", i, c))
-            for c in range(coord.octs[t][i]):
-                discs.append((t, "oct", i, c))
-    return discs
+# _CORNER_DISCS[4f + v]: the disc types with an arc cutting off vertex v
+# in facet f, triangles first, each with a bit that is 1 when the type's
+# parallel copies are numbered from the far side of v: quad and octagon
+# copies are numbered from the side of their partition that holds vertex
+# 0.  The bit is also the transverse side, each disc being oriented toward
+# its vertex or toward that side
+_CORNER_DISCS = tuple(
+    tuple((d, int(d > 3 and corner % 4 not in QUAD_SIDE_A[(d - 4) % 3]))
+          for d in range(10) if corner in _DISC_ARCS[d])
+    for corner in range(16))
 
 
-def _arcs_at(coord, disc_index, discs, tet, facet, vertex):
-    """Disc indices with an arc cutting off the vertex in this facet, in
-    order of distance from the vertex.
-
-    Vertex triangles come first.  Parallel quad or octagon copies are
-    indexed from the side of the partition containing vertex 0; the copy
-    nearest the cut-off vertex is the first copy when the vertex lies on
-    that side and the last copy otherwise, so the orders on the two sides
-    of a face gluing correspond.
-    """
+def _tet_arcs(counts):
+    """The arcs that one tetrahedron's ten disc counts (tris + quads +
+    octs) put at each corner 4*facet + vertex: the discs there, nearest
+    the vertex first, each with its bit.  Discs are numbered type by type
+    from 0, the copies of type d from the prefix sum of the counts before
+    it; a type with its bit set lists them from the last copy."""
+    first = list(accumulate(counts, initial=0))
     out = []
-    for di in disc_index.get(tet, ()):
-        t, kind, typ, copy = discs[di]
-        if kind == "tri" and typ == vertex:
-            out.append((0, copy, di))
-        elif kind == "quad" and QUAD_ARC_VERTEX[typ][facet] == vertex:
-            m = coord.quads[tet][typ]
-            pos = copy if vertex in QUAD_SIDE_A[typ] else m - 1 - copy
-            out.append((1, pos, di))
-        elif kind == "oct" and vertex in OCT_ARC_VERTICES[typ][facet]:
-            m = coord.octs[tet][typ]
-            pos = copy if vertex in QUAD_SIDE_A[typ] else m - 1 - copy
-            out.append((1, pos, di))
-    out.sort()
-    return [di for _, _, di in out]
-
-
-def _toward_vertex_sign(disc, vertex):
-    _, kind, typ, _ = disc
-    if kind == "tri":
-        return 1
-    return 1 if vertex in QUAD_SIDE_A[typ] else -1
+    for corner in _CORNER_DISCS:
+        row = []
+        for d, bit in corner:
+            copies = range(first[d], first[d + 1])
+            row += zip(reversed(copies) if bit else copies, repeat(bit))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def surface_classify(tri, coord, chi=None):
@@ -571,33 +542,33 @@ def surface_classify(tri, coord, chi=None):
         chi = euler_char(tri, coord)
     else:
         _check_size(tri, coord)
-    discs = _disc_list(coord)
-    if not discs:
+    counts = [tr + qu + oc
+              for tr, qu, oc in zip(coord.tris, coord.quads, coord.octs)]
+    # the discs of tetrahedron t are numbered from start[t] on
+    start = list(accumulate(map(sum, counts), initial=0))
+    total = start[-1]
+    if not total:
         return chi, True, False
-    by_tet = {}
-    for i, d in enumerate(discs):
-        by_tet.setdefault(d[0], []).append(i)
+    # arcs[16t + 4f + v]: the discs with an arc at that corner slot, found
+    # once for each distinct row of counts
+    rows = {row: _tet_arcs(row) for row in set(counts)}
+    arcs = list(chain.from_iterable(map(rows.__getitem__, counts)))
 
     # discs joined across faces, with a parity bit when the transverse
     # orientations disagree; any odd cycle (a conflict) is one-sidedness
-    uf = _UnionFind(len(discs))
-    for x in tri.skeleton.face_first:
-        t1, f1 = divmod(x, 4)
-        g = tri.gluing(t1, f1)
-        if g is None:
-            continue
-        t2, perm = g
-        f2 = perm[f1]
-        for v in FACET_VERTICES[f1]:
-            side1 = _arcs_at(coord, by_tet, discs, t1, f1, v)
-            side2 = _arcs_at(coord, by_tet, discs, t2, f2, perm[v])
-            if len(side1) != len(side2):
-                raise CoordinateError("arc mismatch during classification")
-            for d1, d2 in zip(side1, side2):
-                s1 = _toward_vertex_sign(discs[d1], v)
-                s2 = _toward_vertex_sign(discs[d2], perm[v])
-                uf.union(d1, d2, 0 if s1 == s2 else 1)
-
-    roots = {uf.find(i)[0] for i in range(len(discs))}
+    xs, ys, rels = [], [], []
+    lower, upper, _ = tri.facet_corners
+    for a, b in zip(lower, upper):
+        side1, side2 = arcs[a], arcs[b]
+        if len(side1) != len(side2):
+            raise CoordinateError("arc mismatch during classification")
+        s1, s2 = start[a // 16], start[b // 16]
+        for (d1, bit1), (d2, bit2) in zip(side1, side2):
+            xs.append(s1 + d1)
+            ys.append(s2 + d2)
+            rels.append(bit1 ^ bit2)
+    uf = _UnionFind(total)
+    uf.union_all(xs, ys, rels)
+    roots = sum(map(eq, uf.parent, range(total)))
     orientable = not uf.conflict if tri.is_orientable else None
-    return chi, orientable, len(roots) == 1
+    return chi, orientable, roots == 1

@@ -422,6 +422,36 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     assert calls["first_homology"] == 1
 
 
+def test_surface_counts_the_canonical_surface_once(tmp_path, monkeypatch,
+                                                   capsys):
+    from trinorm import surface
+    calls = []
+    euler_char = surface.euler_char
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return euler_char(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "euler_char", counted)
+    tri, _, _ = build.lens_space(1, 8)
+    path = tmp_path / "lens.tri"
+    path.write_text(serialize(tri))
+    assert main(["surface", str(path)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    # the report prints the chi the canonical surface was counted with
+    assert len(calls) == 1
+    assert report["chi"] == report["chi_formula"] == euler_char(tri, calls[0])
+    # a b-modification is counted anew: its own check, then the report
+    even = report["cocycle"].index("0")
+    assert main(["surface", str(path), "--b", str(even)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert len(calls) == 4 and calls[-1] == calls[-2] != calls[0]
+    assert report["chi"] == euler_char(tri, calls[-1]) == \
+        report["chi_formula"] - 2 * report["octagons"] + 2
+
+
 def test_reports_are_deterministic(tmp_path):
     out = tmp_path / "q.tri"
     main(["construct", "loop", "--n", "6", "--twisted", "-o", str(out)])
@@ -543,9 +573,10 @@ def test_error_contract(case, cli_inputs):
 
 
 # The stdout of the read-only reports on these inputs is pinned by sha256.
-# The digests were recorded with the induced-subcomplex torus search; a
-# refactor that moves one byte of a report fails here, and a deliberate
-# change of output must record new digests.
+# The digests were recorded with the induced-subcomplex torus search, and
+# those of surface and colourings before the surface report reused the
+# canonical chi; a refactor that moves one byte of a report fails here,
+# and a deliberate change of output must record new digests.
 PINNED_INPUTS = {
     "fold-1-6-q": ["fold", "--p", "1", "--q", "6", "--edge", "q"],
     "fold-1-5-pq": ["fold", "--p", "1", "--q", "5", "--edge", "pq"],
@@ -560,7 +591,8 @@ PINNED_INPUTS = {
         "construct", "augmented", "--annulus", "fold:cross",
         "--annulus", "fold:cross", "--annulus", "lst:7,1,8"],
 }
-PINNED_COMMANDS = ("analyze", "find-lst", "bounds", "twisted-squares")
+PINNED_COMMANDS = ("analyze", "find-lst", "bounds", "twisted-squares",
+                   "surface", "colourings")
 PINNED_SHA256 = {
     "fold-1-6-q analyze":
         "463bd2f33dee28bbdc1f6a4b8ea7cfaa0ec37282960d0ecd32eb34e98059c9c7",
@@ -570,6 +602,10 @@ PINNED_SHA256 = {
         "c5f5842735bd41d8e52e9a86455bb9fbf0df3edaa507a17fa378feeac20cf7be",
     "fold-1-6-q twisted-squares":
         "5b623fb2eb532d982a23f88f1ce1c6517116c2bdcb15604686f7b7831cfd4789",
+    "fold-1-6-q surface":
+        "a7af5d701b1f9cdefcdf55caaa12f79f67dd53ab9d1158ac0022de6b9a4744fe",
+    "fold-1-6-q colourings":
+        "6c9dbd2a6c95d47a28d467bd903617bc6cc6492687282c14199d9b8233a24385",
     "fold-1-5-pq analyze":
         "e286a46669f40dc4fc3835ac553b1be626dbd25d66b8007357980d00744acdb7",
     "fold-1-5-pq find-lst":
@@ -578,6 +614,10 @@ PINNED_SHA256 = {
         "d907d77b73c8790c531745d264544c15d7f5432c07271014deea048b3fd4a7dd",
     "fold-1-5-pq twisted-squares":
         "561a602f67ea02df8e0dc1420ef73a8494c6a18371077f69ee0fca1e470c905e",
+    "fold-1-5-pq surface":
+        "474fb76105be916f18f6d1e37f67c75d7dcaac72706f3ec44cf9e88c07c9d53c",
+    "fold-1-5-pq colourings":
+        "020f73171587ed1f6c7fa7228ecd4bdeec4e9c57670401d934cfb7aff5c7b58e",
     "fold-7-31-pq analyze":
         "9234342c2a16523af8bf4d954489343e4f56d53c1ac3adc78734f7d163292c2e",
     "fold-7-31-pq find-lst":
@@ -586,6 +626,10 @@ PINNED_SHA256 = {
         "31a664ac6ed12d2863ac093c5c88c4b32d4d85f5677bee83ad6ca7cc32d49ec8",
     "fold-7-31-pq twisted-squares":
         "ad975458318e68f33d3eb1d4ef0a1844faa41301a4ba1372f07e44e9dc43ea7f",
+    "fold-7-31-pq surface":
+        "551e192511cd16553ce843939725e565a8c9ce7354d2c51dad736f72c0987bdb",
+    "fold-7-31-pq colourings":
+        "fa53760040a5413ce7536270ecb3764e4d29e0b73108159fed400e7e10e83959",
     "M-1-2-1 analyze":
         "ebbabda6121368fa6334e65abc31bb79f0e6eb204445382d11f0266ae3f178f1",
     "M-1-2-1 find-lst":
@@ -594,6 +638,10 @@ PINNED_SHA256 = {
         "688715a9160e47735b434d5f10db26dbe5c15749426c946d2255f149e549b263",
     "M-1-2-1 twisted-squares":
         "e03441b982a54f06857d01bc7d1511f797d759d98fae45d2d8fde2e6ef0ea146",
+    "M-1-2-1 surface":
+        "14ecf85606e578307b857ac6ff7dcda4704351b136cb944eb065fac09382c77e",
+    "M-1-2-1 colourings":
+        "17724d2f32dcac64aeb92c7133765a8224d136b7d30b748b02ee926d9968d036",
     "Mprime-1-1-1 analyze":
         "7bf9a8b05622b344978d2cdc1e63347b24578f88d81c73f7f2c65d25356f6fe2",
     "Mprime-1-1-1 find-lst":
@@ -602,6 +650,10 @@ PINNED_SHA256 = {
         "c2bcbceecea796751a0d55952253c17a294214275c496ae071cf455b895c32cd",
     "Mprime-1-1-1 twisted-squares":
         "683b068f5d7bc78daaa12b2cc367de15bde700b8a216a95c41f6c25ff8292e86",
+    "Mprime-1-1-1 surface":
+        "8477dae920ca83c1a46590c6d010485fdbce87c4501a7af018d86101edab3fd5",
+    "Mprime-1-1-1 colourings":
+        "946e82e9cfc32f8e51c87515a47d16810bdef50c0dc2022504a1959448933b8b",
     "P-1 analyze":
         "76b9b0a71d0ac832d5baea3f43bfe1b8f37dc9bf2a370c26693168f77e2b45bd",
     "P-1 find-lst":
@@ -610,6 +662,10 @@ PINNED_SHA256 = {
         "24ee2bd71c4b699fbf5c37f48df43efa198e014d07dfda086b85e13f5bcf69d8",
     "P-1 twisted-squares":
         "38c750fe2ebb66211b80b00c2fb40995adde249f0ef4535d60161f12e4004766",
+    "P-1 surface":
+        "a89c4e61c71f6ecebc1999abb2ae093d7aeccdd02e176c979140c556599a2b1e",
+    "P-1 colourings":
+        "616939706b29f91dcef2828314e826691deea383c4653938ce4026bcdd120d91",
     "Q-6 analyze":
         "06ee29c19f127dddf9cbf9214ff702b4f77b1f88a65f548082bd69af1ae99314",
     "Q-6 find-lst":
@@ -618,6 +674,10 @@ PINNED_SHA256 = {
         "bae0a506f9c7c2fd3323f04c060a507cc279a552cc3b4ef47e6de267729acd1f",
     "Q-6 twisted-squares":
         "34b49d157fa8b31a225e91b8721e1add204c4cbc926b4496ef42af98295d1196",
+    "Q-6 surface":
+        "fe436d75369db3bcfd716aa66c33d093a3c05cadd76ec4f74181c56c4b61c077",
+    "Q-6 colourings":
+        "3e664d5b7a71213ec549b0382a848386552f50e51835cd6c386c9139789c7596",
     "augmented-cross-cross-7-1-8 analyze":
         "43bb6ea34f52ff9e9b0eeb945d9c0bd9473570363ec790a8dfcca91bf5c70daf",
     "augmented-cross-cross-7-1-8 find-lst":
@@ -626,6 +686,10 @@ PINNED_SHA256 = {
         "b960c9dba47c324d7ff726da6d6f34a1c901d3b6ab834c723c8cfb865b310272",
     "augmented-cross-cross-7-1-8 twisted-squares":
         "683b068f5d7bc78daaa12b2cc367de15bde700b8a216a95c41f6c25ff8292e86",
+    "augmented-cross-cross-7-1-8 surface":
+        "408896738aec35228b24f2bcdaa2d1b6a37468dff97e5344873f62b82499115a",
+    "augmented-cross-cross-7-1-8 colourings":
+        "9b22d5a060b721b56de94e13aa56cc8b123c9d53ed9524f449240f7025a7ce7f",
 }
 
 

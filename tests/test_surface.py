@@ -19,7 +19,7 @@ from trinorm.surface import (NormalCoordinate, CoordinateError,
                              OCT_ARC_VERTICES, TRI_EDGE_WEIGHTS,
                              QUAD_EDGE_WEIGHTS, OCT_EDGE_WEIGHTS)
 from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES, Skeleton,
-                                   TriangulationError, parse)
+                                   TriangulationError, _UnionFind, parse)
 
 
 def test_vertex_link_sphere():
@@ -372,6 +372,171 @@ _COMBINATION_TRIS = (build.layered_loop(4, twisted=True),
                      build.seifert_family("M", 1, 1, 1)[0])
 
 
+# ----- the disc-table classification against the walker it replaced ---------
+#
+# The reference is the classification as it was before it read the disc
+# tables, kept word for word: discs listed with string tags, the arcs at
+# each corner found by scanning the tetrahedron's discs, and one union per
+# pair of glued arcs.
+
+
+def _disc_list(coord):
+    discs = []
+    for t in range(coord.tet_count):
+        for v in range(4):
+            for c in range(coord.tris[t][v]):
+                discs.append((t, "tri", v, c))
+        for i in range(3):
+            for c in range(coord.quads[t][i]):
+                discs.append((t, "quad", i, c))
+            for c in range(coord.octs[t][i]):
+                discs.append((t, "oct", i, c))
+    return discs
+
+
+def _arcs_at(coord, disc_index, discs, tet, facet, vertex):
+    """Disc indices with an arc cutting off the vertex in this facet, in
+    order of distance from the vertex.
+
+    Vertex triangles come first.  Parallel quad or octagon copies are
+    indexed from the side of the partition containing vertex 0; the copy
+    nearest the cut-off vertex is the first copy when the vertex lies on
+    that side and the last copy otherwise, so the orders on the two sides
+    of a face gluing correspond.
+    """
+    out = []
+    for di in disc_index.get(tet, ()):
+        t, kind, typ, copy = discs[di]
+        if kind == "tri" and typ == vertex:
+            out.append((0, copy, di))
+        elif kind == "quad" and QUAD_ARC_VERTEX[typ][facet] == vertex:
+            m = coord.quads[tet][typ]
+            pos = copy if vertex in QUAD_SIDE_A[typ] else m - 1 - copy
+            out.append((1, pos, di))
+        elif kind == "oct" and vertex in OCT_ARC_VERTICES[typ][facet]:
+            m = coord.octs[tet][typ]
+            pos = copy if vertex in QUAD_SIDE_A[typ] else m - 1 - copy
+            out.append((1, pos, di))
+    out.sort()
+    return [di for _, _, di in out]
+
+
+def _toward_vertex_sign(disc, vertex):
+    _, kind, typ, _ = disc
+    if kind == "tri":
+        return 1
+    return 1 if vertex in QUAD_SIDE_A[typ] else -1
+
+
+def _ref_surface_classify(tri, coord, chi=None):
+    """(chi, orientable, connected) of an embedded coordinate.
+
+    Orientability is decided by propagating transverse orientations across
+    the normal disc adjacency graph.  That coincides with orientability of
+    the surface itself only in an orientable manifold, so in a
+    non-orientable one ``orientable`` is None: not decided.  The empty
+    surface is orientable.  A caller that has already counted the
+    coordinate with ``euler_char`` (which also validates it) passes that
+    ``chi`` instead of recounting.
+    """
+    if chi is None:
+        chi = euler_char(tri, coord)
+    else:
+        surface._check_size(tri, coord)
+    discs = _disc_list(coord)
+    if not discs:
+        return chi, True, False
+    by_tet = {}
+    for i, d in enumerate(discs):
+        by_tet.setdefault(d[0], []).append(i)
+
+    # discs joined across faces, with a parity bit when the transverse
+    # orientations disagree; any odd cycle (a conflict) is one-sidedness
+    uf = _UnionFind(len(discs))
+    for x in tri.skeleton.face_first:
+        t1, f1 = divmod(x, 4)
+        g = tri.gluing(t1, f1)
+        if g is None:
+            continue
+        t2, perm = g
+        f2 = perm[f1]
+        for v in FACET_VERTICES[f1]:
+            side1 = _arcs_at(coord, by_tet, discs, t1, f1, v)
+            side2 = _arcs_at(coord, by_tet, discs, t2, f2, perm[v])
+            if len(side1) != len(side2):
+                raise CoordinateError("arc mismatch during classification")
+            for d1, d2 in zip(side1, side2):
+                s1 = _toward_vertex_sign(discs[d1], v)
+                s2 = _toward_vertex_sign(discs[d2], perm[v])
+                uf.union(d1, d2, 0 if s1 == s2 else 1)
+
+    roots = {uf.find(i)[0] for i in range(len(discs))}
+    orientable = not uf.conflict if tri.is_orientable else None
+    return chi, orientable, len(roots) == 1
+
+
+def _classification_coordinates():
+    """(tri, coord) for the canonical surface of every class on the
+    family grid, the folds of the depth-7 lens grid, the twisted loops of
+    3 to 11 tetrahedra and the non-orientable two-tetrahedron table: each
+    surface, its double and triple and the surface plus the vertex link,
+    then every b-modification with at most three selected edges, its
+    double and it plus two vertex links; and 1, 2 and 7 copies of the
+    vertex link of a bounded solid torus."""
+    tris = [tri for _, _, tri in verifysuite._family_grid()]
+    tris += [folded for _, _, folded in verifysuite._lens_grid(7)]
+    tris += [build.layered_loop(n, twisted=True) for n in range(3, 12)]
+    tris.append(parse(NON_ORIENTABLE_TRI))
+    for tri in tris:
+        link = vertex_link(tri)
+        for phi in cocycle.all_nonzero_classes(tri):
+            canon = canonical_surface(tri, phi)
+            for coord in (canon.coord, canon.coord.scale(2),
+                          canon.coord.scale(3), canon.coord + link):
+                yield tri, coord
+            if not all(map(any, canon.coord.quads)):
+                continue
+            evens = phi.even_edges()
+            for r in range(4):
+                for b in combinations(evens, r):
+                    coord, _ = b_modification(tri, canon, b)
+                    yield tri, coord
+                    yield tri, coord.scale(2)
+                    yield tri, coord + link.scale(2)
+    # parallel copies of the link of the one vertex of a bounded solid
+    # torus, which lies on the boundary: disjoint discs
+    tri = build.lst(5, 13)[0]
+    for k in (1, 2, 7):
+        yield tri, vertex_link(tri).scale(k)
+
+
+def test_surface_classify_matches_reference():
+    checked, outcomes = 0, set()
+    for tri, coord in _classification_coordinates():
+        want = _ref_surface_classify(tri, coord)
+        assert surface_classify(tri, coord) == want
+        assert surface_classify(tri, coord, want[0]) == want
+        outcomes.add(want[1:])
+        checked += 1
+    # one-sided and two-sided surfaces, connected and not, and undecided
+    # ones in the non-orientable table all occur
+    assert checked == 4813
+    assert outcomes == {(False, True), (False, False), (True, True),
+                        (True, False), (None, True), (None, False)}
+
+
+def test_surface_classify_with_chi_given_checks_the_arcs():
+    # a caller's chi skips the validating count, and the arc pairing still
+    # finds an unmatched face
+    tri = build.layered_loop(4, twisted=True)
+    coord = canonical_surface(tri, cocycle.all_nonzero_classes(tri)[0]).coord
+    for t in range(tri.tet_count):
+        bad = _corrupt(coord, "tris", t, 1, 1)
+        assert _outcome(surface_classify, tri, bad, 0) == \
+            _outcome(_ref_surface_classify, tri, bad, 0) == \
+            ("error", "arc mismatch during classification")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_euler_char_matches_reference_on_combinations(data):
@@ -386,6 +551,8 @@ def test_euler_char_matches_reference_on_combinations(data):
         coord = coord + canons[k].scale(data.draw(st.integers(0, 3)))
     assert _outcome(euler_char, tri, coord) == \
         _outcome(_ref_euler_char, tri, coord)
+    assert _outcome(surface_classify, tri, coord) == \
+        _outcome(_ref_surface_classify, tri, coord)
 
 
 def _ref_edge_weights(tri, coord):
