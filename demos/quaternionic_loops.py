@@ -34,8 +34,7 @@ for phi in cocycle.all_nonzero_classes(tri):
     evens = phi.even_edges()
     for r in range(len(evens) + 1):
         for b in combinations(evens, r):
-            coord, octs = surface.b_modification(tri, base, b)
-            chi = surface.euler_char(tri, coord)
+            coord, octs, chi = surface.b_modification(tri, base, b)
             assert chi == base.chi - 2 * octs + 2 * len(b)
             assert octs >= len(b)
     print(f"class {phi}: octagon count >= |b| over all {2 ** len(evens)} "

@@ -236,8 +236,9 @@ def fundamental_report(tri, phi, k_phi=0):
     minimality hypotheses of the source results, so it is reported without
     being enforced.
     """
-    census = parity_census(tri, phi)
-    surf = canonical_surface(tri, phi)
+    types = classify_tetrahedra(tri, phi)
+    census = parity_census(tri, phi, types)
+    surf = canonical_surface(tri, phi, types)
     chi = surf.chi
     if chi != chi_formula(census):
         raise AssertionError("cell-count and census Euler characteristics differ")
@@ -713,26 +714,23 @@ def _family_members(family, tet_count, h1=None):
         yield seifert_family(family, *params)[0]
 
 
-def complexity_certificate(tri, family=None):
+def complexity_certificate(tri, family=None, reports=None):
     """Aggregate report: which complexity-bound shape the instance's counts
     are consistent with.  Norm values are taken as the negated Euler
     characteristics of the canonical surfaces, which bound the true norms
     from above; equality is only certified for a named family, when the
     input is isomorphic to one of its members and its counts fit a bound
-    form.  A named family that is not certified gets a ``reason``."""
+    form.  A named family that is not certified gets a ``reason``.  Pass
+    every class's ``fundamental_report`` when you have them."""
     if not tri.is_closed:
         raise TriangulationError("certificates require closed triangulations")
     h = _homology.first_homology(tri)
-    classes = all_nonzero_classes(tri) if tri.skeleton.vertex_count == 1 else []
-    per_class = []
-    balanced = False
-    for phi in classes:
-        census = parity_census(tri, phi)
-        surf = canonical_surface(tri, phi)
-        per_class.append({"cocycle": str(phi), "chi": surf.chi,
-                          "even": census.even_edges, "odd": census.odd_edges,
-                          "balanced": census.balanced})
-        balanced = balanced or census.balanced
+    if reports is None:
+        classes = all_nonzero_classes(tri) if tri.skeleton.vertex_count == 1 else []
+        reports = [fundamental_report(tri, phi) for phi in classes]
+    per_class = [{"cocycle": str(rep.surface.cocycle), "chi": rep.chi,
+                  "even": rep.census.even_edges, "odd": rep.census.odd_edges,
+                  "balanced": rep.balanced} for rep in reports]
     t = tri.tet_count
     norms = [max(0, -c["chi"]) for c in per_class]
     forms = []
@@ -765,7 +763,7 @@ def complexity_certificate(tri, family=None):
         "homology": str(h),
         "z2_rank": h.z2_rank,
         "classes": per_class,
-        "balanced": balanced,
+        "balanced": any(rep.balanced for rep in reports),
         "consistent_bound_forms": forms,
         "twisted_squares": twisted_squares(tri),
         "certified": family is not None and reason is None,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,8 +60,22 @@ def _write_tri(tri, path, sidecar=None):
             sort_keys=True, indent=2) + "\n")
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout has gone."""
+
+
+def _out(text):
+    """Write text to stdout and flush it, so that a reader that has gone
+    shows here, as _StdoutClosed, and not as a broken pipe elsewhere."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _StdoutClosed from None
+
+
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _out(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _homology_block(h):
@@ -87,9 +102,8 @@ def _tori_block(lsts):
             for l in lsts]
 
 
-def _colouring_class(tri, index):
-    """The nonzero colouring class chosen by ``--class``."""
-    classes = cocycle.all_nonzero_classes(tri)
+def _colouring_class(classes, index):
+    """The nonzero colouring class that ``--class`` chooses from classes."""
     if not classes:
         raise TriangulationError("no nonzero colouring classes")
     if not 0 <= index < len(classes):
@@ -279,30 +293,30 @@ def cmd_colourings(args):
 
 def cmd_surface(args):
     tri = _load(args.input)
-    phi = _colouring_class(tri, args.cls)
-    canon = surface.canonical_surface(tri, phi)
-    coord, chi, octs = canon.coord, canon.chi, 0
+    phi = _colouring_class(cocycle.all_nonzero_classes(tri), args.cls)
+    rep = analyze.fundamental_report(tri, phi)
+    coord, octs, chi = rep.surface.coord, 0, rep.chi
     if args.b:
-        b_edges = [int(x) for x in args.b.split(",") if x != ""]
-        coord, octs = surface.b_modification(tri, canon, b_edges)
-        chi = surface.euler_char(tri, coord)
-    sys.stdout.write(coord.dump() + "\n")
+        coord, octs, chi = surface.b_modification(tri, rep.surface, args.b)
+    _out(coord.dump() + "\n")
     _emit({"schema_version": SCHEMA_VERSION, "cocycle": str(phi),
            "chi": chi, "octagons": octs,
-           "chi_formula": surface.chi_formula(cocycle.parity_census(tri, phi))})
+           "chi_formula": surface.chi_formula(rep.census)})
     return 0
 
 
 def cmd_bounds(args):
     tri = _load(args.input)
-    classes = (cocycle.all_nonzero_classes(tri) if args.cls is None
-               else [_colouring_class(tri, args.cls)])
-    out = []
-    for phi in classes:
-        rep = analyze.fundamental_report(tri, phi, k_phi=args.k_phi)
-        out.append({"cocycle": str(phi), **_bound_block(rep)})
-    _emit({"schema_version": SCHEMA_VERSION, "bounds": out,
-           "certificate": analyze.complexity_certificate(tri, family=args.family)})
+    classes = cocycle.all_nonzero_classes(tri)  # its errors come before H_1
+    if args.cls is not None:
+        _colouring_class(classes, args.cls)
+    reports = [analyze.fundamental_report(tri, phi, k_phi=args.k_phi)
+               for phi in classes]
+    shown = reports if args.cls is None else reports[args.cls:args.cls + 1]
+    _emit({"schema_version": SCHEMA_VERSION,
+           "bounds": [{"cocycle": str(rep.surface.cocycle), **_bound_block(rep)}
+                      for rep in shown],
+           "certificate": analyze.complexity_certificate(tri, args.family, reports)})
     return 0
 
 
@@ -321,7 +335,7 @@ def cmd_moves(args):
 
 def cmd_promote(args):
     tri = _load(args.input)
-    phi = _colouring_class(tri, args.cls)
+    phi = _colouring_class(cocycle.all_nonzero_classes(tri), args.cls)
     out, phi2, log = analyze.promote(tri, phi)
     _write_tri(out, args.out)
     _emit({"written": args.out, "flips": log, "cocycle": str(phi2)})
@@ -369,7 +383,7 @@ def cmd_verify(args):
     if not summary["lines"]:
         raise UsageError("--only matched no criterion")
     for line in summary["lines"]:
-        sys.stdout.write(line + "\n")
+        _out(line + "\n")
     # wall time per criterion goes to stderr, so stdout stays deterministic
     for name, ns in summary["elapsed_ns"].items():
         ms = ns // 1_000_000
@@ -378,6 +392,27 @@ def cmd_verify(args):
            "passed": summary["passed"], "failed": summary["failed"],
            "failures": summary["failures"]})
     return 0 if not summary["failed"] else 1
+
+
+def _nonnegative(text):
+    """An integer of at least zero, as ``--k-phi`` takes."""
+    message = f"invalid nonnegative int value: {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
+def _edge_classes(text):
+    """Comma separated edge class indices, as ``--b`` takes."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid edge class list: {text!r}") from None
 
 
 def make_parser():
@@ -431,7 +466,7 @@ def make_parser():
 
     p = sub.add_parser("analyze")
     p.add_argument("input")
-    p.add_argument("--k-phi", type=int, default=0)
+    p.add_argument("--k-phi", type=_nonnegative, default=0)
     p.set_defaults(func="cmd_analyze")
 
     p = sub.add_parser("colourings")
@@ -441,13 +476,14 @@ def make_parser():
     p = sub.add_parser("surface")
     p.add_argument("input")
     p.add_argument("--class", dest="cls", type=int, default=0)
-    p.add_argument("--b", default="", help="comma separated even edge classes")
+    p.add_argument("--b", type=_edge_classes, default=(),
+                   help="comma separated even edge classes")
     p.set_defaults(func="cmd_surface")
 
     p = sub.add_parser("bounds")
     p.add_argument("input")
     p.add_argument("--class", dest="cls", type=int, default=None)
-    p.add_argument("--k-phi", type=int, default=0)
+    p.add_argument("--k-phi", type=_nonnegative, default=0)
     p.add_argument("--family", default=None)
     p.set_defaults(func="cmd_bounds")
 
@@ -505,10 +541,15 @@ def main(argv=None):
         # handlers are looked up by name at call time, so a rebound
         # ``cmd_*`` (a wrapper, a test double) is the one that runs
         return globals()[args.func](args)
+    except _StdoutClosed:
+        # send what is still buffered to devnull, so the flush at exit
+        # does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (TriangulationError, ValueError) as exc:
+    except (TriangulationError, ValueError, BrokenPipeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except AssertionError as exc:

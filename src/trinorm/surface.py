@@ -263,11 +263,12 @@ class CanonicalSurface:
     chi: int
 
 
-def canonical_surface(tri, phi):
-    """The unique normal surface meeting every odd edge once: a quad dual
-    to the even pair in each QUAD tetrahedron, one triangle at the odd
-    corner of each TRI tetrahedron, nothing in EMPTY ones."""
-    types = classify_tetrahedra(tri, phi)
+def canonical_surface(tri, phi, types=None):
+    """The unique normal surface meeting every odd edge once: a quad dual to
+    the even pair in each QUAD tetrahedron, one triangle at the odd corner
+    of each TRI one, nothing in EMPTY ones; ``types`` as in parity_census."""
+    if types is None:
+        types = classify_tetrahedra(tri, phi)
     n = tri.tet_count
     tris = [[0] * 4 for _ in range(n)]
     quads = [[0] * 3 for _ in range(n)]
@@ -327,9 +328,9 @@ def b_modification(tri, canon, b_edges):
 
     Requires every tetrahedron to be of QUAD type.  A quad whose even pair
     has one selected edge becomes two triangles at the ends of that edge;
-    with both selected it becomes one octagon.  Returns the coordinate and
-    the octagon count, after checking the octagon count formula by cell
-    count.
+    with both selected it becomes one octagon.  Returns the coordinate,
+    the octagon count and the Euler characteristic, after checking the
+    octagon count formula by cell count.
     """
     _check_size(tri, canon.coord)
     b = set(b_edges)
@@ -364,7 +365,7 @@ def b_modification(tri, canon, b_edges):
     if chi != formula:
         raise AssertionError(
             f"octagon count formula violated at b={sorted(b)}")
-    return coord, oct_count
+    return coord, oct_count, chi
 
 
 # ----- formal solutions -------------------------------------------------------

@@ -171,7 +171,7 @@ def check_quaternionic(quick=False):
             types = cocycle.classify_tetrahedra(tri, phi)
             if any(ty is not TetType.QUAD for ty, _ in types):
                 return False, f"loop {k}: non-quad tetrahedron"
-            canon = surface.canonical_surface(tri, phi)
+            canon = surface.canonical_surface(tri, phi, types)
             chi, orientable, connected = surface.surface_classify(
                 tri, canon.coord, canon.chi)
             if chi == 0 and connected and not orientable:
@@ -203,7 +203,7 @@ def check_octagon_formula(quick=False):
                 for b in combinations(evens, r):
                     # b_modification checks the formula by cell count
                     try:
-                        _, octs = surface.b_modification(tri, base, b)
+                        _, octs, _ = surface.b_modification(tri, base, b)
                     except AssertionError as exc:
                         return False, f"{name}: {exc}"
                     if taut and octs < len(b):

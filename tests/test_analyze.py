@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trinorm import build, cocycle, homology, analyze
+from trinorm import build, cocycle, homology, analyze, verifysuite
 from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              low_degree_lint, fundamental_report, MoveSpec,
                              move23, move32, move44, pachner,
@@ -18,6 +18,7 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
 from trinorm.build import (AnnulusFilling, LayeredSolidTorus,
                            augmented_solid_torus, relayered_weight)
 from trinorm.perm import ALL_PERMS
+from trinorm.surface import canonical_surface, euler_char
 from trinorm.triangulation import (TriBuilder, Triangulation,
                                    TriangulationError, parse)
 from test_skeleton import gluing_tables
@@ -368,6 +369,34 @@ def test_complexity_certificate_forms():
     assert "2+sum" in cert["consistent_bound_forms"]
     assert not cert["certified"]
     assert any(sq["kind"] == "klein" for sq in cert["twisted_squares"])
+
+
+def test_certificate_from_the_callers_reports_equals_its_own():
+    # the family grid, the lens folds to depth 5, and non-members: the
+    # twisted loop augmented by one tetrahedron, and an untwisted loop,
+    # whose two vertices leave it without colouring classes
+    tris = [tri for _, _, tri in verifysuite._family_grid()]
+    tris += [folded for _, _, folded in verifysuite._lens_grid(5)]
+    tris += [build.augmented_quaternionic(4),
+             build.layered_loop(5, twisted=False)]
+    for tri in tris:
+        classes = (cocycle.all_nonzero_classes(tri)
+                   if tri.skeleton.vertex_count == 1 else [])
+        reports = [fundamental_report(tri, phi) for phi in classes]
+        for family in (None, *analyze._FAMILIES):
+            cert = complexity_certificate(tri, family)
+            assert cert == complexity_certificate(tri, family, reports)
+        # each class's numbers, derived apart from fundamental_report
+        expected = []
+        for phi in classes:
+            census = cocycle.parity_census(tri, phi)
+            chi = euler_char(tri, canonical_surface(tri, phi).coord)
+            expected.append({"cocycle": str(phi), "chi": chi,
+                             "even": census.even_edges,
+                             "odd": census.odd_edges,
+                             "balanced": census.balanced})
+        assert cert["classes"] == expected
+        assert cert["balanced"] == any(c["balanced"] for c in expected)
 
 
 def test_certificate_recognises_members_up_to_relabelling():

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -442,14 +443,87 @@ def test_surface_counts_the_canonical_surface_once(tmp_path, monkeypatch,
     # the report prints the chi the canonical surface was counted with
     assert len(calls) == 1
     assert report["chi"] == report["chi_formula"] == euler_char(tri, calls[0])
-    # a b-modification is counted anew: its own check, then the report
+    # a b-modification is counted once, by its own check, and the report
+    # prints that chi
     even = report["cocycle"].index("0")
     assert main(["surface", str(path), "--b", str(even)]) == 0
     out = capsys.readouterr().out
     report = json.loads(out[out.index("{"):])
-    assert len(calls) == 4 and calls[-1] == calls[-2] != calls[0]
+    assert len(calls) == 3 and calls[1] == calls[0] != calls[2]
     assert report["chi"] == euler_char(tri, calls[-1]) == \
         report["chi_formula"] - 2 * report["octagons"] + 2
+
+
+def _count_calls(monkeypatch, calls, name, *modules):
+    """Count the calls of ``name`` through each module that binds it."""
+    original = getattr(modules[0], name)
+
+    def run(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, run)
+
+
+def test_bounds_and_analyze_derive_each_class_once(tmp_path, monkeypatch,
+                                                   capsys):
+    from trinorm import analyze, cocycle, homology, surface
+    calls = dict.fromkeys(("all_nonzero_classes", "first_homology",
+                           "classify_tetrahedra"), 0)
+    _count_calls(monkeypatch, calls, "all_nonzero_classes", cocycle, analyze)
+    _count_calls(monkeypatch, calls, "first_homology", homology)
+    _count_calls(monkeypatch, calls, "classify_tetrahedra",
+                 cocycle, analyze, surface)
+    # M'(1,1,1): three classes, each with quad and tri tetrahedra
+    tri, _ = build.seifert_family("MPRIME", 1, 1, 1)
+    path = tmp_path / "mp.tri"
+    path.write_text(serialize(tri))
+    # the one member that --family rebuilds checks its own homology
+    for argv, homologies in (([], 1), (["--class", "1", "--k-phi", "2"], 1),
+                             (["--family", "MPRIME"], 2)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["bounds", str(path), *argv]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["certificate"]["classes"]) == 3
+        assert calls == {"all_nonzero_classes": 1,
+                         "first_homology": homologies,
+                         "classify_tetrahedra": 3}
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["analyze", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["classes"]) == 3
+    assert calls["classify_tetrahedra"] == 3
+
+
+def test_bounds_reports_a_bounded_input_before_homology(tmp_path, capsys):
+    tri, _ = build.lst(2, 3)
+    path = tmp_path / "lst.tri"
+    path.write_text(serialize(tri))
+    for argv in ([], ["--class", "0"], ["--family", "M"]):
+        assert main(["bounds", str(path), *argv]) == 1
+        assert capsys.readouterr() == (
+            "", "error: cocycles require a closed triangulation\n")
+
+
+def test_closed_stdout_pipe_exits_one_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trinorm.cli", "lgraph", "--depth", "6"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_a_broken_pipe_off_stdout_is_an_error_line(monkeypatch, capsys):
+    # a pipe that breaks elsewhere (an output file that is a FIFO, say)
+    # is reported, and stdout is left alone
+    def broken(args):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(cli, "cmd_lgraph", broken)
+    assert main(["lgraph", "--depth", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 32] Broken pipe\n")
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -498,6 +572,9 @@ ERROR_CASES = {
     "promote class past the end": (["promote", "M111", "--class", "9",
                                     "-o", "OUT"], 1),
     "surface b edge past the end": (["surface", "LENS", "--b", "99"], 1),
+    "surface b not a number": (["surface", "LENS", "--b", "x"], 2),
+    "analyze negative k-phi": (["analyze", "LENS", "--k-phi", "-3"], 2),
+    "bounds negative k-phi": (["bounds", "LENS", "--k-phi", "-1"], 2),
     "bounds class past the end": (["bounds", "LENS", "--class", "7"], 1),
     "moves edge past the end": (["moves", "M111", "--move", "32",
                                  "--edge", "999", "-o", "OUT"], 1),
@@ -525,6 +602,17 @@ ERROR_CASES = {
                               "-o", "OUT"], 2),
     "fold without a file or --q": (["fold", "--p", "1", "--edge", "p",
                                     "-o", "OUT"], 2),
+}
+# the cases argparse rejects: its usage line, then this error line
+PARSER_ERRORS = {
+    "surface b not a number":
+        "trinorm surface: error: argument --b: invalid edge class list: 'x'\n",
+    "analyze negative k-phi":
+        "trinorm analyze: error: argument --k-phi: "
+        "invalid nonnegative int value: '-3'\n",
+    "bounds negative k-phi":
+        "trinorm bounds: error: argument --k-phi: "
+        "invalid nonnegative int value: '-1'\n",
 }
 # the whole message, where the case pins it
 ERROR_MESSAGES = {
@@ -563,7 +651,12 @@ def test_error_contract(case, cli_inputs):
     argv, expected = ERROR_CASES[case]
     code, out, err = run_cli([cli_inputs.get(a, a) for a in argv])
     assert code == expected
-    assert err.startswith("error: ") and "Traceback" not in err
+    if case in PARSER_ERRORS:
+        assert err.startswith("usage: trinorm ") and out == ""
+        assert err.endswith(PARSER_ERRORS[case])
+    else:
+        assert err.startswith("error: ")
+    assert "Traceback" not in err
     if case in ERROR_MESSAGES:
         assert err == ERROR_MESSAGES[case] and out == ""
     # no case writes its output file or sidecar

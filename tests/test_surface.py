@@ -147,11 +147,11 @@ def test_b_modification_cases():
     for phi in cocycle.all_nonzero_classes(tri):
         evens = phi.even_edges()
         base = canonical_surface(tri, phi)
-        empty_coord, octs = b_modification(tri, base, ())
-        assert octs == 0 and empty_coord == base.coord
+        empty_coord, octs, chi = b_modification(tri, base, ())
+        assert octs == 0 and empty_coord == base.coord and chi == base.chi
         for b in (evens[:1], evens):
-            coord, octs = b_modification(tri, base, b)
-            chi = euler_char(tri, coord)
+            coord, octs, chi = b_modification(tri, base, b)
+            assert chi == euler_char(tri, coord)
             assert chi == base.chi - 2 * octs + 2 * len(b)
             assert octs >= len(b)
 
@@ -178,8 +178,9 @@ def test_exhaustive_octagon_formula_small():
     evens = phi.even_edges()
     for r in range(len(evens) + 1):
         for b in combinations(evens, r):
-            coord, octs = b_modification(tri, base, b)
-            assert euler_char(tri, coord) == base.chi - 2 * octs + 2 * len(b)
+            coord, octs, chi = b_modification(tri, base, b)
+            assert euler_char(tri, coord) == chi == \
+                base.chi - 2 * octs + 2 * len(b)
 
 
 def test_formal_solutions():
@@ -359,9 +360,9 @@ def test_euler_char_matches_reference_on_every_b_modification():
             evens = phi.even_edges()
             for r in range(len(evens) + 1):
                 for b in combinations(evens, r):
-                    coord, octs = b_modification(tri, canon, b)
+                    coord, octs, chi = b_modification(tri, canon, b)
                     assert euler_char(tri, coord) == \
-                        _ref_euler_char(tri, coord) == \
+                        _ref_euler_char(tri, coord) == chi == \
                         canon.chi - 2 * octs + 2 * len(b)
                     checked += 1
     assert checked == (4 + 4 + 2) + 8
@@ -499,7 +500,7 @@ def _classification_coordinates():
             evens = phi.even_edges()
             for r in range(4):
                 for b in combinations(evens, r):
-                    coord, _ = b_modification(tri, canon, b)
+                    coord, _, _ = b_modification(tri, canon, b)
                     yield tri, coord
                     yield tri, coord.scale(2)
                     yield tri, coord + link.scale(2)
@@ -717,9 +718,9 @@ def test_formal_chi_matches_reference_on_special_solutions():
         evens = phi.even_edges()
         for r in range(len(evens) + 1):
             for b in combinations(evens, r):
-                coord, _ = b_modification(tri, canon, b)
+                coord, _, chi = b_modification(tri, canon, b)
                 assert _same_formal_chi(fchi, tri, coord) == \
-                    euler_char(tri, coord)
+                    euler_char(tri, coord) == chi
 
 
 @settings(max_examples=60, deadline=None)
@@ -830,8 +831,8 @@ def test_b_modification_logs_each_check(caplog, capsys):
         results = [b_modification(tri, canon, b) for b in subsets]
     records = [r for r in caplog.records if r.name == "trinorm.surface"]
     assert len(records) == len(subsets)
-    for record, b, (coord, octs) in zip(records, subsets, results):
-        chi = euler_char(tri, coord)
+    for record, b, (coord, octs, chi) in zip(records, subsets, results):
+        assert chi == euler_char(tri, coord)
         assert record.levelno == logging.DEBUG and record.args
         assert record.getMessage() == (
             f"b_modification: b={sorted(b)}, {octs} octagons, "
@@ -925,11 +926,11 @@ def test_euler_char_and_b_modification_match_references_on_the_verify_set():
     # table against the old loop, the cell count against the reference
     checked = mutated = 0
     for tri, canon, b in _octagon_formula_modifications():
-        coord, octs = b_modification(tri, canon, b)
+        coord, octs, chi = b_modification(tri, canon, b)
         assert (coord, octs) == _ref_b_modification(tri, canon, b)
         assert _outcome(euler_char, tri, coord) == \
             _outcome(_ref_euler_char, tri, coord) == \
-            ("value", canon.chi - 2 * octs + 2 * len(b))
+            ("value", chi) == ("value", canon.chi - 2 * octs + 2 * len(b))
         if checked % 97 == 0:
             for bad in _mutations(coord):
                 kind, message = _outcome(euler_char, tri, bad)
