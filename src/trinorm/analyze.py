@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import permutations
 
 from .perm import Perm4
-from .triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
-                            TriBuilder, TriangulationError)
+from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
+                            FACET_VERTICES, TriBuilder, TriangulationError)
 from . import homology as _homology
 from .build import (SEED_WEIGHTS, LayeredSolidTorus, family_slopes,
                     family_tag, lens_space, relayer, relayered_weight,
@@ -56,6 +57,17 @@ def _seed_classes(tri, t):
     return LayeredSolidTorus((t,), weights, tuple(weights), univalent, None)
 
 
+# _LAYERING[fa, fb], for a tetrahedron layered onto a torus along its
+# facets fa and fb: its other two facets, ascending, which become the free
+# facets; the edge slot of the hinge, the edge that fa and fb share (its
+# vertices are the other two facets' numbers); and the edge slot of the
+# new edge, the one the two free facets share
+_LAYERING = {}
+for _fa, _fb in permutations(range(4), 2):
+    _rest = tuple(f for f in range(4) if f != _fa and f != _fb)
+    _LAYERING[_fa, _fb] = (_rest, EDGE_INDEX[_rest], EDGE_INDEX[_fa, _fb])
+
+
 def _grow(tri, seed):
     """Layer tetrahedra onto a seed torus while the ambient gluings of its
     two free facets attach a fresh tetrahedron in the layering pattern.
@@ -67,7 +79,7 @@ def _grow(tri, seed):
     inside the torus, and those two do not glue back.  Returns the frozen
     torus and the reason growth stopped."""
     rows = tri.gluings
-    amb = tri.skeleton
+    edge_class = tri.skeleton.edge_class
     t = seed.tets[0]
     tets, members = [t], {t}
     free = [(t, f) for f, g in enumerate(rows[t]) if g is None or g[0] != t]
@@ -91,17 +103,18 @@ def _grow(tri, seed):
         if fa == fb:
             reason = "free facets glued to one facet"
             break
-        rest = [f for f in range(4) if f != fa and f != fb]
-        if any(g is not None and (g[0] in members or g[0] == new)
-               for g in (rows[new][f] for f in rest)):
+        (r0, r1), hinge_slot, new_slot = _LAYERING[fa, fb]
+        row = rows[new]
+        h0, h1 = row[r0], row[r1]
+        if (h0 is not None and (h0[0] in members or h0[0] == new)) or \
+                (h1 is not None and (h1[0] in members or h1[0] == new)):
             reason = "new tetrahedron glues back"
             break
-        # hinge edge of the new tetrahedron: shared by its two glued facets
-        hinge_class = amb.edge_class_of(new, *rest)[0]
+        hinge_class = edge_class[6 * new + hinge_slot]
         if hinge_class not in boundary:
             reason = "hinge is not a boundary edge"
             break
-        new_class = amb.edge_class_of(new, *sorted((fa, fb)))[0]
+        new_class = edge_class[6 * new + new_slot]
         if new_class in weights:
             reason = "new edge class already in the torus"
             break
@@ -112,7 +125,7 @@ def _grow(tri, seed):
         univalent = new_class
         tets.append(new)
         members.add(new)
-        free = [(new, f) for f in rest]
+        free = [(new, r0), (new, r1)]
     return LayeredSolidTorus(tuple(tets), weights, boundary, univalent,
                              base), reason
 

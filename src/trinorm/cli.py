@@ -52,10 +52,18 @@ def _require_manifold(tri):
     return tri
 
 
+def _write(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise TriangulationError(
+            f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_tri(tri, path, sidecar=None):
-    Path(path).write_text(serialize(tri))
+    _write(path, serialize(tri))
     if sidecar is not None:
-        Path(path).with_suffix(".meta.json").write_text(json.dumps(
+        _write(Path(path).with_suffix(".meta.json"), json.dumps(
             {"schema_version": SCHEMA_VERSION, **sidecar},
             sort_keys=True, indent=2) + "\n")
 

@@ -2,8 +2,9 @@
 
 The 24 permutations are interned: constructing a ``Perm4`` returns one of
 24 shared instances, each carrying its ``index`` in lexicographic order of
-images (the identity is index 0).  Products, inverses and signs are read
-from tables built once at import.
+images (the identity is index 0).  Products, inverses, signs and the
+four-digit codes of the .tri format are read from tables built once at
+import.
 """
 
 from __future__ import annotations
@@ -57,13 +58,17 @@ class Perm4:
 
     def compact(self):
         """Four-digit string of images, as used in the .tri file format."""
-        return "%d%d%d%d" % self.images
+        return CODES[self.index]
 
     @classmethod
     def from_compact(cls, text):
-        if len(text) != 4 or not text.isdigit():
+        perm = BY_CODE.get(text)
+        if perm is not None:
+            return perm
+        if len(text) != 4 or not (text.isascii() and text.isdigit()):
             raise ValueError(f"malformed permutation {text!r}")
-        return cls(tuple(int(c) for c in text))
+        # four digits that are no code in BY_CODE: this raises
+        return cls(tuple(map(int, text)))
 
     @classmethod
     def from_map(cls, mapping):
@@ -96,3 +101,7 @@ PRODUCT = tuple(tuple(_BY_IMAGES[a[b0], a[b1], a[b2], a[b3]]
 INVERSE = tuple(_BY_IMAGES[a.index(0), a.index(1), a.index(2), a.index(3)]
                 for a in _BY_IMAGES)
 SIGN = tuple(-1 if _inversions(a) % 2 else 1 for a in _BY_IMAGES)
+# CODES[i] is the four-digit .tri code of ALL_PERMS[i]; BY_CODE maps
+# each code back to its permutation
+CODES = tuple("%d%d%d%d" % a for a in _BY_IMAGES)
+BY_CODE = dict(zip(CODES, ALL_PERMS))

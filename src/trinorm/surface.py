@@ -30,10 +30,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, combinations, repeat
 from operator import eq, mul
 
-from .triangulation import (EDGE_VERTICES, OPPOSITE_EDGE, FACET_VERTICES,
+from .triangulation import (EDGE_VERTICES, FACET_VERTICES,
                             TriangulationError, _UnionFind)
 from .cocycle import TetType, classify_tetrahedra, ParityCensus
 
@@ -462,37 +462,46 @@ def special_solutions(tri):
 # ----- twisted squares ---------------------------------------------------------
 
 
+# the kind of a twisted square by how many of its two identifications
+# reverse the slot orientations: none, one or both
+_SQUARE_KINDS = ("pinched_rp2", "klein", "torus")
+
+
+def _twisted_squares_of(key):
+    """The twisted squares of one tetrahedron, as ((a, b), kind) for each
+    two of its opposite edge pairs a < b that are identified.  Pair i is
+    edges i and 5 - i; bit 2i of ``key`` says that the pair is one edge
+    class, bit 2i + 1 that the two slots' signs differ."""
+    same = [i for i in range(3) if key >> 2 * i & 1]
+    return tuple(((a, b), _SQUARE_KINDS[(key >> 2 * a + 1 & 1)
+                                        + (key >> 2 * b + 1 & 1)])
+                 for a, b in combinations(same, 2))
+
+
+# _TWISTED_SQUARES[key]: the twisted squares of a tetrahedron whose edge
+# slots give ``key`` as in _twisted_squares_of
+_TWISTED_SQUARES = tuple(_twisted_squares_of(key) for key in range(64))
+
+
 def twisted_square_scan(tri):
     """Tetrahedra with two pairs of opposite edges identified.
 
     The square bounded by the four identified edges closes up to a torus
     when both identifications translate (class orientations anti-aligned
     along the square's cyclic boundary), a Klein bottle when exactly one
-    reverses, and a pinched projective plane when both do.
+    reverses, and a pinched projective plane when both do.  Each
+    tetrahedron's six edge slots are read once, into a key of
+    _TWISTED_SQUARES.
     """
     sk = tri.skeleton
     results = []
-    for t in range(tri.tet_count):
-        pair_info = []
-        for ei in range(3):
-            ej = OPPOSITE_EDGE[ei]
-            ci, si = sk.edge_class[6 * t + ei], sk.edge_sign[6 * t + ei]
-            cj, sj = sk.edge_class[6 * t + ej], sk.edge_sign[6 * t + ej]
-            pair_info.append((ci == cj, si * sj))
-        idx = [i for i in range(3) if pair_info[i][0]]
-        if len(idx) < 2:
-            continue
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                s1 = pair_info[idx[a]][1]
-                s2 = pair_info[idx[b]][1]
-                if s1 < 0 and s2 < 0:
-                    kind = "torus"
-                elif s1 > 0 and s2 > 0:
-                    kind = "pinched_rp2"
-                else:
-                    kind = "klein"
-                results.append((t, (idx[a], idx[b]), kind))
+    for t, (c0, c1, c2, c3, c4, c5), (s0, s1, s2, s3, s4, s5) in zip(
+            range(tri.tet_count), zip(*[iter(sk.edge_class)] * 6),
+            zip(*[iter(sk.edge_sign)] * 6)):
+        for pairs, kind in _TWISTED_SQUARES[
+                (c0 == c5) | (s0 != s5) << 1 | (c1 == c4) << 2
+                | (s1 != s4) << 3 | (c2 == c3) << 4 | (s2 != s3) << 5]:
+            results.append((t, pairs, kind))
     return results
 
 

@@ -14,7 +14,7 @@ import logging
 from functools import cached_property
 from itertools import repeat
 
-from .perm import Perm4, ALL_PERMS, INVERSE, PRODUCT
+from .perm import Perm4, ALL_PERMS, BY_CODE, INVERSE, PRODUCT
 
 _log = logging.getLogger(__name__)
 
@@ -607,13 +607,21 @@ class TriBuilder:
 # ----- text format ---------------------------------------------------------
 
 
+def _decimal(token):
+    """The value of ``token`` if it is ASCII decimal digits, else None."""
+    if token.isascii() and token.isdigit():
+        return int(token)
+    return None
+
+
 def parse(text):
     """Parse the .tri interchange format.
 
     Format: a line "tri <n>", then for each tetrahedron a line
     "tet <i>: g0 g1 g2 g3" where each gj is "-" for a boundary facet or
     "<t>:<abcd>" giving the target tetrahedron and the images of vertices
-    0123.  '%' starts a comment.
+    0123.  The keywords are the exact tokens "tri" and "tet", and n, i and
+    t are ASCII decimal digits.  '%' starts a comment.
     """
     tet_count = None
     entries = {}
@@ -622,26 +630,24 @@ def parse(text):
         line = raw.split("%", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("tri"):
+        words = line.split()
+        if words[0] == "tri":
             if tet_count is not None:
                 raise ParseError("duplicate 'tri' header", lineno)
-            try:
-                tet_count = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError("malformed 'tri' header", lineno) from None
-            if tet_count < 0:
-                raise ParseError("negative tetrahedron count", lineno)
+            tet_count = _decimal(words[1]) if len(words) > 1 else None
+            if tet_count is None:
+                raise ParseError("malformed 'tri' header", lineno)
             continue
-        if not line.startswith("tet"):
+        head, _, rest = line.partition(":")
+        head = head.split()
+        if not head or head[0] != "tet":
             raise ParseError(f"unrecognised line {line!r}", lineno)
         if tet_count is None:
             raise ParseError("'tet' line before 'tri' header", lineno)
-        head, _, rest = line.partition(":")
-        try:
-            index = int(head.split()[1])
-        except (IndexError, ValueError):
-            raise ParseError("malformed 'tet' line", lineno) from None
-        if not 0 <= index < tet_count:
+        index = _decimal(head[1]) if len(head) > 1 else None
+        if index is None:
+            raise ParseError("malformed 'tet' line", lineno)
+        if index >= tet_count:
             raise ParseError(f"tetrahedron index {index} out of range", lineno)
         if index in entries:
             raise ParseError(f"duplicate entry for tetrahedron {index}", lineno)
@@ -653,17 +659,19 @@ def parse(text):
             if tok == "-":
                 row.append(None)
                 continue
-            target, _, permtext = tok.partition(":")
-            try:
-                t = int(target)
-            except ValueError:
-                raise ParseError(f"malformed gluing {tok!r}", lineno) from None
-            if not 0 <= t < tet_count:
+            target, _, code = tok.partition(":")
+            t = _decimal(target)
+            if t is None:
+                raise ParseError(f"malformed gluing {tok!r}", lineno)
+            if t >= tet_count:
                 raise ParseError(f"dangling tetrahedron index {t}", lineno)
-            try:
-                perm = Perm4.from_compact(permtext)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+            perm = BY_CODE.get(code)
+            if perm is None:
+                # no code of a permutation: from_compact says why
+                try:
+                    perm = Perm4.from_compact(code)
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from None
             row.append((t, perm))
         entries[index] = row
         entry_lines[index] = lineno

@@ -119,8 +119,9 @@ def check_chi_two_methods(quick=False):
     n = 0
     for label, tri in labelled:
         for phi in cocycle.all_nonzero_classes(tri):
-            census = cocycle.parity_census(tri, phi)
-            canon = surface.canonical_surface(tri, phi)
+            types = cocycle.classify_tetrahedra(tri, phi)
+            census = cocycle.parity_census(tri, phi, types)
+            canon = surface.canonical_surface(tri, phi, types)
             if canon.chi != surface.chi_formula(census):
                 return False, f"{label}: {canon.chi} != formula"
             n += 1

@@ -602,6 +602,20 @@ ERROR_CASES = {
                               "-o", "OUT"], 2),
     "fold without a file or --q": (["fold", "--p", "1", "--edge", "p",
                                     "-o", "OUT"], 2),
+    # an output path that cannot be written
+    "construct lst into a missing directory": (
+        ["construct", "lst", "--p", "3", "--q", "5", "-o", "NODIR"], 1),
+    "construct lst onto a directory": (
+        ["construct", "lst", "--p", "3", "--q", "5", "-o", "DIR"], 1),
+    "fold into a missing directory": (
+        ["fold", "--p", "1", "--q", "6", "--edge", "q", "-o", "NODIR"], 1),
+    "construct family into a missing directory": (
+        ["construct", "family", "--tag", "M", "-k", "1", "-m", "1", "-n", "1",
+         "-o", "NODIR"], 1),
+    "construct loop into a missing directory": (
+        ["construct", "loop", "--n", "6", "--twisted", "-o", "NODIR"], 1),
+    "promote into a missing directory": (["promote", "M111", "-o", "NODIR"],
+                                         1),
 }
 # the cases argparse rejects: its usage line, then this error line
 PARSER_ERRORS = {
@@ -614,7 +628,8 @@ PARSER_ERRORS = {
         "trinorm bounds: error: argument --k-phi: "
         "invalid nonnegative int value: '-1'\n",
 }
-# the whole message, where the case pins it
+# the whole message, where the case pins it, with the paths of
+# ``cli_inputs`` in braces
 ERROR_MESSAGES = {
     "verify only matches nothing": "error: --only matched no criterion\n",
     "annulus with two weights": "error: bad annulus entry 'lst:1,2'\n",
@@ -627,6 +642,18 @@ ERROR_MESSAGES = {
     "fold with a bad edge": "error: --edge must be one of p, q, pq\n",
     "fold without a file or --q":
         "error: give either a .tri file or both --p and --q\n",
+    "construct lst into a missing directory":
+        "error: cannot write {NODIR}: No such file or directory\n",
+    "construct lst onto a directory":
+        "error: cannot write {DIR}: Is a directory\n",
+    "fold into a missing directory":
+        "error: cannot write {NODIR}: No such file or directory\n",
+    "construct family into a missing directory":
+        "error: cannot write {NODIR}: No such file or directory\n",
+    "construct loop into a missing directory":
+        "error: cannot write {NODIR}: No such file or directory\n",
+    "promote into a missing directory":
+        "error: cannot write {NODIR}: No such file or directory\n",
 }
 
 
@@ -643,7 +670,8 @@ def cli_inputs(tmp_path_factory):
           "-o", str(d / "lens15pq.tri")])
     return {"LENS": str(d / "lens.tri"), "M111": str(d / "m111.tri"),
             "LENS15PQ": str(d / "lens15pq.tri"),
-            "OUT": str(d / "out.tri"), "NOFILE": str(d / "missing.tri")}
+            "OUT": str(d / "out.tri"), "NOFILE": str(d / "missing.tri"),
+            "NODIR": str(d / "missing" / "out.tri"), "DIR": str(d)}
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
@@ -658,7 +686,8 @@ def test_error_contract(case, cli_inputs):
         assert err.startswith("error: ")
     assert "Traceback" not in err
     if case in ERROR_MESSAGES:
-        assert err == ERROR_MESSAGES[case] and out == ""
+        assert err == ERROR_MESSAGES[case].format_map(cli_inputs)
+        assert out == ""
     # no case writes its output file or sidecar
     written = Path(cli_inputs["OUT"])
     assert not written.exists()

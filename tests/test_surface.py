@@ -18,8 +18,10 @@ from trinorm.surface import (NormalCoordinate, CoordinateError,
                              QUAD_PAIRS, QUAD_SIDE_A, QUAD_ARC_VERTEX,
                              OCT_ARC_VERTICES, TRI_EDGE_WEIGHTS,
                              QUAD_EDGE_WEIGHTS, OCT_EDGE_WEIGHTS)
-from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES, Skeleton,
+from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
+                                   OPPOSITE_EDGE, Skeleton,
                                    TriangulationError, _UnionFind, parse)
+from test_skeleton import gluing_tables
 
 
 def test_vertex_link_sphere():
@@ -236,6 +238,64 @@ def test_no_pinched_squares_in_families():
                 build.seifert_family("M", 1, 1, 1)[0]):
         kinds = {kind for _, _, kind in twisted_square_scan(tri)}
         assert "pinched_rp2" not in kinds
+
+
+def _reference_twisted_square_scan(tri):
+    """The scan that compared the three opposite edge pairs of each
+    tetrahedron in nested loops, kept as the oracle of the table scan."""
+    sk = tri.skeleton
+    results = []
+    for t in range(tri.tet_count):
+        pair_info = []
+        for ei in range(3):
+            ej = OPPOSITE_EDGE[ei]
+            ci, si = sk.edge_class[6 * t + ei], sk.edge_sign[6 * t + ei]
+            cj, sj = sk.edge_class[6 * t + ej], sk.edge_sign[6 * t + ej]
+            pair_info.append((ci == cj, si * sj))
+        idx = [i for i in range(3) if pair_info[i][0]]
+        if len(idx) < 2:
+            continue
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                s1 = pair_info[idx[a]][1]
+                s2 = pair_info[idx[b]][1]
+                if s1 < 0 and s2 < 0:
+                    kind = "torus"
+                elif s1 > 0 and s2 > 0:
+                    kind = "pinched_rp2"
+                else:
+                    kind = "klein"
+                results.append((t, (idx[a], idx[b]), kind))
+    return results
+
+
+def test_twisted_square_scan_matches_reference():
+    tris = [tri for _, _, tri in verifysuite._family_grid()]
+    tris += [folded for _, _, folded in verifysuite._lens_grid(7)]
+    tris += [build.layered_loop(n, twisted) for n in range(3, 17)
+             for twisted in (False, True)]
+    tris.append(parse(NON_ORIENTABLE_TRI))
+    found = 0
+    for tri in tris:
+        scan = twisted_square_scan(tri)
+        assert scan == _reference_twisted_square_scan(tri)
+        found += len(scan)
+    assert found
+
+
+def test_twisted_square_scan_matches_reference_on_random_tables():
+    kinds = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(gluing_tables().filter(lambda tri: tri.is_valid))
+    def compare(tri):
+        scan = twisted_square_scan(tri)
+        assert scan == _reference_twisted_square_scan(tri)
+        kinds.update(kind for _, _, kind in scan)
+
+    compare()
+    # the random tables reach every kind of square
+    assert kinds == {"torus", "klein", "pinched_rp2"}
 
 
 def test_coordinate_dump_format():
@@ -809,6 +869,27 @@ def test_special_solutions_group_the_slots_once(monkeypatch):
         edges, _, _ = special_solutions(tri)
         assert len(edges) == tri.skeleton.edge_count > 1
         assert calls == [tri.skeleton]
+
+
+def test_chi_two_methods_classifies_each_class_once(monkeypatch):
+    calls = {"classes": 0, "classify_tetrahedra": 0}
+    classes, classify = cocycle.all_nonzero_classes, cocycle.classify_tetrahedra
+
+    def counted_classes(tri):
+        out = classes(tri)
+        calls["classes"] += len(out)
+        return out
+
+    def counted_classify(tri, phi):
+        calls["classify_tetrahedra"] += 1
+        return classify(tri, phi)
+
+    monkeypatch.setattr(cocycle, "all_nonzero_classes", counted_classes)
+    for module in (cocycle, surface):
+        monkeypatch.setattr(module, "classify_tetrahedra", counted_classify)
+    ok, _ = verifysuite.check_chi_two_methods(quick=True)
+    assert ok and calls["classes"] > 0
+    assert calls["classify_tetrahedra"] == calls["classes"]
 
 
 def test_formal_chi_needs_a_closed_triangulation():

@@ -1,6 +1,7 @@
 """Face-gluing data structure, file format and canonical forms."""
 
 import copy
+import functools
 import logging
 import pickle
 import random
@@ -195,6 +196,215 @@ def test_missing_and_duplicate_entries():
         parse("tri 2\ntet 0: - - - -")
     with pytest.raises(ParseError):
         parse("tri 1\ntet 0: - - - -\ntet 0: - - - -")
+
+
+def _reference_from_compact(text):
+    """``Perm4.from_compact`` as it built each permutation digit by digit."""
+    if len(text) != 4 or not text.isdigit():
+        raise ValueError(f"malformed permutation {text!r}")
+    return Perm4(tuple(int(c) for c in text))
+
+
+def _reference_parse(text):
+    """``parse`` as it read the keywords by prefix and numbers by ``int``
+    and built each gluing's permutation from its digits: the oracle of
+    the code-table parse on text inside the grammar."""
+    tet_count = None
+    entries = {}
+    entry_lines = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("tri"):
+            if tet_count is not None:
+                raise ParseError("duplicate 'tri' header", lineno)
+            try:
+                tet_count = int(line.split()[1])
+            except (IndexError, ValueError):
+                raise ParseError("malformed 'tri' header", lineno) from None
+            if tet_count < 0:
+                raise ParseError("negative tetrahedron count", lineno)
+            continue
+        if not line.startswith("tet"):
+            raise ParseError(f"unrecognised line {line!r}", lineno)
+        if tet_count is None:
+            raise ParseError("'tet' line before 'tri' header", lineno)
+        head, _, rest = line.partition(":")
+        try:
+            index = int(head.split()[1])
+        except (IndexError, ValueError):
+            raise ParseError("malformed 'tet' line", lineno) from None
+        if not 0 <= index < tet_count:
+            raise ParseError(f"tetrahedron index {index} out of range", lineno)
+        if index in entries:
+            raise ParseError(f"duplicate entry for tetrahedron {index}", lineno)
+        tokens = rest.split()
+        if len(tokens) != 4:
+            raise ParseError("expected 4 facet gluings", lineno)
+        row = []
+        for tok in tokens:
+            if tok == "-":
+                row.append(None)
+                continue
+            target, _, permtext = tok.partition(":")
+            try:
+                t = int(target)
+            except ValueError:
+                raise ParseError(f"malformed gluing {tok!r}", lineno) from None
+            if not 0 <= t < tet_count:
+                raise ParseError(f"dangling tetrahedron index {t}", lineno)
+            try:
+                perm = _reference_from_compact(permtext)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            row.append((t, perm))
+        entries[index] = row
+        entry_lines[index] = lineno
+    if tet_count is None:
+        raise ParseError("missing 'tri' header")
+    if len(entries) != tet_count:
+        # the indices are distinct and in range, so one is missing; stop
+        # at the first, whatever the count the header claims
+        missing = next(i for i in range(tet_count) if i not in entries)
+        raise ParseError(f"missing entry for tetrahedron {missing}")
+    try:
+        return Triangulation([entries[i] for i in range(tet_count)])
+    except GluingError as exc:
+        raise ParseError(str(exc), entry_lines[exc.slot[0]]) from None
+
+
+def _parsed(parser, text):
+    """What ``parser`` makes of text: the triangulation, or the text and
+    line of its ParseError."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@functools.cache
+def _serialised_inputs():
+    """The .tri text of every fold of the depth-7 lens grid, the family
+    grid and the layered loops of 3 to 12 tetrahedra of both kinds."""
+    tris = [folded for _, _, folded in verifysuite._lens_grid(7)]
+    tris += [tri for _, _, tri in verifysuite._family_grid()]
+    tris += [build.layered_loop(n, twisted) for n in range(3, 13)
+             for twisted in (False, True)]
+    return tuple(serialize(tri) for tri in tris)
+
+
+def test_code_table_parse_matches_reference():
+    for text in _serialised_inputs():
+        tri = parse(text)
+        assert tri == _reference_parse(text)
+        assert serialize(tri) == text
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_from_compact_matches_reference():
+    codes = [p.compact() for p in ALL_PERMS]
+    codes += ["0012", "1234", "0000", "3210 ", "012", "01234", "", "abcd"]
+    for code in codes:
+        assert _outcome(Perm4.from_compact, code) == \
+            _outcome(_reference_from_compact, code)
+    for p in ALL_PERMS:
+        assert p.compact() == "%d%d%d%d" % p.images
+    # digits outside ASCII: int() read the second as the identity
+    for code in ("01²3", "٠١٢٣"):
+        assert _outcome(Perm4.from_compact, code) == \
+            f"malformed permutation {code!r}"
+    assert _reference_from_compact("٠١٢٣") is ALL_PERMS[0]
+
+
+# gluing codes inside the grammar: every permutation, two strings of four
+# digits that are none, and codes of three and five digits
+_CODES = st.one_of(st.sampled_from([p.compact() for p in ALL_PERMS]),
+                   st.sampled_from(["0012", "1234"]),
+                   st.text("0123456789", min_size=3, max_size=3),
+                   st.text("0123456789", min_size=5, max_size=5))
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A serialised input with gluing codes and targets replaced and lines
+    removed, repeated or added, all inside the grammar."""
+    lines = draw(st.sampled_from(_serialised_inputs()[::7])).splitlines()
+    n = len(lines) - 1
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        action = draw(st.sampled_from(("code", "code", "target", "drop",
+                                       "repeat", "add")))
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if action == "drop":
+            del lines[i]
+        elif action == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif action == "add":
+            extra = draw(st.sampled_from(
+                [f"tri {n}", f"tet {n}: - - - -", "% a comment", "",
+                 f"tet {draw(st.integers(0, n))}: 0:0123 - - -"]))
+            lines.insert(draw(st.integers(0, len(lines))), extra)
+        elif line.startswith("tet"):
+            head, _, rest = line.partition(": ")
+            tokens = rest.split()
+            j = draw(st.integers(0, 3))
+            if tokens[j] != "-":
+                target, _, code = tokens[j].partition(":")
+                if action == "code":
+                    code = draw(_CODES)
+                else:
+                    target = str(draw(st.integers(0, n + 1)))
+                tokens[j] = f"{target}:{code}"
+                lines[i] = f"{head}: {' '.join(tokens)}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_texts())
+def test_code_table_parse_matches_reference_on_mutations(text):
+    assert _parsed(parse, text) == _parsed(_reference_parse, text)
+
+
+def test_parse_takes_only_the_documented_tokens():
+    # each was read by the prefix keywords and int() of the earlier parse
+    cases = [
+        ("tria 1\ntet 0: - - - -", "line 1: unrecognised line 'tria 1'"),
+        ("tri 1\ntetx 0: - - - -",
+         "line 2: unrecognised line 'tetx 0: - - - -'"),
+        ("tri 2\ntet 0: - - - -\ntet 0_1: - - - -",
+         "line 3: malformed 'tet' line"),
+        ("tri 2\ntet 0: +1:0123 - - -\ntet 1: 0:0123 - - -",
+         "line 2: malformed gluing '+1:0123'"),
+        ("tri 1\ntet 0: 0:01²3 - - -",
+         "line 2: malformed permutation '01²3'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+    assert [_parsed(_reference_parse, text)
+            for text, _ in cases[:4]] == [
+        Triangulation([[None] * 4]), Triangulation([[None] * 4]),
+        Triangulation([[None] * 4] * 2),
+        Triangulation([[(1, _I), None, None, None],
+                       [(0, _I), None, None, None]])]
+    assert _parsed(_reference_parse, cases[4][0]) == (
+        "line 2: invalid literal for int() with base 10: '²'", 2)
+    # a sign is no digit: negative numbers are malformed, not out of range
+    assert _parsed(parse, "tri -3") == ("line 1: malformed 'tri' header", 1)
+    assert _parsed(parse, "tri 1\ntet -1: - - - -") == \
+        ("line 2: malformed 'tet' line", 2)
+    assert _parsed(parse, "tri 1\ntet 0: -1:0123 - - -") == \
+        ("line 2: malformed gluing '-1:0123'", 2)
 
 
 def test_orientability():
