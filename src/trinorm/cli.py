@@ -7,6 +7,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from . import build, homology, cocycle, surface, analyze, verifysuite
@@ -63,9 +65,13 @@ def _write(path, text):
 def _write_tri(tri, path, sidecar=None):
     _write(path, serialize(tri))
     if sidecar is not None:
-        _write(Path(path).with_suffix(".meta.json"), json.dumps(
-            {"schema_version": SCHEMA_VERSION, **sidecar},
-            sort_keys=True, indent=2) + "\n")
+        try:
+            _write(Path(path).with_suffix(".meta.json"), _dumps(
+                {"schema_version": SCHEMA_VERSION, **sidecar}) + "\n")
+        except TriangulationError:
+            # a .tri without its sidecar is not left behind
+            Path(path).unlink()
+            raise
 
 
 class _StdoutClosed(Exception):
@@ -82,8 +88,57 @@ def _out(text):
         raise _StdoutClosed from None
 
 
+_CONTAINERS = (list, tuple, dict)
+_FLAT_ENCODERS = []
+
+
+def _flat_encoder(depth):
+    """json.dumps's C encoder for a value whose items sit at ``depth`` and
+    hold no container: each item after the first starts a line, and the
+    brackets stay on the lines of the first and last items.  Called with
+    the value and 0, it returns the text in chunks."""
+    while len(_FLAT_ENCODERS) <= depth:
+        sep = ",\n" + "  " * len(_FLAT_ENCODERS)
+        _FLAT_ENCODERS.append(
+            json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).iterencode
+            if c_make_encoder is None else c_make_encoder(
+                None, json.JSONEncoder().default, encode_basestring_ascii,
+                None, ": ", sep, True, False, True))
+    return _FLAT_ENCODERS[depth]
+
+
+def _dumps(obj, depth=0):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where
+    every dict key is a str.  That call runs the pure-Python encoder; here
+    ints and strs are written inline and every container with no container
+    inside goes to the C encoder, whose output gains the line breaks after
+    its opening bracket and before its closing one."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if not isinstance(obj, _CONTAINERS):
+        return "".join(_flat_encoder(depth)(obj, 0))
+    is_dict = isinstance(obj, dict)
+    close = "\n" + "  " * depth
+    inner = close + "  "
+    if not any(map(isinstance, obj.values() if is_dict else obj,
+                   repeat(_CONTAINERS))):
+        if not obj:
+            return "{}" if is_dict else "[]"
+        text = "".join(_flat_encoder(depth + 1)(obj, 0))
+        return text[0] + inner + text[1:-1] + close + text[-1]
+    depth += 1
+    if is_dict:
+        parts = [f"{encode_basestring_ascii(k)}: {_dumps(v, depth)}"
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(parts) + close + "}"
+    parts = [_dumps(item, depth) for item in obj]
+    return "[" + inner + ("," + inner).join(parts) + close + "]"
+
+
 def _emit(obj):
-    _out(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _out(_dumps(obj) + "\n")
 
 
 def _homology_block(h):

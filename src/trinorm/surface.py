@@ -537,6 +537,13 @@ def _tet_arcs(counts):
     return tuple(out)
 
 
+# the arcs of the eleven rows with at most one disc, the empty row and one
+# per disc type: every row of a canonical surface is one of them
+_UNIT_ARCS = {row: _tet_arcs(row)
+              for row in [(0,) * 10] + [tuple(int(d == e) for e in range(10))
+                                        for d in range(10)]}
+
+
 def surface_classify(tri, coord, chi=None):
     """(chi, orientable, connected) of an embedded coordinate.
 
@@ -560,8 +567,8 @@ def surface_classify(tri, coord, chi=None):
     if not total:
         return chi, True, False
     # arcs[16t + 4f + v]: the discs with an arc at that corner slot, found
-    # once for each distinct row of counts
-    rows = {row: _tet_arcs(row) for row in set(counts)}
+    # once for each distinct row of counts outside _UNIT_ARCS
+    rows = {row: _UNIT_ARCS.get(row) or _tet_arcs(row) for row in set(counts)}
     arcs = list(chain.from_iterable(map(rows.__getitem__, counts)))
 
     # discs joined across faces, with a parity bit when the transverse

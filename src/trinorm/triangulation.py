@@ -620,8 +620,9 @@ def parse(text):
     Format: a line "tri <n>", then for each tetrahedron a line
     "tet <i>: g0 g1 g2 g3" where each gj is "-" for a boundary facet or
     "<t>:<abcd>" giving the target tetrahedron and the images of vertices
-    0123.  The keywords are the exact tokens "tri" and "tet", and n, i and
-    t are ASCII decimal digits.  '%' starts a comment.
+    0123.  The keywords are the exact tokens "tri" and "tet", n and i are
+    the only words after them, and n, i and t are ASCII decimal digits.
+    '%' starts a comment.
     """
     tet_count = None
     entries = {}
@@ -634,7 +635,7 @@ def parse(text):
         if words[0] == "tri":
             if tet_count is not None:
                 raise ParseError("duplicate 'tri' header", lineno)
-            tet_count = _decimal(words[1]) if len(words) > 1 else None
+            tet_count = _decimal(words[1]) if len(words) == 2 else None
             if tet_count is None:
                 raise ParseError("malformed 'tri' header", lineno)
             continue
@@ -644,7 +645,7 @@ def parse(text):
             raise ParseError(f"unrecognised line {line!r}", lineno)
         if tet_count is None:
             raise ParseError("'tet' line before 'tri' header", lineno)
-        index = _decimal(head[1]) if len(head) > 1 else None
+        index = _decimal(head[1]) if len(head) == 2 else None
         if index is None:
             raise ParseError("malformed 'tet' line", lineno)
         if index >= tet_count:

@@ -566,6 +566,68 @@ def test_reports_validate_against_published_schema(tmp_path, capsys):
     assert [c["surface"]["orientable"] for c in report["classes"]] == [None]
 
 
+# JSON trees for the writer: ints past 64 bits, the three constants,
+# floats, strs with the characters the encoder escapes or that look like
+# its syntax, keys that sort differently as numbers, and empty and nested
+# lists, tuples and dicts at every depth
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\,[]{}:\n\t'),
+                               st.characters()), max_size=6)
+_JSON_SCALARS = st.one_of(st.integers(-2 ** 80, 2 ** 80),
+                          st.sampled_from([True, False, None]),
+                          st.floats(), _JSON_TEXT)
+_JSON_TREES = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.sampled_from(["10", "9", ""]), _JSON_TEXT),
+                    children, max_size=4)), max_leaves=30)
+
+
+def _indented(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_TREES)
+def test_writer_matches_indented_json_dumps(obj):
+    assert cli._dumps(obj) == _indented(obj)
+
+
+def test_writer_without_the_c_encoder(monkeypatch):
+    # where json has no C encoder, the per-depth encoders are json's own
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_FLAT_ENCODERS", [])
+    for obj in ([], {}, [[]], (1, ("a", None)), {"10": [1.5], "9": {}},
+                [{"b": [True, -2 ** 70], "a": "\u00e9\n"}, [[], [[{}]]]]):
+        assert cli._dumps(obj) == _indented(obj)
+    assert cli._FLAT_ENCODERS
+
+
+def test_writer_rejects_what_json_dumps_rejects():
+    # unsupported values, at the top, in a container with no container
+    # inside and in one with, raise json's TypeError
+    for obj in (object(), [object()], [[1], {1, 2}], {"a": [{(1, 2): 0}]},
+                {"a": {1, 2}, "b": [1]}):
+        with pytest.raises(TypeError) as want:
+            _indented(obj)
+        with pytest.raises(TypeError) as got:
+            cli._dumps(obj)
+        assert str(got.value) == str(want.value)
+    # a key that is no str raises TypeError too
+    with pytest.raises(TypeError):
+        _indented({(1, 2): [1]})
+    with pytest.raises(TypeError):
+        cli._dumps({(1, 2): [1]})
+
+
+def test_sidecar_is_written_by_the_writer(tmp_path, capsys):
+    out = tmp_path / "f.tri"
+    main(["fold", "--p", "7", "--q", "31", "--edge", "pq", "-o", str(out)])
+    report = capsys.readouterr().out
+    text = out.with_suffix(".meta.json").read_text()
+    for written in (text, report):
+        assert written == _indented(json.loads(written)) + "\n"
+
+
 ERROR_CASES = {
     "surface class past the end": (["surface", "LENS", "--class", "7"], 1),
     "surface negative class": (["surface", "LENS", "--class", "-1"], 1),
@@ -616,6 +678,8 @@ ERROR_CASES = {
         ["construct", "loop", "--n", "6", "--twisted", "-o", "NODIR"], 1),
     "promote into a missing directory": (["promote", "M111", "-o", "NODIR"],
                                          1),
+    "construct lst with its sidecar path a directory": (
+        ["construct", "lst", "--p", "3", "--q", "5", "-o", "SIDECAR"], 1),
 }
 # the cases argparse rejects: its usage line, then this error line
 PARSER_ERRORS = {
@@ -654,6 +718,8 @@ ERROR_MESSAGES = {
         "error: cannot write {NODIR}: No such file or directory\n",
     "promote into a missing directory":
         "error: cannot write {NODIR}: No such file or directory\n",
+    "construct lst with its sidecar path a directory":
+        "error: cannot write {SIDECAR_META}: Is a directory\n",
 }
 
 
@@ -668,10 +734,14 @@ def cli_inputs(tmp_path_factory):
     # no 4-4 flip applies
     main(["fold", "--p", "1", "--q", "5", "--edge", "pq",
           "-o", str(d / "lens15pq.tri")])
+    # a .tri that can be written next to a sidecar path that cannot
+    (d / "sidecar" / "x.meta.json").mkdir(parents=True)
     return {"LENS": str(d / "lens.tri"), "M111": str(d / "m111.tri"),
             "LENS15PQ": str(d / "lens15pq.tri"),
             "OUT": str(d / "out.tri"), "NOFILE": str(d / "missing.tri"),
-            "NODIR": str(d / "missing" / "out.tri"), "DIR": str(d)}
+            "NODIR": str(d / "missing" / "out.tri"), "DIR": str(d),
+            "SIDECAR": str(d / "sidecar" / "x.tri"),
+            "SIDECAR_META": str(d / "sidecar" / "x.meta.json")}
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
@@ -692,6 +762,8 @@ def test_error_contract(case, cli_inputs):
     written = Path(cli_inputs["OUT"])
     assert not written.exists()
     assert not written.with_suffix(".meta.json").exists()
+    # nor leaves a .tri behind when only its sidecar cannot be written
+    assert not Path(cli_inputs["SIDECAR"]).exists()
 
 
 # The stdout of the read-only reports on these inputs is pinned by sha256.

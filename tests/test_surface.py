@@ -586,6 +586,39 @@ def test_surface_classify_matches_reference():
                         (True, False), (None, True), (None, False)}
 
 
+def test_unit_arc_table_is_the_arc_rule():
+    # the empty row and one row per disc type, each as _tet_arcs makes it
+    rows = [(0,) * 10] + [tuple(int(d == e) for e in range(10))
+                          for d in range(10)]
+    assert sorted(surface._UNIT_ARCS) == sorted(rows)
+    for row in rows:
+        assert surface._UNIT_ARCS[row] == surface._tet_arcs(row)
+
+
+def test_canonical_surfaces_classify_from_the_unit_arc_table(monkeypatch):
+    # a canonical surface has at most one disc per tetrahedron, so no row
+    # of its counts needs the arc rule at classification time
+    calls = []
+    tet_arcs = surface._tet_arcs
+
+    def counted(counts):
+        calls.append(counts)
+        return tet_arcs(counts)
+
+    monkeypatch.setattr(surface, "_tet_arcs", counted)
+    classified = 0
+    for _, _, tri in verifysuite._family_grid():
+        for phi in cocycle.all_nonzero_classes(tri):
+            canon = canonical_surface(tri, phi)
+            assert surface_classify(tri, canon.coord, canon.chi)[0] == \
+                canon.chi
+            classified += 1
+    assert classified > 0 and calls == []
+    # a doubled surface still takes its rows from the rule
+    surface_classify(tri, canon.coord.scale(2))
+    assert calls
+
+
 def test_surface_classify_with_chi_given_checks_the_arcs():
     # a caller's chi skips the validating count, and the arc pairing still
     # finds an unmatched face

@@ -405,6 +405,16 @@ def test_parse_takes_only_the_documented_tokens():
         ("line 2: malformed 'tet' line", 2)
     assert _parsed(parse, "tri 1\ntet 0: -1:0123 - - -") == \
         ("line 2: malformed gluing '-1:0123'", 2)
+    # the count and the index are the only words after their keywords;
+    # an intended difference: the earlier parse read only the second word
+    # and ignored the rest
+    extra_words = [
+        ("tri 1 junk\ntet 0: - - - -", ("line 1: malformed 'tri' header", 1)),
+        ("tri 1\ntet 0 x: - - - -", ("line 2: malformed 'tet' line", 2)),
+    ]
+    for text, outcome in extra_words:
+        assert _parsed(parse, text) == outcome
+        assert _parsed(_reference_parse, text) == Triangulation([[None] * 4])
 
 
 def test_orientability():
