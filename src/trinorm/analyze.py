@@ -20,8 +20,7 @@ from .build import (SEED_WEIGHTS, LayeredSolidTorus, family_slopes,
                     family_tag, lens_space, relayer, relayered_weight,
                     seifert_family)
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
-                      all_nonzero_classes, Cocycle, face_relation_rows,
-                      is_cocycle)
+                      all_nonzero_classes, Cocycle, is_cocycle)
 from .surface import canonical_surface, chi_formula, twisted_square_scan
 
 _log = logging.getLogger(__name__)
@@ -493,7 +492,7 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
             raise AssertionError("cocycle transport conflict")
         unknown &= ~bit
         value |= val
-    rows = face_relation_rows(new_tri)
+    rows = new_tri.skeleton.face_rows
     changed = True
     while changed and unknown:
         changed = False
@@ -508,7 +507,7 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
     if unknown:
         raise AssertionError("cocycle transport left undetermined edges")
     bits = tuple((value >> e) & 1 for e in range(ne))
-    if not is_cocycle(new_tri, bits, rows):
+    if not is_cocycle(new_tri, bits):
         raise AssertionError("transported colouring is not a cocycle")
     return new_tri, Cocycle(bits)
 

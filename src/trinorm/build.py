@@ -153,7 +153,7 @@ def _seed_lst():
 
 
 def _boundary_face_slots(tri):
-    slots = tri.boundary_facets()
+    slots = [divmod(x, 4) for x in tri.skeleton.boundary_facets]
     if len(slots) != 2:
         raise TriangulationError(
             f"expected a two-triangle boundary, found {len(slots)} free facets")
@@ -560,7 +560,6 @@ class AnnulusFilling:
     w_h: int = 0
     w_d: int = 0
     w_v: int = 0
-    swap: bool = False
     style: str = "cross"
 
 
@@ -626,8 +625,6 @@ def augmented_solid_torus(fillings):
         lst_faces = [(lt, lf, {role: meta.book.edges[e][side]
                                for role, e in want.items()})
                      for side, (lt, lf) in enumerate(meta.book.faces)]
-        if filling.swap:
-            lst_faces.reverse()
         for (lt, lf, edges_from), key in zip(lst_faces, ("1", "2")):
             t_p, f_p = annulus["tri" + key]
             vmap = _triangle_map(edges_from, annulus["edges" + key])

@@ -555,7 +555,7 @@ def make_parser():
     p.add_argument("--move", required=True, choices=("23", "32", "44"))
     p.add_argument("--face", type=int, default=None)
     p.add_argument("--edge", type=int, default=None)
-    p.add_argument("--axis", type=int, default=0)
+    p.add_argument("--axis", type=int, choices=(0, 1), default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func="cmd_moves")
 

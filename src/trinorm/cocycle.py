@@ -3,9 +3,8 @@
 In a closed one-vertex triangulation every edge is a loop, so a
 homomorphism pi_1(M) -> Z/2 is the same thing as an assignment of bits to
 edge classes for which the three edges of every face sum to zero.  The
-solution space of those face relations is the kernel of
-``homology.face_relation_rows`` (still importable from here), read off
-the one GF(2) reduction in ``homology``.
+solution space of those face relations is the kernel of the skeleton's
+``face_rows``, read off its cached ``face_echelon``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .triangulation import EDGE_VERTICES, FACET_EDGES, TriangulationError
-from .homology import face_relation_rows, gf2_kernel_basis
 
 
 class TetType(Enum):
@@ -61,11 +59,24 @@ def _require_one_vertex_closed(tri):
 
 
 def cocycle_basis(tri):
-    """Deterministic basis of H^1(M; Z/2) as edge colourings."""
+    """Deterministic basis of H^1(M; Z/2) as edge colourings: one vector
+    per edge class that ``face_echelon`` does not pivot on, in increasing
+    order, the class's own bit plus the pivot of every reduced row that
+    holds the class."""
     _require_one_vertex_closed(tri)
-    ne = tri.skeleton.edge_count
-    basis = gf2_kernel_basis(face_relation_rows(tri), ne)
-    return [Cocycle(tuple((vec >> e) & 1 for e in range(ne))) for vec in basis]
+    sk = tri.skeleton
+    ne = sk.edge_count
+    reduced = sk.face_echelon
+    basis = []
+    for fc in range(ne):
+        if fc in reduced:
+            continue
+        vec = 1 << fc
+        for pc, row in reduced.items():
+            if (row >> fc) & 1:
+                vec |= 1 << pc
+        basis.append(Cocycle(tuple((vec >> e) & 1 for e in range(ne))))
+    return basis
 
 
 def all_nonzero_classes(tri):
@@ -82,16 +93,14 @@ def all_nonzero_classes(tri):
     return out
 
 
-def is_cocycle(tri, bits, rows=None):
-    """Whether the edge bits satisfy every face relation; ``rows`` is
-    ``face_relation_rows(tri)`` when the caller has built it."""
-    if rows is None:
-        rows = face_relation_rows(tri)
+def is_cocycle(tri, bits):
+    """Whether the edge bits satisfy every face relation."""
     vec = 0
     for e, b in enumerate(bits):
         if b:
             vec |= 1 << e
-    return all(bin(row & vec).count("1") % 2 == 0 for row in rows)
+    return all(bin(row & vec).count("1") % 2 == 0
+               for row in tri.skeleton.face_rows)
 
 
 # the (TetType, detail) of each odd-edge mask of a tetrahedron, bit i set

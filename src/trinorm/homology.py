@@ -4,8 +4,10 @@ Dense matrices are lists of lists of Python ints (arbitrary precision).
 First homology works on sparse columns instead: unit pivots eliminate all
 but a small remainder of the relation matrix, and only that remainder
 goes through the dense Smith normal form.  The GF(2) side packs rows into
-int bitsets, reduces them with the one eliminator ``_gf2_reduce``, and is
-computed independently of the integer route so the two can be cross-checked.
+int bitsets, reduces them with the one eliminator ``_gf2_reduce`` of
+``triangulation`` (d2 mod 2 is the skeleton's cached ``face_echelon``), and
+is computed independently of the integer route so the two can be
+cross-checked.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from heapq import heapify, heappop, heappush
 import logging
 from dataclasses import dataclass
 
-from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                            FACET_VERTICES, TriangulationError, _UnionFind)
+from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_VERTICES,
+                            TriangulationError, _UnionFind, _gf2_reduce)
 
 _log = logging.getLogger(__name__)
 
@@ -124,70 +126,9 @@ def smith_normal_form(matrix, rows=None, cols=None, want_row_transform=False):
 # ----- GF(2) -----------------------------------------------------------------
 
 
-def _gf2_reduce(rows):
-    """Reduced row echelon form over GF(2) of rows given as int bitsets.
-
-    Returns a dict pivot bit -> row: each row's pivot is its lowest set
-    bit, and no row holds any other row's pivot.  The form depends only on
-    the row space, so the order of ``rows`` does not matter.
-    """
-    reduced = {}
-    mask = 0                    # the pivot bits so far
-    for row in rows:
-        # each stored row holds no other pivot, so clearing one pivot bit
-        # leaves the others as they were
-        hit = row & mask
-        while hit:
-            low = hit & -hit
-            row ^= reduced[low.bit_length() - 1]
-            hit ^= low
-        if row:
-            low = row & -row
-            for p, r in reduced.items():
-                if r & low:
-                    reduced[p] = r ^ row
-            reduced[low.bit_length() - 1] = row
-            mask |= low
-    return reduced
-
-
 def gf2_rank(rows):
     """Rank over GF(2) of rows given as int bitsets."""
     return len(_gf2_reduce(rows))
-
-
-def gf2_kernel_basis(rows, n_cols):
-    """Deterministic basis of the right kernel of a GF(2) matrix.
-
-    Rows are int bitsets with bit j = column j.  One basis vector per free
-    column, in increasing column order: the column's own bit plus the
-    pivot bit of every reduced row that holds the column.
-    """
-    reduced = _gf2_reduce(rows)
-    basis = []
-    for fc in range(n_cols):
-        if fc in reduced:
-            continue
-        vec = 1 << fc
-        for pc, row in reduced.items():
-            if (row >> fc) & 1:
-                vec |= 1 << pc
-        basis.append(vec)
-    return basis
-
-
-def face_relation_rows(tri):
-    """One GF(2) row per face class, d2 mod 2: bit e set iff edge class e
-    appears an odd number of times among the face's three edges."""
-    edge_class = tri.skeleton.edge_class
-    rows = []
-    for s in tri.skeleton.face_first:
-        t, f = divmod(s, 4)
-        w = 6 * t
-        a, b, c = FACET_EDGES[f]
-        rows.append((1 << edge_class[w + a]) ^ (1 << edge_class[w + b])
-                    ^ (1 << edge_class[w + c]))
-    return rows
 
 
 # ----- homology --------------------------------------------------------------
@@ -369,13 +310,14 @@ def first_homology(tri):
     betti = ne - pivots - rest_rank
 
     # independent GF(2) computation of dim H^1(M; Z/2): d1 mod 2 from the
-    # edge ends, d2 mod 2 from the face rows, not from the elimination
+    # edge ends, d2 mod 2 from the skeleton's face rows, not from the
+    # elimination
     rows1 = [0] * tri.skeleton.vertex_count
     for e, (tail, head) in enumerate(ends):
         if tail != head:
             rows1[tail] |= 1 << e
             rows1[head] |= 1 << e
-    z2 = ne - gf2_rank(rows1) - gf2_rank(face_relation_rows(tri))
+    z2 = ne - gf2_rank(rows1) - len(tri.skeleton.face_echelon)
     expected = betti + sum(1 for d in factors if d % 2 == 0)
     _log.debug("first_homology: %d unit pivots, %dx%d remainder; GF(2) rank "
                "%d, integer prediction %d", pivots, len(rest), width, z2,

@@ -35,22 +35,18 @@ FACET_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 def _gluing_entry(perm, facet):
     """What gluing ``facet`` by ``perm`` does to the facet's cells."""
     target = perm[facet]
-    img = [perm[v] for v in FACET_VERTICES[facet]]
-    # the triangle map's parity: ascending source triple to image triple
-    inversions = (img[0] > img[1]) + (img[0] > img[2]) + (img[1] > img[2])
     vertices = tuple((v, perm[v]) for v in FACET_VERTICES[facet])
     edges = []
     for ei in FACET_EDGES[facet]:
         a, b = EDGE_VERTICES[ei]
         edges.append((ei, EDGE_INDEX[(perm[a], perm[b])],
                       1 if perm[a] > perm[b] else 0))
-    return target, inversions % 2, vertices, tuple(edges)
+    return target, vertices, tuple(edges)
 
 
-# GLUING_TABLE[perm.index][facet] = (target facet, face parity bit,
-# ((vertex, image), x3), ((edge, image edge, flip), x3)): the parity bit is
-# 1 when the induced triangle map reverses the ascending vertex order, the
-# flip bit 1 when the edge's ascending direction maps to a descending one.
+# GLUING_TABLE[perm.index][facet] = (target facet, ((vertex, image), x3),
+# ((edge, image edge, flip), x3)): the flip bit is 1 when the edge's
+# ascending direction maps to a descending one.
 GLUING_TABLE = tuple(tuple(_gluing_entry(perm, f) for f in range(4))
                      for perm in ALL_PERMS)
 
@@ -208,33 +204,59 @@ class _UnionFind:
                 conflict.add(rx)
 
 
+def _gf2_reduce(rows):
+    """Reduced row echelon form over GF(2) of rows given as int bitsets.
+
+    Returns a dict pivot bit -> row: each row's pivot is its lowest set
+    bit, and no row holds any other row's pivot.  The form depends only on
+    the row space, so the order of ``rows`` does not matter.
+    """
+    reduced = {}
+    mask = 0                    # the pivot bits so far
+    for row in rows:
+        # each stored row holds no other pivot, so clearing one pivot bit
+        # leaves the others as they were
+        hit = row & mask
+        while hit:
+            low = hit & -hit
+            row ^= reduced[low.bit_length() - 1]
+            hit ^= low
+        if row:
+            low = row & -row
+            for p, r in reduced.items():
+                if r & low:
+                    reduced[p] = r ^ row
+            reduced[low.bit_length() - 1] = row
+            mask |= low
+    return reduced
+
+
 class Skeleton:
     """The vertex, edge and face classes of a triangulation as flat lists
     indexed by slot: slot 4t+i is vertex i or facet i of tetrahedron t, and
     slot 6t+i is its edge i.
 
-    ``vertex_class``, ``edge_class`` and ``face_class`` give each slot's
-    class, classes being numbered by their first slot, which
-    ``vertex_first``, ``edge_first`` and ``face_first`` record.
-    ``edge_sign`` and ``face_sign`` are +1 where the slot's ascending
+    ``vertex_class`` and ``edge_class`` give each slot's class, classes
+    being numbered by their first slot, which ``vertex_first`` and
+    ``edge_first`` record; ``face_first`` lists the first slot of each
+    face class.  ``edge_sign`` is +1 where the slot's ascending
     orientation is the class direction and -1 where it is reversed; a
     vertex slot's sign is always +1.  ``invalid_edges`` holds the edge
     classes identified with themselves reversed, ``boundary_facets`` and
     ``self_glued_facets`` the facet slots left free or glued to themselves.
-    ``edge_degrees`` and ``boundary_edges`` are derived on first use, and
-    ``edge_slots()`` groups the edge slots by class."""
+    ``edge_degrees``, ``boundary_edges``, ``face_rows`` and
+    ``face_echelon`` are derived on first use, and ``edge_slots()`` groups
+    the edge slots by class."""
 
     def __init__(self, vertex_class, vertex_first, edge_class, edge_sign,
-                 edge_first, invalid_edges, face_class, face_sign, face_first,
-                 boundary_facets, self_glued_facets):
+                 edge_first, invalid_edges, face_first, boundary_facets,
+                 self_glued_facets):
         self.vertex_class = vertex_class
         self.vertex_first = vertex_first
         self.edge_class = edge_class
         self.edge_sign = edge_sign
         self.edge_first = edge_first
         self.invalid_edges = invalid_edges
-        self.face_class = face_class
-        self.face_sign = face_sign
         self.face_first = face_first
         self.boundary_facets = boundary_facets
         self.self_glued_facets = self_glued_facets
@@ -257,6 +279,28 @@ class Skeleton:
         return frozenset(edge_class[6 * (x // 4) + ei]
                          for x in self.boundary_facets
                          for ei in FACET_EDGES[x % 4])
+
+    @cached_property
+    def face_rows(self):
+        """d2 mod 2 as one GF(2) row per face class, in face order: bit e
+        is set iff edge class e appears an odd number of times among the
+        face's three edges."""
+        edge_class = self.edge_class
+        rows = []
+        for s in self.face_first:
+            t, f = divmod(s, 4)
+            w = 6 * t
+            a, b, c = FACET_EDGES[f]
+            rows.append((1 << edge_class[w + a]) ^ (1 << edge_class[w + b])
+                        ^ (1 << edge_class[w + c]))
+        return rows
+
+    @cached_property
+    def face_echelon(self):
+        """``_gf2_reduce`` of ``face_rows``: its size is the rank of d2 mod
+        2, and the edge classes it does not pivot on index the cocycle
+        space."""
+        return _gf2_reduce(self.face_rows)
 
     def edge_slots(self):
         """The slots of each edge class, in slot order."""
@@ -339,10 +383,6 @@ class Triangulation:
     def gluing(self, tet, facet):
         return self._gluings[tet][facet]
 
-    def boundary_facets(self):
-        return tuple((t, f) for t, row in enumerate(self._gluings)
-                     for f, g in enumerate(row) if g is None)
-
     @cached_property
     def is_closed(self):
         return all(None not in row for row in self._gluings)
@@ -369,8 +409,6 @@ class Triangulation:
         edge_x, edge_y, edge_rel = [], [], []
         # a face class is one free facet, one self-glued facet, or a lower
         # slot with the upper slot it is glued to, numbered by lower slot
-        face_class = [0] * (4 * n)
-        face_sign = [1] * (4 * n)
         face_first = []
         boundary_facets = []
         self_glued = []
@@ -379,26 +417,20 @@ class Triangulation:
             for f, g in enumerate(row):
                 x = t4 + f
                 if g is None:
-                    face_class[x] = len(face_first)
                     face_first.append(x)
                     boundary_facets.append(x)
                     continue
                 u, perm = g
-                target, parity, vertices, edges = GLUING_TABLE[perm.index][f]
+                target, vertices, edges = GLUING_TABLE[perm.index][f]
                 u4 = 4 * u
                 y = u4 + target
                 # each gluing is read once, from its lower slot; a
                 # self-glued facet is its own lower slot
                 if y < x:
                     continue
-                face_class[x] = len(face_first)
                 face_first.append(x)
                 if y == x:
                     self_glued.append(x)
-                else:
-                    face_class[y] = face_class[x]
-                    if parity:
-                        face_sign[y] = -1
                 (v0, w0), (v1, w1), (v2, w2) = vertices
                 vert_x += (t4 + v0, t4 + v1, t4 + v2)
                 vert_y += (u4 + w0, u4 + w1, u4 + w2)
@@ -417,8 +449,8 @@ class Triangulation:
         edge_sign = [1 - 2 * p for p in edge_uf.parity]
         invalid_edges = frozenset(of_root[r] for r in edge_uf.conflict)
         return Skeleton(vertex_class, vertex_first, edge_class, edge_sign,
-                        edge_first, invalid_edges, face_class, face_sign,
-                        face_first, boundary_facets, self_glued)
+                        edge_first, invalid_edges, face_first,
+                        boundary_facets, self_glued)
 
     @cached_property
     def facet_corners(self):
@@ -437,7 +469,7 @@ class Triangulation:
             g = glu[t][f]
             if g is not None:
                 u, perm = g
-                target, _, vertices, _ = GLUING_TABLE[perm.index][f]
+                target, vertices, _ = GLUING_TABLE[perm.index][f]
                 b = 16 * u + 4 * target
                 for v, image in vertices:
                     lower.append(a + v)

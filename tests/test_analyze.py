@@ -1,6 +1,7 @@
 """Structural detectors, moves, promotion and certificates."""
 
 import dataclasses
+import functools
 import itertools
 import logging
 import random
@@ -19,7 +20,7 @@ from trinorm.build import (AnnulusFilling, LayeredSolidTorus,
                            augmented_solid_torus, relayered_weight)
 from trinorm.perm import ALL_PERMS
 from trinorm.surface import canonical_surface, euler_char
-from trinorm.triangulation import (TriBuilder, Triangulation,
+from trinorm.triangulation import (Skeleton, TriBuilder, Triangulation,
                                    TriangulationError, parse)
 from test_skeleton import gluing_tables
 from test_triangulation import _random_relabelling
@@ -213,19 +214,21 @@ def test_cocycle_transport_through_moves():
 
 def test_transport_builds_face_rows_once(monkeypatch):
     calls = []
+    rule = Skeleton.__dict__["face_rows"].func
 
-    def counted(tri):
-        calls.append(tri)
-        return homology.face_relation_rows(tri)
-    monkeypatch.setattr(analyze, "face_relation_rows", counted)
-    monkeypatch.setattr(cocycle, "face_relation_rows", counted)
+    def counted(sk):
+        calls.append(sk)
+        return rule(sk)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Skeleton, "face_rows")
+    monkeypatch.setattr(Skeleton, "face_rows", prop)
     tri = build.layered_loop(6, twisted=True)
     phi = cocycle.all_nonzero_classes(tri)[0]
     calls.clear()
     for f in _23_faces(tri):
         out, _ = pachner_with_cocycle(tri, phi, MoveSpec("23", face=f))
         # the propagation's rows also serve the closing cocycle check
-        assert calls == [out]
+        assert calls == [out.skeleton]
         calls.clear()
 
 
@@ -501,7 +504,7 @@ def _reference_seed_classes(tri, t):
         return None
     sub = _reference_subcomplex(tri, (t,))
     sk = sub.skeleton
-    if sk.edge_count != 3 or len(sub.boundary_facets()) != 2:
+    if sk.edge_count != 3 or len(sk.boundary_facets) != 2:
         return None
     by_degree = {}
     for ec in range(sk.edge_count):
@@ -571,7 +574,7 @@ def _reference_try_extend(tri, emb):
     grown = emb.tets + (new,)
     sub = _reference_subcomplex(tri, grown)
     sk = sub.skeleton
-    if len(sub.boundary_facets()) != 2 or sk.edge_count != len(grown) + 2:
+    if len(sk.boundary_facets) != 2 or sk.edge_count != len(grown) + 2:
         return None
     degrees = {}
     for ec, x in enumerate(sk.edge_first):

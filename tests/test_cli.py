@@ -640,6 +640,9 @@ ERROR_CASES = {
     "bounds class past the end": (["bounds", "LENS", "--class", "7"], 1),
     "moves edge past the end": (["moves", "M111", "--move", "32",
                                  "--edge", "999", "-o", "OUT"], 1),
+    "moves axis out of range": (["moves", "M111", "--move", "44",
+                                 "--edge", "0", "--axis", "2", "-o", "OUT"],
+                                2),
     "missing input file": (["analyze", "NOFILE"], 1),
     "unknown fold style": (["construct", "augmented", "--annulus", "fold:weird",
                             "--annulus", "fold:cross", "--annulus",
@@ -691,6 +694,9 @@ PARSER_ERRORS = {
     "bounds negative k-phi":
         "trinorm bounds: error: argument --k-phi: "
         "invalid nonnegative int value: '-1'\n",
+    "moves axis out of range":
+        "trinorm moves: error: argument --axis: "
+        "invalid choice: 2 (choose from 0, 1)\n",
 }
 # the whole message, where the case pins it, with the paths of
 # ``cli_inputs`` in braces

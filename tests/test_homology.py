@@ -1,25 +1,28 @@
 """Smith normal form, GF(2) kernels and first homology."""
 
 import heapq
+import json
 import logging
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from trinorm import homology
-from trinorm.homology import (smith_normal_form, gf2_rank, gf2_kernel_basis,
-                              first_homology, seifert_homology,
-                              boundary_matrices, require_valid_cells,
-                              face_relation_rows, HomologyProfile,
+from trinorm.homology import (smith_normal_form, gf2_rank, first_homology,
+                              seifert_homology, boundary_matrices,
+                              require_valid_cells, HomologyProfile,
                               _boundary_columns, _eliminate_unit_pivots)
-from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
-                                   TriangulationError, _UnionFind)
-from trinorm import analyze, build, cocycle, verifysuite
+from trinorm import triangulation
+from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
+                                   TriangulationError, _UnionFind, _gf2_reduce,
+                                   serialize)
+from trinorm import analyze, build, cli, cocycle, verifysuite
 from trinorm.analyze import MoveSpec, pachner_with_cocycle
-from trinorm.cocycle import Cocycle, is_cocycle
+from trinorm.cocycle import Cocycle, cocycle_basis, is_cocycle
 
 from test_skeleton import gluing_tables
 
@@ -250,7 +253,7 @@ def test_gf2_reduction_matches_reference_on_bit_matrices(case):
 
 
 def test_gf2_reduction_is_reduced_row_echelon_form():
-    reduced = homology._gf2_reduce([0b0110, 0b0011, 0b1100, 0b0101])
+    reduced = _gf2_reduce([0b0110, 0b0011, 0b1100, 0b0101])
     assert reduced == {0: 0b1001, 1: 0b1010, 2: 0b1100}
     for p, row in reduced.items():
         assert row & -row == 1 << p
@@ -273,7 +276,125 @@ def test_gf2_reduction_matches_reference_on_face_rows():
                                       tri.skeleton.edge_count)
         tags.add(tag)
     assert n == 3 * 255 and tags == {"M", "MPRIME", "P", "Q"}
-    assert cocycle.face_relation_rows is face_relation_rows
+
+
+# ----- the face-row builder and kernel reader the skeleton's echelon replaced --
+# Kept word for word as the oracle: ``face_relation_rows`` built the mod-2
+# face rows afresh at each call, and ``gf2_kernel_basis`` reduced them again.
+
+
+def gf2_kernel_basis(rows, n_cols):
+    """Deterministic basis of the right kernel of a GF(2) matrix.
+
+    Rows are int bitsets with bit j = column j.  One basis vector per free
+    column, in increasing column order: the column's own bit plus the
+    pivot bit of every reduced row that holds the column.
+    """
+    reduced = _gf2_reduce(rows)
+    basis = []
+    for fc in range(n_cols):
+        if fc in reduced:
+            continue
+        vec = 1 << fc
+        for pc, row in reduced.items():
+            if (row >> fc) & 1:
+                vec |= 1 << pc
+        basis.append(vec)
+    return basis
+
+
+def face_relation_rows(tri):
+    """One GF(2) row per face class, d2 mod 2: bit e set iff edge class e
+    appears an odd number of times among the face's three edges."""
+    edge_class = tri.skeleton.edge_class
+    rows = []
+    for s in tri.skeleton.face_first:
+        t, f = divmod(s, 4)
+        w = 6 * t
+        a, b, c = FACET_EDGES[f]
+        rows.append((1 << edge_class[w + a]) ^ (1 << edge_class[w + b])
+                    ^ (1 << edge_class[w + c]))
+    return rows
+
+
+def _bits_of(vec, n):
+    return tuple((vec >> e) & 1 for e in range(n))
+
+
+def _assert_face_echelon_matches_reference(tri, vectors=()):
+    """The skeleton's face rows and echelon against the builder above and
+    the two reference solvers; its cocycle basis against both kernel
+    readers when the triangulation is closed with one vertex; and
+    ``is_cocycle`` on every single-edge vector and on ``vectors`` against
+    membership in the reference kernel.  Returns the reference kernel."""
+    sk = tri.skeleton
+    ne = sk.edge_count
+    rows = face_relation_rows(tri)
+    assert sk.face_rows == rows
+    echelon = sk.face_echelon
+    assert echelon == _gf2_reduce(rows)
+    # a reduced row echelon form of the right rank inside the row space:
+    # there is only one
+    rank = _reference_gf2_rank(rows)
+    assert len(echelon) == rank
+    assert _reference_gf2_rank(rows + list(echelon.values())) == rank
+    for p, row in echelon.items():
+        assert row & -row == 1 << p
+        assert all(not (row >> q) & 1 for q in echelon if q != p)
+    kernel = _reference_gf2_kernel_basis(rows, ne)
+    if tri.is_closed and sk.vertex_count == 1:
+        assert gf2_kernel_basis(rows, ne) == kernel
+        assert cocycle_basis(tri) == [Cocycle(_bits_of(vec, ne))
+                                      for vec in kernel]
+    for vec in [1 << e for e in range(ne)] + list(vectors):
+        in_kernel = _reference_gf2_rank(kernel + [vec]) == len(kernel)
+        assert is_cocycle(tri, _bits_of(vec, ne)) == in_kernel
+    return kernel
+
+
+def test_face_echelon_matches_reference_on_lens_and_family_grids():
+    bases = 0
+    for _, _, tri in chain(verifysuite._lens_grid(6),
+                           verifysuite._family_grid()):
+        kernel = _assert_face_echelon_matches_reference(tri)
+        # every sum of basis vectors is a cocycle too
+        sums = [0]
+        for vec in kernel:
+            sums += [v ^ vec for v in sums]
+        ne = tri.skeleton.edge_count
+        assert all(is_cocycle(tri, _bits_of(v, ne)) for v in sums)
+        bases += len(kernel)
+    # dim H^1(M; Z/2) summed: 63 on the 189 folds to depth 6 (one for each
+    # even lens space), 95 on the 61 members of the M, M', P and Q grids
+    assert bases == 63 + 95
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gluing_tables(), gluing_tables(kinds=("pair",))),
+       st.integers(0, (1 << 24) - 1))
+def test_face_echelon_matches_reference_on_random_tables(tri, vec):
+    vec &= (1 << tri.skeleton.edge_count) - 1
+    _assert_face_echelon_matches_reference(tri, (vec,))
+
+
+def test_analyze_reduces_the_face_rows_once(tmp_path, monkeypatch, capsys):
+    # one analyze of a one-vertex input: one reduction of d1 mod 2 in the
+    # cross-check, one of the face rows shared by the cross-check and the
+    # cocycle basis
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _gf2_reduce(rows)
+    monkeypatch.setattr(triangulation, "_gf2_reduce", counted)
+    monkeypatch.setattr(homology, "_gf2_reduce", counted)
+    tri = build.layered_loop(6, twisted=True)
+    assert tri.skeleton.vertex_count == 1
+    path = tmp_path / "loop.tri"
+    path.write_text(serialize(tri))
+    assert cli.main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"]
+    assert sorted(calls) == [1, 2 * tri.tet_count]
 
 
 # ----- the list propagation the bitset transport replaced ---------------------

