@@ -4,8 +4,9 @@ GF(2) edge colourings, canonical normal surfaces and complexity bounds.
 The package is organised around one data structure, the face-gluing
 triangulation, and a handful of modules:
 
-  triangulation   gluing tables, skeleta, orientability, canonical forms
-  homology        Smith normal form, GF(2) kernels, first homology
+  triangulation   gluing tables, skeleta and their mod-2 face rows,
+                  orientability, canonical forms
+  homology        Smith normal form, GF(2) rank, first homology
   build           layered solid tori (LayeredSolidTorus), lens folds, loops,
                   Seifert families
   cocycle         edge colourings, tetrahedron types, parity censuses

@@ -251,8 +251,10 @@ def fundamental_report(tri, phi, k_phi=0):
     types = classify_tetrahedra(tri, phi)
     census = parity_census(tri, phi, types)
     surf = canonical_surface(tri, phi, types)
-    chi = surf.chi
-    if chi != chi_formula(census):
+    chi, formula = surf.chi, chi_formula(census)
+    _log.debug("fundamental_report: cell-count chi %d, census formula chi %d",
+               chi, formula)
+    if chi != formula:
         raise AssertionError("cell-count and census Euler characteristics differ")
     hist = census.even_degree_histogram
     identity_lhs = 4 * chi + 2 * tri.tet_count
@@ -352,6 +354,43 @@ def _edge_class_transport(tri, new_tri, new_index, base, surgery):
     return mapping
 
 
+def _retriangulate(tri, old, new):
+    """Replace the tetrahedra of a region by new ones on the same region
+    vertices, returning what ``move23`` returns.
+
+    ``old`` lists (tet, names), names[v] the region vertex at vertex v of
+    tet; ``new`` lists, for each new tetrahedron, the region vertices at
+    its labels 0..3.  A facet is keyed by the bitmask of its three names.
+    Two new facets with the same names are glued name to name, opposite
+    vertex to opposite vertex; an old facet whose names match a new facet
+    hands its gluing over to it, and the other old facets lie inside the
+    region and vanish.
+    """
+    labels = [{n: v for v, n in enumerate(names)} for names in new]
+    free, internal = {}, []        # free: key -> (new tet, facet) unglued
+    for j, names in enumerate(new):
+        full = sum(1 << n for n in names)
+        for f, n in enumerate(names):
+            key = full ^ (1 << n)
+            if key not in free:
+                free[key] = (j, f)
+                continue
+            k, g = free.pop(key)
+            internal.append((k, g, j, f, Perm4(tuple(
+                f if v == g else labels[j][m] for v, m in enumerate(new[k])))))
+    external = {}
+    for t, names in old:
+        full = sum(1 << n for n in names)
+        for f, n in enumerate(names):
+            hit = free.get(full ^ (1 << n))
+            if hit is not None:
+                j, g = hit
+                external[(t, f)] = (j, Perm4(tuple(
+                    g if v == f else labels[j][m] for v, m in enumerate(names))))
+    surgery = _Surgery(tuple(t for t, _ in old), len(new), internal, external)
+    return _apply_surgery(tri, surgery) + (surgery,)
+
+
 def move23(tri, face_class):
     sk = tri.skeleton
     x = sk.face_first[face_class]
@@ -359,98 +398,48 @@ def move23(tri, face_class):
         raise TriangulationError("2-3 move needs an interior face")
     ta, fa = divmod(x, 4)
     tb, perm = tri.gluing(ta, fa)
-    fb = perm[fa]
     if ta == tb:
         raise TriangulationError("2-3 move needs two distinct tetrahedra")
-    w = FACET_VERTICES[fa]
-    internal = []
-    cyc = Perm4((0, 2, 1, 3))
-    for j in range(3):
-        internal.append((j, 1, (j + 1) % 3, 2, cyc))
-    external = {}
-    for j in range(3):
-        # facet of A opposite triangle vertex w[j]
-        amap = {fa: 0, w[(j + 1) % 3]: 1, w[(j + 2) % 3]: 2, w[j]: 3}
-        external[(ta, w[j])] = (j, Perm4.from_map(amap))
-        bmap = {fb: 3, perm[w[(j + 1) % 3]]: 1, perm[w[(j + 2) % 3]]: 2,
-                perm[w[j]]: 0}
-        external[(tb, perm[w[j]])] = (j, Perm4.from_map(bmap))
-    surgery = _Surgery((ta, tb), 3, internal, external)
-    return _apply_surgery(tri, surgery) + (surgery,)
+    # the shared face's vertices are 0, 1, 2; A's apex is 3 and B's is 4
+    names_a, names_b = [3] * 4, [4] * 4
+    for i, v in enumerate(FACET_VERTICES[fa]):
+        names_a[v] = names_b[perm[v]] = i
+    return _retriangulate(tri, [(ta, names_a), (tb, names_b)],
+                          [(3, (j + 1) % 3, (j + 2) % 3, 4) for j in range(3)])
 
 
-def _wedges(tri, edge_class, distinct):
-    wedges = tri.edge_link(edge_class)
-    tets = [w[0] for w in wedges]
-    if distinct and len(set(tets)) != len(tets):
+def _star(tri, edge_class, move, degree):
+    """The star of an edge class of the given degree as the ``old`` region
+    of ``_retriangulate``: link vertex i is f_in of wedge i and f_out of
+    wedge i+1, the head is named ``degree`` and the tail ``degree + 1``."""
+    if tri.skeleton.edge_degrees[edge_class] != degree:
+        raise TriangulationError(f"{move} move needs a degree-{degree} edge")
+    old = []
+    for i, (t, head, tail, fin, fout) in enumerate(tri.edge_link(edge_class)):
+        names = [0] * 4
+        names[head], names[tail] = degree, degree + 1
+        names[fin], names[fout] = i, (i - 1) % degree
+        old.append((t, names))
+    if len({t for t, _ in old}) != degree:
         raise TriangulationError(
             "move needs pairwise distinct tetrahedra around the edge")
-    return wedges
+    return old
 
 
 def move32(tri, edge_class):
-    if tri.skeleton.edge_degrees[edge_class] != 3:
-        raise TriangulationError("3-2 move needs a degree-3 edge")
-    wedges = _wedges(tri, edge_class, distinct=True)
-    internal = [(0, 3, 1, 3, Perm4((0, 1, 2, 3)))]
-    external = {}
-    # Link vertex B_i sits between wedges i and i+1; it is vertex f_in of
-    # wedge i and f_out of wedge i+1.  New tets: 0 = (B0,B1,B2, head pole),
-    # 1 = (B0,B1,B2, tail pole), pole carrying label 3.
-    for i, (t, head, tail, fin, fout) in enumerate(wedges):
-        this_b = i
-        prev_b = (i - 1) % 3
-        third = next(x for x in range(3) if x not in (this_b, prev_b))
-        external[(t, head)] = (1, Perm4.from_map(
-            {head: third, tail: 3, fin: this_b, fout: prev_b}))
-        external[(t, tail)] = (0, Perm4.from_map(
-            {tail: third, head: 3, fin: this_b, fout: prev_b}))
-    surgery = _Surgery(tuple(w[0] for w in wedges), 2, internal, external)
-    return _apply_surgery(tri, surgery) + (surgery,)
+    old = _star(tri, edge_class, "3-2", 3)
+    return _retriangulate(tri, old, [(0, 1, 2, 3), (0, 1, 2, 4)])
 
 
 def move44(tri, edge_class, axis=0):
-    if tri.skeleton.edge_degrees[edge_class] != 4:
-        raise TriangulationError("4-4 move needs a degree-4 edge")
-    if axis not in (0, 1):
+    # the axis is checked after the degree and before the tetrahedra
+    if tri.skeleton.edge_degrees[edge_class] == 4 and axis not in (0, 1):
         raise TriangulationError("axis must be 0 or 1")
-    wedges = _wedges(tri, edge_class, distinct=True)
-    # link square vertices B_0..B_3; new axis joins B_axis and B_axis+2
-    ax = (axis, axis + 2)
-    offax = tuple(x for x in range(4) if x not in ax)
-    # new tets: index 0: (axis0, axis1, offax0, head) 1: (.., offax1, head)
-    #           2: (axis0, axis1, offax0, tail) 3: (.., offax1, tail)
-    internal = [
-        (0, 2, 1, 2, Perm4((0, 1, 2, 3))),
-        (2, 2, 3, 2, Perm4((0, 1, 2, 3))),
-        (0, 3, 2, 3, Perm4((0, 1, 2, 3))),
-        (1, 3, 3, 3, Perm4((0, 1, 2, 3))),
-    ]
-    external = {}
-
-    def b_label(b):
-        if b == ax[0]:
-            return 0
-        if b == ax[1]:
-            return 1
-        return 2
-
-    for i, (t, head, tail, fin, fout) in enumerate(wedges):
-        b_this = i            # B_i is vertex f_in of wedge i
-        b_prev = (i - 1) % 4  # B_{i-1} is vertex f_out
-        off_b = b_this if b_this not in ax else b_prev
-        axis_b = b_this if b_this in ax else b_prev
-        other_axis_label = 1 if axis_b == ax[0] else 0
-        tet_head = 0 if off_b == offax[0] else 1
-        tet_tail = tet_head + 2
-        external[(t, head)] = (tet_tail, Perm4.from_map(
-            {tail: 3, fin: b_label(b_this), fout: b_label(b_prev),
-             head: other_axis_label}))
-        external[(t, tail)] = (tet_head, Perm4.from_map(
-            {head: 3, fin: b_label(b_this), fout: b_label(b_prev),
-             tail: other_axis_label}))
-    surgery = _Surgery(tuple(w[0] for w in wedges), 4, internal, external)
-    return _apply_surgery(tri, surgery) + (surgery,)
+    old = _star(tri, edge_class, "4-4", 4)
+    # the new axis joins link vertices axis and axis + 2
+    return _retriangulate(tri, old, [
+        (axis, axis + 2, off, pole) for pole in (4, 5)
+        for off in (1 - axis, 3 - axis)])
 
 
 def _apply_move(tri, move):
@@ -720,8 +709,7 @@ def _family_members(family, tet_count, h1=None):
         if h1 is not None:
             predicted = _homology.seifert_homology(
                 family_slopes(family, *params))
-            if (predicted.invariant_factors, predicted.betti) != \
-                    (h1.invariant_factors, h1.betti):
+            if predicted != h1:
                 continue
         yield seifert_family(family, *params)[0]
 

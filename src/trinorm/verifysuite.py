@@ -258,7 +258,7 @@ def check_moves(quick=False):
         h0 = homology.first_homology(tri)
         bigger, _, _, _ = analyze.move23(tri, faces[0])
         h1 = homology.first_homology(bigger)
-        if (h1.invariant_factors, h1.betti) != (h0.invariant_factors, h0.betti):
+        if h1 != h0:
             return False, "2-3 move changed homology"
         new_edge = max((e for e, slots
                         in enumerate(bigger.skeleton.edge_slots())
@@ -310,7 +310,7 @@ def check_moves(quick=False):
     flipped, phi2 = analyze.pachner_with_cocycle(
         tri, phi, analyze.MoveSpec("44", edge=edge, axis=0))
     h1 = homology.first_homology(flipped)
-    if (h1.invariant_factors, h1.betti) != (h0.invariant_factors, h0.betti):
+    if h1 != h0:
         return False, "4-4 move changed homology"
     newtypes = cocycle.classify_tetrahedra(flipped, phi2)[-4:]
     if any(ty is not TetType.TRI for ty, _ in newtypes):

@@ -15,13 +15,13 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              move23, move32, move44, pachner,
                              pachner_with_cocycle, supportive_tori, promote,
                              almost_supportive_tori, compression_pattern_scan,
-                             complexity_certificate)
+                             complexity_certificate, _Surgery, _apply_surgery)
 from trinorm.build import (AnnulusFilling, LayeredSolidTorus,
                            augmented_solid_torus, relayered_weight)
-from trinorm.perm import ALL_PERMS
+from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.surface import canonical_surface, euler_char
-from trinorm.triangulation import (Skeleton, TriBuilder, Triangulation,
-                                   TriangulationError, parse)
+from trinorm.triangulation import (FACET_VERTICES, Skeleton, TriBuilder,
+                                   Triangulation, TriangulationError, parse)
 from test_skeleton import gluing_tables
 from test_triangulation import _random_relabelling
 
@@ -133,6 +133,22 @@ def test_fundamental_report_k_phi_shifts_rhs():
     assert shifted.eq1_rhs == base.eq1_rhs + 16
 
 
+def test_fundamental_report_logs_both_euler_characteristics(caplog, capsys):
+    tri = build.layered_loop(6, twisted=True)
+    phis = cocycle.all_nonzero_classes(tri)
+    with caplog.at_level(logging.DEBUG, logger="trinorm.analyze"):
+        reports = [fundamental_report(tri, phi) for phi in phis]
+    records = [r for r in caplog.records if r.name == "trinorm.analyze"
+               and r.getMessage().startswith("fundamental_report")]
+    assert len(records) == len(phis)
+    for record, report in zip(records, reports):
+        assert record.levelno == logging.DEBUG and record.args
+        assert record.getMessage() == (
+            f"fundamental_report: cell-count chi {report.chi}, "
+            f"census formula chi {report.chi}")
+    assert capsys.readouterr() == ("", "")
+
+
 def _23_faces(tri):
     """Interior face classes between two distinct tetrahedra."""
     sk = tri.skeleton
@@ -197,6 +213,178 @@ def test_move_preconditions():
         move32(big, not3)
     with pytest.raises(TriangulationError):
         move44(big, not3, axis=2)
+
+
+# ----- the moves against their hand-derived tables ------------------------------
+# The facet tables the three moves had before they were derived from the
+# region vertex names by ``analyze._retriangulate``, kept as the reference.
+
+
+def ref_move23(tri, face_class):
+    sk = tri.skeleton
+    x = sk.face_first[face_class]
+    if x in sk.boundary_facets or x in sk.self_glued_facets:
+        raise TriangulationError("2-3 move needs an interior face")
+    ta, fa = divmod(x, 4)
+    tb, perm = tri.gluing(ta, fa)
+    fb = perm[fa]
+    if ta == tb:
+        raise TriangulationError("2-3 move needs two distinct tetrahedra")
+    w = FACET_VERTICES[fa]
+    internal = []
+    cyc = Perm4((0, 2, 1, 3))
+    for j in range(3):
+        internal.append((j, 1, (j + 1) % 3, 2, cyc))
+    external = {}
+    for j in range(3):
+        # facet of A opposite triangle vertex w[j]
+        amap = {fa: 0, w[(j + 1) % 3]: 1, w[(j + 2) % 3]: 2, w[j]: 3}
+        external[(ta, w[j])] = (j, Perm4.from_map(amap))
+        bmap = {fb: 3, perm[w[(j + 1) % 3]]: 1, perm[w[(j + 2) % 3]]: 2,
+                perm[w[j]]: 0}
+        external[(tb, perm[w[j]])] = (j, Perm4.from_map(bmap))
+    surgery = _Surgery((ta, tb), 3, internal, external)
+    return _apply_surgery(tri, surgery) + (surgery,)
+
+
+def _wedges(tri, edge_class, distinct):
+    wedges = tri.edge_link(edge_class)
+    tets = [w[0] for w in wedges]
+    if distinct and len(set(tets)) != len(tets):
+        raise TriangulationError(
+            "move needs pairwise distinct tetrahedra around the edge")
+    return wedges
+
+
+def ref_move32(tri, edge_class):
+    if tri.skeleton.edge_degrees[edge_class] != 3:
+        raise TriangulationError("3-2 move needs a degree-3 edge")
+    wedges = _wedges(tri, edge_class, distinct=True)
+    internal = [(0, 3, 1, 3, Perm4((0, 1, 2, 3)))]
+    external = {}
+    # Link vertex B_i sits between wedges i and i+1; it is vertex f_in of
+    # wedge i and f_out of wedge i+1.  New tets: 0 = (B0,B1,B2, head pole),
+    # 1 = (B0,B1,B2, tail pole), pole carrying label 3.
+    for i, (t, head, tail, fin, fout) in enumerate(wedges):
+        this_b = i
+        prev_b = (i - 1) % 3
+        third = next(x for x in range(3) if x not in (this_b, prev_b))
+        external[(t, head)] = (1, Perm4.from_map(
+            {head: third, tail: 3, fin: this_b, fout: prev_b}))
+        external[(t, tail)] = (0, Perm4.from_map(
+            {tail: third, head: 3, fin: this_b, fout: prev_b}))
+    surgery = _Surgery(tuple(w[0] for w in wedges), 2, internal, external)
+    return _apply_surgery(tri, surgery) + (surgery,)
+
+
+def ref_move44(tri, edge_class, axis=0):
+    if tri.skeleton.edge_degrees[edge_class] != 4:
+        raise TriangulationError("4-4 move needs a degree-4 edge")
+    if axis not in (0, 1):
+        raise TriangulationError("axis must be 0 or 1")
+    wedges = _wedges(tri, edge_class, distinct=True)
+    # link square vertices B_0..B_3; new axis joins B_axis and B_axis+2
+    ax = (axis, axis + 2)
+    offax = tuple(x for x in range(4) if x not in ax)
+    # new tets: index 0: (axis0, axis1, offax0, head) 1: (.., offax1, head)
+    #           2: (axis0, axis1, offax0, tail) 3: (.., offax1, tail)
+    internal = [
+        (0, 2, 1, 2, Perm4((0, 1, 2, 3))),
+        (2, 2, 3, 2, Perm4((0, 1, 2, 3))),
+        (0, 3, 2, 3, Perm4((0, 1, 2, 3))),
+        (1, 3, 3, 3, Perm4((0, 1, 2, 3))),
+    ]
+    external = {}
+
+    def b_label(b):
+        if b == ax[0]:
+            return 0
+        if b == ax[1]:
+            return 1
+        return 2
+
+    for i, (t, head, tail, fin, fout) in enumerate(wedges):
+        b_this = i            # B_i is vertex f_in of wedge i
+        b_prev = (i - 1) % 4  # B_{i-1} is vertex f_out
+        off_b = b_this if b_this not in ax else b_prev
+        axis_b = b_this if b_this in ax else b_prev
+        other_axis_label = 1 if axis_b == ax[0] else 0
+        tet_head = 0 if off_b == offax[0] else 1
+        tet_tail = tet_head + 2
+        external[(t, head)] = (tet_tail, Perm4.from_map(
+            {tail: 3, fin: b_label(b_this), fout: b_label(b_prev),
+             head: other_axis_label}))
+        external[(t, tail)] = (tet_head, Perm4.from_map(
+            {head: 3, fin: b_label(b_this), fout: b_label(b_prev),
+             tail: other_axis_label}))
+    surgery = _Surgery(tuple(w[0] for w in wedges), 4, internal, external)
+    return _apply_surgery(tri, surgery) + (surgery,)
+
+
+def _directed(internal):
+    """The internal gluings of a surgery, each listed from both sides."""
+    return ({(t1, f1, t2, perm) for t1, f1, t2, _, perm in internal}
+            | {(t2, perm[f1], t1, perm.inverse())
+               for t1, f1, t2, _, perm in internal})
+
+
+def _assert_moves_match_reference(tri):
+    """Every face, edge and axis of ``tri`` is moved to the same surgery
+    as by the reference tables, or refused with the same text; returns the
+    number of moves made."""
+    sk = tri.skeleton
+    sites = [(move23, ref_move23, (f,)) for f in range(sk.face_count)]
+    sites += [(move32, ref_move32, (e,)) for e in range(sk.edge_count)]
+    sites += [(move44, ref_move44, (e, axis)) for e in range(sk.edge_count)
+              for axis in (0, 1, 2)]
+    moved = 0
+    for move, reference, args in sites:
+        try:
+            want = reference(tri, *args)
+        except TriangulationError as refusal:
+            with pytest.raises(TriangulationError) as got:
+                move(tri, *args)
+            assert str(got.value) == str(refusal)
+            continue
+        new_tri, new_index, base, surgery = move(tri, *args)
+        assert (new_tri, new_index, base) == want[:3]
+        assert (surgery.doomed, surgery.new_count, surgery.external) == \
+            (want[3].doomed, want[3].new_count, want[3].external)
+        assert _directed(surgery.internal) == _directed(want[3].internal)
+        moved += 1
+    return moved
+
+
+def _descendants(tri, rng, steps):
+    """``tri`` after up to ``steps`` 2-3 moves on random faces."""
+    for _ in range(steps):
+        faces = _23_faces(tri)
+        if not faces:
+            break
+        tri = move23(tri, rng.choice(faces))[0]
+    return tri
+
+
+def test_moves_match_reference_on_the_grids():
+    pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
+            build.layered_loop(6, twisted=True),
+            build.seifert_family("M", 1, 1, 1)[0]]
+    grid = [build.lens_space(1, q)[0] for q in range(2, 29)]
+    grid += [build.layered_loop(n, twisted) for n in range(3, 20)
+             for twisted in (False, True)]
+    grid += [build.seifert_family(tag, *params)[0] for tag, params in (
+        ("M", (1, 1, 1)), ("M", (2, 1, 2)), ("MPRIME", (1, 1, 1)),
+        ("MPRIME", (1, 2, 1)), ("P", (1,)), ("P", (2,)))]
+    rng = random.Random(22)
+    grid += [_descendants(tri, rng, 3) for tri in pool + grid[:10]]
+    moved = sum(_assert_moves_match_reference(tri) for tri in pool + grid)
+    assert moved > 1500
+
+
+@settings(max_examples=150, deadline=None)
+@given(gluing_tables())
+def test_moves_match_reference_on_random_tables(tri):
+    _assert_moves_match_reference(tri)
 
 
 def test_cocycle_transport_through_moves():
