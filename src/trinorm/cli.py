@@ -30,9 +30,12 @@ class UsageError(Exception):
 def _load(path):
     """Read a .tri file and reject what ``_require_manifold`` rejects."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise TriangulationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise TriangulationError(
+            f"cannot read {path}: not UTF-8 text") from None
     return _require_manifold(parse(text))
 
 
@@ -56,7 +59,7 @@ def _require_manifold(tri):
 
 def _write(path, text):
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise TriangulationError(
             f"cannot write {path}: {exc.strerror}") from None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from functools import cached_property
-from itertools import repeat
 
 from .perm import Perm4, ALL_PERMS, BY_CODE, INVERSE, PRODUCT
 
@@ -161,15 +160,6 @@ class _UnionFind:
             parity[node] = acc
         return root, acc
 
-    def flatten(self):
-        """Point every node straight at its root; returns the parent and
-        parity lists, each parity now relative to the node's root."""
-        parent = self.parent
-        for x in range(len(parent)):
-            if parent[parent[x]] != parent[x]:
-                self.find(x)
-        return parent, self.parity
-
     def union(self, x, y, rel):
         self.union_all((x,), (y,), (rel,))
 
@@ -202,6 +192,31 @@ class _UnionFind:
             if ry in conflict:
                 conflict.discard(ry)
                 conflict.add(rx)
+
+    def numbered(self):
+        """The classes numbered by their first node, in one pass that
+        resolves each node's root and parity.  Returns each node's class,
+        each class's first node, each node's sign (+1 where its parity to
+        its root is 0, -1 where it is 1) and the classes marked in
+        ``conflict``.  A class's direction follows its root, not its first
+        node."""
+        parent, parity, find = self.parent, self.parity, self.find
+        of_root = [-1] * len(parent)
+        classes, signs, firsts = [], [], []
+        for x, rx in enumerate(parent):
+            # find() inlined for a node at most one step below its root
+            if parent[rx] == rx:
+                px = parity[x]
+            else:
+                rx, px = find(x)
+            c = of_root[rx]
+            if c < 0:
+                c = of_root[rx] = len(firsts)
+                firsts.append(x)
+            classes.append(c)
+            signs.append(1 - 2 * px)
+        return (classes, firsts, signs,
+                frozenset(of_root[r] for r in self.conflict))
 
 
 def _gf2_reduce(rows):
@@ -240,8 +255,11 @@ class Skeleton:
     being numbered by their first slot, which ``vertex_first`` and
     ``edge_first`` record; ``face_first`` lists the first slot of each
     face class.  ``edge_sign`` is +1 where the slot's ascending
-    orientation is the class direction and -1 where it is reversed; a
-    vertex slot's sign is always +1.  ``invalid_edges`` holds the edge
+    orientation is the class direction and -1 where it is reversed; the
+    direction is that of the class's union-find root, where the edge
+    unions, run in order of each gluing's lower facet slot, keep the
+    lower side's root.  A vertex slot's sign is always +1, so vertex
+    classes carry no direction.  ``invalid_edges`` holds the edge
     classes identified with themselves reversed, ``boundary_facets`` and
     ``self_glued_facets`` the facet slots left free or glued to themselves.
     ``edge_degrees``, ``boundary_edges``, ``face_rows`` and
@@ -322,23 +340,6 @@ class Skeleton:
         return self.edge_class[x], self.edge_sign[x]
 
 
-def _numbered(uf):
-    """Classes of a finished union-find over slots, numbered by their first
-    slot: returns each slot's class, each class's first slot, and the
-    class of each root.  A slot's parity is relative to its root, so a
-    class's direction follows its root, not its first slot."""
-    parent, _ = uf.flatten()
-    # roots in the order of their first slot; the reversed walk leaves
-    # each root's least slot in ``first``
-    of_root = dict.fromkeys(parent)
-    first = dict(zip(reversed(parent), range(len(parent) - 1, -1, -1)))
-    firsts = []
-    for c, root in enumerate(of_root):
-        of_root[root] = c
-        firsts.append(first[root])
-    return list(map(of_root.__getitem__, parent)), firsts, of_root
-
-
 class Triangulation:
     """Immutable face-gluing table.
 
@@ -402,10 +403,13 @@ class Triangulation:
     @cached_property
     def skeleton(self):
         n = self.tet_count
-        # the unions, collected in gluing order and applied in one batch
-        # per union-find: vertex slot pairs, each at parity 0, and edge
-        # slot pairs with their flip bits
-        vert_x, vert_y = [], []
+        # vertex slots are joined as each gluing is read, in a partition
+        # whose roots are the least slot of their class: a root is linked
+        # under the lesser root, and finds halve their paths.  A vertex
+        # slot's sign is always +1, so the root carries no direction.
+        vert = list(range(4 * n))
+        # the edge unions, collected in gluing order and applied in one
+        # batch: edge slot pairs with their flip bits
         edge_x, edge_y, edge_rel = [], [], []
         # a face class is one free facet, one self-glued facet, or a lower
         # slot with the upper slot it is glued to, numbered by lower slot
@@ -431,23 +435,35 @@ class Triangulation:
                 face_first.append(x)
                 if y == x:
                     self_glued.append(x)
-                (v0, w0), (v1, w1), (v2, w2) = vertices
-                vert_x += (t4 + v0, t4 + v1, t4 + v2)
-                vert_y += (u4 + w0, u4 + w1, u4 + w2)
+                for v, w in vertices:
+                    a = t4 + v
+                    while vert[a] != a:
+                        vert[a] = a = vert[vert[a]]
+                    b = u4 + w
+                    while vert[b] != b:
+                        vert[b] = b = vert[vert[b]]
+                    if a < b:
+                        vert[b] = a
+                    elif b < a:
+                        vert[a] = b
                 u6 = 6 * u
                 (e0, d0, r0), (e1, d1, r1), (e2, d2, r2) = edges
                 edge_x += (t6 + e0, t6 + e1, t6 + e2)
                 edge_y += (u6 + d0, u6 + d1, u6 + d2)
                 edge_rel += (r0, r1, r2)
-        vert_uf = _UnionFind(4 * n)
-        vert_uf.union_all(vert_x, vert_y, repeat(0))
+        # every slot's parent is a lesser slot of its class or itself, so
+        # a class is numbered at its root, its first slot, and each later
+        # slot takes its parent's class
+        vertex_class, vertex_first = [], []
+        for x, a in enumerate(vert):
+            if a == x:
+                vertex_class.append(len(vertex_first))
+                vertex_first.append(x)
+            else:
+                vertex_class.append(vertex_class[a])
         edge_uf = _UnionFind(6 * n)
         edge_uf.union_all(edge_x, edge_y, edge_rel)
-
-        vertex_class, vertex_first, _ = _numbered(vert_uf)
-        edge_class, edge_first, of_root = _numbered(edge_uf)
-        edge_sign = [1 - 2 * p for p in edge_uf.parity]
-        invalid_edges = frozenset(of_root[r] for r in edge_uf.conflict)
+        edge_class, edge_first, edge_sign, invalid_edges = edge_uf.numbered()
         return Skeleton(vertex_class, vertex_first, edge_class, edge_sign,
                         edge_first, invalid_edges, face_first,
                         boundary_facets, self_glued)

@@ -269,6 +269,19 @@ def test_invalid_edge_is_a_domain_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_file_that_is_not_utf8_is_named(command, tmp_path, capsys):
+    path = tmp_path / "latin1.tri"
+    path.write_bytes(b"tri 1\ntet 0: - - - -\n# \xff\n")
+    out = tmp_path / "out.tri"
+    extra = [a.format(out=out) for a in FILE_COMMANDS[command]]
+    assert main(command.split() + [str(path)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {path}: not UTF-8 text\n"
+    assert not out.exists()
+
+
 # closed, valid, one vertex, no self-glued facet, and not a manifold: two
 # edge classes for two tetrahedra, so V - E + T = 1 and the vertex link is
 # not a sphere

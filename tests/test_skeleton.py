@@ -218,6 +218,13 @@ def test_fraction_tree_and_folds_match_reference():
     assert n == 3 * 1023
 
 
+def test_deep_inputs_match_reference():
+    # long chains of unions: paths the finds must halve and compress
+    for tri in (build.lens_space(1, 400)[0], build.layered_loop(200, True),
+                build.seifert_family("M", 20, 20, 20)[0]):
+        _assert_matches_reference(tri)
+
+
 def test_seifert_family_grids_match_reference():
     tags = set()
     for tag, _, tri in verifysuite._family_grid():
@@ -290,6 +297,20 @@ def test_random_tables_reach_every_kind_of_gluing():
 # ----- the parity union-find -------------------------------------------------------
 
 
+def _reference_numbering(ref):
+    """The classes of a finished reference union-find as the skeleton read
+    them before it numbered them in one pass: flatten, number each root at
+    its first slot, and a sign per slot from its parity."""
+    parent, parity = ref.flatten()
+    of_root = dict.fromkeys(parent)
+    for c, root in enumerate(of_root):
+        of_root[root] = c
+    return ([of_root[r] for r in parent],
+            [parent.index(r) for r in of_root],
+            [1 - 2 * p for p in parity],
+            frozenset(of_root[r] for r in ref.conflict))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
@@ -298,8 +319,12 @@ def test_random_tables_reach_every_kind_of_gluing():
 def test_union_find_matches_graph_search(case):
     n, relations = case
     uf = _UnionFind(n)
+    ref = _ReferenceUnionFind(n)
     for x, y, rel in relations:
         uf.union(x, y, rel)
+        ref.union(x, y, rel)
+    numbered = uf.numbered()
+    assert numbered == _reference_numbering(ref)
     # graph search: a parity label per node, and which components hold an
     # odd cycle
     adjacent = [[] for _ in range(n)]
@@ -321,17 +346,19 @@ def test_union_find_matches_graph_search(case):
                 elif label[y] != label[x] ^ rel:
                     odd.add(start)
     found = [uf.find(x) for x in range(n)]
-    parent, parity = uf.flatten()
+    classes, firsts, signs, conflict = numbered
     for x in range(n):
         root, p = found[x]
-        assert (parent[x], parity[x]) == (root, p)
+        assert (classes[x], signs[x]) == (classes[root], 1 - 2 * p)
+        assert component[firsts[classes[x]]] == component[x]
         assert component[root] == component[x]
         if component[x] not in odd:
             # with an odd cycle the parities are not determined
             assert p == label[x] ^ label[root]
     assert {component[r] for r in uf.conflict} == odd
+    assert {component[firsts[c]] for c in conflict} == odd
     roots = {r for r, _ in found}
-    assert len(roots) == len(set(component.values()))
+    assert len(roots) == len(firsts) == len(set(component.values()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,5 +382,5 @@ def test_batch_union_matches_reference_union_find(case, split):
         uf.union(x, y, rel)
     assert (uf.parent, uf.parity, uf.conflict) == \
         (ref.parent, ref.parity, ref.conflict)
-    assert uf.flatten() == ref.flatten()
+    assert uf.numbered() == _reference_numbering(ref)
     assert [uf.find(x) for x in range(n)] == [ref.find(x) for x in range(n)]
