@@ -44,6 +44,10 @@ class Cocycle:
         return tuple(i for i, b in enumerate(self.bits) if b)
 
     def __add__(self, other):
+        if len(other.bits) != len(self.bits):
+            raise TriangulationError(
+                f"cannot add cocycles on {len(self.bits)} and "
+                f"{len(other.bits)} edges")
         return Cocycle(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
     def __str__(self):

@@ -1,9 +1,10 @@
 """Normal coordinate arithmetic and the canonical dual surfaces.
 
-A coordinate assigns to each tetrahedron multiplicities of the four
-vertex-linking triangles, three quadrilateral types and three octagon
-types.  The incidence tables below are the single source of truth for how
-each disc meets the edges and faces of its tetrahedron:
+A coordinate assigns to each tetrahedron one row of ten disc counts: the
+four vertex-linking triangles, the three quadrilateral types and the three
+octagon types, in that order.  The incidence tables below are the single
+source of truth for how each disc meets the edges and faces of its
+tetrahedron, and every one of them is indexed by the same ten entries:
 
   triangle at vertex v   crosses the three edges at v once; one arc per
                          incident facet, cutting off v.
@@ -18,9 +19,9 @@ each disc meets the edges and faces of its tetrahedron:
 Octagons only arise from b-modifications of all-quad canonical surfaces.
 
 The cell count ``euler_char``, the edge weights, the surface
-classification and the formal Euler characteristic all read the disc
-tables derived from these incidences: ``_DISC_ARCS``,
-``DISC_EDGE_WEIGHTS`` and the corner lists built from them.
+classification and the formal Euler characteristic all read a coordinate's
+rows as they are, against the disc tables derived from these incidences:
+``_DISC_ARCS``, ``DISC_EDGE_WEIGHTS`` and the corner lists built from them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, repeat
-from operator import eq, mul
+from operator import add, eq, mul
 
 from .triangulation import (EDGE_VERTICES, FACET_VERTICES,
                             TriangulationError, _UnionFind)
@@ -89,40 +90,44 @@ def _disc_arcs(d):
 _DISC_ARCS = tuple(_disc_arcs(d) for d in range(10))
 _DISC_EDGES = tuple(tuple(e for e in range(6) for _ in range(row[e]))
                     for row in DISC_EDGE_WEIGHTS)
+# the row with no disc, and _UNIT_ROWS[d]: the row with one disc of type d
+_ZERO_ROW = (0,) * 10
+_UNIT_ROWS = tuple(tuple(int(d == e) for e in range(10)) for d in range(10))
+
+
+class CoordinateError(TriangulationError):
+    pass
 
 
 @dataclass(frozen=True)
 class NormalCoordinate:
     """Per-tetrahedron disc multiplicities.
 
-    tris[t] has four entries, quads[t] and octs[t] three each.  Formal
-    coordinates may carry negative quad entries and are exempt from the
-    embeddability restriction of one quad-or-octagon type per tetrahedron.
+    rows[t] holds the ten counts of tetrahedron t in the order of
+    DISC_EDGE_WEIGHTS: triangles at vertices 0-3, then quads and octagons
+    of types 0-2.  Formal coordinates may carry negative quad entries and
+    are exempt from the embeddability restriction of one quad-or-octagon
+    type per tetrahedron.
     """
-    tris: tuple
-    quads: tuple
-    octs: tuple
+    rows: tuple
     formal: bool = False
 
     @classmethod
     def zero(cls, tet_count, formal=False):
-        return cls(tuple((0,) * 4 for _ in range(tet_count)),
-                   tuple((0,) * 3 for _ in range(tet_count)),
-                   tuple((0,) * 3 for _ in range(tet_count)),
-                   formal)
+        return cls((_ZERO_ROW,) * tet_count, formal)
 
     @property
     def tet_count(self):
-        return len(self.tris)
+        return len(self.rows)
 
     def __add__(self, other):
+        if other.tet_count != self.tet_count:
+            raise CoordinateError(
+                f"cannot add coordinates of {self.tet_count} and "
+                f"{other.tet_count} tetrahedra")
         return NormalCoordinate(
-            tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.tris, other.tris)),
-            tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.quads, other.quads)),
-            tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.octs, other.octs)),
+            tuple(tuple(map(add, ra, rb))
+                  for ra, rb in zip(self.rows, other.rows)),
             self.formal or other.formal)
 
     def __sub__(self, other):
@@ -130,23 +135,14 @@ class NormalCoordinate:
 
     def scale(self, c):
         return NormalCoordinate(
-            tuple(tuple(c * a for a in r) for r in self.tris),
-            tuple(tuple(c * a for a in r) for r in self.quads),
-            tuple(tuple(c * a for a in r) for r in self.octs),
+            tuple(tuple(c * a for a in r) for r in self.rows),
             formal=self.formal or c < 0)
 
     def dump(self):
-        lines = []
-        for t in range(self.tet_count):
-            lines.append("%d: %s | %s | %s" % (
-                t, " ".join(map(str, self.tris[t])),
-                " ".join(map(str, self.quads[t])),
-                " ".join(map(str, self.octs[t]))))
-        return "\n".join(lines)
-
-
-class CoordinateError(TriangulationError):
-    pass
+        """One line per tetrahedron: its triangles, quads and octagons,
+        the three groups split by bars."""
+        return "\n".join("%d: %s %s %s %s | %s %s %s | %s %s %s" % (t, *row)
+                         for t, row in enumerate(self.rows))
 
 
 def _check_size(tri, coord):
@@ -174,10 +170,9 @@ def edge_weights(tri, coord):
     one class must agree."""
     _check_size(tri, coord)
     slot_weights = [0] * (6 * tri.tet_count)
-    for t, (tr, qu, oc) in enumerate(zip(coord.tris, coord.quads,
-                                         coord.octs)):
+    for t, row in enumerate(coord.rows):
         w = 6 * t
-        for d, c in enumerate(tr + qu + oc):
+        for d, c in enumerate(row):
             if c:
                 for ei in _DISC_EDGES[d]:
                     slot_weights[w + ei] += c
@@ -186,11 +181,11 @@ def edge_weights(tri, coord):
 
 @lru_cache(maxsize=4096)
 def _tet_cells(counts):
-    """The cells that one tetrahedron's ten disc counts (tris + quads +
-    octs) add: its arc row, where entry 4*facet + vertex counts the arcs
-    cutting off the vertex in the facet, its six edge-slot weights and its
-    number of discs.  Counts that are not embeddable give instead the
-    message of the error they raise, with {} for the tetrahedron."""
+    """The cells that one tetrahedron's row of ten disc counts adds: its
+    arc row, where entry 4*facet + vertex counts the arcs cutting off the
+    vertex in the facet, its six edge-slot weights and its number of
+    discs.  Counts that are not embeddable give instead the message of
+    the error they raise, with {} for the tetrahedron."""
     if min(counts) < 0:
         return "negative multiplicity in tetrahedron {}"
     if counts[4:].count(0) < 5:
@@ -219,8 +214,7 @@ def euler_char(tri, coord, weights=None):
         raise CoordinateError("formal coordinates are not embeddable")
     # each tetrahedron's cells, looked up by its counts; the first
     # tetrahedron that is not embeddable raises
-    cells = [_tet_cells(tr + qu + oc)
-             for tr, qu, oc in zip(coord.tris, coord.quads, coord.octs)]
+    cells = list(map(_tet_cells, coord.rows))
     if str in map(type, cells):
         t = list(map(type, cells)).index(str)
         raise CoordinateError(cells[t].format(t))
@@ -247,10 +241,7 @@ def euler_char(tri, coord, weights=None):
 def vertex_link(tri):
     """One triangle of every type in every tetrahedron: the link of the
     vertices, a sphere for each vertex class."""
-    n = tri.tet_count
-    return NormalCoordinate(tuple((1, 1, 1, 1) for _ in range(n)),
-                            tuple((0, 0, 0) for _ in range(n)),
-                            tuple((0, 0, 0) for _ in range(n)))
+    return NormalCoordinate(((1,) * 4 + (0,) * 6,) * tri.tet_count)
 
 
 # ----- the canonical surface -------------------------------------------------
@@ -263,25 +254,28 @@ class CanonicalSurface:
     chi: int
 
 
+# the row of the canonical surface in a tetrahedron of each type that
+# classify_tetrahedra gives: a quad dual to the even pair, a triangle at
+# the odd corner, or nothing
+_CANONICAL_ROWS = {(TetType.EMPTY, None): _ZERO_ROW}
+_CANONICAL_ROWS.update(((TetType.TRI, v), _UNIT_ROWS[v]) for v in range(4))
+_CANONICAL_ROWS.update(((TetType.QUAD, i), _UNIT_ROWS[4 + i])
+                       for i in range(3))
+
+
 def canonical_surface(tri, phi, types=None):
     """The unique normal surface meeting every odd edge once: a quad dual to
     the even pair in each QUAD tetrahedron, one triangle at the odd corner
     of each TRI one, nothing in EMPTY ones; ``types`` as in parity_census."""
     if types is None:
         types = classify_tetrahedra(tri, phi)
-    n = tri.tet_count
-    tris = [[0] * 4 for _ in range(n)]
-    quads = [[0] * 3 for _ in range(n)]
-    for t, (ty, detail) in enumerate(types):
-        if ty is TetType.QUAD:
-            quads[t][detail] = 1
-        elif ty is TetType.TRI:
-            tris[t][detail] = 1
-    coord = NormalCoordinate(tuple(tuple(r) for r in tris),
-                             tuple(tuple(r) for r in quads),
-                             tuple((0, 0, 0) for _ in range(n)))
+    coord = NormalCoordinate(tuple(map(_CANONICAL_ROWS.__getitem__, types)))
     ws = edge_weights(tri, coord)
-    if any(w != phi[e] for e, w in enumerate(ws)):
+    differ = [e for e, w in enumerate(ws) if w != phi[e]]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("canonical_surface: %d edge weights against the "
+                   "colouring, differing on edges %s", len(ws), differ)
+    if differ:
         raise AssertionError("canonical surface weight differs from parity")
     return CanonicalSurface(coord, phi, euler_char(tri, coord, ws))
 
@@ -302,19 +296,13 @@ def _b_row(qi, c1, c2):
     """The discs that replace the quad of type ``qi`` when c1 and c2 say
     which edges of its even pair are selected: the quad when neither is,
     one octagon when both are, and else two triangles at the ends of the
-    selected edge.  Returns (tris, quads, octs, octagon count)."""
-    tris, quads, octs = [0] * 4, [0] * 3, [0] * 3
-    e1, e2 = QUAD_PAIRS[qi]
+    selected edge.  Returns (row, octagon count)."""
     if not c1 and not c2:
-        quads[qi] = 1
-    elif c1 and c2:
-        octs[qi] = 1
-    else:
-        heavy = e1 if c1 else e2
-        a, bb = EDGE_VERTICES[heavy]
-        tris[a] += 1
-        tris[bb] += 1
-    return tuple(tris), tuple(quads), tuple(octs), octs[qi]
+        return _UNIT_ROWS[4 + qi], 0
+    if c1 and c2:
+        return _UNIT_ROWS[7 + qi], 1
+    a, b = EDGE_VERTICES[QUAD_PAIRS[qi][0 if c1 else 1]]
+    return tuple(map(add, _UNIT_ROWS[a], _UNIT_ROWS[b])), 0
 
 
 # _B_ROWS[4*qi + 2*c1 + c2]: the row of _b_row(qi, c1, c2)
@@ -344,18 +332,19 @@ def b_modification(tri, canon, b_edges):
     for e in b:
         selected[e] = 1
     edge_class = sk.edge_class
-    rows = []
-    for t, canon_quads in enumerate(canon.coord.quads):
+    picked = []
+    for t, canon_row in enumerate(canon.coord.rows):
+        canon_quads = canon_row[4:7]
         if not any(canon_quads):
             raise TriangulationError(
                 "b-modification needs all tetrahedra of quad type")
         qi = canon_quads.index(1)
         e1, e2 = QUAD_PAIRS[qi]
         w = 6 * t
-        rows.append(_B_ROWS[4 * qi + 2 * selected[edge_class[w + e1]]
-                            + selected[edge_class[w + e2]]])
-    tris, quads, octs, oct_counts = zip(*rows) if rows else ((),) * 4
-    coord = NormalCoordinate(tris, quads, octs)
+        picked.append(_B_ROWS[4 * qi + 2 * selected[edge_class[w + e1]]
+                              + selected[edge_class[w + e2]]])
+    rows, oct_counts = zip(*picked) if picked else ((), ())
+    coord = NormalCoordinate(rows)
     oct_count = sum(oct_counts)
     chi = euler_char(tri, coord)
     formula = canon.chi - 2 * oct_count + 2 * len(b)
@@ -376,12 +365,20 @@ def tet_solution(tri, tet):
     tetrahedron; satisfies the matching equations with zero arcs.  The
     other tetrahedra share one zero row."""
     n = tri.tet_count
-    tris = [(0,) * 4] * n
-    quads = [(0,) * 3] * n
-    tris[tet] = (1, 1, 1, 1)
-    quads[tet] = (-1, -1, -1)
-    return NormalCoordinate(tuple(tris), tuple(quads), ((0,) * 3,) * n,
-                            formal=True)
+    if not 0 <= tet < n:
+        raise CoordinateError(
+            f"{tet} is not a tetrahedron of a {n}-tetrahedron triangulation")
+    rows = [_ZERO_ROW] * n
+    rows[tet] = (1, 1, 1, 1, -1, -1, -1, 0, 0, 0)
+    return NormalCoordinate(tuple(rows), formal=True)
+
+
+# _SLOT_ROWS[ei]: what one slot of an edge class at edge ei of a
+# tetrahedron adds to its edge solution, the two triangles at the ends of
+# the edge plus the quad disjoint from it with coefficient -1
+_SLOT_ROWS = tuple(tuple(int(v in EDGE_VERTICES[ei]) for v in range(4))
+                   + tuple(-int(ei in pair) for pair in QUAD_PAIRS)
+                   + (0, 0, 0) for ei in range(6))
 
 
 def _edge_solution(tri, slots):
@@ -389,22 +386,11 @@ def _edge_solution(tri, slots):
     every slot, the two triangles at its ends plus the quad disjoint from
     it with coefficient -1.  The tetrahedra it misses share one zero
     row."""
-    touched = {}
+    rows = [_ZERO_ROW] * tri.tet_count
     for x in slots:
         t, ei = divmod(x, 6)
-        tr, qu = touched.setdefault(t, ([0] * 4, [0] * 3))
-        a, b = EDGE_VERTICES[ei]
-        tr[a] += 1
-        tr[b] += 1
-        qi = next(i for i in range(3) if ei in QUAD_PAIRS[i])
-        qu[qi] -= 1
-    n = tri.tet_count
-    tris = [(0,) * 4] * n
-    quads = [(0,) * 3] * n
-    for t, (tr, qu) in touched.items():
-        tris[t], quads[t] = tuple(tr), tuple(qu)
-    return NormalCoordinate(tuple(tris), tuple(quads), ((0,) * 3,) * n,
-                            formal=True)
+        rows[t] = tuple(map(add, rows[t], _SLOT_ROWS[ei]))
+    return NormalCoordinate(tuple(rows), formal=True)
 
 
 def _formal_chi_functional(tri):
@@ -435,9 +421,8 @@ def _formal_chi_functional(tri):
     def chi(coord):
         _check_size(tri, coord)
         total = 0
-        for row, tr, qu, oc in zip(table, coord.tris, coord.quads,
-                                   coord.octs):
-            total += sum(map(mul, row, tr + qu + oc))
+        for row, counts in zip(table, coord.rows):
+            total += sum(map(mul, row, counts))
         value = Fraction(total, scale)
         return int(value) if value.denominator == 1 else value
     return chi
@@ -521,11 +506,11 @@ _CORNER_DISCS = tuple(
 
 
 def _tet_arcs(counts):
-    """The arcs that one tetrahedron's ten disc counts (tris + quads +
-    octs) put at each corner 4*facet + vertex: the discs there, nearest
-    the vertex first, each with its bit.  Discs are numbered type by type
-    from 0, the copies of type d from the prefix sum of the counts before
-    it; a type with its bit set lists them from the last copy."""
+    """The arcs that one tetrahedron's row of ten disc counts puts at each
+    corner 4*facet + vertex: the discs there, nearest the vertex first,
+    each with its bit.  Discs are numbered type by type from 0, the copies
+    of type d from the prefix sum of the counts before it; a type with its
+    bit set lists them from the last copy."""
     first = list(accumulate(counts, initial=0))
     out = []
     for corner in _CORNER_DISCS:
@@ -539,9 +524,7 @@ def _tet_arcs(counts):
 
 # the arcs of the eleven rows with at most one disc, the empty row and one
 # per disc type: every row of a canonical surface is one of them
-_UNIT_ARCS = {row: _tet_arcs(row)
-              for row in [(0,) * 10] + [tuple(int(d == e) for e in range(10))
-                                        for d in range(10)]}
+_UNIT_ARCS = {row: _tet_arcs(row) for row in (_ZERO_ROW,) + _UNIT_ROWS}
 
 
 def surface_classify(tri, coord, chi=None):
@@ -559,8 +542,7 @@ def surface_classify(tri, coord, chi=None):
         chi = euler_char(tri, coord)
     else:
         _check_size(tri, coord)
-    counts = [tr + qu + oc
-              for tr, qu, oc in zip(coord.tris, coord.quads, coord.octs)]
+    counts = coord.rows
     # the discs of tetrahedron t are numbered from start[t] on
     start = list(accumulate(map(sum, counts), initial=0))
     total = start[-1]

@@ -122,6 +122,16 @@ def test_cocycle_sum_stays_cocycle(data):
     assert cocycle.is_cocycle(tri, acc.bits)
 
 
+def test_cocycles_of_different_sizes_do_not_add():
+    with pytest.raises(TriangulationError,
+                       match="^cannot add cocycles on 3 and 1 edges$"):
+        Cocycle((1, 0, 1)) + Cocycle((1,))
+    with pytest.raises(TriangulationError,
+                       match="^cannot add cocycles on 1 and 3 edges$"):
+        Cocycle((1,)) + Cocycle((1, 0, 1))
+    assert Cocycle((1, 0, 1)) + Cocycle((1, 1, 0)) == Cocycle((0, 1, 1))
+
+
 # ----- the per-slot colouring against the per-tetrahedron loops --------------
 #
 # The loops the colouring ran before it read ``phi.bits`` through the

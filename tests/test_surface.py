@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trinorm import build, cocycle, surface, verifysuite
+from trinorm.cocycle import TetType
 from trinorm.surface import (NormalCoordinate, CoordinateError,
                              canonical_surface, chi_formula, edge_weights,
                              euler_char, vertex_link, b_modification,
@@ -22,6 +23,41 @@ from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
                                    OPPOSITE_EDGE, Skeleton,
                                    TriangulationError, _UnionFind, parse)
 from test_skeleton import gluing_tables
+
+
+# a coordinate's rows split into the triangle, quad and octagon counts of
+# each tetrahedron, and joined back, for the references below that read
+# and write the three parts apart.  The references read the parts in
+# inner loops, so the split of the last coordinate read is kept
+_last_split = [None, None]
+
+
+def _split(coord):
+    if _last_split[0] is not coord:
+        _last_split[:] = coord, (tuple(r[:4] for r in coord.rows),
+                                 tuple(r[4:7] for r in coord.rows),
+                                 tuple(r[7:] for r in coord.rows))
+    return _last_split[1]
+
+
+def _tris(coord):
+    return _split(coord)[0]
+
+
+def _quads(coord):
+    return _split(coord)[1]
+
+
+def _octs(coord):
+    return _split(coord)[2]
+
+
+_PARTS = {"tris": _tris, "quads": _quads, "octs": _octs}
+
+
+def _coord(tris, quads, octs, formal=False):
+    return NormalCoordinate(tuple(tr + qu + oc for tr, qu, oc
+                                  in zip(tris, quads, octs)), formal)
 
 
 def test_vertex_link_sphere():
@@ -54,7 +90,7 @@ def test_quad_surfaces_on_loops():
     chis = []
     for phi in cocycle.all_nonzero_classes(tri):
         canon = canonical_surface(tri, phi)
-        assert all(sum(r) == 0 for r in canon.coord.tris)  # quads only
+        assert all(sum(r) == 0 for r in _tris(canon.coord))  # quads only
         chis.append(surface_classify(tri, canon.coord))
     assert sorted(c[0] for c in chis) == [-2, -2, 0]
     kleins = [c for c in chis if c == (0, False, True)]
@@ -72,9 +108,9 @@ def test_family_m_horizontal_surface():
 def test_matching_violation_rejected():
     tri, _, _ = build.lens_space(1, 4)
     good = canonical_surface(tri, cocycle.all_nonzero_classes(tri)[0]).coord
-    tris = [list(r) for r in good.tris]
+    tris = [list(r) for r in _tris(good)]
     tris[0][0] += 1   # corrupt one triangle count
-    bad = NormalCoordinate(tuple(tuple(r) for r in tris), good.quads, good.octs)
+    bad = _coord(tuple(tuple(r) for r in tris), _quads(good), _octs(good))
     with pytest.raises(CoordinateError):
         euler_char(tri, bad)
 
@@ -84,9 +120,9 @@ def test_embeddability_violation_rejected():
     n = tri.tet_count
     quads = [[0, 0, 0] for _ in range(n)]
     quads[0] = [1, 1, 0]
-    bad = NormalCoordinate(tuple((0,) * 4 for _ in range(n)),
-                           tuple(tuple(r) for r in quads),
-                           tuple((0,) * 3 for _ in range(n)))
+    bad = _coord(tuple((0,) * 4 for _ in range(n)),
+                 tuple(tuple(r) for r in quads),
+                 tuple((0,) * 3 for _ in range(n)))
     with pytest.raises(CoordinateError):
         euler_char(tri, bad)
 
@@ -332,22 +368,22 @@ def _ref_oct_arc_vertices(i, facet):
 
 
 def _ref_arc_count(coord, tet, facet, vertex):
-    n = coord.tris[tet][vertex]
+    n = _tris(coord)[tet][vertex]
     for i in range(3):
-        if coord.quads[tet][i] and _ref_quad_arc_vertex(i, facet) == vertex:
-            n += coord.quads[tet][i]
-        if coord.octs[tet][i] and vertex in _ref_oct_arc_vertices(i, facet):
-            n += coord.octs[tet][i]
+        if _quads(coord)[tet][i] and _ref_quad_arc_vertex(i, facet) == vertex:
+            n += _quads(coord)[tet][i]
+        if _octs(coord)[tet][i] and vertex in _ref_oct_arc_vertices(i, facet):
+            n += _octs(coord)[tet][i]
     return n
 
 
 def _ref_edge_weight_slot(coord, tet, edge_index):
     w = 0
     for v in range(4):
-        w += coord.tris[tet][v] * TRI_EDGE_WEIGHTS[v][edge_index]
+        w += _tris(coord)[tet][v] * TRI_EDGE_WEIGHTS[v][edge_index]
     for i in range(3):
-        w += coord.quads[tet][i] * QUAD_EDGE_WEIGHTS[i][edge_index]
-        w += coord.octs[tet][i] * OCT_EDGE_WEIGHTS[i][edge_index]
+        w += _quads(coord)[tet][i] * QUAD_EDGE_WEIGHTS[i][edge_index]
+        w += _octs(coord)[tet][i] * OCT_EDGE_WEIGHTS[i][edge_index]
     return w
 
 
@@ -355,9 +391,10 @@ def _ref_check_embeddable(coord):
     if coord.formal:
         raise CoordinateError("formal coordinates are not embeddable")
     for t in range(coord.tet_count):
-        if any(x < 0 for x in coord.tris[t] + coord.quads[t] + coord.octs[t]):
+        if any(x < 0 for x in
+               _tris(coord)[t] + _quads(coord)[t] + _octs(coord)[t]):
             raise CoordinateError(f"negative multiplicity in tetrahedron {t}")
-        kinds = sum(1 for x in coord.quads[t] + coord.octs[t] if x)
+        kinds = sum(1 for x in _quads(coord)[t] + _octs(coord)[t] if x)
         if kinds > 1:
             raise CoordinateError(
                 f"tetrahedron {t} has more than one quad-or-octagon type")
@@ -388,7 +425,7 @@ def _ref_euler_char(tri, coord):
     for x in sk.face_first:
         t, f = divmod(x, 4)
         e += sum(_ref_arc_count(coord, t, f, vx) for vx in FACET_VERTICES[f])
-    f = sum(sum(coord.tris[t]) + sum(coord.quads[t]) + sum(coord.octs[t])
+    f = sum(sum(_tris(coord)[t]) + sum(_quads(coord)[t]) + sum(_octs(coord)[t])
             for t in range(coord.tet_count))
     return v - e + f
 
@@ -445,12 +482,12 @@ def _disc_list(coord):
     discs = []
     for t in range(coord.tet_count):
         for v in range(4):
-            for c in range(coord.tris[t][v]):
+            for c in range(_tris(coord)[t][v]):
                 discs.append((t, "tri", v, c))
         for i in range(3):
-            for c in range(coord.quads[t][i]):
+            for c in range(_quads(coord)[t][i]):
                 discs.append((t, "quad", i, c))
-            for c in range(coord.octs[t][i]):
+            for c in range(_octs(coord)[t][i]):
                 discs.append((t, "oct", i, c))
     return discs
 
@@ -471,11 +508,11 @@ def _arcs_at(coord, disc_index, discs, tet, facet, vertex):
         if kind == "tri" and typ == vertex:
             out.append((0, copy, di))
         elif kind == "quad" and QUAD_ARC_VERTEX[typ][facet] == vertex:
-            m = coord.quads[tet][typ]
+            m = _quads(coord)[tet][typ]
             pos = copy if vertex in QUAD_SIDE_A[typ] else m - 1 - copy
             out.append((1, pos, di))
         elif kind == "oct" and vertex in OCT_ARC_VERTICES[typ][facet]:
-            m = coord.octs[tet][typ]
+            m = _octs(coord)[tet][typ]
             pos = copy if vertex in QUAD_SIDE_A[typ] else m - 1 - copy
             out.append((1, pos, di))
     out.sort()
@@ -555,7 +592,7 @@ def _classification_coordinates():
             for coord in (canon.coord, canon.coord.scale(2),
                           canon.coord.scale(3), canon.coord + link):
                 yield tri, coord
-            if not all(map(any, canon.coord.quads)):
+            if not all(map(any, _quads(canon.coord))):
                 continue
             evens = phi.even_edges()
             for r in range(4):
@@ -662,11 +699,12 @@ def _ref_edge_weights(tri, coord):
 
 
 def _corrupt(coord, part, tet, index, delta):
-    rows = [list(r) for r in getattr(coord, part)]
+    rows = [list(r) for r in _PARTS[part](coord)]
     rows[tet][index] += delta
-    fields = {"tris": coord.tris, "quads": coord.quads, "octs": coord.octs,
+    fields = {"tris": _tris(coord), "quads": _quads(coord),
+              "octs": _octs(coord),
               part: tuple(tuple(r) for r in rows)}
-    return NormalCoordinate(fields["tris"], fields["quads"], fields["octs"])
+    return _coord(fields["tris"], fields["quads"], fields["octs"])
 
 
 @pytest.mark.parametrize("part,index,delta", [
@@ -685,7 +723,7 @@ def test_corrupted_coordinates_still_raise(part, index, delta):
                 _outcome(_ref_edge_weights, tri, bad)
             with pytest.raises(CoordinateError):
                 surface_classify(tri, bad)
-    formal = NormalCoordinate(good.tris, good.quads, good.octs, formal=True)
+    formal = _coord(_tris(good), _quads(good), _octs(good), formal=True)
     with pytest.raises(CoordinateError):
         euler_char(tri, formal)
 
@@ -698,9 +736,7 @@ def _disc_coord(tet_count, tet, disc, count, formal=False):
     tetrahedron and nothing elsewhere."""
     rows = [[0] * 10 for _ in range(tet_count)]
     rows[tet][disc] = count
-    return NormalCoordinate(tuple(tuple(r[:4]) for r in rows),
-                            tuple(tuple(r[4:7]) for r in rows),
-                            tuple(tuple(r[7:]) for r in rows), formal)
+    return NormalCoordinate(tuple(map(tuple, rows)), formal)
 
 
 def test_disc_tables_match_references():
@@ -763,18 +799,18 @@ def _ref_formal_chi(tri, coord):
     total = Fraction(0)
     for t in range(tri.tet_count):
         for v in range(4):
-            c = coord.tris[t][v]
+            c = _tris(coord)[t][v]
             if c:
                 corners = sum(inv_deg[(t, ei)] for ei in range(6)
                               if v in EDGE_VERTICES[ei])
                 total += c * (corners - Fraction(3, 2) + 1)
         for i in range(3):
-            c = coord.quads[t][i]
+            c = _quads(coord)[t][i]
             if c:
                 corners = sum(inv_deg[(t, ei)] for ei in range(6)
                               if ei not in QUAD_PAIRS[i])
                 total += c * (corners - 2 + 1)
-            c = coord.octs[t][i]
+            c = _octs(coord)[t][i]
             if c:
                 corners = sum(inv_deg[(t, ei)] for ei in range(6)
                               if ei not in QUAD_PAIRS[i])
@@ -842,13 +878,13 @@ def test_formal_chi_matches_reference_on_combinations(data):
 
 def _reference_tet_solution(tri, tet):
     coord = NormalCoordinate.zero(tri.tet_count, formal=True)
-    tris = [list(r) for r in coord.tris]
-    quads = [list(r) for r in coord.quads]
+    tris = [list(r) for r in _tris(coord)]
+    quads = [list(r) for r in _quads(coord)]
     tris[tet] = [1, 1, 1, 1]
     quads[tet] = [-1, -1, -1]
-    return NormalCoordinate(tuple(tuple(r) for r in tris),
-                            tuple(tuple(r) for r in quads),
-                            coord.octs, formal=True)
+    return _coord(tuple(tuple(r) for r in tris),
+                  tuple(tuple(r) for r in quads),
+                  _octs(coord), formal=True)
 
 
 def _reference_edge_solution(tri, edge_class):
@@ -861,10 +897,10 @@ def _reference_edge_solution(tri, edge_class):
         tris[t][b] += 1
         qi = next(i for i in range(3) if ei in QUAD_PAIRS[i])
         quads[t][qi] -= 1
-    return NormalCoordinate(tuple(tuple(r) for r in tris),
-                            tuple(tuple(r) for r in quads),
-                            tuple((0, 0, 0) for _ in range(tri.tet_count)),
-                            formal=True)
+    return _coord(tuple(tuple(r) for r in tris),
+                  tuple(tuple(r) for r in quads),
+                  tuple((0, 0, 0) for _ in range(tri.tet_count)),
+                  formal=True)
 
 
 def edge_solution(tri, edge_class):
@@ -972,7 +1008,7 @@ def _ref_b_modification(tri, canon, b_edges):
     tris = [[0] * 4 for _ in range(n)]
     quads = [[0] * 3 for _ in range(n)]
     octs = [[0] * 3 for _ in range(n)]
-    for t, canon_quads in enumerate(canon.coord.quads):
+    for t, canon_quads in enumerate(_quads(canon.coord)):
         if not any(canon_quads):
             raise TriangulationError(
                 "b-modification needs all tetrahedra of quad type")
@@ -989,10 +1025,10 @@ def _ref_b_modification(tri, canon, b_edges):
             a, bb = EDGE_VERTICES[heavy]
             tris[t][a] += 1
             tris[t][bb] += 1
-    coord = NormalCoordinate(tuple(tuple(r) for r in tris),
-                             tuple(tuple(r) for r in quads),
-                             tuple(tuple(r) for r in octs))
-    oct_count = sum(sum(r) for r in coord.octs)
+    coord = _coord(tuple(tuple(r) for r in tris),
+                   tuple(tuple(r) for r in quads),
+                   tuple(tuple(r) for r in octs))
+    oct_count = sum(sum(r) for r in _octs(coord))
     chi = euler_char(tri, coord)
     if chi != canon.chi - 2 * oct_count + 2 * len(b):
         raise AssertionError(
@@ -1020,19 +1056,19 @@ def _mutations(coord):
     second quad-or-octagon type, and two bad tetrahedra in either order."""
     n = coord.tet_count
     for t in range(n):
-        kind = "tris" if any(coord.tris[t]) else \
-            "quads" if any(coord.quads[t]) else "octs"
-        row = getattr(coord, kind)[t]
+        kind = "tris" if any(_tris(coord)[t]) else \
+            "quads" if any(_quads(coord)[t]) else "octs"
+        row = _PARTS[kind](coord)[t]
         i = next(j for j, c in enumerate(row) if c)
         moved = _corrupt(coord, kind, t, i, -1)
         yield _corrupt(moved, kind, t, (i + 1) % len(row), 1)
-        yield _corrupt(coord, "tris", t, 2, -coord.tris[t][2] - 1)
+        yield _corrupt(coord, "tris", t, 2, -_tris(coord)[t][2] - 1)
         other = "octs" if kind == "quads" else "quads"
         yield _corrupt(coord, other, t, 1, 1)
     for t1, t2 in ((0, n - 1), (n - 1, 0)):
         two = _corrupt(coord, "quads", t1, 0, 1)
         two = _corrupt(two, "octs", t1, 2, 1)
-        yield _corrupt(two, "octs", t2, 1, -coord.octs[t2][1] - 1)
+        yield _corrupt(two, "octs", t2, 1, -_octs(coord)[t2][1] - 1)
 
 
 def test_euler_char_and_b_modification_match_references_on_the_verify_set():
@@ -1098,3 +1134,222 @@ def test_facet_corners_match_the_gluings():
                           for v in FACET_VERTICES[f]]
         assert list(zip(lower, upper)) == pairs
         assert counted == corners
+
+
+# ----- one row per tetrahedron against the three-part writers ----------------
+#
+# The writers as they were when a coordinate held its triangles, quads and
+# octagons as three tuples, kept word for word: each of today's rows must
+# be the three parts joined, and ``dump`` must print the same bytes.
+
+
+def _ref_canonical_parts(tri, types):
+    n = tri.tet_count
+    tris = [[0] * 4 for _ in range(n)]
+    quads = [[0] * 3 for _ in range(n)]
+    for t, (ty, detail) in enumerate(types):
+        if ty is TetType.QUAD:
+            quads[t][detail] = 1
+        elif ty is TetType.TRI:
+            tris[t][detail] = 1
+    return (tuple(tuple(r) for r in tris), tuple(tuple(r) for r in quads),
+            tuple((0, 0, 0) for _ in range(n)))
+
+
+def _ref_b_row(qi, c1, c2):
+    tris, quads, octs = [0] * 4, [0] * 3, [0] * 3
+    e1, e2 = QUAD_PAIRS[qi]
+    if not c1 and not c2:
+        quads[qi] = 1
+    elif c1 and c2:
+        octs[qi] = 1
+    else:
+        heavy = e1 if c1 else e2
+        a, bb = EDGE_VERTICES[heavy]
+        tris[a] += 1
+        tris[bb] += 1
+    return tuple(tris), tuple(quads), tuple(octs), octs[qi]
+
+
+def _ref_b_parts(tri, canon, b):
+    """The three parts of the b-modification of ``canon`` that selects
+    the edges ``b``, joined tetrahedron by tetrahedron from _ref_b_row,
+    and its octagon count."""
+    sk = tri.skeleton
+    rows = []
+    for t, canon_quads in enumerate(_quads(canon.coord)):
+        qi = canon_quads.index(1)
+        e1, e2 = QUAD_PAIRS[qi]
+        rows.append(_ref_b_row(qi, sk.edge_class[6 * t + e1] in b,
+                               sk.edge_class[6 * t + e2] in b))
+    tris, quads, octs, counts = zip(*rows)
+    return (tris, quads, octs), sum(counts)
+
+
+def _assert_b_modification_joins(tri, canon, b):
+    coord, octs, _ = b_modification(tri, canon, b)
+    parts, count = _ref_b_parts(tri, canon, b)
+    _assert_rows_join(coord, parts)
+    assert octs == count
+
+
+def _ref_tet_solution_parts(tri, tet):
+    n = tri.tet_count
+    tris = [(0,) * 4] * n
+    quads = [(0,) * 3] * n
+    tris[tet] = (1, 1, 1, 1)
+    quads[tet] = (-1, -1, -1)
+    return tuple(tris), tuple(quads), ((0,) * 3,) * n
+
+
+def _ref_edge_solution_parts(tri, slots):
+    touched = {}
+    for x in slots:
+        t, ei = divmod(x, 6)
+        tr, qu = touched.setdefault(t, ([0] * 4, [0] * 3))
+        a, b = EDGE_VERTICES[ei]
+        tr[a] += 1
+        tr[b] += 1
+        qi = next(i for i in range(3) if ei in QUAD_PAIRS[i])
+        qu[qi] -= 1
+    n = tri.tet_count
+    tris = [(0,) * 4] * n
+    quads = [(0,) * 3] * n
+    for t, (tr, qu) in touched.items():
+        tris[t], quads[t] = tuple(tr), tuple(qu)
+    return tuple(tris), tuple(quads), ((0,) * 3,) * n
+
+
+def _ref_dump(tris, quads, octs):
+    lines = []
+    for t in range(len(tris)):
+        lines.append("%d: %s | %s | %s" % (
+            t, " ".join(map(str, tris[t])),
+            " ".join(map(str, quads[t])),
+            " ".join(map(str, octs[t]))))
+    return "\n".join(lines)
+
+
+def _assert_rows_join(coord, parts):
+    tris, quads, octs = parts
+    assert len(coord.rows) == len(tris) == len(quads) == len(octs)
+    for t, row in enumerate(coord.rows):
+        assert row == tris[t] + quads[t] + octs[t]
+    assert coord.dump() == _ref_dump(tris, quads, octs)
+
+
+def _assert_writers_join(tri, modifications=4):
+    """Every writer's rows on one triangulation: the special solutions of
+    a closed one, and on a closed one-vertex one the canonical surface of
+    every class and the b-modifications of the all-quad ones that select
+    at most ``modifications`` edges.  Returns how many solutions, surfaces
+    and modifications were compared."""
+    compared = [0, 0, 0]
+    if tri.is_closed:
+        edges, tets, _ = special_solutions(tri)
+        for sol, slots in zip(edges, tri.skeleton.edge_slots()):
+            _assert_rows_join(sol, _ref_edge_solution_parts(tri, slots))
+        for t, sol in enumerate(tets):
+            _assert_rows_join(sol, _ref_tet_solution_parts(tri, t))
+        compared[0] += len(edges) + len(tets)
+    if not tri.is_closed or tri.skeleton.vertex_count != 1:
+        return compared
+    for phi in cocycle.all_nonzero_classes(tri):
+        types = cocycle.classify_tetrahedra(tri, phi)
+        canon = canonical_surface(tri, phi, types)
+        _assert_rows_join(canon.coord, _ref_canonical_parts(tri, types))
+        compared[1] += 1
+        if any(ty is not TetType.QUAD for ty, _ in types):
+            continue
+        evens = phi.even_edges()
+        for r in range(min(len(evens), modifications) + 1):
+            for b in combinations(evens, r):
+                _assert_b_modification_joins(tri, canon, b)
+                compared[2] += 1
+    return compared
+
+
+def test_b_rows_join_the_three_part_rule():
+    for qi in range(3):
+        for c1 in (0, 1):
+            for c2 in (0, 1):
+                tris, quads, octs, count = _ref_b_row(qi, c1, c2)
+                assert surface._B_ROWS[4 * qi + 2 * c1 + c2] == \
+                    surface._b_row(qi, c1, c2) == (tris + quads + octs, count)
+
+
+def test_writers_join_the_three_part_writers_on_the_verify_set():
+    compared = [0, 0, 0]
+    tris = [tri for _, _, tri in verifysuite._family_grid()]
+    tris += [folded for _, _, folded in verifysuite._lens_grid(7)]
+    for tri in tris:
+        compared = list(map(sum, zip(compared, _assert_writers_join(tri))))
+    # every modification the octagon formula criterion checks
+    for tri, canon, b in _octagon_formula_modifications():
+        _assert_b_modification_joins(tri, canon, b)
+        compared[2] += 1
+    assert compared == [6732, 256, 1148 + 4196]
+
+
+def test_writers_join_the_three_part_writers_on_random_tables():
+    compared = [0, 0, 0]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.one_of(gluing_tables(), gluing_tables(kinds=("pair",)))
+           .filter(lambda tri: tri.is_valid))
+    def compare(tri):
+        compared[:] = map(sum, zip(compared,
+                                   _assert_writers_join(tri, 2)))
+
+    compare()
+    # the random tables reach every writer
+    assert min(compared) > 0, compared
+
+
+def test_coordinates_of_different_sizes_do_not_add():
+    two, three = NormalCoordinate.zero(2), NormalCoordinate.zero(3)
+    for a, b in ((two, three), (three, two)):
+        message = (f"^cannot add coordinates of {a.tet_count} and "
+                   f"{b.tet_count} tetrahedra$")
+        with pytest.raises(CoordinateError, match=message):
+            a + b
+        with pytest.raises(CoordinateError, match=message):
+            a - b
+    assert two + two == two
+
+
+def test_tet_solution_rejects_an_index_out_of_range():
+    tri = build.layered_loop(4, twisted=True)
+    for tet in (-1, tri.tet_count, tri.tet_count + 3):
+        with pytest.raises(CoordinateError,
+                           match=f"^{tet} is not a tetrahedron of a "
+                                 f"4-tetrahedron triangulation$"):
+            tet_solution(tri, tet)
+    assert tet_solution(tri, 3).rows[3] == (1, 1, 1, 1, -1, -1, -1, 0, 0, 0)
+
+
+def test_canonical_surface_logs_its_weight_check(caplog, capsys):
+    tri = build.layered_loop(6, twisted=True)
+    phis = cocycle.all_nonzero_classes(tri)
+    with caplog.at_level(logging.DEBUG, logger="trinorm.surface"):
+        canons = [canonical_surface(tri, phi) for phi in phis]
+    records = [r for r in caplog.records if r.name == "trinorm.surface"]
+    assert len(records) == len(phis) == len(canons)
+    edges = tri.skeleton.edge_count
+    for record in records:
+        assert record.levelno == logging.DEBUG and record.args
+        assert record.getMessage() == (
+            f"canonical_surface: {edges} edge weights against the "
+            f"colouring, differing on edges []")
+    assert capsys.readouterr() == ("", "")
+    # a colouring the weights do not match is logged before it raises
+    bad = cocycle.Cocycle(tuple(1 - b for b in phis[0].bits))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="trinorm.surface"):
+        with pytest.raises(AssertionError, match="differs from parity"):
+            canonical_surface(tri, bad, cocycle.classify_tetrahedra(
+                tri, phis[0]))
+    (record,) = [r for r in caplog.records if r.name == "trinorm.surface"]
+    assert record.getMessage() == (
+        f"canonical_surface: {edges} edge weights against the colouring, "
+        f"differing on edges {list(range(edges))}")
