@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .perm import Perm4
-from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                            FACET_VERTICES, TriBuilder, TriangulationError)
+from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_VERTICES,
+                            TriBuilder, TriangulationError)
 from . import homology as _homology
 from .build import (SEED_WEIGHTS, LayeredSolidTorus, family_slopes,
                     family_tag, lens_space, relayer, relayered_weight,
@@ -280,94 +280,37 @@ class MoveSpec:
     axis: int = 0
 
 
-@dataclass
-class _Surgery:
-    """Replacement of a set of tetrahedra by new ones.
-
-    external is a mapping (old_tet, old_facet) -> (new_tet, vertex_map)
-    covering every facet of a doomed tetrahedron that survives as a facet
-    of a new one.  Facets of doomed tetrahedra missing from the mapping are
-    interior to the region and vanish.
-    """
-    doomed: tuple
-    new_count: int
-    internal: list
-    external: dict
-
-
-def _apply_surgery(tri, surgery):
-    doomed = set(surgery.doomed)
-    survivors = [t for t in range(tri.tet_count) if t not in doomed]
-    new_index = {t: i for i, t in enumerate(survivors)}
-    base = len(survivors)
-    builder = TriBuilder(base + surgery.new_count)
-
-    def resolve(t, f):
-        """New-label slot and vertex map for an old slot."""
-        if t in doomed:
-            new_t, vmap = surgery.external[(t, f)]
-            return base + new_t, vmap
-        return new_index[t], Perm4((0, 1, 2, 3))
-
-    done = set()
-    for t in survivors + sorted(doomed):
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is None:
-                continue
-            if t in doomed and (t, f) not in surgery.external:
-                continue
-            u, perm = g
-            if u in doomed and (u, perm[f]) not in surgery.external:
-                continue
-            here_t, here_map = resolve(t, f)
-            there_t, there_map = resolve(u, perm[f])
-            new_perm = there_map * perm * here_map.inverse()
-            key = ((here_t, here_map[f]), (there_t, new_perm[here_map[f]]))
-            if (key[1], key[0]) in done or key in done:
-                continue
-            done.add(key)
-            builder.join(here_t, here_map[f], there_t, new_perm)
-    for (t1, f1, t2, f2, perm) in surgery.internal:
-        builder.join(base + t1, f1, base + t2, perm)
-    new_tri = builder.freeze()
-    return new_tri, new_index, base
-
-
-def _edge_class_transport(tri, new_tri, new_index, base, surgery):
-    """Mapping of surviving old edge classes to new ones, via unchanged
-    tetrahedra and the external facet correspondences."""
-    sk_old, sk_new = tri.skeleton, new_tri.skeleton
-    mapping = {}
-    for t, i in new_index.items():
-        for ei in range(6):
-            old = sk_old.edge_class[6 * t + ei]
-            mapping[old] = sk_new.edge_class[6 * i + ei]
-    for (t, f), (nt, vmap) in surgery.external.items():
-        for ei in FACET_EDGES[f]:
-            x, y = EDGE_VERTICES[ei]
-            old = sk_old.edge_class[6 * t + ei]
-            new = sk_new.edge_class_of(base + nt, vmap[x], vmap[y])[0]
-            if old in mapping and mapping[old] != new:
-                raise AssertionError("inconsistent edge transport")
-            mapping[old] = new
-    return mapping
+_IDENTITY = Perm4((0, 1, 2, 3))
 
 
 def _retriangulate(tri, old, new):
     """Replace the tetrahedra of a region by new ones on the same region
-    vertices, returning what ``move23`` returns.
+    vertices; returns the new triangulation and its edge-slot map.
 
     ``old`` lists (tet, names), names[v] the region vertex at vertex v of
     tet; ``new`` lists, for each new tetrahedron, the region vertices at
-    its labels 0..3.  A facet is keyed by the bitmask of its three names.
-    Two new facets with the same names are glued name to name, opposite
-    vertex to opposite vertex; an old facet whose names match a new facet
-    hands its gluing over to it, and the other old facets lie inside the
-    region and vanish.
+    its labels 0..3.  The tetrahedra outside the region keep their order
+    and come before the new ones.  A facet is keyed by the bitmask of its
+    three names.  Two new facets with the same names are glued name to
+    name, opposite vertex to opposite vertex; an old facet whose names
+    match a free new facet hands its outside gluing over to it, and the
+    other old facets lie inside the region and vanish.  Each gluing is
+    joined once, from its lower slot.
+
+    ``slots[6t + e]`` is the new slot of edge e of old tetrahedron t:
+    outside the region it moves with its tetrahedron; inside, it is the
+    new edge with the same two names (the region is a simplicial ball, so
+    the names fix the edge), or None when no new tetrahedron has both.
     """
+    region = dict(old)
+    index, base = [None] * tri.tet_count, 0    # index[t]: t's new number
+    for t in range(tri.tet_count):
+        if t not in region:
+            index[t] = base
+            base += 1
+    builder = TriBuilder(base + len(new))
     labels = [{n: v for v, n in enumerate(names)} for names in new]
-    free, internal = {}, []        # free: key -> (new tet, facet) unglued
+    free, edge_at = {}, {}      # free: key -> (new tet, facet) unglued
     for j, names in enumerate(new):
         full = sum(1 << n for n in names)
         for f, n in enumerate(names):
@@ -376,19 +319,48 @@ def _retriangulate(tri, old, new):
                 free[key] = (j, f)
                 continue
             k, g = free.pop(key)
-            internal.append((k, g, j, f, Perm4(tuple(
-                f if v == g else labels[j][m] for v, m in enumerate(new[k])))))
-    external = {}
-    for t, names in old:
-        full = sum(1 << n for n in names)
-        for f, n in enumerate(names):
-            hit = free.get(full ^ (1 << n))
-            if hit is not None:
-                j, g = hit
-                external[(t, f)] = (j, Perm4(tuple(
-                    g if v == f else labels[j][m] for v, m in enumerate(names))))
-    surgery = _Surgery(tuple(t for t, _ in old), len(new), internal, external)
-    return _apply_surgery(tri, surgery) + (surgery,)
+            builder.join(base + k, g, base + j, Perm4(tuple(
+                f if v == g else labels[j][m] for v, m in enumerate(new[k]))))
+        for e, (a, b) in enumerate(EDGE_VERTICES):
+            edge_at.setdefault((1 << names[a]) | (1 << names[b]),
+                               6 * (base + j) + e)
+
+    def end(t, f):
+        """The new tetrahedron and vertex map of old facet f of t, or None
+        for a facet inside the region."""
+        if index[t] is not None:
+            return index[t], _IDENTITY
+        names = region[t]
+        hit = free.get(sum(1 << n for n in names) ^ (1 << names[f]))
+        if hit is None:
+            return None
+        j, g = hit
+        return base + j, Perm4(tuple(g if v == f else labels[j][m]
+                                     for v, m in enumerate(names)))
+
+    # each gluing is joined once, from its lower slot, and one between two
+    # tetrahedra outside the region is copied as it is
+    for t, row in enumerate(tri.gluings):
+        for f, g in enumerate(row):
+            if g is None or 4 * g[0] + g[1][f] < 4 * t + f:
+                continue
+            u, perm = g
+            if index[t] is not None and index[u] is not None:
+                builder.join(index[t], f, index[u], perm)
+                continue
+            here, there = end(t, f), end(u, perm[f])
+            if here is not None and there is not None:
+                (a, ma), (b, mb) = here, there
+                builder.join(a, ma[f], b, mb * perm * ma.inverse())
+    slots = []
+    for t, i in enumerate(index):
+        if i is not None:
+            slots.extend(range(6 * i, 6 * i + 6))
+        else:
+            names = region[t]
+            slots.extend(edge_at.get((1 << names[a]) | (1 << names[b]))
+                         for a, b in EDGE_VERTICES)
+    return builder.freeze(), slots
 
 
 def move23(tri, face_class):
@@ -444,7 +416,8 @@ def move44(tri, edge_class, axis=0):
 
 def _apply_move(tri, move):
     """Run the move a MoveSpec names after checking that its face or edge
-    class exists; returns what move23/move32/move44 return."""
+    class exists; returns the new triangulation and its edge-slot map, as
+    ``_retriangulate`` does."""
     if move.kind not in ("23", "32", "44"):
         raise TriangulationError(f"unknown move kind {move.kind!r}")
     sk = tri.skeleton
@@ -460,7 +433,7 @@ def _apply_move(tri, move):
 
 
 def pachner(tri, move: MoveSpec):
-    """Apply a bistellar move, returning the new triangulation."""
+    """Apply a bistellar move, returning the new triangulation alone."""
     return _apply_move(tri, move)[0]
 
 
@@ -470,8 +443,14 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
     Surviving edge classes keep their bits; the value on a newly created
     edge is forced by any face relation containing it.
     """
-    new_tri, new_index, base, surgery = _apply_move(tri, move)
-    mapping = _edge_class_transport(tri, new_tri, new_index, base, surgery)
+    new_tri, slots = _apply_move(tri, move)
+    old_class, new_class = tri.skeleton.edge_class, new_tri.skeleton.edge_class
+    mapping = {}                # surviving old edge class -> new class
+    for x, y in enumerate(slots):
+        if y is not None:
+            new = new_class[y]
+            if mapping.setdefault(old_class[x], new) != new:
+                raise AssertionError("inconsistent edge transport")
     ne = new_tri.skeleton.edge_count
     unknown, value = (1 << ne) - 1, 0     # bitsets over the new edges
     for old, new in mapping.items():

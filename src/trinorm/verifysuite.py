@@ -256,7 +256,7 @@ def check_moves(quick=False):
         if not faces:
             return False, "no usable 2-3 site"
         h0 = homology.first_homology(tri)
-        bigger, _, _, _ = analyze.move23(tri, faces[0])
+        bigger, _ = analyze.move23(tri, faces[0])
         h1 = homology.first_homology(bigger)
         if h1 != h0:
             return False, "2-3 move changed homology"
@@ -267,7 +267,7 @@ def check_moves(quick=False):
                        default=None)
         if new_edge is None:
             return False, "no 3-2 site after a 2-3 move"
-        back, _, _, _ = analyze.move32(bigger, new_edge)
+        back, _ = analyze.move32(bigger, new_edge)
         if not back.isomorphic(tri):
             return False, "2-3 followed by 3-2 is not the identity"
         done += 1

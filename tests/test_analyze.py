@@ -15,13 +15,14 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
                              move23, move32, move44, pachner,
                              pachner_with_cocycle, supportive_tori, promote,
                              almost_supportive_tori, compression_pattern_scan,
-                             complexity_certificate, _Surgery, _apply_surgery)
+                             complexity_certificate)
 from trinorm.build import (AnnulusFilling, LayeredSolidTorus,
                            augmented_solid_torus, relayered_weight)
 from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.surface import canonical_surface, euler_char
-from trinorm.triangulation import (FACET_VERTICES, Skeleton, TriBuilder,
-                                   Triangulation, TriangulationError, parse)
+from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
+                                   Skeleton, TriBuilder, Triangulation,
+                                   TriangulationError, parse)
 from test_skeleton import gluing_tables
 from test_triangulation import _random_relabelling
 
@@ -162,12 +163,16 @@ def test_move23_move32_inverse():
     tri, _, _ = build.lens_space(1, 6)
     for _ in range(10):
         f = rng.choice(_23_faces(tri))
-        bigger, _, _, _ = move23(tri, f)
+        bigger, slots = move23(tri, f)
         assert bigger.tet_count == tri.tet_count + 1
+        assert None not in slots
         edge = next(e for e, slots in enumerate(bigger.skeleton.edge_slots())
                     if len(slots) == 3 and len({x // 6 for x in slots}) == 3)
-        back, _, _, _ = move32(bigger, edge)
+        back, slots = move32(bigger, edge)
         assert back.isomorphic(tri)
+        # only the deleted edge's slots have nowhere to go
+        assert [x for x, y in enumerate(slots) if y is None] == \
+            sorted(bigger.skeleton.edge_slots()[edge])
 
 
 def test_moves_preserve_homology_and_orientability():
@@ -217,7 +222,84 @@ def test_move_preconditions():
 
 # ----- the moves against their hand-derived tables ------------------------------
 # The facet tables the three moves had before they were derived from the
-# region vertex names by ``analyze._retriangulate``, kept as the reference.
+# region vertex names by ``analyze._retriangulate``, kept as the reference,
+# with the surgery record, its application and its edge class transport
+# that the moves used before ``_retriangulate`` built the triangulation
+# and its edge-slot map itself.
+
+
+@dataclasses.dataclass
+class _Surgery:
+    """Replacement of a set of tetrahedra by new ones.
+
+    external is a mapping (old_tet, old_facet) -> (new_tet, vertex_map)
+    covering every facet of a doomed tetrahedron that survives as a facet
+    of a new one.  Facets of doomed tetrahedra missing from the mapping are
+    interior to the region and vanish.
+    """
+    doomed: tuple
+    new_count: int
+    internal: list
+    external: dict
+
+
+def _apply_surgery(tri, surgery):
+    doomed = set(surgery.doomed)
+    survivors = [t for t in range(tri.tet_count) if t not in doomed]
+    new_index = {t: i for i, t in enumerate(survivors)}
+    base = len(survivors)
+    builder = TriBuilder(base + surgery.new_count)
+
+    def resolve(t, f):
+        """New-label slot and vertex map for an old slot."""
+        if t in doomed:
+            new_t, vmap = surgery.external[(t, f)]
+            return base + new_t, vmap
+        return new_index[t], Perm4((0, 1, 2, 3))
+
+    done = set()
+    for t in survivors + sorted(doomed):
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is None:
+                continue
+            if t in doomed and (t, f) not in surgery.external:
+                continue
+            u, perm = g
+            if u in doomed and (u, perm[f]) not in surgery.external:
+                continue
+            here_t, here_map = resolve(t, f)
+            there_t, there_map = resolve(u, perm[f])
+            new_perm = there_map * perm * here_map.inverse()
+            key = ((here_t, here_map[f]), (there_t, new_perm[here_map[f]]))
+            if (key[1], key[0]) in done or key in done:
+                continue
+            done.add(key)
+            builder.join(here_t, here_map[f], there_t, new_perm)
+    for (t1, f1, t2, f2, perm) in surgery.internal:
+        builder.join(base + t1, f1, base + t2, perm)
+    new_tri = builder.freeze()
+    return new_tri, new_index, base
+
+
+def _edge_class_transport(tri, new_tri, new_index, base, surgery):
+    """Mapping of surviving old edge classes to new ones, via unchanged
+    tetrahedra and the external facet correspondences."""
+    sk_old, sk_new = tri.skeleton, new_tri.skeleton
+    mapping = {}
+    for t, i in new_index.items():
+        for ei in range(6):
+            old = sk_old.edge_class[6 * t + ei]
+            mapping[old] = sk_new.edge_class[6 * i + ei]
+    for (t, f), (nt, vmap) in surgery.external.items():
+        for ei in FACET_EDGES[f]:
+            x, y = EDGE_VERTICES[ei]
+            old = sk_old.edge_class[6 * t + ei]
+            new = sk_new.edge_class_of(base + nt, vmap[x], vmap[y])[0]
+            if old in mapping and mapping[old] != new:
+                raise AssertionError("inconsistent edge transport")
+            mapping[old] = new
+    return mapping
 
 
 def ref_move23(tri, face_class):
@@ -321,17 +403,34 @@ def ref_move44(tri, edge_class, axis=0):
     return _apply_surgery(tri, surgery) + (surgery,)
 
 
-def _directed(internal):
-    """The internal gluings of a surgery, each listed from both sides."""
-    return ({(t1, f1, t2, perm) for t1, f1, t2, _, perm in internal}
-            | {(t2, perm[f1], t1, perm.inverse())
-               for t1, f1, t2, _, perm in internal})
+def ref_apply_move(tri, move):
+    """The reference move a MoveSpec names, on a face or edge class that
+    exists: the new triangulation, the survivors' new numbers, the first
+    new tetrahedron and the surgery."""
+    if move.kind == "23":
+        return ref_move23(tri, move.face)
+    if move.kind == "32":
+        return ref_move32(tri, move.edge)
+    return ref_move44(tri, move.edge, move.axis)
+
+
+def _slot_class_map(tri, new_tri, slots):
+    """The map of surviving edge classes an edge-slot map carries, each
+    old class sent to one new class."""
+    old_class, new_class = tri.skeleton.edge_class, new_tri.skeleton.edge_class
+    mapping = {}
+    for x, y in enumerate(slots):
+        if y is not None:
+            assert mapping.setdefault(old_class[x], new_class[y]) == \
+                new_class[y]
+    return mapping
 
 
 def _assert_moves_match_reference(tri):
-    """Every face, edge and axis of ``tri`` is moved to the same surgery
-    as by the reference tables, or refused with the same text; returns the
-    number of moves made."""
+    """Every face, edge and axis of ``tri`` is moved to the triangulation
+    the reference tables build, with the edge class map of the reference
+    transport, or refused with the same text; returns the number of moves
+    made."""
     sk = tri.skeleton
     sites = [(move23, ref_move23, (f,)) for f in range(sk.face_count)]
     sites += [(move32, ref_move32, (e,)) for e in range(sk.edge_count)]
@@ -346,11 +445,11 @@ def _assert_moves_match_reference(tri):
                 move(tri, *args)
             assert str(got.value) == str(refusal)
             continue
-        new_tri, new_index, base, surgery = move(tri, *args)
-        assert (new_tri, new_index, base) == want[:3]
-        assert (surgery.doomed, surgery.new_count, surgery.external) == \
-            (want[3].doomed, want[3].new_count, want[3].external)
-        assert _directed(surgery.internal) == _directed(want[3].internal)
+        new_tri, slots = move(tri, *args)
+        assert new_tri == want[0]
+        assert len(slots) == 6 * tri.tet_count
+        assert _slot_class_map(tri, new_tri, slots) == \
+            _edge_class_transport(tri, *want)
         moved += 1
     return moved
 

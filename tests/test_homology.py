@@ -20,10 +20,11 @@ from trinorm import triangulation
 from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
                                    TriangulationError, _UnionFind, _gf2_reduce,
                                    serialize)
-from trinorm import analyze, build, cli, cocycle, verifysuite
+from trinorm import build, cli, cocycle, verifysuite
 from trinorm.analyze import MoveSpec, pachner_with_cocycle
 from trinorm.cocycle import Cocycle, cocycle_basis, is_cocycle
 
+from test_analyze import _edge_class_transport, ref_apply_move
 from test_skeleton import gluing_tables
 
 
@@ -399,7 +400,9 @@ def test_analyze_reduces_the_face_rows_once(tmp_path, monkeypatch, capsys):
 
 # ----- the list propagation the bitset transport replaced ---------------------
 # Kept as the oracle, with the imports it made inside the function moved
-# to this module.
+# to this module; it makes its move by the reference tables and maps the
+# edge classes by the reference surgery's transport, so it never reads
+# the edge-slot map of ``analyze._retriangulate``.
 
 
 def _reference_pachner_with_cocycle(tri, phi, move: MoveSpec):
@@ -408,9 +411,8 @@ def _reference_pachner_with_cocycle(tri, phi, move: MoveSpec):
     Surviving edge classes keep their bits; the value on a newly created
     edge is forced by any face relation containing it.
     """
-    new_tri, new_index, base, surgery = analyze._apply_move(tri, move)
-    mapping = analyze._edge_class_transport(tri, new_tri, new_index, base,
-                                            surgery)
+    new_tri, new_index, base, surgery = ref_apply_move(tri, move)
+    mapping = _edge_class_transport(tri, new_tri, new_index, base, surgery)
     ne = new_tri.skeleton.edge_count
     bits = [None] * ne
     for old, new in mapping.items():
@@ -450,20 +452,23 @@ TRANSPORT_STARTS = [
     for phi in cocycle.all_nonzero_classes(tri)]
 
 
-def _44_sites(tri):
-    """Degree-4 edge classes on four distinct tetrahedra."""
+def _star_sites(tri, degree):
+    """Edge classes of the given degree on that many distinct
+    tetrahedra."""
     return [e for e, slots in enumerate(tri.skeleton.edge_slots())
-            if len(slots) == 4 and len({x // 6 for x in slots}) == 4]
+            if len(slots) == degree and len({x // 6 for x in slots}) == degree]
 
 
 def _transport_chain(tri, phi, steps):
-    """Follow (try 4-4, choice) steps, comparing each transported colouring
-    with the reference; returns the number of 2-3 and 4-4 moves made."""
-    made = {"23": 0, "44": 0}
-    for flip, choice in steps:
-        sites = _44_sites(tri)
-        if flip and sites:
-            move = MoveSpec("44", edge=sites[choice % len(sites)],
+    """Follow (kind, choice) steps, comparing each transported colouring
+    with the reference: kind "44" or "32" makes that move on an edge with
+    distinct tetrahedra around it when there is one, and a 2-3 move
+    otherwise.  Returns the number of moves made of each kind."""
+    made = {"23": 0, "32": 0, "44": 0}
+    for kind, choice in steps:
+        sites = _star_sites(tri, 4 if kind == "44" else 3)
+        if kind != "23" and sites:
+            move = MoveSpec(kind, edge=sites[choice % len(sites)],
                             axis=choice // len(sites) % 2)
         else:
             faces = verifysuite._interior_faces(tri)
@@ -477,7 +482,8 @@ def _transport_chain(tri, phi, steps):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(TRANSPORT_STARTS),
-       st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+       st.lists(st.tuples(st.sampled_from(("23", "32", "44")),
+                          st.integers(0, 10 ** 6)),
                 min_size=1, max_size=5))
 def test_transport_matches_list_propagation_on_move_chains(start, steps):
     _transport_chain(*start, steps)
@@ -485,14 +491,14 @@ def test_transport_matches_list_propagation_on_move_chains(start, steps):
 
 def test_transport_matches_list_propagation_on_seeded_chains():
     rng = random.Random(5)
-    made = {"23": 0, "44": 0}
+    made = {"23": 0, "32": 0, "44": 0}
     for i in range(120):
         tri, phi = TRANSPORT_STARTS[i % len(TRANSPORT_STARTS)]
-        steps = [(rng.random() < 0.5, rng.randrange(10 ** 6))
-                 for _ in range(4)]
+        steps = [(rng.choice(("23", "32", "44")), rng.randrange(10 ** 6))
+                 for _ in range(6)]
         for kind, n in _transport_chain(tri, phi, steps).items():
             made[kind] += n
-    assert made["23"] >= 150 and made["44"] >= 100
+    assert made["23"] >= 150 and made["32"] >= 100 and made["44"] >= 100
 
 
 # ----- the dense route the sparse elimination replaced ------------------------
