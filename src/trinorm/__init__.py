@@ -32,7 +32,7 @@ from .cocycle import (Cocycle, TetType, ParityCensus, cocycle_basis,
                       all_nonzero_classes, classify_tetrahedra, parity_census)
 from .surface import (NormalCoordinate, CanonicalSurface, canonical_surface,
                       euler_char, chi_formula, b_modification,
-                      special_solutions, formal_chi, twisted_square_scan,
+                      special_solutions, twisted_square_scan,
                       surface_classify, vertex_link)
 from .analyze import (BoundReport, MoveSpec, find_maximal_lsts,
                       lst_intersection_matrix, low_degree_lint,

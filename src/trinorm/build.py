@@ -274,8 +274,11 @@ def relayer(weights, boundary, hinge, new_class):
 
 def boundary_edge(torus, weight):
     """The boundary edge class of the given meridian weight."""
-    return next(e for e in torus.boundary_edges
-                if torus.edge_weights[e] == weight)
+    for e in torus.boundary_edges:
+        if torus.edge_weights[e] == weight:
+            return e
+    raise TriangulationError(f"no boundary edge of weight {weight}: the "
+                             f"boundary triple is {torus.boundary_triple}")
 
 
 def _relayered_meta(torus, layered_class, new_tet, book):
@@ -379,11 +382,36 @@ def lens_space(p, q, fold_weight=None):
 
 
 def meridian_weight_oracle(tri):
-    """Independent recomputation of layered-solid-torus edge weights: the
-    absolute H_1 class of each edge in H_1(solid torus) = Z, via Smith
-    normal form with transform."""
-    coords = homology.h1_coordinates(tri)
-    return {i: abs(c) for i, c in enumerate(coords)}
+    """Independent recomputation of layered-solid-torus edge weights.
+
+    A layered solid torus has one vertex and H_1 = Z, the cokernel of d2.
+    An edge whose class is +-w leaves H_1 / <edge> = Z/w, or Z when w = 0,
+    so its weight is the order of that quotient: the product of the
+    invariant factors of d2 with the edge's unit column added, when they
+    have full rank."""
+    sk = tri.skeleton
+    if sk.vertex_count != 1:
+        raise TriangulationError("h1 coordinates require a one-vertex complex")
+    _, d2 = homology.boundary_matrices(tri)
+    ne, nf = sk.edge_count, sk.face_count
+    diag, rank = homology.smith_normal_form(d2, ne, nf)
+    cyclic = rank == ne - 1 and all(d <= 1 for d in diag)
+    debug = _log.isEnabledFor(logging.DEBUG)
+    if debug:
+        _log.debug("meridian_weight_oracle: %d edges, d2 of rank %d with "
+                   "factors %s, H_1 = Z: %s", ne, rank,
+                   [d for d in diag if d > 1], cyclic)
+    if not cyclic:
+        raise TriangulationError("H_1 is not infinite cyclic")
+    weights = {}
+    for e in range(ne):
+        diag, rank = homology.smith_normal_form(
+            [row + [int(i == e)] for i, row in enumerate(d2)], ne, nf + 1)
+        weights[e] = math.prod(diag) if rank == ne else 0
+    if debug:
+        _log.debug("meridian_weight_oracle: weights %s",
+                   [weights[e] for e in range(ne)])
+    return weights
 
 
 # ----- L-graph --------------------------------------------------------------

@@ -62,6 +62,13 @@ def _require_one_vertex_closed(tri):
             "cocycles are only computed on one-vertex triangulations")
 
 
+def _check_length(tri, bits):
+    if len(bits) != tri.skeleton.edge_count:
+        raise TriangulationError(
+            f"colouring has {len(bits)} edge bits, the triangulation "
+            f"{tri.skeleton.edge_count} edges")
+
+
 def cocycle_basis(tri):
     """Deterministic basis of H^1(M; Z/2) as edge colourings: one vector
     per edge class that ``face_echelon`` does not pivot on, in increasing
@@ -99,6 +106,7 @@ def all_nonzero_classes(tri):
 
 def is_cocycle(tri, bits):
     """Whether the edge bits satisfy every face relation."""
+    _check_length(tri, bits)
     vec = 0
     for e, b in enumerate(bits):
         if b:
@@ -126,6 +134,7 @@ def classify_tetrahedra(tri, phi):
     Returns a list of (TetType, detail) where detail is the even-pair quad
     index for QUAD tetrahedra and the odd-corner vertex for TRI ones.
     """
+    _check_length(tri, phi.bits)
     # phi.bits read through the skeleton once: 1 on each odd edge slot
     odd_class = [1 if b else 0 for b in phi.bits]
     odd = [odd_class[c] for c in tri.skeleton.edge_class]

@@ -25,37 +25,26 @@ _log = logging.getLogger(__name__)
 # ----- Smith normal form ----------------------------------------------------
 
 
-def smith_normal_form(matrix, rows=None, cols=None, want_row_transform=False):
+def smith_normal_form(matrix, rows=None, cols=None):
     """Diagonalise an integer matrix by unimodular row/column operations.
 
-    Returns (diag, rank) or (diag, rank, U) where diag is the list of
-    diagonal entries d_1 | d_2 | ... (nonnegative, divisibility chain) and
-    U is the accumulated row transform with U @ A @ V = D.
+    Returns (diag, rank), where diag is the list of diagonal entries
+    d_1 | d_2 | ... (nonnegative, divisibility chain) and rank counts the
+    nonzero ones.
     """
     if rows is None:
         rows = len(matrix)
         cols = len(matrix[0]) if matrix else 0
     a = [list(r) for r in matrix]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)] \
-        if want_row_transform else None
 
     def row_op(i, j, q):  # row_i -= q * row_j
         ai, aj = a[i], a[j]
         for k in range(cols):
             ai[k] -= q * aj[k]
-        if u is not None:
-            ui, uj = u[i], u[j]
-            for k in range(rows):
-                ui[k] -= q * uj[k]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in a:
             r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -75,7 +64,7 @@ def smith_normal_form(matrix, rows=None, cols=None, want_row_transform=False):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         while True:
             dirty = False
@@ -84,7 +73,7 @@ def smith_normal_form(matrix, rows=None, cols=None, want_row_transform=False):
                     q = a[i][t] // a[t][t]
                     row_op(i, t, q)
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, cols):
                 if a[t][j]:
@@ -108,19 +97,8 @@ def smith_normal_form(matrix, rows=None, cols=None, want_row_transform=False):
                 break
         if fixed:
             t += 1
-    diag = []
-    rank = 0
-    for i in range(limit):
-        v = abs(a[i][i])
-        if u is not None and a[i][i] < 0:
-            for k in range(rows):
-                u[i][k] = -u[i][k]
-        diag.append(v)
-        if v:
-            rank += 1
-    if want_row_transform:
-        return diag, rank, u
-    return diag, rank
+    diag = [abs(a[i][i]) for i in range(limit)]
+    return diag, sum(1 for v in diag if v)
 
 
 # ----- GF(2) -----------------------------------------------------------------
@@ -326,29 +304,6 @@ def first_homology(tri):
         raise AssertionError(
             f"GF(2) rank {z2} disagrees with invariant factors {factors}")
     return HomologyProfile(factors, betti, z2)
-
-
-def h1_coordinates(tri):
-    """For a bounded complex with one vertex and free H_1 of rank one,
-    return the integer H_1 class of every edge class.
-
-    Used as the independent meridian-weight oracle for layered solid tori:
-    the weight of an edge is the absolute value of its class in
-    H_1(solid torus) = Z.
-    """
-    sk = tri.skeleton
-    if sk.vertex_count != 1:
-        raise TriangulationError("h1 coordinates require a one-vertex complex")
-    _, d2 = boundary_matrices(tri)
-    ne = sk.edge_count
-    diag, rank, u = smith_normal_form(d2, ne, sk.face_count,
-                                      want_row_transform=True)
-    free = [i for i in range(ne) if i >= rank]
-    torsion = [i for i in range(rank) if diag[i] > 1]
-    if len(free) != 1 or torsion:
-        raise TriangulationError("H_1 is not infinite cyclic")
-    row = u[free[0]]
-    return [row[e] for e in range(ne)]
 
 
 def seifert_homology(slopes):

@@ -428,13 +428,6 @@ def _formal_chi_functional(tri):
     return chi
 
 
-def formal_chi(tri, coord):
-    """Linear Euler characteristic functional: each disc contributes one
-    face, half an edge per side, and 1/degree of a vertex per corner.
-    Agrees with euler_char on embedded coordinates."""
-    return _formal_chi_functional(tri)(coord)
-
-
 def special_solutions(tri):
     """Edge and tetrahedral solutions plus the formal Euler characteristic
     functional, in the convention with negative quadrilateral entries."""

@@ -333,12 +333,6 @@ class Skeleton:
             hist[d] = hist.get(d, 0) + 1
         return dict(sorted(hist.items()))
 
-    def edge_class_of(self, tet, a, b):
-        """Class index and orientation sign of edge {a,b} of the given
-        tetrahedron; sign +1 means min(a,b)->max(a,b) is the class direction."""
-        x = 6 * tet + EDGE_INDEX[(a, b)]
-        return self.edge_class[x], self.edge_sign[x]
-
 
 class Triangulation:
     """Immutable face-gluing table.
@@ -610,11 +604,6 @@ class Triangulation:
                   else (c // 24, ALL_PERMS[c % 24].images)
                   for c in best[i:i + 4])
             for i in range(0, 4 * n, 4))
-
-    def canonical(self):
-        return Triangulation(
-            tuple(tuple(None if g is None else (g[0], Perm4(g[1])) for g in row)
-                  for row in self.canonical_table))
 
     def isomorphic(self, other):
         if self.tet_count != other.tet_count:

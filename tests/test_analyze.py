@@ -20,9 +20,9 @@ from trinorm.build import (AnnulusFilling, LayeredSolidTorus,
                            augmented_solid_torus, relayered_weight)
 from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.surface import canonical_surface, euler_char
-from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
-                                   Skeleton, TriBuilder, Triangulation,
-                                   TriangulationError, parse)
+from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
+                                   FACET_VERTICES, Skeleton, TriBuilder,
+                                   Triangulation, TriangulationError, parse)
 from test_skeleton import gluing_tables
 from test_triangulation import _random_relabelling
 
@@ -295,7 +295,8 @@ def _edge_class_transport(tri, new_tri, new_index, base, surgery):
         for ei in FACET_EDGES[f]:
             x, y = EDGE_VERTICES[ei]
             old = sk_old.edge_class[6 * t + ei]
-            new = sk_new.edge_class_of(base + nt, vmap[x], vmap[y])[0]
+            new = sk_new.edge_class[6 * (base + nt)
+                                    + EDGE_INDEX[vmap[x], vmap[y]]]
             if old in mapping and mapping[old] != new:
                 raise AssertionError("inconsistent edge transport")
             mapping[old] = new
@@ -846,14 +847,14 @@ def _reference_try_extend(tri, emb):
     fa, fb = g1[1][f1], g2[1][f2]
     hinge = tuple(v for v in range(4) if v not in (fa, fb))
     amb = tri.skeleton
-    hinge_class = amb.edge_class_of(new, *hinge)[0]
+    hinge_class = amb.edge_class[6 * new + EDGE_INDEX[hinge]]
     if hinge_class not in emb.boundary_edges:
         return None
     others = [e for e in emb.boundary_edges if e != hinge_class]
     new_weight = build.relayered_weight(emb.edge_weights[hinge_class],
                                         *(emb.edge_weights[e] for e in others))
     opp = tuple(v for v in range(4) if v not in hinge)
-    new_class = amb.edge_class_of(new, *opp)[0]
+    new_class = amb.edge_class[6 * new + EDGE_INDEX[opp]]
     if new_class in emb.edge_weights:
         return None
     weights = dict(emb.edge_weights)
@@ -919,7 +920,7 @@ def _try_extend(tri, emb):
     fa, fb = g1[1][f1], g2[1][f2]
     hinge = tuple(v for v in range(4) if v not in (fa, fb))
     amb = tri.skeleton
-    hinge_class = amb.edge_class_of(new, *hinge)[0]
+    hinge_class = amb.edge_class[6 * new + EDGE_INDEX[hinge]]
     if hinge_class not in emb.boundary_edges:
         return None
     # layering pattern confirmed structurally; update the weight replay
@@ -928,7 +929,7 @@ def _try_extend(tri, emb):
     new_weight = relayered_weight(emb.edge_weights[layered],
                                   *(emb.edge_weights[e] for e in others))
     opp = tuple(v for v in range(4) if v not in hinge)
-    new_class = amb.edge_class_of(new, *opp)[0]
+    new_class = amb.edge_class[6 * new + EDGE_INDEX[opp]]
     if new_class in emb.edge_weights:
         return None
     weights = dict(emb.edge_weights)

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trinorm import build, homology, cocycle
 from trinorm.perm import Perm4
-from trinorm.triangulation import (FACET_VERTICES, TriBuilder, Triangulation,
-                                   TriangulationError)
+from trinorm.triangulation import (EDGE_INDEX, FACET_VERTICES, TriBuilder,
+                                   Triangulation, TriangulationError)
 
 
 def test_lst_examples():
@@ -51,6 +51,47 @@ def test_lst_counts_property(pq):
     assert sk.face_count == 2 * k + 1
     assert meta.boundary_triple == (p, q, p + q)
     assert build.meridian_weight_oracle(tri) == meta.edge_weights
+
+
+def test_meridian_oracle_refuses_what_is_not_a_solid_torus():
+    # a closed lens space has one vertex but finite H_1
+    with pytest.raises(TriangulationError,
+                       match="^H_1 is not infinite cyclic$"):
+        build.meridian_weight_oracle(build.lens_space(2, 5)[0])
+    # the prism is a solid torus with three vertices
+    prism = build._prism_builder().freeze()
+    assert prism.skeleton.vertex_count == 3
+    with pytest.raises(TriangulationError,
+                       match="^h1 coordinates require a one-vertex complex$"):
+        build.meridian_weight_oracle(prism)
+
+
+def test_meridian_oracle_logs_its_check_and_weights(caplog, capsys):
+    tri, _ = build.lst(2, 3)
+    closed = build.lens_space(1, 2)[0]
+    with caplog.at_level(logging.DEBUG, logger="trinorm.build"):
+        build.meridian_weight_oracle(tri)
+        with pytest.raises(TriangulationError):
+            build.meridian_weight_oracle(closed)
+    lines = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    assert lines == [
+        ("trinorm.build", "DEBUG", "meridian_weight_oracle: 4 edges, d2 of "
+         "rank 3 with factors [], H_1 = Z: True"),
+        ("trinorm.build", "DEBUG",
+         "meridian_weight_oracle: weights [3, 2, 1, 5]"),
+        ("trinorm.build", "DEBUG", "meridian_weight_oracle: 2 edges, d2 of "
+         "rank 2 with factors [4], H_1 = Z: False"),
+    ]
+    # the arguments are formatted only when the record is emitted
+    assert all(r.msg.count("%") == len(r.args) for r in caplog.records)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_boundary_edge_of_a_missing_weight_is_refused():
+    with pytest.raises(TriangulationError,
+                       match=r"^no boundary edge of weight 7: the boundary "
+                             r"triple is \(1, 2, 3\)$"):
+        build.lens_space(1, 2, fold_weight=7)
 
 
 def test_layering_replacement_rule():
@@ -355,7 +396,7 @@ def _reference_relayered_meta(old, out, meta, layered_class, new_tet):
         meta.edge_weights[layered_class],
         *(meta.edge_weights[e] for e in meta.boundary_edges
           if e != layered_class))
-    new_class = out.skeleton.edge_class_of(new_tet, 2, 3)[0]
+    new_class = out.skeleton.edge_class[6 * new_tet + EDGE_INDEX[2, 3]]
     weights[new_class] = new_weight
     boundary = tuple(kept + [new_class])
     base = cmap[meta.base_edge] if meta.base_edge is not None \

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trinorm import build, cocycle, verifysuite
+from trinorm.analyze import fundamental_report
 from trinorm.cocycle import TetType, Cocycle, ParityCensus
 from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES,
                                    TriangulationError)
@@ -130,6 +131,19 @@ def test_cocycles_of_different_sizes_do_not_add():
                        match="^cannot add cocycles on 1 and 3 edges$"):
         Cocycle((1,)) + Cocycle((1, 0, 1))
     assert Cocycle((1, 0, 1)) + Cocycle((1, 1, 0)) == Cocycle((0, 1, 1))
+
+
+def test_colourings_of_the_wrong_length_are_refused():
+    tri, _, _ = build.lens_space(1, 4)       # L(6,1), four edge classes
+    phi = cocycle.all_nonzero_classes(tri)[0]
+    for bits in (phi.bits + (1,), phi.bits[:-1]):
+        message = (f"^colouring has {len(bits)} edge bits, the "
+                   f"triangulation 4 edges$")
+        for check in (cocycle.is_cocycle,
+                      lambda t, b: cocycle.classify_tetrahedra(t, Cocycle(b)),
+                      lambda t, b: fundamental_report(t, Cocycle(b))):
+            with pytest.raises(TriangulationError, match=message):
+                check(tri, bits)
 
 
 # ----- the per-slot colouring against the per-tetrahedron loops --------------

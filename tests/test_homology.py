@@ -17,9 +17,9 @@ from trinorm.homology import (smith_normal_form, gf2_rank, first_homology,
                               require_valid_cells, HomologyProfile,
                               _boundary_columns, _eliminate_unit_pivots)
 from trinorm import triangulation
-from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES, FACET_VERTICES,
-                                   TriangulationError, _UnionFind, _gf2_reduce,
-                                   serialize)
+from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
+                                   FACET_VERTICES, TriangulationError,
+                                   _UnionFind, _gf2_reduce, serialize)
 from trinorm import build, cli, cocycle, verifysuite
 from trinorm.analyze import MoveSpec, pachner_with_cocycle
 from trinorm.cocycle import Cocycle, cocycle_basis, is_cocycle
@@ -35,16 +35,6 @@ def test_smith_normal_form_small():
 
     diag, rank = smith_normal_form([[1, 0], [0, 0]], 2, 2)
     assert (diag[0], rank) == (1, 1)
-
-
-def test_smith_transform_consistency():
-    mat = [[6, 4, 2], [4, 4, 4], [2, 4, 6]]
-    diag, rank, u = smith_normal_form(mat, 3, 3, want_row_transform=True)
-    # U must be unimodular
-    det = (u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
-           - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0])
-           + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0]))
-    assert det in (1, -1)
 
 
 def test_gf2_kernel():
@@ -88,9 +78,23 @@ def test_seifert_presentation_oracle():
 
 
 def test_meridian_oracle_matches_replay():
-    for (p, q) in ((1, 2), (1, 5), (3, 4), (4, 7), (5, 8)):
+    # every torus of the fraction tree to depth 8, layered by lst_tree
+    tori = 0
+    for _, tri, meta in build.lst_tree(8):
+        assert build.meridian_weight_oracle(tri) == meta.edge_weights
+        tori += 1
+    assert tori == 255
+    for (p, q) in ((1, 2), (1, 5), (3, 4), (4, 7), (5, 8), (13, 34)):
         tri, meta = build.lst(p, q)
         assert build.meridian_weight_oracle(tri) == meta.edge_weights
+    # layering on the sum edge twice reaches the degenerate triples
+    # {1, 1, 2} and then {0, 1, 1}, whose fresh edge has weight 0
+    tri, meta = build.lst(1, 2)
+    for gone in (3, 2):
+        tri, meta = build.layer_on_edge(tri, build.boundary_edge(meta, gone),
+                                        meta)
+        assert build.meridian_weight_oracle(tri) == meta.edge_weights
+    assert meta.boundary_triple == (0, 1, 1)
 
 
 def test_homology_invariant_under_relabelling():
@@ -525,8 +529,8 @@ def _reference_boundary_matrices(tri):
         t, f = divmod(x, 4)
         w = FACET_VERTICES[f]
         for coeff, (x, y) in ((1, (w[1], w[2])), (-1, (w[0], w[2])), (1, (w[0], w[1]))):
-            idx, sign = tri.skeleton.edge_class_of(t, x, y)
-            d2[idx][c] += coeff * sign
+            s = 6 * t + EDGE_INDEX[x, y]
+            d2[sk.edge_class[s]][c] += coeff * sk.edge_sign[s]
     return d1, d2
 
 
@@ -807,7 +811,7 @@ def test_elimination_matches_reference_pivot_order(case):
 
 
 def test_boundary_columns_match_reference_on_fold_and_family_grids():
-    # the per-facet term table against the per-term edge_class_of loop,
+    # the per-facet term table against the per-term edge slot loop,
     # and the face columns through both eliminations
     folds = [folded for _, _, folded in verifysuite._lens_grid(10)]
     family = [tri for _, _, tri in verifysuite._family_grid()]

@@ -13,9 +13,8 @@ from trinorm.cocycle import TetType
 from trinorm.surface import (NormalCoordinate, CoordinateError,
                              canonical_surface, chi_formula, edge_weights,
                              euler_char, vertex_link, b_modification,
-                             special_solutions,
-                             formal_chi, twisted_square_scan, surface_classify,
-                             tet_solution,
+                             special_solutions, twisted_square_scan,
+                             surface_classify, tet_solution,
                              QUAD_PAIRS, QUAD_SIDE_A, QUAD_ARC_VERTEX,
                              OCT_ARC_VERTICES, TRI_EDGE_WEIGHTS,
                              QUAD_EDGE_WEIGHTS, OCT_EDGE_WEIGHTS)
@@ -234,13 +233,14 @@ def test_formal_chi_is_linear_and_extends_euler():
     phi = cocycle.all_nonzero_classes(tri)[0]
     canon = canonical_surface(tri, phi)
     link = vertex_link(tri)
+    fchi = special_solutions(tri)[2]
     # linearity on a lattice of embedded coordinates
     import random
     rng = random.Random(5)
     for _ in range(50):
         a, b = rng.randint(0, 3), rng.randint(0, 2)
         coord = link.scale(a) + canon.coord.scale(b)
-        assert formal_chi(tri, coord) == euler_char(tri, coord) \
+        assert fchi(coord) == euler_char(tri, coord) \
             == 2 * a * tri.skeleton.vertex_count + b * canon.chi
 
 
@@ -776,9 +776,11 @@ def test_coordinate_of_the_wrong_size_is_rejected():
         message = (f"^coordinate has {other.tet_count} tetrahedra, "
                    f"the triangulation 4$")
         coord = vertex_link(other)
-        for fn in (euler_char, edge_weights, surface_classify, formal_chi):
+        for fn in (euler_char, edge_weights, surface_classify):
             with pytest.raises(CoordinateError, match=message):
                 fn(tri, coord)
+        with pytest.raises(CoordinateError, match=message):
+            special_solutions(tri)[2](coord)
         with pytest.raises(CoordinateError, match=message):
             surface_classify(tri, coord, 2)
         phi = cocycle.all_nonzero_classes(other)[0]
@@ -838,7 +840,6 @@ def test_formal_chi_matches_reference_on_special_solutions():
         link = vertex_link(tri)
         for k in range(4):
             assert _same_formal_chi(fchi, tri, link.scale(k)) == 2 * k
-            assert formal_chi(tri, link.scale(k)) == 2 * k
     # octagons: every b-modification of the twisted loop
     tri = build.layered_loop(4, twisted=True)
     fchi = special_solutions(tri)[2]
@@ -869,7 +870,6 @@ def test_formal_chi_matches_reference_on_combinations(data):
             st.integers(-2, 2)), max_size=3)):
         coord = coord + _disc_coord(tri.tet_count, t, d, c, formal=True)
     _same_formal_chi(fchi, tri, coord)
-    assert formal_chi(tri, coord) == fchi(coord)
 
 
 # the solutions as built before special_solutions grouped the slots once,
@@ -963,12 +963,10 @@ def test_chi_two_methods_classifies_each_class_once(monkeypatch):
 
 def test_formal_chi_needs_a_closed_triangulation():
     tri = build.lst(5, 13)[0]
-    for fn in (lambda: formal_chi(tri, vertex_link(tri)),
-               lambda: special_solutions(tri)):
-        with pytest.raises(TriangulationError,
-                           match="^formal chi is defined for closed "
-                                 "triangulations$"):
-            fn()
+    with pytest.raises(TriangulationError,
+                       match="^formal chi is defined for closed "
+                             "triangulations$"):
+        special_solutions(tri)
 
 
 def test_b_modification_logs_each_check(caplog, capsys):
