@@ -17,8 +17,8 @@ from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_VERTICES,
                             TriBuilder, TriangulationError)
 from . import homology as _homology
 from .build import (SEED_WEIGHTS, LayeredSolidTorus, family_slopes,
-                    family_tag, lens_space, relayer, relayered_weight,
-                    seifert_family)
+                    family_tag, frontier_book, lens_space, relayer,
+                    relayered_weight, seifert_family)
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
                       all_nonzero_classes, Cocycle, is_cocycle)
 from .surface import canonical_surface, chi_formula, twisted_square_scan
@@ -31,10 +31,12 @@ _log = logging.getLogger(__name__)
 
 def _seed_classes(tri, t):
     """If tetrahedron t forms a one-tetrahedron layered solid torus, return
-    its structure.  That is when exactly two of its facets are glued to
-    each other, not by a map carrying their shared edge to itself, and its
-    six edge slots fall into three ambient classes; the count of slots in
-    each class is its degree in the torus, 1, 2 or 3."""
+    its structure: the seed ``_grow`` starts from, without a book, since
+    ``_grow`` reads one off the frontier where growth stops.  That is when
+    exactly two of its facets are glued to each other, not by a map
+    carrying their shared edge to itself, and its six edge slots fall into
+    three ambient classes; the count of slots in each class is its degree
+    in the torus, 1, 2 or 3."""
     glued = [(f, g[1]) for f, g in enumerate(tri.gluings[t])
              if g is not None and g[0] == t]
     if len(glued) != 2:
@@ -53,7 +55,8 @@ def _seed_classes(tri, t):
         return None
     weights = {c: SEED_WEIGHTS[d] for c, d in degrees.items()}
     univalent = next(c for c, d in degrees.items() if d == 1)
-    return LayeredSolidTorus((t,), weights, tuple(weights), univalent, None)
+    return LayeredSolidTorus((t,), weights, tuple(weights), univalent, None,
+                             None)
 
 
 # _LAYERING[fa, fb], for a tetrahedron layered onto a torus along its
@@ -72,11 +75,13 @@ def _grow(tri, seed):
     two free facets attach a fresh tetrahedron in the layering pattern.
 
     The torus grows on one working state, its frontier (the two free
-    facets), weights and boundary updated in place by ``relayer``, so each
-    layer costs O(1).  After a layer the free facets are exactly the new
-    tetrahedron's other two facets: every older torus facet is glued
-    inside the torus, and those two do not glue back.  Returns the frozen
-    torus and the reason growth stopped."""
+    facets, ascending), weights and boundary updated in place by
+    ``relayer``, so each layer costs O(1).  The seed's two facets not glued
+    to each other start the frontier, and after a layer the free facets
+    are exactly the new tetrahedron's other two facets: every older torus
+    facet is glued inside the torus, and those two do not glue back.
+    Returns the frozen torus, with its book read off the frontier, and the
+    reason growth stopped."""
     rows = tri.gluings
     edge_class = tri.skeleton.edge_class
     t = seed.tets[0]
@@ -86,9 +91,6 @@ def _grow(tri, seed):
     boundary = seed.boundary_edges
     univalent, base = seed.univalent_edge, None
     while True:
-        if len(free) != 2:
-            reason = "not two free facets"
-            break
         (t1, f1), (t2, f2) = free
         g1, g2 = rows[t1][f1], rows[t2][f2]
         if g1 is None or g2 is None:
@@ -126,7 +128,7 @@ def _grow(tri, seed):
         members.add(new)
         free = [(new, r0), (new, r1)]
     return LayeredSolidTorus(tuple(tets), weights, boundary, univalent,
-                             base), reason
+                             base, frontier_book(tri, free)), reason
 
 
 def find_maximal_lsts(tri):

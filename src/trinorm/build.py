@@ -57,15 +57,16 @@ class LayeredSolidTorus:
     loop with the meridian disc; the three boundary edges carry the triple
     {p, q, p+q}.  The univalent edge is the boundary edge of torus-degree
     one; base_edge is the first edge ever layered on (absent for a single
-    tetrahedron).  book locates the boundary for the next layering or fold;
-    a recognised torus has none, and its boundary is read off the skeleton.
+    tetrahedron).  book locates the boundary for the next layering or fold:
+    a built torus carries it along, and a recognised one reads it off its
+    frontier with ``frontier_book``.
     """
     tets: tuple
     edge_weights: dict
     boundary_edges: tuple
     univalent_edge: int
     base_edge: int | None
-    book: Book | None = field(default=None, compare=False, repr=False)
+    book: Book = field(compare=False, repr=False)
 
     @property
     def size(self):
@@ -149,52 +150,28 @@ def _seed_lst():
     degrees = tri.skeleton.edge_degrees
     weights = {e: SEED_WEIGHTS[d] for e, d in enumerate(degrees)}
     return tri, LayeredSolidTorus((0,), weights, tuple(weights),
-                                  degrees.index(1), None, _skeleton_book(tri))
+                                  degrees.index(1), None,
+                                  frontier_book(tri, ((0, 2), (0, 3))))
 
 
-def _boundary_face_slots(tri):
-    slots = [divmod(x, 4) for x in tri.skeleton.boundary_facets]
-    if len(slots) != 2:
-        raise TriangulationError(
-            f"expected a two-triangle boundary, found {len(slots)} free facets")
-    return slots
-
-
-def _boundary_edge_slot(tri, face_slot, edge_class):
-    """Directed endpoints (head first in the class orientation) of the
-    given edge class inside a boundary face."""
+def frontier_book(tri, faces):
+    """The book of a layered solid torus in tri whose two boundary faces
+    are ``faces``, (tet, facet) in ascending order: each boundary edge
+    class's vertex pair (head, tail) in each face, in the class direction
+    of tri's skeleton, from its first slot in the face.  Only a torus in a
+    non-orientable or invalid complex has a class met in one face only;
+    that class is no boundary edge of the book."""
     sk = tri.skeleton
-    t, f = face_slot
-    for ei in FACET_EDGES[f]:
-        idx, sign = sk.edge_class[6 * t + ei], sk.edge_sign[6 * t + ei]
-        if idx == edge_class:
+    first, second = {}, {}
+    for slots, (t, f) in zip((first, second), faces):
+        for ei in FACET_EDGES[f]:
+            x = 6 * t + ei
             a, b = EDGE_VERTICES[ei]
-            return (a, b) if sign > 0 else (b, a)
-    raise TriangulationError("edge class does not lie in that boundary face")
-
-
-def check_torus_boundary(tri):
-    """The boundary must be a one-vertex torus: two faces sharing three
-    edge classes, each class appearing once in each face."""
-    (t1, f1), (t2, f2) = _boundary_face_slots(tri)
-    sk = tri.skeleton
-
-    def face_edges(t, f):
-        return sorted(sk.edge_class[6 * t + ei] for ei in FACET_EDGES[f])
-
-    c1 = face_edges(t1, f1)
-    c2 = face_edges(t2, f2)
-    if c1 != c2 or len(set(c1)) != 3:
-        raise TriangulationError("boundary is not a one-vertex torus")
-    return (t1, f1), (t2, f2), tuple(c1)
-
-
-def _skeleton_book(tri):
-    """The book of an arbitrary triangulation, read off its skeleton."""
-    face1, face2, classes = check_torus_boundary(tri)
-    return Book((face1, face2), {
-        e: tuple(_boundary_edge_slot(tri, face, e) for face in (face1, face2))
-        for e in classes})
+            slots.setdefault(sk.edge_class[x],
+                             (a, b) if sk.edge_sign[x] > 0 else (b, a))
+    return Book(tuple(faces),
+                {e: (pair, second[e]) for e, pair in first.items()
+                 if e in second})
 
 
 def _builder(tri):
@@ -246,9 +223,10 @@ def layer_on_edge(tri, edge_class, torus):
     """Attach one tetrahedron across the two boundary faces of tri, the
     layered solid torus ``torus``, hinged on the given boundary edge (see
     ``_layer``); returns the new triangulation and its torus.  The boundary
-    is read off the torus's book, or off tri's skeleton when it has none."""
+    is read off the torus's book, so a torus whose faces are glued in tri
+    is refused."""
     builder = _builder(tri)
-    new, book = _layer(builder, torus.book or _skeleton_book(tri), edge_class,
+    new, book = _layer(builder, torus.book, edge_class,
                        len(torus.edge_weights))
     return builder.freeze(), _relayered_meta(torus, edge_class, new, book)
 
@@ -359,9 +337,8 @@ def fold_along_edge(tri, edge_class, torus):
     the two boundary faces by the map fixing the given boundary edge
     pointwise.  The other two boundary edges merge into a single class.
     Returns the lens space and its fold record.  The boundary is read off
-    the torus's book, or off tri's skeleton when it has none."""
-    book = torus.book or _skeleton_book(tri)
-    (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = book.hinge(edge_class)
+    the torus's book, so a torus whose faces are glued in tri is refused."""
+    (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = torus.book.hinge(edge_class)
     builder = _builder(tri)
     builder.join(t1, f1, t2, Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2}))
     return builder.freeze(), fold_record(torus.p, torus.q,
@@ -391,7 +368,8 @@ def meridian_weight_oracle(tri):
     have full rank."""
     sk = tri.skeleton
     if sk.vertex_count != 1:
-        raise TriangulationError("h1 coordinates require a one-vertex complex")
+        raise TriangulationError(
+            "the meridian oracle requires a one-vertex complex")
     _, d2 = homology.boundary_matrices(tri)
     ne, nf = sk.edge_count, sk.face_count
     diag, rank = homology.smith_normal_form(d2, ne, nf)

@@ -172,6 +172,7 @@ def parity_census(tri, phi, types=None):
     subcomplex spanned by the even edges.  ``types`` is the colouring's
     ``classify_tetrahedra`` list when the caller has one."""
     _require_one_vertex_closed(tri)
+    _check_length(tri, phi.bits)
     sk = tri.skeleton
     if types is None:
         types = classify_tetrahedra(tri, phi)

@@ -36,7 +36,7 @@ from operator import add, eq, mul
 
 from .triangulation import (EDGE_VERTICES, FACET_VERTICES,
                             TriangulationError, _UnionFind)
-from .cocycle import TetType, classify_tetrahedra, ParityCensus
+from .cocycle import TetType, _check_length, classify_tetrahedra, ParityCensus
 
 _log = logging.getLogger(__name__)
 
@@ -267,6 +267,7 @@ def canonical_surface(tri, phi, types=None):
     """The unique normal surface meeting every odd edge once: a quad dual to
     the even pair in each QUAD tetrahedron, one triangle at the odd corner
     of each TRI one, nothing in EMPTY ones; ``types`` as in parity_census."""
+    _check_length(tri, phi.bits)
     if types is None:
         types = classify_tetrahedra(tri, phi)
     coord = NormalCoordinate(tuple(map(_CANONICAL_ROWS.__getitem__, types)))

@@ -25,6 +25,7 @@ from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                                    Triangulation, TriangulationError, parse)
 from test_skeleton import gluing_tables
 from test_triangulation import _random_relabelling
+from test_build import _boundary_edge_slot
 
 
 def test_maximal_lsts_on_lens():
@@ -778,6 +779,21 @@ def _reference_subcomplex(tri, tets):
     return Triangulation(rows)
 
 
+def _reference_book(tri, tets):
+    """The book of the torus on ``tets``, read the slow way: its two free
+    facets by a scan of every facet of the torus, and each class the two
+    faces share by ``_boundary_edge_slot`` in each."""
+    members = set(tets)
+    faces = sorted((t, f) for t in tets for f in range(4)
+                   if (g := tri.gluing(t, f)) is None or g[0] not in members)
+    sk = tri.skeleton
+    first, second = ({sk.edge_class[6 * t + ei] for ei in FACET_EDGES[f]}
+                     for t, f in faces)
+    return build.Book(tuple(faces), {
+        e: tuple(_boundary_edge_slot(tri, face, e) for face in faces)
+        for e in first & second})
+
+
 def _reference_seed_classes(tri, t):
     """If tetrahedron t has two of its facets glued to each other and forms
     a one-tetrahedron layered solid torus, return its structure: read off
@@ -813,7 +829,7 @@ def _reference_seed_classes(tri, t):
         return None
     boundary = tuple(weights)
     univalent = next(c for c, d in degrees.items() if d == 1)
-    return LayeredSolidTorus((t,), weights, boundary, univalent, None)
+    return LayeredSolidTorus((t,), weights, boundary, univalent, None, None)
 
 
 def _reference_try_extend(tri, emb):
@@ -872,7 +888,7 @@ def _reference_try_extend(tri, emb):
         return None
     boundary = tuple(others + [new_class])
     base = emb.base_edge if emb.base_edge is not None else hinge_class
-    return LayeredSolidTorus(grown, weights, boundary, new_class, base)
+    return LayeredSolidTorus(grown, weights, boundary, new_class, base, None)
 
 
 def _reference_maximal_lsts(tri):
@@ -883,7 +899,9 @@ def _reference_maximal_lsts(tri):
             continue
         while (grown := _reference_try_extend(tri, emb)) is not None:
             emb = grown
-        out.append(emb)
+        # the book is read once the torus stops growing
+        out.append(dataclasses.replace(emb,
+                                       book=_reference_book(tri, emb.tets)))
     return out
 
 
@@ -937,7 +955,7 @@ def _try_extend(tri, emb):
     boundary = tuple(others + [new_class])
     base = emb.base_edge if emb.base_edge is not None else layered
     return LayeredSolidTorus(emb.tets + (new,), weights, boundary, new_class,
-                             base)
+                             base, None)
 
 
 def _copying_maximal_lsts(tri):
@@ -954,7 +972,9 @@ def _copying_maximal_lsts(tri):
             if grown is None:
                 break
             emb = grown
-        out.append(emb)
+        # the book is read once the torus stops growing
+        out.append(dataclasses.replace(emb,
+                                       book=_reference_book(tri, emb.tets)))
     return out
 
 
@@ -1109,11 +1129,12 @@ def test_torus_growth_matches_references_on_long_lens_spaces(n):
 
 
 # One smallest table for each stop condition a valid table can reach.
-# Three conditions stay unreachable: the frontier always holds two facets,
-# gluings are involutions (so two frontier facets never meet one facet of
-# the new tetrahedron, nor glue into the torus), and the hinge lies in a
-# facet glued onto a frontier triangle, whose three edges are the
-# boundary edges.
+# Two conditions stay unreachable: gluings are involutions (so two
+# frontier facets never meet one facet of the new tetrahedron, nor glue
+# into the torus), and the hinge lies in a facet glued onto a frontier
+# triangle, whose three edges are the boundary edges.  The frontier always
+# holds two facets, a seed's two free ones or a layer's other two, so
+# growth does not check their count.
 STOP_TABLES = [
     ("tri 1\ntet 0: 0:1230 0:3012 - -\n",
      1, "a free facet is unglued"),

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trinorm import build, homology, cocycle
+from trinorm.analyze import find_maximal_lsts
 from trinorm.perm import Perm4
-from trinorm.triangulation import (EDGE_INDEX, FACET_VERTICES, TriBuilder,
-                                   Triangulation, TriangulationError)
+from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
+                                   FACET_VERTICES, TriBuilder, Triangulation,
+                                   TriangulationError)
+from test_triangulation import _random_relabelling
 
 
 def test_lst_examples():
@@ -62,7 +65,8 @@ def test_meridian_oracle_refuses_what_is_not_a_solid_torus():
     prism = build._prism_builder().freeze()
     assert prism.skeleton.vertex_count == 3
     with pytest.raises(TriangulationError,
-                       match="^h1 coordinates require a one-vertex complex$"):
+                       match="^the meridian oracle requires a one-vertex "
+                             "complex$"):
         build.meridian_weight_oracle(prism)
 
 
@@ -363,19 +367,67 @@ def test_enumerate_matches_from_scratch_reference(depth):
 
 
 # ----- the skeleton-based layering, kept as the reference -------------------
+#
+# The boundary readers below are the library's route to a torus boundary
+# before every torus carried its book, kept here word for word.
+
+
+def _boundary_face_slots(tri):
+    slots = [divmod(x, 4) for x in tri.skeleton.boundary_facets]
+    if len(slots) != 2:
+        raise TriangulationError(
+            f"expected a two-triangle boundary, found {len(slots)} free facets")
+    return slots
+
+
+def _boundary_edge_slot(tri, face_slot, edge_class):
+    """Directed endpoints (head first in the class orientation) of the
+    given edge class inside a boundary face."""
+    sk = tri.skeleton
+    t, f = face_slot
+    for ei in FACET_EDGES[f]:
+        idx, sign = sk.edge_class[6 * t + ei], sk.edge_sign[6 * t + ei]
+        if idx == edge_class:
+            a, b = EDGE_VERTICES[ei]
+            return (a, b) if sign > 0 else (b, a)
+    raise TriangulationError("edge class does not lie in that boundary face")
+
+
+def check_torus_boundary(tri):
+    """The boundary must be a one-vertex torus: two faces sharing three
+    edge classes, each class appearing once in each face."""
+    (t1, f1), (t2, f2) = _boundary_face_slots(tri)
+    sk = tri.skeleton
+
+    def face_edges(t, f):
+        return sorted(sk.edge_class[6 * t + ei] for ei in FACET_EDGES[f])
+
+    c1 = face_edges(t1, f1)
+    c2 = face_edges(t2, f2)
+    if c1 != c2 or len(set(c1)) != 3:
+        raise TriangulationError("boundary is not a one-vertex torus")
+    return (t1, f1), (t2, f2), tuple(c1)
+
+
+def _skeleton_book(tri):
+    """The book of an arbitrary triangulation, read off its skeleton."""
+    face1, face2, classes = check_torus_boundary(tri)
+    return build.Book((face1, face2), {
+        e: tuple(_boundary_edge_slot(tri, face, e) for face in (face1, face2))
+        for e in classes})
 
 
 def _reference_open_book(tri, edge_class):
     """A builder holding a copy of tri's gluings, and for each of the two
     boundary faces (tet, facet, a, b, c), all read off tri's skeleton."""
-    slot1, slot2, bclasses = build.check_torus_boundary(tri)
+    slot1, slot2, bclasses = check_torus_boundary(tri)
     if edge_class not in bclasses:
         raise TriangulationError(f"edge {edge_class} is not a boundary edge")
     builder = TriBuilder()
     builder.rows = [list(row) for row in tri.gluings]
     out = []
     for t, f in (slot1, slot2):
-        a, b = build._boundary_edge_slot(tri, (t, f), edge_class)
+        a, b = _boundary_edge_slot(tri, (t, f), edge_class)
         c = next(v for v in FACET_VERTICES[f] if v not in (a, b))
         out.append((t, f, a, b, c))
     return builder, out
@@ -402,7 +454,7 @@ def _reference_relayered_meta(old, out, meta, layered_class, new_tet):
     base = cmap[meta.base_edge] if meta.base_edge is not None \
         else cmap[layered_class]
     return build.LayeredSolidTorus(meta.tets + (new_tet,), weights, boundary,
-                                   new_class, base)
+                                   new_class, base, _skeleton_book(out))
 
 
 def _reference_layer_on_edge(tri, edge_class, meta=None):
@@ -452,7 +504,7 @@ def _reference_tree(depth_limit):
 
 def _assert_book_matches_skeleton(tri, meta):
     # the positions _boundary_edge_slot reads from the layer's own skeleton
-    assert meta.book == build._skeleton_book(tri)
+    assert meta.book == _skeleton_book(tri)
     assert set(meta.book.edges) == set(meta.boundary_edges)
 
 
@@ -462,9 +514,19 @@ def _assert_folds_match(tri, meta):
         assert folded == _reference_fold_along_edge(tri, e)
         assert record == build.fold_record(meta.p, meta.q,
                                            meta.edge_weights[e])
-        # a torus without a book folds along the skeleton's boundary
-        assert build.fold_along_edge(
-            tri, e, dataclasses.replace(meta, book=None)) == (folded, record)
+
+
+def _recognised_torus(tri):
+    """The one torus recognised in tri, a layered solid torus and nothing
+    more, checked against the skeleton reference: its book read off its
+    frontier, and its layering and fold on every boundary edge."""
+    [torus] = find_maximal_lsts(tri)
+    _assert_book_matches_skeleton(tri, torus)
+    _assert_folds_match(tri, torus)
+    for e in torus.boundary_edges:
+        assert build.layer_on_edge(tri, e, torus) == \
+            _reference_layer_on_edge(tri, e, torus)
+    return torus
 
 
 def test_lst_tree_matches_skeleton_reference():
@@ -481,6 +543,7 @@ def test_lst_tree_matches_skeleton_reference():
 
 
 def test_layer_and_fold_match_skeleton_reference():
+    rng = random.Random(27)
     for node, tri, meta in build.lst_tree(7):
         _assert_folds_match(tri, meta)
         for e in meta.boundary_edges:
@@ -488,9 +551,26 @@ def test_layer_and_fold_match_skeleton_reference():
             want = _reference_layer_on_edge(tri, e, meta)
             got = build.layer_on_edge(tri, e, meta)
             assert got == want
-            assert build.layer_on_edge(
-                tri, e, dataclasses.replace(meta, book=None)) == want
             _assert_book_matches_skeleton(want[0], got[1])
+        # the torus recognised in tri, and in a relabelled copy, layers and
+        # folds through the book read off its frontier
+        assert _recognised_torus(tri) == meta
+        _recognised_torus(_random_relabelling(tri, rng))
+
+
+def test_a_recognised_torus_inside_a_closed_complex_is_refused():
+    tri, _, _ = build.lens_space(1, 8)
+    lsts = find_maximal_lsts(tri)
+    assert [emb.size for emb in lsts] == [6, 6]
+    for torus in lsts:
+        # its frontier faces are glued in tri, so neither can be glued again
+        for e in torus.boundary_edges:
+            with pytest.raises(TriangulationError,
+                               match="^facet already glued"):
+                build.layer_on_edge(tri, e, torus)
+            with pytest.raises(TriangulationError,
+                               match="^facet already glued"):
+                build.fold_along_edge(tri, e, torus)
 
 
 def _random_path(rng, length):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from trinorm import build, cocycle, verifysuite
 from trinorm.analyze import fundamental_report
 from trinorm.cocycle import TetType, Cocycle, ParityCensus
+from trinorm.surface import canonical_surface
 from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES,
                                    TriangulationError)
 
@@ -136,12 +137,16 @@ def test_cocycles_of_different_sizes_do_not_add():
 def test_colourings_of_the_wrong_length_are_refused():
     tri, _, _ = build.lens_space(1, 4)       # L(6,1), four edge classes
     phi = cocycle.all_nonzero_classes(tri)[0]
+    # the types of the right colouring do not excuse a wrong one's length
+    types = cocycle.classify_tetrahedra(tri, phi)
     for bits in (phi.bits + (1,), phi.bits[:-1]):
         message = (f"^colouring has {len(bits)} edge bits, the "
                    f"triangulation 4 edges$")
         for check in (cocycle.is_cocycle,
                       lambda t, b: cocycle.classify_tetrahedra(t, Cocycle(b)),
-                      lambda t, b: fundamental_report(t, Cocycle(b))):
+                      lambda t, b: fundamental_report(t, Cocycle(b)),
+                      lambda t, b: cocycle.parity_census(t, Cocycle(b), types),
+                      lambda t, b: canonical_surface(t, Cocycle(b), types)):
             with pytest.raises(TriangulationError, match=message):
                 check(tri, bits)
 
