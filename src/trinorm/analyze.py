@@ -33,18 +33,19 @@ def _seed_classes(tri, t):
     """If tetrahedron t forms a one-tetrahedron layered solid torus, return
     its structure: the seed ``_grow`` starts from, without a book, since
     ``_grow`` reads one off the frontier where growth stops.  That is when
-    exactly two of its facets are glued to each other, not by a map
-    carrying their shared edge to itself, and its six edge slots fall into
-    three ambient classes; the count of slots in each class is its degree
-    in the torus, 1, 2 or 3."""
+    exactly two of its facets are glued to each other, by an odd map (an
+    even one reverses orientation) that does not carry their shared edge
+    to itself, and its six edge slots fall into three ambient classes; the
+    count of slots in each class is its degree in the torus, 1, 2 or 3."""
     glued = [(f, g[1]) for f, g in enumerate(tri.gluings[t])
              if g is not None and g[0] == t]
     if len(glued) != 2:
         return None
     fa, perm = glued[0]
     fb = perm[fa]
-    if fb == fa or perm[fb] == fa:
-        # a facet glued to itself, or the pair's shared edge kept
+    if fb == fa or perm[fb] == fa or perm.sign() == 1:
+        # a facet glued to itself, the pair's shared edge kept, or the
+        # pair glued orientation-reversingly
         return None
     degrees = {}
     for c in tri.skeleton.edge_class[6 * t:6 * t + 6]:

@@ -174,13 +174,6 @@ def frontier_book(tri, faces):
                  if e in second})
 
 
-def _builder(tri):
-    """A builder holding a copy of tri's gluings."""
-    builder = TriBuilder()
-    builder.rows = [list(row) for row in tri.gluings]
-    return builder
-
-
 # _LAYER_MAPS[a, b, c] holds the two gluings ``_layer`` makes of a face
 # (tet, f) whose hinge runs a -> b, with third vertex c = 6 - f - a - b:
 # onto the new tetrahedron's facet 2 (the first face) and facet 3 (the
@@ -190,10 +183,10 @@ _LAYER_MAPS = {(a, b, c): (Perm4.from_map({a: 0, b: 1, c: 3, f: 2}),
                for a, b, c, f in permutations(range(4))}
 
 
-def _layer(builder, book, hinge, new_class):
-    """Attach one tetrahedron to ``builder`` across the book's two faces,
-    hinged on the boundary edge class ``hinge``; returns the new
-    tetrahedron and its book.
+def _layer(book, hinge, new, new_class):
+    """The two joins that attach tetrahedron ``new`` across the book's two
+    faces, hinged on the boundary edge class ``hinge``, and the book they
+    leave; ``Triangulation.glued`` makes the joins.
 
     The new tetrahedron glues its facets 2 and 3 over the two faces with
     the hinge landing on its edge (0,1); orientation of the hinge is
@@ -204,11 +197,8 @@ def _layer(builder, book, hinge, new_class):
     the one through vertex 0 lies in facet 1 and the other in facet 0.
     """
     (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = book.hinge(hinge)
-    new = builder.add_tet()
     g1 = _LAYER_MAPS[a1, b1, c1][0]
     g2 = _LAYER_MAPS[a2, b2, c2][1]
-    builder.join(t1, f1, new, g1)
-    builder.join(t2, f2, new, g2)
     im1, im2 = g1.images, g2.images
     edges = {}
     for e, ((h1, u1), (h2, u2)) in book.edges.items():
@@ -216,19 +206,21 @@ def _layer(builder, book, hinge, new_class):
             i1, i2 = (im1[h1], im1[u1]), (im2[h2], im2[u2])
             edges[e] = (i2, i1) if 0 in i1 else (i1, i2)
     edges[new_class] = ((2, 3), (2, 3))
-    return new, Book(((new, 0), (new, 1)), edges)
+    return (((t1, f1, new, g1), (t2, f2, new, g2)),
+            Book(((new, 0), (new, 1)), edges))
 
 
 def layer_on_edge(tri, edge_class, torus):
     """Attach one tetrahedron across the two boundary faces of tri, the
     layered solid torus ``torus``, hinged on the given boundary edge (see
-    ``_layer``); returns the new triangulation and its torus.  The boundary
-    is read off the torus's book, so a torus whose faces are glued in tri
-    is refused."""
-    builder = _builder(tri)
-    new, book = _layer(builder, torus.book, edge_class,
-                       len(torus.edge_weights))
-    return builder.freeze(), _relayered_meta(torus, edge_class, new, book)
+    ``_layer``); returns the new triangulation and its torus.  The new
+    table shares tri's unchanged rows (``Triangulation.glued``).  The
+    boundary is read off the torus's book, so a torus whose faces are
+    glued in tri is refused."""
+    new = tri.tet_count
+    joins, book = _layer(torus.book, edge_class, new,
+                         len(torus.edge_weights))
+    return tri.glued(joins, 1), _relayered_meta(torus, edge_class, new, book)
 
 
 def relayered_weight(removed, w1, w2):
@@ -287,10 +279,10 @@ def minimal_path(p, q):
 
 def lst(p, q):
     """Layered solid torus with boundary triple {p, q, p+q}, layered along
-    the minimal path on one working state: a builder, the weights, the
-    boundary, the tetrahedra and the book, updated in place by each layer
-    as ``relayer`` and ``_layer`` do.  Only the seed tetrahedron's skeleton
-    is built, and the result is frozen once."""
+    the minimal path on one working state: the joins, the weights, the
+    boundary, the tetrahedra and the book, updated by each layer as
+    ``relayer`` and ``_layer`` do.  Only the seed tetrahedron's skeleton
+    is built, and the seed is glued once, with every layer's joins."""
     p, q = int(p), int(q)
     if p > q:
         p, q = q, p
@@ -302,7 +294,7 @@ def lst(p, q):
     if math.gcd(p, q) != 1:
         raise TriangulationError(f"weights {p}, {q} are not coprime")
     seed, torus = _seed_lst()
-    builder = _builder(seed)
+    joins = []
     tets = list(torus.tets)
     weights = dict(torus.edge_weights)
     boundary, book = torus.boundary_edges, torus.book
@@ -313,13 +305,15 @@ def lst(p, q):
         gone = pa if pa not in (ca, cb) else pb
         hinge = next(e for e in boundary if weights[e] == gone)
         univalent = len(weights)
-        new, book = _layer(builder, book, hinge, univalent)
+        new = len(tets)
+        layer, book = _layer(book, hinge, new, univalent)
+        joins += layer
         boundary = relayer(weights, boundary, hinge, univalent)
         if base is None:
             base = hinge
         tets.append(new)
-    return builder.freeze(), LayeredSolidTorus(tuple(tets), weights, boundary,
-                                               univalent, base, book)
+    return seed.glued(joins, len(tets) - 1), LayeredSolidTorus(
+        tuple(tets), weights, boundary, univalent, base, book)
 
 
 def fold_record(p, q, weight):
@@ -336,13 +330,14 @@ def fold_along_edge(tri, edge_class, torus):
     """Close the book of tri, the layered solid torus ``torus``: identify
     the two boundary faces by the map fixing the given boundary edge
     pointwise.  The other two boundary edges merge into a single class.
-    Returns the lens space and its fold record.  The boundary is read off
-    the torus's book, so a torus whose faces are glued in tri is refused."""
+    Returns the lens space, which shares tri's unchanged rows
+    (``Triangulation.glued``), and its fold record.  The boundary is read
+    off the torus's book, so a torus whose faces are glued in tri is
+    refused."""
     (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = torus.book.hinge(edge_class)
-    builder = _builder(tri)
-    builder.join(t1, f1, t2, Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2}))
-    return builder.freeze(), fold_record(torus.p, torus.q,
-                                         torus.edge_weights[edge_class])
+    fold = Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2})
+    return tri.glued(((t1, f1, t2, fold),)), fold_record(
+        torus.p, torus.q, torus.edge_weights[edge_class])
 
 
 def lens_space(p, q, fold_weight=None):

@@ -193,31 +193,6 @@ class _UnionFind:
                 conflict.discard(ry)
                 conflict.add(rx)
 
-    def numbered(self):
-        """The classes numbered by their first node, in one pass that
-        resolves each node's root and parity.  Returns each node's class,
-        each class's first node, each node's sign (+1 where its parity to
-        its root is 0, -1 where it is 1) and the classes marked in
-        ``conflict``.  A class's direction follows its root, not its first
-        node."""
-        parent, parity, find = self.parent, self.parity, self.find
-        of_root = [-1] * len(parent)
-        classes, signs, firsts = [], [], []
-        for x, rx in enumerate(parent):
-            # find() inlined for a node at most one step below its root
-            if parent[rx] == rx:
-                px = parity[x]
-            else:
-                rx, px = find(x)
-            c = of_root[rx]
-            if c < 0:
-                c = of_root[rx] = len(firsts)
-                firsts.append(x)
-            classes.append(c)
-            signs.append(1 - 2 * px)
-        return (classes, firsts, signs,
-                frozenset(of_root[r] for r in self.conflict))
-
 
 def _gf2_reduce(rows):
     """Reduced row echelon form over GF(2) of rows given as int bitsets.
@@ -255,16 +230,17 @@ class Skeleton:
     being numbered by their first slot, which ``vertex_first`` and
     ``edge_first`` record; ``face_first`` lists the first slot of each
     face class.  ``edge_sign`` is +1 where the slot's ascending
-    orientation is the class direction and -1 where it is reversed; the
-    direction is that of the class's union-find root, where the edge
-    unions, run in order of each gluing's lower facet slot, keep the
-    lower side's root.  A vertex slot's sign is always +1, so vertex
-    classes carry no direction.  ``invalid_edges`` holds the edge
-    classes identified with themselves reversed, ``boundary_facets`` and
-    ``self_glued_facets`` the facet slots left free or glued to themselves.
-    ``edge_degrees``, ``boundary_edges``, ``face_rows`` and
-    ``face_echelon`` are derived on first use, and ``edge_slots()`` groups
-    the edge slots by class."""
+    orientation is the class direction and -1 where it is reversed.  The
+    direction is that of the class's kept root: the slot that stays the
+    root when the edge unions, run in order of each gluing's lower facet
+    slot, keep the lower side's root.  It is carried as that root's
+    parity relative to the class's least slot.  A vertex slot's sign is
+    always +1, so vertex classes carry no direction.  ``invalid_edges``
+    holds the edge classes identified with themselves reversed,
+    ``boundary_facets`` and ``self_glued_facets`` the facet slots left
+    free or glued to themselves.  ``edge_degrees``, ``boundary_edges``,
+    ``face_rows`` and ``face_echelon`` are derived on first use, and
+    ``edge_slots()`` groups the edge slots by class."""
 
     def __init__(self, vertex_class, vertex_first, edge_class, edge_sign,
                  edge_first, invalid_edges, face_first, boundary_facets,
@@ -378,6 +354,27 @@ class Triangulation:
     def gluing(self, tet, facet):
         return self._gluings[tet][facet]
 
+    def glued(self, joins, new_tets=0):
+        """This triangulation with ``new_tets`` free tetrahedra appended and
+        each join (t, f, u, perm) made by the join rule of ``_join``, as
+        ``TriBuilder.join`` makes it.  The rows no join writes are this
+        table's own tuples, and only the entries the joins write are
+        checked: this table was checked when it was built, and a join
+        writes only free facets, both sides of each pairing at once."""
+        rows = list(self._gluings)
+        rows += ([None] * 4 for _ in range(new_tets))
+        for join in joins:
+            for t, f, entry in _join(rows, *join):
+                row = rows[t]
+                if type(row) is tuple:
+                    # a row of this table, copied at its first write
+                    row = rows[t] = list(row)
+                row[f] = entry
+        tri = Triangulation.__new__(Triangulation)
+        # tuple() hands an unwritten row, already a tuple, back as it is
+        tri._gluings = tuple(map(tuple, rows))
+        return tri
+
     @cached_property
     def is_closed(self):
         return all(None not in row for row in self._gluings)
@@ -397,14 +394,19 @@ class Triangulation:
     @cached_property
     def skeleton(self):
         n = self.tet_count
-        # vertex slots are joined as each gluing is read, in a partition
-        # whose roots are the least slot of their class: a root is linked
-        # under the lesser root, and finds halve their paths.  A vertex
-        # slot's sign is always +1, so the root carries no direction.
+        # vertex and edge slots are joined as each gluing is read, in
+        # partitions whose roots are the least slot of their class: a root
+        # is linked under the lesser root, and finds halve their paths.  A
+        # vertex slot's sign is always +1, so its root carries no
+        # direction.  An edge slot also holds its parity to its parent, and
+        # a root holds in kept the parity of the class's kept root, the
+        # one a union keeping the lower side's root would leave: both
+        # partitions merge on the same relations, so the parities agree.
         vert = list(range(4 * n))
-        # the edge unions, collected in gluing order and applied in one
-        # batch: edge slot pairs with their flip bits
-        edge_x, edge_y, edge_rel = [], [], []
+        edge = list(range(6 * n))
+        parity = [0] * (6 * n)
+        kept = [0] * (6 * n)
+        conflicts = []
         # a face class is one free facet, one self-glued facet, or a lower
         # slot with the upper slot it is glued to, numbered by lower slot
         face_first = []
@@ -441,13 +443,33 @@ class Triangulation:
                     elif b < a:
                         vert[a] = b
                 u6 = 6 * u
-                (e0, d0, r0), (e1, d1, r1), (e2, d2, r2) = edges
-                edge_x += (t6 + e0, t6 + e1, t6 + e2)
-                edge_y += (u6 + d0, u6 + d1, u6 + d2)
-                edge_rel += (r0, r1, r2)
+                for e, d, rel in edges:
+                    # a root's parity is 0, so halving past one is a no-op
+                    a, pa = t6 + e, 0
+                    while edge[a] != a:
+                        up = edge[a]
+                        parity[a] ^= parity[up]
+                        pa ^= parity[a]
+                        edge[a] = a = edge[up]
+                    b, pb = u6 + d, 0
+                    while edge[b] != b:
+                        up = edge[b]
+                        parity[b] ^= parity[up]
+                        pb ^= parity[b]
+                        edge[b] = b = edge[up]
+                    rel ^= pa ^ pb
+                    if a < b:
+                        edge[b] = a
+                        parity[b] = rel
+                    elif b < a:
+                        edge[a] = b
+                        parity[a] = rel
+                        kept[b] = kept[a] ^ rel
+                    elif rel:
+                        conflicts.append(a)
         # every slot's parent is a lesser slot of its class or itself, so
         # a class is numbered at its root, its first slot, and each later
-        # slot takes its parent's class
+        # slot takes its parent's class, and its sign through its parent's
         vertex_class, vertex_first = [], []
         for x, a in enumerate(vert):
             if a == x:
@@ -455,9 +477,16 @@ class Triangulation:
                 vertex_first.append(x)
             else:
                 vertex_class.append(vertex_class[a])
-        edge_uf = _UnionFind(6 * n)
-        edge_uf.union_all(edge_x, edge_y, edge_rel)
-        edge_class, edge_first, edge_sign, invalid_edges = edge_uf.numbered()
+        edge_class, edge_first, edge_sign = [], [], []
+        for x, a in enumerate(edge):
+            if a == x:
+                edge_class.append(len(edge_first))
+                edge_first.append(x)
+                edge_sign.append(1 - 2 * kept[x])
+            else:
+                edge_class.append(edge_class[a])
+                edge_sign.append(-edge_sign[a] if parity[x] else edge_sign[a])
+        invalid_edges = frozenset(edge_class[a] for a in conflicts)
         return Skeleton(vertex_class, vertex_first, edge_class, edge_sign,
                         edge_first, invalid_edges, face_first,
                         boundary_facets, self_glued)
@@ -611,6 +640,34 @@ class Triangulation:
         return self.canonical_table == other.canonical_table
 
 
+def _join(rows, t, f, u, perm):
+    """The one join rule of ``TriBuilder.join`` and ``Triangulation.glued``:
+    the entries (tet, facet, entry) that gluing facet f of t to facet
+    perm[f] of u writes into the table ``rows``, one for a facet paired
+    with itself and one on each side otherwise.  Refuses a tetrahedron out
+    of range, a facet already glued, a facet glued to itself pointwise and
+    a self-pairing that is not an involution."""
+    n = len(rows)
+    for s in (t, u):
+        if not 0 <= s < n:
+            raise TriangulationError(
+                f"dangling tetrahedron index {s} at tet {t} facet {f}")
+    target = perm.images[f]
+    if rows[t][f] is not None or rows[u][target] is not None:
+        raise TriangulationError(
+            f"facet already glued: tet {t} facet {f} -> tet {u}")
+    inverse = INVERSE[perm.index]
+    if u == t and target == f:
+        # self-paired facet: the two directions coincide
+        if perm.index == 0:
+            raise GluingError(
+                f"facet {f} of tet {t} glued to itself pointwise", (t, f))
+        if perm is not inverse:
+            raise TriangulationError("self-gluing must be an involution")
+        return ((t, f, (u, perm)),)
+    return (t, f, (u, perm)), (u, target, (t, inverse))
+
+
 class TriBuilder:
     """Mutable assembler used by the construction routines."""
 
@@ -622,20 +679,11 @@ class TriBuilder:
         return len(self.rows) - 1
 
     def join(self, t, f, u, perm):
-        """Glue facet f of t to facet perm[f] of u, recording both sides."""
+        """Glue facet f of t to facet perm[f] of u, recording both sides,
+        by the join rule of ``_join``."""
         rows = self.rows
-        target = perm.images[f]
-        if rows[t][f] is not None or rows[u][target] is not None:
-            raise TriangulationError(
-                f"facet already glued: tet {t} facet {f} -> tet {u}")
-        rows[t][f] = (u, perm)
-        inverse = INVERSE[perm.index]
-        if u == t and target == f:
-            # self-paired facet: the two directions coincide
-            if perm is not inverse:
-                raise TriangulationError("self-gluing must be an involution")
-        else:
-            rows[u][target] = (t, inverse)
+        for s, g, entry in _join(rows, t, f, u, perm):
+            rows[s][g] = entry
 
     def freeze(self):
         return Triangulation(self.rows)

@@ -795,16 +795,17 @@ def _reference_book(tri, tets):
 
 
 def _reference_seed_classes(tri, t):
-    """If tetrahedron t has two of its facets glued to each other and forms
-    a one-tetrahedron layered solid torus, return its structure: read off
-    the skeleton of its one-tetrahedron subcomplex."""
+    """If tetrahedron t has two of its facets glued to each other by an odd
+    map and forms a one-tetrahedron layered solid torus, return its
+    structure: read off the skeleton of its one-tetrahedron subcomplex."""
     pairs = []
     for f in range(4):
         g = tri.gluing(t, f)
         if g is not None and g[0] == t and g[1][f] != f:
-            pairs.append((f, g[1][f]))
-    pairs = {tuple(sorted(p)) for p in pairs}
-    if len(pairs) != 1:
+            pairs.append((f, g[1][f], g[1].sign()))
+    pairs = {(*sorted(p[:2]), p[2]) for p in pairs}
+    if len(pairs) != 1 or pairs.pop()[2] == 1:
+        # no pair, two pairs, or a pair glued orientation-reversingly
         return None
     sub = _reference_subcomplex(tri, (t,))
     sk = sub.skeleton
@@ -1075,9 +1076,29 @@ def test_one_tet_seeds_match_subcomplex_reference():
         _assert_same_seeds(tri)
         _assert_same_tori(tri)
         seeds += analyze._seed_classes(tri, 0) is not None
-    # the four gluings that do not keep the pair's shared edge, with the
-    # other two facets free
-    assert seeds == 6 * 4
+    # the two odd gluings of the four that do not keep the pair's shared
+    # edge, with the other two facets free
+    assert seeds == 6 * 2
+
+
+def test_one_tet_tables_glued_orientation_reversingly_hold_no_torus():
+    # the even gluings of the four that do not keep the pair's shared edge,
+    # with the other two facets free: non-orientable, so no torus
+    tables = []
+    for tri in dict.fromkeys(_one_tet_tables()):
+        row = tri.gluings[0]
+        if sum(g is None for g in row) != 2:
+            continue
+        fa = next(f for f, g in enumerate(row) if g is not None)
+        perm = row[fa][1]
+        if perm[perm[fa]] != fa and perm.sign() == 1:
+            tables.append(tri)
+    assert len(tables) == 12
+    for tri in tables:
+        assert not tri.is_orientable
+        assert analyze._seed_classes(tri, 0) is None
+        assert _reference_seed_classes(tri, 0) is None
+        assert find_maximal_lsts(tri) == []
 
 
 @settings(max_examples=300, deadline=None)

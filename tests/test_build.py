@@ -11,12 +11,13 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trinorm import build, homology, cocycle
+from trinorm import build, homology, cocycle, verifysuite
 from trinorm.analyze import find_maximal_lsts
-from trinorm.perm import Perm4
+from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                                    FACET_VERTICES, TriBuilder, Triangulation,
                                    TriangulationError)
+from test_skeleton import gluing_tables
 from test_triangulation import _random_relabelling
 
 
@@ -613,15 +614,100 @@ def test_lst_matches_skeleton_reference_on_drawn_pairs(pair):
     assert build.lst(p, q) == _reference_path(build.minimal_path(p, q))[-1]
 
 
+# ----- gluing onto a checked table ----------------------------------------------
+
+
+@st.composite
+def joins_on_tables(draw):
+    """A random gluing table, a count of free tetrahedra to append, and up
+    to four joins (t, f, u, perm), each carrying facet f of t to facet
+    perm[f] of u.  A facet is drawn from the free ones or from every slot,
+    tetrahedron -1 and one past the last included, so the joins also
+    dangle, meet glued facets, glue a facet to itself pointwise or pair it
+    with itself by a three-cycle."""
+    tri = draw(gluing_tables())
+    new = draw(st.integers(0, 2))
+    n = tri.tet_count + new
+    free = [(t, f) for t in range(n) for f in range(4)
+            if t >= tri.tet_count or tri.gluing(t, f) is None]
+    slot = st.tuples(st.integers(-1, n), st.integers(0, 3))
+    if free:
+        slot = st.sampled_from(free) | slot
+    joins = []
+    for _ in range(draw(st.integers(0, 4))):
+        (t, f), (u, g) = draw(slot), draw(slot)
+        perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == g]))
+        joins.append((t, f, u, perm))
+    return tri, new, joins
+
+
+def _checked_copy(tri, new, joins):
+    """tri's table copied into a builder, joined and checked in full."""
+    builder = TriBuilder()
+    builder.rows = [list(row) for row in tri.gluings]
+    for _ in range(new):
+        builder.add_tet()
+    for join in joins:
+        builder.join(*join)
+    return builder.freeze()
+
+
+def test_glued_equals_a_checked_copy():
+    # glued's result equals the checked copy's, sharing the rows no join
+    # writes, or both refuse with one message; the strategy must reach
+    # each refusal of the join rule, and joins that succeed
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(joins_on_tables())
+    def check(case):
+        tri, new, joins = case
+        try:
+            want = _checked_copy(tri, new, joins)
+        except TriangulationError as exc:
+            with pytest.raises(TriangulationError) as refused:
+                tri.glued(joins, new)
+            assert str(refused.value) == str(exc)
+            seen.update(kind for kind in ("dangling", "already glued",
+                                          "pointwise", "involution")
+                        if kind in str(exc))
+            return
+        got = tri.glued(joins, new)
+        assert got == want
+        written = {t for t, _, _, _ in joins} | {u for _, _, u, _ in joins}
+        for t, row in enumerate(tri.gluings):
+            if t not in written:
+                assert got.gluings[t] is row
+        if joins:
+            seen.add("glued")
+
+    check()
+    assert seen == {"dangling", "already glued", "pointwise", "involution",
+                    "glued"}
+
+
+def test_glued_tables_pass_the_full_check():
+    nodes = folds = 0
+    for _, tri, _ in build.lst_tree(9):
+        assert Triangulation(tri.gluings) == tri
+        nodes += 1
+    for _, _, folded in verifysuite._lens_grid(8):
+        assert Triangulation(folded.gluings) == folded
+        folds += 1
+    assert (nodes, folds) == (2 ** 9 - 1, 3 * (2 ** 8 - 1))
+
+
 # ----- construction cost, counted -------------------------------------------
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts of skeletons and of Triangulations built while the test runs."""
+    """Counts of skeletons and of Triangulations built while the test runs,
+    whether checked in full or glued onto a checked table."""
     seen = Counter()
     skeleton = Triangulation.__dict__["skeleton"].func
     init = Triangulation.__init__
+    glued = Triangulation.glued
 
     def counted_skeleton(self):
         seen["skeleton"] += 1
@@ -631,10 +717,15 @@ def built(monkeypatch):
         seen["triangulation"] += 1
         init(self, gluings)
 
+    def counted_glued(self, joins, new_tets=0):
+        seen["triangulation"] += 1
+        return glued(self, joins, new_tets)
+
     prop = functools.cached_property(counted_skeleton)
     prop.__set_name__(Triangulation, "skeleton")
     monkeypatch.setattr(Triangulation, "skeleton", prop)
     monkeypatch.setattr(Triangulation, "__init__", counted_init)
+    monkeypatch.setattr(Triangulation, "glued", counted_glued)
     return seen
 
 

@@ -167,10 +167,49 @@ def _reference_skeleton(self):
             vlookup, elookup, flookup)
 
 
+def _reference_numbering(ref):
+    """The classes of a finished reference union-find: flatten, number
+    each root's class at its first slot, and a sign per slot from its
+    parity to its root."""
+    parent, parity = ref.flatten()
+    of_root = dict.fromkeys(parent)
+    for c, root in enumerate(of_root):
+        of_root[root] = c
+    return ([of_root[r] for r in parent],
+            [parent.index(r) for r in of_root],
+            [1 - 2 * p for p in parity],
+            frozenset(of_root[r] for r in ref.conflict))
+
+
+def _reference_edge_numbering(tri):
+    """The edge classes as the skeleton numbered them with a parity
+    union-find run after its gluing pass: one reference union per gluing,
+    read from its lower facet slot, the lower side's root kept, then
+    numbered by ``_reference_numbering``."""
+    n = tri.tet_count
+    ref = _ReferenceUnionFind(6 * n)
+    for t in range(n):
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is None or 4 * g[0] + g[1][f] < 4 * t + f:
+                continue
+            u, perm = g
+            for ei in FACET_EDGES[f]:
+                a, b = EDGE_VERTICES[ei]
+                ref.union(6 * t + ei, 6 * u + EDGE_INDEX[(perm[a], perm[b])],
+                          1 if perm[a] > perm[b] else 0)
+    return _reference_numbering(ref)
+
+
 def _assert_matches_reference(tri):
     (vertex_classes, edge_classes, face_classes,
      vlookup, elookup, _) = _reference_skeleton(tri)
     sk = tri.skeleton
+    # each edge slot's class, first slot and sign (the kept root's
+    # direction), and the invalid classes, as a reference union-find
+    # leaves them
+    assert (sk.edge_class, sk.edge_first, sk.edge_sign,
+            sk.invalid_edges) == _reference_edge_numbering(tri)
     # each slot's (class, sign) in the flat lists; a vertex slot's sign is
     # always +1, as every vertex gluing relates its slots with parity 0
     assert {divmod(x, 4): (c, 1)
@@ -297,20 +336,6 @@ def test_random_tables_reach_every_kind_of_gluing():
 # ----- the parity union-find -------------------------------------------------------
 
 
-def _reference_numbering(ref):
-    """The classes of a finished reference union-find as the skeleton read
-    them before it numbered them in one pass: flatten, number each root at
-    its first slot, and a sign per slot from its parity."""
-    parent, parity = ref.flatten()
-    of_root = dict.fromkeys(parent)
-    for c, root in enumerate(of_root):
-        of_root[root] = c
-    return ([of_root[r] for r in parent],
-            [parent.index(r) for r in of_root],
-            [1 - 2 * p for p in parity],
-            frozenset(of_root[r] for r in ref.conflict))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
@@ -323,8 +348,6 @@ def test_union_find_matches_graph_search(case):
     for x, y, rel in relations:
         uf.union(x, y, rel)
         ref.union(x, y, rel)
-    numbered = uf.numbered()
-    assert numbered == _reference_numbering(ref)
     # graph search: a parity label per node, and which components hold an
     # odd cycle
     adjacent = [[] for _ in range(n)]
@@ -346,19 +369,15 @@ def test_union_find_matches_graph_search(case):
                 elif label[y] != label[x] ^ rel:
                     odd.add(start)
     found = [uf.find(x) for x in range(n)]
-    classes, firsts, signs, conflict = numbered
     for x in range(n):
         root, p = found[x]
-        assert (classes[x], signs[x]) == (classes[root], 1 - 2 * p)
-        assert component[firsts[classes[x]]] == component[x]
         assert component[root] == component[x]
         if component[x] not in odd:
             # with an odd cycle the parities are not determined
             assert p == label[x] ^ label[root]
     assert {component[r] for r in uf.conflict} == odd
-    assert {component[firsts[c]] for c in conflict} == odd
     roots = {r for r, _ in found}
-    assert len(roots) == len(firsts) == len(set(component.values()))
+    assert len(roots) == len(set(component.values()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -382,5 +401,4 @@ def test_batch_union_matches_reference_union_find(case, split):
         uf.union(x, y, rel)
     assert (uf.parent, uf.parity, uf.conflict) == \
         (ref.parent, ref.parity, ref.conflict)
-    assert uf.numbered() == _reference_numbering(ref)
     assert [uf.find(x) for x in range(n)] == [ref.find(x) for x in range(n)]
