@@ -521,6 +521,11 @@ class PromotionObstruction(TriangulationError):
     def __str__(self):
         return f"supportive torus at {self.torus.tets}: {self.reason}"
 
+    def __reduce__(self):
+        # the default sets the fields again after building, which a frozen
+        # dataclass refuses
+        return type(self), (self.torus, self.reason)
+
 
 def _even_boundary_edge(tri, phi, emb):
     evens = [e for e in emb.boundary_edges if phi[e] == 0]

@@ -415,27 +415,37 @@ def lgraph(depth_limit):
     return nodes
 
 
-def lst_tree(depth_limit):
+def lst_tree(depth_limit, share=None):
     """(node, triangulation, meta) for every fraction-tree node to the
     given depth, depth first in preorder, child p/(p+q) before q/(p+q).
 
     Each child is layered once on its parent, and only the pending
     siblings along the current path are held, so memory stays linear in
     the depth.  Stable-sorting the nodes by depth gives ``lgraph``'s order.
+
+    ``share`` 0 walks only the root and the subtree under its first child,
+    ``share`` 1 only the subtree under its second child: share 0 then
+    share 1 is the whole walk, and the two share no node.
     """
     if depth_limit < 1:
         raise TriangulationError("depth limit must be at least 1")
+    if share not in (None, 0, 1):
+        raise TriangulationError(f"no share {share!r} of the tree; "
+                                 "the shares are 0 and 1")
     stack = [(*_seed_lst(), 1)]
     while stack:
         tri, meta, depth = stack.pop()
-        yield (LGraphNode.of(meta.p, meta.q, depth, meta.edge_weights.values()),
-               tri, meta)
+        if share != 1 or depth > 1:
+            yield (LGraphNode.of(meta.p, meta.q, depth,
+                                 meta.edge_weights.values()), tri, meta)
         if depth < depth_limit:
             # layering on the edge of weight q gives p/(p+q): pushed last,
-            # it is visited first
-            for gone in (meta.p, meta.q):
-                stack.append((*layer_on_edge(tri, boundary_edge(meta, gone),
-                                             meta), depth + 1))
+            # it is visited first.  A root's child is in the share numbered
+            # alongside it.
+            for child_share, gone in ((1, meta.p), (0, meta.q)):
+                if share is None or depth > 1 or share == child_share:
+                    stack.append((*layer_on_edge(
+                        tri, boundary_edge(meta, gone), meta), depth + 1))
 
 
 def enumerate_minimal_lens_families(depth_limit):

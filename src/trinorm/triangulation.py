@@ -123,6 +123,10 @@ class GluingError(TriangulationError):
         self.slot = slot
         super().__init__(message)
 
+    def __reduce__(self):
+        # the default rebuilds from args, which lack the slot
+        return type(self), (*self.args, self.slot)
+
 
 class ParseError(TriangulationError):
     def __init__(self, message, line=None):

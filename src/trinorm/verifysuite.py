@@ -7,6 +7,7 @@ acceptance test module.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from itertools import chain, combinations, product
@@ -16,32 +17,93 @@ from .cocycle import TetType
 from .triangulation import TriangulationError
 
 
-def check_lst_counts(quick=False):
-    depth = 8 if quick else 12
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_shares(walk, shares, arg):
+    """Run ``walk(share, arg)`` for share = 0 .. shares - 1 and combine
+    the ``(count, failure)`` pairs they return as one walk through all the
+    shares in order would: the counts summed with no failure, or the first
+    failure with the count before it.  An exception a share raises
+    propagates as it would there.
+
+    With more than one usable CPU the shares run in a pool of forked
+    worker processes, at most one per CPU; otherwise they run here, one
+    after the other, stopping at the first failure.  ``walk`` must be a
+    private module-level function: the workers look it up by name, and
+    the benchmark tracer rebinds public ones.
+    """
+    workers = min(shares, _usable_cpus())
+    if workers < 2:
+        return _first_failure(walk(share, arg) for share in range(shares))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(walk, share, arg) for share in range(shares)]
+        return _first_failure(future.result() for future in futures)
+    except BrokenProcessPool as exc:
+        return 0, f"a worker process died: {exc}"
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _first_failure(results):
     n = 0
-    for node, tri, meta in build.lst_tree(depth):
+    for count, failure in results:
+        n += count
+        if failure is not None:
+            return n, failure
+    return n, None
+
+
+def _lst_counts_share(share, depth):
+    n = 0
+    for node, tri, meta in build.lst_tree(depth, share):
         sk = tri.skeleton
         k = tri.tet_count
         if not (sk.vertex_count == 1 and sk.edge_count == k + 2
                 and sk.face_count == 2 * k + 1 and k == node.depth):
-            return False, f"counts wrong at {node.p}/{node.q}"
+            return n, f"counts wrong at {node.p}/{node.q}"
         n += 1
+    return n, None
+
+
+def check_lst_counts(quick=False):
+    depth = 8 if quick else 12
+    n, failure = _in_shares(_lst_counts_share, 2, depth)
+    if failure is not None:
+        return False, failure
     return True, f"{n} layered solid tori checked to depth {depth}"
 
 
-def check_fold_homology(quick=False):
-    depth = 6 if quick else 10
+def _fold_homology_share(share, depth):
     n = 0
-    for node, w, folded in _lens_grid(depth):
+    for node, w, folded in _lens_grid(depth, share):
         p, q = node.p, node.q
         # the lens table written out: the reference the homology oracle and
         # build.fold_record are both held to
         expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w]
         h = homology.first_homology(folded)
         if h.betti or h.order != expect:
-            return False, (f"fold of {p}/{q} along {w}: |H1| = {h.order}, "
-                           f"expected {expect}")
+            return n, (f"fold of {p}/{q} along {w}: |H1| = {h.order}, "
+                       f"expected {expect}")
         n += 1
+    return n, None
+
+
+def check_fold_homology(quick=False):
+    depth = 6 if quick else 10
+    n, failure = _in_shares(_fold_homology_share, 2, depth)
+    if failure is not None:
+        return False, failure
     return True, f"{n} folds matched the lens table to depth {depth}"
 
 
@@ -91,11 +153,11 @@ def _family_grid(quick=False):
         yield "Q", (k,), build.layered_loop(k, twisted=True)
 
 
-def _lens_grid(depth):
+def _lens_grid(depth, share=None):
     """(node, w, folded) for the three folds of every fraction-tree node to
     the given depth, along p, q and p+q, in the walker's depth-first
-    order."""
-    for node, tri, meta in build.lst_tree(depth):
+    order; ``share`` as for ``build.lst_tree``."""
+    for node, tri, meta in build.lst_tree(depth, share):
         for w in (meta.p, meta.q, meta.p + meta.q):
             folded, _ = build.fold_along_edge(
                 tri, build.boundary_edge(meta, w), meta)
@@ -111,11 +173,16 @@ def _closed_instances():
             + [folded for _, _, folded in lens])
 
 
-def check_chi_two_methods(quick=False):
-    labelled = chain(
-        ((f"{name}{params}", tri) for name, params, tri in _family_grid(quick)),
-        ((f"lens {node.p}/{node.q} fold {w}", folded)
-         for node, w, folded in _lens_grid(5 if quick else 10)))
+def _chi_two_methods_share(share, quick):
+    """Share 0 is the family grid, shares 1 and 2 the two shares of the
+    lens grid."""
+    if share == 0:
+        labelled = ((f"{name}{params}", tri)
+                    for name, params, tri in _family_grid(quick))
+    else:
+        labelled = ((f"lens {node.p}/{node.q} fold {w}", folded)
+                    for node, w, folded
+                    in _lens_grid(5 if quick else 10, share - 1))
     n = 0
     for label, tri in labelled:
         for phi in cocycle.all_nonzero_classes(tri):
@@ -123,8 +190,15 @@ def check_chi_two_methods(quick=False):
             census = cocycle.parity_census(tri, phi, types)
             canon = surface.canonical_surface(tri, phi, types)
             if canon.chi != surface.chi_formula(census):
-                return False, f"{label}: {canon.chi} != formula"
+                return n, f"{label}: {canon.chi} != formula"
             n += 1
+    return n, None
+
+
+def check_chi_two_methods(quick=False):
+    n, failure = _in_shares(_chi_two_methods_share, 3, quick)
+    if failure is not None:
+        return False, failure
     return True, f"cell count equals census formula on {n} surfaces"
 
 

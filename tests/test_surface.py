@@ -956,6 +956,8 @@ def test_chi_two_methods_classifies_each_class_once(monkeypatch):
     monkeypatch.setattr(cocycle, "all_nonzero_classes", counted_classes)
     for module in (cocycle, surface):
         monkeypatch.setattr(module, "classify_tetrahedra", counted_classify)
+    # calls made in forked workers would not reach the counters
+    monkeypatch.setattr(verifysuite, "_usable_cpus", lambda: 1)
     ok, _ = verifysuite.check_chi_two_methods(quick=True)
     assert ok and calls["classes"] > 0
     assert calls["classify_tetrahedra"] == calls["classes"]
