@@ -10,7 +10,8 @@ from __future__ import annotations
 import os
 import random
 import time
-from itertools import chain, combinations, product
+from contextlib import contextmanager
+from itertools import chain, combinations, islice, product
 
 from . import build, homology, cocycle, surface, analyze
 from .cocycle import TetType
@@ -24,6 +25,58 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
+# the most shares any criterion splits into, and so the most workers a pool
+# can keep busy
+_MOST_SHARES = 4
+
+
+class _Pool:
+    """The forked worker processes of one ``run``.  They are forked when a
+    criterion first splits into shares, at most one per usable CPU and no
+    more than ``_MOST_SHARES``; with one usable CPU none are.  Forking is
+    safe here: the executor forks all its workers before it starts its
+    management thread, and ``close`` joins that thread."""
+
+    def __init__(self):
+        self._executor = None
+
+    def executor(self):
+        """The pool's executor, or None when only one CPU is usable."""
+        if self._executor is None:
+            workers = min(_MOST_SHARES, _usable_cpus())
+            if workers < 2:
+                return None
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+        return self._executor
+
+    def close(self):
+        """Shut the workers down; the next criterion forks afresh."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+
+# the pool of the run in progress, None outside ``_one_pool``: the criteria
+# keep their one-argument form, so ``_in_shares`` finds the pool here
+_run_pool = None
+
+
+@contextmanager
+def _one_pool():
+    """Give ``_in_shares`` one worker pool for the block, shut down at its
+    end."""
+    global _run_pool
+    _run_pool = _Pool()
+    try:
+        yield
+    finally:
+        _run_pool.close()
+        _run_pool = None
+
+
 def _in_shares(walk, shares, arg):
     """Run ``walk(share, arg)`` for share = 0 .. shares - 1 and combine
     the ``(count, failure)`` pairs they return as one walk through all the
@@ -31,28 +84,32 @@ def _in_shares(walk, shares, arg):
     failure with the count before it.  An exception a share raises
     propagates as it would there.
 
-    With more than one usable CPU the shares run in a pool of forked
-    worker processes, at most one per CPU; otherwise they run here, one
+    Inside ``run`` (``_one_pool``) with more than one usable CPU the shares
+    run in the run's pool of forked workers; otherwise they run here, one
     after the other, stopping at the first failure.  ``walk`` must be a
     private module-level function: the workers look it up by name, and
-    the benchmark tracer rebinds public ones.
+    the benchmark tracer rebinds public ones.  The criterion's futures are
+    all done or cancelled when this returns, and a worker that dies fails
+    only this criterion: its pool is dropped.
     """
-    workers = min(shares, _usable_cpus())
-    if workers < 2:
+    executor = _run_pool and _run_pool.executor()
+    if executor is None:
         return _first_failure(walk(share, arg) for share in range(shares))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"))
+    futures = []
     try:
-        futures = [pool.submit(walk, share, arg) for share in range(shares)]
+        for share in range(shares):
+            futures.append(executor.submit(walk, share, arg))
         return _first_failure(future.result() for future in futures)
     except BrokenProcessPool as exc:
+        _run_pool.close()
         return 0, f"a worker process died: {exc}"
     finally:
-        pool.shutdown(cancel_futures=True)
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _first_failure(results):
@@ -259,31 +316,58 @@ def check_quaternionic(quick=False):
     return True, f"twisted loops exact for k in {ks}"
 
 
-def check_octagon_formula(quick=False):
+def _octagon_items(quick, share):
+    """(name, tri, canon, b) for share 0 or 1 of the b-modifications
+    ``check_octagon_formula`` makes: every subset b of the kernel edges of
+    every class of every instance, by size and then lexicographically, each
+    class with its canonical surface; the two shares are the two halves of
+    that order.  A class with more than 12 kernel edges, counted as
+    2^|evens| items, yields (name, tri, None, evens) in their place."""
     instances = []
     for k in ((4,) if quick else (4, 6)):
         instances.append((f"loop{k}", build.layered_loop(k, twisted=True)))
     for n in ((4, 7) if quick else (4, 7, 13)):
         tri, meta, rec = build.lens_space(1, 2 * n - 2)
         instances.append((f"L({2*n},1)", tri))
-    checked = 0
-    for name, tri in instances:
-        taut = name.startswith("loop")
-        for phi in cocycle.all_nonzero_classes(tri):
-            evens = phi.even_edges()
+    classes = [(name, tri, phi, phi.even_edges()) for name, tri in instances
+               for phi in cocycle.all_nonzero_classes(tri)]
+    total = sum(2 ** len(evens) for _, _, _, evens in classes)
+    lo, hi = total * share // 2, total * (share + 1) // 2
+    start = 0
+    for name, tri, phi, evens in classes:
+        end = start + 2 ** len(evens)
+        if lo < end and start < hi:
             if len(evens) > 12:
-                return False, f"{name}: {len(evens)} kernel edges"
-            base = surface.canonical_surface(tri, phi)
-            for r in range(len(evens) + 1):
-                for b in combinations(evens, r):
-                    # b_modification checks the formula by cell count
-                    try:
-                        _, octs, _ = surface.b_modification(tri, base, b)
-                    except AssertionError as exc:
-                        return False, f"{name}: {exc}"
-                    if taut and octs < len(b):
-                        return False, f"{name}: o(b) < |b| at {b}"
-                    checked += 1
+                yield name, tri, None, evens
+                return
+            canon = surface.canonical_surface(tri, phi)
+            subsets = chain.from_iterable(combinations(evens, r)
+                                          for r in range(len(evens) + 1))
+            for b in islice(subsets, max(lo - start, 0), hi - start):
+                yield name, tri, canon, b
+        start = end
+
+
+def _octagon_share(share, quick):
+    checked = 0
+    for name, tri, canon, b in _octagon_items(quick, share):
+        if canon is None:
+            return checked, f"{name}: {len(b)} kernel edges"
+        # b_modification checks the formula by cell count
+        try:
+            _, octs, _ = surface.b_modification(tri, canon, b)
+        except AssertionError as exc:
+            return checked, f"{name}: {exc}"
+        if name.startswith("loop") and octs < len(b):
+            return checked, f"{name}: o(b) < |b| at {b}"
+        checked += 1
+    return checked, None
+
+
+def check_octagon_formula(quick=False):
+    checked, failure = _in_shares(_octagon_share, 2, quick)
+    if failure is not None:
+        return False, failure
     return True, f"octagon count formula on {checked} modifications"
 
 
@@ -316,38 +400,56 @@ def _interior_faces(tri):
             and tri.gluing(*divmod(x, 4))[0] != x // 4]
 
 
-def check_moves(quick=False):
+def _round_trips(quick, share):
+    """(tri, faces) for share 0 or 1 of the 2-3/3-2 round trips of
+    ``check_moves``: the pool member each trip starts from and its interior
+    faces in the seeded shuffle, whose first face the trip moves on.  Share
+    0 is the first half of the trips and share 1 the second, which replays
+    the first half's shuffles so each trip shuffles as in one serial
+    loop."""
     rng = random.Random(20260810)
     pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
             build.layered_loop(6, twisted=True),
             build.seifert_family("M", 1, 1, 1)[0]]
+    interior = [_interior_faces(tri) for tri in pool]
     target = 30 if quick else 100
-    done = 0
-    while done < target:
-        tri = pool[done % len(pool)]
-        faces = _interior_faces(tri)
+    for done in range(target * (share + 1) // 2):
+        faces = list(interior[done % len(pool)])
         rng.shuffle(faces)
+        if done >= target * share // 2:
+            yield pool[done % len(pool)], faces
+
+
+def _moves_share(share, quick):
+    """The round trips of share ``share``; share 1 then checks the 4-4
+    flip."""
+    done = 0
+    for tri, faces in _round_trips(quick, share):
         if not faces:
-            return False, "no usable 2-3 site"
+            return done, "no usable 2-3 site"
         h0 = homology.first_homology(tri)
         bigger, _ = analyze.move23(tri, faces[0])
         h1 = homology.first_homology(bigger)
         if h1 != h0:
-            return False, "2-3 move changed homology"
+            return done, "2-3 move changed homology"
         new_edge = max((e for e, slots
                         in enumerate(bigger.skeleton.edge_slots())
                         if len(slots) == 3
                         and len({x // 6 for x in slots}) == 3),
                        default=None)
         if new_edge is None:
-            return False, "no 3-2 site after a 2-3 move"
+            return done, "no 3-2 site after a 2-3 move"
         back, _ = analyze.move32(bigger, new_edge)
         if not back.isomorphic(tri):
-            return False, "2-3 followed by 3-2 is not the identity"
+            return done, "2-3 followed by 3-2 is not the identity"
         done += 1
+    return done, _all_quad_flip() if share == 1 else None
 
-    # all-quad octahedron: deterministic hunt via seeded 2-3 moves, then the
-    # 4-4 flip must produce four triangle-type tetrahedra
+
+def _all_quad_flip():
+    """None if the 4-4 flip of an all-quad octahedron gives four
+    triangle-type tetrahedra, else what went wrong."""
+    # all-quad octahedron: deterministic hunt via seeded 2-3 moves
     found = None
     base = build.layered_loop(6, twisted=True)
     for phi0 in cocycle.all_nonzero_classes(base):
@@ -378,43 +480,70 @@ def check_moves(quick=False):
         if found:
             break
     if not found:
-        return False, "no all-quad octahedron located"
+        return "no all-quad octahedron located"
     tri, phi, edge = found
     h0 = homology.first_homology(tri)
     flipped, phi2 = analyze.pachner_with_cocycle(
         tri, phi, analyze.MoveSpec("44", edge=edge, axis=0))
     h1 = homology.first_homology(flipped)
     if h1 != h0:
-        return False, "4-4 move changed homology"
+        return "4-4 move changed homology"
     newtypes = cocycle.classify_tetrahedra(flipped, phi2)[-4:]
     if any(ty is not TetType.TRI for ty, _ in newtypes):
-        return False, f"4-4 on all-quad octahedron gave {newtypes}"
+        return f"4-4 on all-quad octahedron gave {newtypes}"
+    return None
+
+
+def check_moves(quick=False):
+    done, failure = _in_shares(_moves_share, 2, quick)
+    if failure is not None:
+        return False, failure
     return True, (f"{done} 2-3/3-2 round trips, homology invariant, "
                   "all-quad 4-4 flip gives four triangle tetrahedra")
 
 
-def check_lst_recognition(quick=False):
+def _recognition_grid(quick, share):
+    """The instances of share ``share`` of ``check_lst_recognition``:
+    shares 0 and 1 are (node, w, folded) for the folds along p and q of
+    the two shares of the lens grid, below depth 3 left out; shares 2 and 3
+    are (tag, kmn, tri) for the M and the M' grid."""
+    if share < 2:
+        for node, w, folded in _lens_grid(6 if quick else 8, share):
+            if w != node.p + node.q and node.depth >= 3:
+                yield node, w, folded
+    else:
+        yield from _mm_grid((("M", "MPRIME")[share - 2],), quick)
+
+
+def _lst_recognition_share(share, quick):
     n = 0
-    for node, w, folded in _lens_grid(6 if quick else 8):
-        if w == node.p + node.q or node.depth < 3:
-            continue
-        lsts = analyze.find_maximal_lsts(folded)
-        if len(lsts) != 2:
-            return False, (f"lens {node.p}/{node.q} fold {w}: "
-                           f"{len(lsts)} maximal tori")
-        joint = set(lsts[0].tets) & set(lsts[1].tets)
-        if len(joint) != folded.tet_count - 2:
-            return False, (f"lens {node.p}/{node.q}: tori meet in "
-                           f"{len(joint)} tetrahedra")
-        n += 1
-    for tag, kmn, tri in _mm_grid(("M", "MPRIME"), quick):
+    for key, value, tri in _recognition_grid(quick, share):
         lsts = analyze.find_maximal_lsts(tri)
-        if len(lsts) != 3:
-            return False, f"{tag}{kmn}: {len(lsts)} maximal tori"
-        mat = analyze.lst_intersection_matrix(tri, lsts)
-        if any(mat[i][j] > 1 for i in range(3) for j in range(3) if i != j):
-            return False, f"{tag}{kmn}: shared edges {mat}"
+        if share < 2:
+            node, w = key, value
+            if len(lsts) != 2:
+                return n, (f"lens {node.p}/{node.q} fold {w}: "
+                           f"{len(lsts)} maximal tori")
+            joint = set(lsts[0].tets) & set(lsts[1].tets)
+            if len(joint) != tri.tet_count - 2:
+                return n, (f"lens {node.p}/{node.q}: tori meet in "
+                           f"{len(joint)} tetrahedra")
+        else:
+            tag, kmn = key, value
+            if len(lsts) != 3:
+                return n, f"{tag}{kmn}: {len(lsts)} maximal tori"
+            mat = analyze.lst_intersection_matrix(tri, lsts)
+            if any(mat[i][j] > 1 for i in range(3) for j in range(3)
+                   if i != j):
+                return n, f"{tag}{kmn}: shared edges {mat}"
         n += 1
+    return n, None
+
+
+def check_lst_recognition(quick=False):
+    n, failure = _in_shares(_lst_recognition_share, 4, quick)
+    if failure is not None:
+        return False, failure
     return True, f"{n} recognition checks"
 
 
@@ -483,26 +612,29 @@ CHECKS = (
 
 def run(only=None, quick=False):
     """Run the acceptance checks; returns a printable summary, with each
-    criterion's wall time in nanoseconds under ``elapsed_ns``."""
+    criterion's wall time in nanoseconds under ``elapsed_ns``.  The
+    criteria that split into shares share one pool of forked workers,
+    shut down before this returns."""
     lines = []
     failures = []
     elapsed_ns = {}
     passed = 0
-    for name, fn in CHECKS:
-        if only and only not in name:
-            continue
-        start = time.perf_counter_ns()
-        try:
-            ok, detail = fn(quick=quick)
-        except (TriangulationError, AssertionError) as exc:
-            ok, detail = False, f"raised {exc}"
-        elapsed_ns[name] = time.perf_counter_ns() - start
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{status} {name}: {detail}")
-        if ok:
-            passed += 1
-        else:
-            failures.append({"check": name, "detail": detail})
+    with _one_pool():
+        for name, fn in CHECKS:
+            if only and only not in name:
+                continue
+            start = time.perf_counter_ns()
+            try:
+                ok, detail = fn(quick=quick)
+            except (TriangulationError, AssertionError) as exc:
+                ok, detail = False, f"raised {exc}"
+            elapsed_ns[name] = time.perf_counter_ns() - start
+            status = "PASS" if ok else "FAIL"
+            lines.append(f"{status} {name}: {detail}")
+            if ok:
+                passed += 1
+            else:
+                failures.append({"check": name, "detail": detail})
     return {"lines": lines, "passed": passed,
             "failed": len(failures), "failures": failures,
             "elapsed_ns": elapsed_ns}

@@ -1,7 +1,8 @@
-"""The fraction-tree criteria of ``trinorm verify`` walk the tree in
-shares, in forked worker processes when more than one CPU is usable: the
-shares are the walk, the pooled and in-process paths report the same, and
-a failure inside a worker reaches the report as the serial walk gives it.
+"""The long criteria of ``trinorm verify`` walk their grids in shares, in
+one run's pool of forked worker processes when more than one CPU is
+usable: the shares are the serial walk, the pooled and in-process paths
+report the same, a failure inside a worker reaches the report as the
+serial walk gives it, and each run forks its workers at most once.
 """
 
 import copy
@@ -11,26 +12,55 @@ import multiprocessing
 import os
 import pickle
 import pkgutil
+import random
+import subprocess
+import sys
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 
 import trinorm
-from trinorm import build, cli, homology, verifysuite
+from trinorm import build, cli, homology, surface, verifysuite
 from trinorm.analyze import PromotionObstruction
 from trinorm.cli import UsageError, _StdoutClosed
 from trinorm.surface import CoordinateError
 from trinorm.triangulation import (GluingError, ParseError,
                                    TriangulationError)
 
-SHARED = ("lst_counts", "fold_homology", "chi_two_methods")
+from test_surface import _octagon_formula_modifications
+
+SHARED = ("lst_counts", "fold_homology", "chi_two_methods",
+          "octagon_formula", "moves", "lst_recognition")
 
 
-def _pooled(monkeypatch, pooled):
-    """Take the pooled path (two workers, even on one CPU) or the
-    in-process one."""
-    monkeypatch.setattr(verifysuite, "_usable_cpus",
-                        lambda: 2 if pooled else 1)
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(verifysuite, "_usable_cpus", lambda: cpus)
+
+
+@contextmanager
+def _path(monkeypatch, pooled):
+    """Within the block a direct ``check_*`` call takes the pooled path
+    (one pool of two workers, even on one CPU) or the in-process one."""
+    _cpus(monkeypatch, 2 if pooled else 1)
+    with verifysuite._one_pool():
+        yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of processes forked so far; the pool forks its workers
+    through ``os.fork``."""
+    count = [0]
+    real = os.fork
+
+    def counted():
+        count[0] += 1
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return lambda: count[0]
 
 
 @pytest.mark.parametrize("depth", range(1, 10))
@@ -57,17 +87,80 @@ def test_share_zero_holds_the_root_and_the_first_child():
 
 
 @pytest.mark.parametrize("quick", [True, False])
+def test_octagon_shares_are_the_serial_walk(quick):
+    shares = [(tri.gluings, canon, b) for share in (0, 1)
+              for _, tri, canon, b in verifysuite._octagon_items(quick, share)]
+    whole = [(tri.gluings, canon, b)
+             for tri, canon, b in _octagon_formula_modifications(quick)]
+    assert shares == whole
+    assert len(whole) == (82 if quick else 4196)
+    # the halves of the serial order
+    first = list(verifysuite._octagon_items(quick, 0))
+    assert len(first) == len(whole) // 2
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_round_trip_shares_are_the_serial_loop(quick):
+    # the seeded shuffles of one serial loop, as check_moves made them
+    rng = random.Random(20260810)
+    pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
+            build.layered_loop(6, twisted=True),
+            build.seifert_family("M", 1, 1, 1)[0]]
+    whole = []
+    for done in range(30 if quick else 100):
+        tri = pool[done % len(pool)]
+        faces = verifysuite._interior_faces(tri)
+        rng.shuffle(faces)
+        whole.append((tri.gluings, faces[0]))
+    shares = [(tri.gluings, faces[0]) for share in (0, 1)
+              for tri, faces in verifysuite._round_trips(quick, share)]
+    assert shares == whole
+    assert len(list(verifysuite._round_trips(quick, 0))) == len(whole) // 2
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_recognition_shares_are_the_serial_grid(quick):
+    lens = [(node, w, folded.gluings) for node, w, folded
+            in verifysuite._lens_grid(6 if quick else 8)
+            if w != node.p + node.q and node.depth >= 3]
+    mm = [(tag, kmn, tri.gluings) for tag, kmn, tri
+          in verifysuite._mm_grid(("M", "MPRIME"), quick)]
+    shares = [(a, b, tri.gluings) for share in range(4)
+              for a, b, tri in verifysuite._recognition_grid(quick, share)]
+    assert shares == lens + mm
+    assert [tag for tag, _, _ in verifysuite._recognition_grid(quick, 3)] \
+        == ["MPRIME"] * (8 if quick else 27)
+
+
+@pytest.mark.parametrize("quick", [True, False])
 @pytest.mark.parametrize("name", SHARED)
 def test_pooled_path_reports_as_the_in_process_path(monkeypatch, name,
                                                     quick):
     check = dict(verifysuite.CHECKS)[name]
     results = []
     for pooled in (True, False):
-        _pooled(monkeypatch, pooled)
-        results.append(check(quick=quick))
-        assert multiprocessing.active_children() == []
-    assert results[0] == results[1]
+        with _path(monkeypatch, pooled):
+            results.append(check(quick=quick))
+    # outside a run a direct call walks its shares in process
+    _cpus(monkeypatch, 2)
+    results.append(check(quick=quick))
+    assert multiprocessing.active_children() == []
+    assert results[0] == results[1] == results[2]
     assert results[0][0], results[0][1]
+
+
+@pytest.mark.parametrize("quick", [True, False])
+@pytest.mark.parametrize("name", SHARED)
+def test_a_run_reports_alike_on_any_number_of_cpus(monkeypatch, name, quick):
+    summaries = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        summary = verifysuite.run(only=name, quick=quick)
+        assert multiprocessing.active_children() == []
+        del summary["elapsed_ns"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert summaries[0]["passed"] == len(summaries[0]["lines"]) == 1
 
 
 def _quick_folds(share):
@@ -90,11 +183,29 @@ def test_first_failure_in_walker_order_wins(monkeypatch):
     p, q = node0.p, node0.q
     expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w0]
     for pooled in (True, False):
-        _pooled(monkeypatch, pooled)
-        assert verifysuite.check_fold_homology(quick=True) == (
-            False, f"fold of {p}/{q} along {w0}: |H1| = -1, "
-                   f"expected {expect}")
-        assert multiprocessing.active_children() == []
+        with _path(monkeypatch, pooled):
+            assert verifysuite.check_fold_homology(quick=True) == (
+                False, f"fold of {p}/{q} along {w0}: |H1| = -1, "
+                       f"expected {expect}")
+
+
+def test_first_octagon_failure_in_serial_order_wins(monkeypatch):
+    # the last modification of share 0 and the first of share 1 both fail
+    last = list(verifysuite._octagon_items(True, 0))[-1]
+    first = next(verifysuite._octagon_items(True, 1))
+    bad = {(tri.gluings, b) for _, tri, _, b in (last, first)}
+    real = surface.b_modification
+
+    def failing(tri, canon, b):
+        if (tri.gluings, b) in bad:
+            raise AssertionError(f"formula fails at {b}")
+        return real(tri, canon, b)
+
+    monkeypatch.setattr(surface, "b_modification", failing)
+    for pooled in (True, False):
+        with _path(monkeypatch, pooled):
+            assert verifysuite.check_octagon_formula(quick=True) == (
+                False, f"{last[0]}: formula fails at {last[3]}")
 
 
 def test_an_exception_in_a_worker_reaches_the_report(monkeypatch):
@@ -109,9 +220,9 @@ def test_an_exception_in_a_worker_reaches_the_report(monkeypatch):
     monkeypatch.setattr(homology, "first_homology", raising)
     lines = []
     for pooled in (True, False):
-        _pooled(monkeypatch, pooled)
-        with pytest.raises(GluingError) as caught:
-            verifysuite.check_fold_homology(quick=True)
+        with _path(monkeypatch, pooled):
+            with pytest.raises(GluingError) as caught:
+                verifysuite.check_fold_homology(quick=True)
         assert caught.value.slot == (1, 2)
         lines.append(verifysuite.run(only="fold_homology",
                                      quick=True)["lines"])
@@ -130,17 +241,87 @@ def test_a_worker_that_dies_fails_its_criterion(monkeypatch, capfd):
         return real(tri)
 
     monkeypatch.setattr(homology, "first_homology", dying)
-    _pooled(monkeypatch, True)
+    _cpus(monkeypatch, 2)
     assert cli.main(["verify"]) == 1
     assert multiprocessing.active_children() == []
     out, err = capfd.readouterr()
-    # chi_two_methods reaches first_homology through build.seifert_family
+    # chi_two_methods and lst_recognition reach first_homology through
+    # build.seifert_family, and moves checks every move with it
     died = ("a worker process died: A process in the process pool was "
             "terminated abruptly while the future was running or pending.")
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert failed == [f"FAIL fold_homology: {died}",
-                      f"FAIL chi_two_methods: {died}"]
+    assert failed == [f"FAIL {name}: {died}" for name in (
+        "fold_homology", "chi_two_methods", "moves", "lst_recognition")]
     assert "Traceback" not in out + err
+
+
+def test_a_run_forks_its_workers_once(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    summary = verifysuite.run(quick=True)
+    assert summary["failed"] == 0
+    assert multiprocessing.active_children() == []
+    assert forks() == 2
+    # at most one worker per usable CPU, and no more than the most shares
+    for cpus, workers in ((3, 3), (8, 4)):
+        _cpus(monkeypatch, cpus)
+        before = forks()
+        assert verifysuite.run(only="lst_recognition",
+                               quick=True)["failed"] == 0
+        assert forks() - before == workers
+        assert multiprocessing.active_children() == []
+
+
+def test_a_run_with_nothing_to_share_forks_no_worker(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    summary = verifysuite.run(only="one_tet_folds")
+    assert (summary["passed"], forks()) == (1, 0)
+    _cpus(monkeypatch, 1)
+    assert verifysuite.run(only="moves", quick=True)["passed"] == 1
+    assert forks() == 0
+
+
+def test_the_next_criterion_forks_a_fresh_pool(monkeypatch, tmp_path,
+                                                forks):
+    # exactly one worker dies, in the first criterion; the second forks a
+    # new pool and passes in its workers
+    parent = os.getpid()
+    died = tmp_path / "died"
+    ran = tmp_path / "ran"
+    real = homology.first_homology
+
+    def dying_once(tri):
+        if os.getpid() != parent:
+            try:
+                os.close(os.open(died, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                with open(ran, "a") as log:
+                    log.write(f"{os.getpid()}\n")
+            else:
+                os._exit(3)
+        return real(tri)
+
+    monkeypatch.setattr(homology, "first_homology", dying_once)
+    check = verifysuite.check_fold_homology
+    monkeypatch.setattr(verifysuite, "CHECKS", (("fold_homology", check),
+                                                ("fold_homology_again",
+                                                 check)))
+    _cpus(monkeypatch, 2)
+    lines = verifysuite.run(quick=True)["lines"]
+    assert multiprocessing.active_children() == []
+    assert lines[0].startswith("FAIL fold_homology: a worker process died")
+    assert lines[1] == ("PASS fold_homology_again: 189 folds matched the "
+                        "lens table to depth 6")
+    assert forks() == 4 and ran.exists()
+
+
+def test_importing_the_package_loads_no_process_pool():
+    code = ("import sys, trinorm, trinorm.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} "
+            "& set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(trinorm.__path__[0]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def _exception_classes():
