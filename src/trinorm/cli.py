@@ -71,7 +71,7 @@ def _write_tri(tri, path, sidecar=None):
         try:
             _write(Path(path).with_suffix(".meta.json"), _dumps(
                 {"schema_version": SCHEMA_VERSION, **sidecar}) + "\n")
-        except TriangulationError:
+        except BaseException:
             # a .tri without its sidecar is not left behind
             Path(path).unlink()
             raise
@@ -620,6 +620,9 @@ def main(argv=None):
         return 1
     except AssertionError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 1
 
 

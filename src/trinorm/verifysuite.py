@@ -25,17 +25,12 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-# the most shares any criterion splits into, and so the most workers a pool
-# can keep busy
-_MOST_SHARES = 4
-
-
 class _Pool:
-    """The forked worker processes of one ``run``.  They are forked when a
-    criterion first splits into shares, at most one per usable CPU and no
-    more than ``_MOST_SHARES``; with one usable CPU none are.  Forking is
-    safe here: the executor forks all its workers before it starts its
-    management thread, and ``close`` joins that thread."""
+    """The forked worker processes of one ``run``: two, one per share,
+    forked when a criterion first splits into shares, and none with one
+    usable CPU.  Forking is safe here: the executor forks all its workers
+    before it starts its management thread, and ``close`` joins that
+    thread."""
 
     def __init__(self):
         self._executor = None
@@ -43,13 +38,12 @@ class _Pool:
     def executor(self):
         """The pool's executor, or None when only one CPU is usable."""
         if self._executor is None:
-            workers = min(_MOST_SHARES, _usable_cpus())
-            if workers < 2:
+            if _usable_cpus() < 2:
                 return None
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             self._executor = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
+                2, mp_context=multiprocessing.get_context("fork"))
         return self._executor
 
     def close(self):
@@ -77,30 +71,34 @@ def _one_pool():
         _run_pool = None
 
 
-def _in_shares(walk, shares, arg):
-    """Run ``walk(share, arg)`` for share = 0 .. shares - 1 and combine
-    the ``(count, failure)`` pairs they return as one walk through all the
-    shares in order would: the counts summed with no failure, or the first
-    failure with the count before it.  An exception a share raises
-    propagates as it would there.
+def _in_shares(walk, arg):
+    """Run ``walk(share, arg)`` for shares 0 and 1 of a criterion's grid
+    and combine the ``(count, failure)`` pairs they return: the counts
+    summed, or the first failure of share 0, else that of share 1, with
+    the count before it.  An exception a share raises propagates alike.
+
+    A grid is split by one of two rules.  The fraction tree splits at its
+    first branch (``build.lst_tree(depth, share)``), as its nodes are built
+    from their parents; every other grid is dealt alternately
+    (``_dealt``), so each member is built only in the share that checks it.
 
     Inside ``run`` (``_one_pool``) with more than one usable CPU the shares
-    run in the run's pool of forked workers; otherwise they run here, one
-    after the other, stopping at the first failure.  ``walk`` must be a
-    private module-level function: the workers look it up by name, and
-    the benchmark tracer rebinds public ones.  The criterion's futures are
-    all done or cancelled when this returns, and a worker that dies fails
-    only this criterion: its pool is dropped.
+    run in the run's pool of two forked workers; otherwise they run here,
+    share 0 first, stopping at its failure.  ``walk`` must be a private
+    module-level function: the workers look it up by name, and the
+    benchmark tracer rebinds public ones.  The criterion's futures are all
+    done or cancelled when this returns, and a worker that dies fails only
+    this criterion: its pool is dropped.
     """
     executor = _run_pool and _run_pool.executor()
     if executor is None:
-        return _first_failure(walk(share, arg) for share in range(shares))
+        return _first_failure(walk(share, arg) for share in (0, 1))
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
     futures = []
     try:
-        for share in range(shares):
+        for share in (0, 1):
             futures.append(executor.submit(walk, share, arg))
         return _first_failure(future.result() for future in futures)
     except BrokenProcessPool as exc:
@@ -121,6 +119,12 @@ def _first_failure(results):
     return n, None
 
 
+def _dealt(items, share):
+    """Share 0 or 1 of ``items`` dealt alternately: every other item, from
+    the first or from the second."""
+    return islice(items, share, None, 2)
+
+
 def _lst_counts_share(share, depth):
     n = 0
     for node, tri, meta in build.lst_tree(depth, share):
@@ -135,10 +139,9 @@ def _lst_counts_share(share, depth):
 
 def check_lst_counts(quick=False):
     depth = 8 if quick else 12
-    n, failure = _in_shares(_lst_counts_share, 2, depth)
-    if failure is not None:
-        return False, failure
-    return True, f"{n} layered solid tori checked to depth {depth}"
+    n, failure = _in_shares(_lst_counts_share, depth)
+    return failure is None, (
+        failure or f"{n} layered solid tori checked to depth {depth}")
 
 
 def _fold_homology_share(share, depth):
@@ -158,10 +161,9 @@ def _fold_homology_share(share, depth):
 
 def check_fold_homology(quick=False):
     depth = 6 if quick else 10
-    n, failure = _in_shares(_fold_homology_share, 2, depth)
-    if failure is not None:
-        return False, failure
-    return True, f"{n} folds matched the lens table to depth {depth}"
+    n, failure = _in_shares(_fold_homology_share, depth)
+    return failure is None, (
+        failure or f"{n} folds matched the lens table to depth {depth}")
 
 
 def check_one_tet_folds(quick=False):
@@ -193,21 +195,31 @@ def check_balanced_family(quick=False):
     return True, f"balanced L(2n,1) exact for n in {ns.start}..{ns.stop - 1}"
 
 
-def _mm_grid(tags, quick=False):
-    """(tag, (k, m, n), tri) for the augmented families M and M' over the
+def _mm_params(tags, quick=False):
+    """(tag, (k, m, n)) for the augmented families M and M' over the
     parameter cube."""
     rng = (1, 2) if quick else (1, 2, 3)
-    for tag in tags:
-        for kmn in product(rng, repeat=3):
-            yield tag, kmn, build.seifert_family(tag, *kmn)[0]
+    return [(tag, kmn) for tag in tags for kmn in product(rng, repeat=3)]
+
+
+def _family_params(quick=False):
+    """(tag, params) for the family grid: M, M', P and the twisted layered
+    loops Q."""
+    return (_mm_params(("M", "MPRIME"), quick)
+            + [("P", (k,)) for k in ((1, 2) if quick else (1, 2, 3))]
+            + [("Q", (k,)) for k in ((4, 6) if quick else (4, 6, 8, 10))])
+
+
+def _member(tag, params):
+    """The triangulation of one member of the family grid."""
+    if tag == "Q":
+        return build.layered_loop(*params, twisted=True)
+    return build.seifert_family(tag, *params)[0]
 
 
 def _family_grid(quick=False):
-    yield from _mm_grid(("M", "MPRIME"), quick)
-    for k in ((1, 2) if quick else (1, 2, 3)):
-        yield "P", (k,), build.seifert_family("P", k)[0]
-    for k in ((4, 6) if quick else (4, 6, 8, 10)):
-        yield "Q", (k,), build.layered_loop(k, twisted=True)
+    """(tag, params, tri) for the family grid."""
+    return [(*member, _member(*member)) for member in _family_params(quick)]
 
 
 def _lens_grid(depth, share=None):
@@ -231,17 +243,13 @@ def _closed_instances():
 
 
 def _chi_two_methods_share(share, quick):
-    """Share 0 is the family grid, shares 1 and 2 the two shares of the
-    lens grid."""
-    if share == 0:
-        labelled = ((f"{name}{params}", tri)
-                    for name, params, tri in _family_grid(quick))
-    else:
-        labelled = ((f"lens {node.p}/{node.q} fold {w}", folded)
-                    for node, w, folded
-                    in _lens_grid(5 if quick else 10, share - 1))
+    """The family grid dealt, then the lens grid's share."""
+    family = ((f"{tag}{params}", _member(tag, params))
+              for tag, params in _dealt(_family_params(quick), share))
+    lens = ((f"lens {node.p}/{node.q} fold {w}", folded)
+            for node, w, folded in _lens_grid(5 if quick else 10, share))
     n = 0
-    for label, tri in labelled:
+    for label, tri in chain(family, lens):
         for phi in cocycle.all_nonzero_classes(tri):
             types = cocycle.classify_tetrahedra(tri, phi)
             census = cocycle.parity_census(tri, phi, types)
@@ -253,17 +261,17 @@ def _chi_two_methods_share(share, quick):
 
 
 def check_chi_two_methods(quick=False):
-    n, failure = _in_shares(_chi_two_methods_share, 3, quick)
-    if failure is not None:
-        return False, failure
-    return True, f"cell count equals census formula on {n} surfaces"
+    n, failure = _in_shares(_chi_two_methods_share, quick)
+    return failure is None, (
+        failure or f"cell count equals census formula on {n} surfaces")
 
 
 def _check_seifert_family(tag, name, quick, rank, tets, norm_sum):
     """Tetrahedron count, Z/2 rank and canonical-surface norm sum of every
     member (k, m, n) of an augmented family, as functions of k + m + n."""
     count = 0
-    for _, kmn, tri in _mm_grid((tag,), quick):
+    for _, kmn in _mm_params((tag,), quick):
+        tri = _member(tag, kmn)
         label, s = f"{name}{kmn}", sum(kmn)
         h = homology.first_homology(tri)
         phis = cocycle.all_nonzero_classes(tri)
@@ -316,41 +324,32 @@ def check_quaternionic(quick=False):
     return True, f"twisted loops exact for k in {ks}"
 
 
-def _octagon_items(quick, share):
-    """(name, tri, canon, b) for share 0 or 1 of the b-modifications
+def _octagon_items(quick):
+    """(name, tri, canon, b) for the b-modifications
     ``check_octagon_formula`` makes: every subset b of the kernel edges of
     every class of every instance, by size and then lexicographically, each
-    class with its canonical surface; the two shares are the two halves of
-    that order.  A class with more than 12 kernel edges, counted as
-    2^|evens| items, yields (name, tri, None, evens) in their place."""
-    instances = []
-    for k in ((4,) if quick else (4, 6)):
-        instances.append((f"loop{k}", build.layered_loop(k, twisted=True)))
-    for n in ((4, 7) if quick else (4, 7, 13)):
-        tri, meta, rec = build.lens_space(1, 2 * n - 2)
-        instances.append((f"L({2*n},1)", tri))
-    classes = [(name, tri, phi, phi.even_edges()) for name, tri in instances
-               for phi in cocycle.all_nonzero_classes(tri)]
-    total = sum(2 ** len(evens) for _, _, _, evens in classes)
-    lo, hi = total * share // 2, total * (share + 1) // 2
-    start = 0
-    for name, tri, phi, evens in classes:
-        end = start + 2 ** len(evens)
-        if lo < end and start < hi:
+    class with its canonical surface.  A class with more than 12 kernel
+    edges yields (name, tri, None, evens) in their place, and ends the
+    walk."""
+    instances = [(f"loop{k}", build.layered_loop(k, twisted=True))
+                 for k in ((4,) if quick else (4, 6))]
+    instances += [(f"L({2*n},1)", build.lens_space(1, 2 * n - 2)[0])
+                  for n in ((4, 7) if quick else (4, 7, 13))]
+    for name, tri in instances:
+        for phi in cocycle.all_nonzero_classes(tri):
+            evens = phi.even_edges()
             if len(evens) > 12:
                 yield name, tri, None, evens
                 return
             canon = surface.canonical_surface(tri, phi)
-            subsets = chain.from_iterable(combinations(evens, r)
-                                          for r in range(len(evens) + 1))
-            for b in islice(subsets, max(lo - start, 0), hi - start):
-                yield name, tri, canon, b
-        start = end
+            for r in range(len(evens) + 1):
+                for b in combinations(evens, r):
+                    yield name, tri, canon, b
 
 
 def _octagon_share(share, quick):
     checked = 0
-    for name, tri, canon, b in _octagon_items(quick, share):
+    for name, tri, canon, b in _dealt(_octagon_items(quick), share):
         if canon is None:
             return checked, f"{name}: {len(b)} kernel edges"
         # b_modification checks the formula by cell count
@@ -365,10 +364,9 @@ def _octagon_share(share, quick):
 
 
 def check_octagon_formula(quick=False):
-    checked, failure = _in_shares(_octagon_share, 2, quick)
-    if failure is not None:
-        return False, failure
-    return True, f"octagon count formula on {checked} modifications"
+    checked, failure = _in_shares(_octagon_share, quick)
+    return failure is None, (
+        failure or f"octagon count formula on {checked} modifications")
 
 
 def check_formal_solutions(quick=False):
@@ -400,31 +398,26 @@ def _interior_faces(tri):
             and tri.gluing(*divmod(x, 4))[0] != x // 4]
 
 
-def _round_trips(quick, share):
-    """(tri, faces) for share 0 or 1 of the 2-3/3-2 round trips of
-    ``check_moves``: the pool member each trip starts from and its interior
-    faces in the seeded shuffle, whose first face the trip moves on.  Share
-    0 is the first half of the trips and share 1 the second, which replays
-    the first half's shuffles so each trip shuffles as in one serial
-    loop."""
+def _round_trips(quick):
+    """(tri, faces) for the 2-3/3-2 round trips of ``check_moves``: the
+    pool member each trip starts from and its interior faces in the seeded
+    shuffle, whose first face the trip moves on."""
     rng = random.Random(20260810)
     pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
             build.layered_loop(6, twisted=True),
             build.seifert_family("M", 1, 1, 1)[0]]
     interior = [_interior_faces(tri) for tri in pool]
-    target = 30 if quick else 100
-    for done in range(target * (share + 1) // 2):
+    for done in range(30 if quick else 100):
         faces = list(interior[done % len(pool)])
         rng.shuffle(faces)
-        if done >= target * share // 2:
-            yield pool[done % len(pool)], faces
+        yield pool[done % len(pool)], faces
 
 
 def _moves_share(share, quick):
-    """The round trips of share ``share``; share 1 then checks the 4-4
-    flip."""
+    """The round trips dealt to share ``share``; share 1 then checks the
+    4-4 flip."""
     done = 0
-    for tri, faces in _round_trips(quick, share):
+    for tri, faces in _dealt(_round_trips(quick), share):
         if not faces:
             return done, "no usable 2-3 site"
         h0 = homology.first_homology(tri)
@@ -495,56 +488,43 @@ def _all_quad_flip():
 
 
 def check_moves(quick=False):
-    done, failure = _in_shares(_moves_share, 2, quick)
-    if failure is not None:
-        return False, failure
-    return True, (f"{done} 2-3/3-2 round trips, homology invariant, "
-                  "all-quad 4-4 flip gives four triangle tetrahedra")
-
-
-def _recognition_grid(quick, share):
-    """The instances of share ``share`` of ``check_lst_recognition``:
-    shares 0 and 1 are (node, w, folded) for the folds along p and q of
-    the two shares of the lens grid, below depth 3 left out; shares 2 and 3
-    are (tag, kmn, tri) for the M and the M' grid."""
-    if share < 2:
-        for node, w, folded in _lens_grid(6 if quick else 8, share):
-            if w != node.p + node.q and node.depth >= 3:
-                yield node, w, folded
-    else:
-        yield from _mm_grid((("M", "MPRIME")[share - 2],), quick)
+    done, failure = _in_shares(_moves_share, quick)
+    return failure is None, (
+        failure or f"{done} 2-3/3-2 round trips, homology invariant, "
+                   "all-quad 4-4 flip gives four triangle tetrahedra")
 
 
 def _lst_recognition_share(share, quick):
+    """The folds along p and q of the lens grid's share, below depth 3
+    left out, then the M and M' grid dealt."""
     n = 0
-    for key, value, tri in _recognition_grid(quick, share):
+    for node, w, tri in _lens_grid(6 if quick else 8, share):
+        if w == node.p + node.q or node.depth < 3:
+            continue
         lsts = analyze.find_maximal_lsts(tri)
-        if share < 2:
-            node, w = key, value
-            if len(lsts) != 2:
-                return n, (f"lens {node.p}/{node.q} fold {w}: "
-                           f"{len(lsts)} maximal tori")
-            joint = set(lsts[0].tets) & set(lsts[1].tets)
-            if len(joint) != tri.tet_count - 2:
-                return n, (f"lens {node.p}/{node.q}: tori meet in "
-                           f"{len(joint)} tetrahedra")
-        else:
-            tag, kmn = key, value
-            if len(lsts) != 3:
-                return n, f"{tag}{kmn}: {len(lsts)} maximal tori"
-            mat = analyze.lst_intersection_matrix(tri, lsts)
-            if any(mat[i][j] > 1 for i in range(3) for j in range(3)
-                   if i != j):
-                return n, f"{tag}{kmn}: shared edges {mat}"
+        if len(lsts) != 2:
+            return n, (f"lens {node.p}/{node.q} fold {w}: "
+                       f"{len(lsts)} maximal tori")
+        joint = set(lsts[0].tets) & set(lsts[1].tets)
+        if len(joint) != tri.tet_count - 2:
+            return n, (f"lens {node.p}/{node.q}: tori meet in "
+                       f"{len(joint)} tetrahedra")
+        n += 1
+    for tag, kmn in _dealt(_mm_params(("M", "MPRIME"), quick), share):
+        tri = _member(tag, kmn)
+        lsts = analyze.find_maximal_lsts(tri)
+        if len(lsts) != 3:
+            return n, f"{tag}{kmn}: {len(lsts)} maximal tori"
+        mat = analyze.lst_intersection_matrix(tri, lsts)
+        if any(mat[i][j] > 1 for i in range(3) for j in range(3) if i != j):
+            return n, f"{tag}{kmn}: shared edges {mat}"
         n += 1
     return n, None
 
 
 def check_lst_recognition(quick=False):
-    n, failure = _in_shares(_lst_recognition_share, 4, quick)
-    if failure is not None:
-        return False, failure
-    return True, f"{n} recognition checks"
+    n, failure = _in_shares(_lst_recognition_share, quick)
+    return failure is None, failure or f"{n} recognition checks"
 
 
 def check_fundamental_identity(quick=False):
@@ -618,7 +598,6 @@ def run(only=None, quick=False):
     lines = []
     failures = []
     elapsed_ns = {}
-    passed = 0
     with _one_pool():
         for name, fn in CHECKS:
             if only and only not in name:
@@ -629,12 +608,9 @@ def run(only=None, quick=False):
             except (TriangulationError, AssertionError) as exc:
                 ok, detail = False, f"raised {exc}"
             elapsed_ns[name] = time.perf_counter_ns() - start
-            status = "PASS" if ok else "FAIL"
-            lines.append(f"{status} {name}: {detail}")
-            if ok:
-                passed += 1
-            else:
+            lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            if not ok:
                 failures.append({"check": name, "detail": detail})
-    return {"lines": lines, "passed": passed,
+    return {"lines": lines, "passed": len(lines) - len(failures),
             "failed": len(failures), "failures": failures,
             "elapsed_ns": elapsed_ns}

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -537,6 +538,33 @@ def test_a_broken_pipe_off_stdout_is_an_error_line(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_lgraph", broken)
     assert main(["lgraph", "--depth", "1"]) == 1
     assert capsys.readouterr() == ("", "error: [Errno 32] Broken pipe\n")
+
+
+def test_running_out_of_memory_is_an_error_line(tmp_path):
+    # a 300 MiB address-space limit, set in the child process only, is too
+    # small for three million tetrahedra
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "trinorm.cli", "construct", "loop", "--n",
+         "3000000", "--twisted", "-o", str(tmp_path / "big.tri")],
+        preexec_fn=limited, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sidecar_that_runs_out_of_memory_takes_its_tri_along(
+        tmp_path, monkeypatch, capsys):
+    def exhausted(obj, depth=0):
+        raise MemoryError
+    monkeypatch.setattr(cli, "_dumps", exhausted)
+    assert main(["construct", "lst", "--p", "1", "--q", "3",
+                 "-o", str(tmp_path / "t.tri")]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -1,8 +1,9 @@
-"""The long criteria of ``trinorm verify`` walk their grids in shares, in
-one run's pool of forked worker processes when more than one CPU is
-usable: the shares are the serial walk, the pooled and in-process paths
-report the same, a failure inside a worker reaches the report as the
-serial walk gives it, and each run forks its workers at most once.
+"""The long criteria of ``trinorm verify`` walk their grids in two shares,
+in one run's pool of two forked worker processes when more than one CPU
+is usable: together the shares are the serial walk, the pooled and
+in-process paths report the same, share 0's first failure wins over share
+1's, a failure inside a worker reaches the report, and each run forks its
+workers at most once.
 """
 
 import copy
@@ -12,7 +13,6 @@ import multiprocessing
 import os
 import pickle
 import pkgutil
-import random
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -86,50 +86,37 @@ def test_share_zero_holds_the_root_and_the_first_child():
             next(build.lst_tree(3, share))
 
 
+# the grids dealt alternately, as fresh serial streams of comparable items
+STREAMS = {
+    "octagon": lambda quick: (
+        (name, tri.gluings, canon, b)
+        for name, tri, canon, b in verifysuite._octagon_items(quick)),
+    "round_trips": lambda quick: (
+        (tri.gluings, faces)
+        for tri, faces in verifysuite._round_trips(quick)),
+    "family": verifysuite._family_params,
+    "mm": lambda quick: verifysuite._mm_params(("M", "MPRIME"), quick),
+}
+
+
 @pytest.mark.parametrize("quick", [True, False])
-def test_octagon_shares_are_the_serial_walk(quick):
-    shares = [(tri.gluings, canon, b) for share in (0, 1)
-              for _, tri, canon, b in verifysuite._octagon_items(quick, share)]
+@pytest.mark.parametrize("stream", STREAMS)
+def test_dealt_shares_interleave_to_the_serial_stream(stream, quick):
+    shares = [list(verifysuite._dealt(STREAMS[stream](quick), share))
+              for share in (0, 1)]
+    merged = [None] * (len(shares[0]) + len(shares[1]))
+    merged[0::2], merged[1::2] = shares
+    assert merged == list(STREAMS[stream](quick))
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_octagon_items_are_the_modifications(quick):
+    items = [(tri.gluings, canon, b)
+             for _, tri, canon, b in verifysuite._octagon_items(quick)]
     whole = [(tri.gluings, canon, b)
              for tri, canon, b in _octagon_formula_modifications(quick)]
-    assert shares == whole
+    assert items == whole
     assert len(whole) == (82 if quick else 4196)
-    # the halves of the serial order
-    first = list(verifysuite._octagon_items(quick, 0))
-    assert len(first) == len(whole) // 2
-
-
-@pytest.mark.parametrize("quick", [True, False])
-def test_round_trip_shares_are_the_serial_loop(quick):
-    # the seeded shuffles of one serial loop, as check_moves made them
-    rng = random.Random(20260810)
-    pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
-            build.layered_loop(6, twisted=True),
-            build.seifert_family("M", 1, 1, 1)[0]]
-    whole = []
-    for done in range(30 if quick else 100):
-        tri = pool[done % len(pool)]
-        faces = verifysuite._interior_faces(tri)
-        rng.shuffle(faces)
-        whole.append((tri.gluings, faces[0]))
-    shares = [(tri.gluings, faces[0]) for share in (0, 1)
-              for tri, faces in verifysuite._round_trips(quick, share)]
-    assert shares == whole
-    assert len(list(verifysuite._round_trips(quick, 0))) == len(whole) // 2
-
-
-@pytest.mark.parametrize("quick", [True, False])
-def test_recognition_shares_are_the_serial_grid(quick):
-    lens = [(node, w, folded.gluings) for node, w, folded
-            in verifysuite._lens_grid(6 if quick else 8)
-            if w != node.p + node.q and node.depth >= 3]
-    mm = [(tag, kmn, tri.gluings) for tag, kmn, tri
-          in verifysuite._mm_grid(("M", "MPRIME"), quick)]
-    shares = [(a, b, tri.gluings) for share in range(4)
-              for a, b, tri in verifysuite._recognition_grid(quick, share)]
-    assert shares == lens + mm
-    assert [tag for tag, _, _ in verifysuite._recognition_grid(quick, 3)] \
-        == ["MPRIME"] * (8 if quick else 27)
 
 
 @pytest.mark.parametrize("quick", [True, False])
@@ -190,9 +177,11 @@ def test_first_failure_in_walker_order_wins(monkeypatch):
 
 
 def test_first_octagon_failure_in_serial_order_wins(monkeypatch):
-    # the last modification of share 0 and the first of share 1 both fail
-    last = list(verifysuite._octagon_items(True, 0))[-1]
-    first = next(verifysuite._octagon_items(True, 1))
+    # the last modification dealt to share 0 and the first dealt to share 1
+    # both fail: share 1's comes first in the grid, but the shares are read
+    # in order, share 0 then share 1
+    last = list(verifysuite._dealt(verifysuite._octagon_items(True), 0))[-1]
+    first = next(verifysuite._dealt(verifysuite._octagon_items(True), 1))
     bad = {(tri.gluings, b) for _, tri, _, b in (last, first)}
     real = surface.b_modification
 
@@ -261,13 +250,13 @@ def test_a_run_forks_its_workers_once(monkeypatch, forks):
     assert summary["failed"] == 0
     assert multiprocessing.active_children() == []
     assert forks() == 2
-    # at most one worker per usable CPU, and no more than the most shares
-    for cpus, workers in ((3, 3), (8, 4)):
+    # one worker per share, however many CPUs are usable
+    for cpus in (3, 8):
         _cpus(monkeypatch, cpus)
         before = forks()
         assert verifysuite.run(only="lst_recognition",
                                quick=True)["failed"] == 0
-        assert forks() - before == workers
+        assert forks() - before == 2
         assert multiprocessing.active_children() == []
 
 
