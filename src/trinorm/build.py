@@ -174,6 +174,11 @@ def frontier_book(tri, faces):
                  if e in second})
 
 
+# the seed of every ``lst`` and ``lst_tree`` call, built once: its table
+# and skeleton are the built root of every chain of layers on it
+_SEED = _seed_lst()
+
+
 # _LAYER_MAPS[a, b, c] holds the two gluings ``_layer`` makes of a face
 # (tet, f) whose hinge runs a -> b, with third vertex c = 6 - f - a - b:
 # onto the new tetrahedron's facet 2 (the first face) and facet 3 (the
@@ -282,7 +287,7 @@ def lst(p, q):
     the minimal path on one working state: the joins, the weights, the
     boundary, the tetrahedra and the book, updated by each layer as
     ``relayer`` and ``_layer`` do.  Only the seed tetrahedron's skeleton
-    is built, and the seed is glued once, with every layer's joins."""
+    is read, and the seed is glued once, with every layer's joins."""
     p, q = int(p), int(q)
     if p > q:
         p, q = q, p
@@ -293,7 +298,7 @@ def lst(p, q):
             "the Moebius triple {1,1,2} is a degenerate solid torus")
     if math.gcd(p, q) != 1:
         raise TriangulationError(f"weights {p}, {q} are not coprime")
-    seed, torus = _seed_lst()
+    seed, torus = _SEED
     joins = []
     tets = list(torus.tets)
     weights = dict(torus.edge_weights)
@@ -432,7 +437,7 @@ def lst_tree(depth_limit, share=None):
     if share not in (None, 0, 1):
         raise TriangulationError(f"no share {share!r} of the tree; "
                                  "the shares are 0 and 1")
-    stack = [(*_seed_lst(), 1)]
+    stack = [(*_SEED, 1)]
     while stack:
         tri, meta, depth = stack.pop()
         if share != 1 or depth > 1:

@@ -244,7 +244,20 @@ class Skeleton:
     ``boundary_facets`` and ``self_glued_facets`` the facet slots left
     free or glued to themselves.  ``edge_degrees``, ``boundary_edges``,
     ``face_rows`` and ``face_echelon`` are derived on first use, and
-    ``edge_slots()`` groups the edge slots by class."""
+    ``edge_slots()`` groups the edge slots by class.
+
+    The full pass builds these lists from a table alone.  A table that
+    ``Triangulation.glued`` made from a parent gets them amended from the
+    parent's instead, when every join's lower facet slot comes after the
+    parent's last glued lower slot: the full pass would then read the
+    parent's gluings first and the joins after them, so continuing from
+    the parent's classes and signs gives the same values in every field.
+    A layer appends its new slots to the classes they are glued to and
+    numbers its free edge last; a fold merges classes, keeping the
+    direction of the lower facet's side, and numbers each merged class at
+    its least first slot.  A layer that would merge two old classes or
+    make an edge invalid, any other join, and a table built from rows get
+    the full pass."""
 
     def __init__(self, vertex_class, vertex_first, edge_class, edge_sign,
                  edge_first, invalid_edges, face_first, boundary_facets,
@@ -314,6 +327,194 @@ class Skeleton:
         return dict(sorted(hist.items()))
 
 
+def _last_glued(sk):
+    """The last lower slot of a glued face in ``sk``: the last entry of
+    ``face_first`` that is no boundary facet, or -1."""
+    free = sk.boundary_facets
+    i = len(free)
+    for x in reversed(sk.face_first):
+        if i and free[i - 1] == x:
+            i -= 1
+        else:
+            return x
+    return -1
+
+
+def _amended(parent, gluings, joins):
+    """The skeleton of ``gluings``, the table that ``parent.glued`` made
+    with ``joins``, continued from the parent's skeleton; None where the
+    full pass must run instead.
+
+    The full pass reads glued facet pairs in order of their lower facet
+    slot.  When every join's lower slot comes after the last one the
+    parent's pass read, this table's pass is the parent's followed by the
+    joins, so it continues from the parent's classes and signs: by
+    ``_layered`` when each join glues an old free facet to a facet of a
+    new tetrahedron, by ``_folded`` when the joins glue old free facets
+    together and there is no new tetrahedron."""
+    sk = parent.skeleton
+    last = _last_glued(sk)
+    first_new = 4 * parent.tet_count
+    layer = len(gluings) > parent.tet_count
+    lowers = []
+    for t, f, u, perm in joins:
+        x, y = 4 * t + f, 4 * u + perm.images[f]
+        if y < x:
+            x, y = y, x
+        if x <= last or (layer and not x < first_new <= y):
+            return None
+        lowers.append(x)
+    lowers.sort()
+    if layer:
+        return _layered(sk, gluings, lowers, parent.tet_count)
+    return _folded(sk, gluings, lowers)
+
+
+def _layered(sk, gluings, lowers, n_old):
+    """The skeleton after joins that each glue an old free facet, the
+    lower slot in ``lowers``, to a facet of a new tetrahedron; None when
+    the joins merge two old classes or make an edge invalid.  Each new
+    vertex or edge slot joins the class of the old slot it is glued to,
+    an edge slot with that slot's sign, flipped when the gluing reverses
+    the edge; a new slot glued to none is a class of its own, numbered
+    after the old ones in slot order."""
+    n = len(gluings)
+    v_old, e_old = 4 * n_old, 6 * n_old
+    vertex_class = sk.vertex_class + [None] * (4 * n - v_old)
+    edge_class = sk.edge_class + [None] * (6 * n - e_old)
+    edge_sign = sk.edge_sign + [1] * (6 * n - e_old)
+    for x in lowers:
+        t, f = x >> 2, x & 3
+        u, perm = gluings[t][f]
+        _, vertices, edges = GLUING_TABLE[perm.index][f]
+        t4, u4 = 4 * t, 4 * u
+        for v, w in vertices:
+            c = vertex_class[t4 + v]
+            b = u4 + w
+            old = vertex_class[b]
+            if old is None:
+                vertex_class[b] = c
+            elif old != c:
+                return None
+        t6, u6 = 6 * t, 6 * u
+        for e, d, rel in edges:
+            a = t6 + e
+            c = edge_class[a]
+            s = -edge_sign[a] if rel else edge_sign[a]
+            b = u6 + d
+            old = edge_class[b]
+            if old is None:
+                edge_class[b] = c
+                edge_sign[b] = s
+            elif old != c or edge_sign[b] != s:
+                return None
+    vertex_first = list(sk.vertex_first)
+    for b in range(v_old, 4 * n):
+        if vertex_class[b] is None:
+            vertex_class[b] = len(vertex_first)
+            vertex_first.append(b)
+    edge_first = list(sk.edge_first)
+    for b in range(e_old, 6 * n):
+        if edge_class[b] is None:
+            edge_class[b] = len(edge_first)
+            edge_first.append(b)
+    # an old free facet now glued is a lower slot, a new glued facet an
+    # upper one
+    face_first = list(sk.face_first)
+    boundary_facets = []
+    for x in sk.boundary_facets:
+        if gluings[x >> 2][x & 3] is None:
+            boundary_facets.append(x)
+    for x in range(v_old, 4 * n):
+        if gluings[x >> 2][x & 3] is None:
+            face_first.append(x)
+            boundary_facets.append(x)
+    return Skeleton(vertex_class, vertex_first, edge_class, edge_sign,
+                    edge_first, sk.invalid_edges, face_first,
+                    boundary_facets, list(sk.self_glued_facets))
+
+
+def _folded(sk, gluings, lowers):
+    """The skeleton after joins that glue old free facets together, the
+    lower slots in ``lowers``.  The joins union the old classes as the
+    full pass would: a merged edge class takes the direction of the class
+    on the lower facet's side, and one glued to itself reversed is
+    invalid.  Then ``_renumbered`` numbers the classes."""
+    vertex_class, edge_class, edge_sign = (sk.vertex_class, sk.edge_class,
+                                           sk.edge_sign)
+    verts = _UnionFind(sk.vertex_count) if sk.vertex_count > 1 else None
+    edges = _UnionFind(sk.edge_count)
+    upper, self_glued = set(), []
+    for x in lowers:
+        t, f = x >> 2, x & 3
+        u, perm = gluings[t][f]
+        target, vertex_pairs, edge_pairs = GLUING_TABLE[perm.index][f]
+        y = 4 * u + target
+        if y == x:
+            self_glued.append(x)
+        else:
+            upper.add(y)
+        if verts is not None:
+            t4, u4 = 4 * t, 4 * u
+            verts.union_all([vertex_class[t4 + v] for v, _ in vertex_pairs],
+                            [vertex_class[u4 + w] for _, w in vertex_pairs],
+                            (0, 0, 0))
+        # the partition is of old classes, so each relation is taken
+        # relative to the two slots' old signs
+        t6, u6 = 6 * t, 6 * u
+        xs, ys, rels = [], [], []
+        for e, d, rel in edge_pairs:
+            a, b = t6 + e, u6 + d
+            xs.append(edge_class[a])
+            ys.append(edge_class[b])
+            rels.append(rel ^ (edge_sign[a] != edge_sign[b]))
+        edges.union_all(xs, ys, rels)
+    number, flip, edge_first = _renumbered(edges, sk.edge_first)
+    if verts is None:
+        vertex_class, vertex_first = list(vertex_class), list(sk.vertex_first)
+    else:
+        vnumber, _, vertex_first = _renumbered(verts, sk.vertex_first)
+        vertex_class = [vnumber[c] for c in vertex_class]
+    if any(flip):
+        edge_sign = [-s if flip[c] else s
+                     for c, s in zip(edge_class, edge_sign)]
+    else:
+        edge_sign = list(edge_sign)
+    joined = upper.union(lowers)
+    return Skeleton(
+        vertex_class, vertex_first, [number[c] for c in edge_class],
+        edge_sign, edge_first,
+        frozenset([number[c] for c in sk.invalid_edges]
+                  + [number[c] for c in edges.conflict]),
+        [x for x in sk.face_first if x not in upper],
+        [x for x in sk.boundary_facets if x not in joined],
+        sorted(sk.self_glued_facets + self_glued))
+
+
+def _renumbered(uf, first):
+    """The classes left by unions ``uf`` of old classes whose first slots
+    are ``first``: each old class's new number and its parity to its new
+    class's root, and each new class's first slot.  A merged class is
+    numbered at its least old class, which holds its least first slot, so
+    the numbers after a merged-away class shift down."""
+    number, flip, new_first = [], [], []
+    of_root = {}
+    parent, find = uf.parent, uf.find
+    for c, x in enumerate(first):
+        if parent[c] == c:
+            # a root, at parity 0, untouched or kept by the unions
+            root, parity = c, 0
+        else:
+            root, parity = find(c)
+        k = of_root.get(root)
+        if k is None:
+            k = of_root[root] = len(new_first)
+            new_first.append(x)
+        number.append(k)
+        flip.append(parity)
+    return number, flip, new_first
+
+
 class Triangulation:
     """Immutable face-gluing table.
 
@@ -321,6 +522,10 @@ class Triangulation:
     perm is the Perm4 carrying vertex labels of tetrahedron t to labels of
     u, and facet f of t is glued to facet perm[f] of u.
     """
+
+    # the table this one was glued onto, kept with ``_joins`` until the
+    # skeleton is built (see ``glued``)
+    _parent = None
 
     def __init__(self, gluings):
         table = tuple(map(tuple, gluings))
@@ -364,7 +569,17 @@ class Triangulation:
         ``TriBuilder.join`` makes it.  The rows no join writes are this
         table's own tuples, and only the entries the joins write are
         checked: this table was checked when it was built, and a join
-        writes only free facets, both sides of each pairing at once."""
+        writes only free facets, both sides of each pairing at once.
+
+        The new table keeps this one and the joins until its skeleton is
+        asked for.  The skeleton is then amended from this table's, built
+        first if need be, when every join's lower facet slot comes after
+        the last lower slot of a gluing here: the full pass reads gluings
+        in order of their lower slots, so on the new table it would read
+        this table's gluings and then the joins (see ``Skeleton``).  A
+        layer or a fold on the newest tetrahedron's free facets, as in
+        ``lst_tree``, always meets that test."""
+        joins = tuple(joins)
         rows = list(self._gluings)
         rows += ([None] * 4 for _ in range(new_tets))
         for join in joins:
@@ -377,6 +592,7 @@ class Triangulation:
         tri = Triangulation.__new__(Triangulation)
         # tuple() hands an unwritten row, already a tuple, back as it is
         tri._gluings = tuple(map(tuple, rows))
+        tri._parent, tri._joins = self, joins
         return tri
 
     @cached_property
@@ -397,6 +613,30 @@ class Triangulation:
 
     @cached_property
     def skeleton(self):
+        """The skeleton: amended from the parent's when this table was
+        glued onto one and the joins allow it (``_amended``), else the
+        full pass ``_skeleton_pass``."""
+        parent = self._parent
+        if parent is None:
+            return self._skeleton_pass()
+        # build the unbuilt ancestors top down, each onto a built parent,
+        # so that a long chain of glued tables does not recurse; each is
+        # let go once its child is built, so that their skeletons are not
+        # all held at once
+        chain = []
+        while "skeleton" not in parent.__dict__ \
+                and parent._parent is not None:
+            chain.append(parent)
+            parent = parent._parent
+        while chain:
+            chain.pop().skeleton
+        sk = _amended(self._parent, self._gluings, self._joins)
+        del self._parent, self._joins
+        return self._skeleton_pass() if sk is None else sk
+
+    def _skeleton_pass(self):
+        """The full pass: the skeleton read gluing by gluing, in order of
+        each gluing's lower facet slot."""
         n = self.tet_count
         # vertex and edge slots are joined as each gluing is read, in
         # partitions whose roots are the least slot of their class: a root

@@ -495,21 +495,24 @@ def check_moves(quick=False):
 
 
 def _lst_recognition_share(share, quick):
-    """The folds along p and q of the lens grid's share, below depth 3
-    left out, then the M and M' grid dealt."""
+    """The folds along p and q of the fraction tree's share from depth 3
+    on, then the M and M' grid dealt."""
     n = 0
-    for node, w, tri in _lens_grid(6 if quick else 8, share):
-        if w == node.p + node.q or node.depth < 3:
+    for node, tri, meta in build.lst_tree(6 if quick else 8, share):
+        if node.depth < 3:
             continue
-        lsts = analyze.find_maximal_lsts(tri)
-        if len(lsts) != 2:
-            return n, (f"lens {node.p}/{node.q} fold {w}: "
-                       f"{len(lsts)} maximal tori")
-        joint = set(lsts[0].tets) & set(lsts[1].tets)
-        if len(joint) != tri.tet_count - 2:
-            return n, (f"lens {node.p}/{node.q}: tori meet in "
-                       f"{len(joint)} tetrahedra")
-        n += 1
+        for w in (meta.p, meta.q):
+            folded, _ = build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)
+            lsts = analyze.find_maximal_lsts(folded)
+            if len(lsts) != 2:
+                return n, (f"lens {node.p}/{node.q} fold {w}: "
+                           f"{len(lsts)} maximal tori")
+            joint = set(lsts[0].tets) & set(lsts[1].tets)
+            if len(joint) != folded.tet_count - 2:
+                return n, (f"lens {node.p}/{node.q}: tori meet in "
+                           f"{len(joint)} tetrahedra")
+            n += 1
     for tag, kmn in _dealt(_mm_params(("M", "MPRIME"), quick), share):
         tri = _member(tag, kmn)
         lsts = analyze.find_maximal_lsts(tri)

@@ -732,21 +732,40 @@ def built(monkeypatch):
 def test_lst_builds_one_skeleton(built):
     tri, meta = build.lst(1, 200)
     assert tri.tet_count == 199 and meta.boundary_triple == (1, 200, 201)
-    # the seed's skeleton, and the seed and the result as Triangulations
-    assert built == {"skeleton": 1, "triangulation": 2}
+    # the result, glued onto the seed, whose table and skeleton were built
+    # once at import
+    assert built == {"triangulation": 1}
 
 
 def test_lens_space_skips_the_unfolded_skeleton(built):
     folded, _, _ = build.lens_space(5, 13)
-    assert built == {"skeleton": 1, "triangulation": 3}
+    # the torus and its fold; the seed was built at import
+    assert built == {"triangulation": 2}
     assert folded.is_closed
 
 
 def test_tree_walk_builds_only_the_seed_skeleton(built):
     nodes = sum(1 for _ in build.lst_tree(8))
     assert nodes == 2 ** 8 - 1
-    # one Triangulation per node, the seed's being the root's
-    assert built == {"skeleton": 1, "triangulation": nodes}
+    # one Triangulation per node but the root, the seed built at import
+    assert built == {"triangulation": nodes - 1}
+
+
+def test_building_leaves_the_shared_seed_as_it_was():
+    seed, torus = build._SEED
+    for _, tri, meta in build.lst_tree(6):
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            build.fold_along_edge(tri, build.boundary_edge(meta, w), meta)
+    build.lst(5, 13)
+    build.lens_space(3, 8)
+    build.layer_on_edge(seed, build.boundary_edge(torus, 2), torus)
+    build.fold_along_edge(seed, build.boundary_edge(torus, 3), torus)
+    fresh, fresh_torus = build._seed_lst()
+    assert seed.gluings == fresh.gluings
+    assert torus.edge_weights == fresh_torus.edge_weights
+    assert torus.boundary_edges == fresh_torus.boundary_edges
+    assert torus.book == fresh_torus.book
+    assert torus == fresh_torus
 
 
 def test_boundary_triple_is_sorted_once():

@@ -1,13 +1,15 @@
 """The one-pass, table-driven skeleton against the two-sided loop it
 replaced, kept here word for word as the reference, on the one-union-a-call
-union-find it used, also kept here word for word."""
+union-find it used, also kept here word for word; and the skeletons amended
+from a parent's against the full pass."""
 
 from hypothesis import given, settings, strategies as st
 
-from trinorm import build, verifysuite
-from trinorm.perm import ALL_PERMS
+from trinorm import build, triangulation, verifysuite
+from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                                   FACET_VERTICES, TriBuilder, _UnionFind)
+                                   FACET_VERTICES, TriBuilder, Triangulation,
+                                   _UnionFind)
 
 
 # ----- the reference: every facet visited from both sides --------------------
@@ -312,6 +314,84 @@ def test_random_gluing_tables_match_reference(tri):
     _assert_matches_reference(tri)
 
 
+@st.composite
+def glued_onto_tables(draw):
+    """(parent, joins, new_tets): a table of ``gluing_tables``, and either
+    joins among its free facets and those of one new tetrahedron, or one
+    join of two of its free facets or of one free facet to itself."""
+    tri = draw(gluing_tables())
+    if draw(st.booleans()):
+        # build the parent's skeleton first, or leave the child to
+        tri.skeleton
+    new_tets = draw(st.integers(0, 1))
+    n = tri.tet_count + new_tets
+    free = [(t, f) for t in range(n) for f in range(4)
+            if t >= tri.tet_count or tri.gluing(t, f) is None]
+    free = draw(st.permutations(free))
+    joins = []
+    if new_tets:
+        pairs = draw(st.integers(0, len(free) // 2))
+        for i in range(pairs):
+            (t, f), (u, g) = free[2 * i], free[2 * i + 1]
+            perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == g]))
+            joins.append((t, f, u, perm))
+    elif free:
+        t, f = free[0]
+        if len(free) > 1 and draw(st.booleans()):
+            u, g = free[1]
+            perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == g]))
+        else:
+            u = t
+            perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == f
+                                         and p.index != 0
+                                         and (p * p).index == 0]))
+        joins.append((t, f, u, perm))
+    return tri, tuple(joins), new_tets
+
+
+SKELETON_FIELDS = ("vertex_class", "vertex_first", "edge_class", "edge_sign",
+                   "edge_first", "invalid_edges", "face_first",
+                   "boundary_facets", "self_glued_facets", "vertex_count",
+                   "edge_count", "face_count")
+
+
+def _assert_matches_full_pass(tri):
+    full = Triangulation(tri.gluings).skeleton
+    sk = tri.skeleton
+    for name in SKELETON_FIELDS:
+        assert getattr(sk, name) == getattr(full, name), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(glued_onto_tables())
+def test_glued_tables_match_the_full_pass(case):
+    parent, joins, new_tets = case
+    _assert_matches_full_pass(parent.glued(joins, new_tets))
+
+
+def test_glued_tables_reach_both_amendments_and_the_full_pass():
+    # the strategy above must reach the amended and the fallback paths,
+    # both for a layer and for a fold
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(glued_onto_tables())
+    def scan(case):
+        parent, joins, new_tets = case
+        child = parent.glued(joins, new_tets)
+        amended = triangulation._amended(parent, child.gluings, joins)
+        seen.add(("layer" if new_tets else "fold",
+                  "full pass" if amended is None else "amended"))
+        if amended is not None and amended.invalid_edges \
+                != parent.skeleton.invalid_edges:
+            seen.add("invalid edge amended")
+
+    scan()
+    assert seen == {("layer", "amended"), ("layer", "full pass"),
+                    ("fold", "amended"), ("fold", "full pass"),
+                    "invalid edge amended"}
+
+
 def test_random_tables_reach_every_kind_of_gluing():
     # the strategy above must produce what the oracle is meant to cover
     seen = set()
@@ -331,6 +411,112 @@ def test_random_tables_reach_every_kind_of_gluing():
 
     scan()
     assert seen == {"boundary", "self_glued", "non_orientable", "invalid_edge"}
+
+
+# ----- skeletons amended from the parent's ------------------------------------
+
+
+def _full_passes(monkeypatch):
+    """A list that records each table the full pass runs on."""
+    runs = []
+    full = Triangulation._skeleton_pass
+
+    def counted(self):
+        runs.append(self.gluings)
+        return full(self)
+
+    monkeypatch.setattr(Triangulation, "_skeleton_pass", counted)
+    return runs
+
+
+def test_tree_nodes_and_folds_are_amended_exactly(monkeypatch):
+    runs = _full_passes(monkeypatch)
+    n = 0
+    for _, tri, meta in build.lst_tree(10):
+        _assert_matches_full_pass(tri)
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            folded, _ = build.fold_along_edge(
+                tri, build.boundary_edge(meta, w), meta)
+            _assert_matches_full_pass(folded)
+            n += 1
+    assert n == 3 * 1023
+    # the full pass ran only for the references
+    assert len(runs) == 1023 + n
+
+
+def test_tree_walk_runs_no_full_pass(monkeypatch):
+    runs = _full_passes(monkeypatch)
+    nodes = 0
+    for _, tri, _ in build.lst_tree(8):
+        tri.skeleton
+        nodes += 1
+    assert (nodes, runs) == (2 ** 8 - 1, [])
+
+
+def _free_tet():
+    return TriBuilder(1).freeze()
+
+
+def test_a_join_before_the_last_glued_lower_slot_gets_the_full_pass(
+        monkeypatch):
+    # facet 2 of tet 0 is glued to its facet 3, and facet 0 is joined next
+    b = TriBuilder(1)
+    b.join(0, 2, 0, Perm4((0, 1, 3, 2)))
+    parent = b.freeze()
+    assert triangulation._last_glued(parent.skeleton) == 2
+    runs = _full_passes(monkeypatch)
+    child = parent.glued(((0, 0, 1, Perm4((3, 0, 1, 2))),), 1)
+    _assert_matches_full_pass(child)
+    assert len(runs) == 2
+
+
+def test_a_layer_that_merges_two_vertex_classes_gets_the_full_pass(
+        monkeypatch):
+    # new vertex 0 is glued to old vertex 1 across facet 0, and to old
+    # vertex 0 across facet 1
+    parent = _free_tet()
+    parent.skeleton
+    joins = ((0, 0, 1, Perm4((3, 0, 1, 2))), (0, 1, 1, Perm4((0, 2, 1, 3))))
+    runs = _full_passes(monkeypatch)
+    child = parent.glued(joins, 1)
+    _assert_matches_full_pass(child)
+    assert len(runs) == 2
+    assert child.skeleton.vertex_count < 4 + 4
+
+
+def test_a_layer_that_makes_an_invalid_edge_gets_the_full_pass(monkeypatch):
+    # the new tetrahedron's edge (0, 1) is glued to old edge (2, 3) both
+    # ways round, across facets 3 and 2
+    parent = _free_tet()
+    parent.skeleton
+    joins = ((0, 0, 1, Perm4((3, 2, 0, 1))), (0, 1, 1, Perm4((3, 2, 1, 0))))
+    runs = _full_passes(monkeypatch)
+    child = parent.glued(joins, 1)
+    _assert_matches_full_pass(child)
+    assert len(runs) == 2
+    assert not child.is_valid
+
+
+def test_a_fold_that_makes_an_invalid_edge_is_amended(monkeypatch):
+    # facets 0 and 1 share the edge (2, 3), glued to itself reversed
+    parent = _free_tet()
+    parent.skeleton
+    runs = _full_passes(monkeypatch)
+    child = parent.glued(((0, 0, 0, Perm4((1, 0, 3, 2))),))
+    assert not child.is_valid
+    assert runs == []
+    _assert_matches_full_pass(child)
+
+
+def test_a_long_chain_of_layers_is_amended_without_recursion(monkeypatch):
+    tri, meta = build._SEED
+    for _ in range(5000):
+        tri, meta = build.layer_on_edge(
+            tri, build.boundary_edge(meta, meta.q), meta)
+    runs = _full_passes(monkeypatch)
+    sk = tri.skeleton
+    assert (sk.edge_count, runs) == (5003, [])
+    _assert_matches_full_pass(tri)
 
 
 # ----- the parity union-find -------------------------------------------------------
