@@ -247,17 +247,18 @@ class Skeleton:
     ``edge_slots()`` groups the edge slots by class.
 
     The full pass builds these lists from a table alone.  A table that
-    ``Triangulation.glued`` made from a parent gets them amended from the
-    parent's instead, when every join's lower facet slot comes after the
-    parent's last glued lower slot: the full pass would then read the
-    parent's gluings first and the joins after them, so continuing from
-    the parent's classes and signs gives the same values in every field.
-    A layer appends its new slots to the classes they are glued to and
-    numbers its free edge last; a fold merges classes, keeping the
-    direction of the lower facet's side, and numbers each merged class at
-    its least first slot.  A layer that would merge two old classes or
-    make an edge invalid, any other join, and a table built from rows get
-    the full pass."""
+    ``Triangulation.glued`` makes from a parent whose skeleton is built
+    gets them amended from the parent's instead, as it is glued, when
+    every join's lower facet slot comes after the parent's last glued
+    lower slot: the full pass would then read the parent's gluings first
+    and the joins after them, so continuing from the parent's classes and
+    signs gives the same values in every field.  A layer appends its new
+    slots to the classes they are glued to and numbers its free edge last;
+    a fold merges classes, keeping the direction of the lower facet's
+    side, and numbers each merged class at its least first slot.  A layer
+    that would merge two old classes or make an edge invalid, any other
+    join, a table glued onto an unbuilt parent and a table built from rows
+    get the full pass when the skeleton is asked for."""
 
     def __init__(self, vertex_class, vertex_first, edge_class, edge_sign,
                  edge_first, invalid_edges, face_first, boundary_facets,
@@ -341,9 +342,9 @@ def _last_glued(sk):
 
 
 def _amended(parent, gluings, joins):
-    """The skeleton of ``gluings``, the table that ``parent.glued`` made
-    with ``joins``, continued from the parent's skeleton; None where the
-    full pass must run instead.
+    """The skeleton of ``gluings``, the table that ``parent.glued`` makes
+    with ``joins``, continued from the parent's built skeleton; None where
+    the full pass must run instead.
 
     The full pass reads glued facet pairs in order of their lower facet
     slot.  When every join's lower slot comes after the last one the
@@ -523,10 +524,6 @@ class Triangulation:
     u, and facet f of t is glued to facet perm[f] of u.
     """
 
-    # the table this one was glued onto, kept with ``_joins`` until the
-    # skeleton is built (see ``glued``)
-    _parent = None
-
     def __init__(self, gluings):
         table = tuple(map(tuple, gluings))
         n = len(table)
@@ -571,14 +568,14 @@ class Triangulation:
         checked: this table was checked when it was built, and a join
         writes only free facets, both sides of each pairing at once.
 
-        The new table keeps this one and the joins until its skeleton is
-        asked for.  The skeleton is then amended from this table's, built
-        first if need be, when every join's lower facet slot comes after
-        the last lower slot of a gluing here: the full pass reads gluings
-        in order of their lower slots, so on the new table it would read
-        this table's gluings and then the joins (see ``Skeleton``).  A
-        layer or a fold on the newest tetrahedron's free facets, as in
-        ``lst_tree``, always meets that test."""
+        When this table's skeleton is built, the new table's is amended
+        from it here, if every join's lower facet slot comes after the
+        last lower slot of a gluing here: the full pass reads gluings in
+        order of their lower slots, so on the new table it would read this
+        table's gluings and then the joins (see ``Skeleton``).  A layer or
+        a fold on the newest tetrahedron's free facets, as in ``lst_tree``,
+        always meets that test.  Otherwise the new table's skeleton is the
+        full pass, run when it is asked for."""
         joins = tuple(joins)
         rows = list(self._gluings)
         rows += ([None] * 4 for _ in range(new_tets))
@@ -592,7 +589,10 @@ class Triangulation:
         tri = Triangulation.__new__(Triangulation)
         # tuple() hands an unwritten row, already a tuple, back as it is
         tri._gluings = tuple(map(tuple, rows))
-        tri._parent, tri._joins = self, joins
+        if "skeleton" in self.__dict__:
+            sk = _amended(self, tri._gluings, joins)
+            if sk is not None:
+                tri.skeleton = sk
         return tri
 
     @cached_property
@@ -613,30 +613,8 @@ class Triangulation:
 
     @cached_property
     def skeleton(self):
-        """The skeleton: amended from the parent's when this table was
-        glued onto one and the joins allow it (``_amended``), else the
-        full pass ``_skeleton_pass``."""
-        parent = self._parent
-        if parent is None:
-            return self._skeleton_pass()
-        # build the unbuilt ancestors top down, each onto a built parent,
-        # so that a long chain of glued tables does not recurse; each is
-        # let go once its child is built, so that their skeletons are not
-        # all held at once
-        chain = []
-        while "skeleton" not in parent.__dict__ \
-                and parent._parent is not None:
-            chain.append(parent)
-            parent = parent._parent
-        while chain:
-            chain.pop().skeleton
-        sk = _amended(self._parent, self._gluings, self._joins)
-        del self._parent, self._joins
-        return self._skeleton_pass() if sk is None else sk
-
-    def _skeleton_pass(self):
         """The full pass: the skeleton read gluing by gluing, in order of
-        each gluing's lower facet slot."""
+        each gluing's lower facet slot, unless ``glued`` amended it."""
         n = self.tet_count
         # vertex and edge slots are joined as each gluing is read, in
         # partitions whose roots are the least slot of their class: a root

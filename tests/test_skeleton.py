@@ -3,6 +3,10 @@ replaced, kept here word for word as the reference, on the one-union-a-call
 union-find it used, also kept here word for word; and the skeletons amended
 from a parent's against the full pass."""
 
+import functools
+import pickle
+import weakref
+
 from hypothesis import given, settings, strategies as st
 
 from trinorm import build, triangulation, verifysuite
@@ -417,16 +421,30 @@ def test_random_tables_reach_every_kind_of_gluing():
 
 
 def _full_passes(monkeypatch):
-    """A list that records each table the full pass runs on."""
+    """A list that records each table the full pass runs on: a skeleton
+    that ``glued`` amended is cached before it is asked for, so only the
+    full pass reaches the property."""
     runs = []
-    full = Triangulation._skeleton_pass
+    full = Triangulation.__dict__["skeleton"].func
 
     def counted(self):
         runs.append(self.gluings)
         return full(self)
 
-    monkeypatch.setattr(Triangulation, "_skeleton_pass", counted)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Triangulation, "skeleton")
+    monkeypatch.setattr(Triangulation, "skeleton", prop)
     return runs
+
+
+def _chain(tri, meta, layers):
+    """The table and meta after ``layers`` chained ``layer_on_edge`` calls
+    from ``tri``, each on the edge of weight q; only the last table is
+    held."""
+    for _ in range(layers):
+        tri, meta = build.layer_on_edge(
+            tri, build.boundary_edge(meta, meta.q), meta)
+    return tri, meta
 
 
 def test_tree_nodes_and_folds_are_amended_exactly(monkeypatch):
@@ -451,6 +469,34 @@ def test_tree_walk_runs_no_full_pass(monkeypatch):
         tri.skeleton
         nodes += 1
     assert (nodes, runs) == (2 ** 8 - 1, [])
+
+
+def test_a_layer_and_a_fold_on_a_built_parent_are_amended_as_glued():
+    parent, meta = _chain(*build._SEED, 3)
+    assert "skeleton" in parent.__dict__
+    layered, _ = build.layer_on_edge(
+        parent, build.boundary_edge(meta, meta.p), meta)
+    folded, _ = build.fold_along_edge(
+        parent, build.boundary_edge(meta, meta.p + meta.q), meta)
+    for child in (layered, folded):
+        assert "skeleton" in child.__dict__
+        _assert_matches_full_pass(child)
+
+
+def test_a_chain_lets_go_of_the_tables_before_its_tip():
+    middle, meta = _chain(*build._SEED, 100)
+    tip, _ = _chain(middle, meta, 100)
+    middle = weakref.ref(middle)
+    assert middle() is None
+    assert tip.tet_count == 201
+
+
+def test_the_tip_of_a_long_chain_pickles():
+    tip, _ = _chain(*build._SEED, 2000)
+    loaded = pickle.loads(pickle.dumps(tip))
+    assert loaded == tip
+    for name in SKELETON_FIELDS:
+        assert getattr(loaded.skeleton, name) == getattr(tip.skeleton, name)
 
 
 def _free_tet():
@@ -508,15 +554,12 @@ def test_a_fold_that_makes_an_invalid_edge_is_amended(monkeypatch):
     _assert_matches_full_pass(child)
 
 
-def test_a_long_chain_of_layers_is_amended_without_recursion(monkeypatch):
-    tri, meta = build._SEED
-    for _ in range(5000):
-        tri, meta = build.layer_on_edge(
-            tri, build.boundary_edge(meta, meta.q), meta)
+def test_a_long_chain_of_layers_runs_no_full_pass(monkeypatch):
     runs = _full_passes(monkeypatch)
-    sk = tri.skeleton
+    tip, _ = _chain(*build._SEED, 5000)
+    sk = tip.skeleton
     assert (sk.edge_count, runs) == (5003, [])
-    _assert_matches_full_pass(tri)
+    _assert_matches_full_pass(tip)
 
 
 # ----- the parity union-find -------------------------------------------------------

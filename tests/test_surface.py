@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trinorm import build, cocycle, surface, verifysuite
 from trinorm.cocycle import TetType
@@ -1295,9 +1295,12 @@ def test_writers_join_the_three_part_writers_on_the_verify_set():
 def test_writers_join_the_three_part_writers_on_random_tables():
     compared = [0, 0, 0]
 
+    # every class of the twisted loop is QUAD-type, so each run compares
+    # b-modifications, whatever the random draws hold
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.one_of(gluing_tables(), gluing_tables(kinds=("pair",)))
            .filter(lambda tri: tri.is_valid))
+    @example(build.layered_loop(4, twisted=True))
     def compare(tri):
         compared[:] = map(sum, zip(compared,
                                    _assert_writers_join(tri, 2)))
