@@ -430,11 +430,12 @@ def lst_tree(depth_limit, share=None):
 
     ``share`` 0 walks only the root and the subtree under its first child,
     ``share`` 1 only the subtree under its second child: share 0 then
-    share 1 is the whole walk, and the two share no node.
+    share 1 is the whole walk, and the two share no node.  Any other
+    ``share`` is refused, ``True`` and ``1.0`` too, by type.
     """
     if depth_limit < 1:
         raise TriangulationError("depth limit must be at least 1")
-    if share not in (None, 0, 1):
+    if share is not None and (type(share) is not int or share not in (0, 1)):
         raise TriangulationError(f"no share {share!r} of the tree; "
                                  "the shares are 0 and 1")
     stack = [(*_SEED, 1)]

@@ -288,6 +288,9 @@ def cmd_fold(args):
 
 
 def cmd_construct_family(args):
+    tag = build.family_tag(args.tag)
+    if tag in ("P", "Q") and (args.m, args.n) != (None, None):
+        raise UsageError(f"family {tag} takes no -m or -n")
     tri, params = build.seifert_family(args.tag, args.k, args.m, args.n)
     _write_tri(tri, args.out, {
         "family": params.family,
@@ -387,9 +390,12 @@ def cmd_bounds(args):
 
 
 def cmd_moves(args):
-    needed = "face" if args.move == "23" else "edge"
+    needed, unused = (("face", "edge") if args.move == "23"
+                      else ("edge", "face"))
     if getattr(args, needed) is None:
         raise UsageError(f"--move {args.move} needs --{needed}")
+    if getattr(args, unused) is not None:
+        raise UsageError(f"--move {args.move} takes no --{unused}")
     tri = _load(args.input)
     move = analyze.MoveSpec(args.move, face=args.face, edge=args.edge,
                             axis=args.axis)
@@ -513,8 +519,10 @@ def make_parser():
     c_fam = consub.add_parser("family")
     c_fam.add_argument("--tag", required=True, help="M, M', P or Q")
     c_fam.add_argument("-k", "--k", type=int, required=True)
-    c_fam.add_argument("-m", "--m", type=int, default=None)
-    c_fam.add_argument("-n", "--n", type=int, default=None)
+    c_fam.add_argument("-m", "--m", type=int, default=None,
+                       help="M and M' only")
+    c_fam.add_argument("-n", "--n", type=int, default=None,
+                       help="M and M' only")
     c_fam.add_argument("-o", "--out", required=True)
     c_fam.set_defaults(func="cmd_construct_family")
 

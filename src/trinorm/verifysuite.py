@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from contextlib import contextmanager
 from itertools import chain, combinations, islice, product
 
 from . import build, homology, cocycle, surface, analyze
@@ -25,50 +24,9 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-class _Pool:
-    """The forked worker processes of one ``run``: two, one per share,
-    forked when a criterion first splits into shares, and none with one
-    usable CPU.  Forking is safe here: the executor forks all its workers
-    before it starts its management thread, and ``close`` joins that
-    thread."""
-
-    def __init__(self):
-        self._executor = None
-
-    def executor(self):
-        """The pool's executor, or None when only one CPU is usable."""
-        if self._executor is None:
-            if _usable_cpus() < 2:
-                return None
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(
-                2, mp_context=multiprocessing.get_context("fork"))
-        return self._executor
-
-    def close(self):
-        """Shut the workers down; the next criterion forks afresh."""
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-            self._executor = None
-
-
-# the pool of the run in progress, None outside ``_one_pool``: the criteria
-# keep their one-argument form, so ``_in_shares`` finds the pool here
-_run_pool = None
-
-
-@contextmanager
-def _one_pool():
-    """Give ``_in_shares`` one worker pool for the block, shut down at its
-    end."""
-    global _run_pool
-    _run_pool = _Pool()
-    try:
-        yield
-    finally:
-        _run_pool.close()
-        _run_pool = None
+# True while ``run`` runs: only then does a criterion fork a child for its
+# second share
+_forking = False
 
 
 def _in_shares(walk, arg):
@@ -82,41 +40,53 @@ def _in_shares(walk, arg):
     from their parents; every other grid is dealt alternately
     (``_dealt``), so each member is built only in the share that checks it.
 
-    Inside ``run`` (``_one_pool``) with more than one usable CPU the shares
-    run in the run's pool of two forked workers; otherwise they run here,
-    share 0 first, stopping at its failure.  ``walk`` must be a private
-    module-level function: the workers look it up by name, and the
-    benchmark tracer rebinds public ones.  The criterion's futures are all
-    done or cancelled when this returns, and a worker that dies fails only
-    this criterion: its pool is dropped.
+    Inside ``run`` with more than one usable CPU this process forks one
+    child that walks share 1 and sends back its pair or its exception
+    over a pipe, while share 0 is walked here; otherwise both run here,
+    share 0 first, stopping at its failure.  A failure or exception of
+    share 0 is reported without waiting for the child.  The child is
+    killed and reaped before this returns, and one that dies before it
+    sends fails only this criterion, with its exit code (minus the signal
+    number if a signal ended it).
     """
-    executor = _run_pool and _run_pool.executor()
-    if executor is None:
-        return _first_failure(walk(share, arg) for share in (0, 1))
-    from concurrent.futures import wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    futures = []
+    if not _forking or _usable_cpus() < 2:
+        n, failure = walk(0, arg)
+        if failure is None:
+            more, failure = walk(1, arg)
+            n += more
+        return n, failure
+    import multiprocessing
+    fork = multiprocessing.get_context("fork")
+    reader, writer = fork.Pipe(duplex=False)
+    child = fork.Process(target=_send_share, args=(walk, arg, writer))
+    child.start()
+    writer.close()
     try:
-        for share in (0, 1):
-            futures.append(executor.submit(walk, share, arg))
-        return _first_failure(future.result() for future in futures)
-    except BrokenProcessPool as exc:
-        _run_pool.close()
-        return 0, f"a worker process died: {exc}"
-    finally:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-
-
-def _first_failure(results):
-    n = 0
-    for count, failure in results:
-        n += count
+        n, failure = walk(0, arg)
         if failure is not None:
             return n, failure
-    return n, None
+        try:
+            other = reader.recv()
+        except EOFError:
+            child.join()
+            return n, f"a worker process died: exit code {child.exitcode}"
+    finally:
+        reader.close()
+        child.kill()
+        child.join()
+    if isinstance(other, Exception):
+        raise other
+    return n + other[0], other[1]
+
+
+def _send_share(walk, arg, writer):
+    """In the forked child: send share 1's pair, or the exception it
+    raised."""
+    try:
+        result = walk(1, arg)
+    except Exception as exc:
+        result = exc
+    writer.send(result)
 
 
 def _dealt(items, share):
@@ -595,13 +565,16 @@ CHECKS = (
 
 def run(only=None, quick=False):
     """Run the acceptance checks; returns a printable summary, with each
-    criterion's wall time in nanoseconds under ``elapsed_ns``.  The
-    criteria that split into shares share one pool of forked workers,
-    shut down before this returns."""
+    criterion's wall time in nanoseconds under ``elapsed_ns``.  Each
+    criterion that splits into shares walks its second share in a forked
+    child when more than one CPU is usable (``_in_shares``); no child is
+    left when this returns."""
+    global _forking
     lines = []
     failures = []
     elapsed_ns = {}
-    with _one_pool():
+    _forking = True
+    try:
         for name, fn in CHECKS:
             if only and only not in name:
                 continue
@@ -614,6 +587,8 @@ def run(only=None, quick=False):
             lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
             if not ok:
                 failures.append({"check": name, "detail": detail})
+    finally:
+        _forking = False
     return {"lines": lines, "passed": len(lines) - len(failures),
             "failed": len(failures), "failures": failures,
             "elapsed_ns": elapsed_ns}

@@ -690,6 +690,18 @@ ERROR_CASES = {
                             "lst:5,1,6", "-o", "OUT"], 1),
     "moves 23 without face": (["moves", "M111", "--move", "23",
                                "-o", "OUT"], 2),
+    # an option the chosen move or family ignores
+    "moves 23 with an edge": (["moves", "M111", "--move", "23", "--face",
+                               "0", "--edge", "0", "-o", "OUT"], 2),
+    "moves 32 with a face": (["moves", "M111", "--move", "32", "--edge",
+                              "0", "--face", "0", "-o", "OUT"], 2),
+    "moves 44 with a face": (["moves", "M111", "--move", "44", "--edge",
+                              "3", "--axis", "1", "--face", "5",
+                              "-o", "OUT"], 2),
+    "construct family P with -m": (["construct", "family", "--tag", "P",
+                                    "-k", "1", "-m", "2", "-o", "OUT"], 2),
+    "construct family Q with -n": (["construct", "family", "--tag", "q",
+                                    "-k", "4", "-n", "9", "-o", "OUT"], 2),
     "promote obstruction": (["promote", "LENS15PQ", "-o", "OUT"], 1),
     "verify only matches nothing": (["verify", "--only", "no_such_check"], 2),
     "annulus with two weights": (["construct", "augmented", "--annulus",
@@ -751,6 +763,11 @@ ERROR_MESSAGES = {
     "fold with a file and --p --q":
         "error: give either a .tri file or both --p and --q\n",
     "fold with a bad edge": "error: --edge must be one of p, q, pq\n",
+    "moves 23 with an edge": "error: --move 23 takes no --edge\n",
+    "moves 32 with a face": "error: --move 32 takes no --face\n",
+    "moves 44 with a face": "error: --move 44 takes no --face\n",
+    "construct family P with -m": "error: family P takes no -m or -n\n",
+    "construct family Q with -n": "error: family Q takes no -m or -n\n",
     "fold without a file or --q":
         "error: give either a .tri file or both --p and --q\n",
     "construct lst into a missing directory":

@@ -1,9 +1,9 @@
 """The long criteria of ``trinorm verify`` walk their grids in two shares,
-in one run's pool of two forked worker processes when more than one CPU
-is usable: together the shares are the serial walk, the pooled and
-in-process paths report the same, share 0's first failure wins over share
-1's, a failure inside a worker reaches the report, and each run forks its
-workers at most once.
+share 1 in a forked child when more than one CPU is usable: together the
+shares are the serial walk, the forked and in-process paths report the
+same, share 0's first failure wins over share 1's, a failure inside a
+child reaches the report, each split criterion of a run forks one child,
+and no child outlives its criterion.
 """
 
 import copy
@@ -15,6 +15,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -38,19 +39,29 @@ def _cpus(monkeypatch, cpus):
     monkeypatch.setattr(verifysuite, "_usable_cpus", lambda: cpus)
 
 
-@contextmanager
-def _path(monkeypatch, pooled):
-    """Within the block a direct ``check_*`` call takes the pooled path
-    (one pool of two workers, even on one CPU) or the in-process one."""
-    _cpus(monkeypatch, 2 if pooled else 1)
-    with verifysuite._one_pool():
-        yield
+def _no_child_left():
+    """No child process is running, and none is left unreaped."""
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _path(monkeypatch, forked):
+    """Within the block a direct ``check_*`` call takes the forked path
+    (share 1 in a child, even on one CPU) or the in-process one."""
+    _cpus(monkeypatch, 2 if forked else 1)
+    verifysuite._forking = True
+    try:
+        yield
+    finally:
+        verifysuite._forking = False
+    _no_child_left()
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The number of processes forked so far; the pool forks its workers
+    """The number of processes forked so far; a criterion forks its child
     through ``os.fork``."""
     count = [0]
     real = os.fork
@@ -81,7 +92,7 @@ def test_share_zero_holds_the_root_and_the_first_child():
     first = [(node.p, node.q) for node, _, _ in build.lst_tree(2, 0)]
     second = [(node.p, node.q) for node, _, _ in build.lst_tree(2, 1)]
     assert (first, second) == ([(1, 2), (1, 3)], [(2, 3)])
-    for share in (2, -1, "0"):
+    for share in (2, -1, "0", True, 1.0):
         with pytest.raises(TriangulationError, match="^no share"):
             next(build.lst_tree(3, share))
 
@@ -125,13 +136,13 @@ def test_pooled_path_reports_as_the_in_process_path(monkeypatch, name,
                                                     quick):
     check = dict(verifysuite.CHECKS)[name]
     results = []
-    for pooled in (True, False):
-        with _path(monkeypatch, pooled):
+    for forked in (True, False):
+        with _path(monkeypatch, forked):
             results.append(check(quick=quick))
     # outside a run a direct call walks its shares in process
     _cpus(monkeypatch, 2)
     results.append(check(quick=quick))
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     assert results[0] == results[1] == results[2]
     assert results[0][0], results[0][1]
 
@@ -143,7 +154,7 @@ def test_a_run_reports_alike_on_any_number_of_cpus(monkeypatch, name, quick):
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
         summary = verifysuite.run(only=name, quick=quick)
-        assert multiprocessing.active_children() == []
+        _no_child_left()
         del summary["elapsed_ns"]
         summaries.append(summary)
     assert summaries[0] == summaries[1] == summaries[2]
@@ -169,8 +180,8 @@ def test_first_failure_in_walker_order_wins(monkeypatch):
     monkeypatch.setattr(homology, "first_homology", misreported)
     p, q = node0.p, node0.q
     expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w0]
-    for pooled in (True, False):
-        with _path(monkeypatch, pooled):
+    for forked in (True, False):
+        with _path(monkeypatch, forked):
             assert verifysuite.check_fold_homology(quick=True) == (
                 False, f"fold of {p}/{q} along {w0}: |H1| = -1, "
                        f"expected {expect}")
@@ -191,8 +202,8 @@ def test_first_octagon_failure_in_serial_order_wins(monkeypatch):
         return real(tri, canon, b)
 
     monkeypatch.setattr(surface, "b_modification", failing)
-    for pooled in (True, False):
-        with _path(monkeypatch, pooled):
+    for forked in (True, False):
+        with _path(monkeypatch, forked):
             assert verifysuite.check_octagon_formula(quick=True) == (
                 False, f"{last[0]}: formula fails at {last[3]}")
 
@@ -208,14 +219,14 @@ def test_an_exception_in_a_worker_reaches_the_report(monkeypatch):
 
     monkeypatch.setattr(homology, "first_homology", raising)
     lines = []
-    for pooled in (True, False):
-        with _path(monkeypatch, pooled):
+    for forked in (True, False):
+        with _path(monkeypatch, forked):
             with pytest.raises(GluingError) as caught:
                 verifysuite.check_fold_homology(quick=True)
         assert caught.value.slot == (1, 2)
         lines.append(verifysuite.run(only="fold_homology",
                                      quick=True)["lines"])
-        assert multiprocessing.active_children() == []
+        _no_child_left()
     assert lines[0] == lines[1] == [
         "FAIL fold_homology: raised facet 2 of tetrahedron 1 glued twice"]
 
@@ -232,12 +243,11 @@ def test_a_worker_that_dies_fails_its_criterion(monkeypatch, capfd):
     monkeypatch.setattr(homology, "first_homology", dying)
     _cpus(monkeypatch, 2)
     assert cli.main(["verify"]) == 1
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     out, err = capfd.readouterr()
     # chi_two_methods and lst_recognition reach first_homology through
     # build.seifert_family, and moves checks every move with it
-    died = ("a worker process died: A process in the process pool was "
-            "terminated abruptly while the future was running or pending.")
+    died = "a worker process died: exit code 3"
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == [f"FAIL {name}: {died}" for name in (
         "fold_homology", "chi_two_methods", "moves", "lst_recognition")]
@@ -245,19 +255,18 @@ def test_a_worker_that_dies_fails_its_criterion(monkeypatch, capfd):
 
 
 def test_a_run_forks_its_workers_once(monkeypatch, forks):
-    _cpus(monkeypatch, 2)
-    summary = verifysuite.run(quick=True)
-    assert summary["failed"] == 0
-    assert multiprocessing.active_children() == []
-    assert forks() == 2
-    # one worker per share, however many CPUs are usable
-    for cpus in (3, 8):
+    # one child per criterion that splits, however many CPUs are usable
+    for cpus in (2, 3, 8):
         _cpus(monkeypatch, cpus)
+        before = forks()
+        assert verifysuite.run(quick=True)["failed"] == 0
+        assert forks() - before == len(SHARED)
+        _no_child_left()
         before = forks()
         assert verifysuite.run(only="lst_recognition",
                                quick=True)["failed"] == 0
-        assert forks() - before == 2
-        assert multiprocessing.active_children() == []
+        assert forks() - before == 1
+        _no_child_left()
 
 
 def test_a_run_with_nothing_to_share_forks_no_worker(monkeypatch, forks):
@@ -269,10 +278,10 @@ def test_a_run_with_nothing_to_share_forks_no_worker(monkeypatch, forks):
     assert forks() == 0
 
 
-def test_the_next_criterion_forks_a_fresh_pool(monkeypatch, tmp_path,
-                                                forks):
-    # exactly one worker dies, in the first criterion; the second forks a
-    # new pool and passes in its workers
+def test_a_child_that_dies_fails_only_its_criterion(monkeypatch, tmp_path,
+                                                    forks):
+    # exactly one child dies, in the first criterion; the next criterion
+    # forks a fresh child and passes
     parent = os.getpid()
     died = tmp_path / "died"
     ran = tmp_path / "ran"
@@ -296,11 +305,48 @@ def test_the_next_criterion_forks_a_fresh_pool(monkeypatch, tmp_path,
                                                  check)))
     _cpus(monkeypatch, 2)
     lines = verifysuite.run(quick=True)["lines"]
-    assert multiprocessing.active_children() == []
-    assert lines[0].startswith("FAIL fold_homology: a worker process died")
-    assert lines[1] == ("PASS fold_homology_again: 189 folds matched the "
-                        "lens table to depth 6")
-    assert forks() == 4 and ran.exists()
+    _no_child_left()
+    assert lines == [
+        "FAIL fold_homology: a worker process died: exit code 3",
+        "PASS fold_homology_again: 189 folds matched the lens table to "
+        "depth 6"]
+    assert forks() == 2 and ran.exists()
+
+
+@pytest.mark.parametrize("case", ["passes", "child dies",
+                                  "share 0 fails first"])
+def test_no_child_outlives_a_split_criterion(monkeypatch, case):
+    parent = os.getpid()
+    line = "PASS fold_homology: 189 folds matched the lens table to depth 6"
+    real = homology.first_homology
+    if case == "child dies":
+        line = "FAIL fold_homology: a worker process died: exit code 3"
+        monkeypatch.setattr(homology, "first_homology", lambda tri: (
+            os._exit(3) if os.getpid() != parent else real(tri)))
+    elif case == "share 0 fails first":
+        # the child stalls for 20 s at its first fold: it is killed, not
+        # waited for
+        node, w, fold = _quick_folds(0)[0]
+        p, q = node.p, node.q
+        expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w]
+        line = (f"FAIL fold_homology: fold of {p}/{q} along {w}: "
+                f"|H1| = -1, expected {expect}")
+        stalls = [20]
+
+        def misreported_here_slow_there(tri):
+            if os.getpid() != parent and stalls:
+                time.sleep(stalls.pop())
+            if tri.gluings == fold.gluings:
+                return SimpleNamespace(betti=0, order=-1)
+            return real(tri)
+
+        monkeypatch.setattr(homology, "first_homology",
+                            misreported_here_slow_there)
+    _cpus(monkeypatch, 2)
+    summary = verifysuite.run(only="fold_homology", quick=True)
+    _no_child_left()
+    assert summary["lines"] == [line]
+    assert summary["elapsed_ns"]["fold_homology"] < 10 * 10**9
 
 
 def test_importing_the_package_loads_no_process_pool():
