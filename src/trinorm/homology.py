@@ -12,7 +12,6 @@ cross-checked.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 import logging
 from dataclasses import dataclass
 
@@ -30,10 +29,12 @@ def smith_normal_form(matrix, rows=None, cols=None):
 
     Returns (diag, rank), where diag is the list of diagonal entries
     d_1 | d_2 | ... (nonnegative, divisibility chain) and rank counts the
-    nonzero ones.
+    nonzero ones.  Only the leading ``rows`` x ``cols`` block is read; each
+    dimension left out is the matrix's own.
     """
     if rows is None:
         rows = len(matrix)
+    if cols is None:
         cols = len(matrix[0]) if matrix else 0
     a = [list(r) for r in matrix]
 
@@ -205,10 +206,12 @@ def _eliminate_unit_pivots(columns):
     """Sparse unit-pivot elimination of an integer relation matrix.
 
     ``columns`` is a list of dicts row -> nonzero int; they are consumed.
-    While some live column holds a +-1, take the unit of least row in the
-    shortest such column (ties to the least column), clear its row from
-    every other column by column operations, and drop that row and column.
-    Each pivot is an invariant factor 1 and adds one to the rank.  Returns
+    Sweep the live columns in index order: a column holding a +-1 pivots
+    at the unit whose row is held by the fewest live columns (Markowitz
+    1957), ties to the least row; its row is cleared from every other
+    column by column operations, and that row and column are dropped.
+    Sweeps repeat until one pivots nothing, so no unit is left.  Each
+    pivot is an invariant factor 1 and adds one to the rank.  Returns
     (pivots, remainder), where the remainder is the dense matrix of the
     nonzero rows and columns left, in increasing index order; its Smith
     normal form supplies the other invariant factors and the rest of the
@@ -219,43 +222,43 @@ def _eliminate_unit_pivots(columns):
     for j, col in enumerate(cols):
         for i in col or ():
             where.setdefault(i, set()).add(j)
-    heap = [(len(col), j) for j, col in enumerate(cols) if col]
-    heapify(heap)
     pivots = 0
-    while heap:
-        size, j = heappop(heap)
-        col = cols[j]
-        if col is None or len(col) != size:
-            continue            # stale: the column was dropped or changed
-        r = None
-        for i, v in col.items():
-            if (v == 1 or v == -1) and (r is None or i < r):
-                r = i
-        if r is None:
-            continue            # pushed again if an update gives it a unit
-        cols[j] = None
-        for i in col:
-            where[i].discard(j)
-        u = col.pop(r)
-        for k in where.pop(r):
-            other = cols[k]
-            f = other.pop(r) * u  # u is its own inverse
+    swept = True
+    while swept:
+        swept = False
+        for j, col in enumerate(cols):
+            if col is None:
+                continue
+            r = None
             for i, v in col.items():
-                fv = f * v
-                w = other.get(i)
-                if w is None:
-                    other[i] = -fv
-                    where[i].add(k)
-                elif w != fv:
-                    other[i] = w - fv
-                else:
-                    del other[i]
-                    where[i].discard(k)
-            if other:
-                heappush(heap, (len(other), k))
-            else:
-                cols[k] = None
-        pivots += 1
+                if v == 1 or v == -1:
+                    held = len(where[i])
+                    if r is None or held < least or held == least and i < r:
+                        r, least = i, held
+            if r is None:
+                continue        # the next sweep comes back if it gains one
+            cols[j] = None
+            for i in col:
+                where[i].discard(j)
+            u = col.pop(r)
+            for k in where.pop(r):
+                other = cols[k]
+                f = other.pop(r) * u  # u is its own inverse
+                for i, v in col.items():
+                    fv = f * v
+                    w = other.get(i)
+                    if w is None:
+                        other[i] = -fv
+                        where[i].add(k)
+                    elif w != fv:
+                        other[i] = w - fv
+                    else:
+                        del other[i]
+                        where[i].discard(k)
+                if not other:
+                    cols[k] = None
+            pivots += 1
+            swept = True
     live = [col for col in cols if col]
     rows = sorted(i for i, held in where.items() if held)
     return pivots, [[col.get(i, 0) for col in live] for i in rows]

@@ -37,6 +37,17 @@ def test_smith_normal_form_small():
     assert (diag[0], rank) == (1, 1)
 
 
+def test_smith_normal_form_takes_each_omitted_dimension_from_the_matrix():
+    mat = [[2, 4], [6, 8]]
+    both = smith_normal_form(mat, 2, 2)
+    assert smith_normal_form(mat) == both
+    assert smith_normal_form(mat, 2) == both
+    assert smith_normal_form(mat, cols=2) == both
+    # a given dimension is kept: only the leading columns or rows are read
+    assert smith_normal_form([[0, 0, 3]], cols=2) == ([0], 0)
+    assert smith_normal_form([[2, 0], [0, 3]], 1) == ([2], 1)
+
+
 def test_gf2_kernel():
     rows = [0b011, 0b110]
     basis = gf2_kernel_basis(rows, 3)
@@ -709,13 +720,36 @@ def test_elimination_and_remainder_match_dense_snf(case):
         tuple(d for d in diag[:rank] if d > 1)
 
 
-def test_elimination_pivots_on_the_shortest_column_first():
-    # column 1 is the shortest with a unit; its pivot leaves column 0 as
-    # the 1x1 remainder (3)
-    pivots, rest = _eliminate_unit_pivots([{0: 1, 1: 3}, {0: 1}])
-    assert (pivots, rest) == (1, [[3]])
-    pivots, rest = _eliminate_unit_pivots([{0: 2, 1: 2}, {0: 1, 1: 3}])
-    assert (pivots, rest) == (1, [[-4]])
+def test_elimination_sweeps_at_the_unit_of_fewest_holders():
+    # column 0's row 1 is held by no other column, so it beats row 0:
+    # nothing is cleared from column 1, which is left as the remainder (2)
+    assert _eliminate_unit_pivots([{0: 1, 1: 1}, {0: 2}]) == (1, [[2]])
+    # rows 0 and 1 are each held by both columns: the tie goes to row 0,
+    # whichever comes first in the column, and clearing it leaves 5 - 3 at
+    # row 1 (row 1 would leave 3 - 5)
+    assert _eliminate_unit_pivots([{1: 1, 0: 1}, {0: 3, 1: 5}]) == \
+        (1, [[2]])
+    # column 0 has no unit when the first sweep passes it; clearing row 0
+    # of column 1's pivot leaves it 3 - 2 at row 1, for the next sweep
+    assert _eliminate_unit_pivots([{0: 2, 1: 3}, {0: 1, 1: 1}]) == (2, [])
+
+
+class _CountedColumn(dict):
+    writes = 0
+
+    def __setitem__(self, key, value):
+        _CountedColumn.writes += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_elimination_fills_in_linearly_on_twisted_loops(n):
+    # no timing: the entries written into the face columns stay linear in
+    # the tetrahedron count, where a quadratic rule writes about 1.5 n^2
+    columns = _boundary_columns(build.layered_loop(n, True))[1]
+    _CountedColumn.writes = 0
+    _eliminate_unit_pivots([_CountedColumn(col) for col in columns])
+    assert _CountedColumn.writes <= 8 * n
 
 
 def test_long_lens_space_leaves_a_tiny_remainder(monkeypatch):
@@ -749,9 +783,9 @@ def test_trinorm_logger_is_silent_by_default():
     assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
 
-# ----- the elimination's bookkeeping before it was made leaner ----------------
-# Kept word for word as the oracle of the pivot order: the same pivots must
-# leave the same remainder, entry for entry.
+# ----- the elimination's shortest-column rule before the sweep ---------------
+# Kept word for word as an oracle: another pivot order leaves another
+# remainder, but the same rank and the same invariant factors.
 
 
 def _reference_eliminate_unit_pivots(columns):
@@ -796,15 +830,25 @@ def _reference_eliminate_unit_pivots(columns):
     return pivots, [[cols[j].get(i, 0) for j in live] for i in rows]
 
 
+def _rank_and_factors(pivots, rest):
+    diag, rank = smith_normal_form(rest)
+    return pivots + rank, tuple(d for d in diag[:rank] if d > 1)
+
+
 def _same_elimination(columns):
-    got = _eliminate_unit_pivots([dict(c) for c in columns])
-    assert got == _reference_eliminate_unit_pivots([dict(c) for c in columns])
-    return got
+    # the sweep against the shortest-column rule and against the dense SNF
+    # of the whole matrix
+    got = _rank_and_factors(*_eliminate_unit_pivots([dict(c) for c in columns]))
+    assert got == _rank_and_factors(
+        *_reference_eliminate_unit_pivots([dict(c) for c in columns]))
+    rows = sorted(set(chain.from_iterable(columns)))
+    dense = [[c.get(i, 0) for c in columns] for i in rows]
+    assert got == _rank_and_factors(0, dense)
 
 
 @settings(max_examples=300, deadline=None)
 @given(relation_matrices())
-def test_elimination_matches_reference_pivot_order(case):
+def test_elimination_matches_reference_rank_and_factors(case):
     m, n, mat = case
     _same_elimination([{i: mat[i][j] for i in range(m) if mat[i][j]}
                        for j in range(n)])
