@@ -535,7 +535,12 @@ def _even_boundary_edge(tri, phi, emb):
     return evens[0]
 
 
-def promote(tri, phi, max_steps=1000):
+# the most flips ``promote`` makes; each one lowers (empty-type count,
+# supportive count)
+_MAX_PROMOTE_STEPS = 1000
+
+
+def promote(tri, phi):
     """Flip away all supportive solid tori with 4-4 moves.
 
     Each step performs a 4-4 flip on the even boundary edge of a
@@ -548,7 +553,7 @@ def promote(tri, phi, max_steps=1000):
     all_types = classify_tetrahedra(current, cur_phi)
     sup = supportive_tori(current, cur_phi, all_types)
     measure = (parity_census(current, cur_phi, all_types).empty_tets, len(sup))
-    for _ in range(max_steps):
+    for _ in range(_MAX_PROMOTE_STEPS):
         if not sup:
             return current, cur_phi, log
         emb = sup[0]
@@ -668,13 +673,13 @@ def compression_pattern_scan(tri, phi):
 _FAMILIES = ("balanced-lens", "M", "MPRIME", "P", "Q")
 
 
-def _family_members(family, tet_count, h1=None):
+def _family_members(family, tet_count, h1):
     """The members of a named minimal family with the given number of
     tetrahedra, built afresh; the count fixes the parameters.  L(2n,1)
     has 2n - 3 tetrahedra, P(k) 2k + 5, Q(k) k, M(k,m,n) 2(k+m+n) + 2 and
-    M'(k,m,n) 2(k+m+n) + 3.  Given the input's first homology ``h1``, a
-    Seifert family member is built only when its slopes predict that
-    homology, since no other member can be isomorphic to the input."""
+    M'(k,m,n) 2(k+m+n) + 3.  A Seifert family member is built only when
+    its slopes predict ``h1``, the input's first homology, since no other
+    member can be isomorphic to the input."""
     t = tet_count
     if family == "balanced-lens":
         if t % 2:
@@ -693,12 +698,8 @@ def _family_members(family, tet_count, h1=None):
             candidates = [(k, m, s - k - m) for k in range(1, s - 1)
                           for m in range(1, s - k)]
     for params in candidates:
-        if h1 is not None:
-            predicted = _homology.seifert_homology(
-                family_slopes(family, *params))
-            if predicted != h1:
-                continue
-        yield seifert_family(family, *params)[0]
+        if _homology.seifert_homology(family_slopes(family, *params)) == h1:
+            yield seifert_family(family, *params)[0]
 
 
 def complexity_certificate(tri, family=None, reports=None):

@@ -371,8 +371,8 @@ def meridian_weight_oracle(tri):
         raise TriangulationError(
             "the meridian oracle requires a one-vertex complex")
     _, d2 = homology.boundary_matrices(tri)
-    ne, nf = sk.edge_count, sk.face_count
-    diag, rank = homology.smith_normal_form(d2, ne, nf)
+    ne = sk.edge_count
+    diag, rank = homology.smith_normal_form(d2)
     cyclic = rank == ne - 1 and all(d <= 1 for d in diag)
     debug = _log.isEnabledFor(logging.DEBUG)
     if debug:
@@ -384,7 +384,7 @@ def meridian_weight_oracle(tri):
     weights = {}
     for e in range(ne):
         diag, rank = homology.smith_normal_form(
-            [row + [int(i == e)] for i, row in enumerate(d2)], ne, nf + 1)
+            [row + [int(i == e)] for i, row in enumerate(d2)])
         weights[e] = math.prod(diag) if rank == ne else 0
     if debug:
         _log.debug("meridian_weight_oracle: weights %s",
@@ -568,16 +568,12 @@ class AnnulusFilling:
     kind 'lst': attach a layered solid torus, gluing its boundary edges of
     the given weights to the annulus' horizontal, diagonal and vertical
     edges.  kind 'fold': identify the annulus' two triangles directly,
-    matching the named edges across ('cross', the default, swaps
-    horizontal and diagonal; 'straight' keeps horizontal on horizontal).
-    A straight fold leaves an edge identified with itself reversed, so
-    ``augmented_solid_torus`` rejects it.
+    crossing horizontal onto diagonal and vertical onto vertical.
     """
     kind: str
     w_h: int = 0
     w_d: int = 0
     w_v: int = 0
-    style: str = "cross"
 
 
 def _triangle_map(edges_from, edges_to):
@@ -601,7 +597,7 @@ def augmented_solid_torus(fillings):
     fillings.  Every layered-solid-torus attachment pinches the two
     vertical edges of its annulus onto a single edge, which is what turns
     each annulus into a one-vertex torus.  Raises TriangulationError when
-    the result has an invalid edge, as every straight fold leaves."""
+    the result has an invalid edge."""
     if len(fillings) != 3:
         raise TriangulationError("exactly three annulus fillings required")
     b = _prism_builder()
@@ -610,13 +606,9 @@ def augmented_solid_torus(fillings):
         t1, f1 = annulus["tri1"]
         t2, f2 = annulus["tri2"]
         if filling.kind == "fold":
-            if filling.style not in ("straight", "cross"):
-                raise TriangulationError(
-                    f"unknown fold style {filling.style!r}")
-            e1, e2 = dict(annulus["edges1"]), dict(annulus["edges2"])
-            if filling.style == "cross":
-                e2 = {"h": e2["d"], "d": e2["h"], "v": e2["v"]}
-            vmap = _triangle_map(e1, e2)
+            e2 = annulus["edges2"]
+            vmap = _triangle_map(annulus["edges1"],
+                                 {"h": e2["d"], "d": e2["h"], "v": e2["v"]})
             vmap[f1] = f2
             b.join(t1, f1, t2, Perm4.from_map(vmap))
         elif filling.kind == "lst":
@@ -648,7 +640,6 @@ def augmented_solid_torus(fillings):
             vmap[lf] = f_p
             b.join(lt + offset, lf, t_p, Perm4.from_map(vmap))
     tri = b.freeze()
-    # a straight fold identifies an edge with itself reversed
     homology.require_valid_cells(tri)
     return tri
 
@@ -664,8 +655,8 @@ def augmented_quaternionic(k):
     if k < 4 or k % 2:
         raise TriangulationError("needs even k >= 4")
     tri = augmented_solid_torus((
-        AnnulusFilling("fold", style="cross"),
-        AnnulusFilling("fold", style="cross"),
+        AnnulusFilling("fold"),
+        AnnulusFilling("fold"),
         AnnulusFilling("lst", w_h=k - 1, w_d=1, w_v=k),
     ))
     predicted = homology.seifert_homology(family_slopes("Q", k))
@@ -733,8 +724,8 @@ def seifert_family(tag, k, m=None, n=None):
         if not k or k < 1:
             raise TriangulationError("family P needs positive k")
         tri = augmented_solid_torus((
-            AnnulusFilling("fold", style="cross"),
-            AnnulusFilling("fold", style="cross"),
+            AnnulusFilling("fold"),
+            AnnulusFilling("fold"),
             AnnulusFilling("lst", w_h=3, w_d=6 * k + 1, w_v=6 * k + 4),
         ))
         params = (k,)

@@ -322,10 +322,8 @@ def cmd_construct_augmented(args):
     fillings = []
     for entry in args.annulus:
         kind, _, spec = entry.partition(":")
-        if kind == "fold":
-            # a bare fold takes the library's default style
-            fillings.append(build.AnnulusFilling(
-                "fold", style=spec or build.AnnulusFilling.style))
+        if entry == "fold":
+            fillings.append(build.AnnulusFilling("fold"))
         elif kind == "lst":
             try:
                 wh, wd, wv = (int(x) for x in spec.split(","))
@@ -335,7 +333,6 @@ def cmd_construct_augmented(args):
             fillings.append(build.AnnulusFilling("lst", w_h=wh, w_d=wd, w_v=wv))
         else:
             raise TriangulationError(f"bad annulus entry {entry!r}")
-    # build rejects a straight fold, which leaves an invalid edge
     tri = _require_manifold(build.augmented_solid_torus(tuple(fillings)))
     _write_tri(tri, args.out, {
         "family": "augmented", "params": {"annuli": args.annulus},
@@ -396,9 +393,12 @@ def cmd_moves(args):
         raise UsageError(f"--move {args.move} needs --{needed}")
     if getattr(args, unused) is not None:
         raise UsageError(f"--move {args.move} takes no --{unused}")
+    if args.move != "44" and args.axis is not None:
+        raise UsageError(f"--move {args.move} takes no --axis")
     tri = _load(args.input)
+    # the 4-4 move's axis is 0 when omitted
     move = analyze.MoveSpec(args.move, face=args.face, edge=args.edge,
-                            axis=args.axis)
+                            axis=args.axis or 0)
     out = analyze.pachner(tri, move)
     _write_tri(out, args.out)
     _emit({"written": args.out, "tet_count": out.tet_count})
@@ -503,19 +503,6 @@ def make_parser():
     c_lst.add_argument("-o", "--out", required=True)
     c_lst.set_defaults(func="cmd_construct_lst")
 
-    def add_fold(parser):
-        parser.add_argument("input", nargs="?", default=None,
-                            help=".tri file of a layered solid torus")
-        parser.add_argument("--p", type=int, default=None)
-        parser.add_argument("--q", type=int, default=None)
-        parser.add_argument("--edge", required=True,
-                            help="boundary edge by weight: p, q or pq")
-        parser.add_argument("-o", "--out", required=True)
-        parser.set_defaults(func="cmd_fold")
-
-    add_fold(consub.add_parser("fold"))
-    add_fold(sub.add_parser("fold", help="fold a layered solid torus"))
-
     c_fam = consub.add_parser("family")
     c_fam.add_argument("--tag", required=True, help="M, M', P or Q")
     c_fam.add_argument("-k", "--k", type=int, required=True)
@@ -534,9 +521,19 @@ def make_parser():
 
     c_aug = consub.add_parser("augmented")
     c_aug.add_argument("--annulus", action="append", required=True,
-                       help="fold[:style] or lst:<wh,wd,wv>; give three")
+                       help="fold or lst:<wh,wd,wv>; give three")
     c_aug.add_argument("-o", "--out", required=True)
     c_aug.set_defaults(func="cmd_construct_augmented")
+
+    p = sub.add_parser("fold", help="fold a layered solid torus")
+    p.add_argument("input", nargs="?", default=None,
+                   help=".tri file of a layered solid torus")
+    p.add_argument("--p", type=int, default=None)
+    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--edge", required=True,
+                   help="boundary edge by weight: p, q or pq")
+    p.add_argument("-o", "--out", required=True)
+    p.set_defaults(func="cmd_fold")
 
     p = sub.add_parser("analyze")
     p.add_argument("input")
@@ -566,7 +563,8 @@ def make_parser():
     p.add_argument("--move", required=True, choices=("23", "32", "44"))
     p.add_argument("--face", type=int, default=None)
     p.add_argument("--edge", type=int, default=None)
-    p.add_argument("--axis", type=int, choices=(0, 1), default=0)
+    p.add_argument("--axis", type=int, choices=(0, 1), default=None,
+                   help="44 only; 0 when omitted")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func="cmd_moves")
 

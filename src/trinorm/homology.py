@@ -24,18 +24,16 @@ _log = logging.getLogger(__name__)
 # ----- Smith normal form ----------------------------------------------------
 
 
-def smith_normal_form(matrix, rows=None, cols=None):
-    """Diagonalise an integer matrix by unimodular row/column operations.
+def smith_normal_form(matrix):
+    """Diagonalise an integer matrix, a list of equal-length rows, by
+    unimodular row/column operations.
 
     Returns (diag, rank), where diag is the list of diagonal entries
-    d_1 | d_2 | ... (nonnegative, divisibility chain) and rank counts the
-    nonzero ones.  Only the leading ``rows`` x ``cols`` block is read; each
-    dimension left out is the matrix's own.
+    d_1 | d_2 | ... (nonnegative, divisibility chain), one per row or
+    column, whichever are fewer, and rank counts the nonzero ones.
     """
-    if rows is None:
-        rows = len(matrix)
-    if cols is None:
-        cols = len(matrix[0]) if matrix else 0
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
     a = [list(r) for r in matrix]
 
     def row_op(i, j, q):  # row_i -= q * row_j
@@ -286,7 +284,7 @@ def first_homology(tri):
             relations.append({e: 1})
     pivots, rest = _eliminate_unit_pivots(relations)
     width = len(rest[0]) if rest else 0
-    diag, rest_rank = smith_normal_form(rest, len(rest), width)
+    diag, rest_rank = smith_normal_form(rest)
     factors = tuple(d for d in diag[:rest_rank] if d > 1)
     betti = ne - pivots - rest_rank
 
@@ -321,7 +319,7 @@ def seifert_homology(slopes):
         row[n] = b
         rows.append(row)
     rows.append([1] * n + [0])
-    diag, rank = smith_normal_form(rows, n + 1, n + 1)
+    diag, rank = smith_normal_form(rows)
     factors = tuple(d for d in diag[:rank] if d > 1)
     betti = (n + 1) - rank
     z2 = betti + sum(1 for d in factors if d % 2 == 0)

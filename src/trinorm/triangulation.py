@@ -231,20 +231,21 @@ class Skeleton:
     slot 6t+i is its edge i.
 
     ``vertex_class`` and ``edge_class`` give each slot's class, classes
-    being numbered by their first slot, which ``vertex_first`` and
-    ``edge_first`` record; ``face_first`` lists the first slot of each
-    face class.  ``edge_sign`` is +1 where the slot's ascending
-    orientation is the class direction and -1 where it is reversed.  The
-    direction is that of the class's kept root: the slot that stays the
-    root when the edge unions, run in order of each gluing's lower facet
-    slot, keep the lower side's root.  It is carried as that root's
-    parity relative to the class's least slot.  A vertex slot's sign is
-    always +1, so vertex classes carry no direction.  ``invalid_edges``
-    holds the edge classes identified with themselves reversed,
-    ``boundary_facets`` and ``self_glued_facets`` the facet slots left
-    free or glued to themselves.  ``edge_degrees``, ``boundary_edges``,
-    ``face_rows`` and ``face_echelon`` are derived on first use, and
-    ``edge_slots()`` groups the edge slots by class.
+    being numbered by their first slot; ``edge_first`` records that slot
+    for each edge class, ``vertex_count`` only counts the vertex classes,
+    and ``face_first`` lists the first slot of each face class.
+    ``edge_sign`` is +1 where the slot's ascending orientation is the
+    class direction and -1 where it is reversed.  The direction is that
+    of the class's kept root: the slot that stays the root when the edge
+    unions, run in order of each gluing's lower facet slot, keep the
+    lower side's root.  It is carried as that root's parity relative to
+    the class's least slot.  A vertex slot's sign is always +1, so vertex
+    classes carry no direction.  ``invalid_edges`` holds the edge classes
+    identified with themselves reversed, ``boundary_facets`` and
+    ``self_glued_facets`` the facet slots left free or glued to
+    themselves.  ``edge_degrees``, ``boundary_edges``, ``face_rows`` and
+    ``face_echelon`` are derived on first use, and ``edge_slots()`` groups
+    the edge slots by class.
 
     The full pass builds these lists from a table alone.  A table that
     ``Triangulation.glued`` makes from a parent whose skeleton is built
@@ -260,11 +261,11 @@ class Skeleton:
     join, a table glued onto an unbuilt parent and a table built from rows
     get the full pass when the skeleton is asked for."""
 
-    def __init__(self, vertex_class, vertex_first, edge_class, edge_sign,
+    def __init__(self, vertex_class, vertex_count, edge_class, edge_sign,
                  edge_first, invalid_edges, face_first, boundary_facets,
                  self_glued_facets):
         self.vertex_class = vertex_class
-        self.vertex_first = vertex_first
+        self.vertex_count = vertex_count
         self.edge_class = edge_class
         self.edge_sign = edge_sign
         self.edge_first = edge_first
@@ -272,7 +273,6 @@ class Skeleton:
         self.face_first = face_first
         self.boundary_facets = boundary_facets
         self.self_glued_facets = self_glued_facets
-        self.vertex_count = len(vertex_first)
         self.edge_count = len(edge_first)
         self.face_count = len(face_first)
 
@@ -409,11 +409,11 @@ def _layered(sk, gluings, lowers, n_old):
                 edge_sign[b] = s
             elif old != c or edge_sign[b] != s:
                 return None
-    vertex_first = list(sk.vertex_first)
+    vertex_count = sk.vertex_count
     for b in range(v_old, 4 * n):
         if vertex_class[b] is None:
-            vertex_class[b] = len(vertex_first)
-            vertex_first.append(b)
+            vertex_class[b] = vertex_count
+            vertex_count += 1
     edge_first = list(sk.edge_first)
     for b in range(e_old, 6 * n):
         if edge_class[b] is None:
@@ -430,7 +430,7 @@ def _layered(sk, gluings, lowers, n_old):
         if gluings[x >> 2][x & 3] is None:
             face_first.append(x)
             boundary_facets.append(x)
-    return Skeleton(vertex_class, vertex_first, edge_class, edge_sign,
+    return Skeleton(vertex_class, vertex_count, edge_class, edge_sign,
                     edge_first, sk.invalid_edges, face_first,
                     boundary_facets, list(sk.self_glued_facets))
 
@@ -470,12 +470,14 @@ def _folded(sk, gluings, lowers):
             ys.append(edge_class[b])
             rels.append(rel ^ (edge_sign[a] != edge_sign[b]))
         edges.union_all(xs, ys, rels)
-    number, flip, edge_first = _renumbered(edges, sk.edge_first)
+    number, flip, kept = _renumbered(edges)
+    edge_first = [sk.edge_first[c] for c in kept]
     if verts is None:
-        vertex_class, vertex_first = list(vertex_class), list(sk.vertex_first)
+        vertex_class, vertex_count = list(vertex_class), sk.vertex_count
     else:
-        vnumber, _, vertex_first = _renumbered(verts, sk.vertex_first)
+        vnumber, _, kept = _renumbered(verts)
         vertex_class = [vnumber[c] for c in vertex_class]
+        vertex_count = len(kept)
     if any(flip):
         edge_sign = [-s if flip[c] else s
                      for c, s in zip(edge_class, edge_sign)]
@@ -483,7 +485,7 @@ def _folded(sk, gluings, lowers):
         edge_sign = list(edge_sign)
     joined = upper.union(lowers)
     return Skeleton(
-        vertex_class, vertex_first, [number[c] for c in edge_class],
+        vertex_class, vertex_count, [number[c] for c in edge_class],
         edge_sign, edge_first,
         frozenset([number[c] for c in sk.invalid_edges]
                   + [number[c] for c in edges.conflict]),
@@ -492,16 +494,16 @@ def _folded(sk, gluings, lowers):
         sorted(sk.self_glued_facets + self_glued))
 
 
-def _renumbered(uf, first):
-    """The classes left by unions ``uf`` of old classes whose first slots
-    are ``first``: each old class's new number and its parity to its new
-    class's root, and each new class's first slot.  A merged class is
-    numbered at its least old class, which holds its least first slot, so
-    the numbers after a merged-away class shift down."""
-    number, flip, new_first = [], [], []
+def _renumbered(uf):
+    """The classes left by unions ``uf`` of old classes: each old class's
+    new number and its parity to its new class's root, and the old class
+    each new class is numbered at.  A merged class is numbered at its
+    least old class, which holds its least first slot, so the numbers
+    after a merged-away class shift down."""
+    number, flip, kept = [], [], []
     of_root = {}
     parent, find = uf.parent, uf.find
-    for c, x in enumerate(first):
+    for c in range(len(parent)):
         if parent[c] == c:
             # a root, at parity 0, untouched or kept by the unions
             root, parity = c, 0
@@ -509,11 +511,11 @@ def _renumbered(uf, first):
             root, parity = find(c)
         k = of_root.get(root)
         if k is None:
-            k = of_root[root] = len(new_first)
-            new_first.append(x)
+            k = of_root[root] = len(kept)
+            kept.append(c)
         number.append(k)
         flip.append(parity)
-    return number, flip, new_first
+    return number, flip, kept
 
 
 class Triangulation:
@@ -692,11 +694,11 @@ class Triangulation:
         # every slot's parent is a lesser slot of its class or itself, so
         # a class is numbered at its root, its first slot, and each later
         # slot takes its parent's class, and its sign through its parent's
-        vertex_class, vertex_first = [], []
+        vertex_class, vertex_count = [], 0
         for x, a in enumerate(vert):
             if a == x:
-                vertex_class.append(len(vertex_first))
-                vertex_first.append(x)
+                vertex_class.append(vertex_count)
+                vertex_count += 1
             else:
                 vertex_class.append(vertex_class[a])
         edge_class, edge_first, edge_sign = [], [], []
@@ -709,7 +711,7 @@ class Triangulation:
                 edge_class.append(edge_class[a])
                 edge_sign.append(-edge_sign[a] if parity[x] else edge_sign[a])
         invalid_edges = frozenset(edge_class[a] for a in conflicts)
-        return Skeleton(vertex_class, vertex_first, edge_class, edge_sign,
+        return Skeleton(vertex_class, vertex_count, edge_class, edge_sign,
                         edge_first, invalid_edges, face_first,
                         boundary_facets, self_glued)
 

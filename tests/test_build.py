@@ -1,6 +1,5 @@
 """Constructors: layered solid tori, folds, loops, augmented families."""
 
-import dataclasses
 import functools
 import itertools
 import logging
@@ -222,41 +221,19 @@ def test_augmented_quaternionic_is_one_bigger():
 
 
 def test_augmented_rejects_bad_weights():
-    with pytest.raises(TriangulationError):
-        build.augmented_solid_torus((
-            build.AnnulusFilling("lst", w_h=2, w_d=2, w_v=4),
-            build.AnnulusFilling("fold"),
-            build.AnnulusFilling("fold"),
-        ))
-    with pytest.raises(TriangulationError):
-        build.augmented_solid_torus((
-            build.AnnulusFilling("fold", style="weird"),
-            build.AnnulusFilling("fold", style="cross"),
-            build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
-        ))
-
-
-def test_fold_filling_defaults_to_the_crossed_fold():
-    assert build.AnnulusFilling("fold").style == "cross"
-    for third in (build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
-                  build.AnnulusFilling("lst", w_h=1, w_d=2, w_v=3),
-                  build.AnnulusFilling("fold")):
-        default = build.augmented_solid_torus(
-            (build.AnnulusFilling("fold"), third,
-             build.AnnulusFilling("fold")))
-        crossed = build.augmented_solid_torus(
-            (build.AnnulusFilling("fold", style="cross"),
-             dataclasses.replace(third, style="cross"),
-             build.AnnulusFilling("fold", style="cross")))
-        assert default == crossed
-        assert default.is_closed and default.is_valid
-    # the non-coprime weights still fail, whatever the default
     with pytest.raises(TriangulationError,
                        match=r"^weights \[2, 2, 4\] are not coprime$"):
         build.augmented_solid_torus((
             build.AnnulusFilling("lst", w_h=2, w_d=2, w_v=4),
             build.AnnulusFilling("fold"),
             build.AnnulusFilling("fold"),
+        ))
+    with pytest.raises(TriangulationError,
+                       match=r"^unknown filling kind 'weird'$"):
+        build.augmented_solid_torus((
+            build.AnnulusFilling("weird"),
+            build.AnnulusFilling("fold"),
+            build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
         ))
 
 
@@ -280,30 +257,18 @@ def test_seifert_oracle_logs_both_groups(caplog, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-# fourteen fillings per annulus: a straight fold, a crossed fold, and layered
-# solid tori on every order of the weights (1, 2, 3) and (1, 3, 4)
-_FILLINGS = ((build.AnnulusFilling("fold", style="straight"),
-              build.AnnulusFilling("fold", style="cross"))
+# thirteen fillings per annulus: the fold, and layered solid tori on every
+# order of the weights (1, 2, 3) and (1, 3, 4)
+_FILLINGS = ((build.AnnulusFilling("fold"),)
              + tuple(build.AnnulusFilling("lst", w_h=h, w_d=d, w_v=v)
                      for triple in ((1, 2, 3), (1, 3, 4))
                      for h, d, v in itertools.permutations(triple)))
 
 
-def test_straight_fold_is_rejected_by_build():
-    # 14^3 - 13^3 = 547 triples hold a straight fold, and each leaves an
-    # edge identified with itself reversed; every other triple is valid
-    rejected = 0
+def test_every_filling_triple_is_closed_and_valid():
     for fillings in itertools.product(_FILLINGS, repeat=3):
-        if any(f.kind == "fold" and f.style == "straight" for f in fillings):
-            with pytest.raises(TriangulationError,
-                               match=r"^homology requires all edges valid "
-                                     r"\(no reversed self-gluing\)$"):
-                build.augmented_solid_torus(fillings)
-            rejected += 1
-        else:
-            tri = build.augmented_solid_torus(fillings)
-            assert tri.is_closed and tri.is_valid
-    assert rejected == 14 ** 3 - 13 ** 3
+        tri = build.augmented_solid_torus(fillings)
+        assert tri.is_closed and tri.is_valid
 
 
 def test_closed_constructions_are_orientable_one_vertex():

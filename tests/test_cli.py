@@ -196,21 +196,34 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
-def test_bare_fold_takes_the_library_default(tmp_path):
-    rest = ["--annulus", "fold:cross", "--annulus", "lst:5,1,6"]
-    written = {}
-    for spec in ("fold", "fold:cross"):
-        out = tmp_path / f"{spec.replace(':', '-')}.tri"
-        code, _, err = run_cli(["construct", "augmented", "--annulus", spec,
-                                *rest, "-o", str(out)])
-        assert (code, err) == (0, "")
-        written[spec] = out.read_text()
-    assert written["fold"] == written["fold:cross"]
-    assert parse(written["fold"]).tet_count > 0
-    out = tmp_path / "straight.tri"
-    code, stdout, err = run_cli(["construct", "augmented", "--annulus",
-                                 "fold:straight", *rest, "-o", str(out)])
-    assert code == 1 and stdout == "" and err.startswith("error: ")
+def test_bare_fold_takes_the_library_default(tmp_path, capsys):
+    # a bare fold is the library's one fold filling; a fold with a style,
+    # or any other suffix, is a bad entry
+    rest = ["--annulus", "fold", "--annulus", "lst:5,1,6"]
+    out = tmp_path / "fold.tri"
+    code, _, err = run_cli(["construct", "augmented", "--annulus", "fold",
+                            *rest, "-o", str(out)])
+    assert (code, err) == (0, "")
+    assert parse(out.read_text()) == build.augmented_solid_torus((
+        build.AnnulusFilling("fold"), build.AnnulusFilling("fold"),
+        build.AnnulusFilling("lst", w_h=5, w_d=1, w_v=6)))
+    out = tmp_path / "bad.tri"
+    for entry in ("fold:cross", "fold:straight", "fold:", "folds"):
+        assert main(["construct", "augmented", "--annulus", entry, *rest,
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: bad annulus entry {entry!r}\n")
+        assert not out.exists()
+
+
+def test_construct_fold_is_a_usage_error(tmp_path):
+    # ``fold`` is the one command that folds
+    out = tmp_path / "out.tri"
+    code, stdout, err = run_cli(["construct", "fold", "--p", "1", "--q", "6",
+                                 "--edge", "q", "-o", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: trinorm construct ")
+    assert "invalid choice: 'fold'" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -249,7 +262,6 @@ FILE_COMMANDS = {
     "moves": ["--move", "32", "--edge", "0", "-o", "{out}"],
     "promote": ["-o", "{out}"],
     "fold": ["--edge", "p", "-o", "{out}"],
-    "construct fold": ["--edge", "p", "-o", "{out}"],
 }
 
 
@@ -686,7 +698,7 @@ ERROR_CASES = {
                                 2),
     "missing input file": (["analyze", "NOFILE"], 1),
     "unknown fold style": (["construct", "augmented", "--annulus", "fold:weird",
-                            "--annulus", "fold:cross", "--annulus",
+                            "--annulus", "fold", "--annulus",
                             "lst:5,1,6", "-o", "OUT"], 1),
     "moves 23 without face": (["moves", "M111", "--move", "23",
                                "-o", "OUT"], 2),
@@ -698,6 +710,10 @@ ERROR_CASES = {
     "moves 44 with a face": (["moves", "M111", "--move", "44", "--edge",
                               "3", "--axis", "1", "--face", "5",
                               "-o", "OUT"], 2),
+    "moves 23 with an axis": (["moves", "M111", "--move", "23", "--face",
+                               "0", "--axis", "1", "-o", "OUT"], 2),
+    "moves 32 with an axis": (["moves", "M111", "--move", "32", "--edge",
+                               "0", "--axis", "0", "-o", "OUT"], 2),
     "construct family P with -m": (["construct", "family", "--tag", "P",
                                     "-k", "1", "-m", "2", "-o", "OUT"], 2),
     "construct family Q with -n": (["construct", "family", "--tag", "q",
@@ -705,14 +721,14 @@ ERROR_CASES = {
     "promote obstruction": (["promote", "LENS15PQ", "-o", "OUT"], 1),
     "verify only matches nothing": (["verify", "--only", "no_such_check"], 2),
     "annulus with two weights": (["construct", "augmented", "--annulus",
-                                  "lst:1,2", "--annulus", "fold:cross",
-                                  "--annulus", "fold:cross", "-o", "OUT"], 1),
+                                  "lst:1,2", "--annulus", "fold",
+                                  "--annulus", "fold", "-o", "OUT"], 1),
     "annulus with non-integer weights": (
         ["construct", "augmented", "--annulus", "lst:a,b,c", "--annulus",
-         "fold:cross", "--annulus", "fold:cross", "-o", "OUT"], 1),
+         "fold", "--annulus", "fold", "-o", "OUT"], 1),
     "annulus with a straight fold": (
         ["construct", "augmented", "--annulus", "fold:straight", "--annulus",
-         "fold:cross", "--annulus", "lst:5,1,6", "-o", "OUT"], 1),
+         "fold", "--annulus", "lst:5,1,6", "-o", "OUT"], 1),
     # usage errors of fold are reported before the input file is read
     "fold with a file and --p --q": (["fold", "NOFILE", "--p", "1", "--q",
                                       "6", "--edge", "p", "-o", "OUT"], 2),
@@ -759,13 +775,16 @@ ERROR_MESSAGES = {
     "annulus with non-integer weights":
         "error: bad annulus entry 'lst:a,b,c'\n",
     "annulus with a straight fold":
-        "error: homology requires all edges valid (no reversed self-gluing)\n",
+        "error: bad annulus entry 'fold:straight'\n",
+    "unknown fold style": "error: bad annulus entry 'fold:weird'\n",
     "fold with a file and --p --q":
         "error: give either a .tri file or both --p and --q\n",
     "fold with a bad edge": "error: --edge must be one of p, q, pq\n",
     "moves 23 with an edge": "error: --move 23 takes no --edge\n",
     "moves 32 with a face": "error: --move 32 takes no --face\n",
     "moves 44 with a face": "error: --move 44 takes no --face\n",
+    "moves 23 with an axis": "error: --move 23 takes no --axis\n",
+    "moves 32 with an axis": "error: --move 32 takes no --axis\n",
     "construct family P with -m": "error: family P takes no -m or -n\n",
     "construct family Q with -n": "error: family Q takes no -m or -n\n",
     "fold without a file or --q":
@@ -846,8 +865,8 @@ PINNED_INPUTS = {
     "P-1": ["construct", "family", "--tag", "P", "-k", "1"],
     "Q-6": ["construct", "family", "--tag", "Q", "-k", "6"],
     "augmented-cross-cross-7-1-8": [
-        "construct", "augmented", "--annulus", "fold:cross",
-        "--annulus", "fold:cross", "--annulus", "lst:7,1,8"],
+        "construct", "augmented", "--annulus", "fold",
+        "--annulus", "fold", "--annulus", "lst:7,1,8"],
 }
 PINNED_COMMANDS = ("analyze", "find-lst", "bounds", "twisted-squares",
                    "surface", "colourings")
@@ -1082,9 +1101,11 @@ def _assert_move_contract(text, path, move):
     path.write_text(text)
     kind, site, axis = move
     out = str(path.with_name("out.tri"))
+    # only the 4-4 move takes an axis
+    axis_args = ["--axis", str(axis)] if kind == "44" else []
     _assert_contract(["moves", str(path), "--move", kind,
                       "--face" if kind == "23" else "--edge", str(site),
-                      "--axis", str(axis), "-o", out])
+                      *axis_args, "-o", out])
     _assert_contract(["promote", str(path), "-o", out])
 
 

@@ -19,33 +19,22 @@ from trinorm.homology import (smith_normal_form, gf2_rank, first_homology,
 from trinorm import triangulation
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                                    FACET_VERTICES, TriangulationError,
-                                   _UnionFind, _gf2_reduce, serialize)
+                                   _gf2_reduce, serialize)
 from trinorm import build, cli, cocycle, verifysuite
 from trinorm.analyze import MoveSpec, pachner_with_cocycle
 from trinorm.cocycle import Cocycle, cocycle_basis, is_cocycle
 
 from test_analyze import _edge_class_transport, ref_apply_move
-from test_skeleton import gluing_tables
+from test_skeleton import _ReferenceUnionFind, gluing_tables
 
 
 def test_smith_normal_form_small():
-    diag, rank = smith_normal_form([[2, 4], [6, 8]], 2, 2)
+    diag, rank = smith_normal_form([[2, 4], [6, 8]])
     assert rank == 2
     assert diag[0] == 2 and diag[1] == 4 and diag[1] % diag[0] == 0
 
-    diag, rank = smith_normal_form([[1, 0], [0, 0]], 2, 2)
+    diag, rank = smith_normal_form([[1, 0], [0, 0]])
     assert (diag[0], rank) == (1, 1)
-
-
-def test_smith_normal_form_takes_each_omitted_dimension_from_the_matrix():
-    mat = [[2, 4], [6, 8]]
-    both = smith_normal_form(mat, 2, 2)
-    assert smith_normal_form(mat) == both
-    assert smith_normal_form(mat, 2) == both
-    assert smith_normal_form(mat, cols=2) == both
-    # a given dimension is kept: only the leading columns or rows are read
-    assert smith_normal_form([[0, 0, 3]], cols=2) == ([0], 0)
-    assert smith_normal_form([[2, 0], [0, 3]], 1) == ([2], 1)
 
 
 def test_gf2_kernel():
@@ -138,7 +127,7 @@ def test_homology_invariant_under_relabelling():
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_smith_normal_form_properties(m, n, data):
     mat = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)]
-    diag, rank = smith_normal_form([row[:] for row in mat], m, n)
+    diag, rank = smith_normal_form([row[:] for row in mat])
     # divisibility chain over the nonzero entries
     nonzero = [d for d in diag if d]
     assert len(nonzero) == rank
@@ -559,7 +548,7 @@ def _reference_first_homology(tri):
     # Kill a spanning tree of the vertex graph: contracting it leaves a
     # one-vertex complex, so H_1 is the cokernel of d2 extended by unit
     # columns for the tree edges.
-    tree = _UnionFind(sk.vertex_count)
+    tree = _ReferenceUnionFind(sk.vertex_count)
     extra = []
     for c, x in enumerate(sk.edge_first):
         t, ei = divmod(x, 6)
@@ -575,7 +564,7 @@ def _reference_first_homology(tri):
     cols = len(d2[0]) if d2 else 0
     mat = [row[:] + [extra[k][i] for k in range(len(extra))]
            for i, row in enumerate(d2)] if ne else []
-    diag, rank = smith_normal_form(mat, ne, cols + len(extra))
+    diag, rank = smith_normal_form(mat)
     factors = tuple(d for d in diag[:rank] if d > 1)
     betti = ne - rank
 
@@ -713,8 +702,8 @@ def test_elimination_and_remainder_match_dense_snf(case):
     assert all(v not in (1, -1) for row in rest for v in row)
     assert all(any(row) for row in rest)
     assert all(any(row[j] for row in rest) for j in range(width))
-    diag_r, rank_r = smith_normal_form(rest, len(rest), width)
-    diag, rank = smith_normal_form([row[:] for row in mat], m, n)
+    diag_r, rank_r = smith_normal_form(rest)
+    diag, rank = smith_normal_form([row[:] for row in mat])
     assert pivots + rank_r == rank
     assert tuple(d for d in diag_r[:rank_r] if d > 1) == \
         tuple(d for d in diag[:rank] if d > 1)
@@ -756,9 +745,9 @@ def test_long_lens_space_leaves_a_tiny_remainder(monkeypatch):
     entries = []
     dense = homology.smith_normal_form
 
-    def counted(matrix, rows=None, cols=None, **kwargs):
-        entries.append(rows * cols)
-        return dense(matrix, rows, cols, **kwargs)
+    def counted(matrix):
+        entries.append(len(matrix) * (len(matrix[0]) if matrix else 0))
+        return dense(matrix)
 
     monkeypatch.setattr(homology, "smith_normal_form", counted)
     tri = build.lens_space(1, 400)[0]

@@ -1,7 +1,7 @@
 """The one-pass, table-driven skeleton against the two-sided loop it
 replaced, kept here word for word as the reference, on the one-union-a-call
 union-find it used, also kept here word for word; and the skeletons amended
-from a parent's against the full pass."""
+from a parent's against the full pass and the reference."""
 
 import functools
 import pickle
@@ -222,12 +222,18 @@ def _assert_matches_reference(tri):
             for x, c in enumerate(sk.vertex_class)} == vlookup
     assert {divmod(x, 6): (c, s) for x, (c, s)
             in enumerate(zip(sk.edge_class, sk.edge_sign))} == elookup
+    # each vertex class's first slot, read off the slot lists, where the
+    # classes must be numbered at their first slots
+    vertex_first = {}
+    for x, c in enumerate(sk.vertex_class):
+        vertex_first.setdefault(c, x)
+    assert list(vertex_first) == list(range(len(vertex_first)))
     # the eager counts, first slots, degrees and flags; a class is
     # (index, slots, signs, boundary, valid or self-glued)
     edge_slots = [slots for _, slots, *_ in edge_classes]
     face_slots = [slots for _, slots, *_ in face_classes]
     for first, count, classes, width in (
-            (sk.vertex_first, sk.vertex_count, vertex_classes, 4),
+            (list(vertex_first.values()), sk.vertex_count, vertex_classes, 4),
             (sk.edge_first, sk.edge_count, edge_slots, 6),
             (sk.face_first, sk.face_count, face_slots, 4)):
         assert count == len(classes)
@@ -353,10 +359,10 @@ def glued_onto_tables(draw):
     return tri, tuple(joins), new_tets
 
 
-SKELETON_FIELDS = ("vertex_class", "vertex_first", "edge_class", "edge_sign",
-                   "edge_first", "invalid_edges", "face_first",
-                   "boundary_facets", "self_glued_facets", "vertex_count",
-                   "edge_count", "face_count")
+SKELETON_FIELDS = ("vertex_class", "edge_class", "edge_sign", "edge_first",
+                   "invalid_edges", "face_first", "boundary_facets",
+                   "self_glued_facets", "vertex_count", "edge_count",
+                   "face_count")
 
 
 def _assert_matches_full_pass(tri):
@@ -370,7 +376,9 @@ def _assert_matches_full_pass(tri):
 @given(glued_onto_tables())
 def test_glued_tables_match_the_full_pass(case):
     parent, joins, new_tets = case
-    _assert_matches_full_pass(parent.glued(joins, new_tets))
+    child = parent.glued(joins, new_tets)
+    _assert_matches_full_pass(child)
+    _assert_matches_reference(child)
 
 
 def test_glued_tables_reach_both_amendments_and_the_full_pass():

@@ -20,8 +20,8 @@ from trinorm.surface import (NormalCoordinate, CoordinateError,
                              QUAD_EDGE_WEIGHTS, OCT_EDGE_WEIGHTS)
 from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
                                    OPPOSITE_EDGE, Skeleton,
-                                   TriangulationError, _UnionFind, parse)
-from test_skeleton import gluing_tables
+                                   TriangulationError, parse)
+from test_skeleton import _ReferenceUnionFind, gluing_tables
 
 
 # a coordinate's rows split into the triangle, quad and octagon counts of
@@ -550,7 +550,7 @@ def _ref_surface_classify(tri, coord, chi=None):
 
     # discs joined across faces, with a parity bit when the transverse
     # orientations disagree; any odd cycle (a conflict) is one-sidedness
-    uf = _UnionFind(len(discs))
+    uf = _ReferenceUnionFind(len(discs))
     for x in tri.skeleton.face_first:
         t1, f1 = divmod(x, 4)
         g = tri.gluing(t1, f1)
