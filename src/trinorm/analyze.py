@@ -9,8 +9,8 @@ compression-pattern scan.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .perm import Perm4
 from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_VERTICES,
@@ -227,8 +227,7 @@ def _prefix_triple(emb):
 # ----- bound report --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     census: object
     surface: object              # the CanonicalSurface whose chi is measured
     chi: int
@@ -275,8 +274,7 @@ def fundamental_report(tri, phi, k_phi=0):
 # ----- Pachner moves --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MoveSpec:
+class MoveSpec(NamedTuple):
     kind: str                   # "23", "32" or "44"
     face: int | None = None
     edge: int | None = None
@@ -511,20 +509,16 @@ def supportive_tori(tri, phi, types=None):
         sk, [e for e in emb.edge_weights if phi[e] == 0])]
 
 
-@dataclass(frozen=True)
 class PromotionObstruction(TriangulationError):
     """A supportive torus that no 4-4 flip can remove; the CLI reports it
-    as a domain error."""
-    torus: LayeredSolidTorus
-    reason: str
+    as a domain error.  Its args are (torus, reason)."""
+
+    def __init__(self, torus, reason):
+        super().__init__(torus, reason)
+        self.torus, self.reason = torus, reason
 
     def __str__(self):
         return f"supportive torus at {self.torus.tets}: {self.reason}"
-
-    def __reduce__(self):
-        # the default sets the fields again after building, which a frozen
-        # dataclass refuses
-        return type(self), (self.torus, self.reason)
 
 
 def _even_boundary_edge(tri, phi, emb):

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
+from typing import NamedTuple
 
 from .perm import Perm4
 from .triangulation import (EDGE_VERTICES, FACET_EDGES, TriBuilder,
@@ -24,8 +24,7 @@ from . import homology
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Book:
+class Book(NamedTuple):
     """The boundary of a layered solid torus as gluing positions.
 
     faces holds the two boundary faces (tet, facet) in ascending order, and
@@ -47,8 +46,16 @@ class Book:
                 for (t, f), (a, b) in zip(self.faces, self.edges[edge_class])]
 
 
-@dataclass(frozen=True)
-class LayeredSolidTorus:
+class _TorusFields(NamedTuple):
+    tets: tuple
+    edge_weights: dict
+    boundary_edges: tuple
+    univalent_edge: int
+    base_edge: int | None
+    book: Book
+
+
+class LayeredSolidTorus(_TorusFields):
     """A layered solid torus, built by ``lst`` or recognised inside a
     triangulation by ``analyze.find_maximal_lsts``.
 
@@ -59,14 +66,18 @@ class LayeredSolidTorus:
     one; base_edge is the first edge ever layered on (absent for a single
     tetrahedron).  book locates the boundary for the next layering or fold:
     a built torus carries it along, and a recognised one reads it off its
-    frontier with ``frontier_book``.
+    frontier with ``frontier_book``.  Equality ignores the book, and the
+    instance dict holds only the cached ``boundary_triple``.
     """
-    tets: tuple
-    edge_weights: dict
-    boundary_edges: tuple
-    univalent_edge: int
-    base_edge: int | None
-    book: Book = field(compare=False, repr=False)
+
+    def __eq__(self, other):
+        # every field but the book
+        return type(other) is type(self) and self[:5] == other[:5]
+
+    __ne__ = object.__ne__      # the negated __eq__, not tuple's
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: the record is immutable")
 
     @property
     def size(self):
@@ -99,15 +110,13 @@ class LayeredSolidTorus:
         return kinds.pop()
 
 
-@dataclass(frozen=True)
-class FoldRecord:
+class FoldRecord(NamedTuple):
     fold_edge_weight: int
     lens_a: int
     lens_b: int
 
 
-@dataclass(frozen=True)
-class LGraphNode:
+class LGraphNode(NamedTuple):
     p: int
     q: int
     depth: int
@@ -127,8 +136,7 @@ class LGraphNode:
         return self.o_bar - self.e_bar
 
 
-@dataclass(frozen=True)
-class SeifertParams:
+class SeifertParams(NamedTuple):
     family: str
     params: tuple
     slopes: tuple
@@ -561,8 +569,7 @@ def _prism_builder():
     return b
 
 
-@dataclass(frozen=True)
-class AnnulusFilling:
+class AnnulusFilling(NamedTuple):
     """How one boundary annulus of the pinched prism gets closed off.
 
     kind 'lst': attach a layered solid torus, gluing its boundary edges of

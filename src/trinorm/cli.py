@@ -11,7 +11,7 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
-from . import build, homology, cocycle, surface, analyze, verifysuite
+from . import build, homology, cocycle, surface, analyze
 from .triangulation import TriangulationError, parse, serialize
 
 SCHEMA_VERSION = 1
@@ -250,7 +250,7 @@ def cmd_construct_lst(args):
 
 def cmd_fold(args):
     if args.edge not in ("p", "q", "pq", "p+q"):
-        raise UsageError("--edge must be one of p, q, pq")
+        raise UsageError("--edge must be one of p, q, pq, p+q")
     pair = (args.p, args.q)
     if args.input is not None and pair != (None, None) or \
             args.input is None and None in pair:
@@ -451,6 +451,8 @@ def cmd_enumerate_lens(args):
 
 
 def cmd_verify(args):
+    # imported here, so that no other command compiles the grid
+    from . import verifysuite
     summary = verifysuite.run(only=args.only, quick=args.quick)
     if not summary["lines"]:
         raise UsageError("--only matched no criterion")
@@ -531,7 +533,7 @@ def make_parser():
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--edge", required=True,
-                   help="boundary edge by weight: p, q or pq")
+                   help="boundary edge by weight: p, q, pq or p+q")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func="cmd_fold")
 

@@ -9,8 +9,8 @@ solution space of those face relations is the kernel of the skeleton's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .triangulation import EDGE_VERTICES, FACET_EDGES, TriangulationError
 
@@ -25,8 +25,7 @@ class TetType(Enum):
     EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(NamedTuple):
     """A Z/2 cochain on edge classes satisfying all face relations."""
     bits: tuple
 
@@ -151,8 +150,7 @@ def classify_tetrahedra(tri, phi):
     return out
 
 
-@dataclass(frozen=True)
-class ParityCensus:
+class ParityCensus(NamedTuple):
     even_edges: int
     odd_edges: int
     even_degree_histogram: dict

@@ -13,7 +13,7 @@ cross-checked.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_VERTICES,
                             TriangulationError, _UnionFind, _gf2_reduce)
@@ -111,8 +111,7 @@ def gf2_rank(rows):
 # ----- homology --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     invariant_factors: tuple   # torsion coefficients d_1 | d_2 | ..., each > 1
     betti: int
     z2_rank: int

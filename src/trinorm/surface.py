@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, repeat
 from operator import add, eq, mul
+from typing import NamedTuple
 
 from .triangulation import (EDGE_VERTICES, FACET_VERTICES,
                             TriangulationError, _UnionFind)
@@ -99,8 +98,7 @@ class CoordinateError(TriangulationError):
     pass
 
 
-@dataclass(frozen=True)
-class NormalCoordinate:
+class NormalCoordinate(NamedTuple):
     """Per-tetrahedron disc multiplicities.
 
     rows[t] holds the ten counts of tetrahedron t in the order of
@@ -247,8 +245,7 @@ def vertex_link(tri):
 # ----- the canonical surface -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalSurface:
+class CanonicalSurface(NamedTuple):
     coord: NormalCoordinate
     cocycle: object
     chi: int
@@ -402,7 +399,8 @@ def _formal_chi_functional(tri):
     The value of each of the ten disc types in each tetrahedron is
     tabulated once, scaled by 2*lcm of the edge degrees so that every
     entry is an integer; a call sums the coordinate against the table and
-    divides once."""
+    divides once, giving an int when the value is integral and a Fraction
+    otherwise."""
     sk = tri.skeleton
     if not tri.is_closed:
         raise TriangulationError("formal chi is defined for closed triangulations")
@@ -424,8 +422,10 @@ def _formal_chi_functional(tri):
         total = 0
         for row, counts in zip(table, coord.rows):
             total += sum(map(mul, row, counts))
-        value = Fraction(total, scale)
-        return int(value) if value.denominator == 1 else value
+        if total % scale == 0:
+            return total // scale
+        from fractions import Fraction
+        return Fraction(total, scale)
     return chi
 
 

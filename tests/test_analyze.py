@@ -913,8 +913,7 @@ def _reference_maximal_lsts(tri):
         while (grown := _reference_try_extend(tri, emb)) is not None:
             emb = grown
         # the book is read once the torus stops growing
-        out.append(dataclasses.replace(emb,
-                                       book=_reference_book(tri, emb.tets)))
+        out.append(emb._replace(book=_reference_book(tri, emb.tets)))
     return out
 
 
@@ -986,18 +985,17 @@ def _copying_maximal_lsts(tri):
                 break
             emb = grown
         # the book is read once the torus stops growing
-        out.append(dataclasses.replace(emb,
-                                       book=_reference_book(tri, emb.tets)))
+        out.append(emb._replace(book=_reference_book(tri, emb.tets)))
     return out
 
 
 def _assert_same_embedding(a, b):
     """Every field equal, dicts in the same key order too."""
-    for field in dataclasses.fields(LayeredSolidTorus):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        assert x == y, field.name
+    for field in LayeredSolidTorus._fields:
+        x, y = getattr(a, field), getattr(b, field)
+        assert x == y, field
         if isinstance(x, dict):
-            assert list(x) == list(y), field.name
+            assert list(x) == list(y), field
 
 
 def _assert_same_seeds(tri):

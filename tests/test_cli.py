@@ -779,7 +779,7 @@ ERROR_MESSAGES = {
     "unknown fold style": "error: bad annulus entry 'fold:weird'\n",
     "fold with a file and --p --q":
         "error: give either a .tri file or both --p and --q\n",
-    "fold with a bad edge": "error: --edge must be one of p, q, pq\n",
+    "fold with a bad edge": "error: --edge must be one of p, q, pq, p+q\n",
     "moves 23 with an edge": "error: --move 23 takes no --edge\n",
     "moves 32 with a face": "error: --move 32 takes no --face\n",
     "moves 44 with a face": "error: --move 44 takes no --face\n",
