@@ -16,6 +16,11 @@ from .triangulation import TriangulationError, parse, serialize
 
 SCHEMA_VERSION = 1
 
+# the deepest fraction tree ``lgraph`` and ``enumerate-lens`` accept:
+# ``lgraph`` holds every node, about 250 MiB at this depth and twice as
+# much per level deeper
+MAX_DEPTH = 18
+
 
 def report_schema():
     """The published JSON schema that analyze reports validate against."""
@@ -430,8 +435,15 @@ def cmd_twisted_squares(args):
     return 0
 
 
+def _tree_depth(args):
+    """``--depth``, refused above ``MAX_DEPTH`` before any work."""
+    if args.depth > MAX_DEPTH:
+        raise UsageError(f"--depth must be at most {MAX_DEPTH}")
+    return args.depth
+
+
 def cmd_lgraph(args):
-    nodes = build.lgraph(args.depth)
+    nodes = build.lgraph(_tree_depth(args))
     _emit({"schema_version": SCHEMA_VERSION,
            "nodes": [{"p": n.p, "q": n.q, "depth": n.depth,
                       "even": n.e_bar, "odd": n.o_bar,
@@ -440,7 +452,7 @@ def cmd_lgraph(args):
 
 
 def cmd_enumerate_lens(args):
-    rows = build.enumerate_minimal_lens_families(args.depth)
+    rows = build.enumerate_minimal_lens_families(_tree_depth(args))
     _emit({"schema_version": SCHEMA_VERSION,
            "families": [{"p": n.p, "q": n.q, "depth": n.depth,
                          "fold_weight": rec.fold_edge_weight,

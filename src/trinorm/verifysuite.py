@@ -7,14 +7,17 @@ acceptance test module.
 
 from __future__ import annotations
 
+import logging
 import os
 import random
 import time
-from itertools import chain, combinations, islice, product
+from itertools import combinations, islice, product
 
 from . import build, homology, cocycle, surface, analyze
 from .cocycle import TetType
 from .triangulation import TriangulationError
+
+_log = logging.getLogger(__name__)
 
 
 def _usable_cpus():
@@ -24,16 +27,19 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-# True while ``run`` runs: only then does a criterion fork a child for its
-# second share
-_forking = False
+# Inside ``run``: each tree criterion it selected, mapped to its outcome of
+# the shared tree walk until that is reported, or to None until the walk.
+# None outside ``run``, where no criterion forks.
+_walked = None
 
 
-def _in_shares(walk, arg):
-    """Run ``walk(share, arg)`` for shares 0 and 1 of a criterion's grid
-    and combine the ``(count, failure)`` pairs they return: the counts
-    summed, or the first failure of share 0, else that of share 1, with
-    the count before it.  An exception a share raises propagates alike.
+def _in_shares(walk, quick, served):
+    """Run ``walk(share, quick, served)`` for shares 0 and 1 of the grids
+    of the criteria ``served``, and combine the outcomes each share
+    returns, a ``(count, failure)`` pair per criterion whose failure is a
+    detail or the exception the criterion raised: the counts summed, or the
+    first failure of share 0, else that of share 1, with the count before
+    it.
 
     A grid is split by one of two rules.  The fraction tree splits at its
     first branch (``build.lst_tree(depth, share)``), as its nodes are built
@@ -41,52 +47,80 @@ def _in_shares(walk, arg):
     (``_dealt``), so each member is built only in the share that checks it.
 
     Inside ``run`` with more than one usable CPU this process forks one
-    child that walks share 1 and sends back its pair or its exception
-    over a pipe, while share 0 is walked here; otherwise both run here,
-    share 0 first, stopping at its failure.  A failure or exception of
-    share 0 is reported without waiting for the child.  The child is
-    killed and reaped before this returns, and one that dies before it
-    sends fails only this criterion, with its exit code (minus the signal
-    number if a signal ended it).
+    child that walks share 1 and sends back its outcomes over a pipe, while
+    share 0 is walked here; otherwise both run here, share 0 first, and
+    share 1 only for the criteria share 0 did not fail.  When share 0 fails
+    every criterion, that is reported without waiting for the child.  The
+    child is killed and reaped before this returns, and one that dies
+    before it sends fails exactly the criteria it served, with its exit
+    code (minus the signal number if a signal ended it).
     """
-    if not _forking or _usable_cpus() < 2:
-        n, failure = walk(0, arg)
-        if failure is None:
-            more, failure = walk(1, arg)
-            n += more
-        return n, failure
+    if _walked is None or _usable_cpus() < 2:
+        first = walk(0, quick, served)
+        unfailed = _unfailed(first)
+        return _combined(first, walk(1, quick, unfailed) if unfailed else {})
     import multiprocessing
     fork = multiprocessing.get_context("fork")
     reader, writer = fork.Pipe(duplex=False)
-    child = fork.Process(target=_send_share, args=(walk, arg, writer))
+    child = fork.Process(target=_send_share,
+                         args=(walk, quick, served, writer))
     child.start()
     writer.close()
     try:
-        n, failure = walk(0, arg)
-        if failure is not None:
-            return n, failure
+        first = walk(0, quick, served)
+        if not _unfailed(first):
+            return first
         try:
-            other = reader.recv()
+            second = reader.recv()
         except EOFError:
             child.join()
-            return n, f"a worker process died: exit code {child.exitcode}"
+            second = dict.fromkeys(served, (0, "a worker process died: "
+                                               f"exit code {child.exitcode}"))
     finally:
         reader.close()
         child.kill()
         child.join()
-    if isinstance(other, Exception):
-        raise other
-    return n + other[0], other[1]
+    return _combined(first, second)
 
 
-def _send_share(walk, arg, writer):
-    """In the forked child: send share 1's pair, or the exception it
-    raised."""
+def _send_share(walk, quick, served, writer):
+    """In the forked child: send share 1's outcomes, or the exception the
+    walk raised as the failure of every criterion it served."""
     try:
-        result = walk(1, arg)
+        outcomes = walk(1, quick, served)
     except Exception as exc:
-        result = exc
-    writer.send(result)
+        outcomes = dict.fromkeys(served, (0, exc))
+    writer.send(outcomes)
+
+
+def _unfailed(outcomes):
+    """The criteria whose outcome holds no failure."""
+    return tuple(c for c, (_, failure) in outcomes.items() if failure is None)
+
+
+def _combined(first, second):
+    """Share 0's outcomes, each one without a failure followed by share
+    1's."""
+    return {c: (n + second[c][0], second[c][1]) if failure is None
+            else (n, failure) for c, (n, failure) in first.items()}
+
+
+def _reported(outcome):
+    """A criterion's ``(count, failure)``; raises the exception it
+    raised."""
+    n, failure = outcome
+    if isinstance(failure, Exception):
+        raise failure
+    return n, failure
+
+
+def _alone(name, walk, quick):
+    """The reported outcome of criterion ``name``, whose shares
+    ``walk(share, quick)`` walks on its own, each returning its
+    ``(count, failure)``."""
+    return _reported(_in_shares(
+        lambda share, quick, served: {name: walk(share, quick)},
+        quick, (name,))[name])
 
 
 def _dealt(items, share):
@@ -95,45 +129,124 @@ def _dealt(items, share):
     return islice(items, share, None, 2)
 
 
-def _lst_counts_share(share, depth):
-    n = 0
-    for node, tri, meta in build.lst_tree(depth, share):
-        sk = tri.skeleton
-        k = tri.tet_count
-        if not (sk.vertex_count == 1 and sk.edge_count == k + 2
-                and sk.face_count == 2 * k + 1 and k == node.depth):
-            return n, f"counts wrong at {node.p}/{node.q}"
-        n += 1
-    return n, None
+# the fraction-tree depth each tree criterion checks, quick and full
+_TREE_DEPTHS = {"lst_counts": (8, 12), "fold_homology": (6, 10),
+                "chi_two_methods": (5, 10), "lst_recognition": (6, 8)}
+
+
+def _tree_depth(criterion, quick):
+    return _TREE_DEPTHS[criterion][0 if quick else 1]
+
+
+def _tree_outcome(name, quick):
+    """The reported outcome of tree criterion ``name``.  Inside ``run`` the
+    first selected tree criterion called walks the tree once per share for
+    every selected tree criterion, within its own call, and the others take
+    their outcomes from that walk; otherwise, as in a direct call, the
+    criterion walks the tree for itself."""
+    walked = _walked
+    if walked is None or name not in walked:
+        return _reported(_in_shares(_tree_share, quick, (name,))[name])
+    if walked[name] is None:
+        walked.update(_in_shares(_tree_share, quick, tuple(
+            c for c, outcome in walked.items() if outcome is None)))
+    return _reported(walked.pop(name))
+
+
+def _tree_share(share, quick, served):
+    """Share ``share`` of the tree criteria ``served``, in one walk of the
+    fraction tree: ``{criterion: (count, failure)}``.
+
+    At each node ``lst_counts`` checks the torus, and each fold is built
+    once and handed to every criterion whose depth rule wants it: all three
+    folds for ``fold_homology`` and ``chi_two_methods``, the folds along p
+    and q from depth 3 on for ``lst_recognition``.  ``chi_two_methods``
+    checks its dealt family grid before the walk, and ``lst_recognition``
+    its dealt M and M' grid after it.  A criterion stops at its first
+    failure or exception, and the walk goes on for the others; an
+    exception of the walk itself propagates.
+    """
+    depth = {c: _tree_depth(c, quick) for c in served}
+    counts = dict.fromkeys(served, 0)
+    failures = {}
+
+    def wants(c, node_depth=1):
+        return node_depth <= depth.get(c, 0) and c not in failures
+
+    def check(c, test, *args):
+        try:
+            result = test(*args)
+        except Exception as exc:
+            result = exc
+        if isinstance(result, int):
+            counts[c] += result
+        else:
+            failures[c] = result
+
+    for tag, params in _dealt(_family_params(quick), share):
+        if wants("chi_two_methods"):
+            check("chi_two_methods", _member_chi_agrees, tag, params)
+    nodes = folds = 0
+    for node, tri, meta in build.lst_tree(max(depth.values()), share):
+        nodes += 1
+        if wants("lst_counts", node.depth):
+            check("lst_counts", _torus_counts, node, tri)
+        for w in (meta.p, meta.q, meta.p + meta.q):
+            wanting = [c for c in _FOLD_CHECKS if wants(c, node.depth)
+                       and (c != "lst_recognition" or node.depth >= 3
+                            and w != meta.p + meta.q)]
+            if not wanting:
+                continue
+            try:
+                folded, _ = build.fold_along_edge(
+                    tri, build.boundary_edge(meta, w), meta)
+            except Exception as exc:
+                failures.update(dict.fromkeys(wanting, exc))
+                continue
+            folds += 1
+            for c in wanting:
+                check(c, _FOLD_CHECKS[c], node, w, folded)
+    for tag, kmn in _dealt(_mm_params(("M", "MPRIME"), quick), share):
+        if wants("lst_recognition"):
+            check("lst_recognition", _member_recognised, tag, kmn)
+    _log.debug("tree walk, share %d: depth %d, %d nodes, %d folds, for %s",
+               share, max(depth.values()), nodes, folds, ", ".join(served))
+    return {c: (counts[c], failures.get(c)) for c in served}
+
+
+def _torus_counts(node, tri):
+    sk = tri.skeleton
+    k = tri.tet_count
+    if not (sk.vertex_count == 1 and sk.edge_count == k + 2
+            and sk.face_count == 2 * k + 1 and k == node.depth):
+        return f"counts wrong at {node.p}/{node.q}"
+    return 1
 
 
 def check_lst_counts(quick=False):
-    depth = 8 if quick else 12
-    n, failure = _in_shares(_lst_counts_share, depth)
+    n, failure = _tree_outcome("lst_counts", quick)
     return failure is None, (
-        failure or f"{n} layered solid tori checked to depth {depth}")
+        failure or f"{n} layered solid tori checked to depth "
+                   f"{_tree_depth('lst_counts', quick)}")
 
 
-def _fold_homology_share(share, depth):
-    n = 0
-    for node, w, folded in _lens_grid(depth, share):
-        p, q = node.p, node.q
-        # the lens table written out: the reference the homology oracle and
-        # build.fold_record are both held to
-        expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w]
-        h = homology.first_homology(folded)
-        if h.betti or h.order != expect:
-            return n, (f"fold of {p}/{q} along {w}: |H1| = {h.order}, "
-                       f"expected {expect}")
-        n += 1
-    return n, None
+def _fold_order(node, w, folded):
+    p, q = node.p, node.q
+    # the lens table written out: the reference the homology oracle and
+    # build.fold_record are both held to
+    expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w]
+    h = homology.first_homology(folded)
+    if h.betti or h.order != expect:
+        return (f"fold of {p}/{q} along {w}: |H1| = {h.order}, "
+                f"expected {expect}")
+    return 1
 
 
 def check_fold_homology(quick=False):
-    depth = 6 if quick else 10
-    n, failure = _in_shares(_fold_homology_share, depth)
+    n, failure = _tree_outcome("fold_homology", quick)
     return failure is None, (
-        failure or f"{n} folds matched the lens table to depth {depth}")
+        failure or f"{n} folds matched the lens table to depth "
+                   f"{_tree_depth('fold_homology', quick)}")
 
 
 def check_one_tet_folds(quick=False):
@@ -192,11 +305,11 @@ def _family_grid(quick=False):
     return [(*member, _member(*member)) for member in _family_params(quick)]
 
 
-def _lens_grid(depth, share=None):
+def _lens_grid(depth):
     """(node, w, folded) for the three folds of every fraction-tree node to
     the given depth, along p, q and p+q, in the walker's depth-first
-    order; ``share`` as for ``build.lst_tree``."""
-    for node, tri, meta in build.lst_tree(depth, share):
+    order."""
+    for node, tri, meta in build.lst_tree(depth):
         for w in (meta.p, meta.q, meta.p + meta.q):
             folded, _ = build.fold_along_edge(
                 tri, build.boundary_edge(meta, w), meta)
@@ -212,26 +325,30 @@ def _closed_instances():
             + [folded for _, _, folded in lens])
 
 
-def _chi_two_methods_share(share, quick):
-    """The family grid dealt, then the lens grid's share."""
-    family = ((f"{tag}{params}", _member(tag, params))
-              for tag, params in _dealt(_family_params(quick), share))
-    lens = ((f"lens {node.p}/{node.q} fold {w}", folded)
-            for node, w, folded in _lens_grid(5 if quick else 10, share))
+def _chi_agrees(label, tri):
+    """The number of classes of ``tri`` whose canonical surface has the
+    Euler characteristic of the census formula, or the first failure."""
     n = 0
-    for label, tri in chain(family, lens):
-        for phi in cocycle.all_nonzero_classes(tri):
-            types = cocycle.classify_tetrahedra(tri, phi)
-            census = cocycle.parity_census(tri, phi, types)
-            canon = surface.canonical_surface(tri, phi, types)
-            if canon.chi != surface.chi_formula(census):
-                return n, f"{label}: {canon.chi} != formula"
-            n += 1
-    return n, None
+    for phi in cocycle.all_nonzero_classes(tri):
+        types = cocycle.classify_tetrahedra(tri, phi)
+        census = cocycle.parity_census(tri, phi, types)
+        canon = surface.canonical_surface(tri, phi, types)
+        if canon.chi != surface.chi_formula(census):
+            return f"{label}: {canon.chi} != formula"
+        n += 1
+    return n
+
+
+def _member_chi_agrees(tag, params):
+    return _chi_agrees(f"{tag}{params}", _member(tag, params))
+
+
+def _fold_chi_agrees(node, w, folded):
+    return _chi_agrees(f"lens {node.p}/{node.q} fold {w}", folded)
 
 
 def check_chi_two_methods(quick=False):
-    n, failure = _in_shares(_chi_two_methods_share, quick)
+    n, failure = _tree_outcome("chi_two_methods", quick)
     return failure is None, (
         failure or f"cell count equals census formula on {n} surfaces")
 
@@ -334,7 +451,7 @@ def _octagon_share(share, quick):
 
 
 def check_octagon_formula(quick=False):
-    checked, failure = _in_shares(_octagon_share, quick)
+    checked, failure = _alone("octagon_formula", _octagon_share, quick)
     return failure is None, (
         failure or f"octagon count formula on {checked} modifications")
 
@@ -458,46 +575,44 @@ def _all_quad_flip():
 
 
 def check_moves(quick=False):
-    done, failure = _in_shares(_moves_share, quick)
+    done, failure = _alone("moves", _moves_share, quick)
     return failure is None, (
         failure or f"{done} 2-3/3-2 round trips, homology invariant, "
                    "all-quad 4-4 flip gives four triangle tetrahedra")
 
 
-def _lst_recognition_share(share, quick):
-    """The folds along p and q of the fraction tree's share from depth 3
-    on, then the M and M' grid dealt."""
-    n = 0
-    for node, tri, meta in build.lst_tree(6 if quick else 8, share):
-        if node.depth < 3:
-            continue
-        for w in (meta.p, meta.q):
-            folded, _ = build.fold_along_edge(
-                tri, build.boundary_edge(meta, w), meta)
-            lsts = analyze.find_maximal_lsts(folded)
-            if len(lsts) != 2:
-                return n, (f"lens {node.p}/{node.q} fold {w}: "
-                           f"{len(lsts)} maximal tori")
-            joint = set(lsts[0].tets) & set(lsts[1].tets)
-            if len(joint) != folded.tet_count - 2:
-                return n, (f"lens {node.p}/{node.q}: tori meet in "
-                           f"{len(joint)} tetrahedra")
-            n += 1
-    for tag, kmn in _dealt(_mm_params(("M", "MPRIME"), quick), share):
-        tri = _member(tag, kmn)
-        lsts = analyze.find_maximal_lsts(tri)
-        if len(lsts) != 3:
-            return n, f"{tag}{kmn}: {len(lsts)} maximal tori"
-        mat = analyze.lst_intersection_matrix(tri, lsts)
-        if any(mat[i][j] > 1 for i in range(3) for j in range(3) if i != j):
-            return n, f"{tag}{kmn}: shared edges {mat}"
-        n += 1
-    return n, None
+def _lens_recognised(node, w, folded):
+    lsts = analyze.find_maximal_lsts(folded)
+    if len(lsts) != 2:
+        return f"lens {node.p}/{node.q} fold {w}: {len(lsts)} maximal tori"
+    joint = set(lsts[0].tets) & set(lsts[1].tets)
+    if len(joint) != folded.tet_count - 2:
+        return (f"lens {node.p}/{node.q}: tori meet in "
+                f"{len(joint)} tetrahedra")
+    return 1
+
+
+def _member_recognised(tag, kmn):
+    tri = _member(tag, kmn)
+    lsts = analyze.find_maximal_lsts(tri)
+    if len(lsts) != 3:
+        return f"{tag}{kmn}: {len(lsts)} maximal tori"
+    mat = analyze.lst_intersection_matrix(tri, lsts)
+    if any(mat[i][j] > 1 for i in range(3) for j in range(3) if i != j):
+        return f"{tag}{kmn}: shared edges {mat}"
+    return 1
 
 
 def check_lst_recognition(quick=False):
-    n, failure = _in_shares(_lst_recognition_share, quick)
+    n, failure = _tree_outcome("lst_recognition", quick)
     return failure is None, failure or f"{n} recognition checks"
+
+
+# what a tree criterion checks on a fold: a count of checks passed, or the
+# failure
+_FOLD_CHECKS = {"fold_homology": _fold_order,
+                "chi_two_methods": _fold_chi_agrees,
+                "lst_recognition": _lens_recognised}
 
 
 def check_fundamental_identity(quick=False):
@@ -565,19 +680,21 @@ CHECKS = (
 
 def run(only=None, quick=False):
     """Run the acceptance checks; returns a printable summary, with each
-    criterion's wall time in nanoseconds under ``elapsed_ns``.  Each
-    criterion that splits into shares walks its second share in a forked
-    child when more than one CPU is usable (``_in_shares``); no child is
-    left when this returns."""
-    global _forking
+    criterion's wall time in nanoseconds under ``elapsed_ns``.  The tree
+    criteria share one walk of the fraction tree, run within the call of
+    the first of them selected (``_tree_outcome``).  Each walk that splits
+    into shares walks its second share in a forked child when more than one
+    CPU is usable (``_in_shares``); no child is left, and no outcome of the
+    shared walk is kept, when this returns."""
+    global _walked
+    selected = [(name, fn) for name, fn in CHECKS
+                if not only or only in name]
     lines = []
     failures = []
     elapsed_ns = {}
-    _forking = True
+    _walked = {name: None for name, _ in selected if name in _TREE_DEPTHS}
     try:
-        for name, fn in CHECKS:
-            if only and only not in name:
-                continue
+        for name, fn in selected:
             start = time.perf_counter_ns()
             try:
                 ok, detail = fn(quick=quick)
@@ -588,7 +705,7 @@ def run(only=None, quick=False):
             if not ok:
                 failures.append({"check": name, "detail": detail})
     finally:
-        _forking = False
+        _walked = None
     return {"lines": lines, "passed": len(lines) - len(failures),
             "failed": len(failures), "failures": failures,
             "elapsed_ns": elapsed_ns}

@@ -720,6 +720,10 @@ ERROR_CASES = {
                                     "-k", "4", "-n", "9", "-o", "OUT"], 2),
     "promote obstruction": (["promote", "LENS15PQ", "-o", "OUT"], 1),
     "verify only matches nothing": (["verify", "--only", "no_such_check"], 2),
+    # one level past the bound, refused before any node is built
+    "lgraph deeper than the bound": (["lgraph", "--depth", "19"], 2),
+    "enumerate-lens deeper than the bound": (["enumerate-lens", "--depth",
+                                              "19"], 2),
     "annulus with two weights": (["construct", "augmented", "--annulus",
                                   "lst:1,2", "--annulus", "fold",
                                   "--annulus", "fold", "-o", "OUT"], 1),
@@ -771,6 +775,9 @@ PARSER_ERRORS = {
 # ``cli_inputs`` in braces
 ERROR_MESSAGES = {
     "verify only matches nothing": "error: --only matched no criterion\n",
+    "lgraph deeper than the bound": "error: --depth must be at most 18\n",
+    "enumerate-lens deeper than the bound":
+        "error: --depth must be at most 18\n",
     "annulus with two weights": "error: bad annulus entry 'lst:1,2'\n",
     "annulus with non-integer weights":
         "error: bad annulus entry 'lst:a,b,c'\n",
