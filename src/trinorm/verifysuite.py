@@ -27,100 +27,113 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-# Inside ``run``: each tree criterion it selected, mapped to its outcome of
-# the shared tree walk until that is reported, or to None until the walk.
-# None outside ``run``, where no criterion forks.
-_walked = None
+# Inside ``run``: ``(outcomes, elapsed_ns)``, ``outcomes`` mapping each
+# selected criterion that has tasks to its ``(count, failure)`` until it is
+# reported, or to None until the schedule runs.  None outside ``run``.
+_run = None
 
 
-def _in_shares(walk, quick, served):
-    """Run ``walk(share, quick, served)`` for shares 0 and 1 of the grids
-    of the criteria ``served``, and combine the outcomes each share
-    returns, a ``(count, failure)`` pair per criterion whose failure is a
-    detail or the exception the criterion raised: the counts summed, or the
-    first failure of share 0, else that of share 1, with the count before
-    it.
+def _check(name, passed):
+    """The check of criterion ``name``: ``check(quick=False)`` returns
+    ``(ok, detail)``, the failure or else ``passed(n, quick)`` for the
+    count n, and raises the exception the criterion raised.  Inside ``run``
+    the first selected criterion called runs the schedule of every selected
+    criterion; a direct call runs its own tasks in this process."""
+    def check(quick=False):
+        if _run is None or name not in _run[0]:
+            n, failure = _scheduled((name,), quick, {}, fork=False)[name]
+        else:
+            outcomes, elapsed_ns = _run
+            if outcomes[name] is None:
+                outcomes.update(_scheduled(tuple(outcomes), quick,
+                                           elapsed_ns, _usable_cpus() > 1))
+            n, failure = outcomes.pop(name)
+        if isinstance(failure, Exception):
+            raise failure
+        return failure is None, failure or passed(n, quick)
+    check.__name__ = check.__qualname__ = f"check_{name}"
+    return check
 
-    A grid is split by one of two rules.  The fraction tree splits at its
-    first branch (``build.lst_tree(depth, share)``), as its nodes are built
-    from their parents; every other grid is dealt alternately
-    (``_dealt``), so each member is built only in the share that checks it.
 
-    Inside ``run`` with more than one usable CPU this process forks one
-    child that walks share 1 and sends back its outcomes over a pipe, while
-    share 0 is walked here; otherwise both run here, share 0 first, and
-    share 1 only for the criteria share 0 did not fail.  When share 0 fails
-    every criterion, that is reported without waiting for the child.  The
-    child is killed and reaped before this returns, and one that dies
-    before it sends fails exactly the criteria it served, with its exit
-    code (minus the signal number if a signal ended it).
-    """
-    if _walked is None or _usable_cpus() < 2:
-        first = walk(0, quick, served)
-        unfailed = _unfailed(first)
-        return _combined(first, walk(1, quick, unfailed) if unfailed else {})
-    import multiprocessing
-    fork = multiprocessing.get_context("fork")
-    reader, writer = fork.Pipe(duplex=False)
-    child = fork.Process(target=_send_share,
-                         args=(walk, quick, served, writer))
-    child.start()
-    writer.close()
+def _scheduled(served, quick, elapsed_ns, fork):
+    """``{criterion: (count, failure)}`` for the criteria ``served``, the
+    counts of its tasks summed in ``_TASKS`` order up to the first failure.
+    Tasks are claimed from a pipe holding one byte per task number.  With
+    ``fork`` and two tasks or more, one child is forked once this process
+    has claimed its first task, and both claim until the pipe is empty.  A
+    child that dies mid-task fails exactly that task's criteria.  Each
+    task's time is added to ``elapsed_ns`` under the first criterion it
+    serves, and logged at DEBUG."""
+    tasks = {task: mine for task, (_, _, criteria) in enumerate(_TASKS)
+             if (mine := tuple(c for c in criteria if c in served))}
+    queue, filler = os.pipe()
+    os.write(filler, bytes(tasks))
+    os.close(filler)
+    done, child = {}, None
     try:
-        first = walk(0, quick, served)
-        if not _unfailed(first):
-            return first
-        try:
-            second = reader.recv()
-        except EOFError:
-            child.join()
-            second = dict.fromkeys(served, (0, "a worker process died: "
-                                               f"exit code {child.exitcode}"))
+        for task in _claimed(queue):
+            if fork and child is None and len(tasks) > 1:
+                import multiprocessing
+                context = multiprocessing.get_context("fork")
+                reader, writer = context.Pipe(duplex=False)
+                child = context.Process(target=_claiming,
+                                        args=(queue, tasks, quick, writer))
+                child.start()
+                writer.close()
+            done[task] = (*_ran(task, tasks[task], quick), os.getpid())
+        while child is not None and len(done) < len(tasks):
+            try:
+                task, outcomes, ns = reader.recv()
+                done[task] = (outcomes, ns, child.pid)
+            except EOFError:
+                child.join()
+                died = (0, "a worker process died: exit code "
+                           f"{child.exitcode}")
+                for task in tasks.keys() - done.keys():
+                    done[task] = (dict.fromkeys(tasks[task], died), 0,
+                                  child.pid)
     finally:
-        reader.close()
-        child.kill()
-        child.join()
-    return _combined(first, second)
+        os.close(queue)
+        if child is not None:
+            reader.close()
+            child.kill()
+            child.join()
+    outcomes = {}
+    for task, mine in tasks.items():
+        results, ns, pid = done[task]
+        _log.debug("task %d (%s): %.3f s in process %d", task,
+                   ", ".join(mine), ns / 1e9, pid)
+        elapsed_ns[mine[0]] = elapsed_ns.get(mine[0], 0) + ns
+        for c, (n, failure) in results.items():
+            total, failed = outcomes.get(c, (0, None))
+            if failed is None:
+                outcomes[c] = (total + n, failure)
+    return outcomes
 
 
-def _send_share(walk, quick, served, writer):
-    """In the forked child: send share 1's outcomes, or the exception the
-    walk raised as the failure of every criterion it served."""
+def _claimed(queue):
+    while claimed := os.read(queue, 1):
+        yield claimed[0]
+
+
+def _claiming(queue, tasks, quick, writer):
+    """In the forked child: run claimed tasks, sending each result."""
+    for task in _claimed(queue):
+        writer.send((task, *_ran(task, tasks[task], quick)))
+
+
+def _ran(task, served, quick):
+    """Task ``task``'s outcomes for ``served``, an exception failing each,
+    and its time in nanoseconds."""
+    walk, arg, criteria = _TASKS[task]
+    args = (quick,) if arg is None else (arg, quick)
+    start = time.perf_counter_ns()
     try:
-        outcomes = walk(1, quick, served)
+        outcomes = (walk(*args, served) if len(criteria) > 1
+                    else {served[0]: walk(*args)})
     except Exception as exc:
         outcomes = dict.fromkeys(served, (0, exc))
-    writer.send(outcomes)
-
-
-def _unfailed(outcomes):
-    """The criteria whose outcome holds no failure."""
-    return tuple(c for c, (_, failure) in outcomes.items() if failure is None)
-
-
-def _combined(first, second):
-    """Share 0's outcomes, each one without a failure followed by share
-    1's."""
-    return {c: (n + second[c][0], second[c][1]) if failure is None
-            else (n, failure) for c, (n, failure) in first.items()}
-
-
-def _reported(outcome):
-    """A criterion's ``(count, failure)``; raises the exception it
-    raised."""
-    n, failure = outcome
-    if isinstance(failure, Exception):
-        raise failure
-    return n, failure
-
-
-def _alone(name, walk, quick):
-    """The reported outcome of criterion ``name``, whose shares
-    ``walk(share, quick)`` walks on its own, each returning its
-    ``(count, failure)``."""
-    return _reported(_in_shares(
-        lambda share, quick, served: {name: walk(share, quick)},
-        quick, (name,))[name])
+    return outcomes, time.perf_counter_ns() - start
 
 
 def _dealt(items, share):
@@ -136,21 +149,6 @@ _TREE_DEPTHS = {"lst_counts": (8, 12), "fold_homology": (6, 10),
 
 def _tree_depth(criterion, quick):
     return _TREE_DEPTHS[criterion][0 if quick else 1]
-
-
-def _tree_outcome(name, quick):
-    """The reported outcome of tree criterion ``name``.  Inside ``run`` the
-    first selected tree criterion called walks the tree once per share for
-    every selected tree criterion, within its own call, and the others take
-    their outcomes from that walk; otherwise, as in a direct call, the
-    criterion walks the tree for itself."""
-    walked = _walked
-    if walked is None or name not in walked:
-        return _reported(_in_shares(_tree_share, quick, (name,))[name])
-    if walked[name] is None:
-        walked.update(_in_shares(_tree_share, quick, tuple(
-            c for c, outcome in walked.items() if outcome is None)))
-    return _reported(walked.pop(name))
 
 
 def _tree_share(share, quick, served):
@@ -223,13 +221,6 @@ def _torus_counts(node, tri):
     return 1
 
 
-def check_lst_counts(quick=False):
-    n, failure = _tree_outcome("lst_counts", quick)
-    return failure is None, (
-        failure or f"{n} layered solid tori checked to depth "
-                   f"{_tree_depth('lst_counts', quick)}")
-
-
 def _fold_order(node, w, folded):
     p, q = node.p, node.q
     # the lens table written out: the reference the homology oracle and
@@ -242,40 +233,34 @@ def _fold_order(node, w, folded):
     return 1
 
 
-def check_fold_homology(quick=False):
-    n, failure = _tree_outcome("fold_homology", quick)
-    return failure is None, (
-        failure or f"{n} folds matched the lens table to depth "
-                   f"{_tree_depth('fold_homology', quick)}")
-
-
-def check_one_tet_folds(quick=False):
+def _one_tet_folds(quick):
     for w, expect in ((2, 4), (1, 5), (3, 1)):
         folded, meta, rec = build.lens_space(1, 2, fold_weight=w)
         h = homology.first_homology(folded)
         if h.betti or h.order != expect or rec.lens_a != expect:
-            return False, f"fold along {w}: got {h}, expected order {expect}"
-    return True, "one-tetrahedron folds give orders 4, 5, 1"
+            return 0, f"fold along {w}: got {h}, expected order {expect}"
+    return 3, None
 
 
-def check_balanced_family(quick=False):
-    ns = range(3, 9) if quick else range(3, 13)
+def _balanced_family(quick):
+    ns = range(3, 9 if quick else 13)
     for n in ns:
         tri, meta, rec = build.lens_space(1, 2 * n - 2)
         if tri.tet_count != 2 * n - 3:
-            return False, f"L({2*n},1): {tri.tet_count} tetrahedra"
+            return 0, f"L({2*n},1): {tri.tet_count} tetrahedra"
         phis = cocycle.all_nonzero_classes(tri)
         if len(phis) != 1:
-            return False, f"L({2*n},1): {len(phis)} classes"
+            return 0, f"L({2*n},1): {len(phis)} classes"
         rep = analyze.fundamental_report(tri, phis[0], k_phi=0)
         census = rep.census
         ok = (census.even_edges == n - 1 and census.odd_edges == n - 1
               and rep.chi == 2 - n and census.tri_tets == 0
               and rep.eq1_lhs == 2 and rep.eq1_rhs == 2 and rep.balanced)
         if not ok:
-            return False, (f"L({2*n},1): e={census.even_edges} o={census.odd_edges} "
-                           f"chi={rep.chi} eq1={rep.eq1_lhs}/{rep.eq1_rhs}")
-    return True, f"balanced L(2n,1) exact for n in {ns.start}..{ns.stop - 1}"
+            return 0, (f"L({2*n},1): e={census.even_edges} "
+                       f"o={census.odd_edges} chi={rep.chi} "
+                       f"eq1={rep.eq1_lhs}/{rep.eq1_rhs}")
+    return len(ns), None
 
 
 def _mm_params(tags, quick=False):
@@ -347,15 +332,15 @@ def _fold_chi_agrees(node, w, folded):
     return _chi_agrees(f"lens {node.p}/{node.q} fold {w}", folded)
 
 
-def check_chi_two_methods(quick=False):
-    n, failure = _tree_outcome("chi_two_methods", quick)
-    return failure is None, (
-        failure or f"cell count equals census formula on {n} surfaces")
+# name, Z/2 rank, and tetrahedron count and norm sum in k + m + n, by tag
+_SEIFERT = {"M": ("M", 1, lambda s: 2 * s + 2, lambda s: s),
+            "MPRIME": ("M'", 2, lambda s: 2 * s + 3, lambda s: 2 * s)}
 
 
-def _check_seifert_family(tag, name, quick, rank, tets, norm_sum):
-    """Tetrahedron count, Z/2 rank and canonical-surface norm sum of every
-    member (k, m, n) of an augmented family, as functions of k + m + n."""
+def _seifert_family(tag, quick):
+    """The members (k, m, n) of an augmented family checked, and the first
+    failure."""
+    name, rank, tets, norm_sum = _SEIFERT[tag]
     count = 0
     for _, kmn in _mm_params((tag,), quick):
         tri = _member(tag, kmn)
@@ -363,52 +348,40 @@ def _check_seifert_family(tag, name, quick, rank, tets, norm_sum):
         h = homology.first_homology(tri)
         phis = cocycle.all_nonzero_classes(tri)
         if tri.tet_count != tets(s):
-            return False, f"{label}: {tri.tet_count} tetrahedra"
+            return count, f"{label}: {tri.tet_count} tetrahedra"
         if h.z2_rank != rank or len(phis) != 2 ** rank - 1:
-            return False, f"{label}: rank {h.z2_rank}"
+            return count, f"{label}: rank {h.z2_rank}"
         total = sum(-surface.canonical_surface(tri, phi).chi for phi in phis)
         if total != norm_sum(s):
-            return False, f"{label}: norm sum {total}"
+            return count, f"{label}: norm sum {total}"
         count += 1
-    return True, f"family {name} exact on {count} instances"
+    return count, None
 
 
-def check_family_m(quick=False):
-    return _check_seifert_family("M", "M", quick, rank=1,
-                                 tets=lambda s: 2 * s + 2,
-                                 norm_sum=lambda s: s)
-
-
-def check_family_mprime(quick=False):
-    return _check_seifert_family("MPRIME", "M'", quick, rank=2,
-                                 tets=lambda s: 2 * s + 3,
-                                 norm_sum=lambda s: 2 * s)
-
-
-def check_quaternionic(quick=False):
+def _quaternionic(quick):
     ks = (4, 6) if quick else (4, 6, 8, 10)
     for k in ks:
         tri = build.layered_loop(k, twisted=True)
         h = homology.first_homology(tri)
         if tri.tet_count != k or h.invariant_factors != (2, 2) or h.betti:
-            return False, f"loop {k}: {h}"
+            return 0, f"loop {k}: {h}"
         phis = cocycle.all_nonzero_classes(tri)
         klein = 0
         for phi in phis:
             types = cocycle.classify_tetrahedra(tri, phi)
             if any(ty is not TetType.QUAD for ty, _ in types):
-                return False, f"loop {k}: non-quad tetrahedron"
+                return 0, f"loop {k}: non-quad tetrahedron"
             canon = surface.canonical_surface(tri, phi, types)
             chi, orientable, connected = surface.surface_classify(
                 tri, canon.coord, canon.chi)
             if chi == 0 and connected and not orientable:
                 klein += 1
         if klein != 1:
-            return False, f"loop {k}: {klein} Klein classes"
+            return 0, f"loop {k}: {klein} Klein classes"
         kinds = {kind for _, _, kind in surface.twisted_square_scan(tri)}
         if "klein" not in kinds:
-            return False, f"loop {k}: no Klein square ({kinds})"
-    return True, f"twisted loops exact for k in {ks}"
+            return 0, f"loop {k}: no Klein square ({kinds})"
+    return len(ks), None
 
 
 def _octagon_items(quick):
@@ -450,13 +423,7 @@ def _octagon_share(share, quick):
     return checked, None
 
 
-def check_octagon_formula(quick=False):
-    checked, failure = _alone("octagon_formula", _octagon_share, quick)
-    return failure is None, (
-        failure or f"octagon count formula on {checked} modifications")
-
-
-def check_formal_solutions(quick=False):
+def _formal_solutions(quick):
     n = 0
     instances = [tri for _, _, tri in _family_grid(quick=True)]
     instances.append(build.lens_space(1, 6)[0])
@@ -464,16 +431,16 @@ def check_formal_solutions(quick=False):
         edges, tets, fchi = surface.special_solutions(tri)
         for sol in edges:
             if fchi(sol) != 2:
-                return False, "edge solution with formal chi != 2"
+                return n, "edge solution with formal chi != 2"
             n += 1
         for sol in tets:
             if fchi(sol) != 1:
-                return False, "tetrahedral solution with formal chi != 1"
+                return n, "tetrahedral solution with formal chi != 1"
             n += 1
         link = surface.vertex_link(tri)
         if fchi(link) != surface.euler_char(tri, link):
-            return False, "formal chi disagrees with cell count on the link"
-    return True, f"{n} special solutions have formal chi 2 and 1"
+            return n, "formal chi disagrees with cell count on the link"
+    return n, None
 
 
 def _interior_faces(tri):
@@ -526,11 +493,10 @@ def _moves_share(share, quick):
     return done, _all_quad_flip() if share == 1 else None
 
 
-def _all_quad_flip():
-    """None if the 4-4 flip of an all-quad octahedron gives four
-    triangle-type tetrahedra, else what went wrong."""
-    # all-quad octahedron: deterministic hunt via seeded 2-3 moves
-    found = None
+def _all_quad_sites():
+    """(tri, phi, edge) for each all-quad octahedron, about an even edge of
+    degree 4 in four quad tetrahedra, that a deterministic hunt by seeded
+    2-3 moves from the twisted loop of six tetrahedra meets."""
     base = build.layered_loop(6, twisted=True)
     for phi0 in cocycle.all_nonzero_classes(base):
         for trial in range(40):
@@ -540,26 +506,21 @@ def _all_quad_flip():
                 faces = _interior_faces(tri)
                 if not faces:
                     break
-                f = srng.choice(faces)
                 tri, phi = analyze.pachner_with_cocycle(
-                    tri, phi, analyze.MoveSpec("23", face=f))
-                sites = []
+                    tri, phi, analyze.MoveSpec("23", face=srng.choice(faces)))
                 types = cocycle.classify_tetrahedra(tri, phi)
                 for e, slots in enumerate(tri.skeleton.edge_slots()):
-                    if len(slots) != 4 or phi[e]:
-                        continue
-                    tets = {x // 6 for x in slots}
-                    if len(tets) == 4 and all(
-                            types[t][0] is TetType.QUAD for t in tets):
-                        sites.append(e)
-                if sites:
-                    found = (tri, phi, sites[0])
-                    break
-            if found:
-                break
-        if found:
-            break
-    if not found:
+                    quads = {x // 6 for x in slots
+                             if types[x // 6][0] is TetType.QUAD}
+                    if len(slots) == len(quads) == 4 and not phi[e]:
+                        yield tri, phi, e
+
+
+def _all_quad_flip():
+    """None if the 4-4 flip of the first all-quad octahedron found gives
+    four triangle-type tetrahedra, else what went wrong."""
+    found = next(_all_quad_sites(), None)
+    if found is None:
         return "no all-quad octahedron located"
     tri, phi, edge = found
     h0 = homology.first_homology(tri)
@@ -572,13 +533,6 @@ def _all_quad_flip():
     if any(ty is not TetType.TRI for ty, _ in newtypes):
         return f"4-4 on all-quad octahedron gave {newtypes}"
     return None
-
-
-def check_moves(quick=False):
-    done, failure = _alone("moves", _moves_share, quick)
-    return failure is None, (
-        failure or f"{done} 2-3/3-2 round trips, homology invariant, "
-                   "all-quad 4-4 flip gives four triangle tetrahedra")
 
 
 def _lens_recognised(node, w, folded):
@@ -603,11 +557,6 @@ def _member_recognised(tag, kmn):
     return 1
 
 
-def check_lst_recognition(quick=False):
-    n, failure = _tree_outcome("lst_recognition", quick)
-    return failure is None, failure or f"{n} recognition checks"
-
-
 # what a tree criterion checks on a fold: a count of checks passed, or the
 # failure
 _FOLD_CHECKS = {"fold_homology": _fold_order,
@@ -615,23 +564,19 @@ _FOLD_CHECKS = {"fold_homology": _fold_order,
                 "lst_recognition": _lens_recognised}
 
 
-def check_fundamental_identity(quick=False):
+def _fundamental_identity(instances, quick):
     rng = random.Random(1789)
     n = 0
-    instances = _closed_instances()
-    vector_budget = 60 if quick else 200
     for tri in instances:
         for phi in cocycle.all_nonzero_classes(tri):
             analyze.fundamental_report(tri, phi)  # raises on violation
             n += 1
-    randoms = 0
     closed_one_vertex = [t for t in instances
                          if t.skeleton.vertex_count == 1]
-    while randoms < vector_budget:
+    for randoms in range(60 if quick else 200):
         tri = closed_one_vertex[randoms % len(closed_one_vertex)]
         basis = cocycle.cocycle_basis(tri)
         if not basis:
-            randoms += 1
             continue
         acc = None
         for phi in basis:
@@ -640,72 +585,127 @@ def check_fundamental_identity(quick=False):
         if acc is None or acc.is_zero:
             acc = basis[0]
         analyze.fundamental_report(tri, acc)
-        randoms += 1
         n += 1
-    return True, f"degree identity asserted on {n} colourings"
+    return n, None
 
 
-def check_lint_identity(quick=False):
+def _lint_identity(instances, quick):
     n = 0
-    for tri in _closed_instances():
+    for tri in instances:
         sk = tri.skeleton
         if not tri.is_closed or sk.vertex_count != 1:
             continue
         if sk.edge_count != tri.tet_count + 1:
-            return False, "E != T + 1"
+            return n, "E != T + 1"
         total = sum((6 - d) * c for d, c in sk.degree_histogram().items())
         if total != 6:
-            return False, f"sum (6-i) E_i = {total}"
+            return n, f"sum (6-i) E_i = {total}"
         n += 1
-    return True, f"E = T+1 and sum (6-i)E_i = 6 on {n} closed instances"
+    return n, None
 
 
-CHECKS = (
-    ("lst_counts", check_lst_counts),
-    ("fold_homology", check_fold_homology),
-    ("one_tet_folds", check_one_tet_folds),
-    ("balanced_family", check_balanced_family),
-    ("chi_two_methods", check_chi_two_methods),
-    ("family_m", check_family_m),
-    ("family_mprime", check_family_mprime),
-    ("quaternionic", check_quaternionic),
-    ("octagon_formula", check_octagon_formula),
-    ("formal_solutions", check_formal_solutions),
-    ("moves", check_moves),
-    ("lst_recognition", check_lst_recognition),
-    ("fundamental_identity", check_fundamental_identity),
-    ("lint_identity", check_lint_identity),
+def _identities(quick, served):
+    """The identity criteria ``served`` over one build of
+    ``_closed_instances``: ``{criterion: (count, failure)}``, an exception
+    a criterion raised being its failure."""
+    instances = _closed_instances()
+    walks = {"fundamental_identity": _fundamental_identity,
+             "lint_identity": _lint_identity}
+    outcomes = {}
+    for c in served:
+        try:
+            outcomes[c] = walks[c](instances, quick)
+        except Exception as exc:
+            outcomes[c] = (0, exc)
+    return outcomes
+
+
+# The tasks of a run, longest first as in Graham's list scheduling: (walk,
+# arg, criteria in ``CHECKS`` order).  ``walk(arg, quick)``, or
+# ``walk(quick)`` if arg is None, returns ``(count, failure)``; a walk of
+# several criteria also takes those selected, and returns a dict of them.
+_TASKS = (
+    (_tree_share, 0, tuple(_TREE_DEPTHS)),
+    (_tree_share, 1, tuple(_TREE_DEPTHS)),
+    (_octagon_share, 0, ("octagon_formula",)),
+    (_octagon_share, 1, ("octagon_formula",)),
+    (_moves_share, 0, ("moves",)),
+    (_moves_share, 1, ("moves",)),
+    (_seifert_family, "MPRIME", ("family_mprime",)),
+    (_seifert_family, "M", ("family_m",)),
+    (_identities, None, ("fundamental_identity", "lint_identity")),
+    (_formal_solutions, None, ("formal_solutions",)),
+    (_balanced_family, None, ("balanced_family",)),
+    (_quaternionic, None, ("quaternionic",)),
+    (_one_tet_folds, None, ("one_tet_folds",)),
 )
 
 
+check_lst_counts = _check("lst_counts", lambda n, quick: (
+    f"{n} layered solid tori checked to depth "
+    f"{_tree_depth('lst_counts', quick)}"))
+check_fold_homology = _check("fold_homology", lambda n, quick: (
+    f"{n} folds matched the lens table to depth "
+    f"{_tree_depth('fold_homology', quick)}"))
+check_one_tet_folds = _check("one_tet_folds", lambda n, quick: (
+    "one-tetrahedron folds give orders 4, 5, 1"))
+check_balanced_family = _check("balanced_family", lambda n, quick: (
+    f"balanced L(2n,1) exact for n in 3..{n + 2}"))
+check_chi_two_methods = _check("chi_two_methods", lambda n, quick: (
+    f"cell count equals census formula on {n} surfaces"))
+check_family_m = _check("family_m", lambda n, quick: (
+    f"family M exact on {n} instances"))
+check_family_mprime = _check("family_mprime", lambda n, quick: (
+    f"family M' exact on {n} instances"))
+check_quaternionic = _check("quaternionic", lambda n, quick: (
+    f"twisted loops exact for k in {tuple(range(4, 2 * n + 4, 2))}"))
+check_octagon_formula = _check("octagon_formula", lambda n, quick: (
+    f"octagon count formula on {n} modifications"))
+check_formal_solutions = _check("formal_solutions", lambda n, quick: (
+    f"{n} special solutions have formal chi 2 and 1"))
+check_moves = _check("moves", lambda n, quick: (
+    f"{n} 2-3/3-2 round trips, homology invariant, "
+    "all-quad 4-4 flip gives four triangle tetrahedra"))
+check_lst_recognition = _check("lst_recognition", lambda n, quick: (
+    f"{n} recognition checks"))
+check_fundamental_identity = _check("fundamental_identity", lambda n, quick: (
+    f"degree identity asserted on {n} colourings"))
+check_lint_identity = _check("lint_identity", lambda n, quick: (
+    f"E = T+1 and sum (6-i)E_i = 6 on {n} closed instances"))
+
+CHECKS = tuple((check.__name__.removeprefix("check_"), check) for check in (
+    check_lst_counts, check_fold_homology, check_one_tet_folds,
+    check_balanced_family, check_chi_two_methods, check_family_m,
+    check_family_mprime, check_quaternionic, check_octagon_formula,
+    check_formal_solutions, check_moves, check_lst_recognition,
+    check_fundamental_identity, check_lint_identity))
+
+
 def run(only=None, quick=False):
-    """Run the acceptance checks; returns a printable summary, with each
-    criterion's wall time in nanoseconds under ``elapsed_ns``.  The tree
-    criteria share one walk of the fraction tree, run within the call of
-    the first of them selected (``_tree_outcome``).  Each walk that splits
-    into shares walks its second share in a forked child when more than one
-    CPU is usable (``_in_shares``); no child is left, and no outcome of the
-    shared walk is kept, when this returns."""
-    global _walked
+    """Run the acceptance checks; returns a printable summary, with the
+    summed time in nanoseconds of the tasks each criterion owns under
+    ``elapsed_ns``.  Every task of the selected criteria runs in one
+    schedule (``_scheduled``), within the call of the first of them; no
+    child is left, and no outcome of the schedule is kept, when this
+    returns."""
+    global _run
     selected = [(name, fn) for name, fn in CHECKS
                 if not only or only in name]
-    lines = []
-    failures = []
-    elapsed_ns = {}
-    _walked = {name: None for name, _ in selected if name in _TREE_DEPTHS}
+    lines, failures = [], []
+    elapsed_ns = dict.fromkeys((name for name, _ in selected), 0)
+    _run = ({name: None for name, _ in selected if any(
+        name in criteria for _, _, criteria in _TASKS)}, elapsed_ns)
     try:
         for name, fn in selected:
-            start = time.perf_counter_ns()
             try:
                 ok, detail = fn(quick=quick)
             except (TriangulationError, AssertionError) as exc:
                 ok, detail = False, f"raised {exc}"
-            elapsed_ns[name] = time.perf_counter_ns() - start
             lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
             if not ok:
                 failures.append({"check": name, "detail": detail})
     finally:
-        _walked = None
+        _run = None
     return {"lines": lines, "passed": len(lines) - len(failures),
             "failed": len(failures), "failures": failures,
             "elapsed_ns": elapsed_ns}

@@ -1,9 +1,10 @@
 """The long criteria of ``trinorm verify`` walk their grids in two shares,
-share 1 in a forked child when more than one CPU is usable: together the
+and a run schedules its tasks (shares and unsplit criteria) on one forked
+child beside the parent when more than one CPU is usable: together the
 shares are the serial walk, the forked and in-process paths report the
 same, share 0's first failure wins over share 1's, a failure inside a
-child reaches the report, each split walk of a run forks one child, and no
-child outlives its criterion.
+child reaches the report, every task runs once, a run forks one child,
+and no child outlives it.
 
 The four tree criteria share one walk of the fraction tree per share.  The
 share walkers they had each on their own are kept here, word for word, as
@@ -18,6 +19,7 @@ import multiprocessing
 import os
 import pickle
 import pkgutil
+import signal
 import subprocess
 import sys
 import time
@@ -42,8 +44,9 @@ from test_surface import _octagon_formula_modifications
 SHARED = ("lst_counts", "fold_homology", "chi_two_methods",
           "octagon_formula", "moves", "lst_recognition")
 TREE = ("lst_counts", "fold_homology", "chi_two_methods", "lst_recognition")
-# one child for the shared tree walk, one each for octagon_formula and moves
-FORKS_PER_RUN = 3
+NAMES = tuple(name for name, _ in verifysuite.CHECKS)
+# one child per run, claiming tasks beside the parent
+FORKS_PER_RUN = 1
 
 
 def _cpus(monkeypatch, cpus):
@@ -58,22 +61,37 @@ def _no_child_left():
 
 
 @contextmanager
-def _path(monkeypatch, forked):
-    """Within the block a direct ``check_*`` call takes the forked path
-    (share 1 in a child, even on one CPU) or the in-process one, walking
-    for its own criterion as inside a run that did not select it."""
+def _path(monkeypatch, forked, name):
+    """Within the block a call of criterion ``name``'s check runs its tasks
+    as inside a run that selected it alone: with a forked child claiming
+    tasks beside this process, or all of them in this process."""
     _cpus(monkeypatch, 2 if forked else 1)
-    verifysuite._walked = {}
+    verifysuite._run = ({name: None}, {})
     try:
         yield
     finally:
-        verifysuite._walked = None
+        verifysuite._run = None
     _no_child_left()
+
+
+def _task_lines(caplog):
+    """(task, criteria, seconds, pid) of each DEBUG line of a task."""
+    found = []
+    for record in caplog.records:
+        message = record.getMessage()
+        if record.name == "trinorm.verifysuite" and message.startswith(
+                "task "):
+            head, tail = message.split(": ", 1)
+            task, criteria = head[len("task "):].split(" ", 1)
+            seconds, pid = tail.split(" s in process ")
+            found.append((int(task), criteria.strip("()"), float(seconds),
+                          int(pid)))
+    return found
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The number of processes forked so far; a criterion forks its child
+    """The number of processes forked so far; a run forks its child
     through ``os.fork``."""
     count = [0]
     real = os.fork
@@ -253,7 +271,7 @@ def test_pooled_path_reports_as_the_in_process_path(monkeypatch, name,
     check = dict(verifysuite.CHECKS)[name]
     results = []
     for forked in (True, False):
-        with _path(monkeypatch, forked):
+        with _path(monkeypatch, forked, name):
             results.append(check(quick=quick))
     # outside a run a direct call walks its shares in process
     _cpus(monkeypatch, 2)
@@ -263,8 +281,13 @@ def test_pooled_path_reports_as_the_in_process_path(monkeypatch, name,
     assert results[0][0], results[0][1]
 
 
+# every criterion on its own, the selections of several (those CI runs
+# among them) and the whole grid
+SELECTIONS = NAMES + ("lst_", "fold", "octagon", "_identity", "family", None)
+
+
 @pytest.mark.parametrize("quick", [True, False])
-@pytest.mark.parametrize("name", SHARED)
+@pytest.mark.parametrize("name", SELECTIONS)
 def test_a_run_reports_alike_on_any_number_of_cpus(monkeypatch, name, quick):
     summaries = []
     for cpus in (1, 2, 3):
@@ -274,7 +297,9 @@ def test_a_run_reports_alike_on_any_number_of_cpus(monkeypatch, name, quick):
         del summary["elapsed_ns"]
         summaries.append(summary)
     assert summaries[0] == summaries[1] == summaries[2]
-    assert summaries[0]["passed"] == len(summaries[0]["lines"]) == 1
+    selected = [c for c in NAMES if not name or name in c]
+    assert summaries[0]["passed"] == len(summaries[0]["lines"]) == len(
+        selected)
 
 
 def _quick_folds(share):
@@ -297,7 +322,7 @@ def test_first_failure_in_walker_order_wins(monkeypatch):
     p, q = node0.p, node0.q
     expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w0]
     for forked in (True, False):
-        with _path(monkeypatch, forked):
+        with _path(monkeypatch, forked, "fold_homology"):
             assert verifysuite.check_fold_homology(quick=True) == (
                 False, f"fold of {p}/{q} along {w0}: |H1| = -1, "
                        f"expected {expect}")
@@ -319,7 +344,7 @@ def test_first_octagon_failure_in_serial_order_wins(monkeypatch):
 
     monkeypatch.setattr(surface, "b_modification", failing)
     for forked in (True, False):
-        with _path(monkeypatch, forked):
+        with _path(monkeypatch, forked, "octagon_formula"):
             assert verifysuite.check_octagon_formula(quick=True) == (
                 False, f"{last[0]}: formula fails at {last[3]}")
 
@@ -336,7 +361,7 @@ def test_an_exception_in_a_worker_reaches_the_report(monkeypatch):
     monkeypatch.setattr(homology, "first_homology", raising)
     lines = []
     for forked in (True, False):
-        with _path(monkeypatch, forked):
+        with _path(monkeypatch, forked, "fold_homology"):
             with pytest.raises(GluingError) as caught:
                 verifysuite.check_fold_homology(quick=True)
         assert caught.value.slot == (1, 2)
@@ -361,19 +386,18 @@ def test_a_worker_that_dies_fails_its_criterion(monkeypatch, capfd):
     assert cli.main(["verify"]) == 1
     _no_child_left()
     out, err = capfd.readouterr()
-    # the child of the tree walk serves all four tree criteria, and
-    # fold_homology calls first_homology there; moves checks every move
-    # with it
+    # the parent claims the tree walk's share 0 before it forks, so the
+    # child's first task is share 1, which serves all four tree criteria,
+    # and fold_homology calls first_homology there; the parent then runs
+    # every other task, moves and the unsplit criteria among them
     died = "a worker process died: exit code 3"
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert failed == [f"FAIL {name}: {died}" for name in (
-        "lst_counts", "fold_homology", "chi_two_methods", "moves",
-        "lst_recognition")]
+    assert failed == [f"FAIL {name}: {died}" for name in TREE]
     assert "Traceback" not in out + err
 
 
 def test_a_run_forks_its_workers_once(monkeypatch, forks):
-    # one child per split walk, however many CPUs are usable
+    # one child per run, however many CPUs are usable
     for cpus in (2, 3, 8):
         _cpus(monkeypatch, cpus)
         before = forks()
@@ -396,39 +420,34 @@ def test_a_run_with_nothing_to_share_forks_no_worker(monkeypatch, forks):
     assert forks() == 0
 
 
-def test_a_child_that_dies_fails_only_its_criterion(monkeypatch, tmp_path,
+def test_a_child_that_dies_fails_only_its_criterion(monkeypatch, caplog,
                                                     forks):
-    # exactly one child dies, in the first criterion; the next criterion
-    # forks a fresh child and passes
+    # a signal kills the child in the middle of its first task, the tree
+    # walk's share 1: exactly the four criteria that task serves fail, and
+    # the parent runs every task left, so the other ten pass as in a clean
+    # run
+    _cpus(monkeypatch, 1)
+    clean = verifysuite.run(quick=True)["lines"]
     parent = os.getpid()
-    died = tmp_path / "died"
-    ran = tmp_path / "ran"
     real = homology.first_homology
 
-    def dying_once(tri):
+    def killed(tri):
         if os.getpid() != parent:
-            try:
-                os.close(os.open(died, os.O_CREAT | os.O_EXCL))
-            except FileExistsError:
-                with open(ran, "a") as log:
-                    log.write(f"{os.getpid()}\n")
-            else:
-                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
         return real(tri)
 
-    monkeypatch.setattr(homology, "first_homology", dying_once)
-    check = verifysuite.check_fold_homology
-    monkeypatch.setattr(verifysuite, "CHECKS", (("fold_homology", check),
-                                                ("fold_homology_again",
-                                                 check)))
+    monkeypatch.setattr(homology, "first_homology", killed)
     _cpus(monkeypatch, 2)
-    lines = verifysuite.run(quick=True)["lines"]
+    with caplog.at_level(logging.DEBUG, logger="trinorm.verifysuite"):
+        lines = verifysuite.run(quick=True)["lines"]
     _no_child_left()
-    assert lines == [
-        "FAIL fold_homology: a worker process died: exit code 3",
-        "PASS fold_homology_again: 189 folds matched the lens table to "
-        "depth 6"]
-    assert forks() == 2 and ran.exists()
+    died = f"a worker process died: exit code {-signal.SIGKILL}"
+    assert lines == [f"FAIL {name}: {died}" if name in TREE else line
+                     for name, line in zip(NAMES, clean)]
+    assert forks() == 1
+    tasks = _task_lines(caplog)
+    assert [task for task, *_ in tasks] == list(range(13))
+    assert [task for task, _, _, pid in tasks if pid != parent] == [1]
 
 
 @pytest.mark.parametrize("case", ["passes", "child dies",
@@ -442,14 +461,15 @@ def test_no_child_outlives_a_split_criterion(monkeypatch, case):
         monkeypatch.setattr(homology, "first_homology", lambda tri: (
             os._exit(3) if os.getpid() != parent else real(tri)))
     elif case == "share 0 fails first":
-        # the child stalls for 20 s at its first fold: it is killed, not
-        # waited for
+        # the child stalls for 1 s at its first fold: share 0's failure is
+        # reported once the child's share is in, and that share's time
+        # counts
         node, w, fold = _quick_folds(0)[0]
         p, q = node.p, node.q
         expect = {p: 2 * q + p, q: 2 * p + q, p + q: abs(p - q)}[w]
         line = (f"FAIL fold_homology: fold of {p}/{q} along {w}: "
                 f"|H1| = -1, expected {expect}")
-        stalls = [20]
+        stalls = [1]
 
         def misreported_here_slow_there(tri):
             if os.getpid() != parent and stalls:
@@ -465,6 +485,8 @@ def test_no_child_outlives_a_split_criterion(monkeypatch, case):
     _no_child_left()
     assert summary["lines"] == [line]
     assert summary["elapsed_ns"]["fold_homology"] < 10 * 10**9
+    if case == "share 0 fails first":
+        assert summary["elapsed_ns"]["fold_homology"] >= 10**9
 
 
 @pytest.mark.parametrize("quick", [True, False])
@@ -513,7 +535,10 @@ def test_a_failing_tree_criterion_leaves_the_others_alone(monkeypatch,
 
 def test_a_run_folds_each_tree_fold_once(monkeypatch):
     # the 1,023 nodes to depth 10 have 3,069 folds; the tree criteria that
-    # each walked the tree on their own built 6,642
+    # each walked the tree on their own built 6,642.  The two identity
+    # criteria share one build of their 93 lens folds, where each built its
+    # own, and 24 folds are the lens spaces of five other criteria.  The
+    # whole schedule runs within the call of the first criterion
     calls = [0]
     real = build.fold_along_edge
 
@@ -537,9 +562,7 @@ def test_a_run_folds_each_tree_fold_once(monkeypatch):
         (name, counting(name, check)) for name, check in verifysuite.CHECKS))
     _cpus(monkeypatch, 1)
     assert verifysuite.run()["failed"] == 0
-    assert {name: folds[name] for name in TREE} == {
-        "lst_counts": 3069, "fold_homology": 0, "chi_two_methods": 0,
-        "lst_recognition": 0}
+    assert folds == dict.fromkeys(NAMES, 0) | {"lst_counts": 3069 + 93 + 24}
 
 
 @pytest.fixture
@@ -552,7 +575,9 @@ def tree_walks(monkeypatch):
         walks.append((share, served))
         return real(share, quick, served)
 
-    monkeypatch.setattr(verifysuite, "_tree_share", spied)
+    monkeypatch.setattr(verifysuite, "_TASKS", tuple(
+        (spied if walk is real else walk, arg, criteria)
+        for walk, arg, criteria in verifysuite._TASKS))
     return walks
 
 
@@ -561,7 +586,7 @@ def test_each_run_walks_the_tree_once(monkeypatch, tree_walks):
     summaries = []
     for _ in range(2):
         summary = verifysuite.run(quick=True)
-        assert verifysuite._walked is None
+        assert verifysuite._run is None
         del summary["elapsed_ns"]
         summaries.append(summary)
     assert tree_walks == [(0, TREE), (1, TREE)] * 2
@@ -595,9 +620,108 @@ def test_the_shared_walk_logs_each_share(monkeypatch, caplog):
         verifysuite.run(quick=True)
     served = ", ".join(TREE)
     assert [record.getMessage() for record in caplog.records
-            if record.name == "trinorm.verifysuite"] == [
+            if record.name == "trinorm.verifysuite"
+            and not record.getMessage().startswith("task ")] == [
         f"tree walk, share 0: depth 8, 128 nodes, 96 folds, for {served}",
         f"tree walk, share 1: depth 8, 127 nodes, 93 folds, for {served}"]
+
+
+# the criteria of each task, as its DEBUG line names them
+TASK_CRITERIA = [", ".join(TREE)] * 2 + ["octagon_formula"] * 2 + [
+    "moves"] * 2 + ["family_mprime", "family_m",
+                    "fundamental_identity, lint_identity",
+                    "formal_solutions", "balanced_family", "quaternionic",
+                    "one_tet_folds"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_task_logs_its_process_and_seconds(monkeypatch, caplog, cpus):
+    # in task order, once the schedule is done; the child's first task is
+    # the tree walk's share 1.  A criterion's time is the sum of the tasks
+    # it owns, each owned by the first criterion it serves
+    _cpus(monkeypatch, cpus)
+    with caplog.at_level(logging.DEBUG, logger="trinorm.verifysuite"):
+        summary = verifysuite.run(quick=True)
+    _no_child_left()
+    tasks = _task_lines(caplog)
+    assert [(task, criteria) for task, criteria, _, _ in tasks] == list(
+        enumerate(TASK_CRITERIA))
+    pids = {task: pid for task, _, _, pid in tasks}
+    assert pids[0] == os.getpid()
+    assert (pids[1] != os.getpid()) == (cpus > 1)
+    assert len(set(pids.values())) == cpus
+    owned = dict.fromkeys(NAMES, 0.0)
+    for _, criteria, seconds, _ in tasks:
+        owned[criteria.split(", ")[0]] += seconds
+    for name, ns in summary["elapsed_ns"].items():
+        assert abs(ns / 1e9 - owned[name]) <= 0.0005 * 13, name
+    assert all(summary["elapsed_ns"][name] == 0 for name in (
+        "fold_homology", "chi_two_methods", "lst_recognition",
+        "lint_identity"))
+
+
+@pytest.fixture
+def task_log(monkeypatch, tmp_path):
+    """Each task run by either process appends ``task pid start end`` (in
+    ``perf_counter_ns``, which all processes read alike) to a file; returns
+    a reader of its lines."""
+    log = tmp_path / "tasks"
+
+    def logged(task, walk):
+        def run(*args):
+            start = time.perf_counter_ns()
+            try:
+                return walk(*args)
+            finally:
+                fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+                os.write(fd, f"{task} {os.getpid()} {start} "
+                             f"{time.perf_counter_ns()}\n".encode())
+                os.close(fd)
+        return run
+
+    monkeypatch.setattr(verifysuite, "_TASKS", tuple(
+        (logged(task, walk), arg, criteria) for task, (walk, arg, criteria)
+        in enumerate(verifysuite._TASKS)))
+    return lambda: [tuple(map(int, line.split()))
+                    for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_every_task_runs_once_across_both_processes(monkeypatch, task_log,
+                                                    cpus):
+    _cpus(monkeypatch, cpus)
+    assert verifysuite.run(quick=True)["failed"] == 0
+    _no_child_left()
+    ran = task_log()
+    assert sorted(task for task, *_ in ran) == list(range(13))
+    assert len({pid for _, pid, _, _ in ran}) == min(cpus, 2)
+
+
+def test_timing_wrappers_see_every_task(monkeypatch, task_log):
+    # CHECKS wrapped as the benchmark wraps it: the parent sees one call
+    # per criterion, and the first call's interval holds every task, the
+    # child's too
+    calls = []
+
+    def timed(name, fn):
+        def run(quick=False):
+            start = time.perf_counter_ns()
+            try:
+                return fn(quick=quick)
+            finally:
+                calls.append((name, start, time.perf_counter_ns()))
+        return run
+
+    monkeypatch.setattr(verifysuite, "CHECKS", tuple(
+        (name, timed(name, fn)) for name, fn in verifysuite.CHECKS))
+    _cpus(monkeypatch, 2)
+    assert verifysuite.run(quick=True)["failed"] == 0
+    _no_child_left()
+    assert [name for name, _, _ in calls] == list(NAMES)
+    _, first, last = calls[0]
+    ran = task_log()
+    assert len(ran) == 13 and len({pid for _, pid, _, _ in ran}) == 2
+    assert all(first <= start <= end <= last for _, _, start, end in ran)
 
 
 def test_importing_the_package_loads_no_process_pool():
