@@ -1,13 +1,16 @@
 """Exact integer and GF(2) linear algebra plus first homology.
 
 Dense matrices are lists of lists of Python ints (arbitrary precision).
-First homology works on sparse columns instead: unit pivots eliminate all
-but a small remainder of the relation matrix, and only that remainder
-goes through the dense Smith normal form.  The GF(2) side packs rows into
-int bitsets, reduces them with the one eliminator ``_gf2_reduce`` of
-``triangulation`` (d2 mod 2 is the skeleton's cached ``face_echelon``), and
-is computed independently of the integer route so the two can be
-cross-checked.
+First homology works on sparse columns instead.  Its relations are the
+face columns of d2 off a spanning tree of the dual graph: the T - 1 tree
+faces' columns are integer combinations of the others, since d2 d3 = 0, so
+F - T + 1 face columns are left.  Unit pivots eliminate all but a small
+remainder of them, and only that remainder goes through the dense Smith
+normal form (Dumas, Saunders and Villard 2001).  The GF(2) side packs
+rows into int bitsets, reduces them with the one eliminator
+``_gf2_reduce`` of ``triangulation`` (d2 mod 2 is the skeleton's cached
+``face_echelon``, every face's row), and is computed independently of the
+integer route so the two can be cross-checked.
 """
 
 from __future__ import annotations
@@ -149,15 +152,10 @@ _FACET_TERMS = tuple(((EDGE_INDEX[w[1], w[2]], 1),
                       (EDGE_INDEX[w[0], w[1]], 1)) for w in FACET_VERTICES)
 
 
-def _boundary_columns(tri):
-    """The boundary maps of the quotient CW structure as sparse columns,
-    with the edge/face class orientations of the skeleton: each edge
-    class's (tail, head) vertex classes, and each face class's boundary as
-    a dict edge class -> nonzero coefficient."""
-    require_valid_cells(tri)
-    sk = tri.skeleton
-    vertex_class = sk.vertex_class
-    edge_class, edge_sign = sk.edge_class, sk.edge_sign
+def _edge_ends(sk):
+    """Each edge class's (tail, head) vertex classes, in the class
+    direction."""
+    vertex_class, edge_sign = sk.vertex_class, sk.edge_sign
     ends = []
     for s in sk.edge_first:
         t, ei = divmod(s, 6)
@@ -165,12 +163,27 @@ def _boundary_columns(tri):
         if edge_sign[s] < 0:
             a, b = b, a
         ends.append((vertex_class[4 * t + a], vertex_class[4 * t + b]))
+    return ends
+
+
+def _face_columns(sk, slots):
+    """The boundary of the face class first met at each facet slot of
+    ``slots``, as a dict edge class -> nonzero coefficient."""
+    edge_class, edge_sign = sk.edge_class, sk.edge_sign
     faces = []
-    for s in sk.face_first:
+    for s in slots:
         t, f = divmod(s, 4)
         w = 6 * t
+        terms = _FACET_TERMS[f]
+        (i, _), (j, _), (k, _) = terms
+        a, b, c = edge_class[w + i], edge_class[w + j], edge_class[w + k]
+        if a != b != c != a:
+            # three distinct classes: the terms' coefficients, +1, -1, +1
+            faces.append({a: edge_sign[w + i], b: -edge_sign[w + j],
+                          c: edge_sign[w + k]})
+            continue
         col = {}
-        for ei, coeff in _FACET_TERMS[f]:
+        for ei, coeff in terms:
             x = w + ei
             idx = edge_class[x]
             v = col.get(idx, 0) + coeff * edge_sign[x]
@@ -179,7 +192,17 @@ def _boundary_columns(tri):
             else:
                 del col[idx]
         faces.append(col)
-    return ends, faces
+    return faces
+
+
+def _boundary_columns(tri):
+    """The boundary maps of the quotient CW structure as sparse columns,
+    with the edge/face class orientations of the skeleton: each edge
+    class's (tail, head) vertex classes, and each face class's boundary as
+    a dict edge class -> nonzero coefficient."""
+    require_valid_cells(tri)
+    sk = tri.skeleton
+    return _edge_ends(sk), _face_columns(sk, sk.face_first)
 
 
 def boundary_matrices(tri):
@@ -264,42 +287,54 @@ def _eliminate_unit_pivots(columns):
 def first_homology(tri):
     """H_1 over the integers by sparse unit-pivot elimination ahead of a
     dense Smith normal form of what is left, with the Z/2 rank recomputed
-    independently over GF(2) and cross-checked."""
+    independently over GF(2) and cross-checked.
+
+    The relations are the face columns of d2 less those of the T - 1 faces
+    of ``dual_tree``.  Since d2 d3 = 0, and a face between two distinct
+    tetrahedra meets the boundary of each with coefficient +-1, peeling
+    the tree's leaves writes each tree face's column as an integer
+    combination of the other columns: the column span, and so H_1, is
+    unchanged."""
     if not tri.is_closed:
         raise TriangulationError("first_homology requires a closed triangulation")
     if not tri.is_connected:
         raise TriangulationError("first_homology requires a connected triangulation")
-    ends, faces = _boundary_columns(tri)
-    ne = len(ends)
+    require_valid_cells(tri)
+    sk = tri.skeleton
+    ne = sk.edge_count
+    tree = set(tri.dual_tree)
+    relations = _face_columns(sk, [s for s in sk.face_first if s not in tree])
 
-    # Kill a spanning tree of the vertex graph: contracting it leaves a
-    # one-vertex complex, so H_1 is the cokernel of d2 extended by unit
-    # columns for the tree edges.
-    tree = _UnionFind(tri.skeleton.vertex_count)
-    relations = faces
-    for e, (tail, head) in enumerate(ends):
-        if tree.find(tail)[0] != tree.find(head)[0]:
-            tree.union(tail, head, 0)
-            relations.append({e: 1})
+    # With two vertex classes or more, kill a spanning tree of the vertex
+    # graph: contracting it leaves a one-vertex complex, so H_1 is the
+    # cokernel of d2 extended by unit columns for the tree edges.  The GF(2)
+    # check reads the rank of d1 mod 2, zero with one vertex class.
+    rank1 = 0
+    if sk.vertex_count > 1:
+        primal = _UnionFind(sk.vertex_count)
+        rows1 = [0] * sk.vertex_count
+        for e, (tail, head) in enumerate(_edge_ends(sk)):
+            if primal.find(tail)[0] != primal.find(head)[0]:
+                primal.union(tail, head, 0)
+                relations.append({e: 1})
+            if tail != head:
+                rows1[tail] |= 1 << e
+                rows1[head] |= 1 << e
+        rank1 = gf2_rank(rows1)
     pivots, rest = _eliminate_unit_pivots(relations)
     width = len(rest[0]) if rest else 0
     diag, rest_rank = smith_normal_form(rest)
     factors = tuple(d for d in diag[:rest_rank] if d > 1)
     betti = ne - pivots - rest_rank
 
-    # independent GF(2) computation of dim H^1(M; Z/2): d1 mod 2 from the
-    # edge ends, d2 mod 2 from the skeleton's face rows, not from the
-    # elimination
-    rows1 = [0] * tri.skeleton.vertex_count
-    for e, (tail, head) in enumerate(ends):
-        if tail != head:
-            rows1[tail] |= 1 << e
-            rows1[head] |= 1 << e
-    z2 = ne - gf2_rank(rows1) - len(tri.skeleton.face_echelon)
+    # independent GF(2) computation of dim H^1(M; Z/2): d2 mod 2 from the
+    # skeleton's rows of every face, not from the elimination
+    z2 = ne - rank1 - len(sk.face_echelon)
     expected = betti + sum(1 for d in factors if d % 2 == 0)
-    _log.debug("first_homology: %d unit pivots, %dx%d remainder; GF(2) rank "
-               "%d, integer prediction %d", pivots, len(rest), width, z2,
-               expected)
+    _log.debug("first_homology: %d of %d face relations dropped on the dual "
+               "tree, %d unit pivots, %dx%d remainder; GF(2) rank %d, "
+               "integer prediction %d", len(tree), sk.face_count,
+               pivots, len(rest), width, z2, expected)
     if z2 != expected:
         raise AssertionError(
             f"GF(2) rank {z2} disagrees with invariant factors {factors}")

@@ -748,19 +748,33 @@ class Triangulation:
     # ----- global structure ----------------------------------------------
 
     @cached_property
-    def is_connected(self):
-        n = self.tet_count
-        if n == 0:
-            return True
-        seen = {0}
+    def dual_tree(self):
+        """The faces of a spanning tree of the dual graph of tetrahedron
+        0's component, as their lower facet slots: a depth-first search
+        from tetrahedron 0 keeps each face that first reaches a
+        tetrahedron.  The graph's nodes are the tetrahedra, and its edges
+        the faces glued between two distinct tetrahedra."""
+        glu = self._gluings
+        if not glu:
+            return []
+        seen = [False] * len(glu)
+        seen[0] = True
         stack = [0]
+        tree = []
         while stack:
             t = stack.pop()
-            for g in self._gluings[t]:
-                if g is not None and g[0] not in seen:
-                    seen.add(g[0])
-                    stack.append(g[0])
-        return len(seen) == n
+            for f, g in enumerate(glu[t]):
+                if g is not None and not seen[g[0]]:
+                    u, perm = g
+                    seen[u] = True
+                    stack.append(u)
+                    x, y = 4 * t + f, 4 * u + perm.images[f]
+                    tree.append(x if x < y else y)
+        return tree
+
+    @property
+    def is_connected(self):
+        return len(self.dual_tree) == max(self.tet_count - 1, 0)
 
     @cached_property
     def is_orientable(self):

@@ -27,9 +27,11 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-# Inside ``run``: ``(outcomes, elapsed_ns)``, ``outcomes`` mapping each
-# selected criterion that has tasks to its ``(count, failure)`` until it is
-# reported, or to None until the schedule runs.  None outside ``run``.
+# Inside ``run``: ``(outcomes, elapsed_ns, members)``, ``outcomes`` mapping
+# each selected criterion that has tasks to its ``(count, failure)`` until
+# it is reported, or to None until the schedule runs, and ``members`` the
+# family-grid members this process has built in the run, by (tag, params).
+# None outside ``run``.
 _run = None
 
 
@@ -43,7 +45,7 @@ def _check(name, passed):
         if _run is None or name not in _run[0]:
             n, failure = _scheduled((name,), quick, {}, fork=False)[name]
         else:
-            outcomes, elapsed_ns = _run
+            outcomes, elapsed_ns, _ = _run
             if outcomes[name] is None:
                 outcomes.update(_scheduled(tuple(outcomes), quick,
                                            elapsed_ns, _usable_cpus() > 1))
@@ -279,10 +281,17 @@ def _family_params(quick=False):
 
 
 def _member(tag, params):
-    """The triangulation of one member of the family grid."""
-    if tag == "Q":
-        return build.layered_loop(*params, twisted=True)
-    return build.seifert_family(tag, *params)[0]
+    """The triangulation of one member of the family grid: built once per
+    ``run`` in each process, so its cached skeleton, echelon, corner tables
+    and canonical labels are shared by every criterion that reads it, and
+    afresh on every call outside ``run``."""
+    members = {} if _run is None else _run[2]
+    tri = members.get((tag, params))
+    if tri is None:
+        tri = members[tag, params] = (
+            build.layered_loop(*params, twisted=True) if tag == "Q"
+            else build.seifert_family(tag, *params)[0])
+    return tri
 
 
 def _family_grid(quick=False):
@@ -361,7 +370,7 @@ def _seifert_family(tag, quick):
 def _quaternionic(quick):
     ks = (4, 6) if quick else (4, 6, 8, 10)
     for k in ks:
-        tri = build.layered_loop(k, twisted=True)
+        tri = _member("Q", (k,))
         h = homology.first_homology(tri)
         if tri.tet_count != k or h.invariant_factors != (2, 2) or h.betti:
             return 0, f"loop {k}: {h}"
@@ -391,7 +400,7 @@ def _octagon_items(quick):
     class with its canonical surface.  A class with more than 12 kernel
     edges yields (name, tri, None, evens) in their place, and ends the
     walk."""
-    instances = [(f"loop{k}", build.layered_loop(k, twisted=True))
+    instances = [(f"loop{k}", _member("Q", (k,)))
                  for k in ((4,) if quick else (4, 6))]
     instances += [(f"L({2*n},1)", build.lens_space(1, 2 * n - 2)[0])
                   for n in ((4, 7) if quick else (4, 7, 13))]
@@ -453,28 +462,28 @@ def _interior_faces(tri):
 
 
 def _round_trips(quick):
-    """(tri, faces) for the 2-3/3-2 round trips of ``check_moves``: the
-    pool member each trip starts from and its interior faces in the seeded
-    shuffle, whose first face the trip moves on."""
+    """(tri, faces, h) for the 2-3/3-2 round trips of ``check_moves``: the
+    pool member each trip starts from, its interior faces in the seeded
+    shuffle, whose first face the trip moves on, and its first homology."""
     rng = random.Random(20260810)
     pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
-            build.layered_loop(6, twisted=True),
-            build.seifert_family("M", 1, 1, 1)[0]]
-    interior = [_interior_faces(tri) for tri in pool]
+            _member("Q", (6,)), _member("M", (1, 1, 1))]
+    sites = [(tri, _interior_faces(tri), homology.first_homology(tri))
+             for tri in pool]
     for done in range(30 if quick else 100):
-        faces = list(interior[done % len(pool)])
+        tri, interior, h = sites[done % len(pool)]
+        faces = list(interior)
         rng.shuffle(faces)
-        yield pool[done % len(pool)], faces
+        yield tri, faces, h
 
 
 def _moves_share(share, quick):
     """The round trips dealt to share ``share``; share 1 then checks the
     4-4 flip."""
     done = 0
-    for tri, faces in _dealt(_round_trips(quick), share):
+    for tri, faces, h0 in _dealt(_round_trips(quick), share):
         if not faces:
             return done, "no usable 2-3 site"
-        h0 = homology.first_homology(tri)
         bigger, _ = analyze.move23(tri, faces[0])
         h1 = homology.first_homology(bigger)
         if h1 != h0:
@@ -497,7 +506,7 @@ def _all_quad_sites():
     """(tri, phi, edge) for each all-quad octahedron, about an even edge of
     degree 4 in four quad tetrahedra, that a deterministic hunt by seeded
     2-3 moves from the twisted loop of six tetrahedra meets."""
-    base = build.layered_loop(6, twisted=True)
+    base = _member("Q", (6,))
     for phi0 in cocycle.all_nonzero_classes(base):
         for trial in range(40):
             tri, phi = base, phi0
@@ -621,7 +630,9 @@ def _identities(quick, served):
 
 
 # The tasks of a run, longest first as in Graham's list scheduling: (walk,
-# arg, criteria in ``CHECKS`` order).  ``walk(arg, quick)``, or
+# arg, criteria in ``CHECKS`` order).  The order is read off the per-task
+# DEBUG lines of one-CPU full runs; share 0 of a walk stays ahead of share
+# 1, whose failure it wins over.  ``walk(arg, quick)``, or
 # ``walk(quick)`` if arg is None, returns ``(count, failure)``; a walk of
 # several criteria also takes those selected, and returns a dict of them.
 _TASKS = (
@@ -631,10 +642,10 @@ _TASKS = (
     (_octagon_share, 1, ("octagon_formula",)),
     (_moves_share, 0, ("moves",)),
     (_moves_share, 1, ("moves",)),
-    (_seifert_family, "MPRIME", ("family_mprime",)),
-    (_seifert_family, "M", ("family_m",)),
     (_identities, None, ("fundamental_identity", "lint_identity")),
+    (_seifert_family, "MPRIME", ("family_mprime",)),
     (_formal_solutions, None, ("formal_solutions",)),
+    (_seifert_family, "M", ("family_m",)),
     (_balanced_family, None, ("balanced_family",)),
     (_quaternionic, None, ("quaternionic",)),
     (_one_tet_folds, None, ("one_tet_folds",)),
@@ -686,15 +697,15 @@ def run(only=None, quick=False):
     summed time in nanoseconds of the tasks each criterion owns under
     ``elapsed_ns``.  Every task of the selected criteria runs in one
     schedule (``_scheduled``), within the call of the first of them; no
-    child is left, and no outcome of the schedule is kept, when this
-    returns."""
+    child is left, and no outcome of the schedule and no family member
+    built is kept, when this returns."""
     global _run
     selected = [(name, fn) for name, fn in CHECKS
                 if not only or only in name]
     lines, failures = [], []
     elapsed_ns = dict.fromkeys((name for name, _ in selected), 0)
     _run = ({name: None for name, _ in selected if any(
-        name in criteria for _, _, criteria in _TASKS)}, elapsed_ns)
+        name in criteria for _, _, criteria in _TASKS)}, elapsed_ns, {})
     try:
         for name, fn in selected:
             try:

@@ -383,9 +383,9 @@ def test_face_echelon_matches_reference_on_random_tables(tri, vec):
 
 
 def test_analyze_reduces_the_face_rows_once(tmp_path, monkeypatch, capsys):
-    # one analyze of a one-vertex input: one reduction of d1 mod 2 in the
-    # cross-check, one of the face rows shared by the cross-check and the
-    # cocycle basis
+    # one analyze of a one-vertex input: one reduction of the face rows,
+    # shared by the cross-check and the cocycle basis, and none of d1 mod
+    # 2, which is zero
     calls = []
 
     def counted(rows):
@@ -399,7 +399,7 @@ def test_analyze_reduces_the_face_rows_once(tmp_path, monkeypatch, capsys):
     path.write_text(serialize(tri))
     assert cli.main(["analyze", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["classes"]
-    assert sorted(calls) == [1, 2 * tri.tet_count]
+    assert calls == [2 * tri.tet_count]
 
 
 # ----- the list propagation the bitset transport replaced ---------------------
@@ -591,11 +591,56 @@ def _reference_first_homology(tri):
     return HomologyProfile(factors, betti, z2)
 
 
+def _dense_profile(tri, faces):
+    """(invariant factors, betti) from the dense Smith normal form of the
+    reference d2's columns for the face classes ``faces``, with a unit
+    column for each edge of a spanning tree of the vertex graph."""
+    sk = tri.skeleton
+    d1, d2 = _reference_boundary_matrices(tri)
+    tree = _ReferenceUnionFind(sk.vertex_count)
+    units = []
+    for e in range(sk.edge_count):
+        ends = [v for v, row in enumerate(d1) if row[e]]
+        if len(ends) == 2 and tree.find(ends[0])[0] != tree.find(ends[1])[0]:
+            tree.union(*ends, 0)
+            units.append(e)
+    mat = [[row[c] for c in faces] + [int(e == u) for u in units]
+           for e, row in enumerate(d2)]
+    diag, rank = smith_normal_form(mat)
+    return tuple(d for d in diag[:rank] if d > 1), sk.edge_count - rank
+
+
+def _dual_tree_faces(tri):
+    """The face classes of ``tri.dual_tree``, after checking that it is a
+    spanning tree of the dual graph: T - 1 faces, each the lower slot of a
+    gluing between two distinct tetrahedra, joining every tetrahedron."""
+    sk = tri.skeleton
+    tree = tri.dual_tree
+    assert len(tree) == tri.tet_count - 1
+    parts = _ReferenceUnionFind(tri.tet_count)
+    for x in tree:
+        t, f = divmod(x, 4)
+        u, perm = tri.gluing(t, f)
+        assert u != t and x < 4 * u + perm[f]
+        assert parts.find(t)[0] != parts.find(u)[0]
+        parts.union(t, u, 0)
+    tree = set(tree)
+    return [c for c, x in enumerate(sk.face_first) if x in tree]
+
+
 def _assert_matches_reference(tri):
+    """The sparse route against the dense one, and the relations it keeps
+    against the full d2: dropping the dual tree's faces leaves the
+    cokernel as it is."""
     assert boundary_matrices(tri) == _reference_boundary_matrices(tri)
     got, want = first_homology(tri), _reference_first_homology(tri)
     assert (got.invariant_factors, got.betti, got.z2_rank) == \
         (want.invariant_factors, want.betti, want.z2_rank)
+    dropped = _dual_tree_faces(tri)
+    kept = [c for c in range(tri.skeleton.face_count) if c not in dropped]
+    assert _dense_profile(tri, kept) == \
+        _dense_profile(tri, range(tri.skeleton.face_count)) == \
+        (got.invariant_factors, got.betti)
     return got
 
 
@@ -661,6 +706,23 @@ def test_sparse_route_matches_reference_on_random_tables(tri):
     _assert_matches_reference(tri)
 
 
+def _self_glued_across_two_facets(tri):
+    return any(g is not None and g[0] == t and g[1][f] != f
+               for t, row in enumerate(tri.gluings)
+               for f, g in enumerate(row))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(gluing_tables(kinds=("pair",)))
+def test_dual_tree_drop_matches_reference_on_closed_tables(tri):
+    # closed tables of one to six tetrahedra: several vertex classes,
+    # non-orientable gluings and tetrahedra glued to themselves across two
+    # facets all occur (the seeded test below counts them)
+    assume(_homology_cells_ok(tri))
+    _assert_matches_reference(tri)
+
+
 def test_seeded_closed_tables_match_reference():
     # random perfect pairings of the facets of one to six tetrahedra, so
     # larger closed tables occur than the filtered strategy above reaches
@@ -680,7 +742,15 @@ def test_seeded_closed_tables_match_reference():
         if _homology_cells_ok(tri):
             _assert_matches_reference(tri)
             kept[n] = kept.get(n, 0) + 1
-    assert set(kept) == set(range(1, 7)) and sum(kept.values()) > 500
+            for kind, has in (
+                    ("vertices", tri.skeleton.vertex_count > 1),
+                    ("non-orientable", not tri.is_orientable),
+                    ("self-glued", _self_glued_across_two_facets(tri))):
+                kept[kind] = kept.get(kind, 0) + has
+    sizes = [kept[n] for n in range(1, 7)]
+    assert all(sizes) and sum(sizes) > 500
+    assert all(kept[kind] >= 20 for kind in (
+        "vertices", "non-orientable", "self-glued"))
 
 
 @st.composite
@@ -741,7 +811,9 @@ def test_elimination_fills_in_linearly_on_twisted_loops(n):
     assert _CountedColumn.writes <= 8 * n
 
 
-def test_long_lens_space_leaves_a_tiny_remainder(monkeypatch):
+def _remainder_entries(monkeypatch, tri):
+    """(first_homology(tri), the entries of the dense remainders it
+    passed to the Smith normal form)."""
     entries = []
     dense = homology.smith_normal_form
 
@@ -750,10 +822,53 @@ def test_long_lens_space_leaves_a_tiny_remainder(monkeypatch):
         return dense(matrix)
 
     monkeypatch.setattr(homology, "smith_normal_form", counted)
-    tri = build.lens_space(1, 400)[0]
-    h = first_homology(tri)
+    return first_homology(tri), sum(entries)
+
+
+def test_long_lens_space_leaves_a_tiny_remainder(monkeypatch):
+    h, entries = _remainder_entries(monkeypatch, build.lens_space(1, 400)[0])
     assert h.invariant_factors == (402,) and h.betti == 0
-    assert sum(entries) <= 2
+    assert entries <= 2
+
+
+def test_long_twisted_loop_leaves_a_tiny_remainder(monkeypatch):
+    # with every face relation kept the remainder was 2 x 801
+    h, entries = _remainder_entries(monkeypatch, build.layered_loop(800, True))
+    assert h.invariant_factors == (2, 2) and h.betti == 0
+    assert entries <= 4
+
+
+def test_the_eliminator_gets_the_relations_off_the_dual_tree(monkeypatch):
+    # F - T + 1 face columns, each that of a face class off the dual tree,
+    # in face order, then V - 1 unit columns for the primal spanning tree
+    seen = []
+    real = homology._eliminate_unit_pivots
+
+    def spied(columns):
+        seen.append([dict(col) for col in columns])
+        return real(columns)
+
+    monkeypatch.setattr(homology, "_eliminate_unit_pivots", spied)
+    grid = [build.layered_loop(n, twisted) for n in (3, 7, 10)
+            for twisted in (False, True)]
+    grid += [tri for _, _, tri in verifysuite._family_grid(quick=True)]
+    grid.append(build.lens_space(3, 11)[0])
+    vertex_counts = set()
+    for tri in grid:
+        sk = tri.skeleton
+        seen.clear()
+        first_homology(tri)
+        (columns,) = seen
+        dropped = set(_dual_tree_faces(tri))
+        faces = [col for c, col in enumerate(_boundary_columns(tri)[1])
+                 if c not in dropped]
+        assert len(faces) == sk.face_count - tri.tet_count + 1
+        assert columns[:len(faces)] == faces
+        units = columns[len(faces):]
+        assert len(units) == sk.vertex_count - 1
+        assert all(len(col) == 1 and 1 in col.values() for col in units)
+        vertex_counts.add(sk.vertex_count)
+    assert vertex_counts == {1, 2}
 
 
 def test_first_homology_logs_its_cross_check(caplog):
@@ -762,6 +877,8 @@ def test_first_homology_logs_its_cross_check(caplog):
         first_homology(tri)
     records = [r for r in caplog.records if r.name == "trinorm.homology"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert f"{tri.tet_count - 1} of {2 * tri.tet_count} face relations " \
+        "dropped on the dual tree" in records[0].getMessage()
     assert "unit pivots" in records[0].getMessage()
     assert "1x1 remainder" in records[0].getMessage()
     assert "GF(2) rank 1, integer prediction 1" in records[0].getMessage()

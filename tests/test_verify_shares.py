@@ -66,7 +66,7 @@ def _path(monkeypatch, forked, name):
     as inside a run that selected it alone: with a forked child claiming
     tasks beside this process, or all of them in this process."""
     _cpus(monkeypatch, 2 if forked else 1)
-    verifysuite._run = ({name: None}, {})
+    verifysuite._run = ({name: None}, {}, {})
     try:
         yield
     finally:
@@ -237,8 +237,8 @@ STREAMS = {
         (name, tri.gluings, canon, b)
         for name, tri, canon, b in verifysuite._octagon_items(quick)),
     "round_trips": lambda quick: (
-        (tri.gluings, faces)
-        for tri, faces in verifysuite._round_trips(quick)),
+        (tri.gluings, faces, h)
+        for tri, faces, h in verifysuite._round_trips(quick)),
     "family": verifysuite._family_params,
     "mm": lambda quick: verifysuite._mm_params(("M", "MPRIME"), quick),
 }
@@ -566,6 +566,45 @@ def test_a_run_folds_each_tree_fold_once(monkeypatch):
 
 
 @pytest.fixture
+def member_builds(monkeypatch):
+    """Each family member built so far, as (builder, args) in call
+    order."""
+    builds = []
+    for name in ("seifert_family", "layered_loop"):
+        def counted(*args, _real=getattr(build, name), _name=name,
+                    **kwargs):
+            builds.append((_name, args))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(build, name, counted)
+    return builds
+
+
+def test_a_run_builds_each_family_member_once(monkeypatch, member_builds):
+    # a one-CPU full run built 203 Seifert members, 57 of them distinct,
+    # and 19 twisted loops, 4 distinct; a second run builds all of them
+    # again, and none is kept after either
+    _cpus(monkeypatch, 1)
+    for runs in (1, 2):
+        assert verifysuite.run()["failed"] == 0
+        assert verifysuite._run is None
+        built = [name for name, _ in member_builds]
+        assert (built.count("seifert_family"), built.count("layered_loop")) \
+            == (57 * runs, 4 * runs)
+        assert len(set(member_builds)) == 57 + 4
+
+
+def test_a_direct_check_keeps_no_family_member(monkeypatch, member_builds):
+    # outside a run every call builds its members afresh
+    _cpus(monkeypatch, 1)
+    for _ in range(2):
+        assert verifysuite.check_quaternionic(quick=True)[0]
+        assert verifysuite._run is None
+    assert member_builds == [("layered_loop", (4,)),
+                             ("layered_loop", (6,))] * 2
+    assert _member("Q", (4,)) is not _member("Q", (4,))
+
+
+@pytest.fixture
 def tree_walks(monkeypatch):
     """The (share, criteria served) of every share of the tree walked."""
     walks = []
@@ -628,10 +667,9 @@ def test_the_shared_walk_logs_each_share(monkeypatch, caplog):
 
 # the criteria of each task, as its DEBUG line names them
 TASK_CRITERIA = [", ".join(TREE)] * 2 + ["octagon_formula"] * 2 + [
-    "moves"] * 2 + ["family_mprime", "family_m",
-                    "fundamental_identity, lint_identity",
-                    "formal_solutions", "balanced_family", "quaternionic",
-                    "one_tet_folds"]
+    "moves"] * 2 + ["fundamental_identity, lint_identity",
+                    "family_mprime", "formal_solutions", "family_m",
+                    "balanced_family", "quaternionic", "one_tet_folds"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
