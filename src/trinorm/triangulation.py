@@ -11,7 +11,9 @@ which is what makes one-vertex triangulations of closed manifolds possible.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from functools import cached_property
+from itertools import chain
 
 from .perm import Perm4, ALL_PERMS, BY_CODE, INVERSE, PRODUCT
 
@@ -247,19 +249,17 @@ class Skeleton:
     ``face_echelon`` are derived on first use, and ``edge_slots()`` groups
     the edge slots by class.
 
-    The full pass builds these lists from a table alone.  A table that
-    ``Triangulation.glued`` makes from a parent whose skeleton is built
-    gets them amended from the parent's instead, as it is glued, when
-    every join's lower facet slot comes after the parent's last glued
-    lower slot: the full pass would then read the parent's gluings first
-    and the joins after them, so continuing from the parent's classes and
-    signs gives the same values in every field.  A layer appends its new
-    slots to the classes they are glued to and numbers its free edge last;
-    a fold merges classes, keeping the direction of the lower facet's
-    side, and numbers each merged class at its least first slot.  A layer
-    that would merge two old classes or make an edge invalid, any other
-    join, a table glued onto an unbuilt parent and a table built from rows
-    get the full pass when the skeleton is asked for."""
+    One routine, ``_resumed``, builds these lists, reading the gluings in
+    order of their lower facet slots; the full pass runs it from the
+    skeleton of no tetrahedra.  Each skeleton keeps the slot forest its
+    pass left, ``_forest``, and the last lower slot of a gluing it read,
+    ``_last``.  A table that ``Triangulation.glued`` makes from a parent
+    whose skeleton is built reads on from the parent's forest when every
+    join's lower facet slot is a free facet of the parent after ``_last``,
+    since the full pass would read the parent's gluings and then the
+    joins: layers and folds do, those that merge two old classes or make
+    an edge invalid too.  Any other table gets the full pass when the
+    skeleton is asked for."""
 
     def __init__(self, vertex_class, vertex_count, edge_class, edge_sign,
                  edge_first, invalid_edges, face_first, boundary_facets,
@@ -328,194 +328,161 @@ class Skeleton:
         return dict(sorted(hist.items()))
 
 
-def _last_glued(sk):
-    """The last lower slot of a glued face in ``sk``: the last entry of
-    ``face_first`` that is no boundary facet, or -1."""
-    free = sk.boundary_facets
-    i = len(free)
-    for x in reversed(sk.face_first):
-        if i and free[i - 1] == x:
-            i -= 1
-        else:
-            return x
-    return -1
+def _resumed(sk, gluings):
+    """The skeleton of ``gluings`` read on from ``sk``, the skeleton of its
+    first ``len(sk.vertex_class) // 4`` tetrahedra, when every gluing
+    beyond those has its lower facet slot after ``sk._last``.
 
-
-def _amended(parent, gluings, joins):
-    """The skeleton of ``gluings``, the table that ``parent.glued`` makes
-    with ``joins``, continued from the parent's built skeleton; None where
-    the full pass must run instead.
-
-    The full pass reads glued facet pairs in order of their lower facet
-    slot.  When every join's lower slot comes after the last one the
-    parent's pass read, this table's pass is the parent's followed by the
-    joins, so it continues from the parent's classes and signs: by
-    ``_layered`` when each join glues an old free facet to a facet of a
-    new tetrahedron, by ``_folded`` when the joins glue old free facets
-    together and there is no new tetrahedron."""
-    sk = parent.skeleton
-    last = _last_glued(sk)
-    first_new = 4 * parent.tet_count
-    layer = len(gluings) > parent.tet_count
-    lowers = []
-    for t, f, u, perm in joins:
-        x, y = 4 * t + f, 4 * u + perm.images[f]
-        if y < x:
-            x, y = y, x
-        if x <= last or (layer and not x < first_new <= y):
-            return None
-        lowers.append(x)
-    lowers.sort()
-    if layer:
-        return _layered(sk, gluings, lowers, parent.tet_count)
-    return _folded(sk, gluings, lowers)
-
-
-def _layered(sk, gluings, lowers, n_old):
-    """The skeleton after joins that each glue an old free facet, the
-    lower slot in ``lowers``, to a facet of a new tetrahedron; None when
-    the joins merge two old classes or make an edge invalid.  Each new
-    vertex or edge slot joins the class of the old slot it is glued to,
-    an edge slot with that slot's sign, flipped when the gluing reverses
-    the edge; a new slot glued to none is a class of its own, numbered
-    after the old ones in slot order."""
+    The pass reads the free facets of ``sk`` after ``sk._last``, then the
+    new tetrahedra's facets, in slot order: every other slot was read into
+    ``sk``.  Vertex and edge slots are joined as each gluing is read, in
+    partitions whose roots are the least slot of their class: a root is
+    linked under the lesser root, and finds halve their paths.  A vertex
+    slot's sign is always +1, so its root carries no direction.  An edge
+    slot holds its parity to its parent, and a root in its place the
+    parity of the class's kept root, the one a union keeping the lower
+    side's root would leave: both partitions merge on the same relations,
+    so the parities agree.  The forest starts as a copy of ``sk``'s with
+    the new slots as roots.  Below the least old root the pass links or
+    gives another kept bit, every slot keeps its class and sign in ``sk``,
+    so only the slots from there on are numbered."""
     n = len(gluings)
-    v_old, e_old = 4 * n_old, 6 * n_old
-    vertex_class = sk.vertex_class + [None] * (4 * n - v_old)
-    edge_class = sk.edge_class + [None] * (6 * n - e_old)
-    edge_sign = sk.edge_sign + [1] * (6 * n - e_old)
-    for x in lowers:
-        t, f = x >> 2, x & 3
-        u, perm = gluings[t][f]
-        _, vertices, edges = GLUING_TABLE[perm.index][f]
-        t4, u4 = 4 * t, 4 * u
-        for v, w in vertices:
-            c = vertex_class[t4 + v]
-            b = u4 + w
-            old = vertex_class[b]
-            if old is None:
-                vertex_class[b] = c
-            elif old != c:
-                return None
-        t6, u6 = 6 * t, 6 * u
-        for e, d, rel in edges:
-            a = t6 + e
-            c = edge_class[a]
-            s = -edge_sign[a] if rel else edge_sign[a]
-            b = u6 + d
-            old = edge_class[b]
-            if old is None:
-                edge_class[b] = c
-                edge_sign[b] = s
-            elif old != c or edge_sign[b] != s:
-                return None
-    vertex_count = sk.vertex_count
-    for b in range(v_old, 4 * n):
-        if vertex_class[b] is None:
-            vertex_class[b] = vertex_count
-            vertex_count += 1
-    edge_first = list(sk.edge_first)
-    for b in range(e_old, 6 * n):
-        if edge_class[b] is None:
-            edge_class[b] = len(edge_first)
-            edge_first.append(b)
-    # an old free facet now glued is a lower slot, a new glued facet an
-    # upper one
-    face_first = list(sk.face_first)
-    boundary_facets = []
-    for x in sk.boundary_facets:
-        if gluings[x >> 2][x & 3] is None:
-            boundary_facets.append(x)
-    for x in range(v_old, 4 * n):
-        if gluings[x >> 2][x & 3] is None:
+    last = sk._last
+    old_vert, old_edge, old_parity = sk._forest
+    v_old, e_old = len(old_vert), len(old_edge)
+    vert = old_vert + list(range(v_old, 4 * n))
+    edge = old_edge + list(range(e_old, 6 * n))
+    parity = old_parity + [0] * (6 * n - e_old)
+    # the least old root linked or given another kept bit so far
+    low_v, low_e = v_old, e_old
+    conflicts = []
+    # a face class is one free facet, one self-glued facet, or a lower
+    # slot with the upper slot it is glued to, numbered by lower slot; sk's
+    # free facets after sk._last, its tail, are read again
+    free = bisect_right(sk.boundary_facets, last)
+    tail = sk.boundary_facets[free:]
+    boundary_facets = sk.boundary_facets[:free]
+    face_first = sk.face_first[:len(sk.face_first) - len(tail)]
+    self_glued = sk.self_glued_facets[:]
+    facets = chain([(x, gluings[x >> 2][x & 3]) for x in tail],
+                   enumerate(chain.from_iterable(gluings[v_old >> 2:]),
+                             v_old))
+    for x, g in facets:
+        if g is None:
             face_first.append(x)
             boundary_facets.append(x)
-    return Skeleton(vertex_class, vertex_count, edge_class, edge_sign,
-                    edge_first, sk.invalid_edges, face_first,
-                    boundary_facets, list(sk.self_glued_facets))
-
-
-def _folded(sk, gluings, lowers):
-    """The skeleton after joins that glue old free facets together, the
-    lower slots in ``lowers``.  The joins union the old classes as the
-    full pass would: a merged edge class takes the direction of the class
-    on the lower facet's side, and one glued to itself reversed is
-    invalid.  Then ``_renumbered`` numbers the classes."""
-    vertex_class, edge_class, edge_sign = (sk.vertex_class, sk.edge_class,
-                                           sk.edge_sign)
-    verts = _UnionFind(sk.vertex_count) if sk.vertex_count > 1 else None
-    edges = _UnionFind(sk.edge_count)
-    upper, self_glued = set(), []
-    for x in lowers:
-        t, f = x >> 2, x & 3
-        u, perm = gluings[t][f]
-        target, vertex_pairs, edge_pairs = GLUING_TABLE[perm.index][f]
-        y = 4 * u + target
+            continue
+        u, perm = g
+        f = x & 3
+        target, vertices, edges = GLUING_TABLE[perm.index][f]
+        u4 = 4 * u
+        y = u4 + target
+        # each gluing is read once, from its lower slot; a self-glued
+        # facet is its own lower slot
+        if y < x:
+            continue
+        last = x
+        face_first.append(x)
         if y == x:
             self_glued.append(x)
+        t4 = x - f
+        for v, w in vertices:
+            a = t4 + v
+            while vert[a] != a:
+                vert[a] = a = vert[vert[a]]
+            b = u4 + w
+            while vert[b] != b:
+                vert[b] = b = vert[vert[b]]
+            if a < b:
+                vert[b] = a
+                if b < low_v:
+                    low_v = b
+            elif b < a:
+                vert[a] = b
+                if a < low_v:
+                    low_v = a
+        t6, u6 = 6 * (x >> 2), 6 * u
+        for e, d, rel in edges:
+            # a root's parity slot holds its kept bit, so a find stops
+            # below the root
+            a, pa = t6 + e, 0
+            while edge[a] != a:
+                up = edge[a]
+                if edge[up] == up:
+                    pa ^= parity[a]
+                    a = up
+                    break
+                parity[a] ^= parity[up]
+                pa ^= parity[a]
+                edge[a] = a = edge[up]
+            b, pb = u6 + d, 0
+            while edge[b] != b:
+                up = edge[b]
+                if edge[up] == up:
+                    pb ^= parity[b]
+                    b = up
+                    break
+                parity[b] ^= parity[up]
+                pb ^= parity[b]
+                edge[b] = b = edge[up]
+            rel ^= pa ^ pb
+            if a < b:
+                edge[b] = a
+                parity[b] = rel
+            elif b < a:
+                # b stays the root, with the kept bit of a, the lower side
+                edge[a] = b
+                parity[b] = parity[a] ^ rel
+                parity[a] = rel
+            else:
+                if rel:
+                    conflicts.append(a)
+                continue
+            # b was linked under a, or took a's kept bit
+            if b < low_e:
+                low_e = b
+    # every slot's parent is a lesser slot of its class or itself, so a
+    # class is numbered at its root, its first slot, and each later slot
+    # takes its parent's class, and its sign through its parent's; an old
+    # root's class number counts the classes before it
+    vertex_class = sk.vertex_class[:low_v]
+    vertex_count = sk.vertex_class[low_v] if low_v < v_old \
+        else sk.vertex_count
+    for x, a in enumerate(vert[low_v:], low_v):
+        if a == x:
+            vertex_class.append(vertex_count)
+            vertex_count += 1
         else:
-            upper.add(y)
-        if verts is not None:
-            t4, u4 = 4 * t, 4 * u
-            verts.union_all([vertex_class[t4 + v] for v, _ in vertex_pairs],
-                            [vertex_class[u4 + w] for _, w in vertex_pairs],
-                            (0, 0, 0))
-        # the partition is of old classes, so each relation is taken
-        # relative to the two slots' old signs
-        t6, u6 = 6 * t, 6 * u
-        xs, ys, rels = [], [], []
-        for e, d, rel in edge_pairs:
-            a, b = t6 + e, u6 + d
-            xs.append(edge_class[a])
-            ys.append(edge_class[b])
-            rels.append(rel ^ (edge_sign[a] != edge_sign[b]))
-        edges.union_all(xs, ys, rels)
-    number, flip, kept = _renumbered(edges)
-    edge_first = [sk.edge_first[c] for c in kept]
-    if verts is None:
-        vertex_class, vertex_count = list(vertex_class), sk.vertex_count
-    else:
-        vnumber, _, kept = _renumbered(verts)
-        vertex_class = [vnumber[c] for c in vertex_class]
-        vertex_count = len(kept)
-    if any(flip):
-        edge_sign = [-s if flip[c] else s
-                     for c, s in zip(edge_class, edge_sign)]
-    else:
-        edge_sign = list(edge_sign)
-    joined = upper.union(lowers)
-    return Skeleton(
-        vertex_class, vertex_count, [number[c] for c in edge_class],
-        edge_sign, edge_first,
-        frozenset([number[c] for c in sk.invalid_edges]
-                  + [number[c] for c in edges.conflict]),
-        [x for x in sk.face_first if x not in upper],
-        [x for x in sk.boundary_facets if x not in joined],
-        sorted(sk.self_glued_facets + self_glued))
+            vertex_class.append(vertex_class[a])
+    edge_class, edge_sign = sk.edge_class[:low_e], sk.edge_sign[:low_e]
+    edge_first = sk.edge_first[:sk.edge_class[low_e] if low_e < e_old
+                               else sk.edge_count]
+    for x, a in enumerate(edge[low_e:], low_e):
+        if a == x:
+            edge_class.append(len(edge_first))
+            edge_first.append(x)
+            edge_sign.append(1 - 2 * parity[x])
+        else:
+            edge_class.append(edge_class[a])
+            edge_sign.append(-edge_sign[a] if parity[x] else edge_sign[a])
+    # an old invalid class is found again at its first slot
+    invalid_edges = sk.invalid_edges
+    if conflicts or low_e < e_old:
+        invalid_edges = frozenset(
+            [edge_class[sk.edge_first[c]] for c in invalid_edges]
+            + [edge_class[a] for a in conflicts])
+    resumed = Skeleton(vertex_class, vertex_count, edge_class, edge_sign,
+                       edge_first, invalid_edges, face_first,
+                       boundary_facets, self_glued)
+    resumed._forest = vert, edge, parity
+    resumed._last = last
+    return resumed
 
 
-def _renumbered(uf):
-    """The classes left by unions ``uf`` of old classes: each old class's
-    new number and its parity to its new class's root, and the old class
-    each new class is numbered at.  A merged class is numbered at its
-    least old class, which holds its least first slot, so the numbers
-    after a merged-away class shift down."""
-    number, flip, kept = [], [], []
-    of_root = {}
-    parent, find = uf.parent, uf.find
-    for c in range(len(parent)):
-        if parent[c] == c:
-            # a root, at parity 0, untouched or kept by the unions
-            root, parity = c, 0
-        else:
-            root, parity = find(c)
-        k = of_root.get(root)
-        if k is None:
-            k = of_root[root] = len(kept)
-            kept.append(c)
-        number.append(k)
-        flip.append(parity)
-    return number, flip, kept
+# the skeleton of no tetrahedra, which the full pass reads on from
+_EMPTY = Skeleton([], 0, [], [], [], frozenset(), [], [], [])
+_EMPTY._forest = [], [], []
+_EMPTY._last = -1
 
 
 class Triangulation:
@@ -570,14 +537,16 @@ class Triangulation:
         checked: this table was checked when it was built, and a join
         writes only free facets, both sides of each pairing at once.
 
-        When this table's skeleton is built, the new table's is amended
-        from it here, if every join's lower facet slot comes after the
-        last lower slot of a gluing here: the full pass reads gluings in
-        order of their lower slots, so on the new table it would read this
-        table's gluings and then the joins (see ``Skeleton``).  A layer or
-        a fold on the newest tetrahedron's free facets, as in ``lst_tree``,
-        always meets that test.  Otherwise the new table's skeleton is the
-        full pass, run when it is asked for."""
+        When this table's skeleton is built, the new table's is read on
+        from its slot forest here, by ``_resumed``, if every join's lower
+        facet slot is a facet of this table after the last lower slot of a
+        gluing here: the full pass reads gluings in order of their lower
+        slots, so on the new table it would read this table's gluings and
+        then the joins (see ``Skeleton``).  A layer or a fold on the newest
+        tetrahedron's free facets, as in ``lst_tree``, always meets that
+        test.  Otherwise, as for ``lst``'s joins between new tetrahedra,
+        the new table's skeleton is the full pass, run when it is asked
+        for, so no skeleton is built that nothing reads."""
         joins = tuple(joins)
         rows = list(self._gluings)
         rows += ([None] * 4 for _ in range(new_tets))
@@ -592,9 +561,14 @@ class Triangulation:
         # tuple() hands an unwritten row, already a tuple, back as it is
         tri._gluings = tuple(map(tuple, rows))
         if "skeleton" in self.__dict__:
-            sk = _amended(self, tri._gluings, joins)
-            if sk is not None:
-                tri.skeleton = sk
+            sk = self.skeleton
+            last, first_new = sk._last, 4 * len(self._gluings)
+            for t, f, u, perm in joins:
+                x, y = 4 * t + f, 4 * u + perm.images[f]
+                if not last < (x if x < y else y) < first_new:
+                    break
+            else:
+                tri.skeleton = _resumed(sk, tri._gluings)
         return tri
 
     @cached_property
@@ -615,105 +589,9 @@ class Triangulation:
 
     @cached_property
     def skeleton(self):
-        """The full pass: the skeleton read gluing by gluing, in order of
-        each gluing's lower facet slot, unless ``glued`` amended it."""
-        n = self.tet_count
-        # vertex and edge slots are joined as each gluing is read, in
-        # partitions whose roots are the least slot of their class: a root
-        # is linked under the lesser root, and finds halve their paths.  A
-        # vertex slot's sign is always +1, so its root carries no
-        # direction.  An edge slot also holds its parity to its parent, and
-        # a root holds in kept the parity of the class's kept root, the
-        # one a union keeping the lower side's root would leave: both
-        # partitions merge on the same relations, so the parities agree.
-        vert = list(range(4 * n))
-        edge = list(range(6 * n))
-        parity = [0] * (6 * n)
-        kept = [0] * (6 * n)
-        conflicts = []
-        # a face class is one free facet, one self-glued facet, or a lower
-        # slot with the upper slot it is glued to, numbered by lower slot
-        face_first = []
-        boundary_facets = []
-        self_glued = []
-        for t, row in enumerate(self._gluings):
-            t4, t6 = 4 * t, 6 * t
-            for f, g in enumerate(row):
-                x = t4 + f
-                if g is None:
-                    face_first.append(x)
-                    boundary_facets.append(x)
-                    continue
-                u, perm = g
-                target, vertices, edges = GLUING_TABLE[perm.index][f]
-                u4 = 4 * u
-                y = u4 + target
-                # each gluing is read once, from its lower slot; a
-                # self-glued facet is its own lower slot
-                if y < x:
-                    continue
-                face_first.append(x)
-                if y == x:
-                    self_glued.append(x)
-                for v, w in vertices:
-                    a = t4 + v
-                    while vert[a] != a:
-                        vert[a] = a = vert[vert[a]]
-                    b = u4 + w
-                    while vert[b] != b:
-                        vert[b] = b = vert[vert[b]]
-                    if a < b:
-                        vert[b] = a
-                    elif b < a:
-                        vert[a] = b
-                u6 = 6 * u
-                for e, d, rel in edges:
-                    # a root's parity is 0, so halving past one is a no-op
-                    a, pa = t6 + e, 0
-                    while edge[a] != a:
-                        up = edge[a]
-                        parity[a] ^= parity[up]
-                        pa ^= parity[a]
-                        edge[a] = a = edge[up]
-                    b, pb = u6 + d, 0
-                    while edge[b] != b:
-                        up = edge[b]
-                        parity[b] ^= parity[up]
-                        pb ^= parity[b]
-                        edge[b] = b = edge[up]
-                    rel ^= pa ^ pb
-                    if a < b:
-                        edge[b] = a
-                        parity[b] = rel
-                    elif b < a:
-                        edge[a] = b
-                        parity[a] = rel
-                        kept[b] = kept[a] ^ rel
-                    elif rel:
-                        conflicts.append(a)
-        # every slot's parent is a lesser slot of its class or itself, so
-        # a class is numbered at its root, its first slot, and each later
-        # slot takes its parent's class, and its sign through its parent's
-        vertex_class, vertex_count = [], 0
-        for x, a in enumerate(vert):
-            if a == x:
-                vertex_class.append(vertex_count)
-                vertex_count += 1
-            else:
-                vertex_class.append(vertex_class[a])
-        edge_class, edge_first, edge_sign = [], [], []
-        for x, a in enumerate(edge):
-            if a == x:
-                edge_class.append(len(edge_first))
-                edge_first.append(x)
-                edge_sign.append(1 - 2 * kept[x])
-            else:
-                edge_class.append(edge_class[a])
-                edge_sign.append(-edge_sign[a] if parity[x] else edge_sign[a])
-        invalid_edges = frozenset(edge_class[a] for a in conflicts)
-        return Skeleton(vertex_class, vertex_count, edge_class, edge_sign,
-                        edge_first, invalid_edges, face_first,
-                        boundary_facets, self_glued)
+        """The full pass: ``_resumed`` from the skeleton of no tetrahedra,
+        unless ``glued`` resumed it from the parent's."""
+        return _resumed(_EMPTY, self._gluings)
 
     @cached_property
     def facet_corners(self):

@@ -461,17 +461,33 @@ def _interior_faces(tri):
             and tri.gluing(*divmod(x, 4))[0] != x // 4]
 
 
-def _round_trips(quick):
-    """(tri, faces, h) for the 2-3/3-2 round trips of ``check_moves``: the
-    pool member each trip starts from, its interior faces in the seeded
-    shuffle, whose first face the trip moves on, and its first homology."""
+def _interior_count(tri):
+    """``len(_interior_faces(tri))`` off the gluing table alone: a face
+    between two distinct tetrahedra is glued from both of its facets."""
+    return sum(g is not None and g[0] != t
+               for t, row in enumerate(tri.gluings) for g in row) // 2
+
+
+def _round_trips(quick, share=None):
+    """(tri, faces, h) for the 2-3/3-2 round trips of ``check_moves``, or
+    for share ``share`` of them as ``_dealt`` deals them: the pool member
+    each trip starts from, its interior faces in the seeded shuffle, whose
+    first face the trip moves on, and its first homology.  A member's faces
+    and homology are found at its first trip, and a trip of the other share
+    only draws its shuffle, so a share sets up only its own members."""
     rng = random.Random(20260810)
     pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
             _member("Q", (6,)), _member("M", (1, 1, 1))]
-    sites = [(tri, _interior_faces(tri), homology.first_homology(tri))
-             for tri in pool]
+    sites = [None] * len(pool)
     for done in range(30 if quick else 100):
-        tri, interior, h = sites[done % len(pool)]
+        i = done % len(pool)
+        tri = pool[i]
+        if share is not None and done % 2 != share:
+            rng.shuffle([None] * _interior_count(tri))
+            continue
+        if sites[i] is None:
+            sites[i] = _interior_faces(tri), homology.first_homology(tri)
+        interior, h = sites[i]
         faces = list(interior)
         rng.shuffle(faces)
         yield tri, faces, h
@@ -481,7 +497,7 @@ def _moves_share(share, quick):
     """The round trips dealt to share ``share``; share 1 then checks the
     4-4 flip."""
     done = 0
-    for tri, faces, h0 in _dealt(_round_trips(quick), share):
+    for tri, faces, h0 in _round_trips(quick, share):
         if not faces:
             return done, "no usable 2-3 site"
         bigger, _ = analyze.move23(tri, faces[0])

@@ -1,7 +1,7 @@
 """The one-pass, table-driven skeleton against the two-sided loop it
 replaced, kept here word for word as the reference, on the one-union-a-call
-union-find it used, also kept here word for word; and the skeletons amended
-from a parent's against the full pass and the reference."""
+union-find it used, also kept here word for word; and the skeletons resumed
+from a parent's slot forest against the full pass and the reference."""
 
 import functools
 import pickle
@@ -9,7 +9,7 @@ import weakref
 
 from hypothesis import given, settings, strategies as st
 
-from trinorm import build, triangulation, verifysuite
+from trinorm import build, verifysuite
 from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                                    FACET_VERTICES, TriBuilder, Triangulation,
@@ -287,6 +287,13 @@ def test_seifert_family_grids_match_reference():
 # ----- random valid gluing tables ------------------------------------------------
 
 
+def _reflections(f):
+    """The permutations that glue facet ``f`` to itself: they fix its
+    opposite vertex and swap two of the other three."""
+    return [p for p in ALL_PERMS
+            if p[f] == f and p.index != 0 and (p * p).index == 0]
+
+
 @st.composite
 def gluing_tables(draw, kinds=("pair", "pair", "pair", "boundary", "self")):
     """A random involutive facet pairing on one to six tetrahedra: facets
@@ -309,11 +316,7 @@ def gluing_tables(draw, kinds=("pair", "pair", "pair", "boundary", "self")):
             i += 2
             continue
         if kind == "self":
-            # fix the facet's opposite vertex and swap two of the other three
-            perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == f
-                                         and p.index != 0
-                                         and (p * p).index == 0]))
-            builder.join(t, f, t, perm)
+            builder.join(t, f, t, draw(st.sampled_from(_reflections(f))))
         i += 1
     return builder.freeze()
 
@@ -352,9 +355,7 @@ def glued_onto_tables(draw):
             perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == g]))
         else:
             u = t
-            perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == f
-                                         and p.index != 0
-                                         and (p * p).index == 0]))
+            perm = draw(st.sampled_from(_reflections(f)))
         joins.append((t, f, u, perm))
     return tri, tuple(joins), new_tets
 
@@ -381,9 +382,123 @@ def test_glued_tables_match_the_full_pass(case):
     _assert_matches_reference(child)
 
 
-def test_glued_tables_reach_both_amendments_and_the_full_pass():
-    # the strategy above must reach the amended and the fallback paths,
-    # both for a layer and for a fold
+def _last_glued_lower_slot(tri):
+    """The last lower facet slot of a gluing in ``tri``, or -1, read off the
+    table."""
+    return max((4 * t + f for t, row in enumerate(tri.gluings)
+                for f, g in enumerate(row)
+                if g is not None and 4 * g[0] + g[1][f] >= 4 * t + f),
+               default=-1)
+
+
+@st.composite
+def glued_chains(draw):
+    """(tri, steps): a table of ``gluing_tables`` with its skeleton built,
+    and one to five ``glued`` steps (joins, new_tets) to make on it in
+    turn.  A step adds up to two free tetrahedra and makes up to three
+    joins, of two free facets or of one free facet to itself.  Half the
+    steps draw each join's first facet from the free facets of the table
+    before the step after its last glued lower slot, and its second from
+    the free facets after that slot, so the step can read on from the
+    table's skeleton; the others draw both from every free facet."""
+    tri = draw(gluing_tables())
+    tri.skeleton
+    # the tables the steps make, planned on a copy that builds no skeleton
+    plan = Triangulation(tri.gluings)
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = plan.tet_count
+        new_tets = draw(st.integers(0, 2))
+        free = [4 * t + f for t in range(n + new_tets) for f in range(4)
+                if t >= n or plan.gluing(t, f) is None]
+        if draw(st.booleans()):
+            last = _last_glued_lower_slot(plan)
+            firsts = [x for x in free if last < x < 4 * n]
+            seconds = [x for x in free if x > last]
+        else:
+            firsts = seconds = free
+        joins, used = [], set()
+        for _ in range(draw(st.integers(0, 3))):
+            x = draw(st.sampled_from([None] + firsts))
+            if x is None or x in used:
+                break
+            used.add(x)
+            y = draw(st.sampled_from([x] + [z for z in seconds
+                                            if z not in used]))
+            used.add(y)
+            t, f, u, g = x >> 2, x & 3, y >> 2, y & 3
+            perms = (_reflections(f) if y == x
+                     else [p for p in ALL_PERMS if p[f] == g])
+            joins.append((t, f, u, draw(st.sampled_from(perms))))
+        steps.append((tuple(joins), new_tets))
+        plan = plan.glued(joins, new_tets)
+    return tri, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(glued_chains())
+def test_chains_of_glued_steps_match_the_full_pass(case):
+    # a step may read on from a forest that earlier steps resumed, with
+    # their halved paths, merges and flipped kept bits
+    tri, steps = case
+    for joins, new_tets in steps:
+        tri = tri.glued(joins, new_tets)
+        _assert_matches_full_pass(tri)
+        _assert_matches_reference(tri)
+
+
+def test_glued_chains_reach_three_resumed_steps_in_a_row():
+    # and layers that merge two old classes or make an invalid edge, which
+    # read on from the parent's forest like any other
+    longest, seen = 0, set()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(glued_chains())
+    def scan(case):
+        nonlocal longest
+        tri, steps = case
+        run = 0
+        for joins, new_tets in steps:
+            parent, tri = tri, tri.glued(joins, new_tets)
+            if "skeleton" not in tri.__dict__:
+                run = 0
+                tri.skeleton
+                continue
+            run += 1
+            longest = max(longest, run)
+            if new_tets:
+                seen.update(_resumed_cases(parent.skeleton, tri.skeleton,
+                                           parent.tet_count))
+
+    scan()
+    assert longest >= 3
+    assert seen == {"merge of two old classes resumed",
+                    "invalid edge resumed"}
+
+
+def _old_classes(sk, n_old):
+    """The vertex and edge classes among the first ``n_old`` tetrahedra's
+    slots."""
+    return (len(set(sk.vertex_class[:4 * n_old])),
+            len(set(sk.edge_class[:6 * n_old])))
+
+
+def _resumed_cases(old, sk, n_old):
+    """What a pass resumed from ``old``, the skeleton of the first
+    ``n_old`` tetrahedra, did to give ``sk``: merge two old classes, make
+    an invalid edge."""
+    cases = set()
+    if _old_classes(sk, n_old) != (old.vertex_count, old.edge_count):
+        cases.add("merge of two old classes resumed")
+    if len(sk.invalid_edges) > len(old.invalid_edges):
+        cases.add("invalid edge resumed")
+    return cases
+
+
+def test_glued_tables_reach_every_resumed_case_and_the_full_pass():
+    # the strategy above must reach a resumed layer and fold, a resumed
+    # step that merges two old classes or makes an invalid edge, and a join
+    # before the parent's last glued lower slot, which the full pass serves
     seen = set()
 
     @settings(max_examples=300, deadline=None, database=None)
@@ -391,17 +506,24 @@ def test_glued_tables_reach_both_amendments_and_the_full_pass():
     def scan(case):
         parent, joins, new_tets = case
         child = parent.glued(joins, new_tets)
-        amended = triangulation._amended(parent, child.gluings, joins)
-        seen.add(("layer" if new_tets else "fold",
-                  "full pass" if amended is None else "amended"))
-        if amended is not None and amended.invalid_edges \
-                != parent.skeleton.invalid_edges:
-            seen.add("invalid edge amended")
+        if "skeleton" not in parent.__dict__:
+            return
+        kind = "layer" if new_tets else "fold"
+        if "skeleton" not in child.__dict__:
+            last = parent.skeleton._last
+            if any(min(4 * t + f, 4 * u + perm[f]) <= last
+                   for t, f, u, perm in joins):
+                seen.add("join before the last glued lower slot")
+            return
+        seen.add((kind, "resumed"))
+        seen.update(_resumed_cases(parent.skeleton, child.skeleton,
+                                   parent.tet_count))
 
     scan()
-    assert seen == {("layer", "amended"), ("layer", "full pass"),
-                    ("fold", "amended"), ("fold", "full pass"),
-                    "invalid edge amended"}
+    assert seen == {("layer", "resumed"), ("fold", "resumed"),
+                    "merge of two old classes resumed",
+                    "invalid edge resumed",
+                    "join before the last glued lower slot"}
 
 
 def test_random_tables_reach_every_kind_of_gluing():
@@ -425,12 +547,12 @@ def test_random_tables_reach_every_kind_of_gluing():
     assert seen == {"boundary", "self_glued", "non_orientable", "invalid_edge"}
 
 
-# ----- skeletons amended from the parent's ------------------------------------
+# ----- skeletons resumed from the parent's ------------------------------------
 
 
 def _full_passes(monkeypatch):
     """A list that records each table the full pass runs on: a skeleton
-    that ``glued`` amended is cached before it is asked for, so only the
+    that ``glued`` resumed is cached before it is asked for, so only the
     full pass reaches the property."""
     runs = []
     full = Triangulation.__dict__["skeleton"].func
@@ -517,15 +639,14 @@ def test_a_join_before_the_last_glued_lower_slot_gets_the_full_pass(
     b = TriBuilder(1)
     b.join(0, 2, 0, Perm4((0, 1, 3, 2)))
     parent = b.freeze()
-    assert triangulation._last_glued(parent.skeleton) == 2
+    assert parent.skeleton._last == 2
     runs = _full_passes(monkeypatch)
     child = parent.glued(((0, 0, 1, Perm4((3, 0, 1, 2))),), 1)
     _assert_matches_full_pass(child)
     assert len(runs) == 2
 
 
-def test_a_layer_that_merges_two_vertex_classes_gets_the_full_pass(
-        monkeypatch):
+def test_a_layer_that_merges_two_vertex_classes_is_resumed(monkeypatch):
     # new vertex 0 is glued to old vertex 1 across facet 0, and to old
     # vertex 0 across facet 1
     parent = _free_tet()
@@ -533,12 +654,14 @@ def test_a_layer_that_merges_two_vertex_classes_gets_the_full_pass(
     joins = ((0, 0, 1, Perm4((3, 0, 1, 2))), (0, 1, 1, Perm4((0, 2, 1, 3))))
     runs = _full_passes(monkeypatch)
     child = parent.glued(joins, 1)
+    assert "skeleton" in child.__dict__
+    assert runs == []
+    assert _old_classes(child.skeleton, 1)[0] < parent.skeleton.vertex_count
     _assert_matches_full_pass(child)
-    assert len(runs) == 2
-    assert child.skeleton.vertex_count < 4 + 4
+    _assert_matches_reference(child)
 
 
-def test_a_layer_that_makes_an_invalid_edge_gets_the_full_pass(monkeypatch):
+def test_a_layer_that_makes_an_invalid_edge_is_resumed(monkeypatch):
     # the new tetrahedron's edge (0, 1) is glued to old edge (2, 3) both
     # ways round, across facets 3 and 2
     parent = _free_tet()
@@ -546,12 +669,15 @@ def test_a_layer_that_makes_an_invalid_edge_gets_the_full_pass(monkeypatch):
     joins = ((0, 0, 1, Perm4((3, 2, 0, 1))), (0, 1, 1, Perm4((3, 2, 1, 0))))
     runs = _full_passes(monkeypatch)
     child = parent.glued(joins, 1)
-    _assert_matches_full_pass(child)
-    assert len(runs) == 2
+    assert "skeleton" in child.__dict__
+    assert runs == []
     assert not child.is_valid
+    _assert_matches_full_pass(child)
+    _assert_matches_reference(child)
 
 
 def test_a_fold_that_makes_an_invalid_edge_is_amended(monkeypatch):
+    # resumed, as any fold on the free facets of a built parent
     # facets 0 and 1 share the edge (2, 3), glued to itself reversed
     parent = _free_tet()
     parent.skeleton

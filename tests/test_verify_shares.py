@@ -255,6 +255,44 @@ def test_dealt_shares_interleave_to_the_serial_stream(stream, quick):
 
 
 @pytest.mark.parametrize("quick", [True, False])
+def test_a_share_of_the_round_trips_is_the_dealt_share(quick):
+    # the seeded shuffle is drawn alike whether a share or the whole
+    # stream is generated
+    for share in (0, 1):
+        own = [(tri.gluings, faces, h)
+               for tri, faces, h in verifysuite._round_trips(quick, share)]
+        assert own == list(_dealt(STREAMS["round_trips"](quick), share))
+
+
+def test_a_moves_share_sets_up_only_the_members_it_starts_from(monkeypatch):
+    # trips are dealt alternately over a pool of four, so share 0 starts
+    # only from members 0 and 2.  Inside a run the family members are built
+    # once, here before counting: building one checks its homology
+    monkeypatch.setattr(verifysuite, "_run", ({"moves": None}, {}, {}))
+    pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
+            _member("Q", (6,)), _member("M", (1, 1, 1))]
+    # the other share's trips draw their shuffles on the counted faces
+    assert [verifysuite._interior_count(tri) for tri in pool] \
+        == [len(verifysuite._interior_faces(tri)) for tri in pool]
+    pool = [tri.gluings for tri in pool]
+    seen = {"_interior_faces": [], "first_homology": []}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(tri):
+            seen[name].append(tri.gluings)
+            return inner(tri)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(verifysuite, "_interior_faces")
+    counted(homology, "first_homology")
+    assert verifysuite._moves_share(0, quick=True) == (15, None)
+    for name, tables in seen.items():
+        assert [pool.index(g) for g in tables if g in pool] == [0, 2], name
+
+
+@pytest.mark.parametrize("quick", [True, False])
 def test_octagon_items_are_the_modifications(quick):
     items = [(tri.gluings, canon, b)
              for _, tri, canon, b in verifysuite._octagon_items(quick)]
