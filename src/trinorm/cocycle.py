@@ -54,9 +54,10 @@ class Cocycle(NamedTuple):
 
 
 def _require_one_vertex_closed(tri):
-    if not tri.is_closed:
+    sk = tri.skeleton
+    if sk.boundary_facets:
         raise TriangulationError("cocycles require a closed triangulation")
-    if tri.skeleton.vertex_count != 1:
+    if sk.vertex_count != 1:
         raise TriangulationError(
             "cocycles are only computed on one-vertex triangulations")
 

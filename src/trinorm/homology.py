@@ -295,12 +295,12 @@ def first_homology(tri):
     the tree's leaves writes each tree face's column as an integer
     combination of the other columns: the column span, and so H_1, is
     unchanged."""
-    if not tri.is_closed:
+    sk = tri.skeleton
+    if sk.boundary_facets:
         raise TriangulationError("first_homology requires a closed triangulation")
     if not tri.is_connected:
         raise TriangulationError("first_homology requires a connected triangulation")
     require_valid_cells(tri)
-    sk = tri.skeleton
     ne = sk.edge_count
     tree = set(tri.dual_tree)
     relations = _face_columns(sk, [s for s in sk.face_first if s not in tree])
@@ -322,7 +322,6 @@ def first_homology(tri):
                 rows1[head] |= 1 << e
         rank1 = gf2_rank(rows1)
     pivots, rest = _eliminate_unit_pivots(relations)
-    width = len(rest[0]) if rest else 0
     diag, rest_rank = smith_normal_form(rest)
     factors = tuple(d for d in diag[:rest_rank] if d > 1)
     betti = ne - pivots - rest_rank
@@ -331,10 +330,12 @@ def first_homology(tri):
     # skeleton's rows of every face, not from the elimination
     z2 = ne - rank1 - len(sk.face_echelon)
     expected = betti + sum(1 for d in factors if d % 2 == 0)
-    _log.debug("first_homology: %d of %d face relations dropped on the dual "
-               "tree, %d unit pivots, %dx%d remainder; GF(2) rank %d, "
-               "integer prediction %d", len(tree), sk.face_count,
-               pivots, len(rest), width, z2, expected)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("first_homology: %d of %d face relations dropped on the "
+                   "dual tree, %d unit pivots, %dx%d remainder; GF(2) rank "
+                   "%d, integer prediction %d", len(tree), sk.face_count,
+                   pivots, len(rest), len(rest[0]) if rest else 0, z2,
+                   expected)
     if z2 != expected:
         raise AssertionError(
             f"GF(2) rank {z2} disagrees with invariant factors {factors}")

@@ -150,17 +150,17 @@ def _check_size(tri, coord):
             f"the triangulation {tri.tet_count}")
 
 
-def _class_weights(sk, slot_weights):
-    """The weight of each edge class from the weights of its slots, which
-    must agree."""
-    out = [slot_weights[x] for x in sk.edge_first]
-    if list(map(out.__getitem__, sk.edge_class)) != slot_weights:
-        for c, slots in enumerate(sk.edge_slots()):
+def _class_weights(tri, slot_weights):
+    """The weight of each edge class, as a tuple, from the tuple of the
+    weights of its slots, which must agree."""
+    *_, first, spread = tri.slot_gathers
+    if spread(slot_weights) != slot_weights:
+        for c, slots in enumerate(tri.skeleton.edge_slots()):
             ws = {slot_weights[x] for x in slots}
             if len(ws) != 1:
                 raise CoordinateError(
                     f"edge class {c} has mixed weights {ws}")
-    return out
+    return first(slot_weights)
 
 
 def edge_weights(tri, coord):
@@ -174,7 +174,7 @@ def edge_weights(tri, coord):
             if c:
                 for ei in _DISC_EDGES[d]:
                     slot_weights[w + ei] += c
-    return _class_weights(tri.skeleton, slot_weights)
+    return list(_class_weights(tri, tuple(slot_weights)))
 
 
 @lru_cache(maxsize=4096)
@@ -206,7 +206,8 @@ def euler_char(tri, coord, weights=None):
     Validates the coordinate on the way: its size, embeddability, then
     arc counts matching across every interior face gluing, then agreeing
     weights on the slots of every edge class, unless the caller passes
-    the ``edge_weights`` it has already checked."""
+    the ``edge_weights`` it has already checked.  The arcs and slot
+    weights are read through the triangulation's ``slot_gathers``."""
     _check_size(tri, coord)
     if coord.formal:
         raise CoordinateError("formal coordinates are not embeddable")
@@ -219,11 +220,10 @@ def euler_char(tri, coord, weights=None):
     arc_rows, weight_rows, disc_counts = zip(*cells) if cells else ((),) * 3
     # arcs[16t + 4f + v] counts the arcs cutting off vertex v in facet f
     # of tetrahedron t: its corner slot 4(4t + f) + v
-    arcs = list(chain.from_iterable(arc_rows))
-    count = arcs.__getitem__
-    lower, upper, counted = tri.facet_corners
-    if list(map(count, lower)) != list(map(count, upper)):
-        for a, b in zip(lower, upper):
+    arcs = tuple(chain.from_iterable(arc_rows))
+    lower, upper, counted, _, _ = tri.slot_gathers
+    if lower(arcs) != upper(arcs):
+        for a, b in zip(*tri.facet_corners[:2]):
             if arcs[a] != arcs[b]:
                 (t1, f1), v = divmod(a // 4, 4), a % 4
                 t2, f2 = b // 16, b // 4 % 4
@@ -231,9 +231,8 @@ def euler_char(tri, coord, weights=None):
                     f"matching fails across face ({t1},{f1})~({t2},{f2}) "
                     f"at vertex {v}")
     if weights is None:
-        weights = _class_weights(tri.skeleton,
-                                 list(chain.from_iterable(weight_rows)))
-    return sum(weights) - sum(map(count, counted)) + sum(disc_counts)
+        weights = _class_weights(tri, tuple(chain.from_iterable(weight_rows)))
+    return sum(weights) - sum(counted(arcs)) + sum(disc_counts)
 
 
 def vertex_link(tri):
@@ -308,6 +307,29 @@ _B_ROWS = tuple(_b_row(qi, c1, c2)
                 for qi in range(3) for c1 in (0, 1) for c2 in (0, 1))
 
 
+def _quad_sites(tri, coord):
+    """For each tetrahedron of the all-quad coordinate ``coord``: 4 times
+    its quad type and the edge classes of the quad's even pair, which pick
+    its row of _B_ROWS.  The table is made once per coordinate object:
+    ``tri`` holds the last table made together with that object, and hands
+    it back only for the same object, which it keeps alive."""
+    held = tri._quad_sites
+    if held is not None and held[0] is coord:
+        return held[1]
+    edge_class = tri.skeleton.edge_class
+    sites = []
+    for t, row in enumerate(coord.rows):
+        quads = row[4:7]
+        if not any(quads):
+            raise TriangulationError(
+                "b-modification needs all tetrahedra of quad type")
+        qi = quads.index(1)
+        e1, e2 = QUAD_PAIRS[qi]
+        sites.append((4 * qi, edge_class[6 * t + e1], edge_class[6 * t + e2]))
+    tri._quad_sites = coord, sites
+    return sites
+
+
 def b_modification(tri, canon, b_edges):
     """Raise the weight of the selected even edges of the canonical surface
     ``canon`` from 0 to 2.
@@ -316,7 +338,8 @@ def b_modification(tri, canon, b_edges):
     has one selected edge becomes two triangles at the ends of that edge;
     with both selected it becomes one octagon.  Returns the coordinate,
     the octagon count and the Euler characteristic, after checking the
-    octagon count formula by cell count.
+    octagon count formula by a full cell count.  The quad sites of
+    ``canon`` are tabulated once and shared by every b of the surface.
     """
     _check_size(tri, canon.coord)
     b = set(b_edges)
@@ -329,18 +352,8 @@ def b_modification(tri, canon, b_edges):
     selected = bytearray(sk.edge_count)
     for e in b:
         selected[e] = 1
-    edge_class = sk.edge_class
-    picked = []
-    for t, canon_row in enumerate(canon.coord.rows):
-        canon_quads = canon_row[4:7]
-        if not any(canon_quads):
-            raise TriangulationError(
-                "b-modification needs all tetrahedra of quad type")
-        qi = canon_quads.index(1)
-        e1, e2 = QUAD_PAIRS[qi]
-        w = 6 * t
-        picked.append(_B_ROWS[4 * qi + 2 * selected[edge_class[w + e1]]
-                              + selected[edge_class[w + e2]]])
+    picked = [_B_ROWS[q + 2 * selected[c1] + selected[c2]]
+              for q, c1, c2 in _quad_sites(tri, canon.coord)]
     rows, oct_counts = zip(*picked) if picked else ((), ())
     coord = NormalCoordinate(rows)
     oct_count = sum(oct_counts)

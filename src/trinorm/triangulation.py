@@ -14,6 +14,7 @@ import logging
 from bisect import bisect_right
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 from .perm import Perm4, ALL_PERMS, BY_CODE, INVERSE, PRODUCT
 
@@ -31,6 +32,15 @@ for _a, _b in list(EDGE_INDEX):
 OPPOSITE_EDGE = (5, 4, 3, 2, 1, 0)
 FACET_EDGES = ((3, 4, 5), (1, 2, 5), (0, 2, 4), (0, 1, 3))
 FACET_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _gather(slots):
+    """A C-level reader of the entries ``slots`` of a sequence, as a
+    tuple: ``itemgetter(*slots)``, except that one slot or none gives a
+    tuple too."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda seq: tuple(map(seq.__getitem__, slots))
 
 
 def _gluing_entry(perm, facet):
@@ -493,6 +503,10 @@ class Triangulation:
     u, and facet f of t is glued to facet perm[f] of u.
     """
 
+    # the quad sites of the last coordinate b-modified on this table, with
+    # the coordinate: see surface._quad_sites
+    _quad_sites = None
+
     def __init__(self, gluings):
         table = tuple(map(tuple, gluings))
         n = len(table)
@@ -598,26 +612,41 @@ class Triangulation:
         """The corner slots that normal arcs are counted on: corner
         4x + v is vertex v of facet slot x, that is 16t + 4f + v.
 
-        Returns (lower, upper, counted): for each glued face class in
-        face order, the three corners of its first facet and the corners
-        they are glued to, vertex by vertex; and the three corners of the
-        first facet of every face class."""
+        Returns (lower, upper, counted), three tuples: for each glued face
+        class in face order, the three corners of its first facet and the
+        corners they are glued to, vertex by vertex; and the three corners
+        of the first facet of every face class.  ``slot_gathers`` reads
+        through these tuples without copying them."""
         glu = self._gluings
         lower, upper, counted = [], [], []
         for x in self.skeleton.face_first:
             t, f = divmod(x, 4)
             a = 4 * x
+            i, j, k = FACET_VERTICES[f]
+            corners = a + i, a + j, a + k
+            counted += corners
             g = glu[t][f]
             if g is not None:
-                u, perm = g
-                target, vertices, _ = GLUING_TABLE[perm.index][f]
-                b = 16 * u + 4 * target
-                for v, image in vertices:
-                    lower.append(a + v)
-                    upper.append(b + image)
-            i, j, k = FACET_VERTICES[f]
-            counted += (a + i, a + j, a + k)
-        return lower, upper, counted
+                lower += corners
+                target, ((_, i), (_, j), (_, k)), _ = \
+                    GLUING_TABLE[g[1].index][f]
+                b = 16 * g[0] + 4 * target
+                upper += (b + i, b + j, b + k)
+        return tuple(lower), tuple(upper), tuple(counted)
+
+    @cached_property
+    def slot_gathers(self):
+        """The ``_gather``s a normal cell count reads its slot tables
+        through: (lower, upper, counted, first, spread).  The first three
+        read the corner tuples of ``facet_corners``.  ``first`` reads a
+        sequence of per-slot edge values at the first slot of each edge
+        class, and ``spread`` at the first slot of each slot's class: the
+        values agree on every class iff ``spread`` gives them back, as a
+        tuple, unchanged."""
+        sk = self.skeleton
+        first = sk.edge_first
+        return (*map(_gather, self.facet_corners), _gather(first),
+                _gather(_gather(sk.edge_class)(first)))
 
     @property
     def is_valid(self):

@@ -191,10 +191,14 @@ def _tree_share(share, quick, served):
         nodes += 1
         if wants("lst_counts", node.depth):
             check("lst_counts", _torus_counts, node, tri)
-        for w in (meta.p, meta.q, meta.p + meta.q):
-            wanting = [c for c in _FOLD_CHECKS if wants(c, node.depth)
-                       and (c != "lst_recognition" or node.depth >= 3
-                            and w != meta.p + meta.q)]
+        # the fold criteria live at this node, along p and q and along p+q
+        along_pq = [c for c in _FOLD_CHECKS if wants(c, node.depth)
+                    and (c != "lst_recognition" or node.depth >= 3)]
+        along_sum = [c for c in along_pq if c != "lst_recognition"]
+        for w, live in ((meta.p, along_pq), (meta.q, along_pq),
+                        (meta.p + meta.q, along_sum)):
+            wanting = [c for c in live if c not in failures] if failures \
+                else live
             if not wanting:
                 continue
             try:
@@ -417,19 +421,32 @@ def _octagon_items(quick):
 
 
 def _octagon_share(share, quick):
-    checked = 0
+    """Share ``share`` of the b-modifications of ``_octagon_items``, as
+    ``_dealt`` deals them, each counted by one call of ``b_modification``:
+    ``(checked, failure)``.  Logs at DEBUG the canonical surfaces its
+    items b-modify and the b-modifications it checked."""
+    checked = surfaces = 0
+    failure = last = None
     for name, tri, canon, b in _dealt(_octagon_items(quick), share):
         if canon is None:
-            return checked, f"{name}: {len(b)} kernel edges"
+            failure = f"{name}: {len(b)} kernel edges"
+            break
+        if canon is not last:
+            last = canon
+            surfaces += 1
         # b_modification checks the formula by cell count
         try:
             _, octs, _ = surface.b_modification(tri, canon, b)
         except AssertionError as exc:
-            return checked, f"{name}: {exc}"
+            failure = f"{name}: {exc}"
+            break
         if name.startswith("loop") and octs < len(b):
-            return checked, f"{name}: o(b) < |b| at {b}"
+            failure = f"{name}: o(b) < |b| at {b}"
+            break
         checked += 1
-    return checked, None
+    _log.debug("octagon share %d: %d canonical surfaces, %d b-modifications "
+               "checked", share, surfaces, checked)
+    return checked, failure
 
 
 def _formal_solutions(quick):

@@ -1,6 +1,7 @@
 """Normal coordinates: canonical surfaces, Euler characteristics, octagon
 modifications, formal solutions and twisted squares."""
 
+import gc
 import logging
 from fractions import Fraction
 from itertools import combinations
@@ -18,9 +19,10 @@ from trinorm.surface import (NormalCoordinate, CoordinateError,
                              QUAD_PAIRS, QUAD_SIDE_A, QUAD_ARC_VERTEX,
                              OCT_ARC_VERTICES, TRI_EDGE_WEIGHTS,
                              QUAD_EDGE_WEIGHTS, OCT_EDGE_WEIGHTS)
+from trinorm.perm import Perm4
 from trinorm.triangulation import (EDGE_VERTICES, FACET_VERTICES,
-                                   OPPOSITE_EDGE, Skeleton,
-                                   TriangulationError, parse)
+                                   OPPOSITE_EDGE, Skeleton, Triangulation,
+                                   TriangulationError, _gather, parse)
 from test_skeleton import _ReferenceUnionFind, gluing_tables
 
 
@@ -1134,7 +1136,102 @@ def test_facet_corners_match_the_gluings():
                 pairs += [(4 * x + v, 16 * u + 4 * perm[f] + perm[v])
                           for v in FACET_VERTICES[f]]
         assert list(zip(lower, upper)) == pairs
-        assert counted == corners
+        assert counted == tuple(corners)
+
+
+def test_gathers_give_tuples_for_one_slot_and_none():
+    assert _gather([])("abc") == ()
+    assert _gather([2])("abc") == ("c",)
+    assert _gather([2, 0])("abc") == ("c", "a")
+
+
+def _glued_pair(t, f, u, images):
+    """The two gluing entries that glue facet f of t to facet images[f]
+    of u, as (tet, facet, entry)."""
+    perm = Perm4(images)
+    return ((t, f, (u, perm)),
+            (u, perm[f], (t, Perm4(perm.images.index(v) for v in range(4)))))
+
+
+def _table(tet_count, *pairs):
+    rows = [[None] * 4 for _ in range(tet_count)]
+    for pair in pairs:
+        for t, f, entry in pair:
+            rows[t][f] = entry
+    return Triangulation(rows)
+
+
+# the edges of the gathers: a free tetrahedron (no glued face, an empty
+# corner gather), two tetrahedra glued on exactly one face, and a closed
+# tetrahedron whose six edges form one class (a one-slot class gather)
+_GATHER_EDGE_TRIS = {
+    "free": _table(1),
+    "one face": _table(2, _glued_pair(0, 0, 1, (1, 0, 2, 3))),
+    "one edge class": _table(1, _glued_pair(0, 0, 0, (1, 2, 0, 3)),
+                             _glued_pair(0, 2, 0, (0, 2, 3, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATHER_EDGE_TRIS))
+def test_cell_count_gathers_at_their_edges(name):
+    tri = _GATHER_EDGE_TRIS[name]
+    sk = tri.skeleton
+    lower, upper, counted = tri.facet_corners
+    assert (len(lower), len(counted), sk.edge_count) == {
+        "free": (0, 12, 6), "one face": (3, 21, 9),
+        "one edge class": (6, 6, 1)}[name]
+    assert [g(range(100)) for g in tri.slot_gathers[:4]] == [
+        tuple(lower), tuple(upper), tuple(counted), tuple(sk.edge_first)]
+    link = vertex_link(tri)
+    for k in range(3):
+        coord = link.scale(k)
+        assert _outcome(euler_char, tri, coord) == \
+            _outcome(_ref_euler_char, tri, coord)
+        assert _outcome(edge_weights, tri, coord) == \
+            _outcome(_ref_edge_weights, tri, coord)
+        for part, index, delta in (("tris", 0, 1), ("tris", 2, -1),
+                                   ("quads", 1, 1), ("octs", 0, 1),
+                                   ("octs", 2, -1)):
+            for tet in range(tri.tet_count):
+                bad = _corrupt(coord, part, tet, index, delta)
+                assert _outcome(euler_char, tri, bad) == \
+                    _outcome(_ref_euler_char, tri, bad)
+                assert _outcome(edge_weights, tri, bad) == \
+                    _outcome(_ref_edge_weights, tri, bad)
+    if name != "free":
+        # a second triangle at vertex 1 puts an arc in glued facet 0 that
+        # the other side lacks: the first failing vertex is named
+        one = _corrupt(link, "tris", 0, 1, 1)
+        kind, message = _outcome(euler_char, tri, one)
+        assert kind == "error" and message.startswith("matching fails")
+        assert (kind, message) == _outcome(_ref_euler_char, tri, one)
+
+
+def test_b_modification_follows_each_surface_when_calls_interleave():
+    # loop6's three canonical surfaces b-modified in turn, each surface
+    # dropped after its call and rebuilt for its next one, so a rebuilt
+    # surface may take the memory of the one freed just before it: a table
+    # found again for the wrong surface gives rows the reference does not
+    tri = build.layered_loop(6, twisted=True)
+    phis = cocycle.all_nonzero_classes(tri)
+    kept = [canonical_surface(tri, phi) for phi in phis]
+    assert len({canon.coord for canon in kept}) == 3
+    subsets = [[b for r in range(len(phi.even_edges()) + 1)
+                for b in combinations(phi.even_edges(), r)] for phi in phis]
+    calls = [(k, subsets[k][step % len(subsets[k])])
+             for step in range(2 * max(map(len, subsets)))
+             for k in ((0, 2, 1) if step % 2 else (0, 1, 2))]
+    expected = [_ref_b_modification(tri, kept[k], b) for k, b in calls]
+    got = []
+    for k, b in calls:
+        canon = canonical_surface(tri, phis[k])
+        got.append(b_modification(tri, canon, b))
+        del canon
+        gc.collect()
+    assert [(coord, octs) for coord, octs, _ in got] == expected
+    for (k, b), (coord, octs, chi) in zip(calls, got):
+        assert _outcome(_ref_euler_char, tri, coord) == ("value", chi) == \
+            ("value", kept[k].chi - 2 * octs + 2 * len(b))
 
 
 # ----- one row per tetrahedron against the three-part writers ----------------

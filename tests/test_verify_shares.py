@@ -302,6 +302,76 @@ def test_octagon_items_are_the_modifications(quick):
     assert len(whole) == (82 if quick else 4196)
 
 
+def test_every_octagon_item_gets_one_full_cell_count(monkeypatch):
+    # over both full shares: one b_modification per item, and inside each
+    # exactly one validating euler_char, on a coordinate with one row per
+    # tetrahedron and no edge weights handed in
+    items = [(tri.gluings, canon, b)
+             for _, tri, canon, b in verifysuite._octagon_items(False)]
+    modified, counted = [], []
+    real_modification, real_count = surface.b_modification, surface.euler_char
+
+    def modification(tri, canon, b):
+        modified.append((tri.gluings, canon, b))
+        before = len(counted)
+        result = real_modification(tri, canon, b)
+        assert len(counted) == before + 1
+        return result
+
+    def count(tri, coord, weights=None):
+        if len(modified) > len(counted):
+            assert weights is None and not coord.formal
+            assert coord.tet_count == len(coord.rows) == tri.tet_count
+            counted.append(coord)
+        return real_count(tri, coord, weights)
+
+    monkeypatch.setattr(surface, "b_modification", modification)
+    monkeypatch.setattr(surface, "euler_char", count)
+    assert [verifysuite._octagon_share(share, False) for share in (0, 1)] \
+        == [(2098, None)] * 2
+    assert len(modified) == len(counted) == len(items) == 4196
+    merged = [None] * len(items)
+    merged[0::2], merged[1::2] = modified[:2098], modified[2098:]
+    assert merged == items
+
+
+def test_b_modification_still_refuses_odd_edges_and_other_types():
+    # also once a surface's quad sites are held on its table
+    tri = _member("Q", (6,))
+    canon = surface.canonical_surface(
+        tri, cocycle.all_nonzero_classes(tri)[0])
+    surface.b_modification(tri, canon, ())
+    odd = canon.cocycle.odd_edges()[0]
+    for b, message in (((odd,), f"^edge {odd} is odd; b must select even "
+                                "edges$"),
+                       ((tri.skeleton.edge_count,), "is not an edge class")):
+        with pytest.raises(TriangulationError, match=message):
+            surface.b_modification(tri, canon, b)
+    # a surface with one tetrahedron cleared, on the same table, and a
+    # canonical surface with triangles, on another
+    rows = list(canon.coord.rows)
+    rows[2] = (0,) * 10
+    holed = canon._replace(coord=canon.coord._replace(rows=tuple(rows)))
+    other = build.seifert_family("M", 1, 1, 1)[0]
+    with_triangles = surface.canonical_surface(
+        other, cocycle.all_nonzero_classes(other)[0])
+    for table, surf in ((tri, holed), (other, with_triangles)):
+        with pytest.raises(TriangulationError, match="^b-modification needs "
+                           "all tetrahedra of quad type$"):
+            surface.b_modification(table, surf, ())
+    assert surface.b_modification(tri, canon, ())[0] == canon.coord
+
+
+def test_each_octagon_share_logs_its_surfaces_and_modifications(caplog):
+    with caplog.at_level(logging.DEBUG, logger="trinorm.verifysuite"):
+        assert [verifysuite._octagon_share(share, False)
+                for share in (0, 1)] == [(2098, None)] * 2
+    assert [record.getMessage() for record in caplog.records
+            if record.name == "trinorm.verifysuite"] == [
+        f"octagon share {share}: 9 canonical surfaces, 2098 "
+        "b-modifications checked" for share in (0, 1)]
+
+
 @pytest.mark.parametrize("quick", [True, False])
 @pytest.mark.parametrize("name", SHARED)
 def test_pooled_path_reports_as_the_in_process_path(monkeypatch, name,
@@ -700,7 +770,9 @@ def test_the_shared_walk_logs_each_share(monkeypatch, caplog):
             if record.name == "trinorm.verifysuite"
             and not record.getMessage().startswith("task ")] == [
         f"tree walk, share 0: depth 8, 128 nodes, 96 folds, for {served}",
-        f"tree walk, share 1: depth 8, 127 nodes, 93 folds, for {served}"]
+        f"tree walk, share 1: depth 8, 127 nodes, 93 folds, for {served}",
+        "octagon share 0: 5 canonical surfaces, 41 b-modifications checked",
+        "octagon share 1: 5 canonical surfaces, 41 b-modifications checked"]
 
 
 # the criteria of each task, as its DEBUG line names them
