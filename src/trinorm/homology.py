@@ -19,7 +19,7 @@ import logging
 from typing import NamedTuple
 
 from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_VERTICES,
-                            TriangulationError, _UnionFind, _gf2_reduce)
+                            TriangulationError, _gf2_reduce, _linked)
 
 _log = logging.getLogger(__name__)
 
@@ -294,7 +294,7 @@ def first_homology(tri):
     tetrahedra meets the boundary of each with coefficient +-1, peeling
     the tree's leaves writes each tree face's column as an integer
     combination of the other columns: the column span, and so H_1, is
-    unchanged."""
+    unchanged.  A vertex spanning tree comes from ``_linked`` at parity 0."""
     sk = tri.skeleton
     if sk.boundary_facets:
         raise TriangulationError("first_homology requires a closed triangulation")
@@ -311,11 +311,12 @@ def first_homology(tri):
     # check reads the rank of d1 mod 2, zero with one vertex class.
     rank1 = 0
     if sk.vertex_count > 1:
-        primal = _UnionFind(sk.vertex_count)
-        rows1 = [0] * sk.vertex_count
+        nv = sk.vertex_count
+        # every parity is 0, so no relation conflicts, and an edge is a
+        # tree edge when _linked links two roots, the least one below nv
+        primal, zeros, rows1 = list(range(nv)), [0] * nv, [0] * nv
         for e, (tail, head) in enumerate(_edge_ends(sk)):
-            if primal.find(tail)[0] != primal.find(head)[0]:
-                primal.union(tail, head, 0)
+            if _linked(primal, zeros, tail, head, ((0, 0, 0),), (), nv) < nv:
                 relations.append({e: 1})
             if tail != head:
                 rows1[tail] |= 1 << e

@@ -34,7 +34,7 @@ from operator import add, eq, mul
 from typing import NamedTuple
 
 from .triangulation import (EDGE_VERTICES, FACET_VERTICES,
-                            TriangulationError, _UnionFind)
+                            TriangulationError, _linked)
 from .cocycle import TetType, _check_length, classify_tetrahedra, ParityCensus
 
 _log = logging.getLogger(__name__)
@@ -165,16 +165,23 @@ def _class_weights(tri, slot_weights):
 
 def edge_weights(tri, coord):
     """Intersection count of the coordinate with each edge class; slots of
-    one class must agree."""
+    one class must agree.  Rows go through ``_slot_weights`` unchecked."""
     _check_size(tri, coord)
-    slot_weights = [0] * (6 * tri.tet_count)
-    for t, row in enumerate(coord.rows):
-        w = 6 * t
-        for d, c in enumerate(row):
-            if c:
-                for ei in _DISC_EDGES[d]:
-                    slot_weights[w + ei] += c
-    return list(_class_weights(tri, tuple(slot_weights)))
+    return list(_class_weights(
+        tri, tuple(chain.from_iterable(map(_slot_weights, coord.rows)))))
+
+
+@lru_cache(maxsize=4096)
+def _slot_weights(counts):
+    """The six edge-slot weights that one tetrahedron's row of ten disc
+    counts gives, embeddable or not: each disc adds its count to every
+    edge slot it crosses, once per crossing."""
+    weights = [0] * 6
+    for d, c in enumerate(counts):
+        if c:
+            for ei in _DISC_EDGES[d]:
+                weights[ei] += c
+    return tuple(weights)
 
 
 @lru_cache(maxsize=4096)
@@ -189,14 +196,11 @@ def _tet_cells(counts):
     if counts[4:].count(0) < 5:
         return "tetrahedron {} has more than one quad-or-octagon type"
     arcs = [0] * 16
-    weights = [0] * 6
     for d, c in enumerate(counts):
         if c:
             for entry in _DISC_ARCS[d]:
                 arcs[entry] += c
-            for ei in _DISC_EDGES[d]:
-                weights[ei] += c
-    return tuple(arcs), tuple(weights), sum(counts)
+    return tuple(arcs), _slot_weights(counts), sum(counts)
 
 
 def euler_char(tri, coord, weights=None):
@@ -540,8 +544,9 @@ def surface_classify(tri, coord, chi=None):
     Orientability is decided by propagating transverse orientations across
     the normal disc adjacency graph.  That coincides with orientability of
     the surface itself only in an orientable manifold, so in a
-    non-orientable one ``orientable`` is None: not decided.  The empty
-    surface is orientable.  A caller that has already counted the
+    non-orientable one ``orientable`` is None: not decided.  One call of
+    ``_linked`` joins the discs glued across faces.  The empty surface is
+    orientable.  A caller that has already counted the
     coordinate with ``euler_char`` (which also validates it) passes that
     ``chi`` instead of recounting.
     """
@@ -562,19 +567,19 @@ def surface_classify(tri, coord, chi=None):
 
     # discs joined across faces, with a parity bit when the transverse
     # orientations disagree; any odd cycle (a conflict) is one-sidedness
-    xs, ys, rels = [], [], []
+    relations = []
     lower, upper, _ = tri.facet_corners
     for a, b in zip(lower, upper):
         side1, side2 = arcs[a], arcs[b]
         if len(side1) != len(side2):
             raise CoordinateError("arc mismatch during classification")
+        if not side1:
+            continue
         s1, s2 = start[a // 16], start[b // 16]
         for (d1, bit1), (d2, bit2) in zip(side1, side2):
-            xs.append(s1 + d1)
-            ys.append(s2 + d2)
-            rels.append(bit1 ^ bit2)
-    uf = _UnionFind(total)
-    uf.union_all(xs, ys, rels)
-    roots = sum(map(eq, uf.parent, range(total)))
-    orientable = not uf.conflict if tri.is_orientable else None
+            relations.append((s1 + d1, s2 + d2, bit1 ^ bit2))
+    parent, conflicts = list(range(total)), []
+    _linked(parent, [0] * total, 0, 0, relations, conflicts, total)
+    roots = sum(map(eq, parent, range(total)))
+    orientable = not conflicts if tri.is_orientable else None
     return chi, orientable, roots == 1

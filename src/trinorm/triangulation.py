@@ -148,66 +148,53 @@ class ParseError(TriangulationError):
         super().__init__(message)
 
 
-class _UnionFind:
-    """Union-find with a Z/2 weight on each node, used to track whether a
-    slot's orientation agrees with its class representative."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.parity = [0] * n
-        self.conflict = set()
-
-    def find(self, x):
-        parent = self.parent
-        root = parent[x]
-        if parent[root] == root:
-            # x is a root or a child of one; a root's parity is 0
-            return root, self.parity[x]
-        path = [x]
-        while parent[root] != root:
-            path.append(root)
-            root = parent[root]
-        # path compression, rewriting each node's parity relative to root
-        parity = self.parity
-        acc = 0
-        for node in reversed(path):
-            acc ^= parity[node]
-            parent[node] = root
-            parity[node] = acc
-        return root, acc
-
-    def union(self, x, y, rel):
-        self.union_all((x,), (y,), (rel,))
-
-    def union_all(self, xs, ys, rels):
-        """Join the class of each x with that of y, in order, y's side at
-        parity ``rel`` relative to x's: the root of x's class stays the
-        root, and y's old root gets parity px ^ rel ^ py.  A relation that
-        closes an odd cycle marks the class in ``conflict``."""
-        parent, parity, find = self.parent, self.parity, self.find
-        conflict = self.conflict
-        for x, y, rel in zip(xs, ys, rels):
-            # find() inlined for the common case of a node at most one
-            # step below its root
-            rx = parent[x]
-            if parent[rx] == rx:
-                px = parity[x]
-            else:
-                rx, px = find(x)
-            ry = parent[y]
-            if parent[ry] == ry:
-                py = parity[y]
-            else:
-                ry, py = find(y)
-            if rx == ry:
-                if (px ^ py) != rel:
-                    conflict.add(rx)
-                continue
-            parent[ry] = rx
-            parity[ry] = px ^ rel ^ py
-            if ry in conflict:
-                conflict.discard(ry)
-                conflict.add(rx)
+def _linked(parent, parity, x0, y0, relations, conflicts, low):
+    """Join slot ``x0 + i`` with slot ``y0 + j`` at parity ``rel`` for each
+    (i, j, rel) of ``relations``, in order.  Roots are the least slot of
+    their class: a root is linked under the lesser root, and finds halve
+    their paths.  A slot holds its parity to its parent, a root its
+    class's kept bit, the parity of the root a union keeping x's root
+    would leave.  The root of each odd cycle is appended to ``conflicts``
+    as it is found.  Returns the least of ``low`` and the roots linked or
+    given another kept bit."""
+    for i, j, rel in relations:
+        a, pa = x0 + i, 0
+        while parent[a] != a:
+            up = parent[a]
+            if parent[up] == up:
+                pa ^= parity[a]
+                a = up
+                break
+            parity[a] ^= parity[up]
+            pa ^= parity[a]
+            parent[a] = a = parent[up]
+        b, pb = y0 + j, 0
+        while parent[b] != b:
+            up = parent[b]
+            if parent[up] == up:
+                pb ^= parity[b]
+                b = up
+                break
+            parity[b] ^= parity[up]
+            pb ^= parity[b]
+            parent[b] = b = parent[up]
+        rel ^= pa ^ pb
+        if a < b:
+            parent[b] = a
+            parity[b] = rel
+        elif b < a:
+            # b stays the root, with the kept bit of a, x's side
+            parent[a] = b
+            parity[b] = parity[a] ^ rel
+            parity[a] = rel
+        else:
+            if rel:
+                conflicts.append(a)
+            continue
+        # b was linked under a, or took a's kept bit
+        if b < low:
+            low = b
+    return low
 
 
 def _gf2_reduce(rows):
@@ -260,7 +247,8 @@ class Skeleton:
     the edge slots by class.
 
     One routine, ``_resumed``, builds these lists, reading the gluings in
-    order of their lower facet slots; the full pass runs it from the
+    order of their lower facet slots and joining edge slots through
+    ``_linked``, the one parity union-find; the full pass runs it from the
     skeleton of no tetrahedra.  Each skeleton keeps the slot forest its
     pass left, ``_forest``, and the last lower slot of a gluing it read,
     ``_last``.  A table that ``Triangulation.glued`` makes from a parent
@@ -348,14 +336,13 @@ def _resumed(sk, gluings):
     ``sk``.  Vertex and edge slots are joined as each gluing is read, in
     partitions whose roots are the least slot of their class: a root is
     linked under the lesser root, and finds halve their paths.  A vertex
-    slot's sign is always +1, so its root carries no direction.  An edge
-    slot holds its parity to its parent, and a root in its place the
-    parity of the class's kept root, the one a union keeping the lower
-    side's root would leave: both partitions merge on the same relations,
-    so the parities agree.  The forest starts as a copy of ``sk``'s with
-    the new slots as roots.  Below the least old root the pass links or
-    gives another kept bit, every slot keeps its class and sign in ``sk``,
-    so only the slots from there on are numbered."""
+    slot's sign is always +1, so its root carries no direction.  Edge
+    slots are joined by ``_linked``, the lower slot's side as x, so a
+    root's parity slot holds the parity of the class's kept root.  The
+    forest starts as a copy of ``sk``'s with the new slots as roots.
+    Below the least old root the pass links or gives another kept bit,
+    every slot keeps its class and sign in ``sk``, so only the slots from
+    there on are numbered."""
     n = len(gluings)
     last = sk._last
     old_vert, old_edge, old_parity = sk._forest
@@ -411,46 +398,8 @@ def _resumed(sk, gluings):
                 vert[a] = b
                 if a < low_v:
                     low_v = a
-        t6, u6 = 6 * (x >> 2), 6 * u
-        for e, d, rel in edges:
-            # a root's parity slot holds its kept bit, so a find stops
-            # below the root
-            a, pa = t6 + e, 0
-            while edge[a] != a:
-                up = edge[a]
-                if edge[up] == up:
-                    pa ^= parity[a]
-                    a = up
-                    break
-                parity[a] ^= parity[up]
-                pa ^= parity[a]
-                edge[a] = a = edge[up]
-            b, pb = u6 + d, 0
-            while edge[b] != b:
-                up = edge[b]
-                if edge[up] == up:
-                    pb ^= parity[b]
-                    b = up
-                    break
-                parity[b] ^= parity[up]
-                pb ^= parity[b]
-                edge[b] = b = edge[up]
-            rel ^= pa ^ pb
-            if a < b:
-                edge[b] = a
-                parity[b] = rel
-            elif b < a:
-                # b stays the root, with the kept bit of a, the lower side
-                edge[a] = b
-                parity[b] = parity[a] ^ rel
-                parity[a] = rel
-            else:
-                if rel:
-                    conflicts.append(a)
-                continue
-            # b was linked under a, or took a's kept bit
-            if b < low_e:
-                low_e = b
+        low_e = _linked(edge, parity, 6 * (x >> 2), 6 * u, edges,
+                        conflicts, low_e)
     # every slot's parent is a lesser slot of its class or itself, so a
     # class is numbered at its root, its first slot, and each later slot
     # takes its parent's class, and its sign through its parent's; an old

@@ -1,7 +1,8 @@
 """The one-pass, table-driven skeleton against the two-sided loop it
 replaced, kept here word for word as the reference, on the one-union-a-call
-union-find it used, also kept here word for word; and the skeletons resumed
-from a parent's slot forest against the full pass and the reference."""
+union-find it used, also kept here word for word; the skeletons resumed
+from a parent's slot forest against the full pass and the reference; and
+``_linked``, the one parity union-find, against a graph search."""
 
 import functools
 import pickle
@@ -13,7 +14,7 @@ from trinorm import build, verifysuite
 from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                                    FACET_VERTICES, TriBuilder, Triangulation,
-                                   _UnionFind)
+                                   _linked)
 
 
 # ----- the reference: every facet visited from both sides --------------------
@@ -331,7 +332,11 @@ def test_random_gluing_tables_match_reference(tri):
 def glued_onto_tables(draw):
     """(parent, joins, new_tets): a table of ``gluing_tables``, and either
     joins among its free facets and those of one new tetrahedron, or one
-    join of two of its free facets or of one free facet to itself."""
+    join of two of its free facets or of one free facet to itself.  When
+    the parent has a free facet after its last glued lower slot, half the
+    single joins glue the first such facet to itself by a reflection, on
+    the parent with its skeleton built, so that the resumed pass meets
+    an edge that the join makes invalid."""
     tri = draw(gluing_tables())
     if draw(st.booleans()):
         # build the parent's skeleton first, or leave the child to
@@ -349,6 +354,15 @@ def glued_onto_tables(draw):
             perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == g]))
             joins.append((t, f, u, perm))
     elif free:
+        last = _last_glued_lower_slot(tri)
+        late = [(t, f) for t, f in free if 4 * t + f > last]
+        if late and draw(st.booleans()):
+            # read on from the parent's forest, a reflection makes the
+            # edge it reverses invalid, unless it already was
+            tri.skeleton
+            t, f = late[0]
+            perm = draw(st.sampled_from(_reflections(f)))
+            return tri, ((t, f, t, perm),), 0
         t, f = free[0]
         if len(free) > 1 and draw(st.booleans()):
             u, g = free[1]
@@ -699,18 +713,30 @@ def test_a_long_chain_of_layers_runs_no_full_pass(monkeypatch):
 # ----- the parity union-find -------------------------------------------------------
 
 
+def _root(parent, parity, x):
+    """The root of x in a forest that ``_linked`` left, and x's parity to
+    it: a root's own parity slot holds its kept bit, which is not read."""
+    p = 0
+    while parent[x] != x:
+        p ^= parity[x]
+        x = parent[x]
+    return x, p
+
+
+def _relation_cases(size):
+    """(n, relations): up to ``size`` parity relations among n slots."""
+    return st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1),
+                                       st.integers(0, 1)), max_size=size)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
-                                   st.integers(0, n - 1),
-                                   st.integers(0, 1)), max_size=20))))
-def test_union_find_matches_graph_search(case):
+@given(_relation_cases(20))
+def test_linked_matches_graph_search(case):
     n, relations = case
-    uf = _UnionFind(n)
-    ref = _ReferenceUnionFind(n)
-    for x, y, rel in relations:
-        uf.union(x, y, rel)
-        ref.union(x, y, rel)
+    parent, parity, conflicts = list(range(n)), [0] * n, []
+    low = _linked(parent, parity, 0, 0, relations, conflicts, n)
     # graph search: a parity label per node, and which components hold an
     # odd cycle
     adjacent = [[] for _ in range(n)]
@@ -731,37 +757,57 @@ def test_union_find_matches_graph_search(case):
                     stack.append(y)
                 elif label[y] != label[x] ^ rel:
                     odd.add(start)
-    found = [uf.find(x) for x in range(n)]
+    found = [_root(parent, parity, x) for x in range(n)]
     for x in range(n):
         root, p = found[x]
         assert component[root] == component[x]
+        # every root is the least slot of its class
+        assert root == min(y for y in range(n)
+                           if component[y] == component[x])
         if component[x] not in odd:
             # with an odd cycle the parities are not determined
             assert p == label[x] ^ label[root]
-    assert {component[r] for r in uf.conflict} == odd
+    # a conflict recorded at detection may since have been linked under
+    # another root: a final find puts it in its class
+    assert {component[_root(parent, parity, r)[0]] for r in conflicts} \
+        == odd
     roots = {r for r, _ in found}
     assert len(roots) == len(set(component.values()))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
-                                   st.integers(0, n - 1),
-                                   st.integers(0, 1)), max_size=30))),
-       st.integers(0, 30))
-def test_batch_union_matches_reference_union_find(case, split):
-    # the batch call, and single unions, leave every root, parity and
-    # conflict exactly where one reference union per relation leaves them
-    n, relations = case
+    # a root's parity slot holds its kept bit: the parity to it of the
+    # root that a union keeping x's root, the reference's, leaves
     ref = _ReferenceUnionFind(n)
     for x, y, rel in relations:
         ref.union(x, y, rel)
-    uf = _UnionFind(n)
+    for x in range(n):
+        if component[x] not in odd:
+            assert parity[found[x][0]] == found[ref.find(x)[0]][1]
+    # low is the least root linked or given another kept bit: y's root at
+    # each relation that joins two classes, the lesser root being kept
+    # whichever side it is on; every slot below it is as it was
+    classes, least = list(range(n)), n
+    for x, y, _ in relations:
+        a, b = classes[x], classes[y]
+        if a != b:
+            least = min(least, b)
+            classes = [min(a, b) if c in (a, b) else c for c in classes]
+    assert low == least
+    assert parent[:low] == list(range(low)) and parity[:low] == [0] * low
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relation_cases(30), st.integers(0, 30), st.integers(-12, 12),
+       st.integers(-12, 12))
+def test_linked_in_two_calls_leaves_the_one_call_forest(case, split, x0, y0):
+    # relations split over two calls, the second read at slot offsets,
+    # leave every parent, parity, conflict and low where one call leaves
+    # them
+    n, relations = case
+    one = list(range(n)), [0] * n, []
+    one_low = _linked(*one[:2], 0, 0, relations, one[2], n)
+    two = list(range(n)), [0] * n, []
     head, tail = relations[:split], relations[split:]
-    uf.union_all([x for x, _, _ in head], [y for _, y, _ in head],
-                 [rel for _, _, rel in head])
-    for x, y, rel in tail:
-        uf.union(x, y, rel)
-    assert (uf.parent, uf.parity, uf.conflict) == \
-        (ref.parent, ref.parity, ref.conflict)
-    assert [uf.find(x) for x in range(n)] == [ref.find(x) for x in range(n)]
+    two_low = _linked(*two[:2], 0, 0, head, two[2], n)
+    two_low = _linked(*two[:2], x0, y0,
+                      [(x - x0, y - y0, rel) for x, y, rel in tail],
+                      two[2], two_low)
+    assert (two, two_low) == (one, one_low)
