@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from functools import cached_property
-from itertools import permutations
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .perm import Perm4
@@ -36,14 +35,13 @@ class Book(NamedTuple):
     edges: dict
 
     def hinge(self, edge_class):
-        """(tet, facet, a, b, c) for each face: the given boundary edge runs
-        from vertex a to vertex b, and c is the face's third vertex."""
-        if edge_class not in self.edges:
+        """The given boundary edge's vertex pair (a, b) in each face: it
+        runs from vertex a to vertex b."""
+        pairs = self.edges.get(edge_class)
+        if pairs is None:
             raise TriangulationError(
                 f"edge {edge_class} is not a boundary edge")
-        # facet f is opposite vertex f, and the four labels sum to 6
-        return [(t, f, a, b, 6 - f - a - b)
-                for (t, f), (a, b) in zip(self.faces, self.edges[edge_class])]
+        return pairs
 
 
 class _TorusFields(NamedTuple):
@@ -187,19 +185,30 @@ def frontier_book(tri, faces):
 _SEED = _seed_lst()
 
 
-# _LAYER_MAPS[a, b, c] holds the two gluings ``_layer`` makes of a face
-# (tet, f) whose hinge runs a -> b, with third vertex c = 6 - f - a - b:
-# onto the new tetrahedron's facet 2 (the first face) and facet 3 (the
-# second), the hinge landing on its edge 0 -> 1
-_LAYER_MAPS = {(a, b, c): (Perm4.from_map({a: 0, b: 1, c: 3, f: 2}),
-                           Perm4.from_map({a: 0, b: 1, c: 2, f: 3}))
-               for a, b, c, f in permutations(range(4))}
+@lru_cache(maxsize=None)
+def _layer_step(f1, f2, hinge, kept):
+    """``_layer``'s rule on a book's shape, labels 0..3 only, so few shapes
+    occur: the facets of the two faces, the hinge's vertex pair in each
+    and the kept classes' pairs in order.  Returns the gluings of the faces
+    onto the new tetrahedron's facets 2 and 3, and the new book's pairs:
+    the kept classes' in order, then the fresh edge's."""
+    # facet f is opposite vertex f, and the four labels sum to 6
+    (a1, b1), (a2, b2) = hinge
+    g1 = Perm4.from_map({a1: 0, b1: 1, 6 - f1 - a1 - b1: 3, f1: 2})
+    g2 = Perm4.from_map({a2: 0, b2: 1, 6 - f2 - a2 - b2: 2, f2: 3})
+    im1, im2 = g1.images, g2.images
+    pairs = []
+    for (h1, u1), (h2, u2) in kept:
+        i1, i2 = (im1[h1], im1[u1]), (im2[h2], im2[u2])
+        pairs.append((i2, i1) if 0 in i1 else (i1, i2))
+    return g1, g2, (*pairs, ((2, 3), (2, 3)))
 
 
 def _layer(book, hinge, new, new_class):
     """The two joins that attach tetrahedron ``new`` across the book's two
     faces, hinged on the boundary edge class ``hinge``, and the book they
-    leave; ``Triangulation.glued`` makes the joins.
+    leave; ``Triangulation.glued`` makes the joins.  The rule is
+    ``_layer_step``'s, looked up by the book's shape.
 
     The new tetrahedron glues its facets 2 and 3 over the two faces with
     the hinge landing on its edge (0,1); orientation of the hinge is
@@ -209,18 +218,17 @@ def _layer(book, hinge, new, new_class):
     The two kept classes keep their direction; of each one's two images,
     the one through vertex 0 lies in facet 1 and the other in facet 0.
     """
-    (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = book.hinge(hinge)
-    g1 = _LAYER_MAPS[a1, b1, c1][0]
-    g2 = _LAYER_MAPS[a2, b2, c2][1]
-    im1, im2 = g1.images, g2.images
-    edges = {}
-    for e, ((h1, u1), (h2, u2)) in book.edges.items():
+    pairs = book.hinge(hinge)
+    kept, kept_pairs = [], []
+    for e, pair in book.edges.items():
         if e != hinge:
-            i1, i2 = (im1[h1], im1[u1]), (im2[h2], im2[u2])
-            edges[e] = (i2, i1) if 0 in i1 else (i1, i2)
-    edges[new_class] = ((2, 3), (2, 3))
+            kept.append(e)
+            kept_pairs.append(pair)
+    (t1, f1), (t2, f2) = book.faces
+    g1, g2, images = _layer_step(f1, f2, pairs, tuple(kept_pairs))
+    kept.append(new_class)
     return (((t1, f1, new, g1), (t2, f2, new, g2)),
-            Book(((new, 0), (new, 1)), edges))
+            Book(((new, 0), (new, 1)), dict(zip(kept, images))))
 
 
 def layer_on_edge(tri, edge_class, torus):
@@ -293,9 +301,10 @@ def minimal_path(p, q):
 def lst(p, q):
     """Layered solid torus with boundary triple {p, q, p+q}, layered along
     the minimal path on one working state: the joins, the weights, the
-    boundary, the tetrahedra and the book, updated by each layer as
-    ``relayer`` and ``_layer`` do.  Only the seed tetrahedron's skeleton
-    is read, and the seed is glued once, with every layer's joins."""
+    boundary, the tetrahedra and the book's classes and pairs, updated by
+    each layer as ``relayer`` and ``_layer_step`` do; one ``Book`` is built
+    at the end.  Only the seed tetrahedron's skeleton is read, and the seed
+    is glued once, with every layer's joins."""
     p, q = int(p), int(q)
     if p > q:
         p, q = q, p
@@ -312,6 +321,8 @@ def lst(p, q):
     weights = dict(torus.edge_weights)
     boundary, book = torus.boundary_edges, torus.book
     univalent, base = torus.univalent_edge, None
+    faces, classes = book.faces, tuple(book.edges)
+    pairs = tuple(book.edges.values())
     path = minimal_path(p, q)
     for (pa, pb), (ca, cb) in zip(path, path[1:]):
         # moving to the child replaces one of pa, pb by the new sum
@@ -319,14 +330,20 @@ def lst(p, q):
         hinge = next(e for e in boundary if weights[e] == gone)
         univalent = len(weights)
         new = len(tets)
-        layer, book = _layer(book, hinge, new, univalent)
-        joins += layer
+        (t1, f1), (t2, f2) = faces
+        i = classes.index(hinge)
+        g1, g2, pairs = _layer_step(f1, f2, pairs[i],
+                                    pairs[:i] + pairs[i + 1:])
+        joins += (t1, f1, new, g1), (t2, f2, new, g2)
+        classes = (*classes[:i], *classes[i + 1:], univalent)
+        faces = (new, 0), (new, 1)
         boundary = relayer(weights, boundary, hinge, univalent)
         if base is None:
             base = hinge
         tets.append(new)
     return seed.glued(joins, len(tets) - 1), LayeredSolidTorus(
-        tuple(tets), weights, boundary, univalent, base, book)
+        tuple(tets), weights, boundary, univalent, base,
+        Book(faces, dict(zip(classes, pairs))))
 
 
 def fold_record(p, q, weight):
@@ -339,6 +356,15 @@ def fold_record(p, q, weight):
     return FoldRecord(weight, abs(p - q), p)
 
 
+@lru_cache(maxsize=None)
+def _fold_map(f1, f2, hinge):
+    """The fold's gluing of facet f1 onto f2, the hinge's vertex pair in
+    the first face onto its pair in the second; memoised like the layer's."""
+    (a1, b1), (a2, b2) = hinge
+    return Perm4.from_map({a1: a2, b1: b2, 6 - f1 - a1 - b1: 6 - f2 - a2 - b2,
+                           f1: f2})
+
+
 def fold_along_edge(tri, edge_class, torus):
     """Close the book of tri, the layered solid torus ``torus``: identify
     the two boundary faces by the map fixing the given boundary edge
@@ -347,8 +373,8 @@ def fold_along_edge(tri, edge_class, torus):
     (``Triangulation.glued``), and its fold record.  The boundary is read
     off the torus's book, so a torus whose faces are glued in tri is
     refused."""
-    (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = torus.book.hinge(edge_class)
-    fold = Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2})
+    (t1, f1), (t2, f2) = torus.book.faces
+    fold = _fold_map(f1, f2, torus.book.hinge(edge_class))
     return tri.glued(((t1, f1, t2, fold),)), fold_record(
         torus.p, torus.q, torus.edge_weights[edge_class])
 
@@ -416,15 +442,18 @@ def lst_weight_multiset(p, q):
 def lgraph(depth_limit):
     """All fraction-tree nodes to the given depth, level by level, with
     even/odd edge-weight counts of the corresponding layered solid torus.
-    Weights come from the replay alone; no triangulation is built."""
+    No triangulation is built: a node's even count is its parent's, plus
+    one when the weight its layer adds is even, 2p+q for the child p/(p+q)
+    and p+2q for q/(p+q); the root 1/2 has the weights 1, 2, 3."""
     if depth_limit < 1:
         raise TriangulationError("depth limit must be at least 1")
     nodes = []
-    level = [(1, 2)]
+    level = [(1, 2, 1)]
     for depth in range(1, depth_limit + 1):
-        nodes += [LGraphNode.of(p, q, depth, lst_weight_multiset(p, q))
-                  for p, q in level]
-        level = [c for p, q in level for c in ((p, p + q), (q, p + q))]
+        nodes += [LGraphNode(p, q, depth, even, depth + 2 - even)
+                  for p, q, even in level]
+        level = [(a, b, even + 1 - w % 2) for p, q, even in level
+                 for a, b, w in ((p, p + q, 2 * p + q), (q, p + q, p + 2 * q))]
     return nodes
 
 

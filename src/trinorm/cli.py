@@ -435,15 +435,18 @@ def cmd_twisted_squares(args):
     return 0
 
 
-def _tree_depth(args):
-    """``--depth``, refused above ``MAX_DEPTH`` before any work."""
+def _tree_depth(args, least):
+    """``--depth``, refused below the command's ``least`` depth or above
+    ``MAX_DEPTH`` before any work."""
+    if args.depth < least:
+        raise UsageError(f"--depth must be at least {least}")
     if args.depth > MAX_DEPTH:
         raise UsageError(f"--depth must be at most {MAX_DEPTH}")
     return args.depth
 
 
 def cmd_lgraph(args):
-    nodes = build.lgraph(_tree_depth(args))
+    nodes = build.lgraph(_tree_depth(args, 1))
     _emit({"schema_version": SCHEMA_VERSION,
            "nodes": [{"p": n.p, "q": n.q, "depth": n.depth,
                       "even": n.e_bar, "odd": n.o_bar,
@@ -452,7 +455,7 @@ def cmd_lgraph(args):
 
 
 def cmd_enumerate_lens(args):
-    rows = build.enumerate_minimal_lens_families(_tree_depth(args))
+    rows = build.enumerate_minimal_lens_families(_tree_depth(args, 3))
     _emit({"schema_version": SCHEMA_VERSION,
            "families": [{"p": n.p, "q": n.q, "depth": n.depth,
                          "fold_weight": rec.fold_edge_weight,

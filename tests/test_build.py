@@ -16,8 +16,8 @@ from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                                    FACET_VERTICES, TriBuilder, Triangulation,
                                    TriangulationError)
-from test_skeleton import gluing_tables
-from test_triangulation import _random_relabelling
+from test_skeleton import SKELETON_FIELDS, gluing_tables
+from test_triangulation import _raised, _random_relabelling
 
 
 def test_lst_examples():
@@ -577,6 +577,152 @@ def test_lst_matches_skeleton_reference_on_drawn_pairs(pair):
     p, q = pair[0] // g, pair[1] // g
     assume(len(build.minimal_path(p, q)) <= 60)
     assert build.lst(p, q) == _reference_path(build.minimal_path(p, q))[-1]
+
+
+# ----- the memoised layering and fold steps -------------------------------------
+
+# ``_layer`` as it was written before its rule was memoised on the book's
+# shape, kept as the reference for ``_layer_step``: one table of the two
+# gluings per (a, b, c), and the kept classes' images worked out per layer
+_REFERENCE_LAYER_MAPS = {
+    (a, b, c): (Perm4.from_map({a: 0, b: 1, c: 3, f: 2}),
+                Perm4.from_map({a: 0, b: 1, c: 2, f: 3}))
+    for a, b, c, f in itertools.permutations(range(4))}
+
+
+def _reference_layer(book, hinge, new, new_class):
+    if hinge not in book.edges:
+        raise TriangulationError(f"edge {hinge} is not a boundary edge")
+    (t1, f1), (t2, f2) = book.faces
+    (a1, b1), (a2, b2) = book.edges[hinge]
+    g1 = _REFERENCE_LAYER_MAPS[a1, b1, 6 - f1 - a1 - b1][0]
+    g2 = _REFERENCE_LAYER_MAPS[a2, b2, 6 - f2 - a2 - b2][1]
+    im1, im2 = g1.images, g2.images
+    edges = {}
+    for e, ((h1, u1), (h2, u2)) in book.edges.items():
+        if e != hinge:
+            i1, i2 = (im1[h1], im1[u1]), (im2[h2], im2[u2])
+            edges[e] = (i2, i1) if 0 in i1 else (i1, i2)
+    edges[new_class] = ((2, 3), (2, 3))
+    return (((t1, f1, new, g1), (t2, f2, new, g2)),
+            build.Book(((new, 0), (new, 1)), edges))
+
+
+def _book_items(book):
+    # a Book compares its edges as a dict; this keeps their order too
+    return book.faces, list(book.edges.items())
+
+
+def test_layer_step_matches_reference_on_every_tree_book():
+    seen = 0
+    for node, tri, meta in build.lst_tree(10):
+        book, new, new_class = meta.book, tri.tet_count, len(meta.edge_weights)
+        for e in book.edges:
+            got = build._layer(book, e, new, new_class)
+            want = _reference_layer(book, e, new, new_class)
+            assert got[0] == want[0]
+            assert _book_items(got[1]) == _book_items(want[1])
+            seen += 1
+        # an interior class and one past the last: refused with one text
+        for e in (*meta.interior_edges, new_class):
+            refused = (TriangulationError, f"edge {e} is not a boundary edge",
+                       None)
+            assert _raised(lambda: build._layer(book, e, new, new_class)) == \
+                _raised(lambda: _reference_layer(book, e, new, new_class)) \
+                == refused
+    assert seen == 3 * (2 ** 10 - 1)
+
+
+def _tree_path(rules):
+    """The fraction-tree path from 1/2 that takes the child p/(p+q) at each
+    False and q/(p+q) at each True."""
+    path = [(1, 2)]
+    for rule in rules:
+        p, q = path[-1]
+        path.append((q, p + q) if rule else (p, p + q))
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=149).filter(
+    lambda rules: len(set(rules)) == 2))
+def test_lst_matches_a_chain_of_layers_from_the_seed(rules):
+    path = _tree_path(rules)
+    p, q = path[-1]
+    assert build.minimal_path(p, q) == path
+    tri, meta = build._SEED
+    for (pa, pb), (ca, cb) in zip(path, path[1:]):
+        gone = pa if pa not in (ca, cb) else pb
+        tri, meta = build.layer_on_edge(tri, build.boundary_edge(meta, gone),
+                                        meta)
+    got_tri, got_meta = build.lst(p, q)
+    assert got_tri.gluings == tri.gluings
+    for name in SKELETON_FIELDS:
+        assert getattr(got_tri.skeleton, name) == getattr(tri.skeleton, name)
+    assert got_meta == meta and tuple(got_meta) == tuple(meta)
+    assert _book_items(got_meta.book) == _book_items(meta.book)
+
+
+def test_fold_map_matches_from_map_on_every_tree_fold():
+    seen = 0
+    for node, tri, meta in build.lst_tree(10):
+        (t1, f1), (t2, f2) = meta.book.faces
+        for e in meta.boundary_edges:
+            (a1, b1), (a2, b2) = meta.book.edges[e]
+            want = Perm4.from_map({a1: a2, b1: b2, f1: f2,
+                                   6 - f1 - a1 - b1: 6 - f2 - a2 - b2})
+            folded, _ = build.fold_along_edge(tri, e, meta)
+            assert folded.gluing(t1, f1) == (t2, want)
+            seen += 1
+        e = len(meta.edge_weights)
+        assert _raised(lambda: build.fold_along_edge(tri, e, meta)) == (
+            TriangulationError, f"edge {e} is not a boundary edge", None)
+    assert seen == 3 * (2 ** 10 - 1)
+
+
+def test_lgraph_carried_counts_match_the_weight_replay():
+    nodes = build.lgraph(14)
+    assert len(nodes) == 2 ** 14 - 1
+    for node in nodes:
+        assert node == build.LGraphNode.of(
+            node.p, node.q, node.depth,
+            build.lst_weight_multiset(node.p, node.q))
+
+
+def _labels(key):
+    """Every int in a memo key, however nested."""
+    if isinstance(key, tuple):
+        return [x for part in key for x in _labels(part)]
+    return [key]
+
+
+def test_memo_keys_hold_only_labels(monkeypatch):
+    # the memos are keyed on the book's shape, never on tetrahedron or
+    # class numbers: the walk to depth 5 meets every key that a walk four
+    # levels deeper or a path of 80 layers meets (10 and 8 of them)
+    keys = {"_layer_step": set(), "_fold_map": set()}
+    for name, seen in keys.items():
+        def recorded(*key, step=getattr(build, name), seen=seen):
+            seen.add(key)
+            return step(*key)
+        monkeypatch.setattr(build, name, recorded)
+
+    def walk(depth):
+        for node, tri, meta in build.lst_tree(depth):
+            for e in meta.boundary_edges:
+                build.fold_along_edge(tri, e, meta)
+        return {name: set(seen) for name, seen in keys.items()}
+
+    shallow = walk(5)
+    deep = walk(9)
+    for rules in ([False] * 80, [True] * 80, [False, True] * 40,
+                  [False, False, True] * 27):
+        build.lst(*_tree_path(rules)[-1])
+    assert deep == shallow == keys
+    assert (len(keys["_layer_step"]), len(keys["_fold_map"])) == (10, 8)
+    for seen in keys.values():
+        for key in seen:
+            assert all(type(x) is int and 0 <= x <= 3 for x in _labels(key))
 
 
 # ----- gluing onto a checked table ----------------------------------------------

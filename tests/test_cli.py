@@ -724,6 +724,10 @@ ERROR_CASES = {
     "lgraph deeper than the bound": (["lgraph", "--depth", "19"], 2),
     "enumerate-lens deeper than the bound": (["enumerate-lens", "--depth",
                                               "19"], 2),
+    # a depth below the command's least, refused before any work
+    "lgraph shallower than the least": (["lgraph", "--depth", "0"], 2),
+    "enumerate-lens shallower than the least": (["enumerate-lens", "--depth",
+                                                 "2"], 2),
     "annulus with two weights": (["construct", "augmented", "--annulus",
                                   "lst:1,2", "--annulus", "fold",
                                   "--annulus", "fold", "-o", "OUT"], 1),
@@ -778,6 +782,9 @@ ERROR_MESSAGES = {
     "lgraph deeper than the bound": "error: --depth must be at most 18\n",
     "enumerate-lens deeper than the bound":
         "error: --depth must be at most 18\n",
+    "lgraph shallower than the least": "error: --depth must be at least 1\n",
+    "enumerate-lens shallower than the least":
+        "error: --depth must be at least 3\n",
     "annulus with two weights": "error: bad annulus entry 'lst:1,2'\n",
     "annulus with non-integer weights":
         "error: bad annulus entry 'lst:a,b,c'\n",

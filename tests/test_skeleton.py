@@ -337,8 +337,11 @@ def glued_onto_tables(draw):
     single joins glue the first such facet to itself by a reflection, on
     the parent with its skeleton built, so that the resumed pass meets
     an edge that the join makes invalid."""
+    # drawn before the table: drawn after it, the choice came out False in
+    # about two thirds of the examples, not half
+    build_first = draw(st.booleans())
     tri = draw(gluing_tables())
-    if draw(st.booleans()):
+    if build_first:
         # build the parent's skeleton first, or leave the child to
         tri.skeleton
     new_tets = draw(st.integers(0, 1))
