@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .perm import Perm4
@@ -491,46 +492,175 @@ def lst_tree(depth_limit, share=None):
                         tri, boundary_edge(meta, gone), meta), depth + 1))
 
 
-def enumerate_minimal_lens_families(depth_limit):
-    """Fold every fraction-tree node with an even weight along its even
-    boundary edge and keep the folds whose parity census matches one of the
-    three minimal-lens patterns: balanced, or all even edges of degree four
-    except (one of degree 3 and one of degree 5) or (two of degree 3 and
-    one of degree 6).
+def _classified(others, balanced):
+    """The minimal-lens class of a fold along an even edge, from its even
+    edges' degree histogram without degree 4 and whether it has as many
+    even edges as odd; None when it is no row.  The patterns: balanced
+    with two even edges of degree 3, or (one of degree 3 and one of degree
+    5), or (two of degree 3 and one of degree 6)."""
+    if balanced and others == {3: 2}:
+        return "balanced"
+    if others == {3: 1, 5: 1}:
+        return "e3=1,e5=1"
+    if others == {3: 2, 6: 1}:
+        return "e3=2,e6=1"
+    return None
 
-    Each returned entry is re-verified on the actual folded triangulation:
-    the census is recomputed from the cocycle found by the colouring
-    module, not from the weight replay.
-    """
+
+# the sorted buried even degrees other than 4 that a row's fold can hold:
+# every sub-multiset of the two unbalanced patterns, which hold balanced's
+_FITTING = frozenset(combo for pattern in ((3, 3, 6), (3, 5))
+                     for r in range(len(pattern) + 1)
+                     for combo in combinations(pattern, r))
+
+# the seed's boundary in the census walk's terms: each edge's (weight,
+# slots), in its boundary order
+_SEED_EDGES = tuple((_SEED[1].edge_weights[e],
+                     _SEED[0].skeleton.edge_degrees[e])
+                    for e in _SEED[1].boundary_edges)
+
+
+def _census_layer(edges, buried, gone):
+    """One layer of the census walk, on the boundary edge of weight
+    ``gone``.  ``edges`` holds each boundary edge's (weight, slots) in the
+    torus's boundary order and ``buried`` the sorted degrees other than 4
+    of its interior even edges.  As ``_layer_step`` glues it, the hinge
+    gains one slot and is buried, with its parity, its weight mod 2; each
+    kept edge gains two, and the fresh edge, last, has one.  Returns the
+    child's edges and buried degrees."""
+    kept = []
+    for w, slots in edges:
+        if w == gone:
+            hinge = slots + 1
+        else:
+            kept.append((w, slots + 2))
+    (a, _), (b, _) = kept
+    if gone % 2 == 0 and hinge != 4:
+        buried = tuple(sorted((*buried, hinge)))
+    return (*kept, (relayered_weight(gone, a, b), 1)), buried
+
+
+def _census_class(edges, buried, deficiency):
+    """The class ``enumerate_minimal_lens_families`` gives the torus with
+    the census walk's ``edges`` and ``buried`` and the given deficiency, or
+    None: no row, or no fold, when p+q is the even weight.  The fold along
+    the even boundary edge keeps that edge's degree and merges the two odd
+    ones into one odd class of the summed degree.  So the fold has the
+    torus's even edges and one odd edge fewer, and is balanced exactly
+    when the torus has deficiency 1."""
+    fold = next((slots for w, slots in sorted(edges)[:2] if w % 2 == 0),
+                None)
+    if fold is None:
+        return None
+    others = {}
+    for d in (*buried, fold) if fold != 4 else buried:
+        others[d] = others.get(d, 0) + 1
+    return _classified(others, deficiency == 1)
+
+
+def _census_walk(depth_limit, tally):
+    """The census walk: the fraction tree to the given depth in
+    ``lst_tree``'s order, as integers, with no triangulation built.  Each
+    node carries its boundary edges' weights and slots, its buried even
+    degrees other than 4 (see ``_census_layer``) and its even count, as
+    ``lgraph`` does.  Yields (node, class, torus) for each node that
+    ``_census_class`` predicts a row, where torus() builds the node's
+    (triangulation, meta), layered on the nearest built ancestor.
+
+    A buried edge's weight and degree never change again, and a fold
+    keeps them; so every fold in a subtree holds its root's buried degrees
+    among its even ones, and a subtree whose buried degrees are not in
+    ``_FITTING`` holds no row, and is skipped.  Counts the nodes walked,
+    the subtrees skipped and the tori built in ``tally``."""
+    stack = [(_SEED_EDGES, (), 1, 1, lambda: _SEED)]
+    while stack:
+        edges, buried, depth, even, torus = stack.pop()
+        tally["walked"] += 1
+        (p, _), (q, _), _ = sorted(edges)
+        # odd count minus even count: the deficiency
+        predicted = _census_class(edges, buried, depth + 2 - 2 * even)
+        if predicted:
+            yield (LGraphNode(p, q, depth, even, depth + 2 - even),
+                   predicted, torus)
+        if depth == depth_limit:
+            continue
+        # the child p/(p+q), layered on q, is pushed last and so visited
+        # first
+        for gone in (p, q):
+            child, child_buried = _census_layer(edges, buried, gone)
+            if child_buried not in _FITTING:
+                tally["skipped"] += 1
+                continue
+            stack.append((child, child_buried, depth + 1,
+                          even + 1 - child[2][0] % 2,
+                          _layered_lazily(torus, gone, tally)))
+
+
+def _layered_lazily(parent, gone, tally):
+    """A function building, once, the torus layered on the boundary edge
+    of weight ``gone`` of the torus parent() builds."""
+    built = None
+
+    def torus():
+        nonlocal built
+        if built is None:
+            tri, meta = parent()
+            built = layer_on_edge(tri, boundary_edge(meta, gone), meta)
+            tally["built"] += 1
+        return built
+    return torus
+
+
+def _fold_class(tri, meta, weight):
+    """Fold the torus along its boundary edge of the given even weight and
+    colour the lens space by its one nonzero class.  Returns the fold
+    record and the class ``_classified`` reads off the parity census, or
+    None.  Asserts that the class is unique and that the even degrees are
+    not two of 3 and two of 5, which should be impossible."""
     from . import cocycle as _cocycle
 
+    folded, record = fold_along_edge(tri, boundary_edge(meta, weight), meta)
+    classes = _cocycle.all_nonzero_classes(folded)
+    if len(classes) != 1:
+        raise AssertionError("even lens space without a unique class")
+    census = _cocycle.parity_census(folded, classes[0])
+    hist = census.even_degree_histogram
+    if hist.get(3, 0) == 2 and hist.get(5, 0) == 2:
+        raise AssertionError("census shows two degree-3 and two degree-5 "
+                             "even edges, which should be impossible")
+    others = {d: c for d, c in hist.items() if d != 4}
+    return record, _classified(others, census.balanced)
+
+
+def enumerate_minimal_lens_families(depth_limit):
+    """Every fraction-tree node to the given depth whose fold along its
+    even boundary edge (p or q) matches one of the three minimal-lens
+    patterns of ``_classified``, as (node, fold record, class), in
+    ``lgraph``'s order.
+
+    The rows are read off the layering rule by ``_census_walk``, which
+    builds no triangulation and skips the subtrees that can hold none.
+    Each row's torus, fold and colouring are then built, and its class is
+    re-computed from the cocycle found by the colouring module
+    (``_fold_class``); it must equal the walk's.
+    """
     if depth_limit < 3:
         raise TriangulationError("enumeration needs depth at least 3")
+    tally = dict.fromkeys(("walked", "skipped", "built"), 0)
     results = []
-    for node, tri, meta in lst_tree(depth_limit):
-        evens = [w for w in (node.p, node.q) if w % 2 == 0]
-        if not evens:
-            continue
-        folded, record = fold_along_edge(
-            tri, boundary_edge(meta, evens[0]), meta)
-        classes = _cocycle.all_nonzero_classes(folded)
-        if len(classes) != 1:
-            raise AssertionError("even lens space without a unique class")
-        census = _cocycle.parity_census(folded, classes[0])
-        hist = census.even_degree_histogram
-        if hist.get(3, 0) == 2 and hist.get(5, 0) == 2:
-            raise AssertionError("census shows two degree-3 and two degree-5 "
-                                 "even edges, which should be impossible")
-        others = {d: c for d, c in hist.items() if d != 4}
-        if census.balanced and others == {3: 2}:
-            classification = "balanced"
-        elif others == {3: 1, 5: 1}:
-            classification = "e3=1,e5=1"
-        elif others == {3: 2, 6: 1}:
-            classification = "e3=2,e6=1"
-        else:
-            continue
-        results.append((node, record, classification))
+    for node, predicted, torus in _census_walk(depth_limit, tally):
+        tri, meta = torus()
+        record, built = _fold_class(
+            tri, meta, node.p if node.p % 2 == 0 else node.q)
+        if built != predicted:
+            raise AssertionError(
+                f"the fold of {node.p}/{node.q} is {built}, but the layering "
+                f"rule predicts {predicted}")
+        results.append((node, record, predicted))
+    _log.debug("enumerate_minimal_lens_families(%d): %d nodes walked, %d "
+               "subtrees skipped, %d tori built, %d rows", depth_limit,
+               tally["walked"], tally["skipped"], tally["built"],
+               len(results))
     results.sort(key=lambda row: row[0].depth)    # stable: lgraph's order
     return results
 

@@ -332,6 +332,126 @@ def test_enumerate_matches_from_scratch_reference(depth):
         _reference_lens_families(depth)
 
 
+# ----- the census walk against the full walk ---------------------------------
+#
+# The library reads its rows off the layering rule and builds only them.
+# The full walk below is the oracle: it folds and colours every node with
+# an even weight, and the census must agree with it.
+
+
+@functools.lru_cache(maxsize=None)
+def _full_walk(depth_limit):
+    """(node, record, class) for the fold of every node of ``lst_tree``
+    with an even weight, class None for no row; ``_fold_class`` asserts
+    the unique class and the impossible histogram on each."""
+    folds = []
+    for node, tri, meta in build.lst_tree(depth_limit):
+        evens = [w for w in (node.p, node.q) if w % 2 == 0]
+        if evens:
+            folds.append((node, *build._fold_class(tri, meta, evens[0])))
+    return tuple(folds)
+
+
+# the deepest full walk: a shallower one is its restriction, since a
+# preorder walk cut at a depth visits the rest in the same order
+FULL_WALK_DEPTH = 13
+
+
+def _census_states(depth_limit):
+    """The census walk's (edges, buried) at every node to the given depth,
+    by (p, q), layered by ``_census_layer`` with no subtree skipped."""
+    states = {}
+    level = [(build._SEED_EDGES, ())]
+    for _ in range(depth_limit):
+        for edges, buried in level:
+            states[tuple(sorted(w for w, _ in edges)[:2])] = edges, buried
+        level = [build._census_layer(edges, buried, gone)
+                 for edges, buried in level
+                 for gone in sorted(w for w, _ in edges)[:2]]
+    return states
+
+
+def _interior_even_degrees(tri, meta):
+    """The sorted degrees other than 4 of the torus's interior even
+    edges, read off its skeleton."""
+    degrees = tri.skeleton.edge_degrees
+    return tuple(sorted(degrees[e] for e in meta.interior_edges
+                        if meta.edge_weights[e] % 2 == 0
+                        and degrees[e] != 4))
+
+
+def test_census_layer_matches_the_skeleton_at_every_node():
+    states = _census_states(12)
+    for node, tri, meta in build.lst_tree(12):
+        edges, buried = states[node.p, node.q]
+        assert edges == tuple((meta.edge_weights[e],
+                               tri.skeleton.edge_degrees[e])
+                              for e in meta.boundary_edges)
+        assert buried == _interior_even_degrees(tri, meta)
+    assert len(states) == 2 ** 12 - 1
+
+
+def test_census_class_matches_the_built_fold_on_every_even_fold():
+    # "no row" too, and the subtrees the walk skips
+    states = _census_states(11)
+    folds = [fold for fold in _full_walk(FULL_WALK_DEPTH)
+             if fold[0].depth <= 11]
+    for node, _, built in folds:
+        assert build._census_class(*states[node.p, node.q],
+                                   node.deficiency) == built
+    assert len(folds) == 1365
+    # a node whose buried degrees do not fit, and so each node under it
+    skipped = [built for node, _, built in folds
+               if states[node.p, node.q][1] not in build._FITTING]
+    assert len(skipped) == 900 and not any(skipped)
+
+
+@pytest.mark.parametrize("depth", range(3, FULL_WALK_DEPTH + 1))
+def test_census_equals_the_full_walk(depth):
+    rows = [(node, record, cls)
+            for node, record, cls in _full_walk(FULL_WALK_DEPTH)
+            if cls is not None and node.depth <= depth]
+    rows.sort(key=lambda row: row[0].depth)
+    assert build.enumerate_minimal_lens_families(depth) == rows
+
+
+def test_census_counts_follow_the_closed_forms():
+    # read off the integer walk alone, no torus built
+    counts = Counter((node.depth, cls)
+                     for node, cls, _ in build._census_walk(18, Counter()))
+    expected = {}
+    for d in range(3, 19):
+        if d % 2:
+            expected[d, "balanced"] = 2 ** ((d - 1) // 2)
+        else:
+            expected[d, "e3=1,e5=1"] = 2 ** (d // 2)
+            if d >= 6:
+                expected[d, "e3=2,e6=1"] = (d - 4) // 2 * 2 ** ((d - 2) // 2)
+    assert counts == expected
+    assert sum(n for (d, _), n in counts.items() if d <= 16) == 2046
+    assert sum(counts.values()) == 4606
+
+
+def test_census_refuses_a_row_whose_fold_disagrees(monkeypatch):
+    def wrong(edges, buried, deficiency):
+        cls = predicted(edges, buried, deficiency)
+        return "e3=2,e6=1" if cls == "balanced" else cls
+    predicted = build._census_class
+    monkeypatch.setattr(build, "_census_class", wrong)
+    with pytest.raises(AssertionError, match="the fold of 1/4 is balanced"):
+        build.enumerate_minimal_lens_families(3)
+
+
+def test_census_logs_its_walk(caplog):
+    with caplog.at_level(logging.DEBUG, logger="trinorm.build"):
+        rows = build.enumerate_minimal_lens_families(8)
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "trinorm.build"] == [
+        "enumerate_minimal_lens_families(8): 142 nodes walked, 29 subtrees "
+        "skipped, 87 tori built, 62 rows"]
+    assert len(rows) == 62
+
+
 # ----- the skeleton-based layering, kept as the reference -------------------
 #
 # The boundary readers below are the library's route to a torus boundary
