@@ -19,8 +19,8 @@ triangulation, and a handful of modules:
 import logging
 
 from .perm import Perm4
-from .triangulation import (Triangulation, TriBuilder, TriangulationError,
-                            ParseError, Skeleton, parse, serialize)
+from .triangulation import (Triangulation, TriangulationError, ParseError,
+                            Skeleton, parse, serialize)
 from .homology import (HomologyProfile, first_homology, seifert_homology,
                        smith_normal_form)
 from .build import (lst, layer_on_edge, fold_along_edge, lens_space,

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .perm import Perm4
 from .triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_VERTICES,
-                            TriBuilder, TriangulationError)
+                            _NO_TETRAHEDRA, TriangulationError)
 from . import homology as _homology
 from .build import (SEED_WEIGHTS, LayeredSolidTorus, family_slopes,
                     family_tag, frontier_book, lens_space, relayer,
@@ -309,7 +309,7 @@ def _retriangulate(tri, old, new):
         if t not in region:
             index[t] = base
             base += 1
-    builder = TriBuilder(base + len(new))
+    joins = []
     labels = [{n: v for v, n in enumerate(names)} for names in new]
     free, edge_at = {}, {}      # free: key -> (new tet, facet) unglued
     for j, names in enumerate(new):
@@ -320,8 +320,8 @@ def _retriangulate(tri, old, new):
                 free[key] = (j, f)
                 continue
             k, g = free.pop(key)
-            builder.join(base + k, g, base + j, Perm4(tuple(
-                f if v == g else labels[j][m] for v, m in enumerate(new[k]))))
+            joins.append((base + k, g, base + j, Perm4(tuple(
+                f if v == g else labels[j][m] for v, m in enumerate(new[k])))))
         for e, (a, b) in enumerate(EDGE_VERTICES):
             edge_at.setdefault((1 << names[a]) | (1 << names[b]),
                                6 * (base + j) + e)
@@ -347,12 +347,12 @@ def _retriangulate(tri, old, new):
                 continue
             u, perm = g
             if index[t] is not None and index[u] is not None:
-                builder.join(index[t], f, index[u], perm)
+                joins.append((index[t], f, index[u], perm))
                 continue
             here, there = end(t, f), end(u, perm[f])
             if here is not None and there is not None:
                 (a, ma), (b, mb) = here, there
-                builder.join(a, ma[f], b, mb * perm * ma.inverse())
+                joins.append((a, ma[f], b, mb * perm * ma.inverse()))
     slots = []
     for t, i in enumerate(index):
         if i is not None:
@@ -361,7 +361,7 @@ def _retriangulate(tri, old, new):
             names = region[t]
             slots.extend(edge_at.get((1 << names[a]) | (1 << names[b]))
                          for a, b in EDGE_VERTICES)
-    return builder.freeze(), slots
+    return _NO_TETRAHEDRA.glued(joins, base + len(new)), slots
 
 
 def move23(tri, face_class):

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .perm import Perm4
-from .triangulation import (EDGE_VERTICES, FACET_EDGES, TriBuilder,
+from .triangulation import (EDGE_VERTICES, FACET_EDGES, _NO_TETRAHEDRA,
                             TriangulationError)
 from . import homology
 
@@ -151,9 +151,7 @@ def _seed_lst():
     """The one-tetrahedron layered solid torus: facet 0 glued to facet 1 by
     the cyclic permutation.  Its three edges carry meridian weights 1
     (degree 3), 2 (degree 2) and 3 (the univalent edge)."""
-    b = TriBuilder(1)
-    b.join(0, 0, 0, Perm4((1, 2, 3, 0)))
-    tri = b.freeze()
+    tri = _NO_TETRAHEDRA.glued(((0, 0, 0, Perm4((1, 2, 3, 0))),), 1)
     degrees = tri.skeleton.edge_degrees
     weights = {e: SEED_WEIGHTS[d] for e, d in enumerate(degrees)}
     return tri, LayeredSolidTorus((0,), weights, tuple(weights),
@@ -686,17 +684,12 @@ def layered_loop(n, twisted):
     n = int(n)
     if n < 3:
         raise TriangulationError("layered loops need at least 3 tetrahedra")
-    b = TriBuilder(n)
+    joins = []
     for i in range(n - 1):
-        b.join(i, 0, i + 1, _CHAIN_A)
-        b.join(i, 1, i + 1, _CHAIN_B)
-    if twisted:
-        b.join(n - 1, 0, 0, _TWIST_A)
-        b.join(n - 1, 1, 0, _TWIST_B)
-    else:
-        b.join(n - 1, 0, 0, _CHAIN_A)
-        b.join(n - 1, 1, 0, _CHAIN_B)
-    return b.freeze()
+        joins += (i, 0, i + 1, _CHAIN_A), (i, 1, i + 1, _CHAIN_B)
+    a, b = (_TWIST_A, _TWIST_B) if twisted else (_CHAIN_A, _CHAIN_B)
+    joins += (n - 1, 0, 0, a), (n - 1, 1, 0, b)
+    return _NO_TETRAHEDRA.glued(joins, n)
 
 
 # ----- augmented solid tori ---------------------------------------------------
@@ -717,15 +710,12 @@ PRISM_ANNULI = (
 )
 
 
-def _prism_builder():
-    """Three-tetrahedron triangular prism with its top triangle glued to
-    the bottom one; a solid torus with three vertices, each of corner
-    degree four, and three two-triangle boundary annuli."""
-    b = TriBuilder(3)
-    b.join(0, 2, 1, Perm4((0, 1, 2, 3)))
-    b.join(1, 1, 2, Perm4((0, 1, 2, 3)))
-    b.join(2, 0, 0, Perm4((3, 0, 1, 2)))
-    return b
+# The joins of the three-tetrahedron triangular prism with its top
+# triangle glued to the bottom one: a solid torus with three vertices, each
+# of corner degree four, and three two-triangle boundary annuli.
+_PRISM_JOINS = ((0, 2, 1, Perm4((0, 1, 2, 3))),
+                (1, 1, 2, Perm4((0, 1, 2, 3))),
+                (2, 0, 0, Perm4((3, 0, 1, 2))))
 
 
 class AnnulusFilling(NamedTuple):
@@ -766,7 +756,7 @@ def augmented_solid_torus(fillings):
     the result has an invalid edge."""
     if len(fillings) != 3:
         raise TriangulationError("exactly three annulus fillings required")
-    b = _prism_builder()
+    joins, n = list(_PRISM_JOINS), 3
     pending = []
     for annulus, filling in zip(PRISM_ANNULI, fillings):
         t1, f1 = annulus["tri1"]
@@ -776,13 +766,13 @@ def augmented_solid_torus(fillings):
             vmap = _triangle_map(annulus["edges1"],
                                  {"h": e2["d"], "d": e2["h"], "v": e2["v"]})
             vmap[f1] = f2
-            b.join(t1, f1, t2, Perm4.from_map(vmap))
+            joins.append((t1, f1, t2, Perm4.from_map(vmap)))
         elif filling.kind == "lst":
             pending.append((annulus, filling))
         else:
             raise TriangulationError(f"unknown filling kind {filling.kind!r}")
 
-    # attach solid tori one at a time, extending the prism's builder
+    # attach solid tori one at a time, each at the next tetrahedron offset
     for annulus, filling in pending:
         triple = sorted((filling.w_h, filling.w_d, filling.w_v))
         if triple[0] + triple[1] != triple[2]:
@@ -791,9 +781,11 @@ def augmented_solid_torus(fillings):
         if math.gcd(triple[0], triple[1]) != 1:
             raise TriangulationError(f"weights {triple} are not coprime")
         sub, meta = lst(triple[0], triple[1])
-        offset = len(b.rows)
-        b.rows.extend([None if g is None else (g[0] + offset, g[1])
-                       for g in row] for row in sub.gluings)
+        # the torus's own gluings, each re-joined once, from its lower slot
+        for t, row in enumerate(sub.gluings):
+            for f, g in enumerate(row):
+                if g is not None and 4 * t + f <= 4 * g[0] + g[1].images[f]:
+                    joins.append((t + n, f, g[0] + n, g[1]))
         want = {"h": boundary_edge(meta, filling.w_h),
                 "d": boundary_edge(meta, filling.w_d),
                 "v": boundary_edge(meta, filling.w_v)}
@@ -804,8 +796,9 @@ def augmented_solid_torus(fillings):
             t_p, f_p = annulus["tri" + key]
             vmap = _triangle_map(edges_from, annulus["edges" + key])
             vmap[lf] = f_p
-            b.join(lt + offset, lf, t_p, Perm4.from_map(vmap))
-    tri = b.freeze()
+            joins.append((lt + n, lf, t_p, Perm4.from_map(vmap)))
+        n += sub.tet_count
+    tri = _NO_TETRAHEDRA.glued(joins, n)
     homology.require_valid_cells(tri)
     return tri
 

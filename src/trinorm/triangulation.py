@@ -494,11 +494,14 @@ class Triangulation:
 
     def glued(self, joins, new_tets=0):
         """This triangulation with ``new_tets`` free tetrahedra appended and
-        each join (t, f, u, perm) made by the join rule of ``_join``, as
-        ``TriBuilder.join`` makes it.  The rows no join writes are this
-        table's own tuples, and only the entries the joins write are
-        checked: this table was checked when it was built, and a join
-        writes only free facets, both sides of each pairing at once.
+        each join (t, f, u, perm) made, in order, by ``_join``.  The rows no
+        join writes are this table's own tuples, and only the entries the
+        joins write are checked: this table was checked when it was built,
+        and a join writes only free facets, both sides of each pairing at
+        once.  It is the library's one assembler: every table a
+        construction or a move makes is glued here, onto a parent or onto
+        ``_NO_TETRAHEDRA``, so ``__init__``'s whole-table check is left to
+        rows from outside (``parse``).
 
         When this table's skeleton is built, the new table's is read on
         from its slot forest here, by ``_resumed``, if every join's lower
@@ -734,8 +737,13 @@ class Triangulation:
         return self.canonical_table == other.canonical_table
 
 
+# the table of no tetrahedra, onto which the constructions and the moves
+# glue whole tables
+_NO_TETRAHEDRA = Triangulation(())
+
+
 def _join(rows, t, f, u, perm):
-    """The one join rule of ``TriBuilder.join`` and ``Triangulation.glued``:
+    """The one join rule, which ``Triangulation.glued`` makes each join by:
     the entries (tet, facet, entry) that gluing facet f of t to facet
     perm[f] of u writes into the table ``rows``, one for a facet paired
     with itself and one on each side otherwise.  Refuses a tetrahedron out
@@ -760,27 +768,6 @@ def _join(rows, t, f, u, perm):
             raise TriangulationError("self-gluing must be an involution")
         return ((t, f, (u, perm)),)
     return (t, f, (u, perm)), (u, target, (t, inverse))
-
-
-class TriBuilder:
-    """Mutable assembler used by the construction routines."""
-
-    def __init__(self, tet_count=0):
-        self.rows = [[None] * 4 for _ in range(tet_count)]
-
-    def add_tet(self):
-        self.rows.append([None] * 4)
-        return len(self.rows) - 1
-
-    def join(self, t, f, u, perm):
-        """Glue facet f of t to facet perm[f] of u, recording both sides,
-        by the join rule of ``_join``."""
-        rows = self.rows
-        for s, g, entry in _join(rows, t, f, u, perm):
-            rows[s][g] = entry
-
-    def freeze(self):
-        return Triangulation(self.rows)
 
 
 # ----- text format ---------------------------------------------------------

@@ -21,9 +21,9 @@ from trinorm.build import (AnnulusFilling, LayeredSolidTorus,
 from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.surface import canonical_surface, euler_char
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                                   FACET_VERTICES, Skeleton, TriBuilder,
-                                   Triangulation, TriangulationError, parse)
-from test_skeleton import gluing_tables
+                                   FACET_VERTICES, Skeleton, Triangulation,
+                                   TriangulationError, parse)
+from test_skeleton import gluing_tables, reference_glued
 from test_triangulation import _random_relabelling
 from test_build import _boundary_edge_slot
 
@@ -249,7 +249,7 @@ def _apply_surgery(tri, surgery):
     survivors = [t for t in range(tri.tet_count) if t not in doomed]
     new_index = {t: i for i, t in enumerate(survivors)}
     base = len(survivors)
-    builder = TriBuilder(base + surgery.new_count)
+    joins = []
 
     def resolve(t, f):
         """New-label slot and vertex map for an old slot."""
@@ -276,10 +276,10 @@ def _apply_surgery(tri, surgery):
             if (key[1], key[0]) in done or key in done:
                 continue
             done.add(key)
-            builder.join(here_t, here_map[f], there_t, new_perm)
+            joins.append((here_t, here_map[f], there_t, new_perm))
     for (t1, f1, t2, f2, perm) in surgery.internal:
-        builder.join(base + t1, f1, base + t2, perm)
-    new_tri = builder.freeze()
+        joins.append((base + t1, f1, base + t2, perm))
+    new_tri = reference_glued((), joins, base + surgery.new_count)
     return new_tri, new_index, base
 
 
@@ -1069,11 +1069,8 @@ def _one_tet_tables():
             if perm[fa] != fb:
                 continue
             for rest in rests:
-                builder = TriBuilder(1)
-                builder.join(0, fa, 0, perm)
-                for f, p in rest:
-                    builder.join(0, f, 0, p)
-                yield builder.freeze()
+                yield reference_glued((), [(0, fa, 0, perm)] + [
+                    (0, f, 0, p) for f, p in rest], 1)
 
 
 def test_one_tet_seeds_match_subcomplex_reference():

@@ -1,6 +1,7 @@
 """Constructors: layered solid tori, folds, loops, augmented families."""
 
 import functools
+import hashlib
 import itertools
 import logging
 import math
@@ -10,13 +11,13 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trinorm import build, homology, cocycle, verifysuite
+from trinorm import analyze, build, homology, cocycle, verifysuite
 from trinorm.analyze import find_maximal_lsts
 from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                                   FACET_VERTICES, TriBuilder, Triangulation,
-                                   TriangulationError)
-from test_skeleton import SKELETON_FIELDS, gluing_tables
+                                   FACET_VERTICES, Triangulation,
+                                   TriangulationError, serialize)
+from test_skeleton import SKELETON_FIELDS, gluing_tables, reference_glued
 from test_triangulation import _raised, _random_relabelling
 
 
@@ -62,7 +63,7 @@ def test_meridian_oracle_refuses_what_is_not_a_solid_torus():
                        match="^H_1 is not infinite cyclic$"):
         build.meridian_weight_oracle(build.lens_space(2, 5)[0])
     # the prism is a solid torus with three vertices
-    prism = build._prism_builder().freeze()
+    prism = reference_glued((), build._PRISM_JOINS, 3)
     assert prism.skeleton.vertex_count == 3
     with pytest.raises(TriangulationError,
                        match="^the meridian oracle requires a one-vertex "
@@ -269,6 +270,108 @@ def test_every_filling_triple_is_closed_and_valid():
     for fillings in itertools.product(_FILLINGS, repeat=3):
         tri = build.augmented_solid_torus(fillings)
         assert tri.is_closed and tri.is_valid
+
+
+def _filling_refusal(fillings):
+    """The text ``augmented_solid_torus`` refuses fold and layered-solid-
+    torus fillings with, or None: the first torus filling, in annulus
+    order, whose weights are no coprime boundary triple or whose torus
+    ``lst`` refuses."""
+    for filling in fillings:
+        if filling.kind != "lst":
+            continue
+        triple = sorted((filling.w_h, filling.w_d, filling.w_v))
+        if triple[0] + triple[1] != triple[2]:
+            return (f"weights {triple} do not form a solid torus boundary "
+                    f"triple")
+        if math.gcd(triple[0], triple[1]) != 1:
+            return f"weights {triple} are not coprime"
+        try:
+            build.lst(triple[0], triple[1])
+        except TriangulationError as exc:
+            return str(exc)
+    return None
+
+
+_coprime_triples = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
+    lambda pq: math.gcd(*pq) == 1).flatmap(
+    lambda pq: st.permutations((pq[0], pq[1], pq[0] + pq[1])))
+_annulus_fillings = st.one_of(
+    st.just(build.AnnulusFilling("fold")),
+    _coprime_triples.map(lambda w: build.AnnulusFilling("lst", *w)),
+    st.tuples(*[st.integers(1, 8)] * 3).map(
+        lambda w: build.AnnulusFilling("lst", *w)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[_annulus_fillings] * 3))
+def test_drawn_fillings_pass_the_whole_table_check(fillings):
+    # each torus's gluings are re-joined at its offset: the table equals
+    # its own whole-table check, or is refused with the expected text
+    expected = _filling_refusal(fillings)
+    try:
+        tri = build.augmented_solid_torus(fillings)
+    except TriangulationError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert Triangulation(tri.gluings) == tri
+        assert tri.is_closed and tri.is_valid
+
+
+def _distinct_star_edges(tri, degree):
+    """The edge classes of the given degree that meet that many distinct
+    tetrahedra: the sites of a 3-2 or 4-4 move."""
+    return [e for e, slots in enumerate(tri.skeleton.edge_slots())
+            if len(slots) == len({x // 6 for x in slots}) == degree]
+
+
+def _library_tables():
+    """A grid of the tables the library makes: the seed, layered loops,
+    the family grid, augmented quaternionic tori, and every 4-4 and 2-3
+    move on verify's round-trip pool, with the 3-2 and 4-4 moves on each
+    2-3 result."""
+    yield build._SEED[0]
+    for n in range(3, 13):
+        for twisted in (False, True):
+            yield build.layered_loop(n, twisted)
+    for member in verifysuite._family_params():
+        yield verifysuite._member(*member)
+    for k in range(4, 17, 2):
+        yield build.augmented_quaternionic(k)
+    pool = [build.lens_space(1, 6)[0], build.lens_space(1, 8)[0],
+            build.layered_loop(6, twisted=True),
+            build.seifert_family("M", 1, 1, 1)[0]]
+    for tri in pool:
+        for e in _distinct_star_edges(tri, 4):
+            for axis in (0, 1):
+                yield analyze.move44(tri, e, axis)[0]
+        for face in verifysuite._interior_faces(tri):
+            bigger = analyze.move23(tri, face)[0]
+            yield bigger
+            for e in _distinct_star_edges(bigger, 4):
+                for axis in (0, 1):
+                    yield analyze.move44(bigger, e, axis)[0]
+            for e in _distinct_star_edges(bigger, 3):
+                yield analyze.move32(bigger, e)[0]
+
+
+def test_library_tables_pass_the_whole_table_check():
+    # Triangulation.glued checks only the entries it writes; the whole
+    # table, checked afresh, is the same table
+    count = 0
+    for tri in _library_tables():
+        assert Triangulation(tri.gluings) == tri
+        count += 1
+    assert count == 327
+
+
+def test_library_tables_are_pinned():
+    digest = hashlib.sha256()
+    for tri in _library_tables():
+        digest.update(serialize(tri).encode())
+    assert digest.hexdigest() == \
+        "c9d67535f19883f3bed74513b7d08fe280eccea80caf66d7ddd0693233ab8e32"
 
 
 def test_closed_constructions_are_orientable_one_vertex():
@@ -504,19 +607,17 @@ def _skeleton_book(tri):
 
 
 def _reference_open_book(tri, edge_class):
-    """A builder holding a copy of tri's gluings, and for each of the two
-    boundary faces (tet, facet, a, b, c), all read off tri's skeleton."""
+    """For each of the two boundary faces of tri, (tet, facet, a, b, c),
+    all read off tri's skeleton."""
     slot1, slot2, bclasses = check_torus_boundary(tri)
     if edge_class not in bclasses:
         raise TriangulationError(f"edge {edge_class} is not a boundary edge")
-    builder = TriBuilder()
-    builder.rows = [list(row) for row in tri.gluings]
     out = []
     for t, f in (slot1, slot2):
         a, b = _boundary_edge_slot(tri, (t, f), edge_class)
         c = next(v for v in FACET_VERTICES[f] if v not in (a, b))
         out.append((t, f, a, b, c))
-    return builder, out
+    return out
 
 
 def _reference_transfer_edge_classes(old, new):
@@ -544,21 +645,21 @@ def _reference_relayered_meta(old, out, meta, layered_class, new_tet):
 
 
 def _reference_layer_on_edge(tri, edge_class, meta=None):
-    builder, ((t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2)) = \
+    (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = \
         _reference_open_book(tri, edge_class)
-    new = builder.add_tet()
-    builder.join(t1, f1, new, Perm4.from_map({a1: 0, b1: 1, c1: 3, f1: 2}))
-    builder.join(t2, f2, new, Perm4.from_map({a2: 0, b2: 1, c2: 2, f2: 3}))
-    out = builder.freeze()
+    new = tri.tet_count
+    out = reference_glued(tri.gluings, (
+        (t1, f1, new, Perm4.from_map({a1: 0, b1: 1, c1: 3, f1: 2})),
+        (t2, f2, new, Perm4.from_map({a2: 0, b2: 1, c2: 2, f2: 3}))), 1)
     return out, None if meta is None else \
         _reference_relayered_meta(tri, out, meta, edge_class, new)
 
 
 def _reference_fold_along_edge(tri, edge_class):
-    builder, ((t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2)) = \
+    (t1, f1, a1, b1, c1), (t2, f2, a2, b2, c2) = \
         _reference_open_book(tri, edge_class)
-    builder.join(t1, f1, t2, Perm4.from_map({a1: a2, b1: b2, c1: c2, f1: f2}))
-    return builder.freeze()
+    return reference_glued(tri.gluings, ((t1, f1, t2, Perm4.from_map(
+        {a1: a2, b1: b2, c1: c2, f1: f2})),))
 
 
 def _reference_step(tri, meta, gone):
@@ -873,14 +974,9 @@ def joins_on_tables(draw):
 
 
 def _checked_copy(tri, new, joins):
-    """tri's table copied into a builder, joined and checked in full."""
-    builder = TriBuilder()
-    builder.rows = [list(row) for row in tri.gluings]
-    for _ in range(new):
-        builder.add_tet()
-    for join in joins:
-        builder.join(*join)
-    return builder.freeze()
+    """tri's table copied by the reference assembler, joined and checked
+    in full."""
+    return reference_glued(tri.gluings, joins, new)
 
 
 def test_glued_equals_a_checked_copy():

@@ -25,7 +25,7 @@ from trinorm.analyze import MoveSpec, pachner_with_cocycle
 from trinorm.cocycle import Cocycle, cocycle_basis, is_cocycle
 
 from test_analyze import _edge_class_transport, ref_apply_move
-from test_skeleton import _ReferenceUnionFind, gluing_tables
+from test_skeleton import _ReferenceUnionFind, gluing_tables, reference_glued
 
 
 def test_smith_normal_form_small():
@@ -727,18 +727,15 @@ def test_seeded_closed_tables_match_reference():
     # random perfect pairings of the facets of one to six tetrahedra, so
     # larger closed tables occur than the filtered strategy above reaches
     from trinorm.perm import ALL_PERMS
-    from trinorm.triangulation import TriBuilder
     rng = random.Random(11)
     kept = {}
     for _ in range(3000):
         n = rng.randint(1, 6)
         slots = [(t, f) for t in range(n) for f in range(4)]
         rng.shuffle(slots)
-        builder = TriBuilder(n)
-        for (t, f), (u, g) in zip(slots[::2], slots[1::2]):
-            builder.join(t, f, u, rng.choice([p for p in ALL_PERMS
-                                              if p[f] == g]))
-        tri = builder.freeze()
+        tri = reference_glued((), [
+            (t, f, u, rng.choice([p for p in ALL_PERMS if p[f] == g]))
+            for (t, f), (u, g) in zip(slots[::2], slots[1::2])], n)
         if _homology_cells_ok(tri):
             _assert_matches_reference(tri)
             kept[n] = kept.get(n, 0) + 1

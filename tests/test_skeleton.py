@@ -1,8 +1,10 @@
 """The one-pass, table-driven skeleton against the two-sided loop it
 replaced, kept here word for word as the reference, on the one-union-a-call
 union-find it used, also kept here word for word; the skeletons resumed
-from a parent's slot forest against the full pass and the reference; and
-``_linked``, the one parity union-find, against a graph search."""
+from a parent's slot forest against the full pass and the reference;
+``_linked``, the one parity union-find, against a graph search; and
+``reference_glued``, the tests' own assembler, which builds the tables the
+other test modules read without going through ``Triangulation.glued``."""
 
 import functools
 import pickle
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from trinorm import build, verifysuite
 from trinorm.perm import ALL_PERMS, Perm4
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
-                                   FACET_VERTICES, TriBuilder, Triangulation,
+                                   FACET_VERTICES, Triangulation, _join,
                                    _linked)
 
 
@@ -285,6 +287,23 @@ def test_seifert_family_grids_match_reference():
     assert tags == {"M", "MPRIME", "P", "Q"}
 
 
+# ----- the reference assembler ----------------------------------------------------
+
+
+def reference_glued(rows, joins, new_tets=0):
+    """The tests' own assembler, which ``Triangulation.glued`` is held to
+    and which builds the tables other oracles read: the table ``rows``
+    copied into lists, ``new_tets`` free tetrahedra appended, each join
+    written by ``_join``, the one join rule, and the whole table then
+    checked by ``Triangulation(rows)``."""
+    rows = [list(row) for row in rows]
+    rows += ([None] * 4 for _ in range(new_tets))
+    for join in joins:
+        for t, f, entry in _join(rows, *join):
+            rows[t][f] = entry
+    return Triangulation(rows)
+
+
 # ----- random valid gluing tables ------------------------------------------------
 
 
@@ -305,7 +324,7 @@ def gluing_tables(draw, kinds=("pair", "pair", "pair", "boundary", "self")):
     closed."""
     n = draw(st.integers(1, 6))
     slots = draw(st.permutations([(t, f) for t in range(n) for f in range(4)]))
-    builder = TriBuilder(n)
+    joins = []
     i = 0
     while i < len(slots):
         t, f = slots[i]
@@ -313,13 +332,13 @@ def gluing_tables(draw, kinds=("pair", "pair", "pair", "boundary", "self")):
         if kind == "pair" and i + 1 < len(slots):
             u, g = slots[i + 1]
             perm = draw(st.sampled_from([p for p in ALL_PERMS if p[f] == g]))
-            builder.join(t, f, u, perm)
+            joins.append((t, f, u, perm))
             i += 2
             continue
         if kind == "self":
-            builder.join(t, f, t, draw(st.sampled_from(_reflections(f))))
+            joins.append((t, f, t, draw(st.sampled_from(_reflections(f)))))
         i += 1
-    return builder.freeze()
+    return reference_glued((), joins, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -650,15 +669,13 @@ def test_the_tip_of_a_long_chain_pickles():
 
 
 def _free_tet():
-    return TriBuilder(1).freeze()
+    return reference_glued((), (), 1)
 
 
 def test_a_join_before_the_last_glued_lower_slot_gets_the_full_pass(
         monkeypatch):
     # facet 2 of tet 0 is glued to its facet 3, and facet 0 is joined next
-    b = TriBuilder(1)
-    b.join(0, 2, 0, Perm4((0, 1, 3, 2)))
-    parent = b.freeze()
+    parent = reference_glued((), ((0, 2, 0, Perm4((0, 1, 3, 2))),), 1)
     assert parent.skeleton._last == 2
     runs = _full_passes(monkeypatch)
     child = parent.glued(((0, 0, 1, Perm4((3, 0, 1, 2))),), 1)

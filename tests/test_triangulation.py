@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trinorm.perm import Perm4, ALL_PERMS
-from trinorm.triangulation import (GluingError, TriBuilder, Triangulation,
+from trinorm.triangulation import (GluingError, Triangulation,
                                    TriangulationError, ParseError, parse,
                                    serialize)
 from trinorm import analyze, build, verifysuite
@@ -89,11 +89,7 @@ def test_from_map_errors_are_pinned():
 
 def test_join_errors_are_pinned():
     def glue(*joins):
-        def action():
-            b = TriBuilder(2)
-            for join in joins:
-                b.join(*join)
-        return action
+        return lambda: Triangulation(()).glued(joins, 2)
 
     already = "facet already glued: tet 0 facet {} -> tet 1"
     cases = [
@@ -108,9 +104,8 @@ def test_join_errors_are_pinned():
     for action, message in cases:
         assert _raised(action) == (TriangulationError, message, None)
     # a reflection pairs a facet with itself; both sides are one entry
-    b = TriBuilder(1)
-    b.join(0, 3, 0, _S)
-    assert b.rows == [[None, None, None, (0, _S)]]
+    tri = Triangulation(()).glued(((0, 3, 0, _S),), 1)
+    assert tri.gluings == ((None, None, None, (0, _S)),)
 
 
 def test_triangulation_errors_are_pinned():
