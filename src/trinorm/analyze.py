@@ -250,9 +250,10 @@ def fundamental_report(tri, phi, k_phi=0):
     minimality hypotheses of the source results, so it is reported without
     being enforced.
     """
-    types = classify_tetrahedra(tri, phi)
-    census = parity_census(tri, phi, types)
-    surf = canonical_surface(tri, phi, types)
+    # the surface first: its classification checks the colouring before
+    # the census checks the triangulation
+    surf = canonical_surface(tri, phi)
+    census = parity_census(tri, phi)
     chi, formula = surf.chi, chi_formula(census)
     _log.debug("fundamental_report: cell-count chi %d, census formula chi %d",
                chi, formula)
@@ -484,11 +485,9 @@ def pachner_with_cocycle(tri, phi, move: MoveSpec):
 # ----- supportive tori and promotion ---------------------------------------------
 
 
-def _quad_tori(tri, phi, types=None):
-    """Maximal layered solid tori of quad type under the colouring;
-    ``types`` is its ``classify_tetrahedra`` list when the caller has one."""
-    if types is None:
-        types = classify_tetrahedra(tri, phi)
+def _quad_tori(tri, phi):
+    """Maximal layered solid tori of quad type under the colouring."""
+    types = classify_tetrahedra(tri, phi)
     return [emb for emb in find_maximal_lsts(tri)
             if emb.tet_type(types) is TetType.QUAD]
 
@@ -500,12 +499,12 @@ def _one_three_rest_four(sk, edges):
     return degrees == [3] + [4] * (len(degrees) - 1)
 
 
-def supportive_tori(tri, phi, types=None):
+def supportive_tori(tri, phi):
     """Maximal layered solid tori of quad type containing an even interior
     edge of degree three, all other even edges (interior or boundary) of
-    degree four.  ``types`` as for ``_quad_tori``."""
+    degree four."""
     sk = tri.skeleton
-    return [emb for emb in _quad_tori(tri, phi, types) if _one_three_rest_four(
+    return [emb for emb in _quad_tori(tri, phi) if _one_three_rest_four(
         sk, [e for e in emb.edge_weights if phi[e] == 0])]
 
 
@@ -544,9 +543,8 @@ def promote(tri, phi):
     """
     log = []
     current, cur_phi = tri, phi
-    all_types = classify_tetrahedra(current, cur_phi)
-    sup = supportive_tori(current, cur_phi, all_types)
-    measure = (parity_census(current, cur_phi, all_types).empty_tets, len(sup))
+    sup = supportive_tori(current, cur_phi)
+    measure = (parity_census(current, cur_phi).empty_tets, len(sup))
     for _ in range(_MAX_PROMOTE_STEPS):
         if not sup:
             return current, cur_phi, log
@@ -561,25 +559,23 @@ def promote(tri, phi):
             raise PromotionObstruction(
                 emb, "univalent edge is not contained in four distinct "
                      "tetrahedra")
+        all_types = classify_tetrahedra(current, cur_phi)
         types = [all_types[t][0] for t in wedge_tets]
         chosen = None
         for axis in (0, 1):
             cand_tri, cand_phi = pachner_with_cocycle(
                 current, cur_phi, MoveSpec("44", edge=e, axis=axis))
-            cand_types = classify_tetrahedra(cand_tri, cand_phi)
-            cand_sup = supportive_tori(cand_tri, cand_phi, cand_types)
-            cand_measure = (
-                parity_census(cand_tri, cand_phi, cand_types).empty_tets,
-                len(cand_sup))
+            cand_sup = supportive_tori(cand_tri, cand_phi)
+            cand_measure = (parity_census(cand_tri, cand_phi).empty_tets,
+                            len(cand_sup))
             if cand_measure < measure:
-                chosen = (axis, cand_tri, cand_phi, cand_types, cand_sup,
-                          cand_measure)
+                chosen = (axis, cand_tri, cand_phi, cand_sup, cand_measure)
                 break
         if chosen is None:
             raise PromotionObstruction(
                 emb, f"no measure-decreasing flip; octahedron types {types}")
         # the chosen candidate's tori and measure start the next step
-        axis, current, cur_phi, all_types, sup, measure = chosen
+        axis, current, cur_phi, sup, measure = chosen
         log.append({"edge": e, "axis": axis,
                     "octahedron_types": [t.value for t in types]})
     raise AssertionError("promotion failed to terminate")
@@ -588,14 +584,13 @@ def promote(tri, phi):
 # ----- compression patterns --------------------------------------------------------
 
 
-def almost_supportive_tori(tri, phi, types=None):
+def almost_supportive_tori(tri, phi):
     """Quad-type maximal layered solid tori with an interior even edge of
     degree three, all other interior even edges of degree four, and even
-    boundary edge of degree at least five.  ``types`` as for
-    ``_quad_tori``."""
+    boundary edge of degree at least five."""
     sk = tri.skeleton
     out = []
-    for emb in _quad_tori(tri, phi, types):
+    for emb in _quad_tori(tri, phi):
         if not _one_three_rest_four(
                 sk, [e for e in emb.interior_edges if phi[e] == 0]):
             continue
@@ -613,7 +608,7 @@ def compression_pattern_scan(tri, phi):
     sk = tri.skeleton
     types = classify_tetrahedra(tri, phi)
     by_edge = {}
-    for emb, e in almost_supportive_tori(tri, phi, types):
+    for emb, e in almost_supportive_tori(tri, phi):
         by_edge.setdefault(e, []).append(emb)
     patterns = []
     for e, tori in sorted(by_edge.items()):

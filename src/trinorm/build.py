@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .perm import Perm4
 from .triangulation import (EDGE_VERTICES, FACET_EDGES, _NO_TETRAHEDRA,
                             TriangulationError)
-from . import homology
+from . import cocycle, homology
 
 _log = logging.getLogger(__name__)
 
@@ -102,7 +102,7 @@ class LayeredSolidTorus(_TorusFields):
 
     def tet_type(self, types):
         """Uniform colouring type of the torus, QUAD or EMPTY, read off
-        ``types``, the list ``classify_tetrahedra`` returns."""
+        ``types``, the tuple ``classify_tetrahedra`` returns."""
         kinds = {types[t][0] for t in self.tets}
         if len(kinds) != 1:
             raise AssertionError("layered solid torus with mixed tetrahedron types")
@@ -615,13 +615,11 @@ def _fold_class(tri, meta, weight):
     record and the class ``_classified`` reads off the parity census, or
     None.  Asserts that the class is unique and that the even degrees are
     not two of 3 and two of 5, which should be impossible."""
-    from . import cocycle as _cocycle
-
     folded, record = fold_along_edge(tri, boundary_edge(meta, weight), meta)
-    classes = _cocycle.all_nonzero_classes(folded)
+    classes = cocycle.all_nonzero_classes(folded)
     if len(classes) != 1:
         raise AssertionError("even lens space without a unique class")
-    census = _cocycle.parity_census(folded, classes[0])
+    census = cocycle.parity_census(folded, classes[0])
     hist = census.even_degree_histogram
     if hist.get(3, 0) == 2 and hist.get(5, 0) == 2:
         raise AssertionError("census shows two degree-3 and two degree-5 "

@@ -129,14 +129,23 @@ for _v in range(4):
 
 
 def classify_tetrahedra(tri, phi):
-    """Type of every tetrahedron under the colouring.
+    """Type of every tetrahedron under the colouring, as a tuple of
+    (TetType, detail) where detail is the even-pair quad index for QUAD
+    tetrahedra and the odd-corner vertex for TRI ones.  ``tri`` holds the
+    last colouring classified on it with its types, and hands them back for
+    an equal colouring, so each colouring is classified once."""
+    bits, types = tri._tet_types
+    if bits != phi.bits:
+        types = _classify(tri, phi.bits)
+        tri._tet_types = phi.bits, types
+    return types
 
-    Returns a list of (TetType, detail) where detail is the even-pair quad
-    index for QUAD tetrahedra and the odd-corner vertex for TRI ones.
-    """
-    _check_length(tri, phi.bits)
-    # phi.bits read through the skeleton once: 1 on each odd edge slot
-    odd_class = [1 if b else 0 for b in phi.bits]
+
+def _classify(tri, bits):
+    """The types ``classify_tetrahedra`` returns, worked out."""
+    _check_length(tri, bits)
+    # the bits read through the skeleton once: 1 on each odd edge slot
+    odd_class = [1 if b else 0 for b in bits]
     odd = [odd_class[c] for c in tri.skeleton.edge_class]
     out = []
     for t6 in range(0, len(odd), 6):
@@ -148,7 +157,7 @@ def classify_tetrahedra(tri, phi):
                 f"edge parities of tetrahedron {t6 // 6} match no type; "
                 "input is not a cocycle")
         out.append(kind)
-    return out
+    return tuple(out)
 
 
 class ParityCensus(NamedTuple):
@@ -166,18 +175,16 @@ class ParityCensus(NamedTuple):
         return self.even_edges == self.odd_edges
 
 
-def parity_census(tri, phi, types=None):
+def parity_census(tri, phi):
     """Edge and tetrahedron counts by parity, plus the size of the
-    subcomplex spanned by the even edges.  ``types`` is the colouring's
-    ``classify_tetrahedra`` list when the caller has one."""
+    subcomplex spanned by the even edges."""
     _require_one_vertex_closed(tri)
-    _check_length(tri, phi.bits)
     sk = tri.skeleton
-    if types is None:
-        types = classify_tetrahedra(tri, phi)
-    n_quad = sum(1 for ty, _ in types if ty is TetType.QUAD)
-    n_tri = sum(1 for ty, _ in types if ty is TetType.TRI)
-    n_empty = sum(1 for ty, _ in types if ty is TetType.EMPTY)
+    n_quad = n_tri = n_empty = 0
+    for ty, _ in classify_tetrahedra(tri, phi):
+        n_quad += ty is TetType.QUAD
+        n_tri += ty is TetType.TRI
+        n_empty += ty is TetType.EMPTY
 
     bits = phi.bits
     even = [d for c, d in enumerate(sk.edge_degrees) if bits[c] == 0]

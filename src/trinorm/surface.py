@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .triangulation import (EDGE_VERTICES, FACET_VERTICES,
                             TriangulationError, _linked)
-from .cocycle import TetType, _check_length, classify_tetrahedra, ParityCensus
+from .cocycle import TetType, classify_tetrahedra, ParityCensus
 
 _log = logging.getLogger(__name__)
 
@@ -263,14 +263,12 @@ _CANONICAL_ROWS.update(((TetType.QUAD, i), _UNIT_ROWS[4 + i])
                        for i in range(3))
 
 
-def canonical_surface(tri, phi, types=None):
+def canonical_surface(tri, phi):
     """The unique normal surface meeting every odd edge once: a quad dual to
     the even pair in each QUAD tetrahedron, one triangle at the odd corner
-    of each TRI one, nothing in EMPTY ones; ``types`` as in parity_census."""
-    _check_length(tri, phi.bits)
-    if types is None:
-        types = classify_tetrahedra(tri, phi)
-    coord = NormalCoordinate(tuple(map(_CANONICAL_ROWS.__getitem__, types)))
+    of each TRI one, nothing in EMPTY ones."""
+    coord = NormalCoordinate(tuple(map(_CANONICAL_ROWS.__getitem__,
+                                       classify_tetrahedra(tri, phi))))
     ws = edge_weights(tri, coord)
     differ = [e for e, w in enumerate(ws) if w != phi[e]]
     if _log.isEnabledFor(logging.DEBUG):

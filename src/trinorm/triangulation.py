@@ -452,9 +452,11 @@ class Triangulation:
     u, and facet f of t is glued to facet perm[f] of u.
     """
 
-    # the quad sites of the last coordinate b-modified on this table, with
-    # the coordinate: see surface._quad_sites
+    # the last coordinate b-modified on this table with its quad sites (see
+    # surface._quad_sites), and the last colouring classified on it with
+    # its tetrahedron types (see cocycle.classify_tetrahedra)
     _quad_sites = None
+    _tet_types = None, None
 
     def __init__(self, gluings):
         table = tuple(map(tuple, gluings))

@@ -328,9 +328,8 @@ def _chi_agrees(label, tri):
     Euler characteristic of the census formula, or the first failure."""
     n = 0
     for phi in cocycle.all_nonzero_classes(tri):
-        types = cocycle.classify_tetrahedra(tri, phi)
-        census = cocycle.parity_census(tri, phi, types)
-        canon = surface.canonical_surface(tri, phi, types)
+        census = cocycle.parity_census(tri, phi)
+        canon = surface.canonical_surface(tri, phi)
         if canon.chi != surface.chi_formula(census):
             return f"{label}: {canon.chi} != formula"
         n += 1
@@ -384,7 +383,7 @@ def _quaternionic(quick):
             types = cocycle.classify_tetrahedra(tri, phi)
             if any(ty is not TetType.QUAD for ty, _ in types):
                 return 0, f"loop {k}: non-quad tetrahedron"
-            canon = surface.canonical_surface(tri, phi, types)
+            canon = surface.canonical_surface(tri, phi)
             chi, orientable, connected = surface.surface_classify(
                 tri, canon.coord, canon.chi)
             if chi == 0 and connected and not orientable:
@@ -571,7 +570,7 @@ def _all_quad_flip():
     h1 = homology.first_homology(flipped)
     if h1 != h0:
         return "4-4 move changed homology"
-    newtypes = cocycle.classify_tetrahedra(flipped, phi2)[-4:]
+    newtypes = list(cocycle.classify_tetrahedra(flipped, phi2)[-4:])
     if any(ty is not TetType.TRI for ty, _ in newtypes):
         return f"4-4 on all-quad octahedron gave {newtypes}"
     return None

@@ -587,21 +587,22 @@ def test_compression_scan_empty_on_families():
 
 
 def test_each_colouring_is_classified_once(monkeypatch):
-    # analyze's own classify_tetrahedra calls; parity_census classifies
-    # inside cocycle and is not counted here
+    # the classifications computed behind classify_tetrahedra's memo
     calls = []
-    classify = analyze.classify_tetrahedra
+    classify = cocycle._classify
 
-    def counted(tri, phi):
+    def counted(tri, bits):
         calls.append(tri)
-        return classify(tri, phi)
+        return classify(tri, bits)
 
-    monkeypatch.setattr(analyze, "classify_tetrahedra", counted)
+    monkeypatch.setattr(cocycle, "_classify", counted)
     tri, _ = build.seifert_family("M", 1, 2, 1)
     phi, = cocycle.all_nonzero_classes(tri)
     assert compression_pattern_scan(tri, phi) == []
     assert calls == [tri]
     calls.clear()
+    # a fresh build, whose table remembers no classification yet
+    tri, _ = build.seifert_family("M", 1, 2, 1)
     out, _, log = promote(tri, phi)
     # the input, then the one candidate the single flip keeps
     assert len(log) == 1 and calls == [tri, out]
@@ -611,20 +612,19 @@ def test_promote_searches_and_classifies_each_triangulation_once(
         monkeypatch):
     searched, classified = [], []
     search = analyze.find_maximal_lsts
-    classify = cocycle.classify_tetrahedra
+    classify = cocycle._classify
 
     def counted_search(tri):
         searched.append(tri)
         return search(tri)
 
-    def counted_classify(tri, phi):
+    def counted_classify(tri, bits):
         classified.append(tri)
-        return classify(tri, phi)
+        return classify(tri, bits)
 
     monkeypatch.setattr(analyze, "find_maximal_lsts", counted_search)
-    # parity_census classifies through the cocycle module's binding
-    monkeypatch.setattr(analyze, "classify_tetrahedra", counted_classify)
-    monkeypatch.setattr(cocycle, "classify_tetrahedra", counted_classify)
+    # the classifications computed behind classify_tetrahedra's memo
+    monkeypatch.setattr(cocycle, "_classify", counted_classify)
     tri, _ = build.seifert_family("M", 1, 2, 1)
     phi, = cocycle.all_nonzero_classes(tri)
     out, _, log = promote(tri, phi)

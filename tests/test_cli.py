@@ -495,11 +495,11 @@ def test_bounds_and_analyze_derive_each_class_once(tmp_path, monkeypatch,
                                                    capsys):
     from trinorm import analyze, cocycle, homology, surface
     calls = dict.fromkeys(("all_nonzero_classes", "first_homology",
-                           "classify_tetrahedra"), 0)
+                           "_classify"), 0)
     _count_calls(monkeypatch, calls, "all_nonzero_classes", cocycle, analyze)
     _count_calls(monkeypatch, calls, "first_homology", homology)
-    _count_calls(monkeypatch, calls, "classify_tetrahedra",
-                 cocycle, analyze, surface)
+    # the classifications computed behind classify_tetrahedra's memo
+    _count_calls(monkeypatch, calls, "_classify", cocycle)
     # M'(1,1,1): three classes, each with quad and tri tetrahedra
     tri, _ = build.seifert_family("MPRIME", 1, 1, 1)
     path = tmp_path / "mp.tri"
@@ -513,11 +513,11 @@ def test_bounds_and_analyze_derive_each_class_once(tmp_path, monkeypatch,
         assert len(out["certificate"]["classes"]) == 3
         assert calls == {"all_nonzero_classes": 1,
                          "first_homology": homologies,
-                         "classify_tetrahedra": 3}
+                         "_classify": 3}
     calls.update(dict.fromkeys(calls, 0))
     assert main(["analyze", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)["classes"]) == 3
-    assert calls["classify_tetrahedra"] == 3
+    assert calls["_classify"] == 3
 
 
 def test_bounds_reports_a_bounded_input_before_homology(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Edge colourings, tetrahedron types and parity censuses."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trinorm import build, cocycle, verifysuite
 from trinorm.analyze import fundamental_report
@@ -9,6 +9,8 @@ from trinorm.cocycle import TetType, Cocycle, ParityCensus
 from trinorm.surface import canonical_surface
 from trinorm.triangulation import (EDGE_VERTICES, FACET_EDGES,
                                    TriangulationError)
+
+from test_skeleton import gluing_tables
 
 
 def test_basis_dimensions():
@@ -137,16 +139,17 @@ def test_cocycles_of_different_sizes_do_not_add():
 def test_colourings_of_the_wrong_length_are_refused():
     tri, _, _ = build.lens_space(1, 4)       # L(6,1), four edge classes
     phi = cocycle.all_nonzero_classes(tri)[0]
-    # the types of the right colouring do not excuse a wrong one's length
-    types = cocycle.classify_tetrahedra(tri, phi)
+    # the classification the right colouring left on the table does not
+    # excuse a wrong one's length
+    cocycle.classify_tetrahedra(tri, phi)
     for bits in (phi.bits + (1,), phi.bits[:-1]):
         message = (f"^colouring has {len(bits)} edge bits, the "
                    f"triangulation 4 edges$")
         for check in (cocycle.is_cocycle,
                       lambda t, b: cocycle.classify_tetrahedra(t, Cocycle(b)),
                       lambda t, b: fundamental_report(t, Cocycle(b)),
-                      lambda t, b: cocycle.parity_census(t, Cocycle(b), types),
-                      lambda t, b: canonical_surface(t, Cocycle(b), types)):
+                      lambda t, b: cocycle.parity_census(t, Cocycle(b)),
+                      lambda t, b: canonical_surface(t, Cocycle(b))):
             with pytest.raises(TriangulationError, match=message):
                 check(tri, bits)
 
@@ -240,10 +243,9 @@ def test_colouring_matches_per_tetrahedron_reference():
     for tri in _colouring_grid():
         for phi in cocycle.all_nonzero_classes(tri):
             types = cocycle.classify_tetrahedra(tri, phi)
-            assert types == _reference_classify_tetrahedra(tri, phi)
+            assert types == tuple(_reference_classify_tetrahedra(tri, phi))
             census = cocycle.parity_census(tri, phi)
             assert census == _reference_parity_census(tri, phi)
-            assert cocycle.parity_census(tri, phi, types) == census
             colourings += 1
     # 63 colourings on the 189 folds to depth 6 (the even lens spaces
     # have one each), then 129 on the 61 members of the M, M', P and Q grids
@@ -267,8 +269,70 @@ def test_every_bit_vector_classifies_as_the_reference():
                 assert str(err.value) == str(exc)
                 refused += 1
             else:
-                assert cocycle.classify_tetrahedra(tri, phi) == want
+                assert cocycle.classify_tetrahedra(tri, phi) == tuple(want)
             checked += 1
     # four, six, five and five edge classes
     assert checked == 2 ** 4 + 2 ** 6 + 2 ** 5 + 2 ** 5
     assert 0 < refused < checked
+
+
+# ----- the remembered classification ------------------------------------------
+
+
+def _classify_in_turn(tri, colourings):
+    """Classify the bit vectors one after another on one table: each gives
+    the reference's types, or its refusal with the reference's text, and
+    a wrong length the length refusal."""
+    ne = tri.skeleton.edge_count
+    for bits in colourings:
+        phi = Cocycle(bits)
+        if len(bits) != ne:
+            with pytest.raises(TriangulationError) as err:
+                cocycle.classify_tetrahedra(tri, phi)
+            assert str(err.value) == (f"colouring has {len(bits)} edge "
+                                      f"bits, the triangulation {ne} edges")
+            continue
+        try:
+            want = _reference_classify_tetrahedra(tri, phi)
+        except TriangulationError as exc:
+            with pytest.raises(TriangulationError) as err:
+                cocycle.classify_tetrahedra(tri, phi)
+            assert str(err.value) == str(exc)
+        else:
+            assert cocycle.classify_tetrahedra(tri, phi) == tuple(want)
+
+
+def _non_cocycle(tri):
+    """The first bit vector, in binary order, that is not a cocycle."""
+    ne = tri.skeleton.edge_count
+    return next(bits for bits in (tuple((m >> i) & 1 for i in range(ne))
+                                  for m in range(1 << ne))
+                if not cocycle.is_cocycle(tri, bits))
+
+
+def test_interleaved_colourings_classify_as_the_reference():
+    tri, _ = build.seifert_family("MPRIME", 1, 1, 1)
+    a, b, _ = (phi.bits for phi in cocycle.all_nonzero_classes(tri))
+    _classify_in_turn(tri, [a, b, a, a[:-1], _non_cocycle(tri), a])
+    # the last A is remembered through both refusals, in one tuple
+    types = cocycle.classify_tetrahedra(tri, Cocycle(a))
+    assert cocycle.classify_tetrahedra(tri, Cocycle(a)) is types
+    assert type(types) is tuple
+
+
+@settings(max_examples=100, deadline=None)
+@given(tri=gluing_tables(kinds=("pair",)), data=st.data())
+def test_interleaved_colourings_on_random_tables(tri, data):
+    # closed one-vertex tables: their classes, the zero colouring and any
+    # bit vectors, of the right length or one off, in any order
+    sk = tri.skeleton
+    assume(sk.vertex_count == 1 and not sk.boundary_facets)
+    ne = sk.edge_count
+    right = st.tuples(*[st.integers(0, 1)] * ne)
+    vectors = st.one_of(
+        st.sampled_from([phi.bits for phi in cocycle.all_nonzero_classes(tri)]
+                        + [(0,) * ne]),
+        right, right.map(lambda bits: bits + (1,)),
+        right.map(lambda bits: bits[:-1]))
+    _classify_in_turn(tri, data.draw(st.lists(vectors, min_size=2,
+                                              max_size=8)))

@@ -943,25 +943,25 @@ def test_special_solutions_group_the_slots_once(monkeypatch):
 
 
 def test_chi_two_methods_classifies_each_class_once(monkeypatch):
-    calls = {"classes": 0, "classify_tetrahedra": 0}
-    classes, classify = cocycle.all_nonzero_classes, cocycle.classify_tetrahedra
+    calls = {"classes": 0, "classified": 0}
+    classes, classify = cocycle.all_nonzero_classes, cocycle._classify
 
     def counted_classes(tri):
         out = classes(tri)
         calls["classes"] += len(out)
         return out
 
-    def counted_classify(tri, phi):
-        calls["classify_tetrahedra"] += 1
-        return classify(tri, phi)
+    def counted_classify(tri, bits):
+        calls["classified"] += 1
+        return classify(tri, bits)
 
     monkeypatch.setattr(cocycle, "all_nonzero_classes", counted_classes)
-    for module in (cocycle, surface):
-        monkeypatch.setattr(module, "classify_tetrahedra", counted_classify)
+    # the classifications computed behind classify_tetrahedra's memo
+    monkeypatch.setattr(cocycle, "_classify", counted_classify)
     # a direct call, outside verifysuite.run, walks its shares in process
     ok, _ = verifysuite.check_chi_two_methods(quick=True)
     assert ok and calls["classes"] > 0
-    assert calls["classify_tetrahedra"] == calls["classes"]
+    assert calls["classified"] == calls["classes"]
 
 
 def test_formal_chi_needs_a_closed_triangulation():
@@ -1354,7 +1354,7 @@ def _assert_writers_join(tri, modifications=4):
         return compared
     for phi in cocycle.all_nonzero_classes(tri):
         types = cocycle.classify_tetrahedra(tri, phi)
-        canon = canonical_surface(tri, phi, types)
+        canon = canonical_surface(tri, phi)
         _assert_rows_join(canon.coord, _ref_canonical_parts(tri, types))
         compared[1] += 1
         if any(ty is not TetType.QUAD for ty, _ in types):
@@ -1429,7 +1429,8 @@ def test_tet_solution_rejects_an_index_out_of_range():
     assert tet_solution(tri, 3).rows[3] == (1, 1, 1, 1, -1, -1, -1, 0, 0, 0)
 
 
-def test_canonical_surface_logs_its_weight_check(caplog, capsys):
+def test_canonical_surface_logs_its_weight_check(caplog, capsys,
+                                                 monkeypatch):
     tri = build.layered_loop(6, twisted=True)
     phis = cocycle.all_nonzero_classes(tri)
     with caplog.at_level(logging.DEBUG, logger="trinorm.surface"):
@@ -1443,13 +1444,16 @@ def test_canonical_surface_logs_its_weight_check(caplog, capsys):
             f"canonical_surface: {edges} edge weights against the "
             f"colouring, differing on edges []")
     assert capsys.readouterr() == ("", "")
-    # a colouring the weights do not match is logged before it raises
+    # a colouring the weights do not match is logged before it raises:
+    # the classification is patched to give another colouring's types
     bad = cocycle.Cocycle(tuple(1 - b for b in phis[0].bits))
+    types = cocycle.classify_tetrahedra(tri, phis[0])
+    monkeypatch.setattr(surface, "classify_tetrahedra",
+                        lambda tri, phi: types)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="trinorm.surface"):
         with pytest.raises(AssertionError, match="differs from parity"):
-            canonical_surface(tri, bad, cocycle.classify_tetrahedra(
-                tri, phis[0]))
+            canonical_surface(tri, bad)
     (record,) = [r for r in caplog.records if r.name == "trinorm.surface"]
     assert record.getMessage() == (
         f"canonical_surface: {edges} edge weights against the colouring, "

@@ -154,9 +154,8 @@ def _chi_two_methods_share(share, quick):
     n = 0
     for label, tri in chain(family, lens):
         for phi in cocycle.all_nonzero_classes(tri):
-            types = cocycle.classify_tetrahedra(tri, phi)
-            census = cocycle.parity_census(tri, phi, types)
-            canon = surface.canonical_surface(tri, phi, types)
+            census = cocycle.parity_census(tri, phi)
+            canon = surface.canonical_surface(tri, phi)
             if canon.chi != surface.chi_formula(census):
                 return n, f"{label}: {canon.chi} != formula"
             n += 1
@@ -621,8 +620,8 @@ def test_a_failing_tree_criterion_leaves_the_others_alone(monkeypatch,
                        and cocycle.all_nonzero_classes(fold[2])][4]
     real = surface.canonical_surface
 
-    def miscounted(tri, phi, types=None):
-        canon = real(tri, phi, types)
+    def miscounted(tri, phi):
+        canon = real(tri, phi)
         if tri.gluings == target.gluings:
             return canon._replace(chi=canon.chi + 1)
         return canon
