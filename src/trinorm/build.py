@@ -184,17 +184,32 @@ def frontier_book(tri, faces):
 _SEED = _seed_lst()
 
 
+def _third(f, a, b):
+    """The vertex of facet f other than a and b: facet f is opposite
+    vertex f, and the four labels sum to 6."""
+    return 6 - f - a - b
+
+
+def _face_map(f, pair, g, images):
+    """The gluing of facet f onto facet g that sends the two vertices
+    ``pair`` of f to ``images`` in g, and so f's third vertex to g's: the
+    one face-onto-face rule, which every layer, fold and filling glues
+    by."""
+    (a, b), (c, d) = pair, images
+    return Perm4.from_map({a: c, b: d, _third(f, a, b): _third(g, c, d),
+                           f: g})
+
+
 @lru_cache(maxsize=None)
 def _layer_step(f1, f2, hinge, kept):
     """``_layer``'s rule on a book's shape, labels 0..3 only, so few shapes
     occur: the facets of the two faces, the hinge's vertex pair in each
     and the kept classes' pairs in order.  Returns the gluings of the faces
-    onto the new tetrahedron's facets 2 and 3, and the new book's pairs:
-    the kept classes' in order, then the fresh edge's."""
-    # facet f is opposite vertex f, and the four labels sum to 6
-    (a1, b1), (a2, b2) = hinge
-    g1 = Perm4.from_map({a1: 0, b1: 1, 6 - f1 - a1 - b1: 3, f1: 2})
-    g2 = Perm4.from_map({a2: 0, b2: 1, 6 - f2 - a2 - b2: 2, f2: 3})
+    onto the new tetrahedron's facets 2 and 3, each hinge pair onto (0, 1),
+    and the new book's pairs: the kept classes' in order, then the fresh
+    edge's.  A walk of the fraction tree meets 10 shapes."""
+    g1 = _face_map(f1, hinge[0], 2, (0, 1))
+    g2 = _face_map(f2, hinge[1], 3, (0, 1))
     im1, im2 = g1.images, g2.images
     pairs = []
     for (h1, u1), (h2, u2) in kept:
@@ -263,7 +278,8 @@ def relayer(weights, boundary, hinge, new_class):
 
 
 def boundary_edge(torus, weight):
-    """The boundary edge class of the given meridian weight."""
+    """The boundary edge class of the given meridian weight; a weight the
+    boundary does not carry is refused, naming the triple."""
     for e in torus.boundary_edges:
         if torus.edge_weights[e] == weight:
             return e
@@ -358,10 +374,10 @@ def fold_record(p, q, weight):
 @lru_cache(maxsize=None)
 def _fold_map(f1, f2, hinge):
     """The fold's gluing of facet f1 onto f2, the hinge's vertex pair in
-    the first face onto its pair in the second; memoised like the layer's."""
-    (a1, b1), (a2, b2) = hinge
-    return Perm4.from_map({a1: a2, b1: b2, 6 - f1 - a1 - b1: 6 - f2 - a2 - b2,
-                           f1: f2})
+    the first face onto its pair in the second; memoised like the layer's.
+    All three folds of every fraction-tree node meet 8 shapes, the
+    census's even folds 5."""
+    return _face_map(f1, hinge[0], f2, hinge[1])
 
 
 def fold_along_edge(tri, edge_class, torus):
@@ -398,7 +414,7 @@ def meridian_weight_oracle(tri):
     An edge whose class is +-w leaves H_1 / <edge> = Z/w, or Z when w = 0,
     so its weight is the order of that quotient: the product of the
     invariant factors of d2 with the edge's unit column added, when they
-    have full rank."""
+    have full rank.  The H_1 check and the weights are logged at DEBUG."""
     sk = tri.skeleton
     if sk.vertex_count != 1:
         raise TriangulationError(
@@ -693,18 +709,12 @@ def layered_loop(n, twisted):
 # ----- augmented solid tori ---------------------------------------------------
 
 
+# The pinched prism's three boundary annuli, each two triangles (tet,
+# facet, the vertices opposite its horizontal, diagonal and vertical edges)
 PRISM_ANNULI = (
-    # (triangle1 slot, triangle2 slot, horizontal, diagonal, verticals)
-    # as (tet, facet) and per-triangle edge vertex pairs
-    {"tri1": (1, 3), "tri2": (2, 3),
-     "edges1": {"h": (0, 1), "d": (0, 2), "v": (1, 2)},
-     "edges2": {"h": (1, 2), "d": (0, 2), "v": (0, 1)}},
-    {"tri1": (0, 0), "tri2": (1, 0),
-     "edges1": {"h": (1, 2), "d": (1, 3), "v": (2, 3)},
-     "edges2": {"h": (2, 3), "d": (1, 3), "v": (1, 2)}},
-    {"tri1": (0, 1), "tri2": (2, 2),
-     "edges1": {"h": (0, 2), "d": (0, 3), "v": (2, 3)},
-     "edges2": {"h": (1, 3), "d": (0, 3), "v": (0, 1)}},
+    ((1, 3, (2, 1, 0)), (2, 3, (0, 1, 2))),
+    ((0, 0, (3, 2, 1)), (1, 0, (1, 2, 3))),
+    ((0, 1, (3, 2, 0)), (2, 2, (0, 1, 3))),
 )
 
 
@@ -714,6 +724,12 @@ PRISM_ANNULI = (
 _PRISM_JOINS = ((0, 2, 1, Perm4((0, 1, 2, 3))),
                 (1, 1, 2, Perm4((0, 1, 2, 3))),
                 (2, 0, 0, Perm4((3, 0, 1, 2))))
+
+# Each annulus's fold: its first triangle onto its second, horizontal onto
+# diagonal, diagonal onto horizontal and vertical onto vertical.
+_PRISM_FOLDS = tuple((t1, f1, t2, _face_map(f1, (h1, d1), f2, (d2, h2)))
+                     for (t1, f1, (h1, d1, _)), (t2, f2, (h2, d2, _))
+                     in PRISM_ANNULI)
 
 
 class AnnulusFilling(NamedTuple):
@@ -730,48 +746,28 @@ class AnnulusFilling(NamedTuple):
     w_v: int = 0
 
 
-def _triangle_map(edges_from, edges_to):
-    """Vertex map of a triangle gluing given the three edge correspondences
-    {role: (vertex pair)} on both sides."""
-    mapping = {}
-    roles = list(edges_from)
-    for ra in roles:
-        for rb in roles:
-            if ra == rb:
-                continue
-            shared_from = set(edges_from[ra]) & set(edges_from[rb])
-            shared_to = set(edges_to[ra]) & set(edges_to[rb])
-            if len(shared_from) == 1 and len(shared_to) == 1:
-                mapping[shared_from.pop()] = shared_to.pop()
-    return mapping
-
-
 def augmented_solid_torus(fillings):
     """Pinched-prism solid torus with its three annuli closed by the given
     fillings.  Every layered-solid-torus attachment pinches the two
     vertical edges of its annulus onto a single edge, which is what turns
     each annulus into a one-vertex torus.  Raises TriangulationError when
-    the result has an invalid edge."""
+    the result has an invalid edge.
+
+    An unknown kind is refused before any torus's weights are checked.
+    Each torus is built by ``lst``, its own gluings re-joined from their
+    lower slots at the next tetrahedron offset, and each boundary face
+    glued to its annulus triangle, the vertex opposite each weight's edge
+    onto the vertex opposite that role's edge."""
     if len(fillings) != 3:
         raise TriangulationError("exactly three annulus fillings required")
-    joins, n = list(_PRISM_JOINS), 3
-    pending = []
-    for annulus, filling in zip(PRISM_ANNULI, fillings):
-        t1, f1 = annulus["tri1"]
-        t2, f2 = annulus["tri2"]
-        if filling.kind == "fold":
-            e2 = annulus["edges2"]
-            vmap = _triangle_map(annulus["edges1"],
-                                 {"h": e2["d"], "d": e2["h"], "v": e2["v"]})
-            vmap[f1] = f2
-            joins.append((t1, f1, t2, Perm4.from_map(vmap)))
-        elif filling.kind == "lst":
-            pending.append((annulus, filling))
-        else:
+    for filling in fillings:
+        if filling.kind not in ("fold", "lst"):
             raise TriangulationError(f"unknown filling kind {filling.kind!r}")
-
-    # attach solid tori one at a time, each at the next tetrahedron offset
-    for annulus, filling in pending:
+    joins, n = list(_PRISM_JOINS), 3
+    for annulus, fold, filling in zip(PRISM_ANNULI, _PRISM_FOLDS, fillings):
+        if filling.kind == "fold":
+            joins.append(fold)
+            continue
         triple = sorted((filling.w_h, filling.w_d, filling.w_v))
         if triple[0] + triple[1] != triple[2]:
             raise TriangulationError(
@@ -779,22 +775,16 @@ def augmented_solid_torus(fillings):
         if math.gcd(triple[0], triple[1]) != 1:
             raise TriangulationError(f"weights {triple} are not coprime")
         sub, meta = lst(triple[0], triple[1])
-        # the torus's own gluings, each re-joined once, from its lower slot
         for t, row in enumerate(sub.gluings):
             for f, g in enumerate(row):
                 if g is not None and 4 * t + f <= 4 * g[0] + g[1].images[f]:
                     joins.append((t + n, f, g[0] + n, g[1]))
-        want = {"h": boundary_edge(meta, filling.w_h),
-                "d": boundary_edge(meta, filling.w_d),
-                "v": boundary_edge(meta, filling.w_v)}
-        lst_faces = [(lt, lf, {role: meta.book.edges[e][side]
-                               for role, e in want.items()})
-                     for side, (lt, lf) in enumerate(meta.book.faces)]
-        for (lt, lf, edges_from), key in zip(lst_faces, ("1", "2")):
-            t_p, f_p = annulus["tri" + key]
-            vmap = _triangle_map(edges_from, annulus["edges" + key])
-            vmap[lf] = f_p
-            joins.append((lt + n, lf, t_p, Perm4.from_map(vmap)))
+        h, d = (meta.book.edges[boundary_edge(meta, w)]
+                for w in (filling.w_h, filling.w_d))
+        for (lt, lf), (tp, fp, (oh, od, _)), hp, dp in zip(
+                meta.book.faces, annulus, h, d):
+            joins.append((lt + n, lf, tp, _face_map(
+                lf, (_third(lf, *hp), _third(lf, *dp)), fp, (oh, od))))
         n += sub.tet_count
     tri = _NO_TETRAHEDRA.glued(joins, n)
     homology.require_valid_cells(tri)
@@ -808,7 +798,8 @@ def augmented_quaternionic(k):
     """Augmented-solid-torus triangulation of the generalised quaternionic
     space of even order parameter k: two crossed folds plus the solid torus
     with boundary triple {1, k-1, k}.  One tetrahedron larger than the
-    twisted layered loop of the same space."""
+    twisted layered loop of the same space.  Its H_1 is checked against
+    the Seifert presentation, and both are logged at DEBUG."""
     if k < 4 or k % 2:
         raise TriangulationError("needs even k >= 4")
     tri = augmented_solid_torus((
@@ -856,7 +847,8 @@ def seifert_family(tag, k, m=None, n=None):
     annuli plus one long solid torus) and Q is the twisted layered loop.
     The annulus weight assignments below were fixed by requiring the built
     complex to reproduce the Seifert-presentation homology over a parameter
-    grid; that oracle runs again on every call.
+    grid; that oracle runs again on every call, and logs the predicted and
+    the built H_1 at DEBUG.
     """
     tag = family_tag(tag)
     if tag == "M":

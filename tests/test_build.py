@@ -9,7 +9,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from trinorm import analyze, build, homology, cocycle, verifysuite
 from trinorm.analyze import find_maximal_lsts
@@ -273,10 +273,13 @@ def test_every_filling_triple_is_closed_and_valid():
 
 
 def _filling_refusal(fillings):
-    """The text ``augmented_solid_torus`` refuses fold and layered-solid-
-    torus fillings with, or None: the first torus filling, in annulus
-    order, whose weights are no coprime boundary triple or whose torus
-    ``lst`` refuses."""
+    """The text ``augmented_solid_torus`` refuses three fillings with, or
+    None: the first filling of an unknown kind, and else the first torus
+    filling, in annulus order, whose weights are no coprime boundary
+    triple or whose torus ``lst`` refuses."""
+    for filling in fillings:
+        if filling.kind not in ("fold", "lst"):
+            return f"unknown filling kind {filling.kind!r}"
     for filling in fillings:
         if filling.kind != "lst":
             continue
@@ -298,6 +301,7 @@ _coprime_triples = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
     lambda pq: st.permutations((pq[0], pq[1], pq[0] + pq[1])))
 _annulus_fillings = st.one_of(
     st.just(build.AnnulusFilling("fold")),
+    st.just(build.AnnulusFilling("weird")),
     _coprime_triples.map(lambda w: build.AnnulusFilling("lst", *w)),
     st.tuples(*[st.integers(1, 8)] * 3).map(
         lambda w: build.AnnulusFilling("lst", *w)))
@@ -305,6 +309,8 @@ _annulus_fillings = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(*[_annulus_fillings] * 3))
+@example((build.AnnulusFilling("lst", 2, 2, 4), build.AnnulusFilling("weird"),
+          build.AnnulusFilling("fold")))
 def test_drawn_fillings_pass_the_whole_table_check(fillings):
     # each torus's gluings are re-joined at its offset: the table equals
     # its own whole-table check, or is refused with the expected text
@@ -317,6 +323,124 @@ def test_drawn_fillings_pass_the_whole_table_check(fillings):
         assert expected is None
         assert Triangulation(tri.gluings) == tri
         assert tri.is_closed and tri.is_valid
+
+
+def test_mixed_filling_assignments_are_pinned():
+    # every assignment of a fold and two tori to the three annuli, so a
+    # fold is joined before, between and after the tori
+    fillings = (build.AnnulusFilling("fold"),
+                build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
+                build.AnnulusFilling("lst", w_h=5, w_d=2, w_v=7))
+    digest = hashlib.sha256()
+    for assignment in itertools.product(fillings, repeat=3):
+        digest.update(serialize(build.augmented_solid_torus(assignment))
+                      .encode())
+    assert digest.hexdigest() == \
+        "d910eb0964a42ac9bdb0b200b7846ac677a1ffdb277625a1a72bef64d6e22c0e"
+
+
+# ----- the face-onto-face rule ---------------------------------------------------
+
+# The prism's annuli by edge role, kept as the reference for
+# ``PRISM_ANNULI`` and ``_face_map``: each triangle's (tet, facet) and the
+# vertex pair of its horizontal, diagonal and vertical edge
+_REFERENCE_ANNULI = (
+    {"tri1": (1, 3), "tri2": (2, 3),
+     "edges1": {"h": (0, 1), "d": (0, 2), "v": (1, 2)},
+     "edges2": {"h": (1, 2), "d": (0, 2), "v": (0, 1)}},
+    {"tri1": (0, 0), "tri2": (1, 0),
+     "edges1": {"h": (1, 2), "d": (1, 3), "v": (2, 3)},
+     "edges2": {"h": (2, 3), "d": (1, 3), "v": (1, 2)}},
+    {"tri1": (0, 1), "tri2": (2, 2),
+     "edges1": {"h": (0, 2), "d": (0, 3), "v": (2, 3)},
+     "edges2": {"h": (1, 3), "d": (0, 3), "v": (0, 1)}},
+)
+
+
+def _reference_triangle_map(edges_from, edges_to):
+    """Vertex map of a triangle gluing given the three edge correspondences
+    {role: (vertex pair)} on both sides: the vertex two roles share goes to
+    the vertex they share on the other side."""
+    mapping = {}
+    roles = list(edges_from)
+    for ra in roles:
+        for rb in roles:
+            if ra == rb:
+                continue
+            shared_from = set(edges_from[ra]) & set(edges_from[rb])
+            shared_to = set(edges_to[ra]) & set(edges_to[rb])
+            if len(shared_from) == 1 and len(shared_to) == 1:
+                mapping[shared_from.pop()] = shared_to.pop()
+    return mapping
+
+
+def _reference_fold(annulus):
+    (t1, f1), (t2, f2) = annulus["tri1"], annulus["tri2"]
+    e2 = annulus["edges2"]
+    vmap = _reference_triangle_map(
+        annulus["edges1"], {"h": e2["d"], "d": e2["h"], "v": e2["v"]})
+    vmap[f1] = f2
+    return t1, f1, t2, Perm4.from_map(vmap)
+
+
+def _reference_torus_sides(annulus, filling, meta, offset):
+    """The joins of the torus ``meta``'s two boundary faces, at the given
+    tetrahedron offset, onto the annulus' two triangles."""
+    want = {"h": build.boundary_edge(meta, filling.w_h),
+            "d": build.boundary_edge(meta, filling.w_d),
+            "v": build.boundary_edge(meta, filling.w_v)}
+    joins = []
+    for side, (lt, lf) in enumerate(meta.book.faces):
+        key = str(side + 1)
+        tp, fp = annulus["tri" + key]
+        vmap = _reference_triangle_map(
+            {role: meta.book.edges[e][side] for role, e in want.items()},
+            annulus["edges" + key])
+        vmap[lf] = fp
+        joins.append((lt + offset, lf, tp, Perm4.from_map(vmap)))
+    return joins
+
+
+def test_annulus_joins_match_the_role_rule():
+    # every order of each coprime boundary triple with p, q <= 12, on each
+    # annulus, the other two folded: the built table holds the reference's
+    # fold joins and torus sides
+    assert build._PRISM_FOLDS == tuple(map(_reference_fold, _REFERENCE_ANNULI))
+    seen = 0
+    for q in range(2, 13):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            _, meta = build.lst(p, q)
+            for weights in itertools.permutations((p, q, p + q)):
+                torus = build.AnnulusFilling("lst", *weights)
+                for i, annulus in enumerate(_REFERENCE_ANNULI):
+                    fillings = [build.AnnulusFilling("fold")] * 3
+                    fillings[i] = torus
+                    tri = build.augmented_solid_torus(fillings)
+                    joins = _reference_torus_sides(annulus, torus, meta, 3)
+                    joins += [_reference_fold(other)
+                              for other in _REFERENCE_ANNULI
+                              if other is not annulus]
+                    for t, f, u, perm in joins:
+                        assert tri.gluing(t, f) == (u, perm)
+                    seen += 1
+    assert seen == 3 * 6 * 45
+
+
+def test_face_map_matches_an_explicit_vertex_map():
+    seen = 0
+    for f, g in itertools.product(range(4), repeat=2):
+        f_vertices = [v for v in range(4) if v != f]
+        g_vertices = [v for v in range(4) if v != g]
+        for a, b in itertools.permutations(f_vertices, 2):
+            for c, d in itertools.permutations(g_vertices, 2):
+                (x,) = set(f_vertices) - {a, b}
+                (y,) = set(g_vertices) - {c, d}
+                assert build._face_map(f, (a, b), g, (c, d)) == \
+                    Perm4.from_map({a: c, b: d, x: y, f: g})
+                seen += 1
+    assert seen == 576
 
 
 def _distinct_star_edges(tri, degree):
