@@ -738,7 +738,8 @@ class AnnulusFilling(NamedTuple):
     kind 'lst': attach a layered solid torus, gluing its boundary edges of
     the given weights to the annulus' horizontal, diagonal and vertical
     edges.  kind 'fold': identify the annulus' two triangles directly,
-    crossing horizontal onto diagonal and vertical onto vertical.
+    crossing horizontal onto diagonal and vertical onto vertical; a fold
+    takes no weights, and one with a nonzero weight is refused.
     """
     kind: str
     w_h: int = 0
@@ -753,7 +754,8 @@ def augmented_solid_torus(fillings):
     each annulus into a one-vertex torus.  Raises TriangulationError when
     the result has an invalid edge.
 
-    An unknown kind is refused before any torus's weights are checked.
+    An unknown kind, and then a fold with a nonzero weight, is refused
+    before any torus's weights are checked.
     Each torus is built by ``lst``, its own gluings re-joined from their
     lower slots at the next tetrahedron offset, and each boundary face
     glued to its annulus triangle, the vertex opposite each weight's edge
@@ -763,6 +765,10 @@ def augmented_solid_torus(fillings):
     for filling in fillings:
         if filling.kind not in ("fold", "lst"):
             raise TriangulationError(f"unknown filling kind {filling.kind!r}")
+    for filling in fillings:
+        if filling.kind == "fold" and any(filling[1:]):
+            raise TriangulationError(
+                f"a fold filling takes no weights, got {list(filling[1:])}")
     joins, n = list(_PRISM_JOINS), 3
     for annulus, fold, filling in zip(PRISM_ANNULI, _PRISM_FOLDS, fillings):
         if filling.kind == "fold":

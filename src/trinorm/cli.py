@@ -7,8 +7,9 @@ import argparse
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import build, homology, cocycle, surface, analyze
@@ -35,7 +36,9 @@ class UsageError(Exception):
 def _load(path):
     """Read a .tri file and reject what ``_require_manifold`` rejects."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # read as bytes: parse splits every line end itself, so text
+        # mode's newline translation would be work thrown away
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise TriangulationError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
@@ -115,12 +118,64 @@ def _flat_encoder(depth):
     return _FLAT_ENCODERS[depth]
 
 
+def _records(items, depth):
+    """The text of items, a list at ``depth`` of two or more dicts, when
+    they share one key set of strs and each key's value is an int in every
+    record, a str in every record, or a list of ints of one length in every
+    record; else None.  The text is one %-template, built from the first
+    record's keys and lengths and repeated once per record, filled from the
+    records' values read column by column."""
+    first = items[0]
+    if set(map(type, items)) != {dict} or set(map(type, first)) != {str} \
+            or set(map(len, items)) != {len(first)}:
+        return None
+    key_at = "\n" + "  " * (depth + 2)
+    slots, columns = [], []
+    for key in sorted(first):
+        try:
+            column = list(map(itemgetter(key), items))
+        except KeyError:
+            return None
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            slot = "%d"
+            columns.append(column)
+        elif kinds == {str}:
+            slot = "%s"
+            columns.append(list(map(encode_basestring_ascii, column)))
+        elif kinds == {list} and len(set(map(len, column))) == 1:
+            length = len(first[key])
+            if not length:
+                slot = "[]"
+            elif set(map(type, chain.from_iterable(column))) == {int}:
+                slot = "[" + key_at + "  " + ("," + key_at + "  ").join(
+                    ["%d"] * length) + key_at + "]"
+                columns += zip(*column)
+            else:
+                return None
+        else:
+            return None
+        slots.append(encode_basestring_ascii(key).replace("%", "%%")
+                     + ": " + slot)
+    inner = "\n" + "  " * (depth + 1)
+    record = "{" + key_at + ("," + key_at).join(slots) + inner + "}"
+    template = "[" + inner + ("," + inner).join(
+        [record] * len(items)) + "\n" + "  " * depth + "]"
+    return template % tuple(chain.from_iterable(zip(*columns)))
+
+
 def _dumps(obj, depth=0):
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where
-    every dict key is a str.  That call runs the pure-Python encoder; here
-    ints and strs are written inline and every container with no container
-    inside goes to the C encoder, whose output gains the line breaks after
-    its opening bracket and before its closing one."""
+    every dict key is a str.
+
+    That call runs json's pure-Python encoder, because the C encoder does
+    not indent.  Here ints and strs are written inline, and each list or
+    dict that holds no container goes to the C encoder built once per
+    depth with the item separator ``",\n"`` plus that depth's indent; its
+    output gains the line breaks after the opening bracket and before the
+    closing one.  A list of two or more records, dicts that ``_records``
+    can write through one template, skips the walk; any other list or dict
+    is walked item by item."""
     if type(obj) is int:
         return int.__repr__(obj)
     if type(obj) is str:
@@ -136,12 +191,15 @@ def _dumps(obj, depth=0):
             return "{}" if is_dict else "[]"
         text = "".join(_flat_encoder(depth + 1)(obj, 0))
         return text[0] + inner + text[1:-1] + close + text[-1]
-    depth += 1
     if is_dict:
-        parts = [f"{encode_basestring_ascii(k)}: {_dumps(v, depth)}"
+        parts = [f"{encode_basestring_ascii(k)}: {_dumps(v, depth + 1)}"
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(parts) + close + "}"
-    parts = [_dumps(item, depth) for item in obj]
+    if len(obj) > 1:
+        text = _records(obj, depth)
+        if text is not None:
+            return text
+    parts = [_dumps(item, depth + 1) for item in obj]
     return "[" + inner + ("," + inner).join(parts) + close + "]"
 
 

@@ -791,29 +791,45 @@ def parse(text):
     0123.  The keywords are the exact tokens "tri" and "tet", n and i are
     the only words after them, and n, i and t are ASCII decimal digits.
     '%' starts a comment.
+
+    Each line is read in one pass: cut at its first '%' if it holds one,
+    partitioned once at its first ':', and the words before the ':' and
+    the gluings after it split on whitespace.  A line with neither words
+    nor a ':' is blank.  A header is a line whose first word is "tri" on
+    its own; every other line must be a "tet" line.  Each gluing is
+    partitioned once at its first ':', and each distinct target text is
+    read as a number once.
     """
     tet_count = None
     entries = {}
     entry_lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
+    # each target text read so far and its value: a closed table names
+    # each tetrahedron in four gluings, and its text is read once
+    targets = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "%" in line:
+            line = line[:line.index("%")]
+        head, colon, rest = line.partition(":")
+        words = head.split()
+        if not words:
+            if colon:
+                raise ParseError(f"unrecognised line {line.strip()!r}", lineno)
             continue
-        words = line.split()
-        if words[0] == "tri":
+        keyword = words[0]
+        if keyword == "tri" and (not colon or line.split()[0] == "tri"):
             if tet_count is not None:
                 raise ParseError("duplicate 'tri' header", lineno)
-            tet_count = _decimal(words[1]) if len(words) == 2 else None
+            # a header holds no ':'
+            tet_count = _decimal(words[1]) \
+                if len(words) == 2 and not colon else None
             if tet_count is None:
                 raise ParseError("malformed 'tri' header", lineno)
             continue
-        head, _, rest = line.partition(":")
-        head = head.split()
-        if not head or head[0] != "tet":
-            raise ParseError(f"unrecognised line {line!r}", lineno)
+        if keyword != "tet":
+            raise ParseError(f"unrecognised line {line.strip()!r}", lineno)
         if tet_count is None:
             raise ParseError("'tet' line before 'tri' header", lineno)
-        index = _decimal(head[1]) if len(head) == 2 else None
+        index = _decimal(words[1]) if len(words) == 2 else None
         if index is None:
             raise ParseError("malformed 'tet' line", lineno)
         if index >= tet_count:
@@ -829,11 +845,15 @@ def parse(text):
                 row.append(None)
                 continue
             target, _, code = tok.partition(":")
-            t = _decimal(target)
+            t = targets.get(target)
             if t is None:
-                raise ParseError(f"malformed gluing {tok!r}", lineno)
-            if t >= tet_count:
-                raise ParseError(f"dangling tetrahedron index {t}", lineno)
+                t = _decimal(target)
+                if t is None:
+                    raise ParseError(f"malformed gluing {tok!r}", lineno)
+                if t >= tet_count:
+                    raise ParseError(f"dangling tetrahedron index {t}",
+                                     lineno)
+                targets[target] = t
             perm = BY_CODE.get(code)
             if perm is None:
                 # no code of a permutation: from_compact says why

@@ -236,6 +236,14 @@ def test_augmented_rejects_bad_weights():
             build.AnnulusFilling("fold"),
             build.AnnulusFilling("lst", w_h=3, w_d=1, w_v=4),
         ))
+    # a fold takes no weights: it was built as the unweighted fold
+    with pytest.raises(TriangulationError, match=r"^a fold filling takes "
+                       r"no weights, got \[3, 1, 4\]$"):
+        build.augmented_solid_torus((
+            build.AnnulusFilling("lst", w_h=2, w_d=2, w_v=4),
+            build.AnnulusFilling("fold", 3, 1, 4),
+            build.AnnulusFilling("fold"),
+        ))
 
 
 def test_seifert_oracle_logs_both_groups(caplog, capsys):
@@ -274,12 +282,18 @@ def test_every_filling_triple_is_closed_and_valid():
 
 def _filling_refusal(fillings):
     """The text ``augmented_solid_torus`` refuses three fillings with, or
-    None: the first filling of an unknown kind, and else the first torus
-    filling, in annulus order, whose weights are no coprime boundary
-    triple or whose torus ``lst`` refuses."""
+    None: the first filling of an unknown kind, else the first fold with a
+    nonzero weight, and else the first torus filling, in annulus order,
+    whose weights are no coprime boundary triple or whose torus ``lst``
+    refuses."""
     for filling in fillings:
         if filling.kind not in ("fold", "lst"):
             return f"unknown filling kind {filling.kind!r}"
+    for filling in fillings:
+        if filling.kind == "fold" and (filling.w_h, filling.w_d,
+                                       filling.w_v) != (0, 0, 0):
+            return (f"a fold filling takes no weights, got "
+                    f"{[filling.w_h, filling.w_d, filling.w_v]}")
     for filling in fillings:
         if filling.kind != "lst":
             continue
@@ -302,6 +316,8 @@ _coprime_triples = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
 _annulus_fillings = st.one_of(
     st.just(build.AnnulusFilling("fold")),
     st.just(build.AnnulusFilling("weird")),
+    st.tuples(*[st.integers(-1, 4)] * 3).map(
+        lambda w: build.AnnulusFilling("fold", *w)),
     _coprime_triples.map(lambda w: build.AnnulusFilling("lst", *w)),
     st.tuples(*[st.integers(1, 8)] * 3).map(
         lambda w: build.AnnulusFilling("lst", *w)))
@@ -310,6 +326,9 @@ _annulus_fillings = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(*[_annulus_fillings] * 3))
 @example((build.AnnulusFilling("lst", 2, 2, 4), build.AnnulusFilling("weird"),
+          build.AnnulusFilling("fold")))
+@example((build.AnnulusFilling("lst", 2, 2, 4),
+          build.AnnulusFilling("fold", 3, 1, 4),
           build.AnnulusFilling("fold")))
 def test_drawn_fillings_pass_the_whole_table_check(fillings):
     # each torus's gluings are re-joined at its offset: the table equals

@@ -645,12 +645,81 @@ def test_writer_matches_indented_json_dumps(obj):
     assert cli._dumps(obj) == _indented(obj)
 
 
+# record lists for the writer's template path: two to six dicts of one
+# drawn shape, whose keys look like the template's syntax or sort
+# differently as numbers and whose values are ints past 64 bits, strs
+# with escapes and flat int lists of a drawn length; in some examples one
+# record deviates from the shape, and the list must take the walk
+_RECORD_KEYS = st.one_of(
+    st.sampled_from(["%", "%d", '"', "{", "", "10", "9"]), _JSON_TEXT)
+_RECORD_INTS = st.integers(-2 ** 80, 2 ** 80)
+_RECORD_TEXT = st.text(st.one_of(st.sampled_from('"\\%\n\t\x00\u00e9'),
+                                 st.characters()), max_size=6)
+_DEVIATIONS = (None, "add", "drop", "bool", "float", "none", "longer",
+               "tuple", "nested")
+
+
+@st.composite
+def _record_lists(draw):
+    """A record list, wrapped in zero to two containers, and whether one
+    of its records deviates from the shape the others share."""
+    shape = draw(st.dictionaries(
+        _RECORD_KEYS, st.one_of(st.sampled_from(["int", "str"]),
+                                st.integers(0, 3)), min_size=1, max_size=5))
+
+    def value(kind):
+        if kind == "int":
+            return draw(_RECORD_INTS)
+        if kind == "str":
+            return draw(_RECORD_TEXT)
+        return draw(st.lists(_RECORD_INTS, min_size=kind, max_size=kind))
+
+    records = [{key: value(kind) for key, kind in shape.items()}
+               for _ in range(draw(st.integers(2, 6)))]
+    record = draw(st.sampled_from(records))
+    deviation = draw(st.sampled_from(_DEVIATIONS))
+    ints = [key for key, kind in shape.items() if kind == "int"]
+    lists = [key for key, kind in shape.items() if type(kind) is int]
+    if deviation == "add":
+        record[draw(_RECORD_KEYS.filter(lambda k: k not in shape))] = 0
+    elif deviation == "drop":
+        del record[draw(st.sampled_from(sorted(shape)))]
+    elif deviation in ("bool", "float", "none") and ints:
+        record[draw(st.sampled_from(ints))] = draw(
+            {"bool": st.booleans(), "float": st.floats(),
+             "none": st.none()}[deviation])
+    elif deviation in ("longer", "tuple") and lists:
+        key = draw(st.sampled_from(lists))
+        record[key] = (record[key] + [0] if deviation == "longer"
+                       else tuple(record[key]))
+    elif deviation == "nested":
+        key = draw(st.sampled_from(sorted(shape)))
+        record[key] = {"a": record[key]}
+    else:
+        deviation = None
+    obj = records
+    for _ in range(draw(st.integers(0, 2))):
+        obj = draw(st.sampled_from([[obj], {"x": obj}, [1, obj, "y"]]))
+    return obj, records, deviation is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_record_lists())
+def test_writer_matches_indented_json_dumps_on_record_lists(drawn):
+    obj, records, deviates = drawn
+    assert cli._dumps(obj) == _indented(obj)
+    # one template writes the list exactly when no record deviates
+    assert (cli._records(records, 0) is None) == deviates
+
+
 def test_writer_without_the_c_encoder(monkeypatch):
     # where json has no C encoder, the per-depth encoders are json's own
     monkeypatch.setattr(cli, "c_make_encoder", None)
     monkeypatch.setattr(cli, "_FLAT_ENCODERS", [])
     for obj in ([], {}, [[]], (1, ("a", None)), {"10": [1.5], "9": {}},
-                [{"b": [True, -2 ** 70], "a": "\u00e9\n"}, [[], [[{}]]]]):
+                [{"b": [True, -2 ** 70], "a": "\u00e9\n"}, [[], [[{}]]]],
+                {"r": [{"%d": 1, "b": [2, -2 ** 70], "a": "\u00e9%s"},
+                       {"%d": 0, "b": [0, 1], "a": ""}]}):
         assert cli._dumps(obj) == _indented(obj)
     assert cli._FLAT_ENCODERS
 
@@ -659,7 +728,9 @@ def test_writer_rejects_what_json_dumps_rejects():
     # unsupported values, at the top, in a container with no container
     # inside and in one with, raise json's TypeError
     for obj in (object(), [object()], [[1], {1, 2}], {"a": [{(1, 2): 0}]},
-                {"a": {1, 2}, "b": [1]}):
+                {"a": {1, 2}, "b": [1]},
+                [{"a": 1, "b": [2]}, {"a": object(), "b": [3]}],
+                [{"a": 1, "b": [2]}, {"a": 2, "b": [object()]}]):
         with pytest.raises(TypeError) as want:
             _indented(obj)
         with pytest.raises(TypeError) as got:
@@ -670,6 +741,23 @@ def test_writer_rejects_what_json_dumps_rejects():
         _indented({(1, 2): [1]})
     with pytest.raises(TypeError):
         cli._dumps({(1, 2): [1]})
+
+
+def test_crlf_tabbed_and_commented_input_reads_as_the_clean_one(
+        tmp_path, capsys):
+    # every line behind a comment line and a tab, with a trailing comment
+    # holding ':', a blank line after it, and CRLF line ends throughout
+    clean, messy = tmp_path / "f37.tri", tmp_path / "f37-messy.tri"
+    main(["fold", "--p", "3", "--q", "7", "--edge", "q", "-o", str(clean)])
+    messy.write_bytes("".join(
+        f"% line {n}\r\n\t{line}   % trailing: comment\r\n\r\n"
+        for n, line in enumerate(clean.read_text().splitlines(), start=1)
+    ).encode())
+    capsys.readouterr()
+    assert main(["analyze", str(clean)]) == 0
+    want = capsys.readouterr().out
+    assert main(["analyze", str(messy)]) == 0
+    assert capsys.readouterr() == (want.replace(str(clean), str(messy)), "")
 
 
 def test_sidecar_is_written_by_the_writer(tmp_path, capsys):

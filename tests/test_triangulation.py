@@ -8,7 +8,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trinorm.perm import Perm4, ALL_PERMS
 from trinorm.triangulation import (GluingError, Triangulation,
@@ -326,10 +326,20 @@ _CODES = st.one_of(st.sampled_from([p.compact() for p in ALL_PERMS]),
                    st.text("0123456789", min_size=5, max_size=5))
 
 
+# layout inside the grammar: runs of blanks and tabs between and before
+# tokens, and comments, alone or after content, that hold what a line of
+# the format holds
+_RUNS = st.sampled_from(["\t", "  ", " \t ", "\t\t", "   "])
+_COMMENTS = st.sampled_from(["%", "% a comment", "%tet 0: - - - -",
+                             " % tri 1", "\t%: tet", "%% 0:0123 tri"])
+
+
 @st.composite
 def _mutated_texts(draw):
     """A serialised input with gluing codes and targets replaced and lines
-    removed, repeated or added, all inside the grammar."""
+    removed, repeated or added, then its layout changed: blanks and tabs
+    between and before tokens, comments alone or after content, lines that
+    are blank or only '%', and CRLF line ends; all inside the grammar."""
     lines = draw(st.sampled_from(_serialised_inputs()[::7])).splitlines()
     n = len(lines) - 1
     for _ in range(draw(st.integers(1, 4))):
@@ -360,11 +370,30 @@ def _mutated_texts(draw):
                     target = str(draw(st.integers(0, n + 1)))
                 tokens[j] = f"{target}:{code}"
                 lines[i] = f"{head}: {' '.join(tokens)}"
-    return "\n".join(lines) + "\n"
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(("runs", "lead", "comment", "alone",
+                                       "blank")))
+        if action == "runs":
+            lines[i] = lines[i].replace(" ", draw(_RUNS),
+                                        draw(st.integers(1, 5)))
+        elif action == "lead":
+            lines[i] = draw(_RUNS) + lines[i]
+        elif action == "comment":
+            lines[i] += draw(_COMMENTS)
+        elif action == "alone":
+            lines.insert(i, draw(_COMMENTS).strip())
+        else:
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mutated_texts())
+@example("% c\r\n\ttri 1 %: tet\r\n%\r\n\r\ntet 0:\t-  - \t- -%tri 2\r\n")
 def test_code_table_parse_matches_reference_on_mutations(text):
     assert _parsed(parse, text) == _parsed(_reference_parse, text)
 
@@ -410,6 +439,19 @@ def test_parse_takes_only_the_documented_tokens():
     for text, outcome in extra_words:
         assert _parsed(parse, text) == outcome
         assert _parsed(_reference_parse, text) == Triangulation([[None] * 4])
+    # a ':' decides nothing by itself: "tri" is a header's keyword when it
+    # stands alone as the line's first word, and a header holds no ':'
+    colons = [
+        ("tri:1", ("line 1: unrecognised line 'tri:1'", 1)),
+        ("tri :1", ("line 1: malformed 'tri' header", 1)),
+        ("tri 1:", ("line 1: malformed 'tri' header", 1)),
+        ("tri 1\ntri 1:", ("line 2: duplicate 'tri' header", 2)),
+        (" : tri 1", ("line 1: unrecognised line ': tri 1'", 1)),
+        ("tri 1 %: x\ntet 0 :- - - -", Triangulation([[None] * 4])),
+        ("tri 1\ntet:0 - - - -", ("line 2: malformed 'tet' line", 2)),
+    ]
+    for text, outcome in colons:
+        assert _parsed(parse, text) == outcome
 
 
 def test_orientability():
