@@ -313,14 +313,31 @@ def minimal_path(p, q):
     return path
 
 
+def _weight(value, name="weight"):
+    """``value`` as a meridian weight: an int, refused by type otherwise,
+    ``True`` and ``2.0`` too, so no weight is truncated or coerced."""
+    if type(value) is not int:
+        raise TriangulationError(f"{name} {value!r} is not an int")
+    return value
+
+
 def lst(p, q):
     """Layered solid torus with boundary triple {p, q, p+q}, layered along
-    the minimal path on one working state: the joins, the weights, the
-    boundary, the tetrahedra and the book's classes and pairs, updated by
-    each layer as ``relayer`` and ``_layer_step`` do; one ``Book`` is built
-    at the end.  Only the seed tetrahedron's skeleton is read, and the seed
-    is glued once, with every layer's joins."""
-    p, q = int(p), int(q)
+    the minimal path.  Only the seed tetrahedron's skeleton is read, and
+    the seed is glued once, with every layer's joins.
+
+    Each layer works on locals: the book's two faces as four ints, and its
+    three classes in book order, each with its pair and weight.  The hinge
+    is the class of the weight the step to the child drops, found by two
+    comparisons; ``_layer_step`` gives the joins and the kept classes'
+    new pairs, which stay in order, and ``relayered_weight`` the fresh
+    class's weight.  The seed's boundary order, (0, 1, 2), and its book
+    order, (0, 2, 1), disagree only on classes 1 and 2, and a minimal
+    path's first layer is on one of them (of weight 2 or 1, never p+q);
+    so the kept classes are in the same order in both, and after a layer
+    the boundary is the book's classes in order, as ``relayer`` leaves
+    it."""
+    p, q = _weight(p), _weight(q)
     if p > q:
         p, q = q, p
     if p < 1:
@@ -331,34 +348,43 @@ def lst(p, q):
     if math.gcd(p, q) != 1:
         raise TriangulationError(f"weights {p}, {q} are not coprime")
     seed, torus = _SEED
-    joins = []
-    tets = list(torus.tets)
-    weights = dict(torus.edge_weights)
-    boundary, book = torus.boundary_edges, torus.book
-    univalent, base = torus.univalent_edge, None
-    faces, classes = book.faces, tuple(book.edges)
-    pairs = tuple(book.edges.values())
     path = minimal_path(p, q)
-    for (pa, pb), (ca, cb) in zip(path, path[1:]):
-        # moving to the child replaces one of pa, pb by the new sum
-        gone = pa if pa not in (ca, cb) else pb
-        hinge = next(e for e in boundary if weights[e] == gone)
-        univalent = len(weights)
-        new = len(tets)
-        (t1, f1), (t2, f2) = faces
-        i = classes.index(hinge)
-        g1, g2, pairs = _layer_step(f1, f2, pairs[i],
-                                    pairs[:i] + pairs[i + 1:])
-        joins += (t1, f1, new, g1), (t2, f2, new, g2)
-        classes = (*classes[:i], *classes[i + 1:], univalent)
-        faces = (new, 0), (new, 1)
-        boundary = relayer(weights, boundary, hinge, univalent)
+    weights = dict(torus.edge_weights)
+    if len(path) == 1:
+        return seed.glued(()), torus._replace(
+            edge_weights=weights,
+            book=Book(torus.book.faces, dict(torus.book.edges)))
+    (t1, f1), (t2, f2) = torus.book.faces
+    (c0, p0), (c1, p1), (c2, p2) = torus.book.edges.items()
+    w0, w1, w2 = weights[c0], weights[c1], weights[c2]
+    joins = []
+    base = None
+    new = len(torus.tets)
+    for (a, b), (ca, _) in zip(path, path[1:]):
+        # the child a/(a+b) drops the weight b, the child b/(a+b) drops a
+        gone = b if ca == a else a
+        if w0 == gone:
+            hinge, pair = c0, p0
+            c0, p0, w0, c1, p1, w1 = c1, p1, w1, c2, p2, w2
+        elif w1 == gone:
+            hinge, pair = c1, p1
+            c1, p1, w1 = c2, p2, w2
+        else:
+            hinge, pair = c2, p2
+        g1, g2, (p0, p1, p2) = _layer_step(f1, f2, pair, (p0, p1))
+        joins.append((t1, f1, new, g1))
+        joins.append((t2, f2, new, g2))
+        # k tetrahedra hold k + 2 classes: the fresh one is numbered next
+        c2 = new + 2
+        w2 = weights[c2] = relayered_weight(gone, w0, w1)
         if base is None:
             base = hinge
-        tets.append(new)
-    return seed.glued(joins, len(tets) - 1), LayeredSolidTorus(
-        tuple(tets), weights, boundary, univalent, base,
-        Book(faces, dict(zip(classes, pairs))))
+        t1 = t2 = new
+        f1, f2 = 0, 1
+        new += 1
+    return seed.glued(joins, new - 1), LayeredSolidTorus(
+        tuple(range(new)), weights, (c0, c1, c2), c2, base,
+        Book(((t1, 0), (t1, 1)), {c0: p0, c1: p1, c2: p2}))
 
 
 def fold_record(p, q, weight):
@@ -397,7 +423,10 @@ def fold_along_edge(tri, edge_class, torus):
 def lens_space(p, q, fold_weight=None):
     """Layered lens space obtained by folding lst(p, q).  fold_weight picks
     the boundary edge (one of p, q, p+q); the default folds along the even
-    boundary edge when p or q is even, else along p+q."""
+    boundary edge when p or q is even, else along p+q.  A weight or
+    fold weight that is not an int is refused, as ``lst`` refuses one."""
+    if fold_weight is not None:
+        _weight(fold_weight, "fold weight")
     tri, meta = lst(p, q)
     if fold_weight is None:
         evens = [w for w in (meta.p, meta.q) if w % 2 == 0]
@@ -628,20 +657,25 @@ def _layered_lazily(parent, gone, tally):
 def _fold_class(tri, meta, weight):
     """Fold the torus along its boundary edge of the given even weight and
     colour the lens space by its one nonzero class.  Returns the fold
-    record and the class ``_classified`` reads off the parity census, or
-    None.  Asserts that the class is unique and that the even degrees are
-    not two of 3 and two of 5, which should be impossible."""
+    record and the class ``_classified`` reads off the class's parity
+    tally, or None.  Asserts that the class is unique, that the even
+    edges' slots agree with the tetrahedron types (``parity_tally`` does)
+    and that the even degrees are not two of 3 and two of 5, which should
+    be impossible.
+
+    Only ``cocycle.parity_tally`` is asked: a row reads the even degree
+    histogram and whether the even edges are as many as the odd ones, and
+    never the even subcomplex that ``parity_census`` adds."""
     folded, record = fold_along_edge(tri, boundary_edge(meta, weight), meta)
     classes = cocycle.all_nonzero_classes(folded)
     if len(classes) != 1:
         raise AssertionError("even lens space without a unique class")
-    census = cocycle.parity_census(folded, classes[0])
-    hist = census.even_degree_histogram
+    even, odd, hist, *_ = cocycle.parity_tally(folded, classes[0])
     if hist.get(3, 0) == 2 and hist.get(5, 0) == 2:
         raise AssertionError("census shows two degree-3 and two degree-5 "
                              "even edges, which should be impossible")
     others = {d: c for d, c in hist.items() if d != 4}
-    return record, _classified(others, census.balanced)
+    return record, _classified(others, even == odd)
 
 
 def enumerate_minimal_lens_families(depth_limit):

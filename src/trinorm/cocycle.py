@@ -175,28 +175,42 @@ class ParityCensus(NamedTuple):
         return self.even_edges == self.odd_edges
 
 
-def parity_census(tri, phi):
-    """Edge and tetrahedron counts by parity, plus the size of the
-    subcomplex spanned by the even edges."""
+def parity_tally(tri, phi):
+    """The census's counts, without the even subcomplex: the first seven
+    fields of ``parity_census`` as a tuple, (even edges, odd edges, even
+    degree histogram in increasing degree, even edge slots, QUAD, TRI and
+    EMPTY tetrahedra).  Asserts that the even edges' slots are as many as
+    the tetrahedron types give them: two in a QUAD tetrahedron, three in a
+    TRI one and six in an EMPTY one.
+
+    The types are tallied by counting each kind among the classification's
+    kinds, and the even degrees are read off the edge degrees and the bits
+    in one pass and counted in increasing order."""
     _require_one_vertex_closed(tri)
     sk = tri.skeleton
-    n_quad = n_tri = n_empty = 0
-    for ty, _ in classify_tetrahedra(tri, phi):
-        n_quad += ty is TetType.QUAD
-        n_tri += ty is TetType.TRI
-        n_empty += ty is TetType.EMPTY
-
-    bits = phi.bits
-    even = [d for c, d in enumerate(sk.edge_degrees) if bits[c] == 0]
-    odd_count = sk.edge_count - len(even)
-    hist = {}
-    for d in even:
-        hist[d] = hist.get(d, 0) + 1
+    kinds = [ty for ty, _ in classify_tetrahedra(tri, phi)]
+    n_quad = kinds.count(TetType.QUAD)
+    n_tri = kinds.count(TetType.TRI)
+    n_empty = len(kinds) - n_quad - n_tri
+    even = [d for d, b in zip(sk.edge_degrees, phi.bits) if not b]
     slots = sum(even)
     if slots != 2 * n_quad + 3 * n_tri + 6 * n_empty:
         raise AssertionError("even-edge slot count disagrees with tet types")
+    hist = {}
+    for d in sorted(even):
+        hist[d] = hist.get(d, 0) + 1
+    return (len(even), sk.edge_count - len(even), hist, slots, n_quad, n_tri,
+            n_empty)
 
-    even_class = [b == 0 for b in bits]
+
+def parity_census(tri, phi):
+    """Edge and tetrahedron counts by parity, ``parity_tally``'s, plus the
+    size of the subcomplex spanned by the even edges: one vertex when any
+    edge is even, the even edges, the faces whose three edges are even and
+    the EMPTY tetrahedra."""
+    tally = parity_tally(tri, phi)
+    sk = tri.skeleton
+    even_class = [b == 0 for b in phi.bits]
     even_slot = [even_class[c] for c in sk.edge_class]
     even_faces = 0
     for s in sk.face_first:
@@ -205,15 +219,6 @@ def parity_census(tri, phi):
         ea, eb, ec = FACET_EDGES[s & 3]
         if even_slot[t6 + ea] and even_slot[t6 + eb] and even_slot[t6 + ec]:
             even_faces += 1
-    sub_vertices = 1 if even else 0
-    census = ParityCensus(
-        even_edges=len(even),
-        odd_edges=odd_count,
-        even_degree_histogram=dict(sorted(hist.items())),
-        even_edge_slots=slots,
-        quad_tets=n_quad,
-        tri_tets=n_tri,
-        empty_tets=n_empty,
-        even_subcomplex=(sub_vertices, len(even), even_faces, n_empty),
-    )
-    return census
+    even = tally[0]
+    return ParityCensus(*tally, even_subcomplex=(
+        1 if even else 0, even, even_faces, tally[6]))

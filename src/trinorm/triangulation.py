@@ -517,7 +517,7 @@ class Triangulation:
         for, so no skeleton is built that nothing reads."""
         joins = tuple(joins)
         rows = list(self._gluings)
-        rows += ([None] * 4 for _ in range(new_tets))
+        rows += [[None] * 4 for _ in range(new_tets)]
         for join in joins:
             for t, f, entry in _join(rows, *join):
                 row = rows[t]
@@ -752,10 +752,10 @@ def _join(rows, t, f, u, perm):
     of range, a facet already glued, a facet glued to itself pointwise and
     a self-pairing that is not an involution."""
     n = len(rows)
-    for s in (t, u):
-        if not 0 <= s < n:
-            raise TriangulationError(
-                f"dangling tetrahedron index {s} at tet {t} facet {f}")
+    if not (0 <= t < n and 0 <= u < n):
+        s = u if 0 <= t < n else t
+        raise TriangulationError(
+            f"dangling tetrahedron index {s} at tet {t} facet {f}")
     target = perm.images[f]
     if rows[t][f] is not None or rows[u][target] is not None:
         raise TriangulationError(

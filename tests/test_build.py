@@ -39,6 +39,23 @@ def test_lst_rejects_bad_input():
         build.lst(0, 1)
 
 
+@pytest.mark.parametrize("build_it, message", [
+    (lambda: build.lst(2.5, 7), "weight 2.5"),
+    (lambda: build.lst("2", "5"), "weight '2'"),
+    (lambda: build.lst(True, 3), "weight True"),
+    (lambda: build.lst(3, 7.0), "weight 7.0"),
+    (lambda: build.lens_space(2.9, 7.2), "weight 2.9"),
+    (lambda: build.lens_space(2, 7, 2.0), "fold weight 2.0"),
+    (lambda: build.lens_space(1, 2, True), "fold weight True"),
+])
+def test_weights_that_are_not_ints_are_refused(build_it, message):
+    # no weight is truncated or coerced: lst(2.5, 7) once built lst(2, 7)
+    # and lens_space(2, 7, 2.0) folded along 2
+    with pytest.raises(TriangulationError,
+                       match=f"^{message} is not an int$"):
+        build_it()
+
+
 coprime_pairs = st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(
     lambda pq: pq[0] < pq[1] and __import__("math").gcd(*pq) == 1)
 
@@ -535,6 +552,40 @@ def test_equivalent_lens_folds_coincide():
     assert a.isomorphic(b)
 
 
+def _construction_pairs():
+    """Every coprime p < q <= 40, then 20 fraction-tree nodes of depth 16
+    to 150 on paths drawn from a fixed seed."""
+    for q in range(2, 41):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                yield p, q
+    rng = random.Random(51)
+    for _ in range(20):
+        depth = rng.randint(16, 150)
+        yield _tree_path([rng.random() < 0.5 for _ in range(depth - 1)])[-1]
+
+
+def test_constructions_are_pinned():
+    # lst's table and torus record, and lens_space's table and fold
+    # record, byte for byte; the digest was taken from the earlier lst,
+    # which rebuilt its book and boundary at every layer
+    digest = hashlib.sha256()
+    count = 0
+    for p, q in _construction_pairs():
+        tri, meta = build.lst(p, q)
+        lens, _, record = build.lens_space(p, q)
+        digest.update(serialize(tri).encode())
+        digest.update(repr((list(meta.edge_weights.items()),
+                            meta.boundary_edges, meta.univalent_edge,
+                            meta.base_edge, _book_items(meta.book))).encode())
+        digest.update(serialize(lens).encode())
+        digest.update(repr(tuple(record)).encode())
+        count += 1
+    assert count == 509
+    assert digest.hexdigest() == \
+        "7c3c6359292b756dc999610f0b835262d5835c309d25a10139ca9f1771bc1dbd"
+
+
 def test_lst_tree_matches_lst():
     # the incremental walker against the from-scratch construction
     seen = 0
@@ -686,6 +737,56 @@ def test_census_refuses_a_row_whose_fold_disagrees(monkeypatch):
     monkeypatch.setattr(build, "_census_class", wrong)
     with pytest.raises(AssertionError, match="the fold of 1/4 is balanced"):
         build.enumerate_minimal_lens_families(3)
+
+
+def test_census_refuses_a_fold_without_a_unique_class(monkeypatch):
+    classes = cocycle.all_nonzero_classes
+    monkeypatch.setattr(cocycle, "all_nonzero_classes",
+                        lambda tri: 2 * classes(tri))
+    with pytest.raises(AssertionError,
+                       match="^even lens space without a unique class$"):
+        build.enumerate_minimal_lens_families(8)
+
+
+def _doctored_folds(monkeypatch, doctor):
+    """Has the census's folds carry the edge degrees ``doctor(degrees,
+    even)`` returns, even being the even edge classes of the fold's one
+    nonzero class; the table, and so the class and its tetrahedron types,
+    stay as built."""
+    fold = build.fold_along_edge
+
+    def doctored(tri, edge_class, torus):
+        folded, record = fold(tri, edge_class, torus)
+        phi, = cocycle.all_nonzero_classes(folded)
+        sk = folded.skeleton
+        sk.edge_degrees = doctor(list(sk.edge_degrees), phi.even_edges())
+        return folded, record
+    monkeypatch.setattr(build, "fold_along_edge", doctored)
+
+
+def test_census_refuses_an_even_slot_count_off_the_tet_types(monkeypatch):
+    def one_more_slot(degrees, even):
+        degrees[even[0]] += 1
+        return degrees
+    _doctored_folds(monkeypatch, one_more_slot)
+    with pytest.raises(AssertionError, match="^even-edge slot count "
+                                             "disagrees with tet types$"):
+        build.enumerate_minimal_lens_families(8)
+
+
+def test_census_refuses_two_even_edges_of_degree_3_and_two_of_5(monkeypatch):
+    # the folds with even degrees 3, 4, 4, 5 (the first is 8/9's) read
+    # 3, 3, 5, 5, with as many even slots
+    def spread_the_fours(degrees, even):
+        fours = [e for e in even if degrees[e] == 4]
+        if sorted(degrees[e] for e in even) == [3, 4, 4, 5]:
+            degrees[fours[0]], degrees[fours[1]] = 3, 5
+        return degrees
+    _doctored_folds(monkeypatch, spread_the_fours)
+    with pytest.raises(AssertionError,
+                       match="^census shows two degree-3 and two degree-5 "
+                             "even edges, which should be impossible$"):
+        build.enumerate_minimal_lens_families(8)
 
 
 def test_census_logs_its_walk(caplog):
