@@ -20,7 +20,7 @@ from .build import (SEED_WEIGHTS, LayeredSolidTorus, family_slopes,
                     family_tag, frontier_book, lens_space, relayer,
                     relayered_weight, seifert_family)
 from .cocycle import (TetType, classify_tetrahedra, parity_census,
-                      all_nonzero_classes, Cocycle, is_cocycle)
+                      parity_tally, all_nonzero_classes, Cocycle, is_cocycle)
 from .surface import canonical_surface, chi_formula, twisted_square_scan
 
 _log = logging.getLogger(__name__)
@@ -135,7 +135,16 @@ def _grow(tri, seed):
 def find_maximal_lsts(tri):
     """All maximal layered solid torus subcomplexes, one per base
     tetrahedron with a self-paired facet pair; each is extended outward
-    while the layering pattern continues."""
+    while the layering pattern continues.  ``tri`` holds its tori, so each
+    table is searched once; each call returns a fresh list of the held
+    records, which are immutable."""
+    if tri._lsts is None:
+        tri._lsts = tuple(_find_maximal_lsts(tri))
+    return list(tri._lsts)
+
+
+def _find_maximal_lsts(tri):
+    """The tori ``find_maximal_lsts`` returns, searched for."""
     out = []
     for t in range(tri.tet_count):
         seed = _seed_classes(tri, t)
@@ -162,7 +171,7 @@ def lst_intersection_matrix(tri, lsts):
 # ----- low degree lint ----------------------------------------------------------
 
 
-def low_degree_lint(tri, lsts=None, h1=None):
+def low_degree_lint(tri):
     """Edges of degree at most three, with the standard exceptions for
     closed one-vertex triangulations classified where recognisable.
 
@@ -170,8 +179,8 @@ def low_degree_lint(tri, lsts=None, h1=None):
     one of the small lens spaces (single tetrahedron of order five; two
     tetrahedra of order five or seven) or by being the base edge of an
     embedded two-tetrahedron solid torus with boundary triple {1,3,4}.
-    ``lsts`` is ``find_maximal_lsts(tri)`` and ``h1`` is
-    ``first_homology(tri)`` when the caller has them.
+    The homology and the tori are ``first_homology``'s and
+    ``find_maximal_lsts``', which ``tri`` holds once computed.
     """
     sk = tri.skeleton
     report = {"degree_1": [], "degree_2": [], "degree_3": []}
@@ -184,7 +193,7 @@ def low_degree_lint(tri, lsts=None, h1=None):
     h = None
     if tri.is_closed and tri.is_connected and \
             (low1 or low2 or (low3 and tri.tet_count <= 2)):
-        h = h1 if h1 is not None else _homology.first_homology(tri)
+        h = _homology.first_homology(tri)
     for e in low1:
         label = "s3_exception" if h is not None and h.order == 1 and \
             not h.betti else "unexplained"
@@ -194,8 +203,7 @@ def low_degree_lint(tri, lsts=None, h1=None):
         if h is not None and not h.betti and h.order in (3, 4):
             label = f"lens_order_{h.order}_exception"
         report["degree_2"].append({"edge": e, "classification": label})
-    if low3 and lsts is None:
-        lsts = find_maximal_lsts(tri)
+    lsts = find_maximal_lsts(tri) if low3 else []
     for e in low3:
         entry = {"edge": e, "classification": "unexplained"}
         if tri.tet_count == 1 and h is not None and h.order == 5:
@@ -544,7 +552,7 @@ def promote(tri, phi):
     log = []
     current, cur_phi = tri, phi
     sup = supportive_tori(current, cur_phi)
-    measure = (parity_census(current, cur_phi).empty_tets, len(sup))
+    measure = (parity_tally(current, cur_phi)[6], len(sup))
     for _ in range(_MAX_PROMOTE_STEPS):
         if not sup:
             return current, cur_phi, log
@@ -566,8 +574,7 @@ def promote(tri, phi):
             cand_tri, cand_phi = pachner_with_cocycle(
                 current, cur_phi, MoveSpec("44", edge=e, axis=axis))
             cand_sup = supportive_tori(cand_tri, cand_phi)
-            cand_measure = (parity_census(cand_tri, cand_phi).empty_tets,
-                            len(cand_sup))
+            cand_measure = (parity_tally(cand_tri, cand_phi)[6], len(cand_sup))
             if cand_measure < measure:
                 chosen = (axis, cand_tri, cand_phi, cand_sup, cand_measure)
                 break
@@ -691,20 +698,19 @@ def _family_members(family, tet_count, h1):
             yield seifert_family(family, *params)[0]
 
 
-def complexity_certificate(tri, family=None, reports=None):
+def complexity_certificate(tri, family=None):
     """Aggregate report: which complexity-bound shape the instance's counts
     are consistent with.  Norm values are taken as the negated Euler
     characteristics of the canonical surfaces, which bound the true norms
     from above; equality is only certified for a named family, when the
     input is isomorphic to one of its members and its counts fit a bound
-    form.  A named family that is not certified gets a ``reason``.  Pass
-    every class's ``fundamental_report`` when you have them."""
+    form.  A named family that is not certified gets a ``reason``.  Each
+    class's ``fundamental_report`` is computed here."""
     if not tri.is_closed:
         raise TriangulationError("certificates require closed triangulations")
     h = _homology.first_homology(tri)
-    if reports is None:
-        classes = all_nonzero_classes(tri) if tri.skeleton.vertex_count == 1 else []
-        reports = [fundamental_report(tri, phi) for phi in classes]
+    classes = all_nonzero_classes(tri) if tri.skeleton.vertex_count == 1 else []
+    reports = [fundamental_report(tri, phi) for phi in classes]
     per_class = [{"cocycle": str(rep.surface.cocycle), "chi": rep.chi,
                   "even": rep.census.even_edges, "odd": rep.census.odd_edges,
                   "balanced": rep.balanced} for rep in reports]

@@ -314,8 +314,9 @@ def minimal_path(p, q):
 
 
 def _weight(value, name="weight"):
-    """``value`` as a meridian weight: an int, refused by type otherwise,
-    ``True`` and ``2.0`` too, so no weight is truncated or coerced."""
+    """``value`` as a meridian weight or a constructor's parameter: an int,
+    refused by type otherwise, ``True`` and ``2.0`` too, so no weight or
+    parameter is truncated or coerced."""
     if type(value) is not int:
         raise TriangulationError(f"{name} {value!r} is not an int")
     return value
@@ -729,8 +730,7 @@ def layered_loop(n, twisted):
     twist.  Twisted loops triangulate the generalised quaternionic spaces;
     the twisted loop of even length 2k is the minimal triangulation used by
     the Q family."""
-    n = int(n)
-    if n < 3:
+    if _weight(n, "loop length") < 3:
         raise TriangulationError("layered loops need at least 3 tetrahedra")
     joins = []
     for i in range(n - 1):
@@ -808,7 +808,7 @@ def augmented_solid_torus(fillings):
         if filling.kind == "fold":
             joins.append(fold)
             continue
-        triple = sorted((filling.w_h, filling.w_d, filling.w_v))
+        triple = sorted(map(_weight, filling[1:]))
         if triple[0] + triple[1] != triple[2]:
             raise TriangulationError(
                 f"weights {triple} do not form a solid torus boundary triple")
@@ -840,7 +840,7 @@ def augmented_quaternionic(k):
     with boundary triple {1, k-1, k}.  One tetrahedron larger than the
     twisted layered loop of the same space.  Its H_1 is checked against
     the Seifert presentation, and both are logged at DEBUG."""
-    if k < 4 or k % 2:
+    if _weight(k, "parameter k") < 4 or k % 2:
         raise TriangulationError("needs even k >= 4")
     tri = augmented_solid_torus((
         AnnulusFilling("fold"),
@@ -891,6 +891,9 @@ def seifert_family(tag, k, m=None, n=None):
     the built H_1 at DEBUG.
     """
     tag = family_tag(tag)
+    for name, x in zip("kmn", (k, m, n) if tag in ("M", "MPRIME") else (k,)):
+        if x is not None:
+            _weight(x, f"parameter {name}")
     if tag == "M":
         if not all(x and x >= 1 for x in (k, m, n)):
             raise TriangulationError("family M needs positive k, m, n")

@@ -271,14 +271,13 @@ def full_report(tri, descriptor, k_phi=0):
     }
     if not tri.is_closed:
         return report
-    h1 = homology.first_homology(tri)
-    report["homology"] = _homology_block(h1)
+    report["homology"] = _homology_block(homology.first_homology(tri))
     if sk.vertex_count == 1:
         classes = []
         for phi in cocycle.all_nonzero_classes(tri):
             rep = analyze.fundamental_report(tri, phi, k_phi=k_phi)
             chi2, orientable, connected = surface.surface_classify(
-                tri, rep.surface.coord, rep.chi)
+                tri, rep.surface.coord)
             classes.append({
                 "cocycle": str(phi),
                 "census": _census_block(rep.census),
@@ -293,7 +292,7 @@ def full_report(tri, descriptor, k_phi=0):
         report["maximal_layered_solid_tori"] = _tori_block(lsts)
         report["lst_intersections"] = analyze.lst_intersection_matrix(tri, lsts)
         report["twisted_squares"] = analyze.twisted_squares(tri)
-        report["lint"] = analyze.low_degree_lint(tri, lsts, h1)
+        report["lint"] = analyze.low_degree_lint(tri)
     return report
 
 
@@ -445,7 +444,7 @@ def cmd_bounds(args):
     _emit({"schema_version": SCHEMA_VERSION,
            "bounds": [{"cocycle": str(rep.surface.cocycle), **_bound_block(rep)}
                       for rep in shown],
-           "certificate": analyze.complexity_certificate(tri, args.family, reports)})
+           "certificate": analyze.complexity_certificate(tri, args.family)})
     return 0
 
 

@@ -285,9 +285,18 @@ def _eliminate_unit_pivots(columns):
 
 
 def first_homology(tri):
-    """H_1 over the integers by sparse unit-pivot elimination ahead of a
-    dense Smith normal form of what is left, with the Z/2 rank recomputed
-    independently over GF(2) and cross-checked.
+    """H_1 of a closed connected triangulation, as a ``HomologyProfile``.
+    ``tri`` holds it, so each table's H_1 is computed once."""
+    if tri._h1 is None:
+        tri._h1 = _first_homology(tri)
+    return tri._h1
+
+
+def _first_homology(tri):
+    """The H_1 ``first_homology`` returns, worked out: over the integers by
+    sparse unit-pivot elimination ahead of a dense Smith normal form of
+    what is left, with the Z/2 rank recomputed independently over GF(2)
+    and cross-checked.
 
     The relations are the face columns of d2 less those of the T - 1 faces
     of ``dual_tree``.  Since d2 d3 = 0, and a face between two distinct

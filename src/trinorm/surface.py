@@ -203,15 +203,29 @@ def _tet_cells(counts):
     return tuple(arcs), _slot_weights(counts), sum(counts)
 
 
-def euler_char(tri, coord, weights=None):
+def euler_char(tri, coord):
     """Euler characteristic by direct cell count of the induced
     decomposition: vertices on edges, arcs in faces, discs in tetrahedra.
 
-    Validates the coordinate on the way: its size, embeddability, then
-    arc counts matching across every interior face gluing, then agreeing
-    weights on the slots of every edge class, unless the caller passes
-    the ``edge_weights`` it has already checked.  The arcs and slot
-    weights are read through the triangulation's ``slot_gathers``."""
+    ``tri`` holds the last coordinate counted on it with its chi, and
+    hands the chi back for that same object, which it keeps alive, when
+    the coordinate's rows are a tuple: rows in a list can change after
+    the count."""
+    held = tri._chi
+    if held is not None and held[0] is coord:
+        return held[1]
+    chi = _euler_char(tri, coord)
+    if type(coord.rows) is tuple:
+        tri._chi = coord, chi
+    return chi
+
+
+def _euler_char(tri, coord):
+    """The chi ``euler_char`` returns, counted.  Validates the coordinate
+    on the way: its size, embeddability, then arc counts matching across
+    every interior face gluing, then agreeing weights on the slots of
+    every edge class.  The arcs and slot weights are read through the
+    triangulation's ``slot_gathers``."""
     _check_size(tri, coord)
     if coord.formal:
         raise CoordinateError("formal coordinates are not embeddable")
@@ -234,8 +248,7 @@ def euler_char(tri, coord, weights=None):
                 raise CoordinateError(
                     f"matching fails across face ({t1},{f1})~({t2},{f2}) "
                     f"at vertex {v}")
-    if weights is None:
-        weights = _class_weights(tri, tuple(chain.from_iterable(weight_rows)))
+    weights = _class_weights(tri, tuple(chain.from_iterable(weight_rows)))
     return sum(weights) - sum(counted(arcs)) + sum(disc_counts)
 
 
@@ -276,7 +289,7 @@ def canonical_surface(tri, phi):
                    "colouring, differing on edges %s", len(ws), differ)
     if differ:
         raise AssertionError("canonical surface weight differs from parity")
-    return CanonicalSurface(coord, phi, euler_char(tri, coord, ws))
+    return CanonicalSurface(coord, phi, euler_char(tri, coord))
 
 
 def chi_formula(census: ParityCensus):
@@ -536,7 +549,7 @@ def _tet_arcs(counts):
 _UNIT_ARCS = {row: _tet_arcs(row) for row in (_ZERO_ROW,) + _UNIT_ROWS}
 
 
-def surface_classify(tri, coord, chi=None):
+def surface_classify(tri, coord):
     """(chi, orientable, connected) of an embedded coordinate.
 
     Orientability is decided by propagating transverse orientations across
@@ -544,14 +557,10 @@ def surface_classify(tri, coord, chi=None):
     the surface itself only in an orientable manifold, so in a
     non-orientable one ``orientable`` is None: not decided.  One call of
     ``_linked`` joins the discs glued across faces.  The empty surface is
-    orientable.  A caller that has already counted the
-    coordinate with ``euler_char`` (which also validates it) passes that
-    ``chi`` instead of recounting.
+    orientable.  The chi is ``euler_char``'s, which also validates the
+    coordinate, and is not recounted for the coordinate last counted.
     """
-    if chi is None:
-        chi = euler_char(tri, coord)
-    else:
-        _check_size(tri, coord)
+    chi = euler_char(tri, coord)
     counts = coord.rows
     # the discs of tetrahedron t are numbered from start[t] on
     start = list(accumulate(map(sum, counts), initial=0))

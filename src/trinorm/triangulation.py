@@ -453,10 +453,16 @@ class Triangulation:
     """
 
     # the last coordinate b-modified on this table with its quad sites (see
-    # surface._quad_sites), and the last colouring classified on it with
-    # its tetrahedron types (see cocycle.classify_tetrahedra)
+    # surface._quad_sites), the last colouring classified on it with its
+    # tetrahedron types (see cocycle.classify_tetrahedra), the last
+    # coordinate counted on it with its chi (see surface.euler_char), its
+    # H_1 (see homology.first_homology) and its maximal layered solid tori
+    # (see analyze.find_maximal_lsts)
     _quad_sites = None
     _tet_types = None, None
+    _chi = None
+    _h1 = None
+    _lsts = None
 
     def __init__(self, gluings):
         table = tuple(map(tuple, gluings))

@@ -385,7 +385,7 @@ def _quaternionic(quick):
                 return 0, f"loop {k}: non-quad tetrahedron"
             canon = surface.canonical_surface(tri, phi)
             chi, orientable, connected = surface.surface_classify(
-                tri, canon.coord, canon.chi)
+                tri, canon.coord)
             if chi == 0 and connected and not orientable:
                 klein += 1
         if klein != 1:

@@ -19,10 +19,11 @@ from trinorm.analyze import (find_maximal_lsts, lst_intersection_matrix,
 from trinorm.build import (AnnulusFilling, LayeredSolidTorus,
                            augmented_solid_torus, relayered_weight)
 from trinorm.perm import ALL_PERMS, Perm4
-from trinorm.surface import canonical_surface, euler_char
+from trinorm.surface import (canonical_surface, edge_weights, euler_char,
+                             surface_classify, vertex_link)
 from trinorm.triangulation import (EDGE_INDEX, EDGE_VERTICES, FACET_EDGES,
                                    FACET_VERTICES, Skeleton, Triangulation,
-                                   TriangulationError, parse)
+                                   TriangulationError, parse, serialize)
 from test_skeleton import gluing_tables, reference_glued
 from test_triangulation import _random_relabelling
 from test_build import _boundary_edge_slot
@@ -666,7 +667,8 @@ def test_complexity_certificate_forms():
 def test_certificate_from_the_callers_reports_equals_its_own():
     # the family grid, the lens folds to depth 5, and non-members: the
     # twisted loop augmented by one tetrahedron, and an untwisted loop,
-    # whose two vertices leave it without colouring classes
+    # whose two vertices leave it without colouring classes; a second
+    # call reads what the table holds
     tris = [tri for _, _, tri in verifysuite._family_grid()]
     tris += [folded for _, _, folded in verifysuite._lens_grid(5)]
     tris += [build.augmented_quaternionic(4),
@@ -674,10 +676,9 @@ def test_certificate_from_the_callers_reports_equals_its_own():
     for tri in tris:
         classes = (cocycle.all_nonzero_classes(tri)
                    if tri.skeleton.vertex_count == 1 else [])
-        reports = [fundamental_report(tri, phi) for phi in classes]
         for family in (None, *analyze._FAMILIES):
             cert = complexity_certificate(tri, family)
-            assert cert == complexity_certificate(tri, family, reports)
+            assert cert == complexity_certificate(tri, family)
         # each class's numbers, derived apart from fundamental_report
         expected = []
         for phi in classes:
@@ -689,6 +690,105 @@ def test_certificate_from_the_callers_reports_equals_its_own():
                              "balanced": census.balanced})
         assert cert["classes"] == expected
         assert cert["balanced"] == any(c["balanced"] for c in expected)
+
+
+# ----- results a triangulation holds -----------------------------------------
+
+
+def _held_calls(tri):
+    """Name -> call, for each call whose result ``tri`` holds once
+    computed: H_1, the maximal tori with their books, the lint, the
+    certificate for no family and for each family, and the classification
+    of each class's canonical surface, the surfaces made beforehand."""
+    calls = {"h1": functools.partial(homology.first_homology, tri),
+             "tori": lambda: [tuple(emb) for emb in find_maximal_lsts(tri)],
+             "lint": functools.partial(low_degree_lint, tri)}
+    for family in (None, *analyze._FAMILIES):
+        calls[f"certificate {family}"] = functools.partial(
+            complexity_certificate, tri, family)
+    if tri.is_closed and tri.skeleton.vertex_count == 1:
+        for i, phi in enumerate(cocycle.all_nonzero_classes(tri)):
+            calls[f"surface {i}"] = functools.partial(
+                surface_classify, tri, canonical_surface(tri, phi).coord)
+    return calls
+
+
+def _result(call):
+    """The call's value, or the type and message of the error it raises:
+    a random table may be refused, or fail a check of the report."""
+    try:
+        return "value", call()
+    except (TriangulationError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_held_results_are_fresh(tri, rng):
+    """Each held call, asked twice in an order drawn from ``rng``, equals
+    the same call made first on a fresh copy of the table."""
+    held, text = _held_calls(tri), serialize(tri)
+    want = {name: _result(_held_calls(parse(text))[name]) for name in held}
+    order = list(held) * 2
+    rng.shuffle(order)
+    for name in order:
+        assert _result(held[name]) == want[name], name
+    # the tori come back in a fresh list each time
+    find_maximal_lsts(tri).clear()
+    assert _result(held["tori"]) == want["tori"]
+
+
+def test_held_results_equal_fresh_ones_on_the_grids():
+    # the family grid, and every node of the fraction tree to depth 7 with
+    # its three folds
+    rng = random.Random(52)
+    tris = [tri for _, _, tri in verifysuite._family_grid()]
+    for _, tri, meta in build.lst_tree(7):
+        tris.append(tri)
+        tris += [build.fold_along_edge(tri, build.boundary_edge(meta, w),
+                                       meta)[0]
+                 for w in (meta.p, meta.q, meta.p + meta.q)]
+    for tri in tris:
+        _assert_held_results_are_fresh(tri, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gluing_tables(kinds=("pair",)), st.randoms(use_true_random=False))
+def test_held_results_equal_fresh_ones_on_closed_tables(tri, rng):
+    _assert_held_results_are_fresh(tri, rng)
+
+
+def test_results_the_library_computes_are_not_taken_from_a_caller():
+    # each call that once took one of these results in place of computing
+    # it is refused by its signature, and without the result returns the
+    # library's own value
+    l8, _, _ = build.lens_space(1, 6)
+    canon = canonical_surface(l8, cocycle.all_nonzero_classes(l8)[0])
+    with pytest.raises(TypeError):
+        surface_classify(l8, canon.coord, 99)
+    assert surface_classify(l8, canon.coord) == (-2, False, True)
+    with pytest.raises(TypeError):
+        euler_char(l8, canon.coord, edge_weights(l8, vertex_link(l8)))
+    assert euler_char(l8, canon.coord) == -2
+    # the homology of S^3 and no tori, against the one-tetrahedron L(5,2)
+    # and L(4,1)
+    s3, _, _ = build.lens_space(1, 2, fold_weight=3)
+    for fold_weight, degree, label in ((1, "degree_3", "one_tet_lens_order_5"),
+                                       (2, "degree_2", "lens_order_4_exception")):
+        tri, _, _ = build.lens_space(1, 2, fold_weight=fold_weight)
+        with pytest.raises(TypeError):
+            low_degree_lint(tri, h1=homology.first_homology(s3))
+        with pytest.raises(TypeError):
+            low_degree_lint(tri, lsts=[])
+        assert {e["classification"]
+                for e in low_degree_lint(tri)[degree]} == {label}
+    # M(1,1,1)'s reports, against L(2,1)
+    m111, _ = build.seifert_family("M", 1, 1, 1)
+    reports = [fundamental_report(m111, phi)
+               for phi in cocycle.all_nonzero_classes(m111)]
+    l2, _, _ = build.lens_space(1, 3)
+    with pytest.raises(TypeError):
+        complexity_certificate(l2, None, reports)
+    assert [c["cocycle"] for c in complexity_certificate(l2)["classes"]] == \
+        [str(phi) for phi in cocycle.all_nonzero_classes(l2)]
 
 
 def test_certificate_recognises_members_up_to_relabelling():

@@ -47,10 +47,23 @@ def test_lst_rejects_bad_input():
     (lambda: build.lens_space(2.9, 7.2), "weight 2.9"),
     (lambda: build.lens_space(2, 7, 2.0), "fold weight 2.0"),
     (lambda: build.lens_space(1, 2, True), "fold weight True"),
+    (lambda: build.layered_loop(4.9, True), "loop length 4.9"),
+    (lambda: build.layered_loop("5", False), "loop length '5'"),
+    (lambda: build.seifert_family("Q", 4.0), "parameter k 4.0"),
+    (lambda: build.seifert_family("M", True, 1, 1), "parameter k True"),
+    (lambda: build.seifert_family("MPRIME", 1, 2.0, 1), "parameter m 2.0"),
+    (lambda: build.seifert_family("P", 1.5), "parameter k 1.5"),
+    (lambda: build.augmented_quaternionic(6.0), "parameter k 6.0"),
+    (lambda: build.augmented_solid_torus((
+        build.AnnulusFilling("fold"), build.AnnulusFilling("fold"),
+        build.AnnulusFilling("lst", 2.0, 1, 3.0))), "weight 2.0"),
 ])
 def test_weights_that_are_not_ints_are_refused(build_it, message):
-    # no weight is truncated or coerced: lst(2.5, 7) once built lst(2, 7)
-    # and lens_space(2, 7, 2.0) folded along 2
+    # no weight or parameter is truncated or coerced: lst(2.5, 7) once
+    # built lst(2, 7), lens_space(2, 7, 2.0) folded along 2 and
+    # layered_loop(4.9, True) built 4 tetrahedra; seifert_family("P", 1.5)
+    # and the augmented solid tori with a float weight ended in a bare
+    # TypeError
     with pytest.raises(TriangulationError,
                        match=f"^{message} is not an int$"):
         build_it()

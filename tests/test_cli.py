@@ -402,8 +402,9 @@ def test_parser_is_built_once_and_dispatches_by_name(tmp_path, monkeypatch,
 def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     from trinorm import analyze, surface
     from trinorm import homology
-    calls = {"euler_char": 0, "edge_weights": 0, "find_maximal_lsts": 0,
-             "first_homology": 0}
+    # the computations behind the results a triangulation holds
+    calls = {"_euler_char": 0, "edge_weights": 0, "_find_maximal_lsts": 0,
+             "_first_homology": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -413,10 +414,10 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, run)
 
-    counted(surface, "euler_char")
+    counted(surface, "_euler_char")
     counted(surface, "edge_weights")
-    counted(analyze, "find_maximal_lsts")
-    counted(homology, "first_homology")
+    counted(analyze, "_find_maximal_lsts")
+    counted(homology, "_first_homology")
     # L(10,1): one colouring class, and degree-3 edges for the lint
     tri, _, _ = build.lens_space(1, 8)
     path = tmp_path / "lens.tri"
@@ -426,8 +427,8 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     assert len(report["classes"]) == 1 and report["lint"]["degree_3"]
     # the canonical surface is counted once, its edge weights are checked
     # once, and the lint reuses the tori the report found
-    assert calls == {"euler_char": 1, "edge_weights": 1,
-                     "find_maximal_lsts": 1, "first_homology": 1}
+    assert calls == {"_euler_char": 1, "edge_weights": 1,
+                     "_find_maximal_lsts": 1, "_first_homology": 1}
 
     tri, _ = build.seifert_family("M", 1, 2, 1)
     path.write_text(serialize(tri))
@@ -441,25 +442,26 @@ def test_analyze_counts_and_searches_once(tmp_path, monkeypatch, capsys):
     tri, _, record = build.lens_space(1, 2)
     assert (tri.tet_count, record.lens_a) == (1, 4)
     path.write_text(serialize(tri))
-    calls["first_homology"] = 0
+    calls["_first_homology"] = 0
     assert main(["analyze", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["lint"]["degree_2"] == [
         {"edge": 1, "classification": "lens_order_4_exception"}]
-    assert calls["first_homology"] == 1
+    assert calls["_first_homology"] == 1
 
 
 def test_surface_counts_the_canonical_surface_once(tmp_path, monkeypatch,
                                                    capsys):
     from trinorm import surface
     calls = []
-    euler_char = surface.euler_char
+    # the counts computed behind the chi a triangulation holds
+    count = surface._euler_char
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return euler_char(*args, **kwargs)
+        return count(*args, **kwargs)
 
-    monkeypatch.setattr(surface, "euler_char", counted)
+    monkeypatch.setattr(surface, "_euler_char", counted)
     tri, _, _ = build.lens_space(1, 8)
     path = tmp_path / "lens.tri"
     path.write_text(serialize(tri))
@@ -468,7 +470,7 @@ def test_surface_counts_the_canonical_surface_once(tmp_path, monkeypatch,
     report = json.loads(out[out.index("{"):])
     # the report prints the chi the canonical surface was counted with
     assert len(calls) == 1
-    assert report["chi"] == report["chi_formula"] == euler_char(tri, calls[0])
+    assert report["chi"] == report["chi_formula"] == count(tri, calls[0])
     # a b-modification is counted once, by its own check, and the report
     # prints that chi
     even = report["cocycle"].index("0")
@@ -476,7 +478,7 @@ def test_surface_counts_the_canonical_surface_once(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     report = json.loads(out[out.index("{"):])
     assert len(calls) == 3 and calls[1] == calls[0] != calls[2]
-    assert report["chi"] == euler_char(tri, calls[-1]) == \
+    assert report["chi"] == count(tri, calls[-1]) == \
         report["chi_formula"] - 2 * report["octagons"] + 2
 
 
@@ -494,30 +496,41 @@ def _count_calls(monkeypatch, calls, name, *modules):
 def test_bounds_and_analyze_derive_each_class_once(tmp_path, monkeypatch,
                                                    capsys):
     from trinorm import analyze, cocycle, homology, surface
-    calls = dict.fromkeys(("all_nonzero_classes", "first_homology",
-                           "_classify"), 0)
+    calls = dict.fromkeys(("all_nonzero_classes", "_first_homology",
+                           "_classify", "_euler_char", "_find_maximal_lsts"),
+                          0)
     _count_calls(monkeypatch, calls, "all_nonzero_classes", cocycle, analyze)
-    _count_calls(monkeypatch, calls, "first_homology", homology)
-    # the classifications computed behind classify_tetrahedra's memo
+    # the homologies, counts and tori computed behind the results a
+    # triangulation holds, and the classifications computed behind
+    # classify_tetrahedra's memo
+    _count_calls(monkeypatch, calls, "_first_homology", homology)
     _count_calls(monkeypatch, calls, "_classify", cocycle)
+    _count_calls(monkeypatch, calls, "_euler_char", surface)
+    _count_calls(monkeypatch, calls, "_find_maximal_lsts", analyze)
     # M'(1,1,1): three classes, each with quad and tri tetrahedra
     tri, _ = build.seifert_family("MPRIME", 1, 1, 1)
     path = tmp_path / "mp.tri"
     path.write_text(serialize(tri))
-    # the one member that --family rebuilds checks its own homology
+    # the one member that --family rebuilds checks its own homology; the
+    # certificate derives the classes again for its own reports, which
+    # read nothing --k-phi changes
     for argv, homologies in (([], 1), (["--class", "1", "--k-phi", "2"], 1),
                              (["--family", "MPRIME"], 2)):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["bounds", str(path), *argv]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["certificate"]["classes"]) == 3
-        assert calls == {"all_nonzero_classes": 1,
-                         "first_homology": homologies,
-                         "_classify": 3}
+        assert calls == {"all_nonzero_classes": 2,
+                         "_first_homology": homologies,
+                         "_classify": 6, "_euler_char": 6,
+                         "_find_maximal_lsts": 0}
+    # analyze computes H_1, the tori and each canonical surface's chi once
     calls.update(dict.fromkeys(calls, 0))
     assert main(["analyze", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)["classes"]) == 3
-    assert calls["_classify"] == 3
+    assert calls == {"all_nonzero_classes": 1, "_first_homology": 1,
+                     "_classify": 3, "_euler_char": 3,
+                     "_find_maximal_lsts": 1}
 
 
 def test_bounds_reports_a_bounded_input_before_homology(tmp_path, capsys):

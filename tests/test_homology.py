@@ -854,7 +854,9 @@ def test_the_eliminator_gets_the_relations_off_the_dual_tree(monkeypatch):
     for tri in grid:
         sk = tri.skeleton
         seen.clear()
-        first_homology(tri)
+        # the computation itself: a family member holds the H_1 its
+        # constructor checked
+        homology._first_homology(tri)
         (columns,) = seen
         dropped = set(_dual_tree_faces(tri))
         faces = [col for c, col in enumerate(_boundary_columns(tri)[1])

@@ -136,6 +136,36 @@ def test_doubled_canonical_doubles_chi():
     assert euler_char(tri, doubled) == 2 * canon.chi
 
 
+def test_euler_char_holds_the_last_coordinate_it_counted(monkeypatch):
+    # L(8,1)'s canonical surface, its vertex link, the doubled surface and
+    # the first again: each chi is the reference's, and only a repeat of
+    # the coordinate last counted on the table is not counted again
+    tri, _, _ = build.lens_space(1, 6)
+    canon = canonical_surface(tri, cocycle.all_nonzero_classes(tri)[0])
+    link, doubled = vertex_link(tri), canon.coord + canon.coord
+    counted, count = [], surface._euler_char
+
+    def counting(tri, coord):
+        counted.append(coord)
+        return count(tri, coord)
+
+    monkeypatch.setattr(surface, "_euler_char", counting)
+    order = [canon.coord, link, doubled, doubled, canon.coord, canon.coord]
+    chis = [euler_char(tri, coord) for coord in order]
+    assert chis == [_ref_euler_char(tri, c) for c in order] == \
+        [-2, 2, -4, -4, -2, -2]
+    # canonical_surface counted the first coordinate before
+    assert [id(c) for c in counted] == [id(link), id(doubled),
+                                        id(canon.coord)]
+    # rows in a list are counted again on every call: they can change
+    rows = list(canon.coord.rows)
+    listed = NormalCoordinate(rows)
+    assert euler_char(tri, listed) == -2
+    rows[:] = link.rows
+    assert euler_char(tri, listed) == 2
+    assert counted[3:] == [listed, listed]
+
+
 def test_doubled_coordinates_classify_as_covers():
     # doubling a one-sided surface gives its connected orientable double
     # cover; doubling a two-sided sphere gives two disjoint spheres
@@ -528,21 +558,17 @@ def _toward_vertex_sign(disc, vertex):
     return 1 if vertex in QUAD_SIDE_A[typ] else -1
 
 
-def _ref_surface_classify(tri, coord, chi=None):
+def _ref_surface_classify(tri, coord):
     """(chi, orientable, connected) of an embedded coordinate.
 
     Orientability is decided by propagating transverse orientations across
     the normal disc adjacency graph.  That coincides with orientability of
     the surface itself only in an orientable manifold, so in a
     non-orientable one ``orientable`` is None: not decided.  The empty
-    surface is orientable.  A caller that has already counted the
-    coordinate with ``euler_char`` (which also validates it) passes that
-    ``chi`` instead of recounting.
+    surface is orientable.  The chi is ``euler_char``'s, which also
+    validates the coordinate.
     """
-    if chi is None:
-        chi = euler_char(tri, coord)
-    else:
-        surface._check_size(tri, coord)
+    chi = euler_char(tri, coord)
     discs = _disc_list(coord)
     if not discs:
         return chi, True, False
@@ -615,7 +641,8 @@ def test_surface_classify_matches_reference():
     for tri, coord in _classification_coordinates():
         want = _ref_surface_classify(tri, coord)
         assert surface_classify(tri, coord) == want
-        assert surface_classify(tri, coord, want[0]) == want
+        # a second call reads the chi the triangulation holds
+        assert surface_classify(tri, coord) == want
         outcomes.add(want[1:])
         checked += 1
     # one-sided and two-sided surfaces, connected and not, and undecided
@@ -649,25 +676,12 @@ def test_canonical_surfaces_classify_from_the_unit_arc_table(monkeypatch):
     for _, _, tri in verifysuite._family_grid():
         for phi in cocycle.all_nonzero_classes(tri):
             canon = canonical_surface(tri, phi)
-            assert surface_classify(tri, canon.coord, canon.chi)[0] == \
-                canon.chi
+            assert surface_classify(tri, canon.coord)[0] == canon.chi
             classified += 1
     assert classified > 0 and calls == []
     # a doubled surface still takes its rows from the rule
     surface_classify(tri, canon.coord.scale(2))
     assert calls
-
-
-def test_surface_classify_with_chi_given_checks_the_arcs():
-    # a caller's chi skips the validating count, and the arc pairing still
-    # finds an unmatched face
-    tri = build.layered_loop(4, twisted=True)
-    coord = canonical_surface(tri, cocycle.all_nonzero_classes(tri)[0]).coord
-    for t in range(tri.tet_count):
-        bad = _corrupt(coord, "tris", t, 1, 1)
-        assert _outcome(surface_classify, tri, bad, 0) == \
-            _outcome(_ref_surface_classify, tri, bad, 0) == \
-            ("error", "arc mismatch during classification")
 
 
 @settings(max_examples=40, deadline=None)
@@ -783,8 +797,6 @@ def test_coordinate_of_the_wrong_size_is_rejected():
                 fn(tri, coord)
         with pytest.raises(CoordinateError, match=message):
             special_solutions(tri)[2](coord)
-        with pytest.raises(CoordinateError, match=message):
-            surface_classify(tri, coord, 2)
         phi = cocycle.all_nonzero_classes(other)[0]
         with pytest.raises(CoordinateError, match=message):
             b_modification(tri, canonical_surface(other, phi), ())

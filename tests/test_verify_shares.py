@@ -303,12 +303,12 @@ def test_octagon_items_are_the_modifications(quick):
 
 def test_every_octagon_item_gets_one_full_cell_count(monkeypatch):
     # over both full shares: one b_modification per item, and inside each
-    # exactly one validating euler_char, on a coordinate with one row per
-    # tetrahedron and no edge weights handed in
+    # exactly one validating cell count, the computation behind the chi a
+    # triangulation holds, on a coordinate with one row per tetrahedron
     items = [(tri.gluings, canon, b)
              for _, tri, canon, b in verifysuite._octagon_items(False)]
     modified, counted = [], []
-    real_modification, real_count = surface.b_modification, surface.euler_char
+    real_modification, real_count = surface.b_modification, surface._euler_char
 
     def modification(tri, canon, b):
         modified.append((tri.gluings, canon, b))
@@ -317,15 +317,15 @@ def test_every_octagon_item_gets_one_full_cell_count(monkeypatch):
         assert len(counted) == before + 1
         return result
 
-    def count(tri, coord, weights=None):
+    def count(tri, coord):
         if len(modified) > len(counted):
-            assert weights is None and not coord.formal
+            assert not coord.formal
             assert coord.tet_count == len(coord.rows) == tri.tet_count
             counted.append(coord)
-        return real_count(tri, coord, weights)
+        return real_count(tri, coord)
 
     monkeypatch.setattr(surface, "b_modification", modification)
-    monkeypatch.setattr(surface, "euler_char", count)
+    monkeypatch.setattr(surface, "_euler_char", count)
     assert [verifysuite._octagon_share(share, False) for share in (0, 1)] \
         == [(2098, None)] * 2
     assert len(modified) == len(counted) == len(items) == 4196
